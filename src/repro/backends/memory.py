@@ -5,7 +5,9 @@ Executor`) and the simulated blob store (:class:`~repro.storage.store.
 DataStore`) behind the :class:`~repro.backends.base.ExecutionBackend`
 interface.  This is the original simulator engine, unchanged in
 behaviour -- streams and views are Python row lists keyed by GUID/path,
-and Spool materialization happens inside the interpreter itself.
+and Spool materialization happens inside the interpreter itself.  Byte
+sizes come from the interpreter's per-node statistics and the store's
+recorded blob sizes; nothing here walks rows to measure them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.executor.udo import UdoRegistry
 from repro.faults import points as fault_points
 from repro.plan.expressions import Row
 from repro.plan.logical import LogicalPlan, Spool, ViewScan
-from repro.storage.store import DataStore, _estimate_bytes
+from repro.storage.store import DataStore
 
 
 class InMemoryBackend(ExecutionBackend):
@@ -72,11 +74,12 @@ class InMemoryBackend(ExecutionBackend):
 
     def materialize_view(self, plan: LogicalPlan, view_id: str):
         self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        rows = self.executor.execute(plan).rows
+        result = self.executor.execute(plan)
         self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
-        size = _estimate_bytes(rows)
-        self.store.put(view_id, rows, row_bytes=size)
-        return len(rows), size
+        # The root is the last node run, and already measured.
+        size = result.node_stats[-1][1].bytes_out
+        self.store.put(view_id, result.rows, row_bytes=size)
+        return len(result.rows), size
 
     def scan_view(self, view_id: str) -> List[Row]:
         self.faults.fire(fault_points.BACKEND_SCAN_VIEW)

@@ -15,11 +15,20 @@ path, exactly the online-materialization side effect of Section 2.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import ExecutionError
 from repro.executor.udo import UdoRegistry, default_registry
-from repro.plan.expressions import Row
+from repro.plan.expressions import Compiled, Expr, FuncCall, Row
 from repro.plan.logical import (
     Distinct,
     Filter,
@@ -98,7 +107,16 @@ class ExecutionResult:
 
 
 class Executor:
-    """Interprets logical plans over the simulated store."""
+    """Interprets logical plans over the simulated store.
+
+    Two rules keep the bookkeeping cheaper than the query it describes:
+    *a row list is measured once* -- every operator hands its parent the
+    byte size of its output next to the rows, so an operator whose output
+    is its child's list or multiset (a spool, a sort, a filter that kept
+    everything) inherits the number instead of walking the rows again --
+    and *an expression is compiled once per operator execution*, so the
+    per-row work is a call to a closure, never a tree walk.
+    """
 
     def __init__(self, store: DataStore,
                  udos: Optional[UdoRegistry] = None,
@@ -109,28 +127,37 @@ class Executor:
 
     def execute(self, plan: LogicalPlan) -> ExecutionResult:
         result = ExecutionResult(rows=[], node_stats=[])
-        result.rows = self._run(plan, result)
+        result.rows, _ = self._run(plan, result)
         return result
 
     # ------------------------------------------------------------------ #
     # dispatch
 
-    def _run(self, plan: LogicalPlan, result: ExecutionResult) -> List[Row]:
+    def _run(self, plan: LogicalPlan,
+             result: ExecutionResult) -> Tuple[List[Row], int]:
+        """Run ``plan``; returns its output rows and their byte size.
+
+        A handler returns ``(rows_in, rows_out, bytes_out)`` and leaves
+        ``bytes_out`` ``None`` when its output is a new multiset of
+        values, which is then measured here -- the one walk it gets.
+        """
         kind = type(plan)
         handler = _HANDLERS.get(kind)
         if handler is None:
             raise ExecutionError(f"no executor for operator {kind.__name__}")
-        rows_in, rows_out = handler(self, plan, result)
+        rows_in, rows_out, bytes_out = handler(self, plan, result)
+        if bytes_out is None:
+            bytes_out = _estimate_bytes(rows_out)
         result.node_stats.append((plan, OperatorStats(
             operator=plan.op_label,
             rows_in=rows_in,
             rows_out=len(rows_out),
-            bytes_out=_estimate_bytes(rows_out),
+            bytes_out=bytes_out,
             description=plan.describe(),
         )))
         if self.capture_rows:
             result.node_rows[id(plan)] = rows_out
-        return rows_out
+        return rows_out, bytes_out
 
     # ------------------------------------------------------------------ #
     # operators
@@ -139,30 +166,29 @@ class Executor:
         if plan.stream_guid is None:
             raise ExecutionError(
                 f"scan of {plan.dataset!r} was not bound to a stream GUID")
-        rows = self.store.get(plan.stream_guid)
-        projected = [_project_columns(row, plan.columns) for row in rows]
-        return 0, projected
+        rows, size = self.store.read_columns(plan.stream_guid, plan.columns)
+        return 0, rows, size
 
     def _view_scan(self, plan: ViewScan, result: ExecutionResult):
-        rows = self.store.get(plan.view_path)
+        rows, size = self.store.read(plan.view_path)
         result.views_read.append(plan.signature)
-        return 0, list(rows)
+        return 0, list(rows), size
 
     def _filter(self, plan: Filter, result: ExecutionResult):
-        rows = self._run(plan.child, result)
-        kept = [row for row in rows if plan.predicate.evaluate(row)]
-        return len(rows), kept
+        rows, size = self._run(plan.child, result)
+        kept = list(filter(plan.predicate.compile(), rows))
+        return len(rows), kept, _size_if_all_kept(rows, kept, size)
 
     def _project(self, plan: Project, result: ExecutionResult):
-        rows = self._run(plan.child, result)
-        out = [{name: expr.evaluate(row)
-                for expr, name in zip(plan.exprs, plan.names)}
-               for row in rows]
-        return len(rows), out
+        rows, _ = self._run(plan.child, result)
+        columns = [(name, expr.compile())
+                   for expr, name in zip(plan.exprs, plan.names)]
+        out = [{name: value(row) for name, value in columns} for row in rows]
+        return len(rows), out, None
 
     def _join(self, plan: Join, result: ExecutionResult):
-        left = self._run(plan.left, result)
-        right = self._run(plan.right, result)
+        left, _ = self._run(plan.left, result)
+        right, _ = self._run(plan.right, result)
         rows_in = len(left) + len(right)
         algorithm = choose_join_algorithm(plan, len(left), len(right))
         if algorithm == "hash":
@@ -171,62 +197,65 @@ class Executor:
             out = _merge_join(plan, left, right)
         else:
             out = _nested_loop_join(plan, left, right)
-        return rows_in, out
+        return rows_in, out, None
 
     def _group_by(self, plan: GroupBy, result: ExecutionResult):
-        rows = self._run(plan.child, result)
+        rows, _ = self._run(plan.child, result)
         out = _hash_aggregate(plan, rows)
-        return len(rows), out
+        return len(rows), out, None
 
     def _union(self, plan: Union, result: ExecutionResult):
         rows_in = 0
+        size = 0
         out: List[Row] = []
         schema = plan.schema
         for child in plan.inputs:
-            child_rows = self._run(child, result)
+            child_rows, child_size = self._run(child, result)
             rows_in += len(child_rows)
             # Positionally align columns to the union's output schema.
             child_schema = child.schema
-            if child_schema == schema:
-                out.extend(child_rows)
-            else:
-                for row in child_rows:
-                    out.append({s: row[c] for s, c in zip(schema, child_schema)})
-        return rows_in, out
+            if child_schema != schema:
+                child_rows = [{s: row[c] for s, c in zip(schema, child_schema)}
+                              for row in child_rows]
+                child_size = _estimate_bytes(child_rows)
+            out.extend(child_rows)
+            size += child_size
+        return rows_in, out, size
 
     def _distinct(self, plan: Distinct, result: ExecutionResult):
-        rows = self._run(plan.child, result)
+        rows, size = self._run(plan.child, result)
         seen = set()
         out: List[Row] = []
         schema = plan.schema
         for row in rows:
-            key = tuple(_hashable(row.get(c)) for c in schema)
+            key = tuple([_hashable(row.get(c)) for c in schema])
             if key not in seen:
                 seen.add(key)
                 out.append(row)
-        return len(rows), out
+        return len(rows), out, _size_if_all_kept(rows, out, size)
 
     def _sort(self, plan: Sort, result: ExecutionResult):
-        rows = self._run(plan.child, result)
+        rows, size = self._run(plan.child, result)
         out = list(rows)
         # Stable sort, applied from the least-significant key backwards.
         for key, ascending in reversed(list(zip(plan.keys, plan.ascending))):
-            out.sort(key=lambda row: _sort_key(key.evaluate(row)),
+            value = key.compile()
+            out.sort(key=lambda row: _sort_key(value(row)),
                      reverse=not ascending)
-        return len(rows), out
+        return len(rows), out, size
 
     def _limit(self, plan: Limit, result: ExecutionResult):
-        rows = self._run(plan.child, result)
-        return len(rows), rows[:plan.count]
+        rows, size = self._run(plan.child, result)
+        out = rows[:plan.count]
+        return len(rows), out, _size_if_all_kept(rows, out, size)
 
     def _process(self, plan: Process, result: ExecutionResult):
-        rows = self._run(plan.child, result)
+        rows, _ = self._run(plan.child, result)
         out = self.udos.get(plan.udo_name)(list(rows))
-        return len(rows), out
+        return len(rows), out, None
 
     def _spool(self, plan: Spool, result: ExecutionResult):
-        rows = self._run(plan.child, result)
-        size = _estimate_bytes(rows)
+        rows, size = self._run(plan.child, result)
         self.store.put(plan.view_path, rows, size)
         result.spooled.append(SpoolOutput(
             signature=plan.signature,
@@ -235,7 +264,7 @@ class Executor:
             size_bytes=size,
             schema=plan.schema,
         ))
-        return len(rows), rows
+        return len(rows), rows, size
 
 
 _HANDLERS = {
@@ -252,6 +281,14 @@ _HANDLERS = {
     Process: Executor._process,
     Spool: Executor._spool,
 }
+
+
+def _size_if_all_kept(rows: List[Row], kept: List[Row],
+                      size: int) -> Optional[int]:
+    """``kept`` is an order-preserving selection of ``rows``, whose byte
+    size is ``size``: the same multiset -- and so the same size -- exactly
+    when nothing was dropped."""
+    return size if len(kept) == len(rows) else None
 
 
 # --------------------------------------------------------------------- #
@@ -279,111 +316,135 @@ def choose_join_algorithm(plan: Join, left_rows: int, right_rows: int) -> str:
     return "hash"
 
 
-def _hash_join(plan: Join, left: List[Row], right: List[Row]) -> List[Row]:
-    index: Dict[tuple, List[Row]] = {}
-    for row in right:
-        key = tuple(_hashable(k.evaluate(row)) for k in plan.right_keys)
-        index.setdefault(key, []).append(row)
+def _key_function(exprs: Sequence[Expr],
+                  convert: Callable[[object], object]
+                  ) -> Callable[[Row], tuple]:
+    """One function from a row to the tuple of ``convert``-ed values of
+    ``exprs`` -- a join, group or sort key -- compiled once."""
+    parts = [expr.compile() for expr in exprs]
+    if len(parts) == 1:
+        (only,) = parts
+        return lambda row: (convert(only(row)),)
+    if len(parts) == 2:
+        first, second = parts
+        return lambda row: (convert(first(row)), convert(second(row)))
+    return lambda row: tuple([convert(part(row)) for part in parts])
+
+
+def _emit_join(plan: Join,
+               matches: Iterable[Tuple[Row, Sequence[Row]]]) -> List[Row]:
+    """The output of a join whose kernel paired each left row, in output
+    order, with the right rows that share its equi-key: merge the pairs
+    that pass the residual, NULL-extend an unmatched left row."""
     dropped = set(plan.drop_right)
+    residual = plan.residual.compile() if plan.residual is not None else None
+    unmatched = _null_row(plan.right.schema) if plan.how == "left" else None
     out: List[Row] = []
-    for lrow in left:
-        key = tuple(_hashable(k.evaluate(lrow)) for k in plan.left_keys)
+    for lrow, candidates in matches:
         matched = False
-        for rrow in index.get(key, ()):
+        for rrow in candidates:
             merged = _merge(lrow, rrow, dropped)
-            if plan.residual is None or plan.residual.evaluate(merged):
+            if residual is None or residual(merged):
                 matched = True
                 out.append(merged)
-        if not matched and plan.how == "left":
-            out.append(_merge(lrow, _null_row(plan.right.schema), dropped))
+        if not matched and unmatched is not None:
+            out.append(_merge(lrow, unmatched, dropped))
     return out
+
+
+def _hash_join(plan: Join, left: List[Row], right: List[Row]) -> List[Row]:
+    right_key = _key_function(plan.right_keys, _hashable)
+    left_key = _key_function(plan.left_keys, _hashable)
+    index: Dict[tuple, List[Row]] = {}
+    for row in right:
+        index.setdefault(right_key(row), []).append(row)
+    probe = index.get
+    return _emit_join(plan, ((row, probe(left_key(row), ())) for row in left))
 
 
 def _merge_join(plan: Join, left: List[Row], right: List[Row]) -> List[Row]:
     """Sort-merge join on the compound equi-key."""
+    left_keys, left_sorted = _sorted_by(
+        _key_function(plan.left_keys, _sort_key), left)
+    right_keys, right_sorted = _sorted_by(
+        _key_function(plan.right_keys, _sort_key), right)
 
-    def left_key(row: Row) -> tuple:
-        return tuple(_sort_key(k.evaluate(row)) for k in plan.left_keys)
+    def matches() -> Iterator[Tuple[Row, List[Row]]]:
+        j = 0
+        end = len(right_sorted)
+        for lkey, lrow in zip(left_keys, left_sorted):
+            while j < end and right_keys[j] < lkey:
+                j += 1
+            # Gather the right-side run matching this key.
+            run_end = j
+            while run_end < end and right_keys[run_end] == lkey:
+                run_end += 1
+            yield lrow, right_sorted[j:run_end]
 
-    def right_key(row: Row) -> tuple:
-        return tuple(_sort_key(k.evaluate(row)) for k in plan.right_keys)
+    return _emit_join(plan, matches())
 
-    left_sorted = sorted(left, key=left_key)
-    right_sorted = sorted(right, key=right_key)
-    dropped = set(plan.drop_right)
-    out: List[Row] = []
-    i = j = 0
-    while i < len(left_sorted):
-        lkey = left_key(left_sorted[i])
-        while j < len(right_sorted) and right_key(right_sorted[j]) < lkey:
-            j += 1
-        # Gather the right-side run matching this key.
-        run_end = j
-        while run_end < len(right_sorted) \
-                and right_key(right_sorted[run_end]) == lkey:
-            run_end += 1
-        matched = False
-        for rrow in right_sorted[j:run_end]:
-            merged = _merge(left_sorted[i], rrow, dropped)
-            if plan.residual is None or plan.residual.evaluate(merged):
-                matched = True
-                out.append(merged)
-        if not matched and plan.how == "left":
-            out.append(_merge(left_sorted[i], _null_row(plan.right.schema),
-                              dropped))
-        i += 1
-    return out
+
+def _sorted_by(key: Callable[[Row], tuple],
+               rows: List[Row]) -> Tuple[List[tuple], List[Row]]:
+    """``rows`` stably sorted by ``key``, with each row's key beside it
+    (computed once per row)."""
+    keys = [key(row) for row in rows]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return [keys[i] for i in order], [rows[i] for i in order]
 
 
 def _nested_loop_join(plan: Join, left: List[Row], right: List[Row]) -> List[Row]:
-    dropped = set(plan.drop_right)
-    out: List[Row] = []
-    for lrow in left:
-        matched = False
-        lkey = tuple(_hashable(k.evaluate(lrow)) for k in plan.left_keys)
-        for rrow in right:
-            rkey = tuple(_hashable(k.evaluate(rrow)) for k in plan.right_keys)
-            if lkey != rkey:
-                continue
-            merged = _merge(lrow, rrow, dropped)
-            if plan.residual is None or plan.residual.evaluate(merged):
-                matched = True
-                out.append(merged)
-        if not matched and plan.how == "left":
-            out.append(_merge(lrow, _null_row(plan.right.schema), dropped))
-    return out
+    left_key = _key_function(plan.left_keys, _hashable)
+    right_key = _key_function(plan.right_keys, _hashable)
+
+    def matches() -> Iterator[Tuple[Row, List[Row]]]:
+        keyed_right = None
+        for lrow in left:
+            lkey = left_key(lrow)
+            if keyed_right is None:
+                # Once, when the first left row needs them.
+                keyed_right = [(right_key(row), row) for row in right]
+            yield lrow, [rrow for rkey, rrow in keyed_right if rkey == lkey]
+
+    return _emit_join(plan, matches())
 
 
 def _hash_aggregate(plan: GroupBy, rows: List[Row]) -> List[Row]:
     groups: Dict[tuple, List[Row]] = {}
     if plan.keys:
+        key_of = _key_function(plan.keys, _hashable)
         for row in rows:
-            key = tuple(_hashable(k.evaluate(row)) for k in plan.keys)
-            groups.setdefault(key, []).append(row)
+            groups.setdefault(key_of(row), []).append(row)
     else:
         # Global aggregation always yields exactly one group.
         groups[()] = list(rows)
 
+    keys = [(key.name, key.compile()) for key in plan.keys]
+    aggregates = [
+        (name, agg, agg.args[0].compile() if agg.args else None)
+        for name, agg in zip(plan.names[len(keys):], plan.aggregates)]
     out: List[Row] = []
-    key_names = [k.name for k in plan.keys]
-    agg_names = list(plan.names[len(key_names):])
-    for _, members in groups.items():
+    for members in groups.values():
         result: Row = {}
         if members:
-            for name, key in zip(key_names, plan.keys):
-                result[name] = key.evaluate(members[0])
-        for name, agg in zip(agg_names, plan.aggregates):
-            result[name] = _evaluate_aggregate(agg, members)
+            for name, value in keys:
+                result[name] = value(members[0])
+        for name, agg, argument in aggregates:
+            result[name] = _evaluate_aggregate(agg, argument, members)
         out.append(result)
     return out
 
 
-def _evaluate_aggregate(agg, rows: List[Row]) -> object:
+def _evaluate_aggregate(agg: FuncCall, argument: Optional[Compiled],
+                        rows: List[Row]) -> object:
+    """``agg`` over one group; ``argument`` is its compiled first
+    argument (``None`` for ``COUNT(*)``)."""
     name = agg.name
-    if name == "COUNT" and not agg.args:
+    if name == "COUNT" and argument is None:
         return len(rows)
-    values = [agg.args[0].evaluate(row) for row in rows] if agg.args else []
-    values = [v for v in values if v is not None]
+    values: List[object] = []
+    if argument is not None:
+        values = [v for v in map(argument, rows) if v is not None]
     if agg.distinct:
         unique: List[object] = []
         seen = set()
@@ -410,10 +471,6 @@ def _evaluate_aggregate(agg, rows: List[Row]) -> object:
 
 # --------------------------------------------------------------------- #
 # small helpers
-
-
-def _project_columns(row: Row, columns: Tuple[str, ...]) -> Row:
-    return {c: row.get(c) for c in columns}
 
 
 def _merge(left: Row, right: Row, dropped: set) -> Row:

@@ -106,7 +106,7 @@ class SharedBatchExecutor:
         # Publish every shareable fragment this job computed, with its
         # observed subtree work, so later jobs can pipeline from it.
         work_below = _subtree_work(rewritten, result)
-        for node, _ in result.node_stats:
+        for node, node_stats in result.node_stats:
             if isinstance(node, (Scan, ViewScan, Spool)):
                 continue
             if _height(node) < self.min_share_height:
@@ -118,7 +118,7 @@ class SharedBatchExecutor:
                 continue
             rows = result.node_rows.get(id(node), [])
             path = f"__batch__/{next(self._path_counter)}"
-            self.engine.store.put(path, rows)
+            self.engine.store.put(path, rows, node_stats.bytes_out)
             self._memo[signature] = _MemoEntry(
                 rows=list(rows), path=path,
                 work=work_below.get(id(node), 0.0),

@@ -10,18 +10,27 @@ Two representations matter for CloudViews:
   operands canonically here, so ``a = b`` and ``b = a`` produce the same
   strict signature (Section 2.3: per-operator *syntactic* equivalence with
   "some normalization").
-* :meth:`Expr.evaluate` -- direct interpretation over a row ``dict``, used
-  by the physical executor.
+* :meth:`Expr.evaluate` -- direct interpretation over a row ``dict``: the
+  reference semantics (constant folding and the tests use it).
+* :meth:`Expr.compile` -- the same semantics as a closure specialised on
+  node type and operator.  The executor compiles each expression once per
+  operator execution and calls only the closure per row.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError, PlanError
 
 Row = Dict[str, object]
+
+#: What :meth:`Expr.compile` returns.
+Compiled = Callable[[Row], object]
 
 #: Operators for which operand order does not change the result.
 COMMUTATIVE_OPS = {"=", "<>", "+", "*", "AND", "OR"}
@@ -30,6 +39,18 @@ COMMUTATIVE_OPS = {"=", "<>", "+", "*", "AND", "OR"}
 _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+
+_COMPARISONS: Dict[str, Callable[[object, object], object]] = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+#: Arithmetic over two non-NULL operands; a zero divisor yields NULL.
+_ARITHMETIC: Dict[str, Callable[[object, object], object]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda lhs, rhs: None if rhs == 0 else lhs / rhs,
+    "%": lambda lhs, rhs: None if rhs == 0 else lhs % rhs,
+}
 
 
 def _scalar_registry() -> Dict[str, Callable[..., object]]:
@@ -78,6 +99,17 @@ class Expr:
     def evaluate(self, row: Row) -> object:
         raise NotImplementedError
 
+    def compile(self) -> Compiled:
+        """A closure with exactly :meth:`evaluate`'s results and errors.
+
+        Nodes override this to do their dispatch (on operator, function
+        name, pattern) once, here, instead of once per row; whatever a
+        node cannot specialise -- an unknown operator or function, whose
+        error must still surface only when a row is evaluated -- stays
+        the bound ``evaluate``.
+        """
+        return self.evaluate
+
     def canonical(self) -> str:
         """Deterministic, normalization-aware string form."""
         raise NotImplementedError
@@ -123,6 +155,10 @@ class ColumnRef(Expr):
         key = self.key
         if key in row:
             return row[key]
+        return self._resolve(row)
+
+    def _resolve(self, row: Row) -> object:
+        """The column of a row that does not hold it under ``key``."""
         if self.name in row:
             return row[self.name]
         # Fall back to a suffix match for qualified rows (t.col).
@@ -130,7 +166,19 @@ class ColumnRef(Expr):
         matches = [k for k in row if k.endswith(suffix)]
         if len(matches) == 1:
             return row[matches[0]]
-        raise ExecutionError(f"column {key!r} not found in row {sorted(row)!r}")
+        raise ExecutionError(
+            f"column {self.key!r} not found in row {sorted(row)!r}")
+
+    def compile(self) -> Compiled:
+        key, resolve = self.key, self._resolve
+
+        def column(row: Row) -> object:
+            try:
+                return row[key]
+            except KeyError:
+                return resolve(row)
+
+        return column
 
     def canonical(self) -> str:
         return f"col:{self.name}"
@@ -161,6 +209,10 @@ class Literal(Expr):
 
     def evaluate(self, row: Row) -> object:
         return self.value
+
+    def compile(self) -> Compiled:
+        value = self.value
+        return lambda row: value
 
     def canonical(self) -> str:
         return f"lit:{type(self.value).__name__}:{self.value!r}"
@@ -234,6 +286,63 @@ class BinaryOp(Expr):
             return lhs % rhs
         raise ExecutionError(f"unknown binary operator {op!r}")
 
+    def compile(self) -> Compiled:
+        op = self.op
+        left, right = self.left.compile(), self.right.compile()
+        if op == "AND":
+            return lambda row: bool(left(row)) and bool(right(row))
+        if op == "OR":
+            return lambda row: bool(left(row)) or bool(right(row))
+        compare = _COMPARISONS.get(op)
+        if compare is not None:
+            return self._compile_comparison(compare, left, right)
+        apply = _ARITHMETIC.get(op)
+        if apply is None:
+            return self.evaluate
+
+        def arithmetic(row: Row) -> object:
+            lhs = left(row)
+            rhs = right(row)
+            if lhs is None or rhs is None:
+                return None
+            return apply(lhs, rhs)
+
+        return arithmetic
+
+    def _compile_comparison(self, compare, left: Compiled,
+                            right: Compiled) -> Compiled:
+        """Three-valued comparison (NULL on either side is false), with
+        the common ``column <op> constant`` shapes flattened into one
+        closure."""
+        if isinstance(self.right, Literal) and self.right.value is not None:
+            rhs = self.right.value
+            if isinstance(self.left, ColumnRef):
+                key, resolve = self.left.key, self.left._resolve
+
+                def column_to_constant(row: Row) -> object:
+                    try:
+                        lhs = row[key]
+                    except KeyError:
+                        lhs = resolve(row)
+                    return False if lhs is None else compare(lhs, rhs)
+
+                return column_to_constant
+
+            def to_constant(row: Row) -> object:
+                lhs = left(row)
+                return False if lhs is None else compare(lhs, rhs)
+
+            return to_constant
+
+        def comparison(row: Row) -> object:
+            lhs = left(row)
+            rhs = right(row)
+            if lhs is None or rhs is None:
+                return False
+            return compare(lhs, rhs)
+
+        return comparison
+
     def canonical(self) -> str:
         left = self.left.canonical()
         right = self.right.canonical()
@@ -276,6 +385,24 @@ class UnaryOp(Expr):
             return value is not None
         raise ExecutionError(f"unknown unary operator {self.op!r}")
 
+    def compile(self) -> Compiled:
+        op = self.op
+        operand = self.operand.compile()
+        if op == "NOT":
+            return lambda row: not operand(row)
+        if op == "ISNULL":
+            return lambda row: operand(row) is None
+        if op == "ISNOTNULL":
+            return lambda row: operand(row) is not None
+        if op != "-":
+            return self.evaluate
+
+        def negate(row: Row) -> object:
+            value = operand(row)
+            return None if value is None else -value
+
+        return negate
+
     def canonical(self) -> str:
         return f"({self.op} {self.operand.canonical()})"
 
@@ -316,6 +443,16 @@ class FuncCall(Expr):
         if func is None:
             raise ExecutionError(f"unknown scalar function {self.name!r}")
         return func(*(arg.evaluate(row) for arg in self.args))
+
+    def compile(self) -> Compiled:
+        func = SCALAR_FUNCTIONS.get(self.name)
+        if func is None or self.name in AGGREGATE_FUNCTIONS:
+            return self.evaluate
+        args = [arg.compile() for arg in self.args]
+        if len(args) == 1:
+            (only,) = args
+            return lambda row: func(only(row))
+        return lambda row: func(*[arg(row) for arg in args])
 
     def canonical(self) -> str:
         inner = " ".join(a.canonical() for a in self.args)
@@ -362,6 +499,24 @@ class InList(Expr):
         found = any(value == literal.value for literal in self.values)
         return (not found) if self.negated else found
 
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+        # ``==`` against each value in turn, as ``evaluate`` does: ``in``
+        # on a tuple would also match by identity (a NaN finds itself).
+        values = [literal.value for literal in self.values]
+        negated = self.negated
+
+        def in_list(row: Row) -> object:
+            value = operand(row)
+            if value is None:
+                return False
+            for candidate in values:
+                if value == candidate:
+                    return not negated
+            return negated
+
+        return in_list
+
     def canonical(self) -> str:
         inner = " ".join(sorted(v.canonical() for v in self.values))
         negation = "not-" if self.negated else ""
@@ -395,6 +550,19 @@ class Like(Expr):
         matched = _like_match(str(value), self.pattern)
         return (not matched) if self.negated else matched
 
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+        fullmatch = _like_regex(self.pattern).fullmatch
+        negated = self.negated
+
+        def like(row: Row) -> object:
+            value = operand(row)
+            if value is None:
+                return False
+            return (fullmatch(str(value)) is not None) != negated
+
+        return like
+
     def canonical(self) -> str:
         negation = "not-" if self.negated else ""
         return f"({negation}like {self.operand.canonical()} {self.pattern!r})"
@@ -405,14 +573,18 @@ class Like(Expr):
         return f"({self.operand.to_sql()}{negation} LIKE '{escaped}')"
 
 
-def _like_match(text: str, pattern: str) -> bool:
-    """SQL LIKE semantics: ``%`` any run, ``_`` any single character."""
-    import re
-
-    regex = "".join(
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    """A LIKE pattern as a regex, built once per pattern: ``%`` any run,
+    ``_`` any single character."""
+    return re.compile("".join(
         ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-        for ch in pattern)
-    return re.fullmatch(regex, text) is not None
+        for ch in pattern))
+
+
+def _like_match(text: str, pattern: str) -> bool:
+    """SQL LIKE semantics over :func:`_like_regex`."""
+    return _like_regex(pattern).fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -461,6 +633,20 @@ class CaseWhen(Expr):
             if cond.evaluate(row):
                 return result.evaluate(row)
         return self.default.evaluate(row) if self.default is not None else None
+
+    def compile(self) -> Compiled:
+        branches = [(cond.compile(), result.compile())
+                    for cond, result in zip(self.conditions, self.results)]
+        default = (self.default.compile() if self.default is not None
+                   else lambda row: None)
+
+        def case(row: Row) -> object:
+            for cond, result in branches:
+                if cond(row):
+                    return result(row)
+            return default(row)
+
+        return case
 
     def canonical(self) -> str:
         pairs = " ".join(

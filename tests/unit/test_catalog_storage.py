@@ -91,6 +91,54 @@ class TestDataStore:
         store.get("k")
         assert store.bytes_read > before
 
+    def test_reads_charge_the_size_recorded_at_put(self):
+        store = DataStore()
+        store.put("k", [{"a": 1, "b": "xy"}] * 4)       # 4 * (8 + 2)
+        assert store.size_of("k") == store.bytes_written == 40
+        rows, size = store.read("k")
+        assert (len(rows), size, store.bytes_read) == (4, 40, 40)
+        store.get("k")
+        assert store.bytes_read == 80
+
+    def test_put_over_a_key_replaces_the_recorded_size(self):
+        store = DataStore()
+        store.put("k", [{"a": 1, "s": "abc"}] * 3)
+        assert store.read_columns("k", ("s",))[1] == 9
+        store.put("k", [{"a": 1, "s": "abcde"}])
+        assert store.size_of("k") == 13
+        assert store.read_columns("k", ("s",)) == ([{"s": "abcde"}], 5)
+        assert store.read("k")[1] == 13
+
+    def test_delete_forgets_the_recorded_size(self):
+        store = DataStore()
+        store.put("k", [{"a": 1, "s": "abc"}])
+        store.read_columns("k", ("a",))
+        store.delete("k")
+        assert store.size_of("k") == 0
+        assert not store.has("k")
+        store.put("k", [{"a": True}])
+        assert store.read_columns("k", ("a",)) == ([{"a": True}], 1)
+
+    def test_missing_key_charges_nothing(self):
+        store = DataStore()
+        store.put("k", [{"a": 1}])
+        store.delete("k")
+        for read in (store.get, store.read,
+                     lambda key: store.read_columns(key, ("a",))):
+            with pytest.raises(StorageError):
+                read("k")
+        assert store.bytes_read == 0
+
+    def test_column_pruned_read(self):
+        store = DataStore()
+        store.put("k", [{"a": 1, "s": "xy"}, {"a": 2, "s": ""}])
+        for _ in range(2):                  # measured once, then remembered
+            assert store.read_columns("k", ("s", "absent")) == (
+                [{"s": "xy", "absent": None}, {"s": "", "absent": None}],
+                2 + 8 + 1 + 8)
+        assert store.read_columns("k", ("a",))[1] == 16
+        assert store.bytes_read == 3 * store.size_of("k")
+
 
 class TestViewStore:
     def test_unsealed_view_not_available(self):

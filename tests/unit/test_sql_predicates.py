@@ -131,6 +131,20 @@ class TestLike:
         rows = run((catalog, store), "SELECT s FROM P WHERE s LIKE 'a.b'")
         assert [r["s"] for r in rows] == ["a.b"]
 
+    def test_pattern_regex_is_built_once(self):
+        from repro.plan.expressions import (
+            ColumnRef,
+            _like_match,
+            _like_regex,
+        )
+        assert _like_regex("a.b_%") is _like_regex("a.b_%")
+        assert _like_regex("a.b_%").pattern == r"a\.b..*"
+        assert _like_match("a.bxyz", "a.b_%")
+        assert not _like_match("axbxyz", "a.b_%")
+        row = dict(s="a.bx")
+        like = Like(ColumnRef("s"), "a.b_")
+        assert like.evaluate(row) is like.compile()(row) is True
+
     def test_like_parses_to_node(self):
         stmt = parse("SELECT k FROM T WHERE name LIKE 'x%'").selects[0]
         assert isinstance(stmt.where, Like)
