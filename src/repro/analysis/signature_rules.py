@@ -49,6 +49,7 @@ from repro.signatures.signature import (
     _expr,
     is_reuse_eligible,
     recurring_signature,
+    reference_signature,
     strict_signature,
 )
 
@@ -253,21 +254,24 @@ class SignatureDeterminismRule(Rule):
 
     def check_plan(self, plan: LogicalPlan,
                    ctx: AnalysisContext) -> Iterable[Finding]:
-        strict = strict_signature(plan, ctx.salt)
-        recurring = recurring_signature(plan, ctx.salt)
+        # Hashed through the uncached reference: ``rebuild`` shares leaf
+        # objects with ``plan``, and a leaf's cached digest would answer
+        # for an operator whose hash drifts between calls.
+        strict = reference_signature(plan, False, ctx.salt)
+        recurring = reference_signature(plan, True, ctx.salt)
         clone = rebuild(plan)
-        if strict_signature(clone, ctx.salt) != strict:
+        if reference_signature(clone, False, ctx.salt) != strict:
             yield self.finding(
                 "strict signature changed after a structural rebuild; "
                 "the hash depends on object identity or construction "
                 "order", operator=plan.op_label)
-        if recurring_signature(clone, ctx.salt) != recurring:
+        if reference_signature(clone, True, ctx.salt) != recurring:
             yield self.finding(
                 "recurring signature changed after a structural rebuild",
                 operator=plan.op_label)
         rng = rng_for(0, "lint", "sig-determinism", strict)
         permuted = _permute_unordered(plan, rng)
-        if strict_signature(permuted, ctx.salt) != strict:
+        if reference_signature(permuted, False, ctx.salt) != strict:
             yield self.finding(
                 "strict signature changed after shuffling Union inputs; "
                 "unordered inputs leak their traversal order into the "
@@ -353,8 +357,10 @@ class SaltPropagationRule(Rule):
             return
         if _hash_bypasses_salt(plan):
             return  # a bare ViewScan returns its stored signature
+        # The probe salt is hashed uncached so it leaves nothing on the
+        # job's plan nodes.
         if strict_signature(plan, ctx.salt) == \
-                strict_signature(plan, ctx.salt + "«probe»"):
+                reference_signature(plan, False, ctx.salt + "«probe»"):
             yield self.finding(
                 "runtime-version salt does not affect the strict "
                 "signature", severity="error", operator=plan.op_label)

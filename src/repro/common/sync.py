@@ -116,6 +116,20 @@ class LockSanitizer:
         self._waiting: Dict[int, "TrackedLock"] = {}
         self._held = threading.local()
 
+    def reset_after_fork(self) -> None:
+        """Forget every held lock and waiter: run in a forked child.
+
+        The child inherits the forking thread's held stack and the
+        wait-for graph of threads that do not exist in it, so a lock held
+        across ``fork`` (the shard supervisor spawns under its own) would
+        fail the child's first higher-ranked acquire.  The meta-lock is
+        replaced because another parent thread may have held it.
+        """
+        self._meta = threading.Lock()
+        self._holders = {}
+        self._waiting = {}
+        self._held = threading.local()
+
     # ------------------------------------------------------------------ #
     # per-thread held stack
 
@@ -258,6 +272,14 @@ def disable_sanitizer() -> None:
 def sanitizer() -> Optional[LockSanitizer]:
     """The active sanitizer, or ``None``."""
     return _SANITIZER
+
+
+def _reset_sanitizer_in_child() -> None:
+    if _SANITIZER is not None:
+        _SANITIZER.reset_after_fork()
+
+
+os.register_at_fork(after_in_child=_reset_sanitizer_in_child)
 
 
 class TrackedLock:

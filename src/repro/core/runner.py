@@ -47,8 +47,8 @@ from repro.selection.registry import run_selection, validate_selection_algorithm
 from repro.signatures.signature import (
     is_reuse_eligible,
     recurring_signature,
-    signature_tag,
     strict_signature,
+    subexpression_tag,
 )
 from repro.workload.generator import CookingWorkload, JobInstance
 from repro.workload.repository import (
@@ -326,18 +326,20 @@ def record_job_into(repository: WorkloadRepository, run: JobRun, now: float,
     job_id = run.compiled.job_id
 
     def visit(node: LogicalPlan, parent_id: Optional[int],
-              depth: int) -> Tuple[int, float, int]:
-        """Returns (node_id, subtree_work, height)."""
+              depth: int) -> Tuple[float, int, Tuple[str, ...]]:
+        """Returns (subtree_work, height, sorted scanned datasets)."""
         if isinstance(node, Spool):
             return visit(node.child, parent_id, depth)
         node_id = counter[0]
         counter[0] += 1
         child_work = 0.0
         heights = []
+        scanned: Tuple[str, ...] = ()
         for child in node.children():
-            _, work, height = visit(child, node_id, depth + 1)
+            work, height, below = visit(child, node_id, depth + 1)
             child_work += work
             heights.append(height)
+            scanned = tuple(sorted(scanned + below)) if scanned else below
         node_stats = stats.get(id(node))
         rows = node_stats.rows_out if node_stats else 0
         size = node_stats.bytes_out if node_stats else 0
@@ -355,6 +357,7 @@ def record_job_into(repository: WorkloadRepository, run: JobRun, now: float,
             full_work[recurring] = subtree_work
         if isinstance(node, Scan):
             datasets.add(node.dataset)
+            scanned = (node.dataset,)
         detail = ""
         if isinstance(node, Join):
             left_stats = stats.get(id(node.left))
@@ -371,20 +374,19 @@ def record_job_into(repository: WorkloadRepository, run: JobRun, now: float,
             pipeline_id=pipeline_id,
             strict=strict_signature(node, salt),
             recurring=recurring,
-            tag=signature_tag(recurring),
+            tag=subexpression_tag(node, salt),
             operator=node.op_label,
             height=height,
             eligible=is_reuse_eligible(node),
             rows=rows,
             size_bytes=size,
             work=subtree_work,
-            input_datasets=tuple(sorted(
-                n.dataset for n in node.walk() if isinstance(n, Scan))),
+            input_datasets=scanned,
             node_id=node_id,
             parent_node_id=parent_id,
             detail=detail,
         ))
-        return node_id, subtree_work, height
+        return subtree_work, height, scanned
 
     visit(run.compiled.plan, None, 0)
     repository.add_job(JobRecord(

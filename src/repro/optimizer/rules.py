@@ -38,11 +38,16 @@ from repro.plan.logical import (
 
 
 def apply_rewrites(plan: LogicalPlan) -> LogicalPlan:
-    """Run all rewrite rules to a fixpoint (bounded)."""
+    """Run all rewrite rules to a fixpoint (bounded).
+
+    Every rule returns its input *object* when it changes nothing, so the
+    fixpoint is an identity test and rewriting an already rewritten plan
+    allocates no nodes (and keeps the signatures cached on them).
+    """
     for _ in range(10):
         rewritten = push_filters(fold_constants(plan))
-        if rewritten == plan:
-            return rewritten
+        if rewritten is plan:
+            return plan
         plan = rewritten
     return plan
 

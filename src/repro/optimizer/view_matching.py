@@ -16,12 +16,11 @@ computation plus hash-equality lookups -- no containment reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.optimizer.context import OptimizerContext
-from repro.plan.logical import LogicalPlan, Process, Scan, ViewScan
+from repro.plan.logical import LogicalPlan, Scan, ViewScan
 from repro.signatures.signature import (
-    MAX_DEPENDENCY_DEPTH,
     is_reuse_eligible,
     recurring_signature,
     strict_signature,
@@ -68,62 +67,29 @@ def match_views(plan: LogicalPlan, ctx: OptimizerContext,
     outcome = MatchOutcome(plan=plan)
     if not ctx.reuse_enabled:
         return outcome
-    eligibility = _eligibility_map(plan)
-    outcome.plan = _match(plan, ctx, now, outcome.matches, eligibility)
+    outcome.plan = _match(plan, ctx, now, outcome.matches)
     return outcome
 
 
-def _eligibility_map(plan: LogicalPlan) -> Dict[int, bool]:
-    """Reuse eligibility of every node, computed in one bottom-up pass.
-
-    Matching consults this map instead of calling
-    :func:`is_reuse_eligible` (a full subtree walk) at every node, which
-    turned top-down matching quadratic on deep plans.
-    """
-    eligibility: Dict[int, bool] = {}
-
-    def visit(node: LogicalPlan) -> bool:
-        ok = True
-        for child in node.children():
-            if not visit(child):
-                ok = False
-        if isinstance(node, Process):
-            if not node.deterministic:
-                ok = False
-            elif node.dependency_depth > MAX_DEPENDENCY_DEPTH:
-                ok = False
-        eligibility[id(node)] = ok
-        return ok
-
-    visit(plan)
-    return eligibility
-
-
 def _match(plan: LogicalPlan, ctx: OptimizerContext, now: float,
-           matches: List[ViewMatch],
-           eligibility: Dict[int, bool]) -> LogicalPlan:
-    replaced = _try_replace(plan, ctx, now, matches, eligibility)
+           matches: List[ViewMatch]) -> LogicalPlan:
+    replaced = _try_replace(plan, ctx, now, matches)
     if replaced is not None:
         return replaced
     children = plan.children()
     if not children:
         return plan
-    new_children = [_match(child, ctx, now, matches, eligibility)
-                    for child in children]
+    new_children = [_match(child, ctx, now, matches) for child in children]
     if any(n is not o for n, o in zip(new_children, children)):
         return plan.with_children(new_children)
     return plan
 
 
 def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
-                 matches: List[ViewMatch],
-                 eligibility: Dict[int, bool]) -> Optional[LogicalPlan]:
+                 matches: List[ViewMatch]) -> Optional[LogicalPlan]:
     if isinstance(plan, (Scan, ViewScan)):
         return None  # a bare scan never benefits from view substitution
-    key = id(plan)
-    eligible = (eligibility[key] if key in eligibility
-                else is_reuse_eligible(plan))
-    if not eligible:
+    if not is_reuse_eligible(plan):
         return None
     signature = strict_signature(plan, ctx.salt)
     ctx.recorder.inc("views.match.attempts")
@@ -156,7 +122,7 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
     ))
     return view_scan_for(
         view, plan.schema,
-        recurring_fallback=lambda: recurring_signature(plan, ctx.salt))
+        recurring_fallback=recurring_signature(plan, ctx.salt))
 
 
 def _try_containment(plan: LogicalPlan, ctx: OptimizerContext, now: float,
@@ -208,22 +174,19 @@ def _compare_costs(plan: LogicalPlan, view: MaterializedView,
 
 
 def view_scan_for(view: MaterializedView, columns: Sequence[str],
-                  recurring_fallback=None) -> ViewScan:
+                  recurring_fallback: str = "") -> ViewScan:
     """The single construction site for ViewScans over a materialized view.
 
     ``columns`` is the schema of the subexpression being replaced; the
     plan-validator's ``plan-viewscan-schema`` rule asserts it agrees with
-    the schema recorded on the view itself.  ``recurring_fallback`` is a
-    thunk used only when the view predates recurring-signature recording.
+    the schema recorded on the view itself.  ``recurring_fallback`` is
+    used only when the view predates recurring-signature recording.
     """
-    recurring = view.recurring_signature
-    if not recurring and recurring_fallback is not None:
-        recurring = recurring_fallback()
     return ViewScan(
         signature=view.signature,
         view_path=view.path,
         columns=tuple(columns),
         rows=view.row_count,
         size_bytes=view.size_bytes,
-        recurring=recurring,
+        recurring=view.recurring_signature or recurring_fallback,
     )

@@ -24,7 +24,10 @@ from repro.plan.logical import Filter, Join, LogicalPlan, Project
 
 
 def normalize(plan: LogicalPlan) -> LogicalPlan:
-    """Return the canonical form of ``plan`` (bottom-up, non-destructive)."""
+    """Return the canonical form of ``plan`` (bottom-up, non-destructive).
+
+    A plan that is already canonical comes back as the same object.
+    """
     children = plan.children()
     if children:
         new_children = [normalize(child) for child in children]
@@ -52,6 +55,8 @@ def _normalize_filter(plan: Filter) -> LogicalPlan:
     merged = conjoin(ordered)
     if merged is None:  # pragma: no cover - Filter always has a predicate
         return node
+    if node is plan.child and merged == plan.predicate:
+        return plan  # already canonical: keep the node (and its signatures)
     return Filter(node, merged)
 
 

@@ -29,8 +29,9 @@ excluded from reuse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.hashing import combine_unordered, short_tag, stable_hash
 from repro.plan.expressions import Expr, Literal, rewrite
@@ -53,15 +54,27 @@ from repro.plan.logical import (
 #: Dependency chains deeper than this are "too long" to hash safely.
 MAX_DEPENDENCY_DEPTH = 16
 
+# Signatures are a fact of the (immutable) plan node, so each node carries
+# its own: ``vars(node)[_SIGNED]`` maps a salt to ``(strict, recurring,
+# tag)`` and ``vars(node)[_UDO_DEPTH]`` is the deepest UDO dependency chain
+# in the subtree (``inf`` under non-determinism).  Neither is a dataclass
+# field, so equality, ``repr``, ``dataclasses.replace`` and
+# ``with_children`` never see them: a rebuilt node starts unsigned and the
+# cache dies with its node.  A table keyed by ``id(node)`` could not promise
+# that -- an id reused after GC would answer with another plan's signature.
+# Racing threads at worst both hash the node and store equal values.
+_SIGNED = "_signed_by_salt"
+_UDO_DEPTH = "_udo_depth"
+
 
 def strict_signature(plan: LogicalPlan, salt: str = "") -> str:
     """Hash of the subexpression *instance*, inputs included."""
-    return _signature(plan, recurring=False, salt=salt)
+    return _signed(plan, salt)[0]
 
 
 def recurring_signature(plan: LogicalPlan, salt: str = "") -> str:
     """Hash of the subexpression *template*: GUIDs and params discarded."""
-    return _signature(plan, recurring=True, salt=salt)
+    return _signed(plan, salt)[1]
 
 
 def is_reuse_eligible(plan: LogicalPlan,
@@ -71,18 +84,31 @@ def is_reuse_eligible(plan: LogicalPlan,
     "We skip any computation reuse if the dependency chain is too long or
     if a UDO is found to contain non-determinism" (Section 4).
     """
-    for node in plan.walk():
-        if isinstance(node, Process):
-            if not node.deterministic:
-                return False
-            if node.dependency_depth > max_dependency_depth:
-                return False
-    return True
+    return _udo_depth(plan) <= max_dependency_depth
+
+
+def _udo_depth(plan: LogicalPlan) -> float:
+    attrs = vars(plan)
+    depth = attrs.get(_UDO_DEPTH)
+    if depth is None:
+        depth = 0
+        for child in plan.children():
+            depth = max(depth, _udo_depth(child))
+        if isinstance(plan, Process):
+            depth = max(depth, plan.dependency_depth
+                        if plan.deterministic else math.inf)
+        attrs[_UDO_DEPTH] = depth
+    return depth
 
 
 def signature_tag(recurring_sig: str) -> str:
     """Short tag for insights-service indexing and access control."""
     return short_tag(recurring_sig)
+
+
+def subexpression_tag(plan: LogicalPlan, salt: str = "") -> str:
+    """``signature_tag`` of the node's recurring signature."""
+    return _signed(plan, salt)[2]
 
 
 @dataclass(frozen=True)
@@ -109,78 +135,70 @@ def enumerate_subexpressions(plan: LogicalPlan,
 
     This is the unit of the paper's workload analysis ("4.3 billion
     sub-computations, referred to as query subexpressions").
-
-    Child hashes are memoized across the enumeration, so the whole pass is
-    O(n) in the number of operators instead of re-hashing every subtree
-    from scratch at each node; eligibility is likewise computed bottom-up
-    in the same pass.
     """
     result: List[Subexpression] = []
-    strict_memo: Dict[int, str] = {}
-    recurring_memo: Dict[int, str] = {}
-    _enumerate(plan, salt, 0, result, strict_memo, recurring_memo)
+    _enumerate(plan, salt, 0, result)
     result.reverse()
     return result
 
 
 def _enumerate(plan: LogicalPlan, salt: str, depth: int,
-               out: List[Subexpression],
-               strict_memo: Dict[int, str],
-               recurring_memo: Dict[int, str]) -> Tuple[int, bool]:
+               out: List[Subexpression]) -> int:
     height = 0
-    eligible = True
     for child in plan.children():
-        child_height, child_eligible = _enumerate(
-            child, salt, depth + 1, out, strict_memo, recurring_memo)
-        height = max(height, child_height + 1)
-        eligible = eligible and child_eligible
-    if isinstance(plan, Process):
-        if not plan.deterministic:
-            eligible = False
-        elif plan.dependency_depth > MAX_DEPENDENCY_DEPTH:
-            eligible = False
-    recurring = _signature(plan, True, salt, recurring_memo)
+        height = max(height, _enumerate(child, salt, depth + 1, out) + 1)
+    strict, recurring, tag = _signed(plan, salt)
     out.append(Subexpression(
         plan=plan,
-        strict=_signature(plan, False, salt, strict_memo),
+        strict=strict,
         recurring=recurring,
-        tag=signature_tag(recurring),
-        eligible=eligible,
+        tag=tag,
+        eligible=is_reuse_eligible(plan),
         depth=depth,
         height=height,
         operator=plan.op_label,
     ))
-    return height, eligible
+    return height
 
 
 # --------------------------------------------------------------------- #
 # hashing internals
 
 
-def _signature(plan: LogicalPlan, recurring: bool, salt: str,
-               memo: Optional[Dict[int, str]] = None) -> str:
-    """Recursive signature with optional per-call memoization.
+def _signed(plan: LogicalPlan, salt: str) -> Tuple[str, str, str]:
+    """The node's (strict, recurring, tag): hashed once, read ever after."""
+    by_salt = vars(plan).setdefault(_SIGNED, {})
+    signed = by_salt.get(salt)
+    if signed is None:
+        kind = type(plan)
+        if kind is Spool:
+            # A spool is transparent: the materialized view *is* its child.
+            signed = _signed(plan.child, salt)
+        else:
+            below = [_signed(child, salt) for child in plan.children()]
+            recurring = _node_digest(plan, kind, True, salt,
+                                     [child[1] for child in below])
+            signed = (_node_digest(plan, kind, False, salt,
+                                   [child[0] for child in below]),
+                      recurring, signature_tag(recurring))
+        by_salt[salt] = signed
+    return signed
 
-    ``memo`` maps ``id(node)`` to its digest; it is only valid while the
-    plan objects it indexes stay alive, so callers either pass a dict
-    scoped to one traversal (:func:`enumerate_subexpressions`) or let each
-    top-level call allocate its own.
+
+def reference_signature(plan: LogicalPlan, recurring: bool,
+                        salt: str = "") -> str:
+    """The full recursion, reading and writing no cached digest.
+
+    This is the definition the cached signatures must equal, and what the
+    soundness lints hash through: an operator whose hash drifts between
+    calls would hide behind its own first (cached) answer.
     """
-    if memo is None:
-        memo = {}
-    cached = memo.get(id(plan))
-    if cached is not None:
-        return cached
     kind = type(plan)
     if kind is Spool:
-        # A spool is transparent: the materialized view *is* its child.
-        digest = _signature(plan.child, recurring, salt, memo)
-    else:
-        children = [_signature(child, recurring, salt, memo)
-                    for child in plan.children()]
-        digest = _node_digest(plan, kind, recurring, salt, children)
-    memo[id(plan)] = digest
-    return digest
+        return reference_signature(plan.child, recurring, salt)
+    children = [reference_signature(child, recurring, salt)
+                for child in plan.children()]
+    return _node_digest(plan, kind, recurring, salt, children)
 
 
 def _node_digest(plan: LogicalPlan, kind: type, recurring: bool, salt: str,

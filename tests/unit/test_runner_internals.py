@@ -2,12 +2,20 @@
 
 import pytest
 
+from repro.backends.differential import _session as differential_session
 from repro.catalog import schema_of
 from repro.cluster import JobTelemetry
+from repro.common.clock import SECONDS_PER_DAY
 from repro.core import SimulationConfig, SimulationReport, record_job_into
 from repro.engine import ScopeEngine
-from repro.plan import Spool, ViewScan
-from repro.workload import WorkloadRepository
+from repro.plan import Process, Scan, Spool, ViewScan
+from repro.signatures import (
+    MAX_DEPENDENCY_DEPTH,
+    reference_signature,
+    signature_tag,
+)
+from repro.workload import WorkloadRepository, generate_workload
+from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
 
 
 @pytest.fixture
@@ -145,3 +153,86 @@ class TestSimulationReport:
         report = self.make_report()
         assert report.cumulative_daily("processing_time") == [
             (0, 20.0), (1, 60.0), (2, 120.0)]
+
+
+class TestRecordsMatchThePerNodeWalks:
+    """``record_job_into`` gathers eligibility and input datasets bottom-up
+    in its one visit; every record must equal what the per-node subtree
+    walks (and the uncached signature recursion) give for its node."""
+
+    @staticmethod
+    def check(session, job):
+        compiled = job.run.compiled
+        salt = session.engine.signature_salt
+        nodes = [node for node in compiled.plan.walk()
+                 if not isinstance(node, Spool)]     # node_id order
+        records = [r for r in session.repository.subexpressions
+                   if r.job_id == compiled.job_id]
+        assert sorted(r.node_id for r in records) == list(range(len(nodes)))
+        for r in records:
+            node = nodes[r.node_id]
+            recurring = reference_signature(node, True, salt)
+            assert r.operator == node.op_label
+            assert r.strict == reference_signature(node, False, salt)
+            assert r.recurring == recurring
+            assert r.tag == signature_tag(recurring)
+            assert r.eligible == (not any(
+                isinstance(n, Process) and (
+                    not n.deterministic
+                    or n.dependency_depth > MAX_DEPENDENCY_DEPTH)
+                for n in node.walk()))
+            assert r.input_datasets == tuple(sorted(
+                n.dataset for n in node.walk() if isinstance(n, Scan)))
+        return {type(node) for node in nodes}
+
+    def test_tpcds_templates(self):
+        with differential_session("memory", ["default"]) as session:
+            install_tpcds(session.engine, scale_rows=300, seed=42)
+            operators = set()
+            for round_no in (1, 2):
+                for offset, (name, sql) in enumerate(TPCDS_QUERIES):
+                    operators |= self.check(session, session.run(
+                        sql, template_id=name,
+                        now=1000.0 * round_no + offset))
+                if round_no == 1:
+                    session.analyze_and_publish()
+            assert ViewScan in operators and session.views_created > 0
+
+    def test_a_cooking_day_with_reuse(self):
+        workload = generate_workload(
+            name="records", seed=7, virtual_clusters=2, templates_per_vc=4,
+            fact_rows_per_day=240, adhoc_per_day=2)
+        with differential_session(
+                "memory", list(workload.virtual_clusters)) as session:
+            workload.install(session.engine, at=0.0)
+            operators = set()
+            for day in range(2):
+                if day > 0:
+                    workload.cook(session.engine, day)
+                    session.evict_expired(now=day * SECONDS_PER_DAY)
+                for job in workload.jobs_for_day(day):
+                    operators |= self.check(session, session.run(
+                        job.template.sql, params=job.params,
+                        virtual_cluster=job.virtual_cluster,
+                        template_id=job.template.template_id,
+                        pipeline_id=job.template.pipeline_id,
+                        now=job.submit_time))
+                session.analyze_and_publish()
+            assert ViewScan in operators
+
+    @pytest.mark.parametrize("clause, eligible", [
+        ("", True), (" DEPTH 16", True), (" DEPTH 17", False),
+        (" NONDETERMINISTIC", False)])
+    def test_user_code_in_the_subtree(self, clause, eligible):
+        with differential_session("memory", ["default"]) as session:
+            session.engine.register_table(
+                schema_of("T", [("k", "int"), ("v", "float")]),
+                [dict(k=i % 4, v=float(i)) for i in range(8)])
+            operators = self.check(session, session.run(
+                "SELECT k, SUM(v) AS s FROM T GROUP BY k "
+                f"PROCESS USING Scrub{clause}"))
+            assert Process in operators
+            by_operator = {r.operator: r.eligible
+                           for r in session.repository.subexpressions}
+            assert by_operator["Process"] is eligible
+            assert by_operator["GroupBy"] is True

@@ -1,21 +1,26 @@
-"""Enumeration-cost tests: subexpression enumeration must be O(n).
+"""Hash budget: a plan node is signed once, however often it is read.
 
-Before memoization, ``enumerate_subexpressions`` recomputed every child
-hash at every ancestor, so a chain of n operators cost O(n^2) hash
-invocations.  These tests pin the linear behavior by counting actual
-``stable_hash`` calls.
+Signatures are cached on the plan node, so a whole job -- compile,
+execute, ``record_history``, ``record_job_into`` -- may hash each distinct
+node object at most twice (one strict digest, one recurring digest), and
+re-optimizing an already normalized plan may hash nothing new.  The tests
+count actual ``stable_hash`` calls made from the signature module.
 """
 
 import pytest
 
 import repro.signatures.signature as sig_module
+from repro.backends.differential import _session
+from repro.common.clock import SECONDS_PER_DAY
 from repro.plan.expressions import ColumnRef
-from repro.plan.logical import Filter, Scan
+from repro.plan.logical import Filter, Scan, Spool, ViewScan
 from repro.signatures import (
     enumerate_subexpressions,
     recurring_signature,
     strict_signature,
 )
+from repro.workload.generator import generate_workload
+from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
 
 
 def chain(depth):
@@ -44,6 +49,10 @@ def test_enumeration_hash_count_is_linear(hash_counter):
     enumerate_subexpressions(plan, salt="v1")
     # One strict + one recurring digest per node, nothing recomputed.
     assert len(hash_counter) == 2 * nodes
+    enumerate_subexpressions(plan, salt="v1")
+    strict_signature(plan, "v1")
+    recurring_signature(plan.child, "v1")
+    assert len(hash_counter) == 2 * nodes
 
 
 def test_enumeration_matches_direct_signatures():
@@ -63,10 +72,84 @@ def test_enumeration_is_root_first():
     assert len(subs) == sum(1 for _ in plan.walk())
 
 
-def test_memoized_signature_equals_unmemoized():
-    plan = chain(8)
-    memo = {}
-    assert sig_module._signature(plan, False, "v1", memo) == \
-        strict_signature(plan, "v1")
-    # The memo now answers instantly for every subtree.
-    assert memo[id(plan)] == strict_signature(plan, "v1")
+# --------------------------------------------------------------------- #
+# whole jobs
+
+
+class Budgeted:
+    """Runs jobs and holds each to two hashes per distinct plan node."""
+
+    def __init__(self, session, calls):
+        # The debug lints hash through the uncached reference on purpose.
+        session.engine.config.debug_checks = False
+        self.session = session
+        self.calls = calls
+        self.operators = set()
+        self.hashes = 0
+        self.nodes = 0
+
+    def run(self, sql, **kwargs):
+        del self.calls[:]
+        job = self.session.run(sql, **kwargs)
+        compiled = job.run.compiled
+        nodes = {id(node): node
+                 for plan in (compiled.optimized.logical, compiled.plan)
+                 for node in plan.walk()}
+        assert len(self.calls) <= 2 * len(nodes), sql
+        self.operators.update(type(node) for node in nodes.values())
+        self.hashes += len(self.calls)
+        self.nodes += len(nodes)
+        return job
+
+
+def test_tpcds_jobs_stay_inside_the_hash_budget(hash_counter):
+    with _session("memory", ["default"]) as session:
+        install_tpcds(session.engine, scale_rows=300, seed=42)
+        budgeted = Budgeted(session, hash_counter)
+        for round_no in (1, 2):
+            for offset, (name, sql) in enumerate(TPCDS_QUERIES):
+                budgeted.run(sql, template_id=name,
+                             now=1000.0 * round_no + offset)
+            if round_no == 1:
+                session.analyze_and_publish()
+        assert session.views_reused > 0
+        assert {Spool, ViewScan} <= budgeted.operators
+        # Not vacuous: the frontend did sign what it compiled.
+        assert budgeted.hashes > budgeted.nodes / 2
+
+
+def test_cooking_days_with_reuse_stay_inside_the_hash_budget(hash_counter):
+    workload = generate_workload(
+        name="budget", seed=7, virtual_clusters=2, templates_per_vc=4,
+        fact_rows_per_day=240, adhoc_per_day=2)
+    with _session("memory", list(workload.virtual_clusters)) as session:
+        workload.install(session.engine, at=0.0)
+        budgeted = Budgeted(session, hash_counter)
+        for day in range(2):
+            if day > 0:
+                workload.cook(session.engine, day)
+                session.evict_expired(now=day * SECONDS_PER_DAY)
+            for job in workload.jobs_for_day(day):
+                budgeted.run(job.template.sql, params=job.params,
+                             virtual_cluster=job.virtual_cluster,
+                             template_id=job.template.template_id,
+                             pipeline_id=job.template.pipeline_id,
+                             now=job.submit_time)
+            session.analyze_and_publish()
+        assert session.views_reused > 0
+        assert {Spool, ViewScan} <= budgeted.operators
+        assert budgeted.hashes > budgeted.nodes / 2
+
+
+def test_reoptimizing_a_normalized_plan_signs_nothing_new(hash_counter):
+    """``optimize`` re-runs rewrites + normalize over the engine's already
+    normalized plan; that pass must hand back the same node objects."""
+    with _session("memory", ["default"]) as session:
+        session.engine.config.debug_checks = False
+        install_tpcds(session.engine, scale_rows=300, seed=42)
+        for name, sql in TPCDS_QUERIES:
+            del hash_counter[:]
+            compiled = session.engine.compile(sql, reuse_enabled=False)
+            logical = compiled.optimized.logical
+            assert compiled.plan is logical
+            assert len(hash_counter) == 2 * sum(1 for _ in logical.walk())

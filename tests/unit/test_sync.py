@@ -1,5 +1,6 @@
 """Unit tests for the tracked locks and the runtime lock sanitizer."""
 
+import os
 import threading
 
 import pytest
@@ -226,3 +227,31 @@ class TestEnableDisable:
         lock.release()  # depth is 0: slow path must tolerate it
         disable_sanitizer()
         assert not lock.locked()
+
+
+class TestFork:
+    def test_child_forked_under_a_lock_starts_with_nothing_held(self):
+        """The shard supervisor forks workers while holding its own lock;
+        the worker's first higher-ranked acquire must not be judged
+        against a held stack inherited from the parent thread."""
+        enable_sanitizer()
+        low = TrackedLock("t.fork.low", RANK_CATALOG)
+        high = TrackedLock("t.fork.high", RANK_INSIGHTS)
+        with low:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with high:
+                        held = sanitizer().held_names()
+                    if held == ["t.fork.high"] \
+                            and not sanitizer().violations:
+                        status = 0
+                finally:
+                    os._exit(status)
+            _, exit_status = os.waitpid(pid, 0)
+            # The parent still holds (and is still checked against) it.
+            assert sanitizer().held_names() == ["t.fork.low"]
+            with pytest.raises(LockOrderError):
+                high.acquire()
+        assert os.WIFEXITED(exit_status) and os.WEXITSTATUS(exit_status) == 0
