@@ -9,7 +9,7 @@ We sweep the over-estimation factor on the baseline (no reuse): containers
 inflate with the bias.  Then we show reuse claws the inflation back.
 """
 
-from repro.core import SimulationConfig, WorkloadSimulation
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.workload import generate_workload
 
 DAYS = 3
@@ -31,7 +31,7 @@ def run_sweep():
                                       total_containers=200, vc_quota=40)
             simulation = WorkloadSimulation(workload, config)
             # The stage builder reads the engine's overestimate factor.
-            simulation.engine.config.overestimate = factor
+            simulation.session.engine.config.overestimate = factor
             report = simulation.run()
             containers[(label, factor)] = report.total("containers")
     return containers

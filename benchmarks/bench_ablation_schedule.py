@@ -9,7 +9,7 @@ materializations on burst-only candidates that nobody can ever reuse.
 
 from collections import Counter
 
-from repro.core import SimulationConfig, WorkloadSimulation
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.selection import SelectionPolicy
 from repro.workload import generate_workload
 
@@ -29,7 +29,7 @@ def run_pair():
                                    min_reuses_per_epoch=1.0))
         simulation = WorkloadSimulation(workload, config)
         report = simulation.run()
-        unused = sum(1 for v in simulation.engine.view_store.views()
+        unused = sum(1 for v in simulation.session.engine.view_store.views()
                      if v.sealed and v.reuse_count == 0)
         results[label] = (report, unused)
     return results

@@ -7,7 +7,7 @@ and its own ancestor, wasting builds on views whose consumers read the
 bigger view instead.
 """
 
-from repro.core import SimulationConfig, WorkloadSimulation
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.selection import SelectionPolicy
 from repro.workload import generate_workload
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from repro.scheduler import ConcurrentSimulation, ConcurrentSimulationConfig
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.workload.generator import generate_workload
 
 DAYS = 2
@@ -21,8 +21,8 @@ WORKER_COUNTS = (1, 2, 8)
 
 def run_with_workers(workers: int):
     workload = generate_workload(seed=SEED)
-    simulation = ConcurrentSimulation(
-        workload, ConcurrentSimulationConfig(days=DAYS, workers=workers))
+    simulation = WorkloadSimulation(
+        workload, SimulationConfig(days=DAYS, workers=workers))
     return simulation.run()
 
 

@@ -6,8 +6,9 @@ share large subexpressions; CloudViews materializes the common fragments
 and rewrites the later plans to scan them (Figure 4b).
 """
 
+from repro.api import Session
 from repro.catalog import schema_of
-from repro.core import CloudViews, MultiLevelControls
+from repro.core import MultiLevelControls
 from repro.plan import ViewScan
 from repro.selection import SelectionPolicy
 
@@ -22,8 +23,8 @@ Q3 = ("SELECT PartType, SUM(Quantity) FROM Sales JOIN Customer JOIN Parts "
 def make_cloudviews():
     controls = MultiLevelControls()
     controls.enable_vc("analysts")
-    cv = CloudViews(controls=controls,
-                    policy=SelectionPolicy(min_reuses_per_epoch=0.0))
+    cv = Session(controls=controls,
+                 policy=SelectionPolicy(min_reuses_per_epoch=0.0))
     engine = cv.engine
     engine.register_table(
         schema_of("Sales", [

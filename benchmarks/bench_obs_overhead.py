@@ -10,7 +10,7 @@ reports the overhead ratio alongside the volume of signals captured.
 
 import time
 
-from repro.core import SimulationConfig, WorkloadSimulation
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.obs import FlightRecorder
 from repro.workload import generate_workload
 

@@ -28,7 +28,7 @@ import json
 import pathlib
 import time
 
-from repro.scheduler import ConcurrentSimulation, ConcurrentSimulationConfig
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.workload.generator import generate_workload
 
 DAYS = 4
@@ -55,10 +55,9 @@ def job_decision(result):
 
 
 def run_one(shards: int):
-    config = ConcurrentSimulationConfig(days=DAYS, workers=WORKERS,
-                                        shards=shards)
+    config = SimulationConfig(days=DAYS, workers=WORKERS, shards=shards)
     started = time.perf_counter()
-    report = ConcurrentSimulation(make_workload(), config).run()
+    report = WorkloadSimulation(make_workload(), config).run()
     wall = time.perf_counter() - started
     busy = report.shard_busy_seconds
     makespan = max(busy) if busy else None

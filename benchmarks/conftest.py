@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SimulationConfig, WorkloadSimulation
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.workload import generate_workload
 
 #: Scaled-down stand-in for the paper's two-month window.

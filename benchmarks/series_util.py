@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.runner import SimulationReport
+from repro.simulation import ClusterReport
 
 
-def paired_series(enabled: SimulationReport, baseline: SimulationReport,
+def paired_series(enabled: ClusterReport, baseline: ClusterReport,
                   metric: str) -> List[Tuple[int, float, float]]:
     """(day, cumulative baseline, cumulative cloudviews) rows."""
     base = dict(baseline.cumulative_daily(metric))

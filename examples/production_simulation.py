@@ -9,7 +9,7 @@ Run:  python examples/production_simulation.py
 """
 
 from repro import generate_workload
-from repro.core import SimulationConfig, WorkloadSimulation
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.telemetry import compare_telemetry
 from repro.workload import pipeline_summary
 

@@ -15,11 +15,11 @@ Run:  python examples/workload_optimization.py
 """
 
 from repro import generate_workload
-from repro.core import SimulationConfig, WorkloadSimulation
 from repro.insights import (
     compile_with_annotations,
     export_current_annotations,
 )
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.telemetry import evaluate_micromodels, fit_micromodels
 from repro.workload import compress_workload, replay_plan
 
@@ -59,7 +59,7 @@ def main() -> None:
 
     # ------------------------------------------------------------- #
     print("\n== 3. Annotations-file debugging (Figure 5) ==")
-    engine = simulation.engine
+    engine = simulation.session.engine
     snapshot = export_current_annotations(engine)
     lines = snapshot.count("\n") + 1
     print(f"exported the current selection generation "

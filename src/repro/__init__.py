@@ -4,12 +4,12 @@ big-data engine.
 Reproduces *Production Experiences from Computation Reuse at Microsoft*
 (EDBT 2021).  The primary entry points:
 
-* :class:`repro.api.Session` -- the unified facade: engine + insights
-  client + concurrent scheduler, every job returning a
-  :class:`repro.api.JobResult`;
-* :class:`repro.core.WorkloadSimulation` /
-  :class:`repro.scheduler.ConcurrentSimulation` -- the cluster-level and
-  wave-parallel co-simulations behind the paper's Table 1, Figures 6-7;
+* :class:`repro.api.Session` -- the unified facade and the one feedback
+  loop: engine + insights client + concurrent scheduler, every job
+  returning a :class:`repro.api.JobResult`;
+* :class:`repro.simulation.WorkloadSimulation` -- the driver behind the
+  paper's Table 1 and Figures 6-7 (cluster schedule) and the worker-/
+  shard-count invariance runs (wave schedule), over one ``Session``;
 * :mod:`repro.workload` -- the data-cooking workload generator and the
   denormalized subexpression repository;
 * :mod:`repro.extensions` -- the Section-5 prototypes (generalized reuse,
@@ -17,15 +17,11 @@ Reproduces *Production Experiences from Computation Reuse at Microsoft*
   SparkCruise-style integration).
 
 The layered classes (:class:`~repro.engine.engine.ScopeEngine`,
-:class:`~repro.core.cloudviews.CloudViews`, ...) remain importable from
-their canonical modules; the top-level re-exports of those entry points
-are deprecated in favor of :mod:`repro.api`.
+:class:`~repro.engine.engine.JobRun`, ...) are importable from their
+canonical modules.
 """
 
-import warnings
-
 from repro.api import (
-    FaultInjector,
     FaultPlan,
     FaultRuntime,
     InsightsClientConfig,
@@ -33,55 +29,22 @@ from repro.api import (
     JobResult,
     SchedulerConfig,
     Session,
+    SessionConfig,
 )
 from repro.catalog import Catalog, TableSchema, schema_of
-from repro.core import (
-    DeploymentMode,
-    MultiLevelControls,
-    SimulationConfig,
-    SimulationReport,
-)
+from repro.core import DeploymentMode, MultiLevelControls
 from repro.engine import EngineConfig
 from repro.selection import SelectionPolicy, SelectionResult
+from repro.simulation import SimulationConfig, SimulationReport
 from repro.workload import CookingWorkload, WorkloadRepository, generate_workload
 
-__version__ = "1.3.0"
-
-#: Old top-level entry points, still importable but deprecated: the
-#: attribute access warns and forwards to the canonical module.
-_DEPRECATED = {
-    "CloudViews": ("repro.core.cloudviews", "CloudViews",
-                   "repro.api.Session"),
-    "ScopeEngine": ("repro.engine.engine", "ScopeEngine",
-                    "repro.api.Session (or repro.engine.ScopeEngine)"),
-    "WorkloadSimulation": ("repro.core.runner", "WorkloadSimulation",
-                           "repro.core.WorkloadSimulation"),
-    "CompiledJob": ("repro.engine.engine", "CompiledJob",
-                    "repro.api.JobResult (or repro.engine.CompiledJob)"),
-    "JobRun": ("repro.engine.engine", "JobRun",
-               "repro.api.JobResult (or repro.engine.JobRun)"),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module_name, attr, replacement = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {name!r} from the top-level 'repro' package is "
-            f"deprecated and will be removed in repro 2.0; "
-            f"use {replacement}",
-            DeprecationWarning, stacklevel=2)
-        import importlib
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
+__version__ = "2.0.0"
 
 __all__ = [
-    "Session", "JobResult", "JobRequest", "EngineConfig", "SchedulerConfig",
-    "InsightsClientConfig", "FaultInjector", "FaultPlan", "FaultRuntime",
-    "Catalog", "TableSchema", "schema_of", "CloudViews", "DeploymentMode",
+    "Session", "SessionConfig", "JobResult", "JobRequest", "EngineConfig",
+    "SchedulerConfig", "InsightsClientConfig", "FaultPlan", "FaultRuntime",
+    "Catalog", "TableSchema", "schema_of", "DeploymentMode",
     "MultiLevelControls", "SimulationConfig", "SimulationReport",
-    "WorkloadSimulation", "CompiledJob", "JobRun",
-    "ScopeEngine", "SelectionPolicy", "SelectionResult", "CookingWorkload",
+    "SelectionPolicy", "SelectionResult", "CookingWorkload",
     "WorkloadRepository", "generate_workload", "__version__",
 ]

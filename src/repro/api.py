@@ -15,10 +15,11 @@ submission) a :class:`~repro.scheduler.scheduler.JobScheduler`::
         results = session.run_batch([sql_a, sql_b, sql_c], now=100.0)
 
 Every entry point returns the same :class:`JobResult` dataclass, whether
-the job ran serially, concurrently, or failed.  The older layered entry
-points (``repro.ScopeEngine``, ``repro.CloudViews``, ...) remain
-available from their canonical modules; the top-level ``repro``
-re-exports carry deprecation shims pointing here.
+the job ran serially, concurrently, or failed.  ``Session`` is also the
+only place the Figure-5 feedback loop is written: :meth:`Session.record`
+ingests an executed job and :meth:`Session.analyze_and_publish` runs one
+selection epoch; :class:`repro.simulation.WorkloadSimulation` drives
+both over simulated days.
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ from repro.core.controls import MultiLevelControls
 from repro.core.runner import record_job_into
 from repro.engine.engine import EngineConfig, ScopeEngine
 from repro.faults import FaultPlan, FaultRuntime, resolve_faults
-from repro.insights.client import (
-    FaultInjector,
-    InsightsClient,
-    InsightsClientConfig,
-)
+from repro.insights.client import InsightsClient, InsightsClientConfig
 from repro.insights.service import InsightsService
 from repro.lifecycle.manager import LifecycleConfig, LifecycleManager
+from repro.obs import events as obs_events
 from repro.plan.expressions import Row
 from repro.scheduler.results import JobResult
 from repro.scheduler.scheduler import (
@@ -62,7 +60,7 @@ __all__ = [
     "JobResult", "JobRequest",
     "EngineConfig", "SchedulerConfig", "InsightsClientConfig",
     "LifecycleConfig",
-    "FaultInjector", "FaultPlan", "FaultRuntime",
+    "FaultPlan", "FaultRuntime",
     "SelectionPolicy", "MultiLevelControls",
     "ShardConfig",
 ]
@@ -80,8 +78,7 @@ class Session:
     signatures, matching, and insights stay backend-invariant above it.
     By default the engine talks to its insights service through an
     :class:`InsightsClient` (request batching, TTL cache, retries,
-    circuit breaker); pass ``client_config``/``fault_injector`` to tune
-    or perturb that path.
+    circuit breaker); pass ``client_config`` to tune that path.
 
     ``faults`` installs the unified fault-injection framework
     (:mod:`repro.faults`): a :class:`~repro.faults.FaultPlan`, a
@@ -100,7 +97,6 @@ class Session:
                  engine_config: Optional[EngineConfig] = None,
                  scheduler_config: Optional[SchedulerConfig] = None,
                  client_config: Optional[InsightsClientConfig] = None,
-                 fault_injector: Optional[FaultInjector] = None,
                  controls: Optional[MultiLevelControls] = None,
                  policy: Optional[SelectionPolicy] = None,
                  selection_algorithm: Optional[str] = None,
@@ -156,31 +152,31 @@ class Session:
                     self.service, directory=shard_config.journal_dir)
         else:
             self.service = InsightsService()
-        self.insights = InsightsClient(
-            self.service, config=client_config, injector=fault_injector)
+        self.insights = InsightsClient(self.service, config=client_config)
         # One shared runtime behind every seam: a single seed then
         # reproduces the whole failure scenario across layers.
         backend.faults = self.faults
         self.insights.faults = self.faults
         self.engine = ScopeEngine(
             insights=self.insights, config=engine_config, backend=backend)
+        if recorder is not None:
+            recorder.install(self.engine)
         self.controls = controls or MultiLevelControls()
         self.policy = policy or SelectionPolicy()
         self.selection_algorithm = selection_algorithm
+        # After the recorder: the scheduler adopts the engine's.
         self.scheduler = JobScheduler(
-            self.engine,
-            scheduler_config or SchedulerConfig(),
-            reuse_gate=self._reuse_gate,
-        )
+            self.engine, scheduler_config, reuse_gate=self.reuse_allowed)
         self.scheduler.faults = self.faults
         self.backend = backend
         self.repository = WorkloadRepository()
+        #: Every selection epoch so far, oldest first.
+        self.selections: List[SelectionResult] = []
+        #: The selection whose annotations are published now.
         self.last_selection: Optional[SelectionResult] = None
         self._full_work: Dict[str, float] = {}
         self._template_counter = itertools.count(1)
-        if recorder is not None:
-            recorder.install(self.engine)
-            self.scheduler.recorder = recorder
+        self._closed = False
         # After the recorder: journal recovery emits a recorded event.
         self.lifecycle: Optional[LifecycleManager] = None
         if lifecycle is not None:
@@ -198,8 +194,9 @@ class Session:
     # ------------------------------------------------------------------ #
     # running jobs
 
-    def _reuse_gate(self, virtual_cluster: str,
-                    job_override: Optional[bool] = None) -> bool:
+    def reuse_allowed(self, virtual_cluster: str,
+                      job_override: Optional[bool] = None) -> bool:
+        """The multi-level controls' verdict for one job (Section 4)."""
         return self.controls.enabled_for(
             virtual_cluster,
             job_override=job_override,
@@ -217,11 +214,12 @@ class Session:
         Unlike batch submission, a failure here raises (the caller asked
         for this one job synchronously and should see the error).
         """
-        reuse = self._reuse_gate(virtual_cluster, job_override=reuse_override)
+        reuse = self.reuse_allowed(virtual_cluster,
+                                   job_override=reuse_override)
         run = self.engine.run_sql(
             sql, params=params, virtual_cluster=virtual_cluster,
             reuse_enabled=reuse, now=now)
-        self._ingest(run, template_id=template_id, pipeline_id=pipeline_id)
+        self.record(run, template_id=template_id, pipeline_id=pipeline_id)
         return JobResult.from_run(run)
 
     def run_batch(self,
@@ -245,14 +243,22 @@ class Session:
             identities[request.job_id] = request
         def ingest(run) -> None:
             request = identities.get(run.compiled.job_id)
-            self._ingest(
+            self.record(
                 run,
                 template_id=request.template_id if request else "",
                 pipeline_id=request.pipeline_id if request else "")
         return self.scheduler.run_batch(requests, now=now, on_run=ingest)
 
-    def _ingest(self, run, template_id: str = "",
-                pipeline_id: str = "") -> None:
+    # ------------------------------------------------------------------ #
+    # the feedback loop
+
+    def record(self, run, *, template_id: str = "",
+               pipeline_id: str = "") -> None:
+        """Ingest one executed job into the workload repository.
+
+        :meth:`run` and :meth:`run_batch` call this themselves; it is for
+        drivers that compile and execute on :attr:`engine` directly.
+        """
         record_job_into(
             self.repository, run, run.compiled.submitted_at,
             virtual_cluster=run.compiled.virtual_cluster,
@@ -263,26 +269,62 @@ class Session:
             full_work=self._full_work,
         )
 
-    # ------------------------------------------------------------------ #
-    # the feedback loop
-
     def analyze_and_publish(self,
                             window_start: Optional[float] = None,
                             window_end: Optional[float] = None
                             ) -> SelectionResult:
-        """Workload analysis -> view selection -> insights publication."""
-        repository = self.repository.for_runtime(self.engine.runtime_version)
-        if window_start is not None or window_end is not None:
-            repository = repository.window(
-                window_start if window_start is not None else float("-inf"),
-                window_end if window_end is not None else float("inf"))
+        """One selection epoch: workload analysis -> view selection ->
+        insights publication.
+
+        Analysis only considers jobs compiled under the *current* runtime
+        version: signatures from older runtimes no longer match anything
+        (Section 4, "Impact of changed signatures").
+        """
+        recorder = self.engine.recorder
+        now = recorder.now if window_end is None else window_end
+        epoch_id = f"epoch-{len(self.selections) + 1}"
+        epoch_span = recorder.start_span(
+            "selection.epoch", trace_id=epoch_id, at=now,
+            algorithm=self.selection_algorithm)
+        repository = self.repository.window(
+            float("-inf") if window_start is None else window_start,
+            float("inf") if window_end is None else window_end,
+            runtime_version=self.engine.runtime_version)
         candidates = build_candidates(repository)
         result = run_selection(
             self.selection_algorithm, repository, candidates, self.policy,
-            recorder=self.engine.recorder)
-        self.insights.publish(result.annotations())
+            recorder=recorder)
+        published = self.insights.publish(result.annotations())
+        self.selections.append(result)
         self.last_selection = result
+        epoch_span.annotate("selected", len(result.selected))
+        epoch_span.annotate("published", published)
+        epoch_span.finish(at=now)
+        recorder.event(
+            obs_events.SELECTION_EPOCH, at=now, job_id=epoch_id,
+            algorithm=self.selection_algorithm,
+            considered=result.considered,
+            selected=len(result.selected),
+            rejected_by_budget=result.rejected_by_budget,
+            rejected_by_schedule=result.rejected_by_schedule,
+            storage_used=result.storage_used,
+            published=published,
+        )
         return result
+
+    def handle_runtime_upgrade(self, version: str) -> None:
+        """Roll the engine to a new runtime version.
+
+        All published annotations are withdrawn immediately (their salted
+        signatures can no longer match), and the next
+        :meth:`analyze_and_publish` re-runs the workload analysis over
+        jobs observed under the new runtime -- the Section-4 recipe:
+        "we need to keep track of changes that can affect signatures and
+        re-run any prior workload analysis."
+        """
+        self.engine.set_runtime_version(version)
+        self.insights.publish([])
+        self.last_selection = None
 
     # ------------------------------------------------------------------ #
     # operational surface
@@ -298,6 +340,21 @@ class Session:
     def catalog_digest(self) -> str:
         return self.engine.view_store.catalog_digest()
 
+    def purge_view(self, strict_signature: str) -> None:
+        """User-initiated purge of a view's files (Section 2.4).
+
+        Purging only the catalog entry used to leave two things behind:
+        the insights-service view lock (its builder will never come back
+        to release it) and the published annotation (which would drive a
+        pointless immediate rebuild of a view the user just deleted).
+        Release the lock and retract the annotation along with the purge.
+        """
+        view = self.engine.view_store.get(strict_signature)
+        if view is not None and view.recurring_signature:
+            self.insights.retract([view.recurring_signature])
+        self.insights.force_release_lock(strict_signature)
+        self.engine.view_store.purge(strict_signature)
+
     def evict_expired(self, now: float) -> int:
         return len(self.engine.view_store.evict_expired(now))
 
@@ -311,32 +368,39 @@ class Session:
         return self.lifecycle.sweep(now)
 
     def close(self) -> None:
+        """Tear the deployment down; a second call does nothing.
+
+        Every step runs even when an earlier one raises (a scheduler
+        refusing to close over undrained jobs must not strand the shard
+        processes), and the first error is re-raised at the end.
+        """
+        if self._closed:
+            return
+        self._closed = True
         # Lifecycle first: its shutdown snapshot must see the final state
         # before anything else tears down -- and, when sharded, it runs
         # through the router, so the workers must still be up.  The
         # supervisor therefore goes last.
-        if self.lifecycle is not None:
-            self.lifecycle.close()
-        self.scheduler.close()
-        self.backend.close()
-        self._close_shards()
-
-    def _close_shards(self) -> None:
-        if self.supervisor is None:
-            return
-        if isinstance(self.service, ShardRouter):
-            self.service.close()
-        self.supervisor.close()
+        steps = [] if self.lifecycle is None else [self.lifecycle.close]
+        steps += [self.scheduler.close, self.backend.close]
+        if self.supervisor is not None:
+            steps += [self.service.close, self.supervisor.close]
+        first_error: Optional[Exception] = None
+        for step in steps:
+            try:
+                step()
+            except Exception as error:
+                first_error = first_error or error
+        if first_error is not None:
+            raise first_error
 
     def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
+        try:
             self.close()
-        else:
-            if self.lifecycle is not None:
-                self.lifecycle.close()
-            self.scheduler.__exit__(exc_type, exc, tb)
-            self.backend.close()
-            self._close_shards()
+        except Exception:
+            # The body's own exception, if any, is the one to report.
+            if exc_type is None:
+                raise

@@ -31,10 +31,9 @@ import sys
 from typing import List, Optional
 
 from repro.backends import backend_names
-from repro.core.runner import SimulationConfig, WorkloadSimulation
 from repro.engine.engine import ScopeEngine
-from repro.scheduler import ConcurrentSimulation, ConcurrentSimulationConfig
 from repro.selection.registry import SELECTION_ALGORITHMS
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
@@ -262,6 +261,22 @@ def _workload(args):
                              templates_per_vc=args.templates_per_vc)
 
 
+def _simulation(args, recorder, **config_kwargs) -> WorkloadSimulation:
+    config = SimulationConfig(days=args.days,
+                              selection_algorithm=args.selection,
+                              view_ttl_seconds=args.view_ttl,
+                              backend=args.backend,
+                              **config_kwargs)
+    return WorkloadSimulation(_workload(args), config, recorder=recorder)
+
+
+def _print_capture(args, recorder) -> None:
+    if args.obs_dir:
+        paths = recorder.dump(args.obs_dir)
+        print(f"flight-recorder capture -> {args.obs_dir} "
+              f"({', '.join(sorted(paths))})")
+
+
 def _cmd_simulate(args) -> int:
     if args.shards and args.workers is None:
         # Sharding only exists on the concurrent path; give it the
@@ -275,15 +290,10 @@ def _cmd_simulate(args) -> int:
     for enabled in (True, False):
         label = "cloudviews" if enabled else "baseline"
         print(f"simulating {args.days} days ({label}) ...")
-        config = SimulationConfig(days=args.days, cloudviews_enabled=enabled,
-                                  selection_algorithm=args.selection,
-                                  view_ttl_seconds=args.view_ttl,
-                                  backend=args.backend)
         # The flight recorder rides on the CloudViews-enabled run; the
         # baseline stays uninstrumented, as in the paper's A/B harness.
-        simulation = WorkloadSimulation(
-            _workload(args), config,
-            recorder=recorder if enabled else None)
+        simulation = _simulation(args, recorder if enabled else None,
+                                 cloudviews_enabled=enabled)
         simulations[label] = simulation
         reports[label] = simulation.run()
     enabled, baseline = reports["cloudviews"], reports["baseline"]
@@ -296,7 +306,7 @@ def _cmd_simulate(args) -> int:
     for label, value in comparison.rows():
         print(f"{label:<42}{value:>11.2f}%")
 
-    usage = simulations["cloudviews"].engine.insights.metrics
+    usage = simulations["cloudviews"].session.insights.metrics
     lookups = usage.cache_hits + usage.cache_misses
     hit_ratio = usage.cache_hits / max(1, lookups)
     print("\nInsights service usage")
@@ -310,32 +320,23 @@ def _cmd_simulate(args) -> int:
 
     print()
     print(recorder.render_summary())
-    if args.obs_dir:
-        paths = recorder.dump(args.obs_dir)
-        print(f"flight-recorder capture -> {args.obs_dir} "
-              f"({', '.join(sorted(paths))})")
+    _print_capture(args, recorder)
     return 0
 
 
 def _cmd_simulate_concurrent(args) -> int:
-    """Wave-parallel simulation on the concurrent scheduler.
+    """The wave schedule on the concurrent scheduler.
 
     The reported catalog digest and reuse counts are invariant in the
     worker count: ``--workers 8`` must print the same digest as
     ``--workers 1`` (only the throughput line changes).
     """
     recorder = FlightRecorder()
-    config = ConcurrentSimulationConfig(
-        days=args.days, workers=args.workers,
-        selection_algorithm=args.selection,
-        view_ttl_seconds=args.view_ttl,
-        backend=args.backend,
-        shards=args.shards)
     sharding = (f", {args.shards} shards" if args.shards else "")
     print(f"simulating {args.days} days "
           f"(cloudviews, {args.workers} workers{sharding}) ...")
-    simulation = ConcurrentSimulation(_workload(args), config,
-                                      recorder=recorder)
+    simulation = _simulation(args, recorder, workers=args.workers,
+                             shards=args.shards)
     report = simulation.run()
 
     print(f"\n{'Jobs':<42}{report.jobs:>12,}")
@@ -351,8 +352,8 @@ def _cmd_simulate_concurrent(args) -> int:
               f"{max(busy):>6.3f}/{sum(busy):.3f}")
     print(f"View Catalog Digest  {report.catalog_digest}")
 
-    usage = simulation.engine.insights.metrics
-    client = simulation.engine.insights
+    client = simulation.session.insights
+    usage = client.metrics
     print("\nInsights client")
     print(f"{'Annotation Fetches':<42}{usage.fetches:>12,}")
     print(f"{'Client-Cache Hits':<42}{client.cache_hits:>12,}")
@@ -361,10 +362,7 @@ def _cmd_simulate_concurrent(args) -> int:
     print(f"{'View Locks Acquired':<42}{usage.locks_acquired:>12,}")
     print(f"{'View Lock Denials':<42}{usage.locks_denied:>12,}")
 
-    if args.obs_dir:
-        paths = recorder.dump(args.obs_dir)
-        print(f"flight-recorder capture -> {args.obs_dir} "
-              f"({', '.join(sorted(paths))})")
+    _print_capture(args, recorder)
     return 0
 
 

@@ -158,8 +158,9 @@ class ClusterSimulator:
         The discrete-event loop is strictly single-threaded (determinism
         depends on total event ordering); the guard below catches the
         misuse of driving one simulator from the concurrent scheduler's
-        worker pool.  Use :class:`repro.scheduler.ConcurrentSimulation`
-        for real-parallelism experiments instead.
+        worker pool.  Use the simulation driver's wave schedule
+        (``SimulationConfig(workers=N)``) for real-parallelism
+        experiments instead.
         """
         if self._running:
             raise SchedulingError(

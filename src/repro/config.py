@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.backends.base import ExecutionBackend, create_backend
+from repro.common.errors import ConfigError
 from repro.engine.engine import EngineConfig
 from repro.faults.plan import FaultPlan
 from repro.insights.client import InsightsClientConfig
@@ -57,7 +58,8 @@ class SessionConfig:
         """The effective shard deployment config, or ``None``."""
         if self.shard is not None and self.shard.shards > 0:
             return self.shard
-        if self.shards > 0:
+        if self.shards:
+            # ShardConfig is where a negative count is rejected.
             return ShardConfig(shards=self.shards)
         return None
 
@@ -70,7 +72,9 @@ class SessionConfig:
         ``REPRO_WORKERS``, ``REPRO_VIEW_TTL``, ``REPRO_SELECTION``,
         ``REPRO_SHARDS``, ``REPRO_JOURNAL_DIR``,
         ``REPRO_STORAGE_BUDGET``, ``REPRO_FAULTS``
-        (+ ``REPRO_FAULTS_SEED``).  Unset variables keep their defaults.
+        (+ ``REPRO_FAULTS_SEED``).  Unset variables keep their defaults;
+        a numeric one that does not parse, or is below its minimum,
+        raises :class:`~repro.common.errors.ConfigError` naming it.
         """
         env = os.environ if environ is None else environ
         config = cls()
@@ -79,22 +83,21 @@ class SessionConfig:
             config.backend = env["REPRO_BACKEND"]
         if env.get("REPRO_SQLITE_PATH"):
             config.sqlite_path = env["REPRO_SQLITE_PATH"]
-        if env.get("REPRO_WORKERS"):
+        workers = _env_number(env, "REPRO_WORKERS", int, minimum=1)
+        if workers is not None:
             config.scheduler = dataclasses.replace(
-                config.scheduler, workers=int(env["REPRO_WORKERS"]))
-        if env.get("REPRO_VIEW_TTL"):
-            config.engine.view_ttl_seconds = float(env["REPRO_VIEW_TTL"])
+                config.scheduler, workers=workers)
+        view_ttl = _env_number(env, "REPRO_VIEW_TTL", float, minimum=0)
+        if view_ttl is not None:
+            config.engine.view_ttl_seconds = view_ttl
         if env.get("REPRO_SELECTION"):
             config.selection_algorithm = env["REPRO_SELECTION"]
-        if env.get("REPRO_SHARDS"):
-            config.shards = int(env["REPRO_SHARDS"])
+        config.shards = _env_number(env, "REPRO_SHARDS", int, minimum=0) or 0
         journal_dir = env.get("REPRO_JOURNAL_DIR")
-        budget = env.get("REPRO_STORAGE_BUDGET")
-        if journal_dir or budget:
+        budget = _env_number(env, "REPRO_STORAGE_BUDGET", int, minimum=0)
+        if journal_dir or budget is not None:
             config.lifecycle = LifecycleConfig(
-                journal_dir=journal_dir,
-                storage_budget_bytes=int(budget) if budget else None,
-            )
+                journal_dir=journal_dir, storage_budget_bytes=budget)
         return config
 
     def to_dict(self) -> Dict[str, object]:
@@ -105,6 +108,21 @@ class SessionConfig:
     def create_backend(self) -> ExecutionBackend:
         """Instantiate the configured execution backend."""
         return create_backend(self.backend, sqlite_path=self.sqlite_path)
+
+
+def _env_number(env: Dict[str, str], name: str, parse, minimum):
+    """``env[name]`` as a number, ``None`` when unset or empty."""
+    raw = env.get(name)
+    if not raw:
+        return None
+    try:
+        value = parse(raw)
+    except ValueError:
+        value = None
+    if value is None or not value >= minimum:
+        raise ConfigError(
+            f"{name} must be {parse.__name__} >= {minimum}, got {raw!r}")
+    return value
 
 
 def _plain(value):

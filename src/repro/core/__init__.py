@@ -1,16 +1,6 @@
-"""CloudViews core: the manager, controls, and the workload simulation."""
+"""CloudViews core: the multi-level controls and repository ingestion."""
 
-from repro.core.cloudviews import CloudViews
 from repro.core.controls import DeploymentMode, MultiLevelControls
-from repro.core.runner import (
-    SimulationConfig,
-    SimulationReport,
-    WorkloadSimulation,
-    record_job_into,
-)
+from repro.core.runner import record_job_into
 
-__all__ = [
-    "CloudViews", "DeploymentMode", "MultiLevelControls",
-    "SimulationConfig", "SimulationReport", "WorkloadSimulation",
-    "record_job_into",
-]
+__all__ = ["DeploymentMode", "MultiLevelControls", "record_job_into"]

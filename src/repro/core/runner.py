@@ -1,309 +1,29 @@
-"""The co-simulation runner: engine + cluster + feedback loop.
+"""Workload-repository ingestion: one executed job -> one table slice.
 
-This is the experiment harness behind the paper's production numbers
-(Table 1, Figures 6-7).  One :class:`WorkloadSimulation` drives a
-:class:`~repro.workload.generator.CookingWorkload` over N simulated days:
-
-* at each day boundary the cooking pipelines regenerate the shared fact
-  streams (bulk updates -> new GUIDs -> old views go stale) and expired
-  views are evicted;
-* periodically, the CloudViews feedback loop re-runs workload analysis and
-  view selection over the trailing window and publishes fresh annotations
-  to the insights service;
-* every job submission compiles against the engine *at its simulated
-  arrival time* (so view visibility is temporally honest), row-executes to
-  obtain observed statistics, and is then scheduled on the cluster
-  simulator; spool-writer stages early-seal their views at the simulated
-  moment they complete.
-
-Run it once with CloudViews enabled and once disabled to reproduce the
-paper's baseline-vs-CloudViews comparisons.
+:func:`record_job_into` is the "record job" step of the Figure-5
+feedback loop; :meth:`repro.api.Session.record` calls it for every job,
+and the SparkCruise listener (:mod:`repro.extensions.sparkcruise`) calls
+it from user code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.simulator import (
-    ClusterSimulator,
-    JobTelemetry,
-    SimulatedJob,
-)
-from repro.cluster.stages import (
-    build_stage_graph,
-)
-from repro.common.clock import SECONDS_PER_DAY
-from repro.core.controls import MultiLevelControls
-from repro.obs import events as obs_events
-from repro.obs.recorder import NULL_RECORDER
-from repro.engine.engine import EngineConfig, JobRun, ScopeEngine
-from repro.optimizer.stats import CardinalityEstimator
+from repro.engine.engine import JobRun
 from repro.executor.executor import choose_join_algorithm
 from repro.plan.logical import Join, LogicalPlan, Scan, Spool, ViewScan
-from repro.selection.candidates import build_candidates
-from repro.selection.policies import SelectionPolicy, SelectionResult
-from repro.selection.registry import run_selection, validate_selection_algorithm
 from repro.signatures.signature import (
     is_reuse_eligible,
     recurring_signature,
     strict_signature,
     subexpression_tag,
 )
-from repro.workload.generator import CookingWorkload, JobInstance
 from repro.workload.repository import (
     JobRecord,
     SubexpressionRecord,
     WorkloadRepository,
 )
-
-
-@dataclass
-class SimulationConfig:
-    """Knobs for one simulated deployment window."""
-
-    days: int = 7
-    cloudviews_enabled: bool = True
-    total_containers: int = 60
-    vc_quota: int = 10
-    work_rate: float = 30.0
-    container_startup: float = 2.0
-    selection_algorithm: str = "bigsubs"
-    policy: SelectionPolicy = field(default_factory=lambda: SelectionPolicy(
-        storage_budget_bytes=50_000_000,
-        materialization_lag_seconds=150.0,
-        min_reuses_per_epoch=2.0,
-    ))
-    warmup_days: int = 1          # observe before the first selection
-    reselect_every_days: int = 1  # feedback-loop cadence
-    selection_window_days: int = 3
-    rows_per_partition: float = 15.0
-    max_partitions: int = 96
-    vc_job_slots: int = 3
-    job_overhead_seconds: float = 45.0
-    #: View TTL in simulated seconds (``repro simulate --view-ttl``);
-    #: ``None`` keeps the engine default (one week, §3.1).
-    view_ttl_seconds: Optional[float] = None
-    #: Execution backend name (``repro simulate --backend``).
-    backend: str = "memory"
-
-
-@dataclass
-class SimulationReport:
-    """Everything the benchmarks read: telemetry plus workload records."""
-
-    config: SimulationConfig
-    telemetry: List[JobTelemetry]
-    repository: WorkloadRepository
-    views_created: int
-    views_reused: int
-    selections: List[SelectionResult] = field(default_factory=list)
-
-    # ---- cumulative totals (Table 1 numerators) ----
-
-    def total(self, metric: str) -> float:
-        return sum(getattr(t, metric) for t in self.telemetry)
-
-    def daily(self, metric: str) -> Dict[int, float]:
-        """Metric summed per submission day (Figures 6-7 series)."""
-        out: Dict[int, float] = {}
-        for t in self.telemetry:
-            day = int(t.submit_time // SECONDS_PER_DAY)
-            out[day] = out.get(day, 0.0) + getattr(t, metric)
-        return out
-
-    def cumulative_daily(self, metric: str) -> List[Tuple[int, float]]:
-        daily = self.daily(metric)
-        series: List[Tuple[int, float]] = []
-        running = 0.0
-        for day in sorted(daily):
-            running += daily[day]
-            series.append((day, running))
-        return series
-
-
-class WorkloadSimulation:
-    """Drives one workload through one configuration."""
-
-    def __init__(self, workload: CookingWorkload, config: SimulationConfig,
-                 engine: Optional[ScopeEngine] = None,
-                 controls: Optional[MultiLevelControls] = None,
-                 on_day_boundary=None,
-                 monitor=None,
-                 recorder=None):
-        self.workload = workload
-        self.config = config
-        if engine is None:
-            engine_config = EngineConfig()
-            if config.view_ttl_seconds is not None:
-                engine_config.view_ttl_seconds = config.view_ttl_seconds
-            from repro.backends import create_backend
-            engine = ScopeEngine(config=engine_config,
-                                 backend=create_backend(config.backend))
-        self.engine = engine
-        self.controls = controls
-        #: Flight recorder for the whole feedback loop.  Installing it
-        #: here wires the engine, insights service, and view store; the
-        #: cluster simulator drives its simulated clock.  ``None`` keeps
-        #: the zero-overhead :data:`~repro.obs.recorder.NULL_RECORDER`.
-        self.recorder = recorder or NULL_RECORDER
-        if recorder is not None:
-            recorder.install(self.engine)
-        #: Optional hook called as ``on_day_boundary(day, simulation)`` at
-        #: each simulated midnight, after cooking/eviction and before
-        #: reselection -- used for deployment scenarios such as the
-        #: paper's tier-by-tier opt-out rollout (Section 4).
-        self.on_day_boundary = on_day_boundary
-        #: Optional :class:`~repro.engine.monitoring.QueryMonitor`; when
-        #: provided, every compiled job is surfaced to it (Figure 5's
-        #: query-monitoring tool).
-        self.monitor = monitor
-        self.repository = WorkloadRepository()
-        self.selections: List[SelectionResult] = []
-        self._full_work: Dict[str, float] = {}
-        validate_selection_algorithm(config.selection_algorithm)
-
-    # ------------------------------------------------------------------ #
-    # top level
-
-    def run(self) -> SimulationReport:
-        self.workload.install(self.engine, at=0.0)
-        simulator = ClusterSimulator(
-            total_containers=self.config.total_containers,
-            vc_quotas={vc: self.config.vc_quota
-                       for vc in self.workload.virtual_clusters},
-            work_rate=self.config.work_rate,
-            container_startup=self.config.container_startup,
-            vc_job_slots=self.config.vc_job_slots,
-            job_overhead_seconds=self.config.job_overhead_seconds,
-            recorder=self.recorder,
-        )
-        for day in range(self.config.days):
-            if day > 0:
-                simulator.add_arrival(
-                    day * SECONDS_PER_DAY,
-                    lambda now, d=day: self._day_boundary(d, now))
-            for instance in self.workload.jobs_for_day(day):
-                simulator.add_arrival(
-                    instance.submit_time,
-                    lambda now, inst=instance: self._launch(inst, now))
-        telemetry = simulator.run()
-        return SimulationReport(
-            config=self.config,
-            telemetry=telemetry,
-            repository=self.repository,
-            views_created=self.engine.view_store.total_created,
-            views_reused=self.engine.view_store.total_reused,
-            selections=self.selections,
-        )
-
-    # ------------------------------------------------------------------ #
-    # day boundary: cooking, eviction, feedback loop
-
-    def _day_boundary(self, day: int, now: float) -> None:
-        self.workload.cook(self.engine, day)
-        self.engine.view_store.evict_expired(now)
-        if self.on_day_boundary is not None:
-            self.on_day_boundary(day, self)
-        if not self.config.cloudviews_enabled:
-            return None
-        if day < self.config.warmup_days:
-            return None
-        if (day - self.config.warmup_days) % self.config.reselect_every_days:
-            return None
-        self._reselect(now)
-        return None
-
-    def _reselect(self, now: float) -> None:
-        epoch_id = f"epoch-{len(self.selections) + 1}"
-        epoch_span = self.recorder.start_span(
-            "selection.epoch", trace_id=epoch_id, at=now,
-            algorithm=self.config.selection_algorithm)
-        window_start = now - self.config.selection_window_days * SECONDS_PER_DAY
-        window = self.repository.window(window_start, now)
-        candidates = build_candidates(window)
-        result = run_selection(
-            self.config.selection_algorithm, window, candidates,
-            self.config.policy, recorder=self.recorder)
-        published = self.engine.insights.publish(result.annotations())
-        self.selections.append(result)
-        epoch_span.annotate("selected", len(result.selected))
-        epoch_span.annotate("published", published)
-        epoch_span.finish(at=now)
-        self.recorder.event(
-            obs_events.SELECTION_EPOCH, at=now, job_id=epoch_id,
-            algorithm=self.config.selection_algorithm,
-            considered=result.considered,
-            selected=len(result.selected),
-            rejected_by_budget=result.rejected_by_budget,
-            rejected_by_schedule=result.rejected_by_schedule,
-            storage_used=result.storage_used,
-            published=published,
-        )
-
-    # ------------------------------------------------------------------ #
-    # per-job launch (compile at arrival time)
-
-    def _launch(self, instance: JobInstance, now: float) -> Optional[SimulatedJob]:
-        template = instance.template
-        reuse = self.config.cloudviews_enabled
-        if reuse and self.controls is not None:
-            reuse = self.controls.enabled_for(
-                template.virtual_cluster,
-                service_enabled=self.engine.insights.enabled)
-        compiled = self.engine.compile(
-            template.sql,
-            params=instance.params,
-            virtual_cluster=template.virtual_cluster,
-            reuse_enabled=reuse,
-            now=now,
-        )
-        run = self.engine.execute(compiled, now=now, seal_views=False)
-        if self.monitor is not None \
-                and not getattr(self.monitor, "event_driven", False):
-            # Event-driven monitors already saw the job.compiled and
-            # view.sealed events through the flight recorder's log.
-            self.monitor.observe_compile(compiled, at=now)
-            self.monitor.observe_run(run)
-        self._record(template, compiled.job_id, now, run)
-
-        estimator = CardinalityEstimator(
-            self.engine.catalog, history=None,
-            overestimate=self.engine.config.overestimate,
-            salt=self.engine.signature_salt)
-        graph = build_stage_graph(
-            compiled.plan, run.result, estimator,
-            rows_per_partition=self.config.rows_per_partition,
-            max_partitions=self.config.max_partitions)
-
-        def seal(stage, at, job_run=run):
-            self.engine.seal_spooled(job_run, stage.spool_signature, at)
-
-        return SimulatedJob(
-            job_id=compiled.job_id,
-            virtual_cluster=template.virtual_cluster,
-            submit_time=now,
-            graph=graph,
-            input_rows=run.result.input_rows,
-            input_bytes=run.result.input_bytes,
-            data_read_bytes=run.result.data_read_bytes,
-            views_built=len(run.result.spooled),
-            views_reused=compiled.reused_views,
-            on_spool_sealed=seal,
-        )
-
-    # ------------------------------------------------------------------ #
-    # repository ingestion
-
-    def _record(self, template, job_id: str, now: float, run: JobRun) -> None:
-        record_job_into(
-            self.repository, run, now,
-            virtual_cluster=template.virtual_cluster,
-            template_id=template.template_id,
-            pipeline_id=template.pipeline_id,
-            salt=self.engine.signature_salt,
-            full_work=self._full_work,
-        )
 
 
 def record_job_into(repository: WorkloadRepository, run: JobRun, now: float,

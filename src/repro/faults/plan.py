@@ -39,9 +39,8 @@ class FaultSpec:
     point: str
     kind: str
     #: Chance each arrival at the point fires this spec.  Specs at the
-    #: same point share a single cumulative draw (legacy
-    #: ``FaultInjector.roll`` semantics): with drop=0.3 and error=0.2,
-    #: one draw in [0, 0.3) drops and [0.3, 0.5) errors.
+    #: same point share a single cumulative draw: with drop=0.3 and
+    #: error=0.2, one draw in [0, 0.3) drops and [0.3, 0.5) errors.
     probability: float = 1.0
     #: Extra simulated latency (``delay`` kind only).
     delay_seconds: float = 0.0

@@ -15,11 +15,11 @@ Two entry points:
 * :meth:`FaultRuntime.fire` raises the mapped exception directly --
   the one-liner for backend/scheduler/GC seams.
 
-Probability semantics match the legacy ``insights.client.FaultInjector``:
-all probabilistic specs at one point share a **single cumulative draw**
-(with drop=0.3 and error=0.2, one draw lands in [0, 0.3) for drop and
-[0.3, 0.5) for error), and an always-on ``delay`` spec adds latency to
-every surviving arrival without consuming the draw.
+Probability semantics: all probabilistic specs at one point share a
+**single cumulative draw** (with drop=0.3 and error=0.2, one draw lands
+in [0, 0.3) for drop and [0.3, 0.5) for error), and an always-on
+``delay`` spec adds latency to every surviving arrival without
+consuming the draw.
 
 When no plan is installed every seam holds :data:`NULL_FAULTS`, whose
 ``fire``/``check`` are attribute-lookup-plus-return no-ops -- the

@@ -18,7 +18,6 @@ from repro.insights.annotations_file import (
 )
 from repro.insights.client import (
     CircuitBreaker,
-    FaultInjector,
     InsightsClient,
     InsightsClientConfig,
 )
@@ -30,7 +29,7 @@ from repro.insights.service import (
 )
 
 __all__ = ["CACHED_ROUND_TRIP_SECONDS", "ROUND_TRIP_SECONDS",
-           "CircuitBreaker", "FaultInjector", "InsightsClient",
+           "CircuitBreaker", "InsightsClient",
            "InsightsClientConfig", "InsightsService", "UsageMetrics",
            "compile_with_annotations", "dump_annotations",
            "export_current_annotations", "load_annotations"]

@@ -79,7 +79,9 @@ def load_annotations(text: str) -> List[Annotation]:
 
 def export_current_annotations(engine: "ScopeEngine") -> str:
     """Snapshot the insights service's current generation to a file body."""
-    return dump_annotations(engine.insights._by_recurring.values(),
+    # The engine may talk to the service directly or through a client.
+    service = getattr(engine.insights, "service", engine.insights)
+    return dump_annotations(service._by_recurring.values(),
                             runtime_version=engine.runtime_version)
 
 

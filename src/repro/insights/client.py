@@ -21,8 +21,9 @@ that operational posture:
   (Section 4, "insight service level control as the uber control").
   After a cool-down the breaker goes half-open and lets probe fetches
   test the service before closing again;
-* **fault injection** -- drop/delay/error hooks on the serving round trip
-  so every degradation path is testable.
+* **fault injection** -- the ``insights.rpc`` point of the session's
+  :class:`~repro.faults.FaultRuntime` drops, fails or delays the serving
+  round trip, so every degradation path is testable.
 
 Everything here is deterministic: injected faults and jitter come from a
 seeded RNG, and time is simulated latency accounting, so a concurrent run
@@ -34,15 +35,13 @@ from __future__ import annotations
 
 import random
 import threading
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, InsightsError, InsightsTimeout
 from repro.common.sync import RANK_INSIGHTS, TrackedLock
 from repro.faults import points as fault_points
-from repro.faults.plan import FaultPlan, FaultSpec
-from repro.faults.runtime import NULL_FAULTS, FaultRuntime
+from repro.faults.runtime import NULL_FAULTS
 from repro.insights.service import InsightsService
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
@@ -91,91 +90,6 @@ class InsightsClientConfig:
             raise ConfigError("breaker_failure_threshold must be >= 1")
         if self.breaker_cooldown_fetches < 1:
             raise ConfigError("breaker_cooldown_fetches must be >= 1")
-
-
-@dataclass(kw_only=True)
-class FaultInjector:
-    """Deterministic fault hooks on the serving-layer round trip.
-
-    .. deprecated::
-        ``FaultInjector`` is a compatibility shim over the unified
-        fault-injection framework (:mod:`repro.faults`) and will be
-        removed in 2.0.  New code should describe serving-layer faults
-        as a :class:`~repro.faults.FaultPlan` on the ``insights.rpc``
-        injection point and install it via ``Session(faults=...)``.
-
-    ``drop_rate`` makes an attempt consume its full timeout and fail;
-    ``error_rate`` makes the serving layer answer with an error
-    immediately; ``delay_seconds`` is added to every surviving round trip
-    (push it past the timeout to exercise slow-dependency behavior).
-    Rates may be mutated after construction; each ``roll`` reads the
-    live values.
-    """
-
-    drop_rate: float = 0.0
-    error_rate: float = 0.0
-    delay_seconds: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "FaultInjector is deprecated and will be removed in 2.0; "
-            "use repro.faults.FaultPlan on the 'insights.rpc' point "
-            "with Session(faults=...) instead",
-            DeprecationWarning, stacklevel=3)
-        for name in ("drop_rate", "error_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        # One RNG for the injector's lifetime (the legacy seed string),
-        # transplanted into each rebuilt runtime so the draw sequence is
-        # unaffected by live rate mutation.
-        self._rng = random.Random(f"fault-injector-{self.seed}")
-        # Leaf-of-band guard: makes the rebuild-check + draw atomic when
-        # rolled from every worker thread's round trip.
-        self._lock = TrackedLock("insights.injector", RANK_INSIGHTS + 10)
-        self._runtime: Optional[FaultRuntime] = None
-        self._built_from: Optional[Tuple[float, float, float]] = None
-
-    @property
-    def active(self) -> bool:
-        return bool(self.drop_rate or self.error_rate or self.delay_seconds)
-
-    def to_plan(self) -> FaultPlan:
-        """The equivalent :class:`~repro.faults.FaultPlan` (the migration
-        target: pass it to ``Session(faults=...)``)."""
-        specs = []
-        if self.drop_rate:
-            specs.append(FaultSpec(fault_points.INSIGHTS_RPC, "drop",
-                                   probability=self.drop_rate))
-        if self.error_rate:
-            specs.append(FaultSpec(fault_points.INSIGHTS_RPC, "error",
-                                   probability=self.error_rate))
-        if self.delay_seconds:
-            specs.append(FaultSpec(fault_points.INSIGHTS_RPC, "delay",
-                                   delay_seconds=self.delay_seconds))
-        return FaultPlan(specs, seed=self.seed,
-                         name="legacy-fault-injector")
-
-    def roll(self) -> Tuple[str, float]:
-        """Outcome for one attempt: ("ok"|"drop"|"error", extra_delay).
-
-        Delegates to a :class:`~repro.faults.FaultRuntime` over the
-        ``insights.rpc`` point; the cumulative single-draw semantics
-        (drop wins below ``drop_rate``, error below ``drop_rate +
-        error_rate``, otherwise ok plus delay) are the framework's own.
-        """
-        with self._lock:
-            rates = (self.drop_rate, self.error_rate, self.delay_seconds)
-            if self._runtime is None or self._built_from != rates:
-                runtime = FaultRuntime(self.to_plan())
-                runtime._rng = self._rng
-                self._runtime = runtime
-                self._built_from = rates
-            outcome = self._runtime.check(fault_points.INSIGHTS_RPC)
-        if outcome.kind in ("drop", "error"):
-            return outcome.kind, 0.0
-        return "ok", outcome.delay
 
 
 class CircuitBreaker:
@@ -310,14 +224,11 @@ class InsightsClient:
 
     def __init__(self, service: Optional[InsightsService] = None,
                  config: Optional[InsightsClientConfig] = None,
-                 injector: Optional[FaultInjector] = None,
                  recorder=NULL_RECORDER) -> None:
         self.service = service or InsightsService()
         self.config = config or InsightsClientConfig()
-        self.injector = injector
         #: The session's fault runtime; ``Session(faults=...)`` installs
-        #: a live one so the ``insights.rpc`` seam can fire.  The legacy
-        #: ``injector`` (deprecated) is consulted first when present.
+        #: a live one so the ``insights.rpc`` seam can fire.
         self.faults = NULL_FAULTS
         self._recorder = recorder
         self.breaker = CircuitBreaker(self.config, recorder=recorder)
@@ -597,13 +508,6 @@ class InsightsClient:
                     ) -> Tuple[Dict[str, List[Annotation]], float]:
         """The raw serving-layer call, with fault injection and timeout."""
         delay = 0.0
-        if self.injector is not None and self.injector.active:
-            outcome, delay = self.injector.roll()
-            if outcome == "drop":
-                raise InsightsTimeout(
-                    f"injected drop after {self.config.timeout_seconds}s")
-            if outcome == "error":
-                raise InsightsError("injected serving-layer error")
         if self.faults.enabled:
             injected = self.faults.check(fault_points.INSIGHTS_RPC)
             if injected.kind == "drop":
@@ -611,7 +515,7 @@ class InsightsClient:
                     f"injected drop after {self.config.timeout_seconds}s")
             if injected.kind == "error":
                 raise InsightsError("injected serving-layer error")
-            delay += injected.delay
+            delay = injected.delay
         results = self.service.fetch_tag_annotations(tags)
         cost = self.service.last_fetch_latency + delay
         if cost > self.config.timeout_seconds:

@@ -1,4 +1,4 @@
-"""Concurrent execution frontend: thread-pool scheduler + simulation."""
+"""Concurrent execution frontend: the thread-pool scheduler."""
 
 from repro.scheduler.results import JobResult
 from repro.scheduler.scheduler import (
@@ -6,14 +6,5 @@ from repro.scheduler.scheduler import (
     JobScheduler,
     SchedulerConfig,
 )
-from repro.scheduler.simulation import (
-    ConcurrentSimulation,
-    ConcurrentSimulationConfig,
-    ConcurrentSimulationReport,
-)
 
-__all__ = [
-    "JobResult", "JobRequest", "JobScheduler", "SchedulerConfig",
-    "ConcurrentSimulation", "ConcurrentSimulationConfig",
-    "ConcurrentSimulationReport",
-]
+__all__ = ["JobResult", "JobRequest", "JobScheduler", "SchedulerConfig"]

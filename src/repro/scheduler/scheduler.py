@@ -45,7 +45,6 @@ from repro.engine.engine import JobRun, ScopeEngine
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.obs import events as obs_events
-from repro.obs.recorder import NULL_RECORDER
 from repro.scheduler.results import JobResult
 
 _ADMISSION_MODES = ("block", "reject")
@@ -130,15 +129,15 @@ class JobScheduler:
 
     def __init__(self, engine: ScopeEngine,
                  config: Optional[SchedulerConfig] = None,
-                 reuse_gate: Optional[Callable[[str], bool]] = None,
-                 recorder=None):
+                 reuse_gate: Optional[Callable[[str], bool]] = None):
         self.engine = engine
         self.config = config or SchedulerConfig()
         #: Optional per-virtual-cluster kill switch, e.g.
         #: ``lambda vc: controls.enabled_for(vc, service_enabled=...)``.
         self.reuse_gate = reuse_gate
-        self.recorder = recorder if recorder is not None else (
-            getattr(engine, "recorder", None) or NULL_RECORDER)
+        #: The engine's flight recorder, as installed when the scheduler
+        #: is built.
+        self.recorder = engine.recorder
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-sched")

@@ -1,303 +1,7 @@
-"""Wave-parallel workload simulation over the concurrent scheduler.
+"""The name ``benchmarks/e2e/harness.py`` imports its selection policy by.
 
-The serial :class:`~repro.core.runner.WorkloadSimulation` interleaves jobs
-through the cluster simulator's event loop; this driver instead stresses
-the *frontend*: all jobs sharing a simulated arrival time form one wave
-that compiles and executes concurrently on the :class:`JobScheduler`,
-with sealing / history / repository ingestion applied at the wave barrier
-in submission order.  By construction, the simulated outcome -- view
-catalog, reuse counts, workload repository -- is independent of the
-worker count; ``--workers 8`` differs from ``--workers 1`` only in
-wall-clock time and in which thread happened to win each view lock (the
-catalog digest is identity-free, so even that does not show).
+The frozen benchmark harness reads ``ConcurrentSimulationConfig().policy``
+from this module; the config itself lives in :mod:`repro.simulation`.
 """
 
-from __future__ import annotations
-
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.common.clock import SECONDS_PER_DAY
-from repro.common.errors import ConfigError
-from repro.core.controls import MultiLevelControls
-from repro.core.runner import record_job_into
-from repro.engine.engine import EngineConfig, JobRun, ScopeEngine
-from repro.insights.client import (
-    FaultInjector,
-    InsightsClient,
-    InsightsClientConfig,
-)
-from repro.obs import events as obs_events
-from repro.obs.recorder import NULL_RECORDER
-from repro.scheduler.results import JobResult
-from repro.scheduler.scheduler import (
-    JobRequest,
-    JobScheduler,
-    SchedulerConfig,
-)
-from repro.selection.candidates import build_candidates
-from repro.selection.policies import SelectionPolicy, SelectionResult
-from repro.selection.registry import run_selection, validate_selection_algorithm
-from repro.workload.generator import CookingWorkload, JobInstance
-from repro.workload.repository import WorkloadRepository
-
-
-@dataclass(kw_only=True)
-class ConcurrentSimulationConfig:
-    """Knobs for one wave-parallel simulation run."""
-
-    days: int = 7
-    workers: int = 4
-    cloudviews_enabled: bool = True
-    selection_algorithm: str = "bigsubs"
-    policy: SelectionPolicy = field(default_factory=lambda: SelectionPolicy(
-        storage_budget_bytes=50_000_000,
-        materialization_lag_seconds=150.0,
-        min_reuses_per_epoch=2.0,
-    ))
-    warmup_days: int = 1
-    reselect_every_days: int = 1
-    selection_window_days: int = 3
-    #: View TTL in simulated seconds (``repro simulate --view-ttl``);
-    #: ``None`` keeps the engine default (one week, §3.1).
-    view_ttl_seconds: Optional[float] = None
-    #: Execution backend name (``repro simulate --backend``).
-    backend: str = "memory"
-    #: Insights-service shard processes (``repro simulate --shards``);
-    #: 0 keeps the in-process service.  Reuse decisions and the catalog
-    #: digest are shard-count-invariant by construction.
-    shards: int = 0
-
-    def __post_init__(self) -> None:
-        validate_selection_algorithm(self.selection_algorithm)
-        if self.shards < 0:
-            raise ConfigError(f"shards must be >= 0, got {self.shards}")
-
-
-@dataclass
-class ConcurrentSimulationReport:
-    """What the CLI and the throughput benchmark read."""
-
-    config: ConcurrentSimulationConfig
-    results: List[JobResult]
-    repository: WorkloadRepository
-    views_created: int
-    views_reused: int
-    catalog_digest: str
-    wall_seconds: float
-    selections: List[SelectionResult] = field(default_factory=list)
-    #: Per-shard worker stats (``None`` for the in-process service).
-    shard_stats: Optional[List[Dict[str, object]]] = None
-
-    @property
-    def shard_busy_seconds(self) -> List[float]:
-        """Simulated serving busy-time accumulated by each shard."""
-        if not self.shard_stats:
-            return []
-        return [float(s["busy_seconds"]) for s in self.shard_stats]
-
-    @property
-    def jobs(self) -> int:
-        return len(self.results)
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for r in self.results if not r.ok)
-
-    @property
-    def degraded_jobs(self) -> int:
-        return sum(1 for r in self.results if r.degraded)
-
-    @property
-    def jobs_per_second(self) -> float:
-        return self.jobs / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "workers": self.config.workers,
-            "shards": self.config.shards,
-            "days": self.config.days,
-            "jobs": self.jobs,
-            "failures": self.failures,
-            "degraded_jobs": self.degraded_jobs,
-            "views_created": self.views_created,
-            "views_reused": self.views_reused,
-            "catalog_digest": self.catalog_digest,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "jobs_per_second": round(self.jobs_per_second, 1),
-        }
-
-
-class ConcurrentSimulation:
-    """Drives a cooking workload through the concurrent scheduler."""
-
-    def __init__(self, workload: CookingWorkload,
-                 config: ConcurrentSimulationConfig,
-                 engine: Optional[ScopeEngine] = None,
-                 controls: Optional[MultiLevelControls] = None,
-                 client_config: Optional[InsightsClientConfig] = None,
-                 fault_injector: Optional[FaultInjector] = None,
-                 recorder=None):
-        self.workload = workload
-        self.config = config
-        self._supervisor = None
-        self._router = None
-        if engine is None:
-            # The default engine fetches through the fault-tolerant
-            # client, so concurrent waves exercise batching + caching
-            # (and, with a fault injector, the degradation ladder).
-            engine_config = EngineConfig()
-            if config.view_ttl_seconds is not None:
-                engine_config.view_ttl_seconds = config.view_ttl_seconds
-            from repro.backends import create_backend
-            service = None
-            if config.shards > 0:
-                from repro.shard.router import ShardRouter
-                from repro.shard.supervisor import ShardConfig, \
-                    ShardSupervisor
-                self._supervisor = ShardSupervisor(
-                    ShardConfig(shards=config.shards))
-                self._supervisor.start()
-                self._router = ShardRouter(self._supervisor)
-                service = self._router
-            engine = ScopeEngine(
-                insights=InsightsClient(
-                    service, config=client_config,
-                    injector=fault_injector),
-                config=engine_config,
-                backend=create_backend(config.backend))
-        self.engine = engine
-        self.controls = controls
-        self.recorder = recorder or NULL_RECORDER
-        if recorder is not None:
-            recorder.install(self.engine)
-        self.repository = WorkloadRepository()
-        self.selections: List[SelectionResult] = []
-        self._full_work: Dict[str, float] = {}
-        self._instances: Dict[str, JobInstance] = {}
-
-    # ------------------------------------------------------------------ #
-
-    def _reuse_gate(self, virtual_cluster: str) -> bool:
-        if not self.config.cloudviews_enabled:
-            return False
-        if self.controls is None:
-            return True
-        return self.controls.enabled_for(
-            virtual_cluster, service_enabled=self.engine.insights.enabled)
-
-    def run(self) -> ConcurrentSimulationReport:
-        started = time.perf_counter()
-        self.workload.install(self.engine, at=0.0)
-        results: List[JobResult] = []
-        scheduler = JobScheduler(
-            self.engine,
-            SchedulerConfig(workers=self.config.workers),
-            reuse_gate=self._reuse_gate,
-            recorder=self.recorder,
-        )
-        shard_stats = None
-        try:
-            with scheduler:
-                for day in range(self.config.days):
-                    if day > 0:
-                        self._day_boundary(day, day * SECONDS_PER_DAY)
-                    for wave_time, wave in self._waves_for_day(day):
-                        self._run_wave(scheduler, wave, wave_time, results)
-            if self._router is not None:
-                shard_stats = self._router.shard_stats()
-        finally:
-            self._close_shards()
-        return ConcurrentSimulationReport(
-            config=self.config,
-            results=results,
-            repository=self.repository,
-            views_created=self.engine.view_store.total_created,
-            views_reused=self.engine.view_store.total_reused,
-            catalog_digest=self.engine.view_store.catalog_digest(),
-            wall_seconds=time.perf_counter() - started,
-            selections=self.selections,
-            shard_stats=shard_stats,
-        )
-
-    def _close_shards(self) -> None:
-        if self._router is not None:
-            self._router.close()
-            self._router = None
-        if self._supervisor is not None:
-            self._supervisor.close()
-            self._supervisor = None
-
-    # ------------------------------------------------------------------ #
-    # waves
-
-    def _waves_for_day(self, day: int):
-        """Group the day's jobs by simulated arrival time, in order."""
-        waves: List[tuple] = []
-        for instance in self.workload.jobs_for_day(day):
-            if waves and waves[-1][0] == instance.submit_time:
-                waves[-1][1].append(instance)
-            else:
-                waves.append((instance.submit_time, [instance]))
-        return waves
-
-    def _run_wave(self, scheduler: JobScheduler, wave: List[JobInstance],
-                  now: float, results: List[JobResult]) -> None:
-        for instance in wave:
-            template = instance.template
-            job_id = scheduler.submit(JobRequest(
-                sql=template.sql,
-                params=dict(instance.params),
-                virtual_cluster=template.virtual_cluster,
-            ), now=now)
-            self._instances[job_id] = instance
-        results.extend(scheduler.drain(now=now, on_run=self._ingest))
-
-    def _ingest(self, run: JobRun) -> None:
-        """Barrier callback: repository ingestion in submission order."""
-        instance = self._instances.pop(run.compiled.job_id)
-        template = instance.template
-        record_job_into(
-            self.repository, run, run.compiled.submitted_at,
-            virtual_cluster=template.virtual_cluster,
-            template_id=template.template_id,
-            pipeline_id=template.pipeline_id,
-            salt=self.engine.signature_salt,
-            full_work=self._full_work,
-        )
-
-    # ------------------------------------------------------------------ #
-    # day boundary: cooking, eviction, feedback loop
-
-    def _day_boundary(self, day: int, now: float) -> None:
-        self.workload.cook(self.engine, day)
-        self.engine.view_store.evict_expired(now)
-        if not self.config.cloudviews_enabled:
-            return
-        if day < self.config.warmup_days:
-            return
-        if (day - self.config.warmup_days) % self.config.reselect_every_days:
-            return
-        self._reselect(now)
-
-    def _reselect(self, now: float) -> None:
-        epoch_id = f"epoch-{len(self.selections) + 1}"
-        window_start = now - self.config.selection_window_days * SECONDS_PER_DAY
-        window = self.repository.window(window_start, now)
-        candidates = build_candidates(window)
-        result = run_selection(
-            self.config.selection_algorithm, window, candidates,
-            self.config.policy, recorder=self.recorder)
-        published = self.engine.insights.publish(result.annotations())
-        self.selections.append(result)
-        self.recorder.event(
-            obs_events.SELECTION_EPOCH, at=now, job_id=epoch_id,
-            algorithm=self.config.selection_algorithm,
-            considered=result.considered,
-            selected=len(result.selected),
-            rejected_by_budget=result.rejected_by_budget,
-            rejected_by_schedule=result.rejected_by_schedule,
-            storage_used=result.storage_used,
-            published=published,
-        )
+from repro.simulation import SimulationConfig as ConcurrentSimulationConfig

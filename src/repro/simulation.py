@@ -1,0 +1,384 @@
+"""The workload simulation: one driver, two schedules, over one Session.
+
+This is the experiment harness behind the paper's production numbers
+(Table 1, Figures 6-7) and behind the worker-/shard-count invariance
+runs.  One :class:`WorkloadSimulation` drives a
+:class:`~repro.workload.generator.CookingWorkload` over N simulated days
+through a :class:`~repro.api.Session`, which owns the deployment wiring
+and the feedback loop.  The driver owns the day boundary:
+
+* the cooking pipelines regenerate the shared fact streams (bulk updates
+  -> new GUIDs -> old views go stale) and expired views are evicted;
+* after the warm-up, at the configured cadence, the session runs one
+  selection epoch over the trailing window.
+
+What differs between runs is only the *schedule* of a day's jobs:
+
+* **cluster** (``workers is None``): every job compiles against the
+  engine *at its simulated arrival time* (so view visibility is
+  temporally honest), row-executes to obtain observed statistics, and is
+  then scheduled on the cluster simulator; spool-writer stages early-seal
+  their views at the simulated moment they complete.  Produces per-job
+  :class:`~repro.cluster.simulator.JobTelemetry`.  Run it once with
+  CloudViews enabled and once disabled to reproduce the paper's
+  baseline-vs-CloudViews comparisons.
+* **waves** (``workers=N``): all jobs sharing a simulated arrival time
+  form one wave that compiles and executes concurrently on the session's
+  scheduler, with sealing / history / repository ingestion applied at the
+  wave barrier in submission order.  By construction the simulated
+  outcome -- view catalog, reuse counts, workload repository -- is
+  independent of the worker and shard counts; ``workers=8`` differs from
+  ``workers=1`` only in wall-clock time and in which thread happened to
+  win each view lock (the catalog digest is identity-free, so even that
+  does not show).  Produces per-job
+  :class:`~repro.scheduler.results.JobResult`.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import time
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
+
+from repro.api import Session
+from repro.cluster.simulator import (
+    ClusterSimulator,
+    JobTelemetry,
+    SimulatedJob,
+)
+from repro.cluster.stages import build_stage_graph
+from repro.common.clock import SECONDS_PER_DAY
+from repro.config import SessionConfig
+from repro.core.controls import DeploymentMode, MultiLevelControls
+from repro.engine.engine import EngineConfig
+from repro.optimizer.stats import CardinalityEstimator
+from repro.scheduler.results import JobResult
+from repro.scheduler.scheduler import JobRequest, SchedulerConfig
+from repro.selection.policies import SelectionPolicy, SelectionResult
+from repro.workload.generator import CookingWorkload, JobInstance
+from repro.workload.repository import WorkloadRepository
+
+
+@dataclass(kw_only=True)
+class SimulationConfig:
+    """Knobs for one simulated deployment window."""
+
+    days: int = 7
+    cloudviews_enabled: bool = True
+    #: Scheduler threads of the wave schedule (``repro simulate
+    #: --workers``); ``None`` runs the cluster co-simulation instead.
+    workers: Optional[int] = None
+    #: Insights-service shard processes (``repro simulate --shards``);
+    #: 0 keeps the in-process service.  Reuse decisions and the catalog
+    #: digest are shard-count-invariant by construction.
+    shards: int = 0
+    #: Execution backend name (``repro simulate --backend``).
+    backend: str = "memory"
+    #: View TTL in simulated seconds (``repro simulate --view-ttl``);
+    #: ``None`` keeps the engine default (one week, §3.1).
+    view_ttl_seconds: Optional[float] = None
+    selection_algorithm: str = "bigsubs"
+    policy: SelectionPolicy = field(default_factory=lambda: SelectionPolicy(
+        storage_budget_bytes=50_000_000,
+        materialization_lag_seconds=150.0,
+        min_reuses_per_epoch=2.0,
+    ))
+    warmup_days: int = 1          # observe before the first selection
+    reselect_every_days: int = 1  # feedback-loop cadence
+    selection_window_days: int = 3
+    # The cluster model; read by the cluster schedule only.
+    total_containers: int = 60
+    vc_quota: int = 10
+    work_rate: float = 30.0
+    container_startup: float = 2.0
+    vc_job_slots: int = 3
+    job_overhead_seconds: float = 45.0
+    rows_per_partition: float = 15.0
+    max_partitions: int = 96
+
+    def open_session(self, **session_kwargs) -> Session:
+        """The deployment this config describes, wired through ``Session``.
+
+        ``session_kwargs`` go to :class:`~repro.api.Session` on top
+        (``controls=``, ``client_config=``, ``faults=``, ``recorder=``).
+        Without ``controls`` every virtual cluster is onboarded, so
+        :attr:`cloudviews_enabled` alone decides reuse.
+        """
+        engine = EngineConfig()
+        if self.view_ttl_seconds is not None:
+            engine.view_ttl_seconds = self.view_ttl_seconds
+        scheduler = (SchedulerConfig() if self.workers is None
+                     else SchedulerConfig(workers=self.workers))
+        session_kwargs.setdefault(
+            "controls", MultiLevelControls(mode=DeploymentMode.OPT_OUT))
+        return Session(
+            config=SessionConfig(
+                backend=self.backend, shards=self.shards, engine=engine,
+                scheduler=scheduler,
+                selection_algorithm=self.selection_algorithm,
+                selection_policy=self.policy),
+            **session_kwargs)
+
+
+@dataclass(kw_only=True)
+class SimulationReport:
+    """What either schedule leaves behind."""
+
+    config: SimulationConfig
+    repository: WorkloadRepository
+    views_created: int
+    views_reused: int
+    catalog_digest: str
+    wall_seconds: float
+    selections: List[SelectionResult] = field(default_factory=list)
+    #: Per-shard worker stats (``None`` for the in-process service).
+    shard_stats: Optional[List[Dict[str, object]]] = None
+
+    @property
+    def shard_busy_seconds(self) -> List[float]:
+        """Simulated serving busy-time accumulated by each shard."""
+        if not self.shard_stats:
+            return []
+        return [float(s["busy_seconds"]) for s in self.shard_stats]
+
+
+@dataclass(kw_only=True)
+class ClusterReport(SimulationReport):
+    """The cluster schedule's report: telemetry the benchmarks read."""
+
+    telemetry: List[JobTelemetry]
+
+    # ---- cumulative totals (Table 1 numerators) ----
+
+    def total(self, metric: str) -> float:
+        return sum(getattr(t, metric) for t in self.telemetry)
+
+    def daily(self, metric: str) -> Dict[int, float]:
+        """Metric summed per submission day (Figures 6-7 series)."""
+        out: Dict[int, float] = {}
+        for t in self.telemetry:
+            day = int(t.submit_time // SECONDS_PER_DAY)
+            out[day] = out.get(day, 0.0) + getattr(t, metric)
+        return out
+
+    def cumulative_daily(self, metric: str) -> List[Tuple[int, float]]:
+        daily = self.daily(metric)
+        series: List[Tuple[int, float]] = []
+        running = 0.0
+        for day in sorted(daily):
+            running += daily[day]
+            series.append((day, running))
+        return series
+
+
+@dataclass(kw_only=True)
+class WaveReport(SimulationReport):
+    """The wave schedule's report: what the CLI and the throughput
+    benchmark read."""
+
+    results: List[JobResult]
+
+    @property
+    def jobs(self) -> int:
+        return len(self.results)
+
+    @property
+    def failures(self) -> int:
+        return sum(1 for r in self.results if not r.ok)
+
+    @property
+    def degraded_jobs(self) -> int:
+        return sum(1 for r in self.results if r.degraded)
+
+    @property
+    def jobs_per_second(self) -> float:
+        return self.jobs / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "workers": self.config.workers,
+            "shards": self.config.shards,
+            "days": self.config.days,
+            "jobs": self.jobs,
+            "failures": self.failures,
+            "degraded_jobs": self.degraded_jobs,
+            "views_created": self.views_created,
+            "views_reused": self.views_reused,
+            "catalog_digest": self.catalog_digest,
+            "wall_seconds": round(self.wall_seconds, 3),
+            "jobs_per_second": round(self.jobs_per_second, 1),
+        }
+
+
+class WorkloadSimulation:
+    """Drives one workload through one configuration."""
+
+    def __init__(self, workload: CookingWorkload, config: SimulationConfig,
+                 session: Optional[Session] = None,
+                 on_day_boundary=None,
+                 monitor=None,
+                 recorder=None):
+        self.workload = workload
+        self.config = config
+        #: The deployment under simulation.  One built here (from
+        #: ``config``, with ``recorder`` installed: engine, insights
+        #: service, view store, scheduler) is closed when :meth:`run`
+        #: ends; one handed in keeps its own recorder and stays open.
+        self._owns_session = session is None
+        self.session = session or config.open_session(recorder=recorder)
+        #: Optional hook called as ``on_day_boundary(day, simulation)`` at
+        #: each simulated midnight, after cooking/eviction and before
+        #: reselection -- used for deployment scenarios such as the
+        #: paper's tier-by-tier opt-out rollout (Section 4).
+        self.on_day_boundary = on_day_boundary
+        #: Optional :class:`~repro.engine.monitoring.QueryMonitor`; when
+        #: provided, the cluster schedule surfaces every compiled job to
+        #: it (Figure 5's query-monitoring tool).
+        self.monitor = monitor
+
+    # ------------------------------------------------------------------ #
+    # top level
+
+    def run(self) -> SimulationReport:
+        started = time.perf_counter()
+        session = self.session
+        try:
+            self.workload.install(session.engine, at=0.0)
+            if self.config.workers is None:
+                report = functools.partial(
+                    ClusterReport, telemetry=self._run_cluster())
+            else:
+                report = functools.partial(
+                    WaveReport, results=self._run_waves())
+            shard_stats = (session.service.shard_stats()
+                           if session.supervisor is not None else None)
+        finally:
+            if self._owns_session:
+                session.close()
+        return report(
+            config=self.config,
+            repository=session.repository,
+            views_created=session.views_created,
+            views_reused=session.views_reused,
+            catalog_digest=session.catalog_digest(),
+            wall_seconds=time.perf_counter() - started,
+            selections=session.selections,
+            shard_stats=shard_stats,
+        )
+
+    # ------------------------------------------------------------------ #
+    # day boundary: cooking, eviction, feedback loop
+
+    def _day_boundary(self, day: int, now: float) -> None:
+        config = self.config
+        self.workload.cook(self.session.engine, day)
+        self.session.evict_expired(now)
+        if self.on_day_boundary is not None:
+            self.on_day_boundary(day, self)
+        if (config.cloudviews_enabled and day >= config.warmup_days
+                and not (day - config.warmup_days)
+                % config.reselect_every_days):
+            self.session.analyze_and_publish(
+                now - config.selection_window_days * SECONDS_PER_DAY, now)
+
+    # ------------------------------------------------------------------ #
+    # wave schedule
+
+    def _run_waves(self) -> List[JobResult]:
+        results: List[JobResult] = []
+        for day in range(self.config.days):
+            if day > 0:
+                self._day_boundary(day, day * SECONDS_PER_DAY)
+            # A wave is the run of jobs sharing one simulated arrival time.
+            for now, wave in itertools.groupby(
+                    self.workload.jobs_for_day(day),
+                    key=lambda instance: instance.submit_time):
+                results.extend(self.session.run_batch(
+                    [self._request(instance) for instance in wave], now=now))
+        return results
+
+    def _request(self, instance: JobInstance) -> JobRequest:
+        template = instance.template
+        return JobRequest(
+            sql=template.sql,
+            params=dict(instance.params),
+            virtual_cluster=template.virtual_cluster,
+            reuse_enabled=self.config.cloudviews_enabled,
+            template_id=template.template_id,
+            pipeline_id=template.pipeline_id,
+        )
+
+    # ------------------------------------------------------------------ #
+    # cluster schedule (compile at arrival time, seal at stage completion)
+
+    def _run_cluster(self) -> List[JobTelemetry]:
+        config = self.config
+        simulator = ClusterSimulator(
+            total_containers=config.total_containers,
+            vc_quotas={vc: config.vc_quota
+                       for vc in self.workload.virtual_clusters},
+            work_rate=config.work_rate,
+            container_startup=config.container_startup,
+            vc_job_slots=config.vc_job_slots,
+            job_overhead_seconds=config.job_overhead_seconds,
+            recorder=self.session.engine.recorder,
+        )
+        for day in range(config.days):
+            if day > 0:
+                simulator.add_arrival(
+                    day * SECONDS_PER_DAY,
+                    lambda now, d=day: self._day_boundary(d, now))
+            for instance in self.workload.jobs_for_day(day):
+                simulator.add_arrival(
+                    instance.submit_time,
+                    lambda now, inst=instance: self._launch(inst, now))
+        return simulator.run()
+
+    def _launch(self, instance: JobInstance, now: float) -> SimulatedJob:
+        template = instance.template
+        engine = self.session.engine
+        compiled = engine.compile(
+            template.sql,
+            params=instance.params,
+            virtual_cluster=template.virtual_cluster,
+            reuse_enabled=(self.config.cloudviews_enabled
+                           and self.session.reuse_allowed(
+                               template.virtual_cluster)),
+            now=now,
+        )
+        run = engine.execute(compiled, now=now, seal_views=False)
+        if self.monitor is not None \
+                and not getattr(self.monitor, "event_driven", False):
+            # Event-driven monitors already saw the job.compiled and
+            # view.sealed events through the flight recorder's log.
+            self.monitor.observe_compile(compiled, at=now)
+            self.monitor.observe_run(run)
+        self.session.record(run, template_id=template.template_id,
+                            pipeline_id=template.pipeline_id)
+
+        estimator = CardinalityEstimator(
+            engine.catalog, history=None,
+            overestimate=engine.config.overestimate,
+            salt=engine.signature_salt)
+        graph = build_stage_graph(
+            compiled.plan, run.result, estimator,
+            rows_per_partition=self.config.rows_per_partition,
+            max_partitions=self.config.max_partitions)
+
+        def seal(stage, at, job_run=run):
+            engine.seal_spooled(job_run, stage.spool_signature, at)
+
+        return SimulatedJob(
+            job_id=compiled.job_id,
+            virtual_cluster=template.virtual_cluster,
+            submit_time=now,
+            graph=graph,
+            input_rows=run.result.input_rows,
+            input_bytes=run.result.input_bytes,
+            data_read_bytes=run.result.data_read_bytes,
+            views_built=len(run.result.spooled),
+            views_reused=compiled.reused_views,
+            on_spool_sealed=seal,
+        )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -148,27 +148,28 @@ class WorkloadRepository:
         whose signatures share a runtime -- otherwise selection publishes
         annotations no future job can match.
         """
-        result = WorkloadRepository()
-        keep = {j.job_id for j in self.jobs
-                if j.runtime_version == runtime_version}
-        by_job: Dict[str, List[SubexpressionRecord]] = defaultdict(list)
-        for record in self.subexpressions:
-            if record.job_id in keep:
-                by_job[record.job_id].append(record)
-        for job in self.jobs:
-            if job.job_id in keep:
-                result.add_job(job, by_job.get(job.job_id, ()))
-        return result
+        return self._restrict(
+            lambda job: job.runtime_version == runtime_version)
 
-    def window(self, start: float, end: float) -> "WorkloadRepository":
-        """Sub-repository restricted to jobs submitted in [start, end)."""
+    def window(self, start: float, end: float,
+               runtime_version: Optional[str] = None
+               ) -> "WorkloadRepository":
+        """Sub-repository restricted to jobs submitted in [start, end),
+        and -- given ``runtime_version`` -- compiled under that runtime,
+        in the same pass."""
+        return self._restrict(
+            lambda job: start <= job.submit_time < end
+            and runtime_version in (None, job.runtime_version))
+
+    def _restrict(self, keep: Callable[[JobRecord], bool]
+                  ) -> "WorkloadRepository":
         result = WorkloadRepository()
-        keep = {j.job_id for j in self.jobs if start <= j.submit_time < end}
+        kept = {job.job_id for job in self.jobs if keep(job)}
         by_job: Dict[str, List[SubexpressionRecord]] = defaultdict(list)
         for record in self.subexpressions:
-            if record.job_id in keep:
+            if record.job_id in kept:
                 by_job[record.job_id].append(record)
         for job in self.jobs:
-            if job.job_id in keep:
+            if job.job_id in kept:
                 result.add_job(job, by_job.get(job.job_id, ()))
         return result

@@ -1,4 +1,4 @@
-"""Worker- and shard-count invariance of the wave-parallel simulation.
+"""Worker- and shard-count invariance of the simulation's wave schedule.
 
 The acceptance bar of the concurrent frontend: running the cooking
 workload with 8 scheduler threads must leave the system in a
@@ -15,7 +15,7 @@ re-accumulates per-tag serving charges in the caller's tag order.
 
 import pytest
 
-from repro.scheduler import ConcurrentSimulation, ConcurrentSimulationConfig
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.workload.generator import generate_workload
 
 BASELINE = (1, 0)
@@ -25,10 +25,9 @@ VARIANTS = ((8, 0), (2, 1), (2, 2), (4, 4))
 
 def run_simulation(workers, shards=0, days=3, seed=7):
     workload = generate_workload(seed=seed)
-    simulation = ConcurrentSimulation(
+    simulation = WorkloadSimulation(
         workload,
-        ConcurrentSimulationConfig(days=days, workers=workers,
-                                   shards=shards))
+        SimulationConfig(days=days, workers=workers, shards=shards))
     return simulation.run()
 
 

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import SimulationConfig, WorkloadSimulation
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.obs import EventLog, FlightRecorder, load_capture, replay_counters
 from repro.workload import generate_workload
 

@@ -9,9 +9,10 @@ catalog digest exactly).
 
 import pytest
 
+from repro.api import Session
 from repro.catalog import schema_of
 from repro.cli import main
-from repro.core import CloudViews, MultiLevelControls
+from repro.core import MultiLevelControls
 from repro.lifecycle import LifecycleConfig, LifecycleManager
 from repro.plan.logical import Scan, ViewScan
 from repro.selection import SelectionPolicy
@@ -25,12 +26,13 @@ Q2 = ("SELECT Segment, COUNT(*) AS n FROM Events JOIN Users "
 QE = ("SELECT Day, COUNT(*) AS n FROM Events WHERE Day = @run "
       "GROUP BY Day")
 PARAMS = {"run": "d0"}
+VC1 = dict(params=PARAMS, virtual_cluster="vc1")
 
 
 def make_cloudviews():
     controls = MultiLevelControls()
     controls.enable_vc("vc1")
-    cv = CloudViews(
+    cv = Session(
         controls=controls,
         policy=SelectionPolicy(storage_budget_bytes=10_000_000,
                                min_reuses_per_epoch=0.0),
@@ -60,12 +62,12 @@ def build_views(cv, queries=(Q1, Q2), start=0.0):
     """One full feedback-loop round: observe, publish, materialize."""
     now = start
     for i, sql in enumerate(queries, start=1):
-        cv.run(sql, PARAMS, "vc1", template_id=f"t{i}", now=now)
+        cv.run(sql, **VC1, template_id=f"t{i}", now=now)
         now += 1.0
     cv.analyze_and_publish()
     now += 10.0
     for i, sql in enumerate(queries, start=1):
-        cv.run(sql, PARAMS, "vc1", template_id=f"t{i}", now=now)
+        cv.run(sql, **VC1, template_id=f"t{i}", now=now)
         now += 1.0
     return now
 
@@ -160,7 +162,7 @@ class TestGdprForget:
         cv.engine.gdpr_forget("Users", lambda row: row["UserId"] != 1,
                               at=100.0)
         # Next round rebuilds over the new stream; user 1 is gone.
-        run = cv.run(Q1, PARAMS, "vc1", template_id="t1", now=110.0)
+        run = cv.run(Q1, **VC1, template_id="t1", now=110.0)
         assert all(row["UserId"] != 1 for row in run.rows)
 
 
@@ -187,7 +189,7 @@ class TestBulkUpdateCascade:
             "Events",
             [dict(UserId=i % 7, Day="d0", Value=1.0) for i in range(40)],
             at=100.0)
-        run = cv.run(Q1, PARAMS, "vc1", template_id="t1", now=110.0)
+        run = cv.run(Q1, **VC1, template_id="t1", now=110.0)
         assert run.compiled.reused_views == 0
         assert cv.engine.view_store.counters()["total_reused"] \
             == reused_before
@@ -213,7 +215,7 @@ class TestEpochBump:
         manager.bump_epoch(at=100.0)
         # The feedback loop re-selects and rebuilds under the new salt.
         end = build_views(cv, start=200.0)
-        run = cv.run(Q1, PARAMS, "vc1", template_id="t1", now=end)
+        run = cv.run(Q1, **VC1, template_id="t1", now=end)
         assert run.compiled.reused_views >= 1
 
 
@@ -269,7 +271,7 @@ class TestKillAndRecover:
         manager.snapshot()
         # Post-snapshot mutations land only in the WAL tail.
         end = build_views(cv, queries=(QE,), start=100.0)
-        cv.run(Q1, PARAMS, "vc1", template_id="t1", now=end)
+        cv.run(Q1, **VC1, template_id="t1", now=end)
         digest = cv.engine.view_store.catalog_digest()
         counters = cv.engine.view_store.counters()
         # Crash.

@@ -9,12 +9,8 @@ are automatically onboarded tier by tier, starting with the lowest tier."
 import pytest
 
 from repro.common.clock import SECONDS_PER_DAY
-from repro.core import (
-    DeploymentMode,
-    MultiLevelControls,
-    SimulationConfig,
-    WorkloadSimulation,
-)
+from repro.core import DeploymentMode, MultiLevelControls
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.workload import generate_workload
 
 
@@ -23,7 +19,25 @@ def make_workload():
                              templates_per_vc=8, adhoc_per_day=0)
 
 
+def job_rows(report):
+    """(virtual cluster, submit time, views built, views reused) per job,
+    from either schedule's report."""
+    if hasattr(report, "telemetry"):
+        return [(t.virtual_cluster, t.submit_time, t.views_built,
+                 t.views_reused) for t in report.telemetry]
+    return [(r.virtual_cluster, r.submitted_at, r.views_built,
+             r.views_reused) for r in report.results]
+
+
+def run_rollout(workload, config, controls, on_day_boundary=None):
+    with config.open_session(controls=controls) as session:
+        return WorkloadSimulation(workload, config, session=session,
+                                  on_day_boundary=on_day_boundary).run()
+
+
 class TestTieredRollout:
+    workers = None  # the cluster schedule
+
     def test_onboarding_ramps_reuse_tier_by_tier(self):
         workload = make_workload()
         vc_low, vc_mid, vc_high = workload.virtual_clusters
@@ -43,17 +57,17 @@ class TestTieredRollout:
             elif day == 4:
                 controls.onboard_up_to_tier(2)
 
-        config = SimulationConfig(days=6, cloudviews_enabled=True)
-        simulation = WorkloadSimulation(workload, config,
-                                        controls=controls,
-                                        on_day_boundary=rollout)
-        report = simulation.run()
+        config = SimulationConfig(days=6, cloudviews_enabled=True,
+                                  workers=self.workers)
+        report = run_rollout(workload, config, controls, rollout)
 
         def reusers_on_day(vc, day):
             return sum(
-                t.views_reused for t in report.telemetry
-                if t.virtual_cluster == vc
-                and day * SECONDS_PER_DAY <= t.submit_time
+                views_reused
+                for virtual_cluster, submit_time, _, views_reused
+                in job_rows(report)
+                if virtual_cluster == vc
+                and day * SECONDS_PER_DAY <= submit_time
                 < (day + 1) * SECONDS_PER_DAY)
 
         # Before any onboarding, no VC reuses.
@@ -75,13 +89,15 @@ class TestTieredRollout:
         controls.onboard_up_to_tier(1)
         controls.disable_vc(vc_low)  # the customer explicitly opted out
 
-        config = SimulationConfig(days=4, cloudviews_enabled=True)
-        report = WorkloadSimulation(workload, config,
-                                    controls=controls).run()
-        opted_out = [t for t in report.telemetry
-                     if t.virtual_cluster == vc_low]
-        assert all(t.views_reused == 0 and t.views_built == 0
-                   for t in opted_out)
-        others = [t for t in report.telemetry
-                  if t.virtual_cluster != vc_low]
-        assert any(t.views_reused > 0 for t in others)
+        config = SimulationConfig(days=4, cloudviews_enabled=True,
+                                  workers=self.workers)
+        report = run_rollout(workload, config, controls)
+        opted_out = [row for row in job_rows(report) if row[0] == vc_low]
+        assert all(views_reused == 0 and views_built == 0
+                   for _, _, views_built, views_reused in opted_out)
+        others = [row for row in job_rows(report) if row[0] != vc_low]
+        assert any(views_reused > 0 for _, _, _, views_reused in others)
+
+
+class TestTieredRolloutWaves(TestTieredRollout):
+    workers = 2

@@ -8,8 +8,9 @@ signatures and re-run any prior workload analysis."
 
 import pytest
 
+from repro.api import Session
 from repro.catalog import schema_of
-from repro.core import CloudViews, MultiLevelControls
+from repro.core import MultiLevelControls
 from repro.selection import SelectionPolicy
 
 
@@ -17,8 +18,8 @@ from repro.selection import SelectionPolicy
 def cloudviews():
     controls = MultiLevelControls()
     controls.enable_vc("vc1")
-    cv = CloudViews(controls=controls,
-                    policy=SelectionPolicy(min_reuses_per_epoch=0.0))
+    cv = Session(controls=controls,
+                 policy=SelectionPolicy(min_reuses_per_epoch=0.0))
     cv.engine.register_table(
         schema_of("T", [("k", "int"), ("v", "float")]),
         [dict(k=i % 5, v=float(i)) for i in range(60)])
@@ -88,3 +89,39 @@ class TestRuntimeUpgrade:
         old_signatures = {r.recurring for r in old.subexpressions}
         new_signatures = {r.recurring for r in new.subexpressions}
         assert not (old_signatures & new_signatures)
+
+
+class TestUpgradeMidSimulation:
+    @pytest.mark.parametrize("workers", [None, 2], ids=["cluster", "waves"])
+    def test_next_epoch_selects_only_new_runtime_jobs(self, workers):
+        """A runtime upgrade fired from the day-boundary hook: the epoch
+        of that same midnight has no new-runtime job to analyse, and the
+        next one must not publish signatures only old jobs carried."""
+        from repro.simulation import SimulationConfig, WorkloadSimulation
+        from repro.workload import generate_workload
+
+        def upgrade(day, simulation):
+            if day == 2:
+                simulation.session.handle_runtime_upgrade("scope-r2")
+
+        workload = generate_workload(seed=7, virtual_clusters=2,
+                                     templates_per_vc=10, adhoc_per_day=0)
+        config = SimulationConfig(days=4, workers=workers)
+        report = WorkloadSimulation(workload, config,
+                                    on_day_boundary=upgrade).run()
+
+        before, at_upgrade, after = report.selections
+        assert before.selected
+        assert at_upgrade.selected == []
+        assert after.selected
+        new_runtime = {record.recurring for record in
+                       report.repository.for_runtime("scope-r2")
+                       .subexpressions}
+        assert {c.recurring for c in after.selected} <= new_runtime
+        # Day 3 therefore builds and reuses views again.
+        day3 = [job.job_id for job in report.repository.jobs
+                if job.submit_time >= 3 * 86400.0]
+        reused_on_day3 = sum(
+            1 for record in report.repository.subexpressions
+            if record.job_id in day3 and record.operator == "ViewScan")
+        assert reused_on_day3 > 0

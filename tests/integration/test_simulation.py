@@ -4,16 +4,17 @@ These assert the *shape* of the paper's production results at test scale
 (small day counts so the suite stays fast): CloudViews wins on every
 Table-1 metric, views are reused multiple times per build, the first-job
 materialization overhead exists, and schedule/selection mechanics hold.
+
+Whatever does not read the cluster model's telemetry runs on both
+schedules of the one driver: a ``...Waves`` subclass re-runs the class
+with ``workers`` set.
 """
 
 import pytest
 
-from repro.core import (
-    MultiLevelControls,
-    SimulationConfig,
-    WorkloadSimulation,
-)
+from repro.core import MultiLevelControls
 from repro.selection import SelectionPolicy
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.telemetry import compare_telemetry
 from repro.workload import generate_workload
 
@@ -29,15 +30,20 @@ def run_sim(enabled, days=4, seed=7, **config_kwargs):
     return WorkloadSimulation(small_workload(seed), config).run()
 
 
-@pytest.fixture(scope="module")
-def reports():
-    return run_sim(True), run_sim(False)
+def job_rows(report):
+    """(virtual cluster, views reused) per job, from either schedule."""
+    jobs = getattr(report, "telemetry", None) or report.results
+    return [(job.virtual_cluster, job.views_reused) for job in jobs]
 
 
-class TestSimulationShape:
-    def test_same_job_population(self, reports):
-        enabled, baseline = reports
-        assert len(enabled.telemetry) == len(baseline.telemetry)
+@pytest.fixture(scope="class")
+def reports(request):
+    workers = request.cls.workers
+    return run_sim(True, workers=workers), run_sim(False, workers=workers)
+
+
+class ScheduleInvariantShape:
+    workers = None  # the cluster schedule
 
     def test_views_built_and_reused(self, reports):
         enabled, baseline = reports
@@ -45,6 +51,26 @@ class TestSimulationShape:
         assert enabled.views_reused > enabled.views_created
         assert baseline.views_created == 0
         assert baseline.views_reused == 0
+
+    def test_selection_ran_each_feedback_day(self, reports):
+        enabled, _ = reports
+        assert len(enabled.selections) == 3  # days 1..3 for a 4-day run
+
+    def test_workload_overlap_shape(self, reports):
+        enabled, _ = reports
+        repo = enabled.repository
+        assert repo.repeated_fraction() > 0.75
+        assert repo.average_repeat_frequency() > 2.0
+
+
+class TestSimulationShapeWaves(ScheduleInvariantShape):
+    workers = 2
+
+
+class TestSimulationShape(ScheduleInvariantShape):
+    def test_same_job_population(self, reports):
+        enabled, baseline = reports
+        assert len(enabled.telemetry) == len(baseline.telemetry)
 
     def test_cloudviews_wins_every_table1_metric(self, reports):
         enabled, baseline = reports
@@ -59,21 +85,11 @@ class TestSimulationShape:
         report = compare_telemetry(baseline.telemetry, enabled.telemetry)
         assert report.median_latency_improvement >= 0
 
-    def test_selection_ran_each_feedback_day(self, reports):
-        enabled, _ = reports
-        assert len(enabled.selections) == 3  # days 1..3 for a 4-day run
-
     def test_daily_series_cumulative_monotone(self, reports):
         enabled, _ = reports
         series = enabled.cumulative_daily("processing_time")
         values = [v for _, v in series]
         assert values == sorted(values)
-
-    def test_workload_overlap_shape(self, reports):
-        enabled, _ = reports
-        repo = enabled.repository
-        assert repo.repeated_fraction() > 0.75
-        assert repo.average_repeat_frequency() > 2.0
 
     def test_deterministic_simulation(self):
         a = run_sim(True, days=2)
@@ -97,32 +113,41 @@ class TestSimulationShape:
 
 
 class TestSimulationMechanics:
+    workers = None  # the cluster schedule
+
+    def config(self, **kwargs):
+        return SimulationConfig(cloudviews_enabled=True,
+                                workers=self.workers, **kwargs)
+
     def test_controls_gate_the_simulation(self):
         controls = MultiLevelControls()  # opt-in, nothing onboarded
-        config = SimulationConfig(days=3, cloudviews_enabled=True)
-        report = WorkloadSimulation(small_workload(), config,
-                                    controls=controls).run()
+        config = self.config(days=3)
+        with config.open_session(controls=controls) as session:
+            report = WorkloadSimulation(small_workload(), config,
+                                        session=session).run()
         assert report.views_created == 0
 
     def test_partially_onboarded_controls(self):
         workload = small_workload()
         controls = MultiLevelControls()
         controls.enable_vc(workload.virtual_clusters[0])
-        config = SimulationConfig(days=3, cloudviews_enabled=True)
-        report = WorkloadSimulation(workload, config, controls=controls).run()
-        reusers = {t.virtual_cluster for t in report.telemetry
-                   if t.views_reused > 0}
+        config = self.config(days=3)
+        with config.open_session(controls=controls) as session:
+            report = WorkloadSimulation(workload, config,
+                                        session=session).run()
+        reusers = {virtual_cluster
+                   for virtual_cluster, views_reused in job_rows(report)
+                   if views_reused > 0}
         assert reusers <= {workload.virtual_clusters[0]}
 
     def test_schedule_aware_policy_reduces_wasted_builds(self):
-        aware = run_sim(True, policy_override=None) if False else None
-        naive_cfg = SimulationConfig(
-            days=4, cloudviews_enabled=True,
+        naive_cfg = self.config(
+            days=4,
             policy=SelectionPolicy(storage_budget_bytes=50_000_000,
                                    materialization_lag_seconds=0.0,
                                    min_reuses_per_epoch=0.0))
-        aware_cfg = SimulationConfig(
-            days=4, cloudviews_enabled=True,
+        aware_cfg = self.config(
+            days=4,
             policy=SelectionPolicy(storage_budget_bytes=50_000_000,
                                    materialization_lag_seconds=150.0,
                                    min_reuses_per_epoch=0.0))
@@ -133,12 +158,12 @@ class TestSimulationMechanics:
         assert aware_ratio >= naive_ratio
 
     def test_storage_budget_limits_views(self):
-        tight_cfg = SimulationConfig(
-            days=3, cloudviews_enabled=True,
+        tight_cfg = self.config(
+            days=3,
             policy=SelectionPolicy(storage_budget_bytes=200,
                                    min_reuses_per_epoch=0.0))
-        roomy_cfg = SimulationConfig(
-            days=3, cloudviews_enabled=True,
+        roomy_cfg = self.config(
+            days=3,
             policy=SelectionPolicy(storage_budget_bytes=50_000_000,
                                    min_reuses_per_epoch=0.0))
         tight = WorkloadSimulation(small_workload(), tight_cfg).run()
@@ -147,8 +172,7 @@ class TestSimulationMechanics:
 
     def test_selection_algorithms_all_run(self):
         for algorithm in ("greedy", "per_vc", "bigsubs"):
-            config = SimulationConfig(days=3, cloudviews_enabled=True,
-                                      selection_algorithm=algorithm)
+            config = self.config(days=3, selection_algorithm=algorithm)
             report = WorkloadSimulation(small_workload(), config).run()
             assert report.views_created >= 0  # completes without error
 
@@ -156,23 +180,27 @@ class TestSimulationMechanics:
         with pytest.raises(ValueError):
             WorkloadSimulation(
                 small_workload(),
-                SimulationConfig(selection_algorithm="magic"))
+                self.config(selection_algorithm="magic"))
 
     def test_results_correct_under_reuse(self):
         """Spot-check: a reused day's jobs produce the same answers as a
         reuse-free engine run over the same streams."""
         workload = small_workload()
-        config = SimulationConfig(days=3, cloudviews_enabled=True)
-        sim = WorkloadSimulation(workload, config)
-        sim.run()
-        engine = sim.engine
-        for instance in workload.jobs_for_day(2)[:5]:
-            with_reuse = engine.run_sql(
-                instance.template.sql, params=instance.params,
-                virtual_cluster=instance.template.virtual_cluster,
-                now=instance.submit_time)
-            without = engine.run_sql(
-                instance.template.sql, params=instance.params,
-                reuse_enabled=False, now=instance.submit_time)
-            assert sorted(map(repr, with_reuse.rows)) == \
-                sorted(map(repr, without.rows))
+        config = self.config(days=3)
+        with config.open_session() as session:
+            WorkloadSimulation(workload, config, session=session).run()
+            engine = session.engine
+            for instance in workload.jobs_for_day(2)[:5]:
+                with_reuse = engine.run_sql(
+                    instance.template.sql, params=instance.params,
+                    virtual_cluster=instance.template.virtual_cluster,
+                    now=instance.submit_time)
+                without = engine.run_sql(
+                    instance.template.sql, params=instance.params,
+                    reuse_enabled=False, now=instance.submit_time)
+                assert sorted(map(repr, with_reuse.rows)) == \
+                    sorted(map(repr, without.rows))
+
+
+class TestSimulationMechanicsWaves(TestSimulationMechanics):
+    workers = 2

@@ -21,24 +21,16 @@ from repro.catalog import schema_of
 from repro.common.errors import ExecutionError
 from repro.engine import ScopeEngine
 from repro.executor import UdoRegistry
-from repro.insights import (
-    FaultInjector,
-    InsightsClient,
-    InsightsClientConfig,
-)
+from repro.faults import NULL_FAULTS, resolve_faults
+from repro.insights import InsightsClient, InsightsClientConfig
 from repro.insights.service import UsageMetrics
 from repro.optimizer.context import Annotation
 from repro.optimizer.rules import apply_rewrites
 from repro.plan import PlanBuilder, normalize
 from repro.plan.logical import Join
-from repro.scheduler import (
-    ConcurrentSimulation,
-    ConcurrentSimulationConfig,
-    JobRequest,
-    JobScheduler,
-    SchedulerConfig,
-)
+from repro.scheduler import JobRequest, JobScheduler, SchedulerConfig
 from repro.signatures import enumerate_subexpressions
+from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.sql import parse
 from repro.workload.generator import generate_workload
 
@@ -127,8 +119,8 @@ class TestBreakerUnderFaults:
         config = InsightsClientConfig(
             max_retries=0, breaker_failure_threshold=5,
             breaker_cooldown_fetches=10)
-        injector = FaultInjector(error_rate=1.0)
-        client = InsightsClient(config=config, injector=injector)
+        client = InsightsClient(config=config)
+        client.faults = resolve_faults("insights.rpc:error")
         client.publish([Annotation("rec-1", "tag-1")])
         errors = []
 
@@ -149,7 +141,7 @@ class TestBreakerUnderFaults:
         assert client.breaker.state == "open"
         assert "open" in client.breaker.transitions
         # Heal the service and drain the cooldown: closed again.
-        injector.error_rate = 0.0
+        client.faults = NULL_FAULTS
         for _ in range(config.breaker_cooldown_fetches + 1):
             client.fetch_annotations(["tag-1"], now=0.0)
         assert client.breaker.state == "closed"
@@ -159,25 +151,26 @@ class TestBreakerUnderFaults:
         # >= 10% of serving round trips fail; with retries disabled every
         # fault degrades its job.  Jobs must all succeed anyway.
         workload = generate_workload(seed=11)
-        simulation = ConcurrentSimulation(
-            workload,
-            ConcurrentSimulationConfig(days=2, workers=8),
-            client_config=InsightsClientConfig(max_retries=0),
-            fault_injector=FaultInjector(drop_rate=0.08, error_rate=0.07))
-        report = simulation.run()
+        config = SimulationConfig(days=2, workers=8)
+        with config.open_session(
+                client_config=InsightsClientConfig(max_retries=0),
+                faults="insights.rpc:drop:0.08;insights.rpc:error:0.07",
+                ) as session:
+            report = WorkloadSimulation(workload, config,
+                                        session=session).run()
         assert report.jobs > 50
         assert report.failures == 0
         assert report.degraded_jobs > 0
-        client = simulation.engine.insights
-        assert client.degraded_fetches > 0
+        assert session.insights.degraded_fetches > 0
 
     def test_degraded_jobs_match_baseline_rows(self):
         # A degraded compile must still return correct results -- it just
         # skips reuse.  Compare each faulty-run job against a clean run.
-        def outcomes(injector):
-            engine = build_engine(insights=InsightsClient(
-                config=InsightsClientConfig(max_retries=0, seed=3),
-                injector=injector))
+        def outcomes(faults):
+            client = InsightsClient(
+                config=InsightsClientConfig(max_retries=0, seed=3))
+            client.faults = faults
+            engine = build_engine(insights=client)
             annotate_shared_join(engine)
             with JobScheduler(engine,
                               SchedulerConfig(workers=8)) as scheduler:
@@ -188,8 +181,8 @@ class TestBreakerUnderFaults:
                         now=float(wave))
             return results
 
-        faulty = outcomes(FaultInjector(drop_rate=0.2, seed=5))
-        clean = outcomes(None)
+        faulty = outcomes(resolve_faults("seed=5;insights.rpc:drop:0.2"))
+        clean = outcomes(NULL_FAULTS)
         assert all(r.ok for r in faulty)
         assert any(r.degraded for r in faulty)
         expected = sorted(map(repr, clean[0].rows))

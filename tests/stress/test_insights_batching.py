@@ -3,8 +3,8 @@
 The combining leader/follower scheme must flush each batch exactly once:
 the invariant checked here is that the *service-side* fetch count equals
 the client's ``batch_rounds`` counter when no faults are injected, and
-never exceeds it when the injector is rolling errors (the injector
-raises before the round trip reaches the service).  Every concurrent
+never exceeds it when the ``insights.rpc`` fault point is firing errors
+(it raises before the round trip reaches the service).  Every concurrent
 caller must come back -- with annotations or degraded-empty -- and none
 may raise.
 """
@@ -13,8 +13,8 @@ import threading
 
 import pytest
 
+from repro.faults import resolve_faults
 from repro.insights import (
-    FaultInjector,
     InsightsClient,
     InsightsClientConfig,
     InsightsService,
@@ -115,12 +115,12 @@ class TestBatchingUnderFaults:
         client, tags = build_client(
             service, max_retries=2, breaker_failure_threshold=5,
             breaker_cooldown_fetches=4)
-        client.injector = FaultInjector(error_rate=0.2, seed=11)
+        client.faults = resolve_faults("seed=11;insights.rpc:error:0.2")
         served, degraded = hammer(client, tags)
         # Every caller completed, with a mix of served and degraded.
         assert served + degraded == THREADS * FETCHES_PER_THREAD
         assert served > 0
-        # The injector raises *before* the service call, so a faulted
+        # The fault fires *before* the service call, so a faulted
         # round counts toward batch_rounds but never reaches the service
         # -- service-side calls can only be <= the rounds started.
         assert service.fetch_calls <= client.batch_rounds
@@ -131,8 +131,8 @@ class TestBatchingUnderFaults:
         client, tags = build_client(
             service, max_retries=1, breaker_failure_threshold=3,
             breaker_cooldown_fetches=2)
-        client.injector = FaultInjector(error_rate=0.15, drop_rate=0.15,
-                                        seed=23)
+        client.faults = resolve_faults(
+            "seed=23;insights.rpc:drop:0.15;insights.rpc:error:0.15")
         served, degraded = hammer(client, tags)
         assert served + degraded == THREADS * FETCHES_PER_THREAD
         assert service.fetch_calls <= client.batch_rounds

@@ -14,7 +14,7 @@ from repro.api import LifecycleConfig, Session
 from repro.catalog import schema_of
 from repro.common.sync import disable_sanitizer, enable_sanitizer, sanitizer
 from repro.core.controls import MultiLevelControls
-from repro.insights import FaultInjector, InsightsClientConfig
+from repro.insights import InsightsClientConfig
 from repro.scheduler import SchedulerConfig
 from repro.selection.policies import SelectionPolicy
 
@@ -92,7 +92,7 @@ class TestSanitizedStack:
             client_config=InsightsClientConfig(
                 max_retries=1, breaker_failure_threshold=3,
                 breaker_cooldown_fetches=2),
-            fault_injector=FaultInjector(error_rate=0.3, seed=5))
+            faults="seed=5;insights.rpc:error:0.3")
         try:
             run_workload(session)
         finally:

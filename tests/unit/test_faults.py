@@ -1,7 +1,5 @@
 """Unit tests for the unified fault-injection framework (repro.faults)."""
 
-import warnings
-
 import pytest
 
 from repro.common.errors import (
@@ -22,7 +20,6 @@ from repro.faults import (
     resolve_faults,
 )
 from repro.faults.chaos import campaign_plan
-from repro.insights.client import FaultInjector
 
 
 class TestFaultSpecValidation:
@@ -244,37 +241,3 @@ class TestCampaignPlans:
             worst = sum(spec.max_fires or 0 for spec in plan.specs
                         if spec.point in execute_points)
             assert worst <= 2, f"seed {seed} can exhaust the retry budget"
-
-
-class TestLegacyFaultInjectorShim:
-    def test_construction_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="repro.faults"):
-            FaultInjector(seed=1)
-
-    def test_to_plan_mirrors_rates(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            injector = FaultInjector(drop_rate=0.3, error_rate=0.2,
-                                     delay_seconds=0.05, seed=2)
-        plan = injector.to_plan()
-        by_kind = {spec.kind: spec for spec in plan.specs}
-        assert by_kind["drop"].probability == 0.3
-        assert by_kind["error"].probability == 0.2
-        assert by_kind["delay"].delay_seconds == 0.05
-        assert all(spec.point == points.INSIGHTS_RPC
-                   for spec in plan.specs)
-
-    def test_roll_outcomes_and_live_rate_mutation(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            injector = FaultInjector(drop_rate=1.0, seed=3)
-        assert injector.roll()[0] == "drop"
-        # Tests (and operators) mutate rates on a live injector; the
-        # shim must rebuild its runtime without resetting the RNG.
-        injector.drop_rate = 0.0
-        injector.error_rate = 1.0
-        assert injector.roll()[0] == "error"
-        injector.error_rate = 0.0
-        injector.delay_seconds = 0.75
-        outcome, delay = injector.roll()
-        assert outcome == "ok" and delay == 0.75

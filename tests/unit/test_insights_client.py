@@ -10,9 +10,9 @@ of raising).
 import pytest
 
 from repro.common.errors import ConfigError, InsightsTimeout, ReproError
+from repro.faults import NULL_FAULTS, resolve_faults
 from repro.insights import (
     CircuitBreaker,
-    FaultInjector,
     InsightsClient,
     InsightsClientConfig,
     InsightsService,
@@ -27,6 +27,17 @@ def annotation(tag="tag-1", recurring="rec-1"):
 
 def publish_one(target, tag="tag-1", recurring="rec-1"):
     target.publish([annotation(tag=tag, recurring=recurring)])
+
+
+def faulty_client(plan, config=None):
+    """A client whose serving round trip runs under the fault ``plan``
+    (the ``point:kind[:probability[:max_fires[:delay]]]`` DSL)."""
+    client = InsightsClient(config=config)
+    client.faults = resolve_faults(plan)
+    return client
+
+
+ALWAYS_ERROR = "insights.rpc:error"
 
 
 class TestConfigValidation:
@@ -49,12 +60,6 @@ class TestConfigValidation:
             InsightsClientConfig(max_retries=-1)
         with pytest.raises(ValueError):
             InsightsClientConfig(max_retries=-1)
-
-    def test_injector_rates_validated(self):
-        with pytest.raises(ConfigError):
-            FaultInjector(drop_rate=1.5)
-        with pytest.raises(ConfigError):
-            FaultInjector(error_rate=-0.1)
 
     def test_insights_timeout_is_repro_error(self):
         assert issubclass(InsightsTimeout, ReproError)
@@ -118,19 +123,8 @@ class TestServingPath:
 
 class TestRetriesAndDegradation:
     def test_injected_errors_retry_then_succeed(self):
-        # error_rate=1.0 for the first roll only: use a counting injector.
-        class OneShot(FaultInjector):
-            def __init__(self):
-                super().__init__(error_rate=1.0)
-                self.rolls = 0
-
-            def roll(self):
-                self.rolls += 1
-                if self.rolls == 1:
-                    return "error", 0.0
-                return "ok", 0.0
-
-        client = InsightsClient(injector=OneShot())
+        # The first round trip errors, every later one goes through.
+        client = faulty_client("insights.rpc:error:1.0:1")
         publish_one(client)
         result = client.fetch_annotations(["tag-1"], now=0.0)
         assert "rec-1" in result
@@ -140,29 +134,27 @@ class TestRetriesAndDegradation:
         assert client.last_fetch_latency > client.config.timeout_seconds
 
     def test_exhausted_retries_degrade_instead_of_raising(self):
-        client = InsightsClient(
-            config=InsightsClientConfig(max_retries=1),
-            injector=FaultInjector(error_rate=1.0))
+        client = faulty_client(
+            ALWAYS_ERROR, InsightsClientConfig(max_retries=1))
         publish_one(client)
         assert client.fetch_annotations(["tag-1"], now=0.0) == {}
         assert client.last_fetch_degraded is True
         assert client.degraded_fetches == 1
 
     def test_degraded_flag_resets_on_next_success(self):
-        injector = FaultInjector(error_rate=1.0)
-        client = InsightsClient(
-            config=InsightsClientConfig(max_retries=0), injector=injector)
+        client = faulty_client(
+            ALWAYS_ERROR, InsightsClientConfig(max_retries=0))
         publish_one(client)
         client.fetch_annotations(["tag-1"], now=0.0)
         assert client.last_fetch_degraded is True
-        injector.error_rate = 0.0
+        client.faults = NULL_FAULTS
         client.fetch_annotations(["tag-1"], now=0.0)
         assert client.last_fetch_degraded is False
 
     def test_slow_round_trip_times_out(self):
-        client = InsightsClient(
-            config=InsightsClientConfig(max_retries=0),
-            injector=FaultInjector(delay_seconds=1.0))
+        client = faulty_client(
+            "insights.rpc:delay:1.0:1:1.0",
+            InsightsClientConfig(max_retries=0))
         publish_one(client)
         assert client.fetch_annotations(["tag-1"], now=0.0) == {}
         assert client.last_fetch_degraded is True
@@ -200,8 +192,7 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
 
     def test_full_open_half_open_close_cycle(self):
-        client = InsightsClient(
-            config=self.config(), injector=FaultInjector(error_rate=1.0))
+        client = faulty_client(ALWAYS_ERROR, self.config())
         publish_one(client)
         # Three exhausted fetches open the breaker.
         for _ in range(3):
@@ -214,15 +205,14 @@ class TestCircuitBreaker:
             assert client.last_fetch_degraded is True
         assert client.breaker.state == "open"
         # Heal the service; the cooldown's next fetch runs as a probe.
-        client.injector.error_rate = 0.0
+        client.faults = NULL_FAULTS
         result = client.fetch_annotations(["tag-1"], now=0.0)
         assert "rec-1" in result
         assert client.breaker.state == "closed"
         assert client.breaker.transitions == ["open", "half-open", "closed"]
 
     def test_failed_probe_reopens(self):
-        client = InsightsClient(
-            config=self.config(), injector=FaultInjector(error_rate=1.0))
+        client = faulty_client(ALWAYS_ERROR, self.config())
         publish_one(client)
         for _ in range(3):
             client.fetch_annotations(["tag-1"], now=0.0)
@@ -319,10 +309,9 @@ class TestLockPassthrough:
         assert client.held_locks() == {}
 
     def test_locks_stay_consistent_while_breaker_open(self):
-        client = InsightsClient(
-            config=InsightsClientConfig(
-                max_retries=0, breaker_failure_threshold=1),
-            injector=FaultInjector(error_rate=1.0))
+        client = faulty_client(
+            ALWAYS_ERROR, InsightsClientConfig(
+                max_retries=0, breaker_failure_threshold=1))
         publish_one(client)
         client.fetch_annotations(["tag-1"], now=0.0)
         assert client.breaker.state == "open"

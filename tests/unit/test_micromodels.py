@@ -95,7 +95,7 @@ class TestEvaluation:
 
     def test_end_to_end_on_simulated_telemetry(self):
         """Fit on the first days of a simulation, evaluate on the rest."""
-        from repro.core import SimulationConfig, WorkloadSimulation
+        from repro.simulation import SimulationConfig, WorkloadSimulation
         from repro.workload import generate_workload
 
         workload = generate_workload(seed=5, virtual_clusters=2,

@@ -6,7 +6,7 @@ from repro.backends.differential import _session as differential_session
 from repro.catalog import schema_of
 from repro.cluster import JobTelemetry
 from repro.common.clock import SECONDS_PER_DAY
-from repro.core import SimulationConfig, SimulationReport, record_job_into
+from repro.core import record_job_into
 from repro.engine import ScopeEngine
 from repro.plan import Process, Scan, Spool, ViewScan
 from repro.signatures import (
@@ -14,6 +14,7 @@ from repro.signatures import (
     reference_signature,
     signature_tag,
 )
+from repro.simulation import ClusterReport, SimulationConfig
 from repro.workload import WorkloadRepository, generate_workload
 from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
 
@@ -135,11 +136,12 @@ class TestSimulationReport:
                                  submit_time=day * 86400.0 + i)
                 t.processing_time = 10.0 * (day + 1)
                 telemetry.append(t)
-        return SimulationReport(
+        return ClusterReport(
             config=SimulationConfig(days=3),
             telemetry=telemetry,
             repository=WorkloadRepository(),
-            views_created=5, views_reused=20)
+            views_created=5, views_reused=20,
+            catalog_digest="", wall_seconds=0.0)
 
     def test_total(self):
         report = self.make_report()

@@ -282,3 +282,18 @@ class TestSessionShutdown:
         session.close()
         session.close()  # second close must not raise or restart anything
         assert not session.lifecycle.janitor.running
+
+    def test_close_reaches_the_shards_when_the_scheduler_refuses(self):
+        """A scheduler refusing to close over undrained jobs must not
+        strand the shard processes behind it."""
+        from repro.api import SessionConfig
+
+        session = Session(config=SessionConfig(shards=2))
+        install_tables(session.engine)
+        session.scheduler.submit(JobRequest(sql=SQL))
+        with pytest.raises(SchedulerError):
+            session.close()
+        assert session.supervisor.alive_count() == 0
+        session.close()  # idempotent: nothing left to tear down or raise
+        session.scheduler.drain()
+        session.scheduler.close()

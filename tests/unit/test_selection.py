@@ -262,6 +262,6 @@ class TestBigSubs:
         assert len(result.selected) <= 2
 
     def test_unknown_algorithm_rejected(self):
-        from repro.core import CloudViews
+        from repro.api import Session
         with pytest.raises(ValueError):
-            CloudViews(selection_algorithm="nope")
+            Session(selection_algorithm="nope")

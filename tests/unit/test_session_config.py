@@ -53,6 +53,19 @@ class TestFromEnv:
         assert config.lifecycle.journal_dir == "/tmp/journal"
         assert config.lifecycle.storage_budget_bytes == 1_000_000
 
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_WORKERS", "abc"),
+        ("REPRO_WORKERS", "0"),
+        ("REPRO_SHARDS", "-3"),
+        ("REPRO_SHARDS", "2.5"),
+        ("REPRO_VIEW_TTL", "soon"),
+        ("REPRO_VIEW_TTL", "nan"),
+        ("REPRO_STORAGE_BUDGET", "-1"),
+    ])
+    def test_bad_number_names_the_variable(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} .*{value!r}"):
+            SessionConfig.from_env({name: value})
+
 
 class TestToDict:
     def test_round_trips_to_plain_data(self):
@@ -96,6 +109,8 @@ class TestResolveShard:
     def test_negative_shards_rejected(self):
         with pytest.raises(ConfigError):
             ShardConfig(shards=-1)
+        with pytest.raises(ConfigError):
+            SessionConfig(shards=-1).resolve_shard()
 
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ConfigError):
