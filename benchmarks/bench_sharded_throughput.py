@@ -6,8 +6,9 @@ service and against 1/2/4/8 shard worker processes, and emits
 
 Two very different columns:
 
-* **serving jobs/sec** -- the capacity metric the deployment exists
-  for.  Every annotation fetch charges the owning shard simulated
+* **serving jobs/sec** -- *modelled*: the capacity metric the deployment
+  exists for, in simulated seconds (the report carries
+  ``"modelled": true``).  Every annotation fetch charges the owning shard simulated
   round-trip time (cold 15ms / warm 1.5ms per tag, the same charges the
   in-process service accounts); a shard's ``busy_seconds`` is the
   serving work it performed, and the deployment's makespan is the
@@ -94,6 +95,10 @@ def run_sweep():
         "workers": WORKERS,
         "min_speedup_required": MIN_SPEEDUP,
         "serving_speedup_8_vs_1": round(speedup, 2),
+        # The speedup divides simulated busy-seconds (the serving_*
+        # columns); measured wall throughput is wall_jobs_per_second
+        # here and burst_sharded_durable in benchmarks/e2e.
+        "modelled": True,
         "runs": runs,
     }
     # Outcome parity across every deployment shape -- without this the
@@ -128,7 +133,7 @@ def print_report(report):
               f"{run['catalog_digest'][:12]}")
     print(f"serving speedup {SCALED_SHARDS} shards vs "
           f"{BASELINE_SHARDS}: {report['serving_speedup_8_vs_1']}x "
-          f"(bar: {report['min_speedup_required']}x)")
+          f"modelled busy-seconds (bar: {report['min_speedup_required']}x)")
 
 
 def test_sharded_throughput(benchmark):

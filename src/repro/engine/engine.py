@@ -270,7 +270,7 @@ class ScopeEngine:
                 parent=compile_span, tags=len(tags))
             annotations = self.insights.fetch_annotations(tags, now=now)
             compile_latency = self.insights.last_fetch_latency
-            degraded = getattr(self.insights, "last_fetch_degraded", False)
+            degraded = self.insights.last_fetch_degraded
             fetch_span.annotate("annotations", len(annotations))
             if degraded:
                 fetch_span.annotate("degraded", True)

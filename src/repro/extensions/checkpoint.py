@@ -108,11 +108,7 @@ class CheckpointManager:
                 tag=signature_tag(recurring),
                 virtual_cluster=virtual_cluster,
             ))
-        # The engine may talk to insights directly or through an
-        # InsightsClient; the saved-annotation snapshot needs the service.
-        insights = self.engine.insights
-        service = getattr(insights, "service", insights)
-        saved = list(service._by_recurring.values())
+        saved = self.engine.insights.annotations()
         self.engine.insights.publish(annotations)
         try:
             compiled = self.engine.compile(sql, params, virtual_cluster,

@@ -2,8 +2,8 @@
 
 Two handles are available to the engine:
 
-* :class:`InsightsService` -- the raw service (annotation index, serving
-  cache, lock table);
+* :class:`InsightsService` -- the raw service: the one policy over its
+  data-only partitions (annotation index, serving cache, lock table);
 * :class:`InsightsClient` -- the fault-tolerant client wrapping it with
   request batching, a TTL'd local cache, bounded retries, and a circuit
   breaker that degrades jobs to reuse-disabled compilation during
@@ -21,12 +21,11 @@ from repro.insights.client import (
     InsightsClient,
     InsightsClientConfig,
 )
-from repro.insights.service import (
+from repro.insights.partition import (
     CACHED_ROUND_TRIP_SECONDS,
     ROUND_TRIP_SECONDS,
-    InsightsService,
-    UsageMetrics,
 )
+from repro.insights.service import InsightsService, UsageMetrics
 
 __all__ = ["CACHED_ROUND_TRIP_SECONDS", "ROUND_TRIP_SECONDS",
            "CircuitBreaker", "InsightsClient",

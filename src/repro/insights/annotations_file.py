@@ -17,6 +17,7 @@ import json
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.common.errors import InsightsError
+from repro.insights.partition import to_wire
 from repro.optimizer.context import Annotation, OptimizerContext
 from repro.optimizer.pipeline import optimize
 from repro.plan.builder import PlanBuilder
@@ -36,16 +37,7 @@ def dump_annotations(annotations: Iterable[Annotation],
     payload = {
         "format_version": FORMAT_VERSION,
         "runtime_version": runtime_version,
-        "annotations": [
-            {
-                "recurring_signature": a.recurring_signature,
-                "tag": a.tag,
-                "expected_rows": a.expected_rows,
-                "expected_bytes": a.expected_bytes,
-                "virtual_cluster": a.virtual_cluster,
-            }
-            for a in annotations
-        ],
+        "annotations": to_wire(list(annotations)),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -79,9 +71,7 @@ def load_annotations(text: str) -> List[Annotation]:
 
 def export_current_annotations(engine: "ScopeEngine") -> str:
     """Snapshot the insights service's current generation to a file body."""
-    # The engine may talk to the service directly or through a client.
-    service = getattr(engine.insights, "service", engine.insights)
-    return dump_annotations(service._by_recurring.values(),
+    return dump_annotations(engine.insights.annotations(),
                             runtime_version=engine.runtime_version)
 
 

@@ -42,7 +42,7 @@ from repro.common.errors import ConfigError, InsightsError, InsightsTimeout
 from repro.common.sync import RANK_INSIGHTS, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
-from repro.insights.service import InsightsService
+from repro.insights.service import SERVICE_SURFACE, InsightsService
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
 from repro.optimizer.context import Annotation
@@ -70,8 +70,6 @@ class InsightsClientConfig:
     #: Per-tag cache lifetime in simulated seconds (also invalidated by
     #: every publication generation).
     cache_ttl_seconds: float = 3600.0
-    #: Coalesce concurrent tag fetches into one round trip.
-    batch_fetches: bool = True
     #: Consecutive exhausted fetches before the breaker opens.
     breaker_failure_threshold: int = 5
     #: Degraded fetches served while open before probing (half-open).
@@ -266,7 +264,9 @@ class InsightsClient:
         self.service.recorder = value
 
     # ------------------------------------------------------------------ #
-    # pass-through surface (the engine's contract)
+    # the service surface: state reads through, the three publication
+    # calls also drop the local cache, every other operation is a plain
+    # forward installed from SERVICE_SURFACE below the class
 
     @property
     def enabled(self) -> bool:
@@ -290,9 +290,6 @@ class InsightsClient:
             self._cache.clear()
         return count
 
-    def annotation_count(self) -> int:
-        return self.service.annotation_count()
-
     def bump_generation(self) -> int:
         """Pass-through cache invalidation (the local cache is keyed by
         generation, so entries die on the next fetch; clearing eagerly
@@ -308,25 +305,6 @@ class InsightsClient:
             with self._mutex:
                 self._cache.clear()
         return removed
-
-    def acquire_view_lock(self, strict_signature: str, holder: str) -> bool:
-        return self.service.acquire_view_lock(strict_signature, holder)
-
-    def release_view_lock(self, strict_signature: str, holder: str) -> None:
-        self.service.release_view_lock(strict_signature, holder)
-
-    def force_release_lock(self, strict_signature: str) -> bool:
-        return self.service.force_release_lock(strict_signature)
-
-    def lock_holder(self, strict_signature: str) -> Optional[str]:
-        return self.service.lock_holder(strict_signature)
-
-    def held_locks(self) -> Dict[str, str]:
-        return self.service.held_locks()
-
-    def report_view_available(self, strict_signature: str,
-                              holder: str) -> None:
-        self.service.report_view_available(strict_signature, holder)
 
     # ------------------------------------------------------------------ #
     # per-thread fetch bookkeeping
@@ -356,11 +334,9 @@ class InsightsClient:
         """
         now = 0.0 if now is None else now
         tags = tuple(tags)
-        self.metrics.inc("fetches")
-        self._recorder.inc("insights.fetches")
         self._fetch_state.degraded = False
         self._fetch_state.latency = 0.0
-        if not self.enabled:
+        if not self.service.begin_fetch():
             return {}
 
         generation = self.service.generation
@@ -396,13 +372,7 @@ class InsightsClient:
             per_tag.update(fetched)
 
         self._fetch_state.latency = latency
-        result: Dict[str, Annotation] = {}
-        for tag in tags:
-            for annotation in per_tag.get(tag, ()):
-                result[annotation.recurring_signature] = annotation
-        self.metrics.inc("annotations_served", len(result))
-        self._recorder.inc("insights.annotations_served", len(result))
-        return result
+        return self.service.finish_fetch(per_tag.get(tag, ()) for tag in tags)
 
     def _degrade(self, reason: str) -> Dict[str, Annotation]:
         self._fetch_state.degraded = True
@@ -450,10 +420,7 @@ class InsightsClient:
 
     def _attempt(self, tags: Tuple[str, ...]
                  ) -> Tuple[Dict[str, List[Annotation]], float]:
-        """One (possibly batched) serving round trip for ``tags``."""
-        if not self.config.batch_fetches:
-            return self._round_trip(tags)
-
+        """Join the next coalesced serving round trip for ``tags``."""
         request = _Request(tags)
         with self._mutex:
             self._pending.append(request)
@@ -523,3 +490,18 @@ class InsightsClient:
                 f"round trip took {cost * 1000:.1f}ms "
                 f"(timeout {self.config.timeout_seconds * 1000:.1f}ms)")
         return results, cost
+
+
+def _forward(name: str):
+    def method(self: InsightsClient, *args: object, **kwargs: object):
+        return getattr(self.service, name)(*args, **kwargs)
+    method.__name__ = name
+    method.__doc__ = f"Forwards to :meth:`InsightsService.{name}`."
+    return method
+
+
+# Real class attributes (not ``__getattr__``): instrumentation patches
+# ``InsightsClient.__dict__[name]`` by name.
+for _name in SERVICE_SURFACE:
+    if _name not in InsightsClient.__dict__:
+        setattr(InsightsClient, _name, _forward(_name))

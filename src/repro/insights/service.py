@@ -15,33 +15,47 @@ The service is also the uber kill switch: "insight service level control as
 the uber control for gate keeping and toggling during customer incidents"
 (Section 4, "Multi-level control").
 
-The service is shared mutable state between every concurrently compiling
-job, so all of its tables (annotation index, serving cache, lock table)
-are guarded by one tracked mutex in the ``insights`` band of the lock
-hierarchy, with the :class:`UsageMetrics` counters behind their own
-lower-ranked guard (see :mod:`repro.common.sync`).
-In particular :meth:`acquire_view_lock` is an atomic check-and-set: it is
-the real guard against duplicate view buildout when many jobs compile the
+:class:`InsightsService` is the *policy* and exists once: the kill
+switch, the publication generation, :class:`UsageMetrics`, the lock and
+kill-switch events, the per-thread ``last_fetch_latency`` and the
+routing.  The tables live in data-only
+:class:`~repro.insights.partition.Partition` objects -- one local
+partition classically, N remote ones when the
+:class:`~repro.shard.router.ShardRouter` (a subclass) fronts shard
+processes -- so any partition count answers every call identically,
+latency bits and counters included.  Each partition's mutex makes
+:meth:`InsightsService.acquire_view_lock` an atomic check-and-set: the
+real guard against duplicate view buildout when many jobs compile the
 same subexpression in parallel.  ``last_fetch_latency`` is thread-local:
-each compiling thread reads back the latency of *its own* most recent
-fetch.
+each compiling thread reads back the latency of *its own* last fetch.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.errors import InsightsError
+from repro.common.hashing import shard_for
 from repro.common.sync import RANK_INSIGHTS, TrackedLock
+from repro.insights.partition import (
+    BROADCAST,
+    CACHED_ROUND_TRIP_SECONDS,
+    PARTITION_OPS,
+    Partition,
+)
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
 from repro.optimizer.context import Annotation
 
-#: Simulated round-trip to the serving layer, in seconds (~15 ms).
-ROUND_TRIP_SECONDS = 0.015
-#: A cache hit in the serving layer is an order of magnitude cheaper.
-CACHED_ROUND_TRIP_SECONDS = 0.0015
+#: Every public operation of the service.  The client takes its plain
+#: forwards from this tuple and the contract suite runs it against every
+#: implementation, so a name added here must work on all of them.
+SERVICE_SURFACE = (
+    "publish", "annotations", "annotation_count", "bump_generation",
+    "retract", "fetch_annotations", "fetch_tag_annotations",
+    "acquire_view_lock", "release_view_lock", "force_release_lock",
+    "lock_holder", "held_locks", "report_view_available",
+)
 
 #: The counters every :class:`UsageMetrics` instance carries.
 _USAGE_FIELDS = (
@@ -65,15 +79,11 @@ class UsageMetrics:
 
     __slots__ = _USAGE_FIELDS + ("_lock",)
 
-    def __init__(self, **initial: int) -> None:
-        # Terminal counter guard: acquired under the service mutex (via
-        # ``_charge_tag``), so it sits at the bottom of the insights band.
+    def __init__(self) -> None:
+        # Terminal counter guard at the bottom of the insights band.
         self._lock = TrackedLock("insights.metrics", RANK_INSIGHTS)
         for name in _USAGE_FIELDS:
-            setattr(self, name, int(initial.pop(name, 0)))
-        if initial:
-            raise InsightsError(
-                f"unknown usage counters {sorted(initial)!r}")
+            setattr(self, name, 0)
 
     def inc(self, name: str, amount: int = 1) -> int:
         """Atomically bump one counter; returns the new value."""
@@ -87,28 +97,25 @@ class UsageMetrics:
         with self._lock:
             return {name: getattr(self, name) for name in _USAGE_FIELDS}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UsageMetrics):
-            return NotImplemented
-        return self.snapshot() == other.snapshot()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
         return f"UsageMetrics({body})"
 
 
 class InsightsService:
-    """Annotation index plus the exclusive view-creation lock table."""
+    """The one insights policy, over local or remote partitions."""
 
-    def __init__(self, recorder=NULL_RECORDER) -> None:
+    #: The plain service never degrades a fetch (it answers, or the kill
+    #: switch is off); the fault-tolerant client overrides this.
+    last_fetch_degraded = False
+
+    def __init__(self, recorder=NULL_RECORDER,
+                 partitions: Optional[Sequence[Partition]] = None) -> None:
+        #: The tables, in shard order; keys route by ``shard_for``.
+        self.partitions = list(partitions or [Partition()])
         self._enabled = True
-        self._by_tag: Dict[str, List[Annotation]] = {}
-        self._by_recurring: Dict[str, Annotation] = {}
-        self._locks: Dict[str, str] = {}  # strict signature -> holder job id
-        self._cache: Set[str] = set()
-        # One tracked, non-reentrant mutex for every service table; the
-        # only lock it may take while held is the UsageMetrics counter
-        # guard, which ranks strictly below it in the insights band.
+        # Guards the generation counter; ranked above the partitions'
+        # table mutexes and the UsageMetrics counter guard.
         self._mutex = TrackedLock("insights.service", RANK_INSIGHTS + 20,
                                   recorder)
         self._fetch_state = threading.local()
@@ -130,6 +137,8 @@ class InsightsService:
     def recorder(self, value) -> None:
         self._recorder = value
         self._mutex.recorder = value
+        for partition in self.partitions:
+            partition.recorder = value
 
     @property
     def enabled(self) -> bool:
@@ -144,26 +153,28 @@ class InsightsService:
                                 level="insights-service", enabled=value)
         self._enabled = value
 
-    # ------------------------------------------------------------------ #
-    # per-thread fetch bookkeeping
-
     @property
     def last_fetch_latency(self) -> float:
         """Simulated latency of the calling thread's most recent fetch."""
         return getattr(self._fetch_state, "latency", 0.0)
 
-    @last_fetch_latency.setter
-    def last_fetch_latency(self, value: float) -> None:
-        self._fetch_state.latency = value
+    # ------------------------------------------------------------------ #
+    # routing
 
-    @property
-    def last_fetch_degraded(self) -> bool:
-        """Whether the calling thread's last fetch was degraded.
+    def _call(self, op: str, *args):
+        """Run one partition op where :data:`PARTITION_OPS` routes it: on
+        every partition in shard order (a list of results), or on the
+        owner of its first argument (a tag or a strict signature)."""
+        if PARTITION_OPS[op].route == BROADCAST:
+            return [getattr(partition, op)(*args)
+                    for partition in self.partitions]
+        owner = self.partitions[shard_for(args[0], len(self.partitions))]
+        return getattr(owner, op)(*args)
 
-        The plain service never degrades (it either answers or the kill
-        switch is off); the fault-tolerant client overrides this.
-        """
-        return False
+    def _bump(self) -> int:
+        with self._mutex:
+            self.generation += 1
+            return self.generation
 
     # ------------------------------------------------------------------ #
     # publication (from workload analysis)
@@ -174,22 +185,23 @@ class InsightsService:
         Replaces the previous generation wholesale: selection runs
         periodically over fresh workload windows, and stale selections must
         stop driving materialization (just-in-time views, Section 2.4).
+        Annotations partition by tag in publish order; every partition
+        gets its slice, an empty one included, so it drops what it held.
         """
-        with self._mutex:
-            self._by_tag.clear()
-            self._by_recurring.clear()
-            self._cache.clear()
-            count = 0
-            for annotation in annotations:
-                self._by_tag.setdefault(annotation.tag, []).append(annotation)
-                self._by_recurring[annotation.recurring_signature] = annotation
-                count += 1
-            self.generation += 1
-            return count
+        slices: List[List[Annotation]] = [[] for _ in self.partitions]
+        for annotation in annotations:
+            slices[shard_for(annotation.tag, len(slices))].append(annotation)
+        count = sum(partition.install(piece)
+                    for partition, piece in zip(self.partitions, slices))
+        self._bump()
+        return count
+
+    def annotations(self) -> List[Annotation]:
+        """The published annotations, one per recurring signature."""
+        return [a for part in self._call("annotations") for a in part]
 
     def annotation_count(self) -> int:
-        with self._mutex:
-            return len(self._by_recurring)
+        return sum(self._call("count"))
 
     def bump_generation(self) -> int:
         """Invalidate every generation-keyed downstream cache.
@@ -199,40 +211,48 @@ class InsightsService:
         rebuilt over the fresh stream GUIDs), but clients holding
         TTL-cached copies of *reuse* state must come back to the source.
         """
-        with self._mutex:
-            self._cache.clear()
-            self.generation += 1
-            return self.generation
+        self._call("clear_cache")
+        return self._bump()
 
     def retract(self, recurring_signatures: Iterable[str]) -> int:
         """Withdraw specific annotations (user-initiated view purge).
 
         Unlike :meth:`publish` this removes only the named recurring
-        signatures, leaving the rest of the selection in force, and bumps
-        the generation so cached copies die with them.
+        signatures.  A retraction that removed anything clears *every*
+        serving cache (a partition that removed cleared its own) and
+        bumps the generation once, so cached copies die with them.
         """
-        wanted = set(recurring_signatures)
+        wanted = sorted(set(recurring_signatures))
         if not wanted:
             return 0
-        removed = 0
-        with self._mutex:
-            for signature in wanted:
-                if self._by_recurring.pop(signature, None) is not None:
-                    removed += 1
-            if removed:
-                for tag in list(self._by_tag):
-                    kept = [a for a in self._by_tag[tag]
-                            if a.recurring_signature not in wanted]
-                    if kept:
-                        self._by_tag[tag] = kept
-                    else:
-                        del self._by_tag[tag]
-                self._cache.clear()
-                self.generation += 1
-        return removed
+        removed = self._call("remove", wanted)
+        if any(removed):
+            for partition, count in zip(self.partitions, removed):
+                if not count:
+                    partition.clear_cache()
+            self._bump()
+        return sum(removed)
 
     # ------------------------------------------------------------------ #
     # query-time serving
+
+    def begin_fetch(self) -> bool:
+        """Count one job-level fetch; False when the kill switch is off."""
+        self.metrics.inc("fetches")
+        self.recorder.inc("insights.fetches")
+        return self.enabled
+
+    def finish_fetch(self, per_tag: Iterable[Iterable[Annotation]]
+                     ) -> Dict[str, Annotation]:
+        """Key a job's per-tag lists by recurring signature and count them
+        served (shared with the client, whose lists come from its cache)."""
+        result: Dict[str, Annotation] = {}
+        for found in per_tag:
+            for annotation in found:
+                result[annotation.recurring_signature] = annotation
+        self.metrics.inc("annotations_served", len(result))
+        self.recorder.inc("insights.annotations_served", len(result))
+        return result
 
     def fetch_annotations(self, tags: Iterable[str],
                           now: Optional[float] = None
@@ -245,23 +265,10 @@ class InsightsService:
         :class:`~repro.insights.client.InsightsClient` are interchangeable
         behind the engine.
         """
-        self.metrics.inc("fetches")
-        self.recorder.inc("insights.fetches")
-        if not self.enabled:
-            self.last_fetch_latency = 0.0
+        if not self.begin_fetch():
+            self._fetch_state.latency = 0.0
             return {}
-        latency = 0.0
-        result: Dict[str, Annotation] = {}
-        with self._mutex:
-            for tag in tags:
-                latency += self._charge_tag(tag)
-                for annotation in self._by_tag.get(tag, ()):
-                    result[annotation.recurring_signature] = annotation
-        self.last_fetch_latency = latency
-        self.metrics.inc("annotations_served", len(result))
-        self.recorder.observe("insights.fetch.latency", latency)
-        self.recorder.inc("insights.annotations_served", len(result))
-        return result
+        return self.finish_fetch(self._lookup(tags)[1])
 
     def fetch_tag_annotations(self, tags: Iterable[str]
                               ) -> Dict[str, List[Annotation]]:
@@ -276,28 +283,46 @@ class InsightsService:
         off.
         """
         if not self.enabled:
-            self.last_fetch_latency = 0.0
+            self._fetch_state.latency = 0.0
             return {}
-        latency = 0.0
-        result: Dict[str, List[Annotation]] = {}
-        with self._mutex:
-            for tag in tags:
-                latency += self._charge_tag(tag)
-                result[tag] = list(self._by_tag.get(tag, ()))
-        self.last_fetch_latency = latency
-        self.recorder.observe("insights.fetch.latency", latency)
-        return result
+        return dict(zip(*self._lookup(tags)))
 
-    def _charge_tag(self, tag: str) -> float:
-        """Serving-cache accounting for one tag lookup (mutex held)."""
-        if tag in self._cache:
-            self.metrics.inc("cache_hits")
-            self.recorder.inc("insights.cache_hits")
-            return CACHED_ROUND_TRIP_SECONDS
-        self._cache.add(tag)
-        self.metrics.inc("cache_misses")
-        self.recorder.inc("insights.cache_misses")
-        return ROUND_TRIP_SECONDS
+    def _lookup(self, tags: Iterable[str]
+                ) -> Tuple[List[str], List[List[Annotation]]]:
+        """The one serving loop: ``(tags, per-tag annotation lists)``.
+
+        One lookup per contacted partition, in shard order; the per-tag
+        charges are then summed in the *caller's* tag order -- the same
+        float additions whatever the partition count, so a client timeout
+        right at the boundary cannot depend on it.  The sum is serial
+        accounting; what sharding buys shows in each worker's own busy
+        seconds instead.
+        """
+        tags = list(tags)
+        owners = [shard_for(tag, len(self.partitions)) for tag in tags]
+        replies = {}
+        delay = 0.0
+        for shard_id in sorted(set(owners)):
+            reply = self.partitions[shard_id].lookup(
+                [tag for tag, owner in zip(tags, owners) if owner == shard_id])
+            delay += reply.delay
+            hits = reply.charges.count(CACHED_ROUND_TRIP_SECONDS)
+            misses = len(reply.charges) - hits
+            self.metrics.inc("cache_hits", hits)
+            self.metrics.inc("cache_misses", misses)
+            self.recorder.inc("insights.cache_hits", hits)
+            self.recorder.inc("insights.cache_misses", misses)
+            replies[shard_id] = zip(reply.annotations, reply.charges)
+        found: List[List[Annotation]] = []
+        latency = 0.0
+        for owner in owners:
+            annotations, charge = next(replies[owner])
+            found.append(annotations)
+            latency += charge
+        latency += delay
+        self._fetch_state.latency = latency
+        self.recorder.observe("insights.fetch.latency", latency)
+        return tags, found
 
     # ------------------------------------------------------------------ #
     # view locks
@@ -305,19 +330,14 @@ class InsightsService:
     def acquire_view_lock(self, strict_signature: str, holder: str) -> bool:
         """Exclusive per-signature lock guarding view creation.
 
-        Atomic check-and-set: under concurrent compilation exactly one of
-        the racing jobs wins the lock, which is what prevents duplicate
-        buildout of the same strict signature (Section 2.3).
+        Atomic check-and-set on the owning partition: under concurrent
+        compilation exactly one of the racing jobs wins the lock, which
+        is what prevents duplicate buildout of the same strict signature
+        (Section 2.3).
         """
         if not self.enabled:
             return False
-        with self._mutex:
-            current = self._locks.get(strict_signature)
-            if current is not None and current != holder:
-                acquired = False
-            else:
-                self._locks[strict_signature] = holder
-                acquired = True
+        acquired, current = self._call("lock_cas", strict_signature, holder)
         if not acquired:
             self.metrics.inc("locks_denied")
             self.recorder.event(obs_events.LOCK_DENIED, job_id=holder,
@@ -330,18 +350,10 @@ class InsightsService:
         return True
 
     def release_view_lock(self, strict_signature: str, holder: str) -> None:
-        with self._mutex:
-            current = self._locks.get(strict_signature)
-            if current is None:
-                return
-            if current != holder:
-                raise InsightsError(
-                    f"lock on {strict_signature[:8]} held by {current!r}, "
-                    f"not {holder!r}")
-            del self._locks[strict_signature]
-        self.metrics.inc("locks_released")
-        self.recorder.event(obs_events.LOCK_RELEASED, job_id=holder,
-                            signature=strict_signature[:12])
+        """A no-op when nobody holds the lock; an
+        :class:`InsightsError` when somebody other than ``holder`` does."""
+        if self._call("lock_release", strict_signature, holder):
+            self._released(strict_signature, holder)
 
     def force_release_lock(self, strict_signature: str) -> bool:
         """Administratively drop a view lock regardless of holder.
@@ -351,23 +363,27 @@ class InsightsService:
         never come back to release it, and a stuck lock would block the
         rebuild over the fresh stream GUIDs forever.
         """
-        with self._mutex:
-            holder = self._locks.pop(strict_signature, None)
+        holder = self._call("lock_pop", strict_signature)
         if holder is None:
             return False
-        self.metrics.inc("locks_released")
-        self.recorder.event(obs_events.LOCK_RELEASED, job_id=holder,
-                            signature=strict_signature[:12], forced=True)
+        self._released(strict_signature, holder, forced=True)
         return True
 
+    def _released(self, strict_signature: str, holder: str,
+                  **attrs: object) -> None:
+        self.metrics.inc("locks_released")
+        self.recorder.event(obs_events.LOCK_RELEASED, job_id=holder,
+                            signature=strict_signature[:12], **attrs)
+
     def lock_holder(self, strict_signature: str) -> Optional[str]:
-        with self._mutex:
-            return self._locks.get(strict_signature)
+        return self._call("lock_holder", strict_signature)
 
     def held_locks(self) -> Dict[str, str]:
         """Snapshot of the lock table (tests and operator tooling)."""
-        with self._mutex:
-            return dict(self._locks)
+        merged: Dict[str, str] = {}
+        for locks in self._call("lock_snapshot"):
+            merged.update(locks)
+        return merged
 
     def report_view_available(self, strict_signature: str, holder: str) -> None:
         """Early-seal notification: release the lock and start reusing.

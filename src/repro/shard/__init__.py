@@ -2,12 +2,13 @@
 
 The paper's production service runs as a scaled-out deployment rather
 than one process; this package reproduces that shape.  N worker
-processes each host a real :class:`~repro.insights.service.InsightsService`
-partition (annotations and view locks routed by recurring-signature
-hash) behind ``AF_UNIX`` length-prefixed JSON-RPC sockets; a
-:class:`ShardSupervisor` owns their lifecycle and a :class:`ShardRouter`
-presents them to the engine and the fault-tolerant client as one
-service.  Per-shard lifecycle WALs merge on read
+processes each host one :class:`~repro.insights.partition.Partition`
+(annotations and view locks routed by recurring-signature hash) behind
+``AF_UNIX`` length-prefixed JSON-RPC sockets; a :class:`ShardSupervisor`
+owns their lifecycle and a :class:`ShardRouter` -- the
+:class:`~repro.insights.service.InsightsService` itself, over those
+remote partitions -- is the one service the engine and the
+fault-tolerant client see.  Per-shard lifecycle WALs merge on read
 (:class:`ShardedCatalogJournal`), so ``catalog_digest`` -- and every
 per-job reuse decision -- holds byte-for-byte across shard counts.
 
@@ -26,7 +27,7 @@ from repro.shard.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.shard.router import ShardRouter, tags_by_shard
+from repro.shard.router import ShardRouter
 from repro.shard.supervisor import ShardConfig, ShardSupervisor
 from repro.shard.worker import ShardWorker, WorkerSpec, worker_main
 
@@ -42,6 +43,5 @@ __all__ = [
     "recv_frame",
     "send_frame",
     "shard_for_op",
-    "tags_by_shard",
     "worker_main",
 ]

@@ -27,7 +27,7 @@ journals themselves run with faults disabled.  One RNG, one firing log
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.common.errors import StorageError
 from repro.common.hashing import shard_for
@@ -40,8 +40,10 @@ from repro.lifecycle.journal import (
     view_to_record,
 )
 from repro.lifecycle.lineage import LineageRegistry
-from repro.shard.router import ShardRouter
 from repro.storage.views import ViewStore
+
+if TYPE_CHECKING:  # router -> supervisor -> worker imports this module
+    from repro.shard.router import ShardRouter
 
 
 def shard_for_op(op: str, payload: Dict[str, object], shards: int) -> int:
@@ -141,27 +143,8 @@ class ShardedCatalogJournal:
     def recover(self, store: ViewStore,
                 lineage: LineageRegistry) -> RecoveryReport:
         """Merge-on-read: union every shard's recovered partition."""
-        if store.views():
-            raise StorageError("journal recovery requires an empty store")
-        report = RecoveryReport()
-        counters: Dict[str, int] = {}
-        for reply in self.router.broadcast("journal_recover"):
-            for record in reply["views"]:
-                store.restore(record_to_view(record))
-                report.views_restored += 1
-            for name, value in reply["counters"].items():
-                counters[name] = counters.get(name, 0) + int(value)
-            lineage.restore(dict(reply["lineage"]))
-            report.epoch = max(report.epoch, int(reply["epoch"]))
-            if reply["runtime_version"]:
-                report.runtime_version = str(reply["runtime_version"])
-            report.snapshot_views += int(reply["snapshot_views"])
-            report.wal_ops += int(reply["wal_ops"])
-            report.torn_lines += int(reply["torn_lines"])
-            report.skipped.extend(
-                [str(a), str(b)] for a, b in reply["skipped"])
-        store.restore_counters(counters)
-        return report
+        return _merge_partitions(
+            self.router.broadcast("journal_recover"), store, lineage)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -192,50 +175,74 @@ class ShardedCatalogJournal:
         """Worker journals close with their processes; nothing to do."""
 
 
+def recover_partition(journal: CatalogJournal) -> Dict[str, object]:
+    """Replay one shard's WAL into the record merge-on-read folds."""
+    store = ViewStore()
+    lineage = LineageRegistry()
+    report = journal.recover(store, lineage)
+    return {
+        "views": [v.catalog_record() for v in
+                  sorted(store.views(), key=lambda v: v.signature)],
+        "counters": store.counters(),
+        "lineage": lineage.snapshot(),
+        "epoch": report.epoch,
+        "runtime_version": report.runtime_version,
+        "snapshot_views": report.snapshot_views,
+        "wal_ops": report.wal_ops,
+        "torn_lines": report.torn_lines,
+        "skipped": report.skipped,
+    }
+
+
+def _merge_partitions(partitions: Iterable[Dict[str, object]],
+                      store: ViewStore,
+                      lineage: LineageRegistry) -> RecoveryReport:
+    """Fold per-shard recoveries (:func:`recover_partition` records, live
+    replies or read off disk alike) into the one global catalog: views
+    and lineage union, counters and tallies sum, the epoch is the max."""
+    if store.views():
+        raise StorageError("journal recovery requires an empty store")
+    report = RecoveryReport()
+    counters: Dict[str, int] = {}
+    for part in partitions:
+        for record in part["views"]:
+            store.restore(record_to_view(record))
+            report.views_restored += 1
+        for name, value in part["counters"].items():
+            counters[name] = counters.get(name, 0) + int(value)
+        lineage.restore(dict(part["lineage"]))
+        report.epoch = max(report.epoch, int(part["epoch"]))
+        if part["runtime_version"]:
+            report.runtime_version = str(part["runtime_version"])
+        report.snapshot_views += int(part["snapshot_views"])
+        report.wal_ops += int(part["wal_ops"])
+        report.torn_lines += int(part["torn_lines"])
+        report.skipped.extend([str(a), str(b)] for a, b in part["skipped"])
+    store.restore_counters(counters)
+    return report
+
+
 def merged_offline_recovery(journal_dir: str, store: ViewStore,
                             lineage: LineageRegistry) -> RecoveryReport:
     """Rebuild the global catalog from ``shard-NN`` WALs on disk.
 
     The offline twin of :meth:`ShardedCatalogJournal.recover` -- no
     worker processes involved.  A directory with no ``shard-`` children
-    is treated as a classic single journal, so callers can point this at
-    either layout.
+    is a classic single journal and folds as its one partition, so
+    callers can point this at either layout.
     """
-    if store.views():
-        raise StorageError("journal recovery requires an empty store")
-    shard_dirs = sorted(
+    directories = sorted(
         os.path.join(journal_dir, name)
         for name in os.listdir(journal_dir)
         if name.startswith("shard-")
-        and os.path.isdir(os.path.join(journal_dir, name)))
-    if not shard_dirs:
-        journal = CatalogJournal(journal_dir)
+        and os.path.isdir(os.path.join(journal_dir, name))) or [journal_dir]
+
+    def recover_directory(directory: str) -> Dict[str, object]:
+        journal = CatalogJournal(directory)
         try:
-            return journal.recover(store, lineage)
+            return recover_partition(journal)
         finally:
             journal.close()
-    report = RecoveryReport()
-    counters: Dict[str, int] = {}
-    for shard_dir in shard_dirs:
-        partition = ViewStore()
-        partition_lineage = LineageRegistry()
-        journal = CatalogJournal(shard_dir)
-        try:
-            part = journal.recover(partition, partition_lineage)
-        finally:
-            journal.close()
-        for view in sorted(partition.views(), key=lambda v: v.signature):
-            store.restore(record_to_view(view.catalog_record()))
-            report.views_restored += 1
-        for name, value in partition.counters().items():
-            counters[name] = counters.get(name, 0) + int(value)
-        lineage.restore(partition_lineage.snapshot())
-        report.epoch = max(report.epoch, part.epoch)
-        if part.runtime_version:
-            report.runtime_version = part.runtime_version
-        report.snapshot_views += part.snapshot_views
-        report.wal_ops += part.wal_ops
-        report.torn_lines += part.torn_lines
-        report.skipped.extend(part.skipped)
-    store.restore_counters(counters)
-    return report
+
+    return _merge_partitions(map(recover_directory, directories),
+                             store, lineage)

@@ -1,31 +1,17 @@
-"""The shard router: one insights-service surface over N worker processes.
+"""The shard router: the insights service over N worker processes.
 
-:class:`ShardRouter` implements the full
-:class:`~repro.insights.service.InsightsService` duck surface the engine
-and the fault-tolerant :class:`~repro.insights.client.InsightsClient`
-rely on -- fetches, publication, generation, the kill switch, usage
-metrics, and the view-lock table -- by routing every signature-keyed
-operation to the one shard that owns it (``shard_for`` over the tag for
-annotations, over the strict signature for locks and journal ops) and
-broadcasting the few global operations (publish, retract, cache
-invalidation).
-
-Two properties keep reuse decisions *identical* across shard counts,
-which the equivalence suite asserts byte-for-byte:
-
-* **Deterministic placement and order.**  Annotations are partitioned by
-  tag hash in publish order, every tag's annotation list lives wholly on
-  one shard, and each worker's internal service preserves insertion
-  order -- so the per-tag lists any fetch observes equal the unsharded
-  service's.
-
-* **Serial latency accounting.**  The simulated cost charged to a fetch
-  is the *sum* of the contacted shards' per-tag charges -- exactly the
-  unsharded service's figure -- so client timeout and cache behavior
-  cannot depend on the shard count.  The capacity win of sharding shows
-  up where it belongs operationally: each worker accumulates only its
-  own partition's busy seconds, and the throughput benchmark's makespan
-  (max per-shard busy time) is what scales with N.
+:class:`ShardRouter` *is* an
+:class:`~repro.insights.service.InsightsService` whose partitions are
+remote: each :class:`RemotePartition` forwards the operations declared
+in :data:`~repro.insights.partition.PARTITION_OPS` to one shard worker
+through :meth:`ShardRouter.call`.  Everything the engine and the
+fault-tolerant client see -- routing by tag or strict signature, the
+kill switch, the generation, usage metrics, lock events, the serial
+latency accounting -- is the inherited service code, which is why reuse
+decisions and charged latencies are identical for any shard count.  What
+this module adds is transport: a connection pool, one reconnect-or-
+restart retry per RPC, and the ``shard.rpc`` / ``shard.death`` fault
+seams on the tag lookup.
 
 Failure posture: a dead shard is indistinguishable from a dead service
 for the signatures it owns.  The router retries once through the
@@ -39,46 +25,81 @@ from __future__ import annotations
 
 import itertools
 import socket
-import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import (
     InsightsError,
     InsightsTimeout,
     ShardError,
 )
-from repro.common.hashing import shard_for
 from repro.common.sync import RANK_LEAF, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
-from repro.insights.service import UsageMetrics
+from repro.insights.partition import (
+    PARTITION_OPS,
+    Lookup,
+    annotations_from_wire,
+    to_wire,
+)
+from repro.insights.service import InsightsService
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
-from repro.optimizer.context import Annotation
 from repro.shard.protocol import (
     raise_remote,
     recv_frame,
     send_frame,
 )
 from repro.shard.supervisor import ShardSupervisor
-from repro.shard.worker import annotation_from_wire, annotation_to_wire
 
 
-class ShardRouter:
-    """Drop-in ``InsightsService`` replacement backed by shard processes."""
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+class RemotePartition:
+    """One shard worker's partition, reached through the router."""
+
+    def __init__(self, router: "ShardRouter", shard_id: int) -> None:
+        self.router = router
+        self.shard_id = shard_id
+
+    def lookup(self, tags: Sequence[str]) -> Lookup:
+        """The one hand-written op: the fetch path carries the shard
+        fault seams, whose injected delay rides back beside the charges."""
+        delay = self.router.check_shard_faults(self.shard_id)
+        found, charges, _ = self.router.call(
+            self.shard_id, "lookup", args=[list(tags)])
+        return Lookup([annotations_from_wire(a) for a in found],
+                      charges, delay)
+
+
+def _remote(name: str):
+    def stub(self: RemotePartition, *args: object):
+        result = self.router.call(self.shard_id, name, args=to_wire(args))
+        if PARTITION_OPS[name].annotations_out:
+            return annotations_from_wire(result)
+        return result
+    stub.__name__ = name
+    return stub
+
+
+for _name in PARTITION_OPS:
+    if _name not in RemotePartition.__dict__:
+        setattr(RemotePartition, _name, _remote(_name))
+
+
+class ShardRouter(InsightsService):
+    """``InsightsService`` over the supervisor's shard processes."""
 
     def __init__(self, supervisor: ShardSupervisor,
                  recorder=NULL_RECORDER, faults=None) -> None:
         self.supervisor = supervisor
         self.shards = supervisor.config.shards
         self.faults = faults if faults is not None else NULL_FAULTS
-        self._enabled = True
-        #: Authoritative publication generation (workers keep none).
-        self.generation = 0
-        self.metrics = UsageMetrics()
-        self._fetch_state = threading.local()
-        self._recorder = recorder
         # Connection pool: per-shard free lists plus in-flight gauges.
         # Leaf rank (list ops only): the journal adapter calls through
         # here while the view store's mutex is held.
@@ -87,64 +108,21 @@ class ShardRouter:
         self._pool: Dict[int, List[socket.socket]] = {
             i: [] for i in range(self.shards)}
         self._inflight = [0] * self.shards
-        # Guards the generation counter and kill switch (never nested
-        # inside anything lower-ranked than the pool guard).
-        self._state_mutex = TrackedLock("shard.router.state",
-                                        RANK_LEAF + 22, recorder)
         self._request_ids = itertools.count(1)
         #: Per-shard RPC totals (successful round trips).
         self.rpcs = [0] * self.shards
         self.rpc_failures = [0] * self.shards
+        super().__init__(recorder, [RemotePartition(self, shard_id)
+                                    for shard_id in range(self.shards)])
 
-    # ------------------------------------------------------------------ #
-    # recorder plumbing (FlightRecorder.install sets ``.recorder``)
-
-    @property
-    def recorder(self):
-        return self._recorder
-
-    @recorder.setter
+    @InsightsService.recorder.setter
     def recorder(self, value) -> None:
-        self._recorder = value
+        InsightsService.recorder.fset(self, value)
         self._pool_mutex.recorder = value
-        self._state_mutex.recorder = value
         self.supervisor.recorder = value
 
     # ------------------------------------------------------------------ #
-    # kill switch and per-thread fetch bookkeeping
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        value = bool(value)
-        if value != self._enabled:
-            self._recorder.event(obs_events.KILL_SWITCH_FLIPPED,
-                                 level="insights-service", enabled=value)
-        self._enabled = value
-
-    @property
-    def last_fetch_latency(self) -> float:
-        return getattr(self._fetch_state, "latency", 0.0)
-
-    @last_fetch_latency.setter
-    def last_fetch_latency(self, value: float) -> None:
-        self._fetch_state.latency = value
-
-    @property
-    def last_fetch_degraded(self) -> bool:
-        return False
-
-    # ------------------------------------------------------------------ #
     # the RPC plumbing
-
-    def shard_of_tag(self, tag: str) -> int:
-        return shard_for(tag, self.shards)
-
-    def shard_of_signature(self, signature: str) -> int:
-        return shard_for(signature, self.shards)
 
     def _checkout(self, shard_id: int) -> socket.socket:
         with self._pool_mutex:
@@ -162,23 +140,16 @@ class ShardRouter:
                 self._pool[shard_id].append(sock)
                 return
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close(sock)
 
     def _drop_pool(self, shard_id: int) -> None:
         """Close pooled connections to a shard that died or restarted."""
         with self._pool_mutex:
             stale, self._pool[shard_id] = self._pool[shard_id], []
         for sock in stale:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close(sock)
 
-    def call(self, shard_id: int, method: str,
-             **params: object) -> Dict[str, object]:
+    def call(self, shard_id: int, method: str, **params: object) -> Any:
         """One shard RPC with a single reconnect-or-restart retry."""
         request = {"id": next(self._request_ids), "method": method,
                    "params": params}
@@ -188,39 +159,29 @@ class ShardRouter:
             sock: Optional[socket.socket] = None
             try:
                 sock = self._checkout(shard_id)
-            except OSError as error:
-                self._checkin(shard_id, None)
+                send_frame(sock, request)
+                reply = recv_frame(sock)
+                if reply is None:
+                    raise ShardError(
+                        f"shard {shard_id} closed the connection")
+            except (OSError, ShardError) as error:
+                self._checkin(shard_id, sock, broken=True)
                 last_error = error
-            else:
-                try:
-                    send_frame(sock, request)
-                    reply = recv_frame(sock)
-                except (OSError, ShardError) as error:
-                    self._checkin(shard_id, sock, broken=True)
-                    last_error = error
-                else:
-                    if reply is None:
-                        self._checkin(shard_id, sock, broken=True)
-                        last_error = ShardError(
-                            f"shard {shard_id} closed the connection")
-                    else:
-                        self._checkin(shard_id, sock)
-                        self.rpcs[shard_id] += 1
-                        self._recorder.observe(
-                            f"shard.{shard_id:02d}.rpc_wall_seconds",
-                            time.perf_counter() - started)
-                        self._recorder.observe(
-                            f"shard.{shard_id:02d}.queue_depth",
-                            self._inflight[shard_id])
-                        error = reply.get("error")
-                        if error is not None:
-                            raise_remote(error)
-                        return reply.get("result", {})
-            if attempt == 0:
-                self._heal(shard_id)
+                if attempt == 0:
+                    self._heal(shard_id)
+                continue
+            self._checkin(shard_id, sock)
+            self.rpcs[shard_id] += 1
+            self.recorder.observe(f"shard.{shard_id:02d}.rpc_wall_seconds",
+                                  time.perf_counter() - started)
+            self.recorder.observe(f"shard.{shard_id:02d}.queue_depth",
+                                  self._inflight[shard_id])
+            if reply.get("error") is not None:
+                raise_remote(reply["error"])
+            return reply.get("result", {})
         self.rpc_failures[shard_id] += 1
-        self._recorder.inc("shard.rpc_failures")
-        self._recorder.event(
+        self.recorder.inc("shard.rpc_failures")
+        self.recorder.event(
             obs_events.SHARD_RPC_FAILED, shard=shard_id, method=method,
             error=str(last_error) or type(last_error).__name__)
         raise InsightsError(
@@ -238,134 +199,12 @@ class ShardRouter:
             # an InsightsError for the client ladder to absorb.
             pass
 
-    def broadcast(self, method: str, **params: object
-                  ) -> List[Dict[str, object]]:
+    def broadcast(self, method: str, **params: object) -> List[Any]:
         """Run one RPC on every shard, in shard order."""
         return [self.call(shard_id, method, **params)
                 for shard_id in range(self.shards)]
 
-    # ------------------------------------------------------------------ #
-    # publication
-
-    def publish(self, annotations: Iterable[Annotation]) -> int:
-        """Partition by tag hash, in publish order, and install everywhere.
-
-        Every shard gets a ``publish`` (possibly of an empty slice):
-        publication replaces the previous generation wholesale, so a
-        shard whose slice shrank to nothing must still drop it.
-        """
-        slices: List[List[Dict[str, object]]] = [
-            [] for _ in range(self.shards)]
-        total = 0
-        for annotation in annotations:
-            slices[self.shard_of_tag(annotation.tag)].append(
-                annotation_to_wire(annotation))
-            total += 1
-        for shard_id in range(self.shards):
-            self.call(shard_id, "publish", annotations=slices[shard_id])
-        with self._state_mutex:
-            self.generation += 1
-        return total
-
-    def annotation_count(self) -> int:
-        return sum(reply["count"]
-                   for reply in self.broadcast("annotation_count"))
-
-    def bump_generation(self) -> int:
-        """Invalidate every generation-keyed cache, serving caches too."""
-        self.broadcast("bump_generation")
-        with self._state_mutex:
-            self.generation += 1
-            return self.generation
-
-    def retract(self, recurring_signatures: Iterable[str]) -> int:
-        wanted = sorted(set(recurring_signatures))
-        if not wanted:
-            return 0
-        removed_by_shard = [
-            reply["removed"]
-            for reply in self.broadcast("retract", recurring=wanted)]
-        removed = sum(removed_by_shard)
-        if removed:
-            # Match the unsharded service exactly: one retraction that
-            # removed anything clears the *whole* serving cache and bumps
-            # the generation once.  Shards that removed locally already
-            # cleared themselves; nudge the rest.
-            for shard_id, shard_removed in enumerate(removed_by_shard):
-                if not shard_removed:
-                    self.call(shard_id, "bump_generation")
-            with self._state_mutex:
-                self.generation += 1
-        return removed
-
-    # ------------------------------------------------------------------ #
-    # query-time serving
-
-    def fetch_annotations(self, tags: Iterable[str],
-                          now: Optional[float] = None
-                          ) -> Dict[str, Annotation]:
-        """Job-level fetch, keyed by recurring signature (service parity)."""
-        self.metrics.inc("fetches")
-        self._recorder.inc("insights.fetches")
-        if not self.enabled:
-            self.last_fetch_latency = 0.0
-            return {}
-        tags = list(tags)
-        per_tag = self.fetch_tag_annotations(tags)
-        result: Dict[str, Annotation] = {}
-        for tag in tags:
-            for annotation in per_tag.get(tag, ()):
-                result[annotation.recurring_signature] = annotation
-        self.metrics.inc("annotations_served", len(result))
-        self._recorder.inc("insights.annotations_served", len(result))
-        return result
-
-    def fetch_tag_annotations(self, tags: Iterable[str]
-                              ) -> Dict[str, List[Annotation]]:
-        """The batch surface the client round-trips through.
-
-        Groups the tags by owning shard, runs one ``fetch_tags`` RPC per
-        contacted shard, and charges the *sum* of the shards' simulated
-        latencies (see the module docstring for why the sum, not the
-        max).  Shard-seam faults (``shard.rpc``, ``shard.death``) fire
-        here, per contacted shard, and propagate as the insights-error
-        taxonomy the client already handles.
-        """
-        if not self.enabled:
-            self.last_fetch_latency = 0.0
-            return {}
-        tags = list(tags)
-        by_shard: Dict[int, List[str]] = {}
-        for tag in tags:
-            by_shard.setdefault(self.shard_of_tag(tag), []).append(tag)
-        delay = 0.0
-        charges: Dict[str, float] = {}
-        result: Dict[str, List[Annotation]] = {}
-        for shard_id in sorted(by_shard):
-            delay += self._check_shard_faults(shard_id)
-            reply = self.call(shard_id, "fetch_tags",
-                              tags=by_shard[shard_id])
-            charges.update(reply["charges"])
-            self.metrics.inc("cache_hits", reply["cache_hits"])
-            self.metrics.inc("cache_misses", reply["cache_misses"])
-            self._recorder.inc("insights.cache_hits", reply["cache_hits"])
-            self._recorder.inc("insights.cache_misses",
-                               reply["cache_misses"])
-            for tag, annotations in reply["tags"].items():
-                result[tag] = [annotation_from_wire(a) for a in annotations]
-        # Accumulate per-tag charges in the caller's tag order -- the
-        # same float additions, in the same order, as the unsharded
-        # service -- so the client's timeout comparison sees a
-        # bit-identical cost for any shard count.
-        latency = 0.0
-        for tag in tags:
-            latency += charges.get(tag, 0.0)
-        latency += delay
-        self.last_fetch_latency = latency
-        self._recorder.observe("insights.fetch.latency", latency)
-        return result
-
-    def _check_shard_faults(self, shard_id: int) -> float:
+    def check_shard_faults(self, shard_id: int) -> float:
         """Fire the shard seams for one fetch RPC; returns injected delay."""
         if not self.faults.enabled:
             return 0.0
@@ -386,66 +225,6 @@ class ShardRouter:
         return outcome.delay
 
     # ------------------------------------------------------------------ #
-    # view locks (routed by strict signature; strongly consistent)
-
-    def acquire_view_lock(self, strict_signature: str, holder: str) -> bool:
-        if not self.enabled:
-            return False
-        shard_id = self.shard_of_signature(strict_signature)
-        reply = self.call(shard_id, "lock_acquire",
-                          signature=strict_signature, holder=holder)
-        if not reply["acquired"]:
-            self.metrics.inc("locks_denied")
-            self._recorder.event(obs_events.LOCK_DENIED, job_id=holder,
-                                 signature=strict_signature[:12],
-                                 held_by=reply.get("holder"))
-            return False
-        self.metrics.inc("locks_acquired")
-        self._recorder.event(obs_events.LOCK_ACQUIRED, job_id=holder,
-                             signature=strict_signature[:12])
-        return True
-
-    def release_view_lock(self, strict_signature: str, holder: str) -> None:
-        self.call(self.shard_of_signature(strict_signature),
-                  "lock_release", signature=strict_signature, holder=holder)
-        self.metrics.inc("locks_released")
-        self._recorder.event(obs_events.LOCK_RELEASED, job_id=holder,
-                             signature=strict_signature[:12])
-
-    def force_release_lock(self, strict_signature: str) -> bool:
-        reply = self.call(self.shard_of_signature(strict_signature),
-                          "lock_force_release",
-                          signature=strict_signature)
-        if not reply["released"]:
-            return False
-        self.metrics.inc("locks_released")
-        self._recorder.event(obs_events.LOCK_RELEASED,
-                             job_id=str(reply.get("holder")),
-                             signature=strict_signature[:12], forced=True)
-        return True
-
-    def lock_holder(self, strict_signature: str) -> Optional[str]:
-        return self.call(self.shard_of_signature(strict_signature),
-                         "lock_holder",
-                         signature=strict_signature)["holder"]
-
-    def held_locks(self) -> Dict[str, str]:
-        merged: Dict[str, str] = {}
-        for reply in self.broadcast("held_locks"):
-            merged.update(reply["locks"])
-        return merged
-
-    def report_view_available(self, strict_signature: str,
-                              holder: str) -> None:
-        self.call(self.shard_of_signature(strict_signature),
-                  "report_available", signature=strict_signature,
-                  holder=holder)
-        self.metrics.inc("locks_released")
-        self.metrics.inc("views_reported_available")
-        self._recorder.event(obs_events.LOCK_RELEASED, job_id=holder,
-                             signature=strict_signature[:12])
-
-    # ------------------------------------------------------------------ #
     # operational surface
 
     def shard_stats(self) -> List[Dict[str, object]]:
@@ -462,10 +241,3 @@ class ShardRouter:
         for shard_id in range(self.shards):
             self._drop_pool(shard_id)
 
-
-def tags_by_shard(tags: Iterable[str], shards: int) -> Dict[int, List[str]]:
-    """Partition helper used by the benchmark's balance report."""
-    out: Dict[int, List[str]] = {}
-    for tag in tags:
-        out.setdefault(shard_for(tag, shards), []).append(tag)
-    return out

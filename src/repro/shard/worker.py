@@ -5,30 +5,28 @@ the tag is itself a hash of the recurring signature, so this *is* the
 paper's signature-hash partitioning), the view-lock entries whose strict
 signatures hash to it, and, when journaling is on, its own
 :class:`~repro.lifecycle.journal.CatalogJournal` WAL under
-``<journal_dir>/shard-NN``.  Internally the partition is served by a
-plain :class:`~repro.insights.service.InsightsService` instance -- the
-same code path as the unsharded deployment, which is what makes the
-per-tag serving-cache accounting (and therefore the simulated latency
-charged back to clients) byte-identical across shard counts.
+``<journal_dir>/shard-NN``.  The partition is a bare
+:class:`~repro.insights.partition.Partition` -- the same tables the
+unsharded service keeps in process -- and the worker serves exactly the
+operations :data:`~repro.insights.partition.PARTITION_OPS` declares.
 
-The worker is deliberately dumb about global state: generation counting,
-the kill switch, and client-facing usage metrics all live in the
-:class:`~repro.shard.router.ShardRouter`; the worker only reports the
-per-request cache hit/miss deltas and simulated latency its partition
-produced.  Requests are dispatched under one worker-level mutex, so a
-shard processes its queue serially -- the real concurrency unit is the
-shard *process*, which is exactly what the throughput benchmark
-measures via each worker's accumulated ``busy_seconds``.
+The worker holds no policy: generation counting, the kill switch, usage
+metrics and events all live in the one
+:class:`~repro.insights.service.InsightsService` code the
+:class:`~repro.shard.router.ShardRouter` inherits.  Requests are
+dispatched under one worker-level mutex, so a shard processes its queue
+serially -- the real concurrency unit is the shard *process*, which is
+exactly what the throughput benchmark measures via each worker's
+accumulated ``busy_seconds``.
 
 Durability contract: every WAL append is flushed before the RPC reply,
 and the annotation partition is rewritten atomically (temp + rename) on
-every publish/retract, so a SIGKILL at any instant loses no
+every install/remove, so a SIGKILL at any instant loses no
 acknowledged state; the supervisor's restart simply reloads both.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import socket
@@ -38,13 +36,18 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ShardError
 from repro.common.sync import RANK_SCHEDULER, TrackedLock
-from repro.insights.service import InsightsService
+from repro.insights.partition import (
+    PARTITION_OPS,
+    Partition,
+    annotations_from_wire,
+    to_wire,
+)
 from repro.lifecycle.journal import (
     CatalogJournal,
     record_to_view,
 )
 from repro.lifecycle.lineage import LineageRegistry
-from repro.optimizer.context import Annotation
+from repro.shard.journal import recover_partition
 from repro.shard.protocol import error_payload, recv_frame, send_frame
 from repro.storage.views import ViewStore
 
@@ -67,26 +70,18 @@ class WorkerSpec:
     journal_dir: Optional[str] = None
 
 
-def annotation_to_wire(annotation: Annotation) -> Dict[str, object]:
-    return dataclasses.asdict(annotation)
-
-
-def annotation_from_wire(payload: Dict[str, object]) -> Annotation:
-    return Annotation(**payload)
-
-
 class ShardWorker:
     """The in-process guts of one shard (also used directly by tests)."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
-        self.service = InsightsService()
+        self.partition = Partition()
         self.journal: Optional[CatalogJournal] = None
         if spec.journal_dir is not None:
             self.journal = CatalogJournal(spec.journal_dir)
         # Serial dispatch: one request at a time per shard.  Ranked above
         # the insights band because the handler body acquires the
-        # service mutex and (leaf-ranked) journal guard underneath.
+        # partition mutex and (leaf-ranked) journal guard underneath.
         self._dispatch = TrackedLock("shard.worker", RANK_SCHEDULER + 50)
         self._stop = threading.Event()
         self._listener: Optional[socket.socket] = None
@@ -95,34 +90,23 @@ class ShardWorker:
         #: Simulated seconds this shard spent serving fetches -- the
         #: benchmark's per-shard makespan input.
         self.busy_seconds = 0.0
-        #: The partition as last published, in wire form and publish
-        #: order -- what restart persistence round-trips.
-        self._published: List[Dict[str, object]] = []
-        self._load_annotations()
+        self._annotations_path = os.path.join(spec.state_dir,
+                                              ANNOTATIONS_FILE)
+        if os.path.exists(self._annotations_path):
+            with open(self._annotations_path, "r",
+                      encoding="utf-8") as handle:
+                self.partition.install(annotations_from_wire(
+                    json.load(handle).get("annotations", ())))
 
     # ------------------------------------------------------------------ #
     # annotation-partition persistence
-
-    @property
-    def _annotations_path(self) -> str:
-        return os.path.join(self.spec.state_dir, ANNOTATIONS_FILE)
-
-    def _load_annotations(self) -> None:
-        path = self._annotations_path
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        self._published = list(payload.get("annotations", ()))
-        self.service.publish(
-            annotation_from_wire(a) for a in self._published)
 
     def _persist_annotations(self) -> None:
         os.makedirs(self.spec.state_dir, exist_ok=True)
         tmp = self._annotations_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"annotations": self._published}, handle,
-                      sort_keys=True)
+            json.dump({"annotations": to_wire(self.partition.annotations())},
+                      handle, sort_keys=True)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self._annotations_path)
@@ -130,116 +114,30 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # request dispatch
 
-    def handle(self, method: str, params: Dict[str, object]
-               ) -> Dict[str, object]:
+    def handle(self, method: str, params: Dict[str, object]) -> object:
         with self._dispatch:
             self.requests_served += 1
+            if method in PARTITION_OPS:
+                return self._partition_op(method, list(params["args"]))
             handler = getattr(self, f"_op_{method}", None)
             if handler is None:
                 raise ShardError(f"unknown shard RPC method {method!r}")
             return handler(params)
 
-    # -- serving ------------------------------------------------------- #
+    def _partition_op(self, name: str, args: List[object]) -> object:
+        """Run one declared partition op; annotations cross as dicts."""
+        if PARTITION_OPS[name].annotations_in:
+            args[0] = annotations_from_wire(args[0])
+        result = getattr(self.partition, name)(*args)
+        if name == "lookup":
+            self.fetch_requests += 1
+            self.busy_seconds += sum(result.charges)
+        elif name == "install" or (name == "remove" and result):
+            self._persist_annotations()
+        return to_wire(result)
 
     def _op_ping(self, params: Dict[str, object]) -> Dict[str, object]:
         return {"ok": True, "shard": self.spec.shard_id, "pid": os.getpid()}
-
-    def _op_fetch_tags(self, params: Dict[str, object]) -> Dict[str, object]:
-        tags = list(params["tags"])
-        before = self.service.metrics.snapshot()
-        per_tag: Dict[str, List[Dict[str, object]]] = {}
-        charges: Dict[str, float] = {}
-        latency = 0.0
-        # One tag per serving call so the simulated charge is observable
-        # per tag: the router re-accumulates charges in the *caller's*
-        # tag order, keeping the summed cost bit-identical to the
-        # unsharded service's (a last-ulp drift could flip a client
-        # timeout decision right at the boundary).  The serving-cache
-        # accounting is unchanged -- ``_charge_tag`` runs once per tag
-        # either way.
-        for tag in tags:
-            fetched = self.service.fetch_tag_annotations([tag])
-            charge = self.service.last_fetch_latency
-            charges[tag] = charge
-            latency += charge
-            per_tag[tag] = [annotation_to_wire(a)
-                            for a in fetched.get(tag, ())]
-        after = self.service.metrics.snapshot()
-        self.fetch_requests += 1
-        self.busy_seconds += latency
-        return {
-            "tags": per_tag,
-            "charges": charges,
-            "latency": latency,
-            "cache_hits": after["cache_hits"] - before["cache_hits"],
-            "cache_misses": after["cache_misses"] - before["cache_misses"],
-        }
-
-    def _op_publish(self, params: Dict[str, object]) -> Dict[str, object]:
-        annotations = list(params["annotations"])
-        count = self.service.publish(
-            annotation_from_wire(a) for a in annotations)
-        self._published = annotations
-        self._persist_annotations()
-        return {"count": count}
-
-    def _op_retract(self, params: Dict[str, object]) -> Dict[str, object]:
-        wanted = set(params["recurring"])
-        removed = self.service.retract(wanted)
-        if removed:
-            self._published = [
-                a for a in self._published
-                if a["recurring_signature"] not in wanted]
-            self._persist_annotations()
-        return {"removed": removed}
-
-    def _op_bump_generation(self, params: Dict[str, object]
-                            ) -> Dict[str, object]:
-        # Only the serving-cache clear matters here; the authoritative
-        # generation counter lives in the router.
-        return {"generation": self.service.bump_generation()}
-
-    def _op_annotation_count(self, params: Dict[str, object]
-                             ) -> Dict[str, object]:
-        return {"count": self.service.annotation_count()}
-
-    # -- view locks ---------------------------------------------------- #
-
-    def _op_lock_acquire(self, params: Dict[str, object]
-                         ) -> Dict[str, object]:
-        signature = str(params["signature"])
-        acquired = self.service.acquire_view_lock(
-            signature, str(params["holder"]))
-        return {"acquired": acquired,
-                "holder": self.service.lock_holder(signature)}
-
-    def _op_lock_release(self, params: Dict[str, object]
-                         ) -> Dict[str, object]:
-        self.service.release_view_lock(
-            str(params["signature"]), str(params["holder"]))
-        return {"ok": True}
-
-    def _op_lock_force_release(self, params: Dict[str, object]
-                               ) -> Dict[str, object]:
-        signature = str(params["signature"])
-        holder = self.service.lock_holder(signature)
-        released = self.service.force_release_lock(signature)
-        return {"released": released, "holder": holder}
-
-    def _op_lock_holder(self, params: Dict[str, object]
-                        ) -> Dict[str, object]:
-        return {"holder": self.service.lock_holder(
-            str(params["signature"]))}
-
-    def _op_held_locks(self, params: Dict[str, object]
-                       ) -> Dict[str, object]:
-        return {"locks": self.service.held_locks()}
-
-    def _op_report_available(self, params: Dict[str, object]
-                             ) -> Dict[str, object]:
-        self.service.report_view_available(
-            str(params["signature"]), str(params["holder"]))
-        return {"ok": True}
 
     # -- the per-shard WAL --------------------------------------------- #
 
@@ -280,21 +178,7 @@ class ShardWorker:
 
     def _op_journal_recover(self, params: Dict[str, object]
                             ) -> Dict[str, object]:
-        store = ViewStore()
-        lineage = LineageRegistry()
-        report = self._require_journal().recover(store, lineage)
-        return {
-            "views": [v.catalog_record() for v in
-                      sorted(store.views(), key=lambda v: v.signature)],
-            "counters": store.counters(),
-            "lineage": lineage.snapshot(),
-            "epoch": report.epoch,
-            "runtime_version": report.runtime_version,
-            "snapshot_views": report.snapshot_views,
-            "wal_ops": report.wal_ops,
-            "torn_lines": report.torn_lines,
-            "skipped": report.skipped,
-        }
+        return recover_partition(self._require_journal())
 
     def _op_journal_stats(self, params: Dict[str, object]
                           ) -> Dict[str, object]:
@@ -310,9 +194,8 @@ class ShardWorker:
             "requests_served": self.requests_served,
             "fetch_requests": self.fetch_requests,
             "busy_seconds": self.busy_seconds,
-            "annotations": self.service.annotation_count(),
-            "held_locks": len(self.service.held_locks()),
-            "usage": self.service.metrics.snapshot(),
+            "annotations": self.partition.count(),
+            "held_locks": len(self.partition.lock_snapshot()),
             "journal": (self.journal.stats()
                         if self.journal is not None else None),
         }

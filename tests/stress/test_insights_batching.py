@@ -46,7 +46,6 @@ def build_client(service, **config_kwargs):
         # Zero TTL: every fetch misses the local cache and exercises the
         # batching path instead of short-circuiting on a cache hit.
         cache_ttl_seconds=0.0,
-        batch_fetches=True,
         seed=7,
     )
     defaults.update(config_kwargs)

@@ -30,7 +30,6 @@ from repro.shard.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.shard.router import tags_by_shard
 
 
 @pytest.fixture
@@ -131,13 +130,6 @@ class TestRouting:
     def test_keys_spread_across_shards(self):
         hits = {shard_for(f"sig-{i}", 4) for i in range(100)}
         assert hits == {0, 1, 2, 3}
-
-    def test_tags_by_shard_partitions_preserving_order(self):
-        tags = [f"t-{i}" for i in range(20)]
-        groups = tags_by_shard(tags, 4)
-        assert sorted(sum(groups.values(), [])) == sorted(tags)
-        for shard, group in groups.items():
-            assert group == [t for t in tags if shard_for(t, 4) == shard]
 
     def test_journal_ops_route_by_signature(self):
         assert (shard_for_op("sealed", {"signature": "s1"}, 4)
