@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,10 +31,13 @@ from repro.backends.memory import InMemoryBackend
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
 from repro.common.errors import (
+    BindError,
+    LintError,
     ReproError,
     StorageError,
     TransientBackendError,
 )
+from repro.common.sync import RANK_LEAF, TrackedLock
 from repro.executor.executor import ExecutionResult
 from repro.executor.udo import UdoRegistry
 from repro.insights.service import InsightsService
@@ -44,18 +48,70 @@ from repro.optimizer.cost import CostModel
 from repro.optimizer.pipeline import OptimizedPlan, optimize
 from repro.optimizer.rules import apply_rewrites
 from repro.optimizer.stats import StatisticsCatalog
-from repro.plan.builder import PlanBuilder
-from repro.plan.expressions import Row
-from repro.plan.logical import LogicalPlan, Spool, ViewScan
+from repro.plan.builder import PlanBuilder, rebind
+from repro.plan.expressions import Row, conjuncts
+from repro.plan.logical import Filter, LogicalPlan, Spool, ViewScan
 from repro.plan.normalize import normalize
 from repro.signatures.signature import (
     enumerate_subexpressions,
     recurring_signature,
+    sign_rebound,
     strict_signature,
 )
 from repro.sql.parser import parse
 from repro.storage.store import DataStore
 from repro.storage.views import DEFAULT_VIEW_TTL, ViewStore
+
+
+#: Skeletons an engine keeps; ad-hoc SQL pushes out the least recently used.
+PLAN_CACHE_SIZE = 1024
+
+
+class PlanCache:
+    """Compile once per template: the normalized plan of each template's
+    latest instance (its *skeleton*), keyed by what is known before lexing
+    -- the SQL text and the names of the bound parameters.  Skeletons are
+    immutable and shared by every later instance; whether one still fits is
+    decided where it is used (:meth:`ScopeEngine.logical_plan`), so no
+    GUID roll, runtime upgrade or forget needs to invalidate anything.
+    ``hits + misses`` is every compile: ``unstable`` (a skeleton rejected
+    at use) and ``uncacheable`` (a plan refused as one) are misses too.
+    """
+
+    def __init__(self, engine: "ScopeEngine") -> None:
+        self._engine = engine  # whose recorder mirrors the counters
+        self._skeletons: "OrderedDict[tuple, LogicalPlan]" = OrderedDict()
+        self._mutex = TrackedLock("engine.plan_cache", RANK_LEAF + 30)
+        self.hits = self.misses = self.unstable = 0
+        self.uncacheable = self.evicted = 0
+
+    def __len__(self) -> int:
+        return len(self._skeletons)
+
+    def get(self, key: tuple) -> Optional[LogicalPlan]:
+        with self._mutex:
+            return self._skeletons.get(key)
+
+    def put(self, key: tuple, skeleton: LogicalPlan) -> None:
+        """Keep ``skeleton`` as the most recently used entry."""
+        with self._mutex:
+            self._skeletons[key] = skeleton
+            self._skeletons.move_to_end(key)
+            full = len(self._skeletons) > PLAN_CACHE_SIZE
+            if full:
+                self._skeletons.popitem(last=False)
+        if full:
+            self.count("evicted")
+
+    def count(self, counter: str) -> None:
+        with self._mutex:
+            setattr(self, counter, getattr(self, counter) + 1)
+        self._engine.recorder.inc(f"engine.plan_cache.{counter}")
+
+
+def _conjunct_count(plan: LogicalPlan) -> int:
+    return sum(len(conjuncts(node.predicate)) for node in plan.walk()
+               if type(node) is Filter)
 
 
 def _debug_checks_default() -> bool:
@@ -156,6 +212,7 @@ class ScopeEngine:
         self.config = config or EngineConfig()
         self.view_store = ViewStore(self.config.view_ttl_seconds)
         self.history = StatisticsCatalog()
+        self.plan_cache = PlanCache(self)
         self._job_counter = itertools.count(1)
         #: Consecutive read-failure counts per view signature, feeding
         #: the quarantine policy (``EngineConfig.quarantine_failures``).
@@ -253,8 +310,7 @@ class ScopeEngine:
         compile_span = recorder.start_span(
             "job.compile", trace_id=job_id, at=now,
             virtual_cluster=virtual_cluster)
-        builder = PlanBuilder(self.catalog, params)
-        plan = normalize(apply_rewrites(builder.build(parse(sql))))
+        plan, plan_cache = self.logical_plan(sql, params or {})
 
         tags = tuple(sorted({
             sub.tag for sub in
@@ -309,7 +365,7 @@ class ScopeEngine:
             compile_span=compile_span,
         )
         try:
-            optimized = optimize(plan, ctx, now=now)
+            optimized = optimize(plan, ctx, now=now, normalized=True)
         except ReproError:
             # A failed compilation must not leave view locks (or unsealed
             # view slots) behind, or every later job would be locked out
@@ -329,6 +385,7 @@ class ScopeEngine:
                 virtual_cluster=virtual_cluster,
                 sql=sql,
                 degraded=degraded,
+                plan_cache=plan_cache,
                 views_built=optimized.built_views,
                 views_reused=optimized.reused_views,
                 estimated_cost=optimized.estimated_cost,
@@ -349,6 +406,64 @@ class ScopeEngine:
             runtime_version=self.runtime_version,
             submitted_at=now,
         )
+
+    def logical_plan(self, sql: str,
+                     params: Dict[str, object]) -> Tuple[LogicalPlan, str]:
+        """The job's normalized logical plan, and ``"hit"`` or ``"miss"``.
+
+        ``normalize`` reads literal *values* (it de-duplicates and orders
+        conjuncts by canonical string), so a plan becomes a skeleton only
+        if normalizing it dropped no conjunct, and a re-bound skeleton is
+        used only if it is still its own normal form.  Everything else is
+        parsed, built and rewritten from scratch, as it always was.
+        """
+        cache, key = self.plan_cache, (sql, frozenset(params))
+        skeleton = cache.get(key)
+        if skeleton is not None:
+            try:
+                plan = rebind(skeleton, self.catalog, params)
+            except BindError:  # a scanned dataset's schema changed
+                plan = None
+            if plan is not None and normalize(plan) is plan:
+                sign_rebound(plan, skeleton, self.signature_salt)
+                if self.config.debug_checks:
+                    self._check_against_scratch(plan, sql, params)
+                cache.put(key, plan)
+                cache.count("hits")
+                return plan, "hit"
+            cache.count("unstable")
+        cache.count("misses")
+        rewritten, plan = self._from_scratch(sql, params)
+        if _conjunct_count(plan) == _conjunct_count(rewritten):
+            cache.put(key, plan)
+        else:
+            cache.count("uncacheable")
+        return plan, "miss"
+
+    def _from_scratch(self, sql: str, params: Dict[str, object]
+                      ) -> Tuple[LogicalPlan, LogicalPlan]:
+        """The rewritten plan and its normal form, called through this
+        module's globals (the benchmark tracer patches them by name)."""
+        rewritten = apply_rewrites(
+            PlanBuilder(self.catalog, params).build(parse(sql)))
+        return rewritten, normalize(rewritten)
+
+    def _check_against_scratch(self, plan: LogicalPlan, sql: str,
+                               params: Dict[str, object]) -> None:
+        """Debug mode: a hit must equal the from-scratch compile node for
+        node -- both signatures, tag and eligibility."""
+        scratch = self._from_scratch(sql, params)[1]
+        cached, fresh = ([
+            (sub.depth, sub.strict, sub.recurring, sub.tag, sub.eligible)
+            for sub in enumerate_subexpressions(tree, self.signature_salt)]
+            for tree in (plan, scratch))
+        # A re-bind that is no longer the identity means a GUID rolled
+        # between the two compiles: they saw different catalogs.
+        if cached != fresh and rebind(plan, self.catalog, params) is plan:
+            raise LintError(
+                "plan-template cache diverged from a from-scratch compile "
+                f"of {sql!r} with {params!r}:\n{plan.explain()}\n-- vs --\n"
+                f"{scratch.explain()}")
 
     # ------------------------------------------------------------------ #
     # execution

@@ -20,10 +20,6 @@ from repro.common.errors import InsightsError
 from repro.insights.partition import to_wire
 from repro.optimizer.context import Annotation, OptimizerContext
 from repro.optimizer.pipeline import optimize
-from repro.plan.builder import PlanBuilder
-from repro.plan.normalize import normalize
-from repro.optimizer.rules import apply_rewrites
-from repro.sql.parser import parse
 
 if TYPE_CHECKING:  # the engine imports this package; avoid a cycle
     from repro.engine.engine import CompiledJob, ScopeEngine
@@ -91,8 +87,7 @@ def compile_with_annotations(engine: "ScopeEngine", sql: str,
 
     annotations = {a.recurring_signature: a
                    for a in load_annotations(annotations_text)}
-    builder = PlanBuilder(engine.catalog, params)
-    plan = normalize(apply_rewrites(builder.build(parse(sql))))
+    plan, _ = engine.logical_plan(sql, params or {})
     ctx = OptimizerContext(
         catalog=engine.catalog,
         view_store=engine.view_store,
@@ -107,7 +102,7 @@ def compile_with_annotations(engine: "ScopeEngine", sql: str,
         acquire_view_lock=lambda sig: engine.insights.acquire_view_lock(
             sig, holder=job_id),
     )
-    optimized = optimize(plan, ctx, now=now)
+    optimized = optimize(plan, ctx, now=now, normalized=True)
     return CompiledJob(
         job_id=job_id,
         sql=sql,

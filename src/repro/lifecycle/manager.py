@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ConfigError, ReproError, StorageError
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.lifecycle.gc import GcJanitor, SweepResult, gc_score
@@ -290,8 +290,9 @@ class LifecycleManager:
     def forget_stream(self, dataset: str, at: float = 0.0) -> int:
         """Apply a GDPR forget to ``dataset``: new GUID + purge cascade.
 
-        Metadata-level entry point (the CLI's ``repro gc --forget``); use
-        :meth:`ScopeEngine.gdpr_forget` to also rewrite the stream's rows.
+        The operator entry point (the CLI's ``repro gc --forget``): every
+        row is kept and moves under the new GUID, so later jobs still find
+        the stream; :meth:`ScopeEngine.gdpr_forget` also drops rows.
         Returns the number of dependent views purged.  When the dataset is
         not in the catalog (a recovered journal carries lineage but not
         the dataset registry) the invalidation event is published
@@ -300,7 +301,10 @@ class LifecycleManager:
         before = self.store.counters()["total_purged"]
         if self.catalog.has(dataset):
             # The catalog observer turns the new GUID into the event.
-            self.catalog.gdpr_forget(dataset, at=at)
+            try:
+                self.engine.gdpr_forget(dataset, lambda row: True, at=at)
+            except StorageError:  # registered, but the backend holds no rows
+                self.catalog.gdpr_forget(dataset, at=at)
         else:
             self.bus.publish(GdprForget(at=at, dataset=dataset,
                                         new_guid=""))

@@ -167,6 +167,12 @@ class MetricsRegistry:
         """Render a :meth:`to_dict`-shaped dump as the operator report."""
         lines = ["Flight recorder — metrics"]
         counters = dump.get("counters", {})
+        hits, misses = (counters.get(f"engine.plan_cache.{name}", 0)
+                        for name in ("hits", "misses"))
+        if hits + misses:
+            lines.append(f"plan-template cache: {hits:,.0f} of "
+                         f"{hits + misses:,.0f} compiles re-bound a cached "
+                         f"plan skeleton ({hits / (hits + misses):.1%})")
         if counters:
             lines.append("counters:")
             for name in sorted(counters):

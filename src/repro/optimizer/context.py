@@ -8,6 +8,7 @@ are then parsed and stored in the optimizer context."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Optional
 
 from repro.catalog.catalog import Catalog
@@ -69,7 +70,10 @@ class OptimizerContext:
     trace_id: str = ""
     compile_span: object = None
 
+    @cached_property
     def estimator(self) -> CardinalityEstimator:
+        """One estimator -- and so one estimate per plan node -- for the
+        whole compilation."""
         return CardinalityEstimator(
             self.catalog, self.history,
             overestimate=self.overestimate, salt=self.salt)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.common.errors import LintError
 from repro.optimizer.context import OptimizerContext
 from repro.optimizer.rules import apply_rewrites
 from repro.optimizer.view_buildout import BuildProposal, insert_spools
@@ -49,12 +50,20 @@ def _assert_sound(plan: LogicalPlan, ctx: OptimizerContext, stage: str,
     assert_stage_sound(plan, ctx, stage, now, matches=matches)
 
 
-def optimize(plan: LogicalPlan, ctx: OptimizerContext,
-             now: float = 0.0) -> OptimizedPlan:
-    """Run rewrites, normalization, view matching, and view buildout."""
-    logical = normalize(apply_rewrites(plan))
-    estimator = ctx.estimator()
-    cost_without = ctx.cost_model.plan_cost(logical, estimator)
+def optimize(plan: LogicalPlan, ctx: OptimizerContext, now: float = 0.0,
+             normalized: bool = False) -> OptimizedPlan:
+    """Run rewrites, normalization, view matching, and view buildout.
+
+    ``normalized`` says steps 1-2 would hand ``plan`` back unchanged (the
+    engine has just run them); they are then skipped, or in debug mode run
+    to check that claim.
+    """
+    logical = plan if normalized and not ctx.debug_checks \
+        else normalize(apply_rewrites(plan))
+    if normalized and logical is not plan:
+        raise LintError("optimize() was told an unnormalized plan is "
+                        f"normalized:\n{plan.explain()}")
+    cost_without = ctx.cost_model.plan_cost(logical, ctx.estimator)
 
     match_span = ctx.recorder.start_span(
         "view.match", trace_id=ctx.trace_id, at=now, parent=ctx.compile_span)
@@ -77,7 +86,7 @@ def optimize(plan: LogicalPlan, ctx: OptimizerContext,
         if ctx.debug_checks:
             _assert_sound(built.plan, ctx, "post-buildout", now)
 
-        final_cost = ctx.cost_model.plan_cost(built.plan, ctx.estimator())
+        final_cost = ctx.cost_model.plan_cost(built.plan, ctx.estimator)
     finally:
         matched.release_claims(ctx.view_store)
     return OptimizedPlan(

@@ -21,7 +21,7 @@ CloudViews counters the bias two ways, both modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.plan.expressions import BinaryOp, Expr, InList, Like, UnaryOp
@@ -98,7 +98,11 @@ class StatisticsCatalog:
 
 
 class CardinalityEstimator:
-    """Estimates output rows for each operator of a logical plan."""
+    """Estimates output rows for each operator of a logical plan.
+
+    Short-lived (one compilation, one stage graph): each node object is
+    estimated once and the answer kept for the estimator's lifetime.
+    """
 
     def __init__(self, catalog: Catalog,
                  history: Optional[StatisticsCatalog] = None,
@@ -108,9 +112,17 @@ class CardinalityEstimator:
         self.history = history
         self.overestimate = max(1.0, overestimate)
         self.salt = salt
+        #: id(node) -> (node, rows); holding the node keeps its id its own.
+        self._memo: Dict[int, Tuple[LogicalPlan, float]] = {}
 
     def estimate(self, plan: LogicalPlan) -> float:
         """Estimated output rows for ``plan`` (history-aware)."""
+        known = self._memo.get(id(plan))
+        if known is None:
+            known = self._memo[id(plan)] = (plan, self._estimate(plan))
+        return known[1]
+
+    def _estimate(self, plan: LogicalPlan) -> float:
         if self.history is not None:
             observed = self.history.rows_for_strict(
                 strict_signature(plan, self.salt))

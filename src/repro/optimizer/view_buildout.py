@@ -26,6 +26,7 @@ from repro.signatures.signature import (
     is_reuse_eligible,
     recurring_signature,
     strict_signature,
+    with_children_signed_alike,
 )
 
 
@@ -66,7 +67,7 @@ def _build(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         new_children = [_build(child, ctx, now, proposals)
                         for child in children]
         if any(n is not o for n, o in zip(new_children, children)):
-            plan = plan.with_children(new_children)
+            plan = with_children_signed_alike(plan, new_children, ctx.salt)
 
     if len(proposals) >= ctx.max_views_per_job:
         return plan

@@ -24,6 +24,7 @@ from repro.signatures.signature import (
     is_reuse_eligible,
     recurring_signature,
     strict_signature,
+    with_children_signed_alike,
 )
 from repro.storage.views import MaterializedView
 
@@ -81,7 +82,7 @@ def _match(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         return plan
     new_children = [_match(child, ctx, now, matches) for child in children]
     if any(n is not o for n, o in zip(new_children, children)):
-        return plan.with_children(new_children)
+        return with_children_signed_alike(plan, new_children, ctx.salt)
     return plan
 
 
@@ -98,7 +99,8 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         if ctx.enable_containment:
             return _try_containment(plan, ctx, now, matches)
         return None
-    cost_with, cost_without = _compare_costs(plan, view, ctx)
+    cost_with, cost_without = _compare_rewrites(
+        plan, view_scan_for(view, plan.schema), ctx)
     if cost_with >= cost_without:
         ctx.recorder.inc("views.match.rejected_by_cost")
         return None
@@ -158,19 +160,9 @@ def _try_containment(plan: LogicalPlan, ctx: OptimizerContext, now: float,
 
 def _compare_rewrites(plan: LogicalPlan, rewritten: LogicalPlan,
                       ctx: OptimizerContext) -> Tuple[float, float]:
-    estimator = ctx.estimator()
-    return (ctx.cost_model.plan_cost(rewritten, estimator),
-            ctx.cost_model.plan_cost(plan, estimator))
-
-
-def _compare_costs(plan: LogicalPlan, view: MaterializedView,
-                   ctx: OptimizerContext) -> Tuple[float, float]:
-    """Cost the two memo alternatives: scan-the-view vs recompute."""
-    estimator = ctx.estimator()
-    cost_without = ctx.cost_model.plan_cost(plan, estimator)
-    replacement = view_scan_for(view, plan.schema)
-    cost_with = ctx.cost_model.plan_cost(replacement, estimator)
-    return cost_with, cost_without
+    """Cost the two memo alternatives: use the view vs recompute."""
+    return (ctx.cost_model.plan_cost(rewritten, ctx.estimator),
+            ctx.cost_model.plan_cost(plan, ctx.estimator))
 
 
 def view_scan_for(view: MaterializedView, columns: Sequence[str],

@@ -217,11 +217,6 @@ class Literal(Expr):
     def canonical(self) -> str:
         return f"lit:{type(self.value).__name__}:{self.value!r}"
 
-    def recurring_canonical(self) -> str:
-        if self.param_name is not None:
-            return f"param:{self.param_name}"
-        return self.canonical()
-
     def to_sql(self) -> str:
         if isinstance(self.value, str):
             escaped = self.value.replace("'", "''")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.hashing import combine_unordered, short_tag, stable_hash
 from repro.plan.expressions import Expr, Literal, rewrite
@@ -183,6 +183,42 @@ def _signed(plan: LogicalPlan, salt: str) -> Tuple[str, str, str]:
                       recurring, signature_tag(recurring))
         by_salt[salt] = signed
     return signed
+
+
+def sign_rebound(plan: LogicalPlan, template: LogicalPlan,
+                 salt: str) -> Tuple[str, str, str]:
+    """Sign ``plan``, an instance of ``template`` re-bound to new inputs.
+
+    The two have one shape and differ only in stream GUIDs and parameter
+    values -- what a recurring signature discards by definition -- so a
+    node the re-bind replaced inherits its template node's recurring
+    signature, tag and UDO depth and hashes only its strict digest.
+    """
+    attrs = vars(plan)
+    by_salt = attrs.setdefault(_SIGNED, {})
+    if plan is template or salt in by_salt:
+        return _signed(plan, salt)
+    _, recurring, tag = _signed(template, salt)
+    attrs[_UDO_DEPTH] = _udo_depth(template)
+    below = [sign_rebound(child, origin, salt)[0] for child, origin
+             in zip(plan.children(), template.children())]
+    by_salt[salt] = signed = (
+        _node_digest(plan, type(plan), False, salt, below), recurring, tag)
+    return signed
+
+
+def with_children_signed_alike(plan: LogicalPlan,
+                               children: Sequence[LogicalPlan],
+                               salt: str) -> LogicalPlan:
+    """``plan.with_children(children)``, keeping ``plan``'s signature when
+    every child signs exactly as the one it replaces (a ViewScan inherits
+    the replaced subexpression's signatures, a Spool is transparent): the
+    digest over equal child digests is the digest ``plan`` already has."""
+    rebuilt = plan.with_children(children)
+    if all(_signed(new, salt) == _signed(old, salt)
+           for new, old in zip(children, plan.children())):
+        vars(rebuilt).setdefault(_SIGNED, {})[salt] = _signed(plan, salt)
+    return rebuilt
 
 
 def reference_signature(plan: LogicalPlan, recurring: bool,

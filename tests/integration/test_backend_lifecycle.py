@@ -106,3 +106,34 @@ def test_expiry_sweep_drops_backend_views(session):
     assert paths
     session.gc_sweep(now=ttl + 100.0)
     assert not any(view_is_stored(session, p) for p in paths)
+
+
+def test_forget_stream_moves_the_rows_with_the_guid(session):
+    """``forget_stream`` used to roll the GUID through the catalog alone,
+    so every later job scanning the dataset failed on a missing stream
+    (ROADMAP 4(d)).  The rows now follow the GUID: a job whose plan comes
+    from the template cache and one compiled from scratch both still run,
+    and the purge count is what it always was."""
+    def rows_of(sql, now):
+        rows = session.run(sql, params=PARAMS, virtual_cluster="vc1",
+                           now=now).rows
+        return sorted(repr(sorted(row.items())) for row in rows)
+
+    count_all = "SELECT COUNT(*) AS n FROM Events"
+    build_views(session)
+    before = rows_of(Q1, 15.0), rows_of(count_all, 16.0)
+    catalog, cache = session.engine.catalog, session.engine.plan_cache
+    dependents = session.lifecycle.lineage.views_reading_dataset("Events")
+    old_guid = catalog.current_guid("Events")
+
+    purged = session.lifecycle.forget_stream("Events", at=20.0)
+
+    assert purged == len(dependents) > 0
+    assert catalog.current_guid("Events") != old_guid
+    assert catalog.current_version("Events").reason == "gdpr-forget"
+    hits = cache.hits
+    assert rows_of(Q1, 21.0) == before[0]           # re-bound skeleton
+    assert cache.hits == hits + 1
+    session.engine.plan_cache = type(cache)(session.engine)
+    assert rows_of(count_all, 22.0) == before[1]    # compiled from scratch
+    assert session.engine.plan_cache.misses == 1

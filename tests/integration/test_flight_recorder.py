@@ -49,6 +49,32 @@ class TestMetricsDump:
         assert counters["events.view.sealed"] == report.views_created
         assert counters["engine.jobs.compiled"] == len(report.telemetry)
 
+    def test_plan_cache_counters_events_and_report_line(self, recorded):
+        """Every compile is a hit or a miss, said three ways that agree:
+        the mirrored counters, the ``job.compiled`` events, the report."""
+        recorder, report = recorded
+        counters = recorder.metrics.counters
+        hits = counters["engine.plan_cache.hits"]
+        misses = counters["engine.plan_cache.misses"]
+        assert hits + misses == counters["engine.jobs.compiled"]
+        compiled = [e.attrs["plan_cache"] for e in recorder.events.events()
+                    if e.kind == "job.compiled"]
+        assert compiled.count("hit") == hits
+        assert compiled.count("miss") == misses
+        # A job re-binds a skeleton exactly when its SQL text ran before:
+        # day 1's instance of every recurring template does; first
+        # instances and the ad-hoc jobs compile from scratch.
+        seen, repeats = set(), 0
+        for day in range(2):
+            for job in small_workload().jobs_for_day(day):
+                repeats += job.template.sql in seen
+                seen.add(job.template.sql)
+        assert hits == repeats > 0
+        assert "engine.plan_cache.unstable" not in counters
+        line = next(line for line in recorder.metrics.render().splitlines()
+                    if line.startswith("plan-template cache:"))
+        assert f"{hits:,.0f} of {hits + misses:,.0f} compiles" in line
+
     def test_cluster_metrics_follow_telemetry(self, recorded):
         recorder, report = recorded
         assert (recorder.metrics.counter("cluster.jobs.completed")

@@ -17,6 +17,7 @@ import threading
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import Catalog, schema_of
 from repro.engine import ScopeEngine
 from repro.optimizer.rules import apply_rewrites, fold_constants, push_filters
 from repro.plan.expressions import BinaryOp, ColumnRef, FuncCall, Literal
@@ -34,7 +35,13 @@ from repro.plan.logical import (
     Union,
     ViewScan,
 )
+from repro.plan.builder import rebind
 from repro.plan.normalize import normalize
+from repro.signatures import signature as signature_module
+from repro.signatures.signature import (
+    sign_rebound,
+    with_children_signed_alike,
+)
 from repro.signatures import (
     MAX_DEPENDENCY_DEPTH,
     is_reuse_eligible,
@@ -133,14 +140,19 @@ def assert_matches_reference(plan, salts=SALTS):
             assert is_reuse_eligible(node) == eligible_by_walk(node)
 
 
-def substitute(plan, target, replacement):
-    """``plan`` with the node ``target`` (by identity) replaced."""
+def substitute(plan, target, replacement, rebuild=None):
+    """``plan`` with the node ``target`` (by identity) replaced; parents
+    are rebuilt by ``rebuild(parent, children)``, default
+    ``with_children``."""
     if plan is target:
         return replacement
     children = plan.children()
-    rebuilt = [substitute(child, target, replacement) for child in children]
+    rebuilt = [substitute(child, target, replacement, rebuild)
+               for child in children]
     if all(new is old for new, old in zip(rebuilt, children)):
         return plan
+    if rebuild is not None:
+        return rebuild(plan, rebuilt)
     return plan.with_children(rebuilt)
 
 
@@ -194,6 +206,87 @@ def test_derived_plans_start_unsigned(plan, other, data):
                 strict_signature(plan, salt)
             assert recurring_signature(derived, salt) == \
                 recurring_signature(plan, salt)
+
+
+@given(plan=plans, data=st.data())
+@SETTINGS
+def test_parents_rebuilt_over_alike_children_keep_their_signature(plan, data):
+    """Matching and buildout rebuild parents with
+    ``with_children_signed_alike``: over a ViewScan or Spool that signs as
+    the node it replaced the parent's signature is copied, hashing
+    nothing; over a child that signs differently it is not."""
+    node = data.draw(st.sampled_from(list(plan.walk())))
+    salt = SALTS[0]
+    strict_signature(plan, salt)     # as the engine's enumeration has
+    strict = strict_signature(node, salt)
+    recurring = recurring_signature(node, salt)
+
+    def alike(parent, children):
+        return with_children_signed_alike(parent, children, salt)
+
+    def view(recurring_signature):
+        return ViewScan(signature=strict, view_path="cloudviews/vc/x",
+                        columns=node.schema, recurring=recurring_signature)
+
+    for stand_in in (view(recurring),
+                     Spool(node, signature=strict, view_path="p")):
+        hashes = count_hashes()
+        with hashes:
+            derived = substitute(plan, node, stand_in, rebuild=alike)
+            for parent in derived.walk():
+                strict_signature(parent, salt)
+        assert hashes.calls == 0
+        assert_matches_reference(derived)
+    # A view recorded under another recurring signature (``Day = 'd1'``
+    # and ``Day = @d`` bound to 'd1' are one strict computation): not
+    # alike, so parents are hashed afresh and still match.
+    assert_matches_reference(
+        substitute(plan, node, view("another-recurring"), rebuild=alike))
+
+
+@given(plan=plans, value=st.integers(0, 9))
+@SETTINGS
+def test_rebound_instance_inherits_recurring_and_matches_reference(
+        plan, value):
+    """``sign_rebound``: an instance re-bound from a signed template (new
+    GUIDs, a new parameter value) hashes no recurring digest and equals
+    the reference all the same."""
+    catalog = Catalog()
+    for name in ("S", "T", "U"):
+        catalog.register(schema_of(name, [("a", "int"), ("b", "int")]))
+    for salt in SALTS:
+        strict_signature(plan, salt)
+        instance = rebind(plan, catalog, {"p": value})
+        recurring = count_hashes(recurring_only=True)
+        with recurring:
+            sign_rebound(instance, plan, salt)
+        assert recurring.calls == 0
+        assert_matches_reference(instance)
+        assert rebind(instance, catalog, {"p": value}) is instance
+        catalog.bulk_update("T")
+
+
+class count_hashes:
+    """Counts operator digests hashed inside the ``with`` block."""
+
+    def __init__(self, recurring_only=False):
+        self.recurring_only = recurring_only
+        self.calls = 0
+
+    def __enter__(self):
+        self.real = signature_module._node_digest
+
+        def counting(plan, kind, recurring, salt, children):
+            if kind is not ViewScan and (recurring
+                                         or not self.recurring_only):
+                self.calls += 1
+            return self.real(plan, kind, recurring, salt, children)
+
+        signature_module._node_digest = counting
+        return self
+
+    def __exit__(self, *exc):
+        signature_module._node_digest = self.real
 
 
 @given(plan=plans)

@@ -10,9 +10,13 @@ injected serving-layer faults.  The invariants under test:
 * the circuit breaker walks closed -> open -> half-open -> closed under
   injected faults, and with >= 10% injected fetch failures every job
   still completes -- degraded jobs compile without reuse, none error;
-* ``UsageMetrics`` counters stay exact and monotonic under threads.
+* ``UsageMetrics`` counters stay exact and monotonic under threads;
+* eight threads re-binding one cached plan skeleton while the catalog
+  rolls GUIDs under them never raise and never scan a GUID the catalog
+  did not issue.
 """
 
+import sys
 import threading
 
 import pytest
@@ -27,7 +31,7 @@ from repro.insights.service import UsageMetrics
 from repro.optimizer.context import Annotation
 from repro.optimizer.rules import apply_rewrites
 from repro.plan import PlanBuilder, normalize
-from repro.plan.logical import Join
+from repro.plan.logical import Join, Scan
 from repro.scheduler import JobRequest, JobScheduler, SchedulerConfig
 from repro.signatures import enumerate_subexpressions
 from repro.simulation import SimulationConfig, WorkloadSimulation
@@ -246,3 +250,67 @@ class TestUsageMetricsUnderThreads:
         for earlier, later in zip(snapshots, snapshots[1:]):
             for name, value in earlier.items():
                 assert later[name] >= value, f"{name} went backwards"
+
+
+class TestPlanCacheUnderThreads:
+    def test_eight_threads_compile_one_template_while_another_cooks(self):
+        """Instances share skeleton subtrees across threads while the
+        catalog rolls GUIDs under them: nothing raises (the debug
+        cross-check compiles every hit from scratch too), every plan
+        scans a GUID the catalog really issued, and the counters add up."""
+        engine = build_engine()
+        engine.config.debug_checks = True
+        sql = ("SELECT name, SUM(v) AS s FROM T JOIN D "
+               "WHERE v > @low GROUP BY name")
+        threads_n, per_thread = 8, 40
+        engine.compile(sql, {"low": 0.0})
+        rows = list(engine.backend.scan_table(
+            engine.catalog.current_guid("T")))
+        plans, errors = [], []
+        stop = threading.Event()
+
+        def compile_many(offset):
+            try:
+                for index in range(per_thread):
+                    low = float((offset + index) % 3)
+                    plans.append(engine.compile(sql, {"low": low}).plan)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        def cook():
+            day = 0
+            while not stop.is_set():
+                day += 1
+                engine.bulk_update("T", rows, at=float(day))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            cooker = threading.Thread(target=cook)
+            workers = [threading.Thread(target=compile_many, args=(n,))
+                       for n in range(threads_n)]
+            cooker.start()
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+            stop.set()
+            cooker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not cooker.is_alive()
+        assert not any(thread.is_alive() for thread in workers)
+        assert not errors, errors[:3]
+
+        issued = {dataset: {v.guid for v in
+                            engine.catalog.entry(dataset).versions}
+                  for dataset in ("T", "D")}
+        assert len(issued["T"]) > 1, "the cook never ran"
+        assert len(plans) == threads_n * per_thread
+        for plan in plans:
+            for node in plan.walk():
+                if isinstance(node, Scan):
+                    assert node.stream_guid in issued[node.dataset]
+        cache = engine.plan_cache
+        assert cache.hits + cache.misses == len(plans) + 1
+        assert cache.hits > 0 and cache.unstable == 0

@@ -15,6 +15,8 @@ from repro.plan.expressions import (
     conjuncts,
     rewrite,
 )
+from repro.plan.logical import Filter, Scan
+from repro.signatures import recurring_signature, strict_signature
 
 
 def col(name):
@@ -120,9 +122,19 @@ class TestCanonical:
         assert lit(1).canonical() != lit("1").canonical()
 
     def test_param_literal_recurring_form(self):
-        bound = Literal("2020-03-01", param_name="runDate")
-        assert "runDate" in bound.recurring_canonical()
-        assert "2020-03-01" not in bound.recurring_canonical()
+        """The recurring signature keeps the parameter's name and drops
+        its value; the strict one keeps the value."""
+        def over(literal):
+            return Filter(Scan("T", ("d",)), BinaryOp("=", col("d"), literal))
+
+        march = over(Literal("2020-03-01", param_name="runDate"))
+        april = over(Literal("2020-04-01", param_name="runDate"))
+        assert recurring_signature(march) == recurring_signature(april)
+        assert strict_signature(march) != strict_signature(april)
+        assert recurring_signature(march) != recurring_signature(
+            over(Literal("2020-03-01", param_name="endDate")))
+        assert recurring_signature(march) != recurring_signature(
+            over(Literal("2020-03-01")))
 
 
 class TestHelpers:

@@ -233,6 +233,63 @@ class TestCardinalityEstimation:
         assert history.rows_for_recurring("r") == 50
 
 
+class TestOneEstimatePerNode:
+    """One estimator per compile, each node object estimated once -- and
+    every cost the identical float a fresh estimator per call gives."""
+
+    SQL = ("SELECT MktSegment, SUM(Price) AS total FROM Sales JOIN Customer "
+           "JOIN Parts WHERE Day = @d AND Brand = 'b1' GROUP BY MktSegment")
+
+    def test_each_node_is_estimated_once(self, catalog, monkeypatch):
+        plan = normalize(apply_rewrites(build(catalog, self.SQL,
+                                              {"d": "d1"})))
+        estimator = CardinalityEstimator(catalog, StatisticsCatalog())
+        calls = []
+        real = estimator._estimate
+        monkeypatch.setattr(
+            estimator, "_estimate",
+            lambda node: calls.append(node) or real(node))
+        model = CostModel()
+        first = model.plan_cost(plan, estimator)
+        assert model.plan_cost(plan, estimator) == first
+        nodes = list(plan.walk())
+        assert len(calls) == len(nodes)
+        assert {id(node) for node in calls} == {id(node) for node in nodes}
+
+    def test_costs_equal_a_fresh_estimator_per_call(self, catalog):
+        history = StatisticsCatalog()
+        plan = normalize(apply_rewrites(build(catalog, self.SQL,
+                                              {"d": "d1"})))
+        join = next(n for n in plan.walk() if isinstance(n, Join))
+        history.record(strict_signature(join), recurring_signature(join),
+                       rows=17, size=100)
+        shared = CardinalityEstimator(catalog, history)
+        model = CostModel()
+        for node in plan.walk():
+            fresh = CardinalityEstimator(catalog, history)
+            assert model.plan_cost(node, shared) \
+                == model.plan_cost(node, fresh)
+            assert shared.estimate(node) == fresh.estimate(node)
+
+    def test_memo_is_by_object_and_short_lived_nodes_do_not_alias(
+            self, catalog):
+        """The memo holds each node it answered for, so a temporary's
+        ``id`` cannot be reused by the next one (``Literal(1) ==
+        Literal(True)`` rules out keying by equality instead)."""
+        estimator = CardinalityEstimator(catalog)
+        for rows in range(200):
+            assert estimator.estimate(
+                ViewScan("sig", "path", ("a",), rows=rows)) == float(rows)
+
+    def test_context_holds_one_estimator(self, catalog):
+        from repro.optimizer import OptimizerContext
+        from repro.storage import ViewStore
+        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore())
+        assert ctx.estimator is ctx.estimator
+        other = OptimizerContext(catalog=catalog, view_store=ViewStore())
+        assert other.estimator is not ctx.estimator
+
+
 class TestCostModel:
     def test_viewscan_cheaper_than_big_subtree(self, catalog):
         model = CostModel()

@@ -3,8 +3,11 @@
 Signatures are cached on the plan node, so a whole job -- compile,
 execute, ``record_history``, ``record_job_into`` -- may hash each distinct
 node object at most twice (one strict digest, one recurring digest), and
-re-optimizing an already normalized plan may hash nothing new.  The tests
-count actual ``stable_hash`` calls made from the signature module.
+re-optimizing an already normalized plan may hash nothing new.  A
+recurring instance re-bound from the template cache hashes less still:
+no recurring digest at all, and a strict one only where a GUID or a
+parameter value changed.  The tests count actual ``stable_hash`` calls
+made from the signature module.
 """
 
 import pytest
@@ -12,8 +15,8 @@ import pytest
 import repro.signatures.signature as sig_module
 from repro.backends.differential import _session
 from repro.common.clock import SECONDS_PER_DAY
-from repro.plan.expressions import ColumnRef
-from repro.plan.logical import Filter, Scan, Spool, ViewScan
+from repro.plan.expressions import ColumnRef, Expr, Literal
+from repro.plan.logical import Filter, Scan, Spool, Union, ViewScan
 from repro.signatures import (
     enumerate_subexpressions,
     recurring_signature,
@@ -142,8 +145,8 @@ def test_cooking_days_with_reuse_stay_inside_the_hash_budget(hash_counter):
 
 
 def test_reoptimizing_a_normalized_plan_signs_nothing_new(hash_counter):
-    """``optimize`` re-runs rewrites + normalize over the engine's already
-    normalized plan; that pass must hand back the same node objects."""
+    """The engine hands ``optimize`` the plan it has just normalized (and
+    says so): the logical plan is that very object, signed once."""
     with _session("memory", ["default"]) as session:
         session.engine.config.debug_checks = False
         install_tpcds(session.engine, scale_rows=300, seed=42)
@@ -153,3 +156,105 @@ def test_reoptimizing_a_normalized_plan_signs_nothing_new(hash_counter):
             logical = compiled.optimized.logical
             assert compiled.plan is logical
             assert len(hash_counter) == 2 * sum(1 for _ in logical.walk())
+
+
+# --------------------------------------------------------------------- #
+# recurring instances: the template cache re-binds, signing inherits
+
+
+@pytest.fixture
+def digest_counter(monkeypatch):
+    """Operator digests actually hashed, split by ``recurring``."""
+    calls = {True: 0, False: 0}
+    real = sig_module._node_digest
+
+    def counting(plan, kind, recurring, salt, children):
+        if kind is not ViewScan:        # a ViewScan's digest is a field read
+            calls[recurring] += 1
+        return real(plan, kind, recurring, salt, children)
+
+    monkeypatch.setattr(sig_module, "_node_digest", counting)
+    return calls
+
+
+def rebound_nodes(plan, rolled=("Events", "Sessions")):
+    """Nodes of ``plan`` whose subtree holds a rolled Scan or a parameter:
+    the only ones a new day's instance may hash, once, strictly."""
+    def own_params(node):
+        fields = []
+        for value in vars(node).values():
+            fields += value if isinstance(value, tuple) else [value]
+        return any(isinstance(e, Literal) and e.param_name
+                   for expr in fields if isinstance(expr, Expr)
+                   for e in expr.walk())
+
+    return sum(
+        any((isinstance(n, Scan) and n.dataset in rolled) or own_params(n)
+            for n in node.walk())
+        for node in plan.walk())
+
+
+def test_second_day_instance_hashes_only_rebound_strict_digests(
+        hash_counter, digest_counter):
+    workload = generate_workload(
+        name="budget", seed=7, virtual_clusters=2, templates_per_vc=4,
+        fact_rows_per_day=240, adhoc_per_day=2)
+    with _session("memory", list(workload.virtual_clusters)) as session:
+        session.engine.config.debug_checks = False
+        workload.install(session.engine, at=0.0)
+        cache = session.engine.plan_cache
+        operators = set()
+        for day in range(3):
+            if day > 0:
+                workload.cook(session.engine, day)
+                session.evict_expired(now=day * SECONDS_PER_DAY)
+            for job in workload.jobs_for_day(day):
+                hits = cache.hits
+                digest_counter[True] = digest_counter[False] = 0
+                del hash_counter[:]
+                result = session.run(
+                    job.template.sql, params=job.params,
+                    virtual_cluster=job.virtual_cluster,
+                    template_id=job.template.template_id,
+                    pipeline_id=job.template.pipeline_id,
+                    now=job.submit_time)
+                assert (cache.hits == hits + 1) == \
+                    (day > 0 and job.template.recurring)
+                if cache.hits == hits:
+                    continue            # first instance or ad-hoc: a miss
+                logical = result.compiled.optimized.logical
+                operators.update(type(node)
+                                 for node in result.compiled.plan.walk())
+                # Compile, execute, record_history, record_job_into: zero
+                # recurring digests, one strict digest per re-bound node,
+                # and nothing for parents above a ViewScan or Spool.
+                assert digest_counter[True] == 0
+                assert digest_counter[False] == rebound_nodes(logical)
+                assert len(hash_counter) <= digest_counter[False] + sum(
+                    isinstance(node, Union) for node in logical.walk())
+            session.analyze_and_publish()
+        assert {Spool, ViewScan} <= operators
+        assert cache.hits > 0 and cache.unstable == 0
+
+
+def test_rerunning_an_identical_job_hashes_nothing(hash_counter):
+    """Same GUIDs, same values: the re-bind hands back the skeleton's own
+    nodes, and a parent rebuilt over a ViewScan or Spool keeps the
+    signature of the parent it replaces."""
+    with _session("memory", ["default"]) as session:
+        session.engine.config.debug_checks = False
+        install_tpcds(session.engine, scale_rows=300, seed=42)
+        for offset, (name, sql) in enumerate(TPCDS_QUERIES):
+            session.run(sql, template_id=name, now=1000.0 + offset)
+        session.analyze_and_publish()
+        operators = set()
+        for round_no in (2, 3):         # builds the views, then reuses them
+            for offset, (name, sql) in enumerate(TPCDS_QUERIES):
+                del hash_counter[:]
+                job = session.run(sql, template_id=name,
+                                  now=1000.0 * round_no + offset)
+                assert not hash_counter, name
+                operators.update(type(node)
+                                 for node in job.compiled.plan.walk())
+        assert {Spool, ViewScan} <= operators
+        assert session.engine.plan_cache.hits == 2 * len(TPCDS_QUERIES)
