@@ -13,8 +13,8 @@ Reproduces *Production Experiences from Computation Reuse at Microsoft*
 * :mod:`repro.workload` -- the data-cooking workload generator and the
   denormalized subexpression repository;
 * :mod:`repro.extensions` -- the Section-5 prototypes (generalized reuse,
-  concurrent joins, checkpointing, sampling, bit-vector filters,
-  SparkCruise-style integration).
+  concurrent joins, shared execution, checkpointing, SparkCruise-style
+  integration).
 
 The layered classes (:class:`~repro.engine.engine.ScopeEngine`,
 :class:`~repro.engine.engine.JobRun`, ...) are importable from their
@@ -38,7 +38,7 @@ from repro.selection import SelectionPolicy, SelectionResult
 from repro.simulation import SimulationConfig, SimulationReport
 from repro.workload import CookingWorkload, WorkloadRepository, generate_workload
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "Session", "SessionConfig", "JobResult", "JobRequest", "EngineConfig",

@@ -26,9 +26,6 @@ LOCK_TYPES = ("Lock", "RLock", "Condition", "TrackedLock", "TrackedRLock")
 #: Lock types wrapped by :mod:`repro.common.sync` (carry name + rank).
 TRACKED_TYPES = ("TrackedLock", "TrackedRLock")
 
-#: Lock types that tolerate same-thread re-acquisition.
-REENTRANT_TYPES = ("RLock", "TrackedRLock", "Condition")
-
 
 @dataclass(frozen=True)
 class LockDecl:
@@ -47,10 +44,6 @@ class LockDecl:
     @property
     def tracked(self) -> bool:
         return self.lock_type in TRACKED_TYPES
-
-    @property
-    def reentrant(self) -> bool:
-        return self.lock_type in REENTRANT_TYPES
 
     @property
     def display(self) -> str:

@@ -107,7 +107,6 @@ class Session:
         self.config = config or SessionConfig()
         engine_config = engine_config or self.config.engine
         scheduler_config = scheduler_config or self.config.scheduler
-        client_config = client_config or self.config.client
         policy = policy or self.config.selection_policy
         lifecycle = lifecycle if lifecycle is not None \
             else self.config.lifecycle
@@ -120,55 +119,10 @@ class Session:
         if faults is None:
             faults = FaultPlan.from_env()
         self.faults = resolve_faults(faults)
-        if backend is None:
-            backend = self.config.create_backend()
-        elif isinstance(backend, str):
-            backend = create_backend(
-                backend, sqlite_path=self.config.sqlite_path)
         validate_selection_algorithm(selection_algorithm)
-        # shards > 0 swaps the in-process service for the multi-process
-        # deployment: worker processes behind a router that presents the
-        # same service surface, so nothing downstream changes.
-        shard_config = self.config.resolve_shard()
-        self.supervisor: Optional[ShardSupervisor] = None
-        self._shard_journal: Optional[ShardedCatalogJournal] = None
-        if shard_config is not None:
-            if (shard_config.journal_dir is None and lifecycle is not None
-                    and lifecycle.journal_dir is not None):
-                # The lifecycle journal splits into per-shard WALs under
-                # its configured directory.
-                shard_config = dataclasses.replace(
-                    shard_config, journal_dir=lifecycle.journal_dir)
-            self.supervisor = ShardSupervisor(shard_config,
-                                              faults=self.faults)
-            try:
-                self.supervisor.start()
-            except BaseException:
-                self.supervisor.close()
-                raise
-            self.service = ShardRouter(self.supervisor, faults=self.faults)
-            if shard_config.journal_dir is not None:
-                self._shard_journal = ShardedCatalogJournal(
-                    self.service, directory=shard_config.journal_dir)
-        else:
-            self.service = InsightsService()
-        self.insights = InsightsClient(self.service, config=client_config)
-        # One shared runtime behind every seam: a single seed then
-        # reproduces the whole failure scenario across layers.
-        backend.faults = self.faults
-        self.insights.faults = self.faults
-        self.engine = ScopeEngine(
-            insights=self.insights, config=engine_config, backend=backend)
-        if recorder is not None:
-            recorder.install(self.engine)
         self.controls = controls or MultiLevelControls()
         self.policy = policy or SelectionPolicy()
         self.selection_algorithm = selection_algorithm
-        # After the recorder: the scheduler adopts the engine's.
-        self.scheduler = JobScheduler(
-            self.engine, scheduler_config, reuse_gate=self.reuse_allowed)
-        self.scheduler.faults = self.faults
-        self.backend = backend
         self.repository = WorkloadRepository()
         #: Every selection epoch so far, oldest first.
         self.selections: List[SelectionResult] = []
@@ -176,13 +130,74 @@ class Session:
         self.last_selection: Optional[SelectionResult] = None
         self._full_work: Dict[str, float] = {}
         self._template_counter = itertools.count(1)
+        # What close() tears down starts out absent, so that a failure
+        # below can run close() over whatever had been built -- shard
+        # processes, their socket directory, the backend -- and re-raise
+        # with nothing left stranded.
         self._closed = False
-        # After the recorder: journal recovery emits a recorded event.
+        self.backend: Optional[ExecutionBackend] = None
+        self.supervisor: Optional[ShardSupervisor] = None
+        self.service = None
+        self.scheduler: Optional[JobScheduler] = None
         self.lifecycle: Optional[LifecycleManager] = None
-        if lifecycle is not None:
-            self.lifecycle = LifecycleManager(self.engine, lifecycle,
-                                              faults=self.faults,
-                                              journal=self._shard_journal)
+        try:
+            if backend is None:
+                backend = self.config.create_backend()
+            elif isinstance(backend, str):
+                backend = create_backend(
+                    backend, sqlite_path=self.config.sqlite_path)
+            self.backend = backend
+            # shards > 0 swaps the in-process service for the
+            # multi-process deployment: worker processes behind a router
+            # that presents the same service surface, so nothing
+            # downstream changes.
+            shard_config = self.config.resolve_shard()
+            shard_journal: Optional[ShardedCatalogJournal] = None
+            if shard_config is not None:
+                if (shard_config.journal_dir is None
+                        and lifecycle is not None
+                        and lifecycle.journal_dir is not None):
+                    # The lifecycle journal splits into per-shard WALs
+                    # under its configured directory.
+                    shard_config = dataclasses.replace(
+                        shard_config, journal_dir=lifecycle.journal_dir)
+                self.supervisor = ShardSupervisor(shard_config,
+                                                  faults=self.faults)
+                self.supervisor.start()
+                self.service = ShardRouter(self.supervisor,
+                                           faults=self.faults)
+                if shard_config.journal_dir is not None:
+                    shard_journal = ShardedCatalogJournal(
+                        self.service, directory=shard_config.journal_dir)
+            else:
+                self.service = InsightsService()
+            self.insights = InsightsClient(self.service,
+                                           config=client_config)
+            # One shared runtime behind every seam: a single seed then
+            # reproduces the whole failure scenario across layers.
+            backend.faults = self.faults
+            self.insights.faults = self.faults
+            self.engine = ScopeEngine(
+                insights=self.insights, config=engine_config,
+                backend=backend)
+            if recorder is not None:
+                recorder.install(self.engine)
+            # After the recorder: the scheduler adopts the engine's.
+            self.scheduler = JobScheduler(
+                self.engine, scheduler_config,
+                reuse_gate=self.reuse_allowed)
+            self.scheduler.faults = self.faults
+            # After the recorder: journal recovery emits a recorded event.
+            if lifecycle is not None:
+                self.lifecycle = LifecycleManager(
+                    self.engine, lifecycle, faults=self.faults,
+                    journal=shard_journal)
+        except BaseException:
+            try:
+                self.close()
+            except Exception:
+                pass  # the constructor's own error is the one to report
+            raise
 
     # ------------------------------------------------------------------ #
     # data management
@@ -381,10 +396,13 @@ class Session:
         # before anything else tears down -- and, when sharded, it runs
         # through the router, so the workers must still be up.  The
         # supervisor therefore goes last.
-        steps = [] if self.lifecycle is None else [self.lifecycle.close]
-        steps += [self.scheduler.close, self.backend.close]
+        steps = [part.close for part in
+                 (self.lifecycle, self.scheduler, self.backend)
+                 if part is not None]
         if self.supervisor is not None:
-            steps += [self.service.close, self.supervisor.close]
+            if self.service is not None:
+                steps.append(self.service.close)
+            steps.append(self.supervisor.close)
         first_error: Optional[Exception] = None
         for step in steps:
             try:

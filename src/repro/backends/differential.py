@@ -230,8 +230,3 @@ def run_cooking_differential(days: int = 3, seed: int = 7,
     report.jobs = len(report.traces[0].results)
     _compare(report)
     return report
-
-
-def run_all() -> List[DifferentialReport]:
-    """Both bundled workloads; the CI backend-matrix entry point."""
-    return [run_tpcds_differential(), run_cooking_differential()]

@@ -122,10 +122,6 @@ class Catalog:
     def current_guid(self, name: str) -> str:
         return self.current_version(name).guid
 
-    def datasets(self) -> List[str]:
-        with self._mutex:
-            return sorted(self._entries)
-
     # ------------------------------------------------------------------ #
     # updates
 
@@ -142,16 +138,6 @@ class Catalog:
         previous = self.current_version(name)
         rows = max(0, previous.row_count - rows_removed)
         return self._new_version(name, rows, at, "gdpr-forget")
-
-    def set_row_count(self, name: str, row_count: int) -> None:
-        """Adjust the current version's statistics in place (used when a
-        data store materializes actual rows for an abstract registration)."""
-        with self._mutex:
-            entry = self.entry(name)
-            current = entry.current
-            entry.versions[-1] = StreamVersion(
-                current.dataset, current.guid, current.created_at,
-                row_count, row_count * entry.schema.row_width, current.reason)
 
     # ------------------------------------------------------------------ #
     # internals

@@ -64,15 +64,6 @@ class TableSchema:
         """Estimated bytes per row."""
         return sum(c.width for c in self.columns)
 
-    def column(self, name: str) -> ColumnDef:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise CatalogError(f"no column {name!r} in schema {self.name!r}")
-
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
-
 
 def schema_of(name: str, columns: Iterable[Tuple[str, str]]) -> TableSchema:
     """Convenience constructor: ``schema_of("Sales", [("Price", "float")])``."""

@@ -31,6 +31,7 @@ import sys
 from typing import List, Optional
 
 from repro.backends import backend_names
+from repro.common.errors import ReproError
 from repro.engine.engine import ScopeEngine
 from repro.selection.registry import SELECTION_ALGORITHMS
 from repro.simulation import SimulationConfig, WorkloadSimulation
@@ -249,6 +250,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Output piped into a pager/head that closed early; not an error.
         sys.stderr.close()
         return 0
+    except ReproError as error:
+        # Bad input (unparsable SQL, an unknown column, an invalid
+        # setting) is the user's to fix: a message, not a traceback.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 # --------------------------------------------------------------------- #

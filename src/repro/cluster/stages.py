@@ -98,10 +98,6 @@ class StageGraph:
     def total_work(self) -> float:
         return sum(s.work for s in self.stages)
 
-    @property
-    def total_partitions(self) -> int:
-        return sum(s.partitions for s in self.stages)
-
     def critical_path_work(self) -> float:
         """Longest dependency chain by work (latency lower bound)."""
         memo: Dict[int, float] = {}

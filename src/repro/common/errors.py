@@ -44,9 +44,9 @@ class ExecutionError(ReproError):
 class TransientBackendError(ExecutionError):
     """A retryable backend failure (flaky I/O, a busy database file).
 
-    The engine's bounded retry loop (:class:`~repro.engine.engine.
-    EngineConfig` ``execute_retries``) absorbs these before they can
-    surface to a caller; only exhaustion propagates.
+    The engine's bounded retry loop (:data:`repro.engine.engine.
+    EXECUTE_RETRIES`) absorbs these before they can surface to a caller;
+    only exhaustion propagates.
     """
 
 

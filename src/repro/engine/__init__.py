@@ -1,7 +1,5 @@
 """SCOPE-like engine facade: compile and execute SQL jobs."""
 
 from repro.engine.engine import CompiledJob, EngineConfig, JobRun, ScopeEngine
-from repro.engine.monitoring import MonitoredJob, QueryMonitor, render_plan
 
-__all__ = ["CompiledJob", "EngineConfig", "JobRun", "ScopeEngine",
-           "MonitoredJob", "QueryMonitor", "render_plan"]
+__all__ = ["CompiledJob", "EngineConfig", "JobRun", "ScopeEngine"]

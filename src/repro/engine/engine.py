@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backends.base import ExecutionBackend
 from repro.backends.memory import InMemoryBackend
@@ -43,14 +42,19 @@ from repro.executor.udo import UdoRegistry
 from repro.insights.service import InsightsService
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
-from repro.optimizer.context import OptimizerContext
-from repro.optimizer.cost import CostModel
+from repro.optimizer.context import Annotation, OptimizerContext
 from repro.optimizer.pipeline import OptimizedPlan, optimize
 from repro.optimizer.rules import apply_rewrites
 from repro.optimizer.stats import StatisticsCatalog
 from repro.plan.builder import PlanBuilder, rebind
 from repro.plan.expressions import Row, conjuncts
-from repro.plan.logical import Filter, LogicalPlan, Spool, ViewScan
+from repro.plan.logical import (
+    Filter,
+    LogicalPlan,
+    Spool,
+    ViewScan,
+    render_plan,
+)
 from repro.plan.normalize import normalize
 from repro.signatures.signature import (
     enumerate_subexpressions,
@@ -109,6 +113,18 @@ class PlanCache:
         self._engine.recorder.inc(f"engine.plan_cache.{counter}")
 
 
+#: Transient backend failures (busy database file, injected flaky I/O)
+#: are retried this many times, immediately, before the job surfaces an
+#: error.  Crashes injected by the fault framework count as transient:
+#: everything in flight rolled back, so a retry is safe.
+EXECUTE_RETRIES = 2
+
+#: A view whose *read* has failed this many times is quarantined: purged
+#: from the catalog so the matcher stops routing jobs at it, and
+#: hard-removed by the next GC sweep.
+QUARANTINE_FAILURES = 3
+
+
 def _conjunct_count(plan: LogicalPlan) -> int:
     return sum(len(conjuncts(node.predicate)) for node in plan.walk()
                if type(node) is Filter)
@@ -127,23 +143,9 @@ class EngineConfig:
     max_views_per_job: int = 3
     overestimate: float = 2.0
     view_ttl_seconds: float = DEFAULT_VIEW_TTL
-    cost_model: CostModel = field(default_factory=CostModel)
     #: Run the soundness analyzer on every compile's post-match and
     #: post-buildout plans, raising LintError on error findings.
     debug_checks: bool = field(default_factory=_debug_checks_default)
-    #: Transient backend failures (busy database file, injected flaky
-    #: I/O) are retried this many times before the job surfaces an
-    #: error.  Crashes injected by the fault framework count as
-    #: transient: everything in flight rolled back, so a retry is safe.
-    execute_retries: int = 2
-    #: Sleep ``backoff * 2**attempt`` (capped at 1s) between transient
-    #: retries.  Zero -- the default, and what every test uses -- retries
-    #: immediately; simulated time does not advance either way.
-    retry_backoff_seconds: float = 0.0
-    #: A view whose *read* has failed this many times is quarantined:
-    #: purged from the catalog so the matcher stops routing jobs at it,
-    #: and hard-removed by the next GC sweep.  Zero disables quarantine.
-    quarantine_failures: int = 3
 
 
 @dataclass
@@ -215,7 +217,7 @@ class ScopeEngine:
         self.plan_cache = PlanCache(self)
         self._job_counter = itertools.count(1)
         #: Consecutive read-failure counts per view signature, feeding
-        #: the quarantine policy (``EngineConfig.quarantine_failures``).
+        #: the quarantine policy (:data:`QUARANTINE_FAILURES`).
         self._view_failures: Dict[str, int] = {}
         #: Flight recorder; installing one here also wires the insights
         #: service and view store so the whole feedback loop is recorded.
@@ -302,8 +304,16 @@ class ScopeEngine:
                 virtual_cluster: str = "default",
                 reuse_enabled: bool = True,
                 now: float = 0.0,
-                job_id: Optional[str] = None) -> CompiledJob:
-        """Parse, bind, and optimize one job (Figure 5, query processing)."""
+                job_id: Optional[str] = None,
+                annotations: Optional[Mapping[str, Annotation]] = None
+                ) -> CompiledJob:
+        """Parse, bind, and optimize one job (Figure 5, query processing).
+
+        ``annotations`` (recurring signature -> annotation), when given,
+        stands in for the insights fetch: the job compiles against exactly
+        that set, which is how an annotations file reproduces an incident
+        (:func:`repro.insights.annotations_file.compile_with_annotations`).
+        """
         job_id = job_id or self.next_job_id()
         recorder = self.recorder
         recorder.advance_to(now)
@@ -317,10 +327,9 @@ class ScopeEngine:
             enumerate_subexpressions(plan, self.signature_salt)
             if sub.eligible}))
 
-        annotations = {}
         compile_latency = 0.0
         degraded = False
-        if reuse_enabled:
+        if reuse_enabled and annotations is None:
             fetch_span = recorder.start_span(
                 "insights.fetch", trace_id=job_id, at=now,
                 parent=compile_span, tags=len(tags))
@@ -349,8 +358,7 @@ class ScopeEngine:
             catalog=self.catalog,
             view_store=self.view_store,
             history=self.history,
-            cost_model=self.config.cost_model,
-            annotations=annotations,
+            annotations=annotations or {},
             salt=self.signature_salt,
             virtual_cluster=virtual_cluster,
             max_views_per_job=self.config.max_views_per_job,
@@ -379,7 +387,6 @@ class ScopeEngine:
         compile_span.finish(at=now + compile_latency)
         recorder.inc("engine.jobs.compiled")
         if recorder.enabled:
-            from repro.engine.monitoring import render_plan
             recorder.event(
                 obs_events.JOB_COMPILED, at=now, job_id=job_id,
                 virtual_cluster=virtual_cluster,
@@ -486,8 +493,8 @@ class ScopeEngine:
 
         Failure hardening (the paper's "reuse must never fail a job"):
 
-        * transient backend errors retry up to ``execute_retries`` times
-          (:meth:`_execute_attempts`);
+        * transient backend errors retry up to :data:`EXECUTE_RETRIES`
+          times (:meth:`_execute_attempts`);
         * a :class:`StorageError` from a plan that touched views -- a
           view read failing, a spool that cannot write -- abandons the
           builds, notes the failure against every view the plan read
@@ -525,16 +532,14 @@ class ScopeEngine:
 
     def _execute_attempts(self, compiled: CompiledJob,
                           now: float) -> ExecutionResult:
-        """Run the plan, absorbing up to ``execute_retries`` transient
+        """Run the plan, absorbing up to :data:`EXECUTE_RETRIES` transient
         failures (flaky I/O, injected crashes -- anything whose partial
         effects are guaranteed rolled back)."""
-        retries = max(0, self.config.execute_retries)
-        backoff = self.config.retry_backoff_seconds
-        for attempt in range(retries + 1):
+        for attempt in range(EXECUTE_RETRIES + 1):
             try:
                 return self.backend.execute(compiled.plan)
             except TransientBackendError as error:
-                if attempt >= retries:
+                if attempt >= EXECUTE_RETRIES:
                     raise
                 self.recorder.inc("execute.transient_retries")
                 self.recorder.event(
@@ -542,8 +547,6 @@ class ScopeEngine:
                     job_id=compiled.job_id,
                     virtual_cluster=compiled.virtual_cluster,
                     attempt=attempt + 1, error=str(error))
-                if backoff > 0:
-                    time.sleep(min(backoff * (2 ** attempt), 1.0))
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _storage_fallback(self, compiled: CompiledJob,
@@ -576,15 +579,15 @@ class ScopeEngine:
         )
 
     def _note_view_failures(self, compiled: CompiledJob, now: float) -> None:
-        """One strike per view the failed plan read; quarantine at the
-        configured threshold (purge -> excluded from matching -> GC)."""
-        threshold = self.config.quarantine_failures
+        """One strike per view the failed plan read; quarantine at
+        :data:`QUARANTINE_FAILURES` (purge -> excluded from matching ->
+        GC)."""
         for node in compiled.plan.walk():
             if not isinstance(node, ViewScan):
                 continue
             count = self._view_failures.get(node.signature, 0) + 1
             self._view_failures[node.signature] = count
-            if threshold <= 0 or count < threshold:
+            if count < QUARANTINE_FAILURES:
                 continue
             if self.view_store.get(node.signature) is None:
                 continue

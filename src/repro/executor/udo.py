@@ -27,16 +27,13 @@ class UdoRegistry:
     def get(self, name: str) -> UdoFunc:
         return self._udos.get(name, _passthrough)
 
-    def has(self, name: str) -> bool:
-        return name in self._udos
-
 
 def _passthrough(rows: List[Row]) -> List[Row]:
     return rows
 
 
 def default_registry() -> UdoRegistry:
-    """Registry with a few representative UDOs used by tests/examples."""
+    """Registry with the representative UDO used by tests/examples."""
     registry = UdoRegistry()
 
     def scrub(rows: List[Row]) -> List[Row]:
@@ -44,16 +41,5 @@ def default_registry() -> UdoRegistry:
         return [{k: (v.strip() if isinstance(v, str) else v)
                  for k, v in row.items()} for row in rows]
 
-    def dedup(rows: List[Row]) -> List[Row]:
-        seen = set()
-        out: List[Row] = []
-        for row in rows:
-            key = tuple(sorted(row.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return out
-
     registry.register("Scrub", scrub)
-    registry.register("Dedup", dedup)
     return registry

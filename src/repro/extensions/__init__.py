@@ -1,14 +1,6 @@
 """Section-5 extensions: generalized reuse, concurrency, checkpointing,
-sampling, bit-vector filters, and the SparkCruise-style surface."""
+shared execution, and the SparkCruise-style surface."""
 
-from repro.extensions.bitvector import (
-    BitVectorCatalog,
-    BloomFilter,
-    build_join_filter,
-    plan_semi_join_reductions,
-    publish_filters_from_run,
-    semi_join_reduce,
-)
 from repro.extensions.checkpoint import (
     DEFAULT_RISKY_OPERATORS,
     CheckpointManager,
@@ -26,42 +18,25 @@ from repro.extensions.generalized import (
     generalized_match,
     join_set_opportunities,
 )
-from repro.extensions.pipeline_opt import (
-    PhysicalDesignSuggestion,
-    suggest_physical_designs,
-)
-from repro.extensions.sampling import SampledView, SampledViewCatalog
 from repro.extensions.shared_execution import (
     BatchJobResult,
     BatchStats,
     SharedBatchExecutor,
 )
-from repro.extensions.view_stats import (
-    ColumnStatistics,
-    ViewStatistics,
-    compute_view_statistics,
-    render_statistics,
-)
 from repro.extensions.sparkcruise import (
     QueryEventListener,
-    extension_rules,
     format_insights,
     run_workload_analysis,
     workload_insights_report,
 )
 
 __all__ = [
-    "BitVectorCatalog", "BloomFilter", "build_join_filter",
-    "semi_join_reduce", "DEFAULT_RISKY_OPERATORS", "CheckpointManager",
+    "DEFAULT_RISKY_OPERATORS", "CheckpointManager",
     "FailureModel", "ConcurrentJoin", "concurrency_histogram",
     "concurrent_joins", "estimate_pipelined_sharing", "ContainmentChecker",
     "JoinSetOpportunity", "generalized_match", "join_set_opportunities",
-    "plan_semi_join_reductions", "publish_filters_from_run",
-    "PhysicalDesignSuggestion", "suggest_physical_designs",
     "BatchJobResult", "BatchStats", "SharedBatchExecutor",
-    "ColumnStatistics", "ViewStatistics", "compute_view_statistics",
-    "render_statistics",
-    "SampledView", "SampledViewCatalog", "QueryEventListener",
-    "extension_rules", "format_insights", "run_workload_analysis",
+    "QueryEventListener",
+    "format_insights", "run_workload_analysis",
     "workload_insights_report",
 ]

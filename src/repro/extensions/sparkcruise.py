@@ -12,8 +12,6 @@ This module mirrors that deployment shape over our engine:
 
 * :class:`QueryEventListener` -- passive plan/signature logging attached
   to an engine, building a workload repository from the outside;
-* :func:`extension_rules` -- the two optimizer rules, packaged as plain
-  callables the way Spark extensions are;
 * :func:`workload_insights_report` -- the notebook's aggregate statistics
   and redundancy summary that "can convince the users to enable the
   computation reuse feature on their workloads".
@@ -22,14 +20,10 @@ This module mirrors that deployment shape over our engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.runner import record_job_into
 from repro.engine.engine import JobRun, ScopeEngine
-from repro.optimizer.context import OptimizerContext
-from repro.optimizer.view_buildout import insert_spools
-from repro.optimizer.view_matching import match_views
-from repro.plan.logical import LogicalPlan
 from repro.selection.candidates import build_candidates
 from repro.selection.greedy import greedy_select
 from repro.selection.policies import SelectionPolicy, SelectionResult
@@ -59,29 +53,6 @@ class QueryEventListener:
             salt=self.engine.signature_salt,
             full_work=self._full_work,
         )
-
-
-def extension_rules(ctx: OptimizerContext
-                    ) -> Tuple[Callable[[LogicalPlan, float], LogicalPlan],
-                               Callable[[LogicalPlan, float], LogicalPlan]]:
-    """The two injected optimizer rules: reuse, then online materialize.
-
-    Returned as plain plan-to-plan callables so they can be chained into
-    any optimizer pipeline, mirroring Spark's ``injectOptimizerRule``.
-    """
-
-    def computation_reuse_rule(plan: LogicalPlan, now: float) -> LogicalPlan:
-        outcome = match_views(plan, ctx, now)
-        # The rewritten plan is handed straight to the caller's pipeline;
-        # the compile-time pins the claims took are released here and
-        # execution re-pins around the scan.
-        outcome.release_claims(ctx.view_store)
-        return outcome.plan
-
-    def online_materialization_rule(plan: LogicalPlan, now: float) -> LogicalPlan:
-        return insert_spools(plan, ctx, now).plan
-
-    return computation_reuse_rule, online_materialization_rule
 
 
 def run_workload_analysis(listener: QueryEventListener,

@@ -42,8 +42,8 @@ from repro.faults.plan import FaultPlan, FaultSpec
 #: Faults that land inside one engine-execute call.  A campaign picks at
 #: most :data:`EXEC_PICKS` of these, each firing once, so the worst case
 #: (every fire hitting the same job) stays within the engine's retry
-#: budget (``EngineConfig.execute_retries`` = 2 -> 3 attempts) and the
-#: job still completes.
+#: budget (``repro.engine.engine.EXECUTE_RETRIES`` = 2 -> 3 attempts) and
+#: the job still completes.
 EXEC_MENU = (
     FaultSpec(points.BACKEND_EXECUTE, "transient", max_fires=1),
     FaultSpec(points.BACKEND_EXECUTE, "crash", max_fires=1),

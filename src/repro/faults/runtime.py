@@ -51,10 +51,6 @@ class FaultOutcome:
     kind: Optional[str] = None
     delay: float = 0.0
 
-    @property
-    def fired(self) -> bool:
-        return self.kind is not None and self.kind != "delay"
-
 
 #: The shared no-fault outcome (also what :data:`NULL_FAULTS` returns).
 NO_FAULT = FaultOutcome()

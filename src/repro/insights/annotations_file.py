@@ -6,8 +6,8 @@ instance, in case of a customer incident, we can reproduce the compute
 reuse behavior by compiling a job with the annotations file."
 
 The file format is plain JSON so that an on-call engineer can read and
-hand-edit it.  :func:`compile_with_annotations` bypasses the insights
-service entirely and drives the optimizer from the file's contents,
+hand-edit it.  :func:`compile_with_annotations` hands the file's contents
+to :meth:`ScopeEngine.compile` in place of the insights fetch,
 reproducing the incident compilation deterministically.
 """
 
@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.common.errors import InsightsError
 from repro.insights.partition import to_wire
-from repro.optimizer.context import Annotation, OptimizerContext
-from repro.optimizer.pipeline import optimize
+from repro.optimizer.context import Annotation
 
 if TYPE_CHECKING:  # the engine imports this package; avoid a cycle
     from repro.engine.engine import CompiledJob, ScopeEngine
@@ -83,33 +82,8 @@ def compile_with_annotations(engine: "ScopeEngine", sql: str,
     annotation set taken from the file instead of the insights service --
     the paper's incident-debugging path.
     """
-    from repro.engine.engine import CompiledJob
-
-    annotations = {a.recurring_signature: a
-                   for a in load_annotations(annotations_text)}
-    plan, _ = engine.logical_plan(sql, params or {})
-    ctx = OptimizerContext(
-        catalog=engine.catalog,
-        view_store=engine.view_store,
-        history=engine.history,
-        cost_model=engine.config.cost_model,
-        annotations=annotations,
-        salt=engine.signature_salt,
-        virtual_cluster=virtual_cluster,
-        max_views_per_job=engine.config.max_views_per_job,
-        reuse_enabled=True,
-        overestimate=engine.config.overestimate,
-        acquire_view_lock=lambda sig: engine.insights.acquire_view_lock(
-            sig, holder=job_id),
-    )
-    optimized = optimize(plan, ctx, now=now, normalized=True)
-    return CompiledJob(
+    return engine.compile(
+        sql, params=params, virtual_cluster=virtual_cluster, now=now,
         job_id=job_id,
-        sql=sql,
-        virtual_cluster=virtual_cluster,
-        optimized=optimized,
-        tags=(),
-        params=dict(params or {}),
-        reuse_enabled=True,
-        runtime_version=engine.runtime_version,
-    )
+        annotations={a.recurring_signature: a
+                     for a in load_annotations(annotations_text)})

@@ -137,9 +137,3 @@ class LineageRegistry:
         for signature, pairs in snapshot.items():
             self.record(signature,
                         frozenset((d, g) for d, g in pairs))
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._inputs.clear()
-            self._by_dataset.clear()
-            self._by_guid.clear()

@@ -64,9 +64,6 @@ class LifecycleConfig:
     start_janitor: bool = False
     #: Source of "now" for the janitor's autonomous sweeps.
     clock: Optional[Callable[[], float]] = None
-    #: Also delete a collected view's materialized rows from the data
-    #: store (the paper's users can "see the CloudViews-generated files").
-    delete_blobs: bool = True
 
     def __post_init__(self) -> None:
         if self.snapshot_every_ops < 1:
@@ -398,8 +395,9 @@ class LifecycleManager:
         return evicted
 
     def _delete_blob(self, path: str) -> None:
-        if not self.config.delete_blobs:
-            return
+        """Delete a collected view's materialized rows along with its
+        catalog entry (the paper's users can "see the CloudViews-generated
+        files")."""
         # Eviction must reach the execution backend, not just the
         # in-memory store: on an external backend (SQLite) the view is a
         # real table, and skipping the drop would leak storage the view

@@ -5,10 +5,11 @@ loop — the view lifecycle (created / sealed / invalidated / evicted /
 reused), the insights-service lock table (acquired / denied / released),
 kill-switch flips, per-job compile/finish records, and selection epochs.
 
-Consumers subscribe for live delivery (the query-monitoring tool of
-Figure 5 is one such subscriber) or read the JSONL export after the fact.
-The export is *replayable*: :func:`replay_counters` recomputes per-kind
-totals from the serialized stream, which tests compare against the live
+Consumers read the log in process or its JSONL export after the fact
+(``repro obs events`` over a capture is the reproduction's stand-in for
+Figure 5's query-monitoring tool).  The export is *replayable*:
+:func:`replay_counters` recomputes per-kind totals from the serialized
+stream, which tests compare against the live
 :class:`~repro.obs.metrics.MetricsRegistry` counters to prove the log is
 a faithful record rather than a parallel guess.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.common.clock import SECONDS_PER_DAY
 
@@ -123,15 +124,11 @@ class Event:
         )
 
 
-Subscriber = Callable[[Event], None]
-
-
 class EventLog:
-    """Append-only structured log with live subscribers."""
+    """Append-only structured log."""
 
     def __init__(self) -> None:
         self._events: List[Event] = []
-        self._subscribers: List[Subscriber] = []
 
     def __len__(self) -> int:
         return len(self._events)
@@ -141,18 +138,12 @@ class EventLog:
 
     def append(self, event: Event) -> Event:
         self._events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
         return event
 
     def emit(self, kind: str, at: float, job_id: str = "",
              **attrs: object) -> Event:
         return self.append(Event(kind=kind, at=at, job_id=job_id,
                                  attrs=attrs))
-
-    def subscribe(self, subscriber: Subscriber) -> None:
-        """Live delivery of every future event (monitoring tools)."""
-        self._subscribers.append(subscriber)
 
     # ------------------------------------------------------------------ #
     # reads
@@ -182,9 +173,6 @@ class EventLog:
 
     # ------------------------------------------------------------------ #
     # export / replay
-
-    def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self._events)
 
     def dump_jsonl(self, path: str) -> int:
         with open(path, "w", encoding="utf-8") as handle:

@@ -107,35 +107,14 @@ class Tracer:
         self._spans.append(span)
         return span
 
-    def record_span(self, name: str, trace_id: str, start: float,
-                    end: float, parent: Optional[Span] = None,
-                    **attrs: object) -> Span:
-        """Record an already-finished operation as one span."""
-        return self.start_span(name, trace_id, start,
-                               parent=parent, **attrs).finish(end)
-
     # ------------------------------------------------------------------ #
     # queries
-
-    def spans(self, name: Optional[str] = None) -> List[Span]:
-        if name is None:
-            return list(self._spans)
-        return [s for s in self._spans if s.name == name]
 
     def trace(self, trace_id: str) -> List[Span]:
         return [s for s in self._spans if s.trace_id == trace_id]
 
-    def trace_ids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     # ------------------------------------------------------------------ #
     # export
-
-    def to_jsonl(self) -> str:
-        return "\n".join(s.to_json() for s in self._spans)
 
     def dump_jsonl(self, path: str) -> int:
         with open(path, "w", encoding="utf-8") as handle:

@@ -89,10 +89,6 @@ class StatisticsCatalog:
         entry = self._by_recurring.get(signature)
         return entry.rows if entry else None
 
-    def bytes_for_recurring(self, signature: str) -> Optional[int]:
-        entry = self._by_recurring.get(signature)
-        return entry.bytes if entry else None
-
     def __len__(self) -> int:
         return len(self._by_recurring)
 

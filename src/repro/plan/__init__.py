@@ -33,6 +33,7 @@ from repro.plan.logical import (
     ViewScan,
     contains_operator,
     plan_size,
+    render_plan,
 )
 from repro.plan.normalize import normalize
 
@@ -41,5 +42,5 @@ __all__ = [
     "InList", "Like", "Literal", "Row", "Star", "UnaryOp", "conjoin", "conjuncts", "rewrite",
     "Distinct", "Filter", "GroupBy", "Join", "Limit", "LogicalPlan",
     "Process", "Project", "Scan", "Sort", "Spool", "Union", "ViewScan",
-    "contains_operator", "plan_size", "normalize",
+    "contains_operator", "plan_size", "render_plan", "normalize",
 ]

@@ -58,10 +58,6 @@ class LogicalPlan:
         for child in self.children():
             yield from child.walk()
 
-    def subexpressions(self) -> Iterator["LogicalPlan"]:
-        """All subplans (the unit CloudViews considers for reuse)."""
-        return self.walk()
-
     def describe(self) -> str:
         """One-line operator description used by :meth:`explain`."""
         return self.op_label
@@ -453,6 +449,20 @@ class Spool(LogicalPlan):
 
     def describe(self) -> str:
         return f"Spool -> {self.view_path}"
+
+
+def render_plan(plan: LogicalPlan, indent: int = 0) -> str:
+    """:meth:`LogicalPlan.explain` with CloudView annotations on reuse and
+    build sites -- the ``plan_text`` of a ``job.compiled`` event."""
+    label = plan.describe()
+    if isinstance(plan, ViewScan):
+        label += "   <-- reused CloudView"
+    elif isinstance(plan, Spool):
+        label += "   <-- materializes CloudView"
+    lines = ["  " * indent + label]
+    for child in plan.children():
+        lines.append(render_plan(child, indent + 1))
+    return "\n".join(lines)
 
 
 def plan_size(plan: LogicalPlan) -> int:

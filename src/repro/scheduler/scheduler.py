@@ -49,6 +49,11 @@ from repro.scheduler.results import JobResult
 
 _ADMISSION_MODES = ("block", "reject")
 
+#: A worker killed by an injected crash (``scheduler.worker``) is
+#: restarted in place this many times -- modelling the cluster
+#: rescheduling a dead task -- before the job fails for real.
+WORKER_RETRIES = 2
+
 
 @dataclass(kw_only=True)
 class SchedulerConfig:
@@ -60,10 +65,6 @@ class SchedulerConfig:
     #: ``"block"`` back-pressures ``submit``; ``"reject"`` raises
     #: :class:`AdmissionError` when the pending limit is hit.
     admission: str = "block"
-    #: A worker killed by an injected crash (``scheduler.worker``) is
-    #: restarted in place this many times -- modelling the cluster
-    #: rescheduling a dead task -- before the job fails for real.
-    worker_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -71,9 +72,6 @@ class SchedulerConfig:
         if self.max_pending < 0:
             raise ConfigError(
                 f"max_pending must be >= 0, got {self.max_pending}")
-        if self.worker_retries < 0:
-            raise ConfigError(
-                f"worker_retries must be >= 0, got {self.worker_retries}")
         if self.admission not in _ADMISSION_MODES:
             raise ConfigError(
                 f"admission must be one of {_ADMISSION_MODES}, "
@@ -184,13 +182,12 @@ class JobScheduler:
         everything on the way out, so restarting the attempt in place is
         exactly what the cluster's task rescheduler would do.
         """
-        retries = self.config.worker_retries
-        for attempt in range(retries + 1):
+        for attempt in range(WORKER_RETRIES + 1):
             try:
                 self.faults.fire(fault_points.SCHEDULER_WORKER)
                 return self._attempt(request, job_id, now)
             except InjectedCrash:
-                if attempt >= retries:
+                if attempt >= WORKER_RETRIES:
                     raise
                 self.recorder.inc("scheduler.worker_retries")
                 self.recorder.event(

@@ -38,7 +38,11 @@ from repro.selection.candidates import (
     ReuseCandidate,
 )
 from repro.selection.greedy import record_selection
-from repro.selection.policies import SelectionPolicy, SelectionResult
+from repro.selection.policies import (
+    MIN_BENEFIT,
+    SelectionPolicy,
+    SelectionResult,
+)
 from repro.selection.schedule import prefilter_candidates
 from repro.workload.repository import SubexpressionRecord, WorkloadRepository
 
@@ -57,7 +61,7 @@ def bigsubs_select(repository: WorkloadRepository,
 
     jobs = _records_by_job(repository)
     selected: Set[str] = {c.recurring for c in filtered
-                          if c.benefit > policy.min_benefit}
+                          if c.benefit > MIN_BENEFIT}
 
     candidate_set = set(by_recurring)
     for _ in range(MAX_ITERATIONS):
@@ -78,7 +82,7 @@ def bigsubs_select(repository: WorkloadRepository,
             # write, saves nothing); the rest realize the attributed savings.
             net = (utility.get(recurring, 0.0) * (count - instances) / count
                    - instances * candidate.avg_rows * WRITE_COST_PER_ROW)
-            if net <= policy.min_benefit:
+            if net <= MIN_BENEFIT:
                 continue
             density = net / max(1, candidate.avg_bytes)
             scored.append((-density, recurring, net, candidate))

@@ -19,7 +19,11 @@ from typing import Dict, List
 
 from repro.obs.recorder import NULL_RECORDER
 from repro.selection.candidates import ReuseCandidate
-from repro.selection.policies import SelectionPolicy, SelectionResult
+from repro.selection.policies import (
+    MIN_BENEFIT,
+    SelectionPolicy,
+    SelectionResult,
+)
 from repro.selection.schedule import prefilter_candidates
 
 
@@ -50,7 +54,7 @@ def greedy_select(candidates: List[ReuseCandidate],
 
     ordered = sorted(filtered, key=lambda c: (-c.density, c.recurring))
     for candidate in ordered:
-        if candidate.benefit <= policy.min_benefit:
+        if candidate.benefit <= MIN_BENEFIT:
             continue
         if policy.max_views is not None \
                 and len(result.selected) >= policy.max_views:
@@ -94,7 +98,7 @@ def per_vc_select(candidates: List[ReuseCandidate],
             vc_frequency = candidate.frequency_in(vc)
             if vc_frequency < 2:
                 continue
-            if candidate.benefit <= policy.min_benefit:
+            if candidate.benefit <= MIN_BENEFIT:
                 continue
             if policy.max_views is not None \
                     and len(chosen) >= policy.max_views \

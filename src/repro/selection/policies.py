@@ -15,13 +15,17 @@ from repro.optimizer.context import Annotation
 from repro.selection.candidates import ReuseCandidate
 
 
+#: A candidate is worth selecting only if its net benefit (work saved by
+#: its reuses minus the work of writing it) exceeds this.
+MIN_BENEFIT = 0.0
+
+
 @dataclass(frozen=True)
 class SelectionPolicy:
     """Constraints for one view-selection run."""
 
     storage_budget_bytes: int = 10 * 1024 * 1024
     max_views: Optional[int] = None
-    min_benefit: float = 0.0
     #: Per-virtual-cluster storage budgets (Section 4, "Per-customer view
     #: selection"); absent VCs fall back to the global budget.
     per_vc_budgets: Dict[str, int] = field(default_factory=dict)

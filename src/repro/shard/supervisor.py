@@ -8,7 +8,7 @@ asks for a restart when an RPC finds a shard unreachable, and chaos
 campaigns SIGKILL shards through :meth:`ShardSupervisor.kill` to prove
 the deployment heals.
 
-Restart is bounded per shard (``max_restarts_per_shard``) so a
+Restart is bounded per shard (:data:`MAX_RESTARTS_PER_SHARD`) so a
 crash-looping worker eventually stays dead and the client's circuit
 breaker takes over, degrading affected signatures to no-reuse instead
 of hammering a corpse.  Teardown never needs worker cooperation: WAL
@@ -37,6 +37,16 @@ from repro.shard.protocol import recv_frame, send_frame
 from repro.shard.worker import WorkerSpec, worker_main
 
 
+#: Wall-clock budget for one shard RPC (the transport, not the simulated
+#: serving latency).
+RPC_TIMEOUT_SECONDS = 10.0
+#: Wall-clock budget for a spawned worker to answer its first ping, and
+#: for a terminated or killed one to be reaped.
+SPAWN_TIMEOUT_SECONDS = 20.0
+#: Restarts allowed per shard before it is left dead for good.
+MAX_RESTARTS_PER_SHARD = 5
+
+
 @dataclass(kw_only=True)
 class ShardConfig:
     """Deployment knobs for the sharded insights service.
@@ -57,16 +67,9 @@ class ShardConfig:
     #: ``fork`` (default: fast, shares the warmed import state),
     #: ``spawn``, or ``forkserver``.
     start_method: str = "fork"
-    #: Wall-clock budget for one shard RPC (the transport, not the
-    #: simulated serving latency).
-    rpc_timeout_seconds: float = 10.0
-    #: Wall-clock budget for a spawned worker to answer its first ping.
-    spawn_timeout_seconds: float = 20.0
     #: Restart a dead shard when the router trips over it; ``False``
     #: leaves it dead so the client's breaker/degrade ladder engages.
     restart_dead: bool = True
-    #: Restarts allowed per shard before it is left dead for good.
-    max_restarts_per_shard: int = 5
 
     def __post_init__(self) -> None:
         if self.shards < 0:
@@ -75,12 +78,6 @@ class ShardConfig:
             raise ConfigError(
                 f"start_method must be fork|spawn|forkserver, "
                 f"got {self.start_method!r}")
-        if self.rpc_timeout_seconds <= 0:
-            raise ConfigError("rpc_timeout_seconds must be > 0")
-        if self.spawn_timeout_seconds <= 0:
-            raise ConfigError("spawn_timeout_seconds must be > 0")
-        if self.max_restarts_per_shard < 0:
-            raise ConfigError("max_restarts_per_shard must be >= 0")
 
 
 class ShardSupervisor:
@@ -160,7 +157,7 @@ class ShardSupervisor:
 
     def _wait_ready(self, shard_id: int) -> None:
         """Poll-connect until the worker's listener answers a ping."""
-        deadline = time.monotonic() + self.config.spawn_timeout_seconds
+        deadline = time.monotonic() + SPAWN_TIMEOUT_SECONDS
         path = self.socket_path(shard_id)
         while True:
             try:
@@ -186,13 +183,13 @@ class ShardSupervisor:
             if time.monotonic() > deadline:
                 raise ShardError(
                     f"shard {shard_id} did not become ready within "
-                    f"{self.config.spawn_timeout_seconds}s ({path})")
+                    f"{SPAWN_TIMEOUT_SECONDS}s ({path})")
             time.sleep(0.005)
 
     def connect(self, shard_id: int) -> socket.socket:
         """Dial one shard; the caller owns the returned socket."""
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.config.rpc_timeout_seconds)
+        sock.settimeout(RPC_TIMEOUT_SECONDS)
         try:
             sock.connect(self.socket_path(shard_id))
         except OSError:
@@ -214,7 +211,7 @@ class ShardSupervisor:
             if process is None or not process.is_alive():
                 return
             process.kill()
-            process.join(timeout=self.config.spawn_timeout_seconds)
+            process.join(timeout=SPAWN_TIMEOUT_SECONDS)
             self.recorder.event(obs_events.SHARD_DIED, shard=shard_id,
                                 pid=process.pid)
 
@@ -231,7 +228,7 @@ class ShardSupervisor:
             process = self._procs[shard_id]
             if process is not None and process.is_alive():
                 return True  # someone else already healed it
-            if self.restarts[shard_id] >= self.config.max_restarts_per_shard:
+            if self.restarts[shard_id] >= MAX_RESTARTS_PER_SHARD:
                 return False
             if process is not None:
                 process.join(timeout=1.0)
@@ -254,16 +251,9 @@ class ShardSupervisor:
                 continue
             if process.is_alive():
                 process.terminate()
-            process.join(timeout=self.config.spawn_timeout_seconds)
+            process.join(timeout=SPAWN_TIMEOUT_SECONDS)
             if process.is_alive():  # pragma: no cover - last resort
                 process.kill()
                 process.join(timeout=1.0)
         if self._own_dir:
             shutil.rmtree(self._dir, ignore_errors=True)
-
-    def __enter__(self) -> "ShardSupervisor":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

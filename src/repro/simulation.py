@@ -9,8 +9,8 @@ and the feedback loop.  The driver owns the day boundary:
 
 * the cooking pipelines regenerate the shared fact streams (bulk updates
   -> new GUIDs -> old views go stale) and expired views are evicted;
-* after the warm-up, at the configured cadence, the session runs one
-  selection epoch over the trailing window.
+* the session runs one selection epoch over the trailing window (day 0,
+  before the first boundary, is the warm-up that is only observed).
 
 What differs between runs is only the *schedule* of a day's jobs:
 
@@ -61,6 +61,12 @@ from repro.workload.generator import CookingWorkload, JobInstance
 from repro.workload.repository import WorkloadRepository
 
 
+#: Trailing days of the repository one selection epoch analyses.  The rest
+#: of the feedback-loop schedule is structural: an epoch at every day
+#: boundary, the first after day 0 (a one-day warm-up).
+SELECTION_WINDOW_DAYS = 3
+
+
 @dataclass(kw_only=True)
 class SimulationConfig:
     """Knobs for one simulated deployment window."""
@@ -85,9 +91,6 @@ class SimulationConfig:
         materialization_lag_seconds=150.0,
         min_reuses_per_epoch=2.0,
     ))
-    warmup_days: int = 1          # observe before the first selection
-    reselect_every_days: int = 1  # feedback-loop cadence
-    selection_window_days: int = 3
     # The cluster model; read by the cluster schedule only.
     total_containers: int = 60
     vc_quota: int = 10
@@ -218,7 +221,6 @@ class WorkloadSimulation:
     def __init__(self, workload: CookingWorkload, config: SimulationConfig,
                  session: Optional[Session] = None,
                  on_day_boundary=None,
-                 monitor=None,
                  recorder=None):
         self.workload = workload
         self.config = config
@@ -233,10 +235,6 @@ class WorkloadSimulation:
         #: reselection -- used for deployment scenarios such as the
         #: paper's tier-by-tier opt-out rollout (Section 4).
         self.on_day_boundary = on_day_boundary
-        #: Optional :class:`~repro.engine.monitoring.QueryMonitor`; when
-        #: provided, the cluster schedule surfaces every compiled job to
-        #: it (Figure 5's query-monitoring tool).
-        self.monitor = monitor
 
     # ------------------------------------------------------------------ #
     # top level
@@ -272,16 +270,13 @@ class WorkloadSimulation:
     # day boundary: cooking, eviction, feedback loop
 
     def _day_boundary(self, day: int, now: float) -> None:
-        config = self.config
         self.workload.cook(self.session.engine, day)
         self.session.evict_expired(now)
         if self.on_day_boundary is not None:
             self.on_day_boundary(day, self)
-        if (config.cloudviews_enabled and day >= config.warmup_days
-                and not (day - config.warmup_days)
-                % config.reselect_every_days):
+        if self.config.cloudviews_enabled:
             self.session.analyze_and_publish(
-                now - config.selection_window_days * SECONDS_PER_DAY, now)
+                now - SELECTION_WINDOW_DAYS * SECONDS_PER_DAY, now)
 
     # ------------------------------------------------------------------ #
     # wave schedule
@@ -349,12 +344,6 @@ class WorkloadSimulation:
             now=now,
         )
         run = engine.execute(compiled, now=now, seal_views=False)
-        if self.monitor is not None \
-                and not getattr(self.monitor, "event_driven", False):
-            # Event-driven monitors already saw the job.compiled and
-            # view.sealed events through the flight recorder's log.
-            self.monitor.observe_compile(compiled, at=now)
-            self.monitor.observe_run(run)
         self.session.record(run, template_id=template.template_id,
                             pipeline_id=template.pipeline_id)
 

@@ -108,7 +108,3 @@ class Query:
     union_all: bool = True
     order_by: Tuple[OrderItem, ...] = ()
     limit: Optional[int] = None
-
-    @property
-    def is_union(self) -> bool:
-        return len(self.selects) > 1

@@ -105,10 +105,6 @@ class DataStore:
             blob = self._blobs.get(key)
             return 0 if blob is None else blob.size
 
-    def keys(self) -> List[str]:
-        with self._mutex:
-            return sorted(self._blobs)
-
 
 def _estimate_bytes(rows: List[Row]) -> int:
     """Exact byte size of a row list: per-value widths, summed.

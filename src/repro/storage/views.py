@@ -287,11 +287,6 @@ class ViewStore:
             if view is not None and view.pins > 0:
                 view.pins -= 1
 
-    def pinned_views(self) -> List[str]:
-        """Signatures currently held by at least one reader."""
-        with self._mutex:
-            return [s for s, v in self._views.items() if v.pins > 0]
-
     # ------------------------------------------------------------------ #
     # lookup
 

@@ -12,18 +12,16 @@ from repro.telemetry.comparison import (
     ComparisonReport,
     MetricComparison,
     PercentileBaseline,
-    compare_event_logs,
     compare_telemetry,
     evaluate_against_baseline,
     percentile,
     percentile_baseline,
-    telemetry_from_events,
 )
 
 __all__ = [
     "TABLE1_METRICS", "ComparisonReport", "MetricComparison",
-    "PercentileBaseline", "compare_event_logs", "compare_telemetry",
+    "PercentileBaseline", "compare_telemetry",
     "evaluate_against_baseline", "percentile", "percentile_baseline",
-    "telemetry_from_events", "MicroModel", "MicroModelBank",
+    "MicroModel", "MicroModelBank",
     "PredictionQuality", "evaluate_micromodels", "fit_micromodels",
 ]

@@ -19,11 +19,9 @@ Two methodologies, both from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.simulator import JobTelemetry
-from repro.obs import events as obs_events
-from repro.obs.events import Event
 from repro.obs.metrics import percentile  # noqa: F401  (re-exported; the
 # percentile math is shared with the flight recorder's histograms)
 
@@ -117,47 +115,6 @@ def _median_improvement(baseline: Sequence[JobTelemetry],
     if not improvements:
         return 0.0
     return percentile(improvements, 50.0)
-
-
-#: Fields reconstructed from ``job.finished`` flight-recorder events.
-_TELEMETRY_INT_FIELDS = ("containers", "input_rows", "input_bytes",
-                         "data_read_bytes", "queue_length_at_submit",
-                         "views_built", "views_reused")
-_TELEMETRY_FLOAT_FIELDS = ("submit_time", "start_time", "finish_time",
-                           "processing_time", "bonus_processing_time")
-
-
-def telemetry_from_events(events: Iterable[Event]) -> List[JobTelemetry]:
-    """Rebuild per-job telemetry from a structured event stream.
-
-    The cluster simulator logs one ``job.finished`` event per completed
-    job with every Table-1 field, so a comparison can run directly off a
-    flight-recorder capture (live or loaded from JSONL) instead of the
-    in-memory telemetry list.
-    """
-    out: List[JobTelemetry] = []
-    for event in events:
-        if event.kind != obs_events.JOB_FINISHED:
-            continue
-        attrs = event.attrs
-        telemetry = JobTelemetry(
-            job_id=event.job_id,
-            virtual_cluster=str(attrs.get("virtual_cluster", "")),
-            submit_time=0.0,
-        )
-        for name in _TELEMETRY_FLOAT_FIELDS:
-            setattr(telemetry, name, float(attrs.get(name, 0.0)))
-        for name in _TELEMETRY_INT_FIELDS:
-            setattr(telemetry, name, int(attrs.get(name, 0)))
-        out.append(telemetry)
-    return out
-
-
-def compare_event_logs(baseline_events: Iterable[Event],
-                       cloudviews_events: Iterable[Event]) -> ComparisonReport:
-    """Pre-production A/B comparison over two flight-recorder streams."""
-    return compare_telemetry(telemetry_from_events(baseline_events),
-                             telemetry_from_events(cloudviews_events))
 
 
 @dataclass

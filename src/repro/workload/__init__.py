@@ -1,4 +1,8 @@
-"""Workload infrastructure: generator, repository, analysis."""
+"""Workload infrastructure: generator, repository, analysis.
+
+:mod:`repro.workload.profiling` is imported by its own name: it drives a
+:class:`~repro.api.Session`, which sits above this package.
+"""
 
 from repro.workload.generator import (
     CookingWorkload,
@@ -31,10 +35,6 @@ from repro.workload.persistence import (
     merge_captures,
     save_repository,
 )
-from repro.workload.profiling import (
-    compile_only_repository,
-    synthesize_dataset_sharing,
-)
 from repro.workload.repository import (
     JobRecord,
     SubexpressionRecord,
@@ -48,7 +48,6 @@ __all__ = [
     "consumer_distribution", "overlap_series", "pipeline_summary",
     "sharing_summary", "CompressedWorkload", "RepresentativeJob",
     "compress_workload", "replay_plan", "load_repository",
-    "merge_captures", "save_repository", "compile_only_repository",
-    "synthesize_dataset_sharing", "QueryPattern", "discover_patterns",
+    "merge_captures", "save_repository", "QueryPattern", "discover_patterns",
     "render_patterns",
 ]

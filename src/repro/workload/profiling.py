@@ -17,91 +17,40 @@ co-simulation:
 
 from __future__ import annotations
 
-from typing import Optional
-
+from repro.api import Session
 from repro.common.clock import SECONDS_PER_DAY
 from repro.common.rng import rng_for, zipf_weights
-from repro.engine.engine import ScopeEngine
-from repro.plan.builder import PlanBuilder
-from repro.plan.logical import Scan
-from repro.plan.normalize import normalize
-from repro.optimizer.rules import apply_rewrites
-from repro.signatures.signature import enumerate_subexpressions
-from repro.sql.parser import parse
+from repro.engine.engine import JobRun
+from repro.executor.executor import ExecutionResult
 from repro.workload.generator import CookingWorkload
-from repro.workload.repository import (
-    JobRecord,
-    SubexpressionRecord,
-    WorkloadRepository,
-)
+from repro.workload.repository import JobRecord, WorkloadRepository
 
 
 def compile_only_repository(workload: CookingWorkload,
-                            days: int,
-                            engine: Optional[ScopeEngine] = None
-                            ) -> WorkloadRepository:
-    """Compile (never execute) every job in the window; record signatures."""
-    engine = engine or ScopeEngine()
-    workload.install(engine, at=0.0)
-    repository = WorkloadRepository()
-    job_counter = 0
-    for day in range(days):
-        if day > 0:
-            workload.cook(engine, day)
-        for instance in workload.jobs_for_day(day):
-            job_counter += 1
-            job_id = f"profile-{job_counter}"
-            builder = PlanBuilder(engine.catalog, instance.params)
-            plan = normalize(apply_rewrites(
-                builder.build(parse(instance.template.sql))))
-            sub_by_plan = {id(s.plan): s for s in enumerate_subexpressions(
-                plan, engine.signature_salt)}
-            records = []
-            datasets = set()
-            counter = [0]
+                            days: int) -> WorkloadRepository:
+    """Compile (never execute) every job in the window; record signatures.
 
-            def visit(node, parent_id):
-                node_id = counter[0]
-                counter[0] += 1
-                for child in node.children():
-                    visit(child, node_id)
-                sub = sub_by_plan[id(node)]
-                if isinstance(node, Scan):
-                    datasets.add(node.dataset)
-                records.append(SubexpressionRecord(
-                    job_id=job_id,
-                    virtual_cluster=instance.template.virtual_cluster,
-                    submit_time=instance.submit_time,
-                    template_id=instance.template.template_id,
-                    pipeline_id=instance.template.pipeline_id,
-                    strict=sub.strict,
-                    recurring=sub.recurring,
-                    tag=sub.tag,
-                    operator=sub.operator,
-                    height=sub.height,
-                    eligible=sub.eligible,
-                    rows=0,
-                    size_bytes=0,
-                    work=0.0,
-                    input_datasets=tuple(sorted(
-                        n.dataset for n in node.walk()
-                        if isinstance(n, Scan))),
-                    node_id=node_id,
-                    parent_node_id=parent_id,
-                ))
-
-            visit(plan, None)
-            repository.add_job(JobRecord(
-                job_id=job_id,
-                virtual_cluster=instance.template.virtual_cluster,
-                submit_time=instance.submit_time,
-                template_id=instance.template.template_id,
-                pipeline_id=instance.template.pipeline_id,
-                runtime_version=engine.runtime_version,
-                input_datasets=tuple(sorted(datasets)),
-                subexpression_count=len(records),
-            ), records)
-    return repository
+    Each job goes through the one record step (:meth:`Session.record`)
+    as a run that produced no statistics, so a compile-only record is an
+    executed job's record with zero rows, bytes and work.
+    """
+    with Session() as session:
+        engine = session.engine
+        workload.install(engine, at=0.0)
+        for day in range(days):
+            if day > 0:
+                workload.cook(engine, day)
+            for instance in workload.jobs_for_day(day):
+                template = instance.template
+                compiled = engine.compile(
+                    template.sql, params=instance.params,
+                    virtual_cluster=template.virtual_cluster,
+                    reuse_enabled=False, now=instance.submit_time)
+                session.record(
+                    JobRun(compiled, ExecutionResult(rows=[], node_stats=[])),
+                    template_id=template.template_id,
+                    pipeline_id=template.pipeline_id)
+        return session.repository
 
 
 def synthesize_dataset_sharing(cluster: str,

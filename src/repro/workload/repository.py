@@ -117,20 +117,6 @@ class WorkloadRepository:
         return [self.subexpressions[i]
                 for i in self._by_recurring.get(recurring, ())]
 
-    def distinct_recurring(self, min_height: int = 0,
-                           eligible_only: bool = True) -> List[str]:
-        seen: Set[str] = set()
-        out: List[str] = []
-        for record in self.subexpressions:
-            if record.height < min_height:
-                continue
-            if eligible_only and not record.eligible:
-                continue
-            if record.recurring not in seen:
-                seen.add(record.recurring)
-                out.append(record.recurring)
-        return out
-
     def dataset_consumers(self) -> Dict[str, Set[str]]:
         """Dataset -> distinct consuming templates (Figure 2's notion of
         distinct downstream consumers of a shared input stream)."""

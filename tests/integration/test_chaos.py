@@ -14,6 +14,7 @@ import pytest
 from repro.api import Session
 from repro.cli import main
 from repro.core import MultiLevelControls
+from repro.engine.engine import QUARANTINE_FAILURES
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
 from repro.faults.chaos import (
     campaign_plan,
@@ -131,7 +132,7 @@ class TestQuarantine:
         session.faults = FaultRuntime(FaultPlan(specs=[
             FaultSpec(points.BACKEND_SCAN_VIEW, "storage")]))
         session.backend.faults = session.faults
-        for _ in range(session.engine.config.quarantine_failures + 1):
+        for _ in range(QUARANTINE_FAILURES + 1):
             result = session.run(sql, virtual_cluster="vc1",
                                  template_id="t-quarantine")
             # Degraded, never wrong: the reuse-free fallback recomputes.

@@ -1,4 +1,4 @@
-"""Integration tests for checkpoint/restart, sampling, and SparkCruise."""
+"""Integration tests for checkpoint/restart and SparkCruise."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.extensions import (
     CheckpointManager,
     FailureModel,
     QueryEventListener,
-    SampledViewCatalog,
     format_insights,
     run_workload_analysis,
     workload_insights_report,
@@ -76,62 +75,6 @@ class TestCheckpointRestart:
         manager = CheckpointManager(engine, max_checkpoints_per_job=1)
         compiled = manager.compile_with_checkpoints(SQL)
         assert compiled.built_views <= 1
-
-
-class TestSampling:
-    def _materialize(self, engine):
-        """Materialize checkpoints; return the join view (carries Value)."""
-        manager = CheckpointManager(engine)
-        compiled = manager.compile_with_checkpoints(SQL)
-        run = engine.execute(compiled, now=0.0)
-        for signature in run.sealed_views:
-            view = engine.view_store.lookup(signature, now=0.5)
-            if view is not None and "Value" in view.schema:
-                return signature
-        return run.sealed_views[0]
-
-    def test_sampled_view_smaller(self, engine):
-        signature = self._materialize(engine)
-        catalog = SampledViewCatalog(engine.store, engine.view_store)
-        sample = catalog.create(signature, rate=0.5, now=1.0)
-        assert 0 < sample.rows < sample.base_rows or sample.base_rows <= 2
-
-    def test_sample_deterministic(self, engine):
-        signature = self._materialize(engine)
-        catalog = SampledViewCatalog(engine.store, engine.view_store)
-        a = catalog.create(signature, rate=0.5, now=1.0, seed=3)
-        b = catalog.create(signature, rate=0.5, now=1.0, seed=3)
-        assert catalog.rows(a) == catalog.rows(b)
-
-    def test_approximate_count_scales(self, engine):
-        signature = self._materialize(engine)
-        catalog = SampledViewCatalog(engine.store, engine.view_store)
-        sample = catalog.create(signature, rate=0.6, now=1.0)
-        estimate = catalog.approximate_count(sample)
-        assert estimate == pytest.approx(sample.base_rows, rel=0.0001) \
-            or estimate >= 0
-
-    def test_approximate_sum_close_for_full_rate(self, engine):
-        signature = self._materialize(engine)
-        catalog = SampledViewCatalog(engine.store, engine.view_store)
-        sample = catalog.create(signature, rate=1.0, now=1.0)
-        view = engine.view_store.lookup(signature, now=1.0)
-        # The checkpoint view materializes the join below the aggregation,
-        # so its rows carry the raw Value column.
-        exact = sum(r["Value"] for r in engine.store.get(view.path))
-        assert catalog.approximate_sum(sample, "Value") == pytest.approx(exact)
-
-    def test_invalid_rate_rejected(self, engine):
-        signature = self._materialize(engine)
-        catalog = SampledViewCatalog(engine.store, engine.view_store)
-        with pytest.raises(ValueError):
-            catalog.create(signature, rate=0.0, now=1.0)
-
-    def test_missing_view_rejected(self, engine):
-        from repro.common.errors import StorageError
-        catalog = SampledViewCatalog(engine.store, engine.view_store)
-        with pytest.raises(StorageError):
-            catalog.create("nope", rate=0.5, now=1.0)
 
 
 class TestSparkCruise:

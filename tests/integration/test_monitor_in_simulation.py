@@ -1,7 +1,12 @@
-"""Integration test: the query monitor attached to a full simulation."""
+"""Integration test: the event stream is the query-monitoring tool.
 
-from repro.engine import QueryMonitor
+Figure 5 surfaces each job's reuse story to its user; here that is the
+flight recorder's ``job.compiled`` events (what ``repro obs events --kind
+job.compiled`` lists), over a full simulation on either schedule.
+"""
+
 from repro.obs import FlightRecorder
+from repro.obs import events as obs_events
 from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.workload import generate_workload
 
@@ -11,35 +16,37 @@ def make_workload():
                              templates_per_vc=10, adhoc_per_day=0)
 
 
-def check_monitor(monitor, jobs):
+def check_monitor(recorder, jobs):
     """``jobs``: the report's per-job rows (telemetry or results)."""
-    assert len(monitor.jobs()) == len(jobs)
-    touched = monitor.touched_jobs()
-    assert touched  # some jobs built or reused views
-    # Every reuse the telemetry saw is visible in the monitor.
-    telemetry_reuses = sum(t.views_reused for t in jobs)
-    monitor_reuses = sum(j.views_reused for j in monitor.jobs())
-    assert monitor_reuses == telemetry_reuses
-    # The drill-down renders CloudView markers for a reusing job.
-    reuser = next(j for j in touched if j.views_reused > 0)
-    drilldown = monitor.render_job(reuser.job_id)
-    assert "reused CloudView" in drilldown
-    summary = monitor.render_summary()
-    assert reuser.job_id in summary
+    compiled = recorder.events.events(kind=obs_events.JOB_COMPILED)
+    assert {e.job_id for e in compiled} == {j.job_id for j in jobs}
+    # Every reuse the report saw is visible in the stream.  (A job that
+    # lost a claimed view recompiles reuse-free under the same id; the
+    # last compile of a job is the one that ran.)
+    last = {e.job_id: e for e in compiled}
+    assert sum(e.attrs["views_reused"] for e in last.values()) \
+        == sum(j.views_reused for j in jobs)
+    # The drill-down renders CloudView markers for a reusing job, and its
+    # estimated cost is below the plan's cost without reuse.
+    reuser = next(e for e in last.values() if e.attrs["views_reused"] > 0)
+    assert "reused CloudView" in reuser.attrs["plan_text"]
+    assert reuser.attrs["estimated_cost"] \
+        < reuser.attrs["estimated_cost_without_reuse"]
+    builder = next(e for e in last.values() if e.attrs["views_built"] > 0)
+    assert "materializes CloudView" in builder.attrs["plan_text"]
 
 
 def test_monitor_surfaces_reuse_in_simulation():
-    monitor = QueryMonitor()
+    recorder = FlightRecorder()
     config = SimulationConfig(days=4, cloudviews_enabled=True)
     report = WorkloadSimulation(make_workload(), config,
-                                monitor=monitor).run()
-    check_monitor(monitor, report.telemetry)
+                                recorder=recorder).run()
+    check_monitor(recorder, report.telemetry)
 
 
 def test_event_driven_monitor_surfaces_reuse_in_wave_schedule():
     recorder = FlightRecorder()
-    monitor = QueryMonitor(recorder.events)
     config = SimulationConfig(days=4, cloudviews_enabled=True, workers=2)
     report = WorkloadSimulation(make_workload(), config,
                                 recorder=recorder).run()
-    check_monitor(monitor, report.results)
+    check_monitor(recorder, report.results)

@@ -7,7 +7,6 @@ The invariants that make CloudViews *safe* in production:
 * plan rewrites (pushdown, folding, normalization) never change results;
 * reuse never changes results: a query answered from a materialized view
   returns exactly the rows of the recomputed query;
-* the Bloom filter never produces false negatives (semi-join safety);
 * the containment checker is sound (never claims containment that a
   brute-force evaluation refutes);
 * selection never exceeds its storage budget.
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import Catalog, schema_of
 from repro.executor import Executor
-from repro.extensions import BloomFilter, ContainmentChecker
+from repro.extensions import ContainmentChecker
 from repro.optimizer import apply_rewrites
 from repro.plan import PlanBuilder, normalize
 from repro.plan.expressions import BinaryOp, ColumnRef, Literal, conjoin
@@ -176,17 +175,7 @@ def test_reuse_preserves_results(spec, key, agg, join):
 
 
 # --------------------------------------------------------------------- #
-# bloom filter / containment soundness
-
-
-@SETTINGS
-@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=300),
-       st.floats(min_value=0.001, max_value=0.2))
-def test_bloom_never_false_negative(items, rate):
-    bloom = BloomFilter(len(items), false_positive_rate=rate)
-    for item in items:
-        bloom.add(item)
-    assert all(item in bloom for item in items)
+# containment soundness
 
 
 range_specs = st.tuples(st.sampled_from(["<", "<=", ">", ">=", "="]),

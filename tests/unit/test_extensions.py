@@ -3,16 +3,12 @@
 import pytest
 
 from repro.extensions import (
-    BitVectorCatalog,
-    BloomFilter,
     ContainmentChecker,
-    build_join_filter,
     concurrency_histogram,
     concurrent_joins,
     estimate_pipelined_sharing,
     generalized_match,
     join_set_opportunities,
-    semi_join_reduce,
 )
 from repro.plan.expressions import BinaryOp, ColumnRef, Literal, conjoin
 from repro.plan.logical import Filter, Scan, ViewScan
@@ -179,56 +175,3 @@ class TestConcurrent:
         assert plan.shared_instances == 1
         assert plan.duplicates_avoided == 3
         assert plan.work_avoided == pytest.approx(3 * 500.0)
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(expected_items=100)
-        items = [(i, f"v{i}") for i in range(100)]
-        for item in items:
-            bloom.add(item)
-        assert all(item in bloom for item in items)
-
-    def test_false_positive_rate_reasonable(self):
-        bloom = BloomFilter(expected_items=500, false_positive_rate=0.01)
-        for i in range(500):
-            bloom.add(i)
-        false_positives = sum(1 for i in range(500, 10500) if i in bloom)
-        assert false_positives / 10000 < 0.05
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter(0)
-        with pytest.raises(ValueError):
-            BloomFilter(10, false_positive_rate=1.5)
-
-    def test_semi_join_reduce_keeps_all_matches(self):
-        keys = (ColumnRef("k"),)
-        build_rows = [dict(k=i) for i in range(0, 50, 2)]
-        probe_rows = [dict(k=i) for i in range(50)]
-        bloom = build_join_filter(build_rows, keys)
-        reduced = semi_join_reduce(probe_rows, keys, bloom)
-        surviving = {r["k"] for r in reduced}
-        assert {r["k"] for r in build_rows} <= surviving
-
-    def test_semi_join_reduce_drops_most_nonmatches(self):
-        keys = (ColumnRef("k"),)
-        bloom = build_join_filter([dict(k=1)], keys)
-        reduced = semi_join_reduce([dict(k=i) for i in range(1000)],
-                                   keys, bloom)
-        assert len(reduced) < 100
-
-    def test_catalog_hit_miss_accounting(self):
-        catalog = BitVectorCatalog()
-        bloom = BloomFilter(10)
-        catalog.publish("sig", bloom)
-        assert catalog.lookup("sig") is bloom
-        assert catalog.lookup("other") is None
-        assert catalog.hits == 1 and catalog.misses == 1
-
-    def test_fill_ratio_monotone(self):
-        bloom = BloomFilter(100)
-        empty = bloom.fill_ratio()
-        for i in range(50):
-            bloom.add(i)
-        assert bloom.fill_ratio() > empty

@@ -230,7 +230,7 @@ class TestCampaignPlans:
         assert len(plans) > 1
 
     def test_execute_path_fires_stay_within_retry_budget(self):
-        # The engine absorbs at most execute_retries (2) failures per
+        # The engine absorbs at most EXECUTE_RETRIES (2) failures per
         # job; every campaign must keep its worst case under that.
         execute_points = {points.BACKEND_EXECUTE,
                           points.BACKEND_MATERIALIZE,

@@ -1,25 +1,10 @@
-"""Unit tests for the monitoring surface (plan markers, deltas, events)."""
+"""Unit tests for the monitoring surface (plan markers on reuse sites)."""
 
-from repro.engine.monitoring import MonitoredJob, QueryMonitor, render_plan
-from repro.obs import events as obs_events
-from repro.obs.events import EventLog
-from repro.plan.logical import Scan, Spool, ViewScan
-
-
-def _job(job_id, submitted_at=0.0, cost=10.0, baseline=10.0, **overrides):
-    fields = dict(
-        job_id=job_id,
-        virtual_cluster="vc0",
-        sql="SELECT 1",
-        submitted_at=submitted_at,
-        views_built=0,
-        views_reused=0,
-        estimated_cost=cost,
-        estimated_cost_without_reuse=baseline,
-        plan_text="",
-    )
-    fields.update(overrides)
-    return MonitoredJob(**fields)
+from repro.catalog import schema_of
+from repro.engine import ScopeEngine
+from repro.optimizer.context import Annotation
+from repro.plan.logical import Scan, Spool, ViewScan, render_plan
+from repro.signatures import enumerate_subexpressions
 
 
 class TestRenderPlan:
@@ -37,63 +22,20 @@ class TestRenderPlan:
         assert lines[1].startswith("  Scan T")       # child indented
         assert "CloudView" not in lines[1]           # plain nodes unmarked
 
-
-class TestCostDelta:
-    def test_zero_baseline_is_zero_not_crash(self):
-        assert _job("j", cost=5.0, baseline=0.0).cost_delta_percent == 0.0
-
-    def test_reuse_is_negative_buildout_positive(self):
-        assert _job("j", cost=5.0, baseline=10.0).cost_delta_percent == -50.0
-        assert _job("j", cost=12.0, baseline=10.0).cost_delta_percent == 20.0
-
-
-class TestJobOrdering:
-    def test_ties_broken_by_arrival_order(self):
-        monitor = QueryMonitor()
-        for job_id in ("jz", "ja", "jm"):
-            monitor._ingest_compiled(job_id, **{
-                k: v for k, v in vars(_job(job_id, submitted_at=5.0)).items()
-                if k != "job_id"})
-        assert [j.job_id for j in monitor.jobs()] == ["jz", "ja", "jm"]
-
-    def test_submitted_at_dominates(self):
-        monitor = QueryMonitor()
-        for job_id, at in (("late", 9.0), ("early", 1.0)):
-            monitor._ingest_compiled(job_id, **{
-                k: v for k, v in vars(_job(job_id, submitted_at=at)).items()
-                if k != "job_id"})
-        assert [j.job_id for j in monitor.jobs()] == ["early", "late"]
-
-
-class TestEventDrivenMonitor:
-    def test_ingests_job_compiled_events(self):
-        log = EventLog()
-        monitor = QueryMonitor(events=log)
-        assert monitor.event_driven
-        log.emit(obs_events.JOB_COMPILED, at=42.0, job_id="job-1",
-                 virtual_cluster="vc1", sql="SELECT k FROM T",
-                 views_built=1, views_reused=0,
-                 estimated_cost=120.0, estimated_cost_without_reuse=100.0,
-                 plan_text="Spool ...")
-        entry = monitor.job("job-1")
-        assert entry is not None
-        assert entry.submitted_at == 42.0
-        assert entry.virtual_cluster == "vc1"
-        assert entry.views_built == 1
-        assert entry.cost_delta_percent == 20.0
-
-    def test_view_sealed_events_attach_to_sealing_job(self):
-        log = EventLog()
-        monitor = QueryMonitor(events=log)
-        log.emit(obs_events.JOB_COMPILED, at=1.0, job_id="job-1",
-                 virtual_cluster="vc0", sql="q", views_built=1,
-                 views_reused=0, estimated_cost=1.0,
-                 estimated_cost_without_reuse=1.0, plan_text="")
-        log.emit(obs_events.VIEW_SEALED, at=2.0, job_id="job-1",
-                 signature="sig-abc", rows=10)
-        log.emit(obs_events.VIEW_SEALED, at=3.0, job_id="unknown-job",
-                 signature="sig-def", rows=10)  # silently ignored
-        assert monitor.job("job-1").sealed_views == ["sig-abc"]
-
-    def test_plain_monitor_is_not_event_driven(self):
-        assert not QueryMonitor().event_driven
+    def test_render_plan_marks_cloudview_sites(self):
+        engine = ScopeEngine()
+        engine.register_table(
+            schema_of("T", [("k", "int"), ("v", "float")]),
+            [dict(k=i % 5, v=float(i)) for i in range(70)])
+        sql = "SELECT k, SUM(v) AS s FROM T WHERE v > 5 GROUP BY k"
+        subs = enumerate_subexpressions(
+            engine.compile(sql, reuse_enabled=False).plan,
+            engine.signature_salt)
+        target = min((s for s in subs if s.height >= 1 and s.eligible),
+                     key=lambda s: s.height)
+        engine.insights.publish([Annotation(target.recurring, target.tag)])
+        builder = engine.compile(sql)
+        assert "materializes CloudView" in render_plan(builder.plan)
+        engine.execute(builder)
+        reuser = engine.compile(sql, now=1.0)
+        assert "reused CloudView" in render_plan(reuser.plan)

@@ -68,13 +68,6 @@ class TestEventLog:
         assert [e.job_id for e in log.since_day(1)] == ["job-2", "job-3"]
         assert log.counts() == {"view.sealed": 2, "lock.denied": 1}
 
-    def test_subscribers_get_live_delivery(self):
-        log = EventLog()
-        seen = []
-        log.subscribe(seen.append)
-        event = log.emit("killswitch.flip", at=1.0, enabled=False)
-        assert seen == [event]
-
     def test_jsonl_round_trip_and_replay(self, tmp_path):
         log = EventLog()
         log.emit("view.created", at=1.0, job_id="job-1", signature="abc")

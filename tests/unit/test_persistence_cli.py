@@ -105,6 +105,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "GroupBy" in out and "Scan Events" in out
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT",                                   # ParseError
+        "SELECT NoSuchColumn FROM Events",          # BindError
+    ])
+    def test_bad_input_is_a_message_not_a_traceback(self, sql, capsys):
+        assert main(["explain", sql]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_tpcds(self, capsys):
         assert main(["tpcds", "--scale-rows", "600"]) == 0
         out = capsys.readouterr().out

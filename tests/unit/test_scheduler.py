@@ -297,3 +297,34 @@ class TestSessionShutdown:
         session.close()  # idempotent: nothing left to tear down or raise
         session.scheduler.drain()
         session.scheduler.close()
+
+    @pytest.mark.parametrize("shards", [2, 0])
+    def test_a_failing_constructor_strands_nothing(self, shards, tmp_path):
+        """Whatever ``Session(...)`` had built when a later step raised --
+        shard processes and their socket directory, the SQLite connection
+        -- is closed before the error leaves the constructor."""
+        import multiprocessing
+        import os
+        import sqlite3
+
+        from repro.api import SessionConfig
+
+        class FailingRecorder:
+            engine = None
+
+            def install(self, engine):
+                self.engine = engine
+                raise RuntimeError("install failed")
+
+        recorder = FailingRecorder()
+        config = SessionConfig(backend="sqlite", shards=shards,
+                               sqlite_path=str(tmp_path / "views.db"))
+        with pytest.raises(RuntimeError, match="install failed"):
+            Session(config=config, recorder=recorder)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(sqlite3.ProgrammingError):  # connection closed
+            recorder.engine.backend._conn.execute("SELECT 1")
+        if shards:
+            supervisor = recorder.engine.insights.service.supervisor
+            assert not os.path.exists(supervisor._dir)
+

@@ -1,4 +1,4 @@
-"""SessionConfig: environment loading, serialization, and the
+"""SessionConfig: serialization, shard resolution, and the
 kwarg-overrides-config precedence contract of ``Session``.
 """
 
@@ -11,60 +11,6 @@ from repro.config import SessionConfig
 from repro.engine.engine import EngineConfig
 from repro.scheduler.scheduler import SchedulerConfig
 from repro.shard import ShardConfig
-
-
-class TestFromEnv:
-    def test_empty_environment_keeps_defaults(self):
-        config = SessionConfig.from_env({})
-        assert config.backend == "memory"
-        assert config.sqlite_path is None
-        assert config.lifecycle is None
-        assert config.selection_algorithm == "greedy"
-
-    def test_reads_backend_and_path(self):
-        config = SessionConfig.from_env({
-            "REPRO_BACKEND": "sqlite",
-            "REPRO_SQLITE_PATH": "/tmp/views.db",
-        })
-        assert config.backend == "sqlite"
-        assert config.sqlite_path == "/tmp/views.db"
-
-    def test_reads_workers_ttl_selection(self):
-        config = SessionConfig.from_env({
-            "REPRO_WORKERS": "8",
-            "REPRO_VIEW_TTL": "3600",
-            "REPRO_SELECTION": "bigsubs",
-        })
-        assert config.scheduler.workers == 8
-        assert config.engine.view_ttl_seconds == 3600.0
-        assert config.selection_algorithm == "bigsubs"
-
-    def test_reads_shards(self):
-        config = SessionConfig.from_env({"REPRO_SHARDS": "4"})
-        assert config.shards == 4
-        assert config.resolve_shard().shards == 4
-
-    def test_lifecycle_only_when_requested(self):
-        config = SessionConfig.from_env({
-            "REPRO_JOURNAL_DIR": "/tmp/journal",
-            "REPRO_STORAGE_BUDGET": "1000000",
-        })
-        assert config.lifecycle is not None
-        assert config.lifecycle.journal_dir == "/tmp/journal"
-        assert config.lifecycle.storage_budget_bytes == 1_000_000
-
-    @pytest.mark.parametrize("name, value", [
-        ("REPRO_WORKERS", "abc"),
-        ("REPRO_WORKERS", "0"),
-        ("REPRO_SHARDS", "-3"),
-        ("REPRO_SHARDS", "2.5"),
-        ("REPRO_VIEW_TTL", "soon"),
-        ("REPRO_VIEW_TTL", "nan"),
-        ("REPRO_STORAGE_BUDGET", "-1"),
-    ])
-    def test_bad_number_names_the_variable(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} .*{value!r}"):
-            SessionConfig.from_env({name: value})
 
 
 class TestToDict:

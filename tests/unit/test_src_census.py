@@ -1,0 +1,149 @@
+"""The keep rule of DESIGN §3, as a standing check on ``src/``.
+
+A definition stays if some traffic reaches it; an option nobody sets is a
+constant.  The full census needs a profiler over the benchmark, the CLI,
+the figure benchmarks and the examples (DESIGN says how to re-run it);
+these are its three static shadows, cheap enough for tier-1:
+
+* every module has an importer that is not its own package ``__init__``;
+* the docs name exactly the ``REPRO_*`` variables that ``src/`` reads;
+* every field of the audited config dataclasses is set by somebody.
+"""
+
+import ast
+import re
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
+#: Where a reason to keep a module may live (tests alone are not one).
+TRAFFIC = [SRC, ROOT / "benchmarks", ROOT / "examples"]
+
+
+@lru_cache(maxsize=None)
+def tree_of(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def python_files(*roots: Path):
+    return sorted(p for root in roots for p in root.rglob("*.py"))
+
+
+def module_of(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+MODULES = {module_of(p): p for p in python_files(SRC)}
+
+
+def from_imports(path: Path):
+    """``(module, name)`` for every ``from repro... import name``."""
+    for node in ast.walk(tree_of(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "repro":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def imported_modules(path: Path):
+    """The ``repro`` modules ``path`` imports; a name taken from a package
+    counts as its defining module (one hop through the ``__init__``)."""
+    for node in ast.walk(tree_of(path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in MODULES:
+                    yield alias.name
+    for module, name in from_imports(path):
+        if f"{module}.{name}" in MODULES:
+            yield f"{module}.{name}"
+            continue
+        yield module
+        init = MODULES.get(module)
+        if init is not None and init.name == "__init__.py":
+            for source, exported in from_imports(init):
+                if exported == name:
+                    yield source
+
+
+def importers():
+    found = {}
+    for path in python_files(*TRAFFIC):
+        for module in imported_modules(path):
+            found.setdefault(module, set()).add(path)
+    return found
+
+
+def test_every_module_has_an_importer_besides_its_own_package():
+    found = importers()
+    orphans = []
+    for module, path in MODULES.items():
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        own_init = path.parent / "__init__.py"
+        if not found.get(module, set()) - {own_init, path}:
+            orphans.append(module)
+    assert orphans == []
+
+
+def test_docs_and_code_agree_on_the_environment_variables():
+    """A documented variable nothing reads does nothing; a read variable
+    the docs do not name is an input nobody was told about."""
+    documented = set()
+    for name in ("README.md", "DESIGN.md"):
+        documented |= set(re.findall(
+            r"REPRO_[A-Z_]+", (ROOT / name).read_text(encoding="utf-8")))
+    read = {node.value for path in python_files(SRC)
+            for node in ast.walk(tree_of(path))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"REPRO_[A-Z_]+", node.value)}
+    assert sorted(documented) == sorted(read)
+
+
+#: The audited config surface.  ``CostModel``'s coefficients are a value
+#: object (one calibrated set), not knobs, and are exempt.
+AUDITED = {
+    "SessionConfig": "repro.config",
+    "EngineConfig": "repro.engine.engine",
+    "SchedulerConfig": "repro.scheduler.scheduler",
+    "InsightsClientConfig": "repro.insights.client",
+    "LifecycleConfig": "repro.lifecycle.manager",
+    "ShardConfig": "repro.shard.supervisor",
+    "SimulationConfig": "repro.simulation",
+    "SelectionPolicy": "repro.selection.policies",
+}
+
+
+def fields_of(class_name: str, module: str):
+    for node in ast.walk(tree_of(MODULES[module])):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return [stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)]
+    raise AssertionError(f"{module} has no class {class_name}")
+
+
+def names_set_outside(module: str):
+    """Every keyword argument and assigned attribute name anywhere but in
+    ``module`` (tests count: a knob a test needs has a caller)."""
+    names = set()
+    for path in python_files(*TRAFFIC, ROOT / "tests"):
+        if path == MODULES[module]:
+            continue
+        for node in ast.walk(tree_of(path)):
+            if isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("class_name", sorted(AUDITED))
+def test_every_config_field_has_a_setter(class_name):
+    module = AUDITED[class_name]
+    unset = set(fields_of(class_name, module)) - names_set_outside(module)
+    assert sorted(unset) == [], (
+        f"{class_name} fields nobody sets: make them module constants")
