@@ -52,16 +52,16 @@ class BackendCapabilities:
         ``Process`` (user-defined operator) nodes execute.  External SQL
         backends generally cannot host arbitrary Python row operators.
     ``supports_row_capture``
-        Per-node output rows can be captured (the shared batch-execution
-        extension needs this).
+        Per-node output can be captured (the shared batch-execution
+        extension needs this, and refuses a backend without it).
     ``deterministic_limit``
         ``Limit`` without a covering ``Sort`` returns the same prefix the
-        in-memory interpreter would.  SQL backends make no row-order
+        in-memory executor would.  SQL backends make no row-order
         promise, so an unordered LIMIT may pick a different (equally
         valid) subset.
     ``external``
         Data lives outside the Python process (real tables rather than
-        in-memory row lists); dropping views actually reclaims storage in
+        in-memory batches); dropping views actually reclaims storage in
         another system.
     """
 
@@ -123,7 +123,7 @@ class ExecutionBackend(ABC):
         """Evaluate ``plan`` and persist the result under ``view_id``.
 
         Returns ``(row_count, size_bytes)`` using the same byte
-        accounting as :func:`repro.storage.store._estimate_bytes`.
+        accounting as :func:`repro.storage.batch.measure`.
         """
 
     @abstractmethod

@@ -1,13 +1,14 @@
 """The in-memory execution backend.
 
-Wraps the row-at-a-time interpreter (:class:`~repro.executor.executor.
+Wraps the column-batch executor (:class:`~repro.executor.executor.
 Executor`) and the simulated blob store (:class:`~repro.storage.store.
 DataStore`) behind the :class:`~repro.backends.base.ExecutionBackend`
-interface.  This is the original simulator engine, unchanged in
-behaviour -- streams and views are Python row lists keyed by GUID/path,
-and Spool materialization happens inside the interpreter itself.  Byte
-sizes come from the interpreter's per-node statistics and the store's
-recorded blob sizes; nothing here walks rows to measure them.
+interface.  Streams and views are column batches keyed by GUID/path, and
+Spool materialization happens inside the executor itself.  This class is
+a row boundary: ``load_table`` transposes the rows it is given once, and
+``scan_table`` / ``scan_view`` / ``execute(...).rows`` hand out fresh
+dicts, so no caller can reach what is stored.  Byte sizes come from the
+executor's per-node statistics and the sizes recorded with each blob.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.storage.store import DataStore
 
 
 class InMemoryBackend(ExecutionBackend):
-    """Simulated engine: Python rows in a :class:`DataStore`."""
+    """Simulated engine: column batches in a :class:`DataStore`."""
 
     name = "memory"
     capabilities = BackendCapabilities(
@@ -43,7 +44,7 @@ class InMemoryBackend(ExecutionBackend):
     # datasets
 
     def load_table(self, schema, guid: str, rows: Sequence[Row]) -> None:
-        self.store.put(guid, list(rows))
+        self.store.put(guid, rows)
 
     def scan_table(self, guid: str) -> List[Row]:
         return self.store.get(guid)
@@ -57,7 +58,7 @@ class InMemoryBackend(ExecutionBackend):
     def execute(self, plan: LogicalPlan) -> ExecutionResult:
         faults = self.faults
         if faults.enabled:
-            # The interpreter reads views straight out of the DataStore,
+            # The executor reads views straight out of the DataStore,
             # so the per-ViewScan and per-Spool seams fire here -- the
             # same points, in the same plan positions, as the SQLite
             # backend, keeping fault plans backend-portable.
@@ -74,12 +75,10 @@ class InMemoryBackend(ExecutionBackend):
 
     def materialize_view(self, plan: LogicalPlan, view_id: str):
         self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        result = self.executor.execute(plan)
+        _, batch = self.executor.run(plan)
         self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
-        # The root is the last node run, and already measured.
-        size = result.node_stats[-1][1].bytes_out
-        self.store.put(view_id, result.rows, row_bytes=size)
-        return len(result.rows), size
+        self.store.put_batch(view_id, batch)
+        return batch.length, batch.size()
 
     def scan_view(self, view_id: str) -> List[Row]:
         self.faults.fire(fault_points.BACKEND_SCAN_VIEW)

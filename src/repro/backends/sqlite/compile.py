@@ -34,7 +34,7 @@ The load-bearing decisions, in one place:
   booleans round-trip as 0/1 and are re-coerced to ``bool`` on fetch
   using the compiler's static class inference.
 * **Byte accounting.**  Per-operator output bytes use the same width
-  rule as :func:`repro.storage.store._estimate_bytes` (string = length,
+  rule as :func:`repro.storage.batch.measure` (string = length,
   boolean = 1, everything else = 8), evaluated in SQL -- which is what
   keeps per-node statistics and the view-catalog digest backend-
   invariant.
@@ -160,7 +160,7 @@ class CompiledQuery:
                      if self.classes.get(c) == BOOL)
 
     def width_sql(self) -> str:
-        """Per-row byte width, per ``_estimate_bytes``'s rule."""
+        """Per-row byte width, by ``repro.storage.batch.measure``'s rule."""
         terms = []
         for c in self.columns:
             q = quote_ident(c)

@@ -231,13 +231,13 @@ class ScopeEngine:
     @property
     def store(self) -> Optional[DataStore]:
         """The in-memory backend's blob store; ``None`` on external
-        backends (extensions that reach for raw row storage are
+        backends (extensions that reach for raw batch storage are
         in-memory-only)."""
         return getattr(self.backend, "store", None)
 
     @property
     def executor(self):
-        """The in-memory backend's interpreter; ``None`` on external
+        """The in-memory backend's executor; ``None`` on external
         backends."""
         return getattr(self.backend, "executor", None)
 

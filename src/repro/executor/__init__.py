@@ -1,4 +1,4 @@
-"""Row-level physical executor and UDO registry."""
+"""Column-batch physical executor and UDO registry."""
 
 from repro.executor.executor import (
     ExecutionResult,

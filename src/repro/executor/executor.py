@@ -1,34 +1,30 @@
-"""Row-level interpreter for logical plans.
+"""Column-batch executor for logical plans.
 
 Executes a bound logical plan against the simulated :class:`DataStore` and
-returns both the result rows and per-operator runtime statistics.  The
+returns both the result rows and per-operator runtime statistics.  Every
+operator takes and returns a :class:`~repro.storage.batch.Batch`; rows
+exist only where data enters or leaves -- the job's result, a UDO's input
+and output, captured node rows -- and are built fresh there.  The
 statistics become the "runtime metrics as seen in the history" that
 CloudViews pre-joins with subexpressions in its workload repository
 (Section 2.3) -- reuse decisions are made from *observed* numbers, never
 from estimates.
 
-Spool operators perform their double duty here: the child's rows flow to
-the parent unchanged *and* are written to stable storage under the view
+Spool operators perform their double duty here: the child's batch flows
+to the parent unchanged *and* is written to stable storage under the view
 path, exactly the online-materialization side effect of Section 2.3.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from itertools import chain, compress, islice, repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.executor.udo import UdoRegistry, default_registry
-from repro.plan.expressions import Compiled, Expr, FuncCall, Row
+from repro.plan.expressions import Expr, FuncCall, Row
 from repro.plan.logical import (
     Distinct,
     Filter,
@@ -44,7 +40,8 @@ from repro.plan.logical import (
     Union,
     ViewScan,
 )
-from repro.storage.store import DataStore, _estimate_bytes
+from repro.storage.batch import Batch
+from repro.storage.store import DataStore
 
 
 @dataclass
@@ -77,9 +74,10 @@ class ExecutionResult:
     node_stats: List[Tuple[LogicalPlan, OperatorStats]]
     spooled: List[SpoolOutput] = field(default_factory=list)
     views_read: List[str] = field(default_factory=list)
-    #: Per-node output rows, populated only when the executor was created
-    #: with ``capture_rows=True`` (used by shared batch execution).
-    node_rows: Dict[int, List[Row]] = field(default_factory=dict)
+    #: Per-node output by ``id(node)``, populated only when the executor
+    #: was created with ``capture_rows=True`` (shared batch execution
+    #: stores these; ``.rows()`` of one is that node's rows).
+    node_batches: Dict[int, Batch] = field(default_factory=dict)
 
     @property
     def input_rows(self) -> int:
@@ -99,23 +97,19 @@ class ExecutionResult:
         """All bytes read: base inputs, views, and intermediate flows."""
         return sum(s.bytes_out for _, s in self.node_stats)
 
-    def rows_out_of(self, node: LogicalPlan) -> int:
-        for candidate, stats in self.node_stats:
-            if candidate is node:
-                return stats.rows_out
-        raise ExecutionError("node not part of this execution")
-
 
 class Executor:
-    """Interprets logical plans over the simulated store.
+    """Runs logical plans over the simulated store, a batch at a time.
 
-    Two rules keep the bookkeeping cheaper than the query it describes:
-    *a row list is measured once* -- every operator hands its parent the
-    byte size of its output next to the rows, so an operator whose output
-    is its child's list or multiset (a spool, a sort, a filter that kept
-    everything) inherits the number instead of walking the rows again --
-    and *an expression is compiled once per operator execution*, so the
-    per-row work is a call to a closure, never a tree walk.
+    Four rules keep it one path and its numbers exact: *rows exist only
+    at boundaries*; *a column is measured at most once* -- a column that
+    passes through (or is renamed) keeps its recorded size, a gather of a
+    fixed-width column is ``width * n``, and an operator that dropped
+    nothing returns its child's batch; *an expression is compiled once
+    per operator execution* into a function of the batch; and *every
+    operator emits rows in the order the row-at-a-time interpreter did*,
+    which is what keeps float aggregates and an unordered ``LIMIT``
+    bit-identical.
     """
 
     def __init__(self, store: DataStore,
@@ -126,38 +120,33 @@ class Executor:
         self.capture_rows = capture_rows
 
     def execute(self, plan: LogicalPlan) -> ExecutionResult:
-        result = ExecutionResult(rows=[], node_stats=[])
-        result.rows, _ = self._run(plan, result)
+        result, batch = self.run(plan)
+        result.rows = batch.rows()
         return result
+
+    def run(self, plan: LogicalPlan) -> Tuple[ExecutionResult, Batch]:
+        """Execute ``plan``; its statistics (no rows built) and its
+        output batch."""
+        result = ExecutionResult(rows=[], node_stats=[])
+        return result, self._run(plan, result)
 
     # ------------------------------------------------------------------ #
     # dispatch
 
-    def _run(self, plan: LogicalPlan,
-             result: ExecutionResult) -> Tuple[List[Row], int]:
-        """Run ``plan``; returns its output rows and their byte size.
-
-        A handler returns ``(rows_in, rows_out, bytes_out)`` and leaves
-        ``bytes_out`` ``None`` when its output is a new multiset of
-        values, which is then measured here -- the one walk it gets.
-        """
-        kind = type(plan)
-        handler = _HANDLERS.get(kind)
+    def _run(self, plan: LogicalPlan, result: ExecutionResult) -> Batch:
+        """Run ``plan``; a handler returns ``(rows_in, output batch)``
+        and the columns it built anew are measured here."""
+        handler = _HANDLERS.get(type(plan))
         if handler is None:
-            raise ExecutionError(f"no executor for operator {kind.__name__}")
-        rows_in, rows_out, bytes_out = handler(self, plan, result)
-        if bytes_out is None:
-            bytes_out = _estimate_bytes(rows_out)
+            raise ExecutionError(
+                f"no executor for operator {type(plan).__name__}")
+        rows_in, batch = handler(self, plan, result)
         result.node_stats.append((plan, OperatorStats(
-            operator=plan.op_label,
-            rows_in=rows_in,
-            rows_out=len(rows_out),
-            bytes_out=bytes_out,
-            description=plan.describe(),
-        )))
+            plan.op_label, rows_in, batch.length, batch.size(),
+            plan.describe())))
         if self.capture_rows:
-            result.node_rows[id(plan)] = rows_out
-        return rows_out, bytes_out
+            result.node_batches[id(plan)] = batch
+        return batch
 
     # ------------------------------------------------------------------ #
     # operators
@@ -166,105 +155,115 @@ class Executor:
         if plan.stream_guid is None:
             raise ExecutionError(
                 f"scan of {plan.dataset!r} was not bound to a stream GUID")
-        rows, size = self.store.read_columns(plan.stream_guid, plan.columns)
-        return 0, rows, size
+        return 0, self.store.read_columns(plan.stream_guid, plan.columns)
 
     def _view_scan(self, plan: ViewScan, result: ExecutionResult):
-        rows, size = self.store.read(plan.view_path)
+        batch = self.store.read(plan.view_path)
         result.views_read.append(plan.signature)
-        return 0, list(rows), size
+        return 0, batch
 
     def _filter(self, plan: Filter, result: ExecutionResult):
-        rows, size = self._run(plan.child, result)
-        kept = list(filter(plan.predicate.compile(), rows))
-        return len(rows), kept, _size_if_all_kept(rows, kept, size)
+        child = self._run(plan.child, result)
+        keep = plan.predicate.compile()(child.columns, child.length)
+        return child.length, _selected(child, list(compress(
+            range(child.length), keep)))
 
     def _project(self, plan: Project, result: ExecutionResult):
-        rows, _ = self._run(plan.child, result)
-        columns = [(name, expr.compile())
-                   for expr, name in zip(plan.exprs, plan.names)]
-        out = [{name: value(row) for name, value in columns} for row in rows]
-        return len(rows), out, None
+        child = self._run(plan.child, result)
+        # A column handed through unchanged keeps what was measured of it.
+        known = {id(values): child.measured[name]
+                 for name, values in child.columns.items()}
+        columns = {name: expr.compile()(child.columns, child.length)
+                   for expr, name in zip(plan.exprs, plan.names)}
+        return child.length, Batch(columns, child.length, {
+            name: known[id(values)] for name, values in columns.items()
+            if id(values) in known})
 
     def _join(self, plan: Join, result: ExecutionResult):
-        left, _ = self._run(plan.left, result)
-        right, _ = self._run(plan.right, result)
-        rows_in = len(left) + len(right)
-        algorithm = choose_join_algorithm(plan, len(left), len(right))
-        if algorithm == "hash":
-            out = _hash_join(plan, left, right)
-        elif algorithm == "merge":
-            out = _merge_join(plan, left, right)
-        else:
-            out = _nested_loop_join(plan, left, right)
-        return rows_in, out, None
+        left = self._run(plan.left, result)
+        right = self._run(plan.right, result)
+        return left.length + right.length, join_batches(
+            plan, left, right,
+            choose_join_algorithm(plan, left.length, right.length))
 
     def _group_by(self, plan: GroupBy, result: ExecutionResult):
-        rows, _ = self._run(plan.child, result)
-        out = _hash_aggregate(plan, rows)
-        return len(rows), out, None
+        child = self._run(plan.child, result)
+        keys = _key_columns(plan.keys, child)
+        if keys:
+            groups: Dict[object, List[int]] = defaultdict(list)
+            for position, key in enumerate(_keys(keys, child.length)):
+                groups[key].append(position)
+            members = list(groups.values())
+        else:
+            # Global aggregation always yields exactly one group.
+            members = [range(child.length)]
+        first = [positions[0] for positions in members] if keys else ()
+        columns = {key.name: list(map(values.__getitem__, first))
+                   for key, values in zip(plan.keys, keys)}
+        for name, agg in zip(plan.names[len(keys):], plan.aggregates):
+            if agg.name == "COUNT" and not agg.args:
+                columns[name] = list(map(len, members))
+                continue
+            argument = (agg.args[0].compile()(child.columns, child.length)
+                        if agg.args else None)
+            columns[name] = [
+                _aggregate(agg, () if argument is None else
+                           map(argument.__getitem__, positions))
+                for positions in members]
+        return child.length, Batch(columns, len(members))
 
     def _union(self, plan: Union, result: ExecutionResult):
-        rows_in = 0
-        size = 0
-        out: List[Row] = []
-        schema = plan.schema
-        for child in plan.inputs:
-            child_rows, child_size = self._run(child, result)
-            rows_in += len(child_rows)
-            # Positionally align columns to the union's output schema.
-            child_schema = child.schema
-            if child_schema != schema:
-                child_rows = [{s: row[c] for s, c in zip(schema, child_schema)}
-                              for row in child_rows]
-                child_size = _estimate_bytes(child_rows)
-            out.extend(child_rows)
-            size += child_size
-        return rows_in, out, size
+        # Columns align to the union's output schema by position: a
+        # rename, so every input's sizes carry over and add up.
+        parts = [self._run(child, result).select(child.schema, plan.schema)
+                 for child in plan.inputs]
+        columns: Dict[str, list] = {}
+        measured: Dict[str, Tuple[int, int]] = {}
+        for name in plan.schema:
+            columns[name] = list(chain.from_iterable(
+                part.columns[name] for part in parts))
+            sizes, widths = zip(*(part.measured[name] for part in parts))
+            measured[name] = (sum(sizes),
+                              widths[0] if len(set(widths)) == 1 else 0)
+        rows = sum(part.length for part in parts)
+        return rows, Batch(columns, rows, measured)
 
     def _distinct(self, plan: Distinct, result: ExecutionResult):
-        rows, size = self._run(plan.child, result)
-        seen = set()
-        out: List[Row] = []
-        schema = plan.schema
-        for row in rows:
-            key = tuple([_hashable(row.get(c)) for c in schema])
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return len(rows), out, _size_if_all_kept(rows, out, size)
+        child = self._run(plan.child, result)
+        n = child.length
+        keys = _keys(list(child.select(plan.schema).columns.values()), n)
+        # Written back to front, a key keeps its first position.
+        first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+        return n, _selected(child, sorted(first.values()))
 
     def _sort(self, plan: Sort, result: ExecutionResult):
-        rows, size = self._run(plan.child, result)
-        out = list(rows)
+        child = self._run(plan.child, result)
+        order = list(range(child.length))
         # Stable sort, applied from the least-significant key backwards.
         for key, ascending in reversed(list(zip(plan.keys, plan.ascending))):
-            value = key.compile()
-            out.sort(key=lambda row: _sort_key(value(row)),
-                     reverse=not ascending)
-        return len(rows), out, size
+            (ranks,) = _ranked(key.compile()(child.columns, child.length))
+            order.sort(key=ranks.__getitem__, reverse=not ascending)
+        # A permutation weighs what its input does.
+        return child.length, Batch(child.take(order).columns, child.length,
+                                   child.measured)
 
     def _limit(self, plan: Limit, result: ExecutionResult):
-        rows, size = self._run(plan.child, result)
-        out = rows[:plan.count]
-        return len(rows), out, _size_if_all_kept(rows, out, size)
+        child = self._run(plan.child, result)
+        return child.length, _selected(
+            child, range(child.length)[:plan.count])
 
     def _process(self, plan: Process, result: ExecutionResult):
-        rows, _ = self._run(plan.child, result)
-        out = self.udos.get(plan.udo_name)(list(rows))
-        return len(rows), out, None
+        child = self._run(plan.child, result)
+        rows = self.udos.get(plan.udo_name)(child.rows())
+        return child.length, Batch.from_rows(rows, plan.schema)
 
     def _spool(self, plan: Spool, result: ExecutionResult):
-        rows, size = self._run(plan.child, result)
-        self.store.put(plan.view_path, rows, size)
+        child = self._run(plan.child, result)
+        self.store.put_batch(plan.view_path, child)
         result.spooled.append(SpoolOutput(
-            signature=plan.signature,
-            view_path=plan.view_path,
-            row_count=len(rows),
-            size_bytes=size,
-            schema=plan.schema,
-        ))
-        return len(rows), rows, size
+            plan.signature, plan.view_path, child.length, child.size(),
+            plan.schema))
+        return child.length, child
 
 
 _HANDLERS = {
@@ -283,12 +282,10 @@ _HANDLERS = {
 }
 
 
-def _size_if_all_kept(rows: List[Row], kept: List[Row],
-                      size: int) -> Optional[int]:
-    """``kept`` is an order-preserving selection of ``rows``, whose byte
-    size is ``size``: the same multiset -- and so the same size -- exactly
-    when nothing was dropped."""
-    return size if len(kept) == len(rows) else None
+def _selected(batch: Batch, kept: Sequence[int]) -> Batch:
+    """``batch`` at the ascending positions ``kept`` -- itself (the same
+    multiset, so the same size) exactly when nothing was dropped."""
+    return batch if len(kept) == batch.length else batch.take(kept)
 
 
 # --------------------------------------------------------------------- #
@@ -316,173 +313,161 @@ def choose_join_algorithm(plan: Join, left_rows: int, right_rows: int) -> str:
     return "hash"
 
 
-def _key_function(exprs: Sequence[Expr],
-                  convert: Callable[[object], object]
-                  ) -> Callable[[Row], tuple]:
-    """One function from a row to the tuple of ``convert``-ed values of
-    ``exprs`` -- a join, group or sort key -- compiled once."""
-    parts = [expr.compile() for expr in exprs]
-    if len(parts) == 1:
-        (only,) = parts
-        return lambda row: (convert(only(row)),)
-    if len(parts) == 2:
-        first, second = parts
-        return lambda row: (convert(first(row)), convert(second(row)))
-    return lambda row: tuple([convert(part(row)) for part in parts])
+#: What a join kernel returns: the left positions in output order
+#: (``None``: as they stand) and, for each, the right positions sharing
+#: its equi-key, in the order they are emitted.
+Matches = Tuple[Optional[List[int]], List[Sequence[int]]]
 
 
-def _emit_join(plan: Join,
-               matches: Iterable[Tuple[Row, Sequence[Row]]]) -> List[Row]:
-    """The output of a join whose kernel paired each left row, in output
-    order, with the right rows that share its equi-key: merge the pairs
-    that pass the residual, NULL-extend an unmatched left row."""
-    dropped = set(plan.drop_right)
-    residual = plan.residual.compile() if plan.residual is not None else None
-    unmatched = _null_row(plan.right.schema) if plan.how == "left" else None
-    out: List[Row] = []
-    for lrow, candidates in matches:
-        matched = False
-        for rrow in candidates:
-            merged = _merge(lrow, rrow, dropped)
-            if residual is None or residual(merged):
-                matched = True
-                out.append(merged)
-        if not matched and unmatched is not None:
-            out.append(_merge(lrow, unmatched, dropped))
-    return out
+def _key_columns(exprs: Sequence[Expr], batch: Batch) -> List[list]:
+    return [expr.compile()(batch.columns, batch.length) for expr in exprs]
 
 
-def _hash_join(plan: Join, left: List[Row], right: List[Row]) -> List[Row]:
-    right_key = _key_function(plan.right_keys, _hashable)
-    left_key = _key_function(plan.left_keys, _hashable)
-    index: Dict[tuple, List[Row]] = {}
-    for row in right:
-        index.setdefault(right_key(row), []).append(row)
-    probe = index.get
-    return _emit_join(plan, ((row, probe(left_key(row), ())) for row in left))
+def _tuples(columns: Sequence[list], n: int) -> List[tuple]:
+    """The ``n`` rows of ``columns``, a tuple each."""
+    return list(zip(*columns)) if columns else [()] * n
 
 
-def _merge_join(plan: Join, left: List[Row], right: List[Row]) -> List[Row]:
+def _keys(columns: Sequence[list], n: int) -> list:
+    """One hashable key per row from its values in ``columns``: the value
+    itself for a single column, else the tuple."""
+    columns = [values if set(map(type, values)) <= _HASHABLE
+               else list(map(_hashable, values)) for values in columns]
+    return columns[0] if len(columns) == 1 else _tuples(columns, n)
+
+
+def _join_keys(exprs: Sequence[Expr], batch: Batch) -> list:
+    return _keys(_key_columns(exprs, batch), batch.length)
+
+
+def _hash_join(plan: Join, left: Batch, right: Batch) -> Matches:
+    index: Dict[object, List[int]] = defaultdict(list)
+    for position, key in enumerate(_join_keys(plan.right_keys, right)):
+        index[key].append(position)
+    return None, list(map(index.get, _join_keys(plan.left_keys, left),
+                          repeat(())))
+
+
+def _merge_join(plan: Join, left: Batch, right: Batch) -> Matches:
     """Sort-merge join on the compound equi-key."""
-    left_keys, left_sorted = _sorted_by(
-        _key_function(plan.left_keys, _sort_key), left)
-    right_keys, right_sorted = _sorted_by(
-        _key_function(plan.right_keys, _sort_key), right)
-
-    def matches() -> Iterator[Tuple[Row, List[Row]]]:
-        j = 0
-        end = len(right_sorted)
-        for lkey, lrow in zip(left_keys, left_sorted):
-            while j < end and right_keys[j] < lkey:
-                j += 1
-            # Gather the right-side run matching this key.
-            run_end = j
-            while run_end < end and right_keys[run_end] == lkey:
-                run_end += 1
-            yield lrow, right_sorted[j:run_end]
-
-    return _emit_join(plan, matches())
-
-
-def _sorted_by(key: Callable[[Row], tuple],
-               rows: List[Row]) -> Tuple[List[tuple], List[Row]]:
-    """``rows`` stably sorted by ``key``, with each row's key beside it
-    (computed once per row)."""
-    keys = [key(row) for row in rows]
-    order = sorted(range(len(rows)), key=keys.__getitem__)
-    return [keys[i] for i in order], [rows[i] for i in order]
+    ranked = [_ranked(*sides) for sides in zip(
+        _key_columns(plan.left_keys, left),
+        _key_columns(plan.right_keys, right))]
+    left_keys, left_order = _sorted_keys(
+        [sides[0] for sides in ranked], left.length)
+    right_keys, right_order = _sorted_keys(
+        [sides[1] for sides in ranked], right.length)
+    hits: List[Sequence[int]] = []
+    j = 0
+    end = len(right_order)
+    for position, lkey in enumerate(left_keys):
+        if position and lkey == left_keys[position - 1]:
+            hits.append(hits[-1])   # the same key finds the same run
+            continue
+        while j < end and right_keys[j] < lkey:
+            j += 1
+        # Gather the right-side run matching this key.
+        run_end = j
+        while run_end < end and right_keys[run_end] == lkey:
+            run_end += 1
+        hits.append(right_order[j:run_end])
+    return left_order, hits
 
 
-def _nested_loop_join(plan: Join, left: List[Row], right: List[Row]) -> List[Row]:
-    left_key = _key_function(plan.left_keys, _hashable)
-    right_key = _key_function(plan.right_keys, _hashable)
-
-    def matches() -> Iterator[Tuple[Row, List[Row]]]:
-        keyed_right = None
-        for lrow in left:
-            lkey = left_key(lrow)
-            if keyed_right is None:
-                # Once, when the first left row needs them.
-                keyed_right = [(right_key(row), row) for row in right]
-            yield lrow, [rrow for rkey, rrow in keyed_right if rkey == lkey]
-
-    return _emit_join(plan, matches())
+def _sorted_keys(columns: Sequence[list],
+                 n: int) -> Tuple[List[tuple], List[int]]:
+    """The compound keys of ``n`` rows in stable sorted order, and the
+    positions they came from."""
+    keys = _tuples(columns, n)
+    order = sorted(range(n), key=keys.__getitem__)
+    return [keys[i] for i in order], order
 
 
-def _hash_aggregate(plan: GroupBy, rows: List[Row]) -> List[Row]:
-    groups: Dict[tuple, List[Row]] = {}
-    if plan.keys:
-        key_of = _key_function(plan.keys, _hashable)
-        for row in rows:
-            groups.setdefault(key_of(row), []).append(row)
-    else:
-        # Global aggregation always yields exactly one group.
-        groups[()] = list(rows)
-
-    keys = [(key.name, key.compile()) for key in plan.keys]
-    aggregates = [
-        (name, agg, agg.args[0].compile() if agg.args else None)
-        for name, agg in zip(plan.names[len(keys):], plan.aggregates)]
-    out: List[Row] = []
-    for members in groups.values():
-        result: Row = {}
-        if members:
-            for name, value in keys:
-                result[name] = value(members[0])
-        for name, agg, argument in aggregates:
-            result[name] = _evaluate_aggregate(agg, argument, members)
-        out.append(result)
-    return out
+def _nested_loop_join(plan: Join, left: Batch, right: Batch) -> Matches:
+    """Every right key is compared to a left key -- once per distinct
+    left key: rows sharing one share the scan's result."""
+    left_keys = _join_keys(plan.left_keys, left)
+    right_keys = list(enumerate(_join_keys(plan.right_keys, right)))
+    scans = {key: [position for position, rkey in right_keys
+                   if rkey is key or rkey == key]   # as a tuple of it would
+             for key in dict.fromkeys(left_keys)}
+    return None, list(map(scans.__getitem__, left_keys))
 
 
-def _evaluate_aggregate(agg: FuncCall, argument: Optional[Compiled],
-                        rows: List[Row]) -> object:
-    """``agg`` over one group; ``argument`` is its compiled first
-    argument (``None`` for ``COUNT(*)``)."""
-    name = agg.name
-    if name == "COUNT" and argument is None:
-        return len(rows)
-    values: List[object] = []
-    if argument is not None:
-        values = [v for v in map(argument, rows) if v is not None]
+_JOIN_KERNELS = {"hash": _hash_join, "merge": _merge_join,
+                 "loop": _nested_loop_join}
+
+
+def join_batches(plan: Join, left: Batch, right: Batch,
+                 algorithm: str) -> Batch:
+    """``plan`` over its two inputs by the named kernel; the residual
+    runs over the gathered candidates."""
+    order, hits = _JOIN_KERNELS[algorithm](plan, left, right)
+    outer = plan.how == "left"
+    if plan.residual is not None:
+        out = _joined(plan, left, right, order, hits, False)
+        keep = plan.residual.compile()(out.columns, out.length)
+        if not outer:
+            return _selected(out, list(compress(range(out.length), keep)))
+        passed = iter(keep)
+        hits = [list(compress(hit, islice(passed, len(hit))))
+                for hit in hits]
+    return _joined(plan, left, right, order, hits, outer)
+
+
+def _joined(plan: Join, left: Batch, right: Batch,
+            order: Optional[List[int]], hits: List[Sequence[int]],
+            outer: bool) -> Batch:
+    """The join's output for the kernel's matches: one gather per output
+    column; with ``outer`` an unmatched left row is NULL-extended."""
+    if outer:
+        unmatched = (right.length,)
+        hits = [hit or unmatched for hit in hits]
+    taken = list(chain.from_iterable(hits))
+    matched = list(map(len, hits))
+    rows = range(left.length) if order is None else order
+    if len(taken) + matched.count(0) != left.length:
+        left = left.take(list(chain.from_iterable(map(repeat, rows, matched))))
+    elif order is not None or len(taken) != left.length:
+        # No left row matched twice: its count selects it.
+        left = left.take(list(compress(rows, matched)))
+    dropped = set(plan.drop_right)
+    right = right.select([name for name in right.columns
+                          if name not in dropped]).take(taken, null=outer)
+    measured = {name: size for name, size in left.measured.items()
+                if name not in right.columns}
+    measured.update(right.measured)
+    return Batch({**left.columns, **right.columns}, len(taken), measured)
+
+
+#: An aggregate over the non-NULL values of a non-empty group.
+_FOLDS = {"SUM": sum, "MIN": min, "MAX": max,
+          "AVG": lambda values: sum(values) / len(values)}
+
+
+def _aggregate(agg: FuncCall, values) -> object:
+    """``agg`` over one group's argument values (none for an
+    argument-less call)."""
+    values = [v for v in values if v is not None]
     if agg.distinct:
-        unique: List[object] = []
-        seen = set()
+        unique: Dict[object, object] = {}
         for value in values:
-            marker = _hashable(value)
-            if marker not in seen:
-                seen.add(marker)
-                unique.append(value)
-        values = unique
-    if name == "COUNT":
+            unique.setdefault(_hashable(value), value)
+        values = list(unique.values())
+    if agg.name == "COUNT":
         return len(values)
     if not values:
         return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise ExecutionError(f"unknown aggregate {name!r}")
+    if agg.name not in _FOLDS:
+        raise ExecutionError(f"unknown aggregate {agg.name!r}")
+    return _FOLDS[agg.name](values)
 
 
 # --------------------------------------------------------------------- #
 # small helpers
 
-
-def _merge(left: Row, right: Row, dropped: set) -> Row:
-    merged = dict(left)
-    for key, value in right.items():
-        if key not in dropped:
-            merged[key] = value
-    return merged
-
-
-def _null_row(schema: Tuple[str, ...]) -> Row:
-    return {c: None for c in schema}
+#: Kinds that hash as themselves.
+_HASHABLE = frozenset({int, float, str, bool, type(None)})
 
 
 def _hashable(value: object) -> object:
@@ -500,3 +485,12 @@ def _sort_key(value: object) -> tuple:
     if isinstance(value, (int, float)):
         return (2, value)
     return (3, str(value))
+
+
+def _ranked(*columns: list) -> Sequence[list]:
+    """``columns`` as values that compare as their :func:`_sort_key`
+    does: themselves when all hold numbers alone or strings alone."""
+    kinds = set().union(*(map(type, values) for values in columns))
+    if kinds <= {int, float} or kinds == {str}:
+        return columns
+    return [list(map(_sort_key, values)) for values in columns]

@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.common.errors import ConfigError
 from repro.engine.engine import CompiledJob, ScopeEngine
 from repro.executor.executor import Executor
 from repro.plan.expressions import Row
@@ -38,7 +39,7 @@ from repro.signatures.signature import (
 
 @dataclass
 class _MemoEntry:
-    rows: List[Row]
+    rows: int           # row count of the published fragment
     path: str           # synthetic store key backing the ViewScan
     work: float         # observed subtree work when first computed
     schema: Tuple[str, ...]
@@ -73,6 +74,11 @@ class SharedBatchExecutor:
     """Executes concurrent jobs with cross-query result pipelining."""
 
     def __init__(self, engine: ScopeEngine, min_share_height: int = 1):
+        backend = engine.backend
+        if not backend.capabilities.supports_row_capture:
+            raise ConfigError(
+                f"shared batch execution needs a backend that "
+                f"supports_row_capture; {backend.name!r} does not")
         self.engine = engine
         self.min_share_height = min_share_height
         self._memo: Dict[str, _MemoEntry] = {}
@@ -116,11 +122,10 @@ class SharedBatchExecutor:
             signature = strict_signature(node, salt)
             if signature in self._memo:
                 continue
-            rows = result.node_rows.get(id(node), [])
             path = f"__batch__/{next(self._path_counter)}"
-            self.engine.store.put(path, rows, node_stats.bytes_out)
+            self.engine.store.put_batch(path, result.node_batches[id(node)])
             self._memo[signature] = _MemoEntry(
-                rows=list(rows), path=path,
+                rows=node_stats.rows_out, path=path,
                 work=work_below.get(id(node), 0.0),
                 schema=node.schema)
             stats.fragments_published += 1
@@ -140,7 +145,7 @@ class SharedBatchExecutor:
                     signature=signature,
                     view_path=entry.path,
                     columns=entry.schema,
-                    rows=len(entry.rows),
+                    rows=entry.rows,
                     recurring=recurring_signature(plan, salt),
                 )
                 return scan, 1, entry.work

@@ -11,10 +11,15 @@ Two representations matter for CloudViews:
   strict signature (Section 2.3: per-operator *syntactic* equivalence with
   "some normalization").
 * :meth:`Expr.evaluate` -- direct interpretation over a row ``dict``: the
-  reference semantics (constant folding and the tests use it).
-* :meth:`Expr.compile` -- the same semantics as a closure specialised on
-  node type and operator.  The executor compiles each expression once per
-  operator execution and calls only the closure per row.
+  reference semantics (constant folding and the tests use it), and the only
+  per-row evaluator.
+* :meth:`Expr.compile` -- the same semantics over a whole *batch* (an
+  ordered ``{column name: list}`` plus a length): one list of values, built
+  by a comprehension or a C-level ``map`` per node.  The executor compiles
+  each expression once per operator execution; columns are resolved once
+  per batch, and ``AND`` / ``OR`` / ``CASE`` evaluate a branch only over
+  the positions the earlier ones left undecided, so an error behind a
+  short-circuit surfaces exactly when :meth:`Expr.evaluate` would raise it.
 """
 
 from __future__ import annotations
@@ -23,14 +28,25 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import ExecutionError, PlanError
 
 Row = Dict[str, object]
 
-#: What :meth:`Expr.compile` returns.
-Compiled = Callable[[Row], object]
+#: What :meth:`Expr.compile` returns: a function of a batch -- its
+#: ``{column name: list}`` and its length -- to one value per row.
+Compiled = Callable[[Mapping[str, list], int], list]
 
 #: Operators for which operand order does not change the result.
 COMMUTATIVE_OPS = {"=", "<>", "+", "*", "AND", "OR"}
@@ -40,16 +56,44 @@ _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
-_COMPARISONS: Dict[str, Callable[[object, object], object]] = {
-    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+#: Three-valued comparison of two columns: NULL on either side is false.
+_COMPARISONS: Dict[str, Callable[[list, list], list]] = {
+    "=": lambda ls, rs: [a is not None and b is not None and a == b
+                         for a, b in zip(ls, rs)],
+    "<>": lambda ls, rs: [a is not None and b is not None and a != b
+                          for a, b in zip(ls, rs)],
+    "<": lambda ls, rs: [a is not None and b is not None and a < b
+                         for a, b in zip(ls, rs)],
+    "<=": lambda ls, rs: [a is not None and b is not None and a <= b
+                          for a, b in zip(ls, rs)],
+    ">": lambda ls, rs: [a is not None and b is not None and a > b
+                         for a, b in zip(ls, rs)],
+    ">=": lambda ls, rs: [a is not None and b is not None and a >= b
+                          for a, b in zip(ls, rs)],
 }
 
-#: Arithmetic over two non-NULL operands; a zero divisor yields NULL.
-_ARITHMETIC: Dict[str, Callable[[object, object], object]] = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": lambda lhs, rhs: None if rhs == 0 else lhs / rhs,
-    "%": lambda lhs, rhs: None if rhs == 0 else lhs % rhs,
+#: The same against one non-NULL constant: the common filter shape.
+_TO_CONSTANT: Dict[str, Callable[[list, object], list]] = {
+    "=": lambda xs, c: [x is not None and x == c for x in xs],
+    "<>": lambda xs, c: [x is not None and x != c for x in xs],
+    "<": lambda xs, c: [x is not None and x < c for x in xs],
+    "<=": lambda xs, c: [x is not None and x <= c for x in xs],
+    ">": lambda xs, c: [x is not None and x > c for x in xs],
+    ">=": lambda xs, c: [x is not None and x >= c for x in xs],
+}
+
+#: Arithmetic over two columns; NULL operands and zero divisors yield NULL.
+_ARITHMETIC: Dict[str, Callable[[list, list], list]] = {
+    "+": lambda ls, rs: [None if a is None or b is None else a + b
+                         for a, b in zip(ls, rs)],
+    "-": lambda ls, rs: [None if a is None or b is None else a - b
+                         for a, b in zip(ls, rs)],
+    "*": lambda ls, rs: [None if a is None or b is None else a * b
+                         for a, b in zip(ls, rs)],
+    "/": lambda ls, rs: [None if a is None or b is None or b == 0 else a / b
+                         for a, b in zip(ls, rs)],
+    "%": lambda ls, rs: [None if a is None or b is None or b == 0 else a % b
+                         for a, b in zip(ls, rs)],
 }
 
 
@@ -100,15 +144,25 @@ class Expr:
         raise NotImplementedError
 
     def compile(self) -> Compiled:
-        """A closure with exactly :meth:`evaluate`'s results and errors.
+        """The expression over a batch: position by position exactly
+        :meth:`evaluate`'s values, and an error only if some row's
+        ``evaluate`` raises one.  An empty batch evaluates nothing -- a
+        missing column or unknown function raises only when there is a
+        row."""
+        kernel = self._kernel()
+        return lambda columns, n: kernel(columns, n) if n else []
+
+    def _kernel(self) -> Compiled:
+        """:meth:`compile` for a batch known to hold a row.
 
         Nodes override this to do their dispatch (on operator, function
-        name, pattern) once, here, instead of once per row; whatever a
-        node cannot specialise -- an unknown operator or function, whose
-        error must still surface only when a row is evaluated -- stays
-        the bound ``evaluate``.
+        name, pattern) once, here; whatever a node cannot specialise --
+        an unknown operator or function, whose error must still surface
+        only when a row is evaluated -- falls back to ``evaluate`` over
+        the batch's rows.
         """
-        return self.evaluate
+        evaluate = self.evaluate
+        return lambda columns, n: list(map(evaluate, _rows(columns, n)))
 
     def canonical(self) -> str:
         """Deterministic, normalization-aware string form."""
@@ -169,14 +223,14 @@ class ColumnRef(Expr):
         raise ExecutionError(
             f"column {self.key!r} not found in row {sorted(row)!r}")
 
-    def compile(self) -> Compiled:
+    def _kernel(self) -> Compiled:
         key, resolve = self.key, self._resolve
 
-        def column(row: Row) -> object:
+        def column(columns: Mapping[str, list], n: int) -> list:
             try:
-                return row[key]
+                return columns[key]
             except KeyError:
-                return resolve(row)
+                return resolve(columns)  # resolves a batch as it does a row
 
         return column
 
@@ -210,9 +264,9 @@ class Literal(Expr):
     def evaluate(self, row: Row) -> object:
         return self.value
 
-    def compile(self) -> Compiled:
+    def _kernel(self) -> Compiled:
         value = self.value
-        return lambda row: value
+        return lambda columns, n: [value] * n
 
     def canonical(self) -> str:
         return f"lit:{type(self.value).__name__}:{self.value!r}"
@@ -281,62 +335,23 @@ class BinaryOp(Expr):
             return lhs % rhs
         raise ExecutionError(f"unknown binary operator {op!r}")
 
-    def compile(self) -> Compiled:
+    def _kernel(self) -> Compiled:
         op = self.op
-        left, right = self.left.compile(), self.right.compile()
-        if op == "AND":
-            return lambda row: bool(left(row)) and bool(right(row))
-        if op == "OR":
-            return lambda row: bool(left(row)) or bool(right(row))
-        compare = _COMPARISONS.get(op)
-        if compare is not None:
-            return self._compile_comparison(compare, left, right)
-        apply = _ARITHMETIC.get(op)
-        if apply is None:
-            return self.evaluate
-
-        def arithmetic(row: Row) -> object:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return None
-            return apply(lhs, rhs)
-
-        return arithmetic
-
-    def _compile_comparison(self, compare, left: Compiled,
-                            right: Compiled) -> Compiled:
-        """Three-valued comparison (NULL on either side is false), with
-        the common ``column <op> constant`` shapes flattened into one
-        closure."""
-        if isinstance(self.right, Literal) and self.right.value is not None:
-            rhs = self.right.value
-            if isinstance(self.left, ColumnRef):
-                key, resolve = self.left.key, self.left._resolve
-
-                def column_to_constant(row: Row) -> object:
-                    try:
-                        lhs = row[key]
-                    except KeyError:
-                        lhs = resolve(row)
-                    return False if lhs is None else compare(lhs, rhs)
-
-                return column_to_constant
-
-            def to_constant(row: Row) -> object:
-                lhs = left(row)
-                return False if lhs is None else compare(lhs, rhs)
-
-            return to_constant
-
-        def comparison(row: Row) -> object:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return False
-            return compare(lhs, rhs)
-
-        return comparison
+        left, right = self.left._kernel(), self.right._kernel()
+        if op in ("AND", "OR"):
+            return _connective(left, right, op == "OR")
+        if op in _COMPARISONS:
+            literal = self.right
+            if isinstance(literal, Literal) and literal.value is not None:
+                to_constant, constant = _TO_CONSTANT[op], literal.value
+                return lambda columns, n: to_constant(left(columns, n),
+                                                      constant)
+            apply = _COMPARISONS[op]
+        elif op in _ARITHMETIC:
+            apply = _ARITHMETIC[op]
+        else:
+            return super()._kernel()
+        return lambda columns, n: apply(left(columns, n), right(columns, n))
 
     def canonical(self) -> str:
         left = self.left.canonical()
@@ -380,23 +395,21 @@ class UnaryOp(Expr):
             return value is not None
         raise ExecutionError(f"unknown unary operator {self.op!r}")
 
-    def compile(self) -> Compiled:
+    def _kernel(self) -> Compiled:
         op = self.op
-        operand = self.operand.compile()
+        operand = self.operand._kernel()
         if op == "NOT":
-            return lambda row: not operand(row)
+            return lambda columns, n: list(map(operator.not_,
+                                               operand(columns, n)))
         if op == "ISNULL":
-            return lambda row: operand(row) is None
+            return lambda columns, n: [v is None for v in operand(columns, n)]
         if op == "ISNOTNULL":
-            return lambda row: operand(row) is not None
+            return lambda columns, n: [v is not None
+                                       for v in operand(columns, n)]
         if op != "-":
-            return self.evaluate
-
-        def negate(row: Row) -> object:
-            value = operand(row)
-            return None if value is None else -value
-
-        return negate
+            return super()._kernel()
+        return lambda columns, n: [None if v is None else -v
+                                   for v in operand(columns, n)]
 
     def canonical(self) -> str:
         return f"({self.op} {self.operand.canonical()})"
@@ -439,15 +452,15 @@ class FuncCall(Expr):
             raise ExecutionError(f"unknown scalar function {self.name!r}")
         return func(*(arg.evaluate(row) for arg in self.args))
 
-    def compile(self) -> Compiled:
+    def _kernel(self) -> Compiled:
         func = SCALAR_FUNCTIONS.get(self.name)
         if func is None or self.name in AGGREGATE_FUNCTIONS:
-            return self.evaluate
-        args = [arg.compile() for arg in self.args]
-        if len(args) == 1:
-            (only,) = args
-            return lambda row: func(only(row))
-        return lambda row: func(*[arg(row) for arg in args])
+            return super()._kernel()
+        args = [arg._kernel() for arg in self.args]
+        if not args:
+            return lambda columns, n: [func() for _ in range(n)]
+        return lambda columns, n: list(map(
+            func, *[arg(columns, n) for arg in args]))
 
     def canonical(self) -> str:
         inner = " ".join(a.canonical() for a in self.args)
@@ -494,21 +507,20 @@ class InList(Expr):
         found = any(value == literal.value for literal in self.values)
         return (not found) if self.negated else found
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
+    def _kernel(self) -> Compiled:
+        operand = self.operand._kernel()
         # ``==`` against each value in turn, as ``evaluate`` does: ``in``
         # on a tuple would also match by identity (a NaN finds itself).
-        values = [literal.value for literal in self.values]
+        candidates = [literal.value for literal in self.values]
         negated = self.negated
 
-        def in_list(row: Row) -> object:
-            value = operand(row)
-            if value is None:
-                return False
-            for candidate in values:
-                if value == candidate:
-                    return not negated
-            return negated
+        def in_list(columns: Mapping[str, list], n: int) -> list:
+            values = operand(columns, n)
+            found = [False] * n
+            for candidate in candidates:
+                found = [f or v == candidate for f, v in zip(found, values)]
+            return [v is not None and bool(f) != negated
+                    for v, f in zip(values, found)]
 
         return in_list
 
@@ -545,18 +557,13 @@ class Like(Expr):
         matched = _like_match(str(value), self.pattern)
         return (not matched) if self.negated else matched
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
+    def _kernel(self) -> Compiled:
+        operand = self.operand._kernel()
         fullmatch = _like_regex(self.pattern).fullmatch
         negated = self.negated
-
-        def like(row: Row) -> object:
-            value = operand(row)
-            if value is None:
-                return False
-            return (fullmatch(str(value)) is not None) != negated
-
-        return like
+        return lambda columns, n: [
+            v is not None and (fullmatch(str(v)) is not None) != negated
+            for v in operand(columns, n)]
 
     def canonical(self) -> str:
         negation = "not-" if self.negated else ""
@@ -629,17 +636,30 @@ class CaseWhen(Expr):
                 return result.evaluate(row)
         return self.default.evaluate(row) if self.default is not None else None
 
-    def compile(self) -> Compiled:
-        branches = [(cond.compile(), result.compile())
+    def _kernel(self) -> Compiled:
+        branches = [(cond._kernel(), result._kernel())
                     for cond, result in zip(self.conditions, self.results)]
-        default = (self.default.compile() if self.default is not None
-                   else lambda row: None)
+        if self.default is not None:
+            # ELSE takes every position no WHEN decided.
+            branches.append((Literal(True)._kernel(), self.default._kernel()))
 
-        def case(row: Row) -> object:
+        def case(columns: Mapping[str, list], n: int) -> list:
+            out: list = [None] * n
+            undecided = range(n)
             for cond, result in branches:
-                if cond(row):
-                    return result(row)
-            return default(row)
+                hit = cond(_columns_at(columns, undecided, n),
+                           len(undecided))
+                taken = list(compress(undecided, hit))
+                if taken:
+                    values = result(_columns_at(columns, taken, n),
+                                    len(taken))
+                    for position, value in zip(taken, values):
+                        out[position] = value
+                    undecided = list(compress(
+                        undecided, map(operator.not_, hit)))
+                    if not undecided:
+                        break
+            return out
 
         return case
 
@@ -661,6 +681,65 @@ class CaseWhen(Expr):
 
     def output_name(self) -> str:
         return "case"
+
+
+def _connective(left: Compiled, right: Compiled, is_or: bool) -> Compiled:
+    """``AND`` / ``OR``: ``left`` decides where it can (a false ``AND``
+    arm, a true ``OR`` arm); ``right`` runs over the rest only."""
+
+    def connective(columns: Mapping[str, list], n: int) -> list:
+        first = left(columns, n)
+        undecided = list(compress(
+            range(n), map(operator.not_, first) if is_or else first))
+        if len(undecided) == n:
+            return list(map(bool, right(columns, n)))
+        out = [is_or] * n
+        if undecided:
+            second = right(_At(columns, undecided), len(undecided))
+            for position, value in zip(undecided, second):
+                out[position] = bool(value)
+        return out
+
+    return connective
+
+
+class _At:
+    """A batch's columns at some of its positions; a column is gathered
+    when it is first asked for."""
+
+    def __init__(self, columns: Mapping[str, list],
+                 positions: Sequence[int]) -> None:
+        self.columns = columns
+        self.positions = positions
+        self.gathered: Dict[str, list] = {}
+
+    def __getitem__(self, name: str) -> list:
+        values = self.gathered.get(name)
+        if values is None:
+            values = self.gathered[name] = list(map(
+                self.columns[name].__getitem__, self.positions))
+        return values
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.columns
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.columns)
+
+
+def _columns_at(columns: Mapping[str, list], positions: Sequence[int],
+                n: int) -> Mapping[str, list]:
+    """``columns`` at the ascending ``positions`` of its ``n`` rows."""
+    return columns if len(positions) == n else _At(columns, positions)
+
+
+def _rows(columns: Mapping[str, list], n: int) -> List[Row]:
+    """The rows of a batch, for what only ``evaluate`` can answer."""
+    names = list(columns)
+    if not names:
+        return [{} for _ in range(n)]
+    return [dict(zip(names, values))
+            for values in zip(*[columns[name] for name in names])]
 
 
 def conjuncts(predicate: Optional[Expr]) -> List[Expr]:

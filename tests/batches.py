@@ -1,0 +1,27 @@
+"""The one rows <-> batch bridge the tests use to reach the batch kernels.
+
+The executor's operators take and return column batches; tests think in
+rows.  Everything that hands rows to a kernel, or reads rows out of one,
+goes through here.
+"""
+
+from repro.executor.executor import join_batches
+from repro.storage.batch import Batch
+
+
+def batch_of(rows, schema=()):
+    return Batch.from_rows(rows, schema)
+
+
+def join_rows(algorithm, plan, left, right):
+    """``plan`` over two row lists by the ``hash`` / ``merge`` / ``loop``
+    kernel: the output rows, in the kernel's order."""
+    return join_batches(plan, batch_of(left, plan.left.schema),
+                        batch_of(right, plan.right.schema),
+                        algorithm).rows()
+
+
+def evaluate_batch(expr, rows):
+    """``expr`` compiled and run over ``rows`` as one batch."""
+    batch = batch_of(rows)
+    return expr.compile()(batch.columns, batch.length)

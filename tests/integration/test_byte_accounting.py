@@ -1,12 +1,14 @@
-"""The byte accounting is exact, however few times the rows are walked.
+"""The byte accounting is exact, however few columns are walked.
 
-The executor measures a row list once and lets operators that pass their
-child's rows on (spools, sorts, filters that kept everything) inherit the
-number; the store charges reads the size it recorded at ``put``.  These
-tests hold every shortcut to the plain walk: with ``capture_rows=True``
-every node's ``bytes_out`` must equal the reference size of the rows it
-produced, and ``DataStore.bytes_read`` must grow by the reference size of
-every blob a job read.
+The executor measures a column list at most once: a column that passes
+through an operator (or is renamed) keeps its recorded size, a gather of a
+fixed-width column is ``width * n``, an operator that dropped nothing
+hands on its child's batch, and the store charges reads the sizes it
+recorded at ``put``.  These tests hold every shortcut to the plain
+row-by-row walk: with ``capture_rows=True`` every node's ``bytes_out``
+must equal the reference size of the rows it produced, and
+``DataStore.bytes_read`` must grow by the reference size of every blob a
+job read.
 """
 
 import enum
@@ -18,7 +20,7 @@ from repro.catalog import schema_of
 from repro.common.clock import SECONDS_PER_DAY
 from repro.engine import ScopeEngine
 from repro.plan.logical import Scan, Spool, ViewScan
-from repro.storage.store import _estimate_bytes
+from repro.storage.batch import Batch, measure
 from repro.workload.generator import generate_workload
 from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
 
@@ -57,13 +59,44 @@ class Flag(int):
     ([1, 2, 3], 8), ({"k": "v"}, 8), ((), 8), (b"bytes", 8),
 ])
 def test_width_rule_matches_the_reference_walk(value, width):
-    rows = [{"v": value}, {"v": value, "w": None}]
-    assert reference_bytes(rows) == 2 * width + 8
-    assert _estimate_bytes(rows) == 2 * width + 8
+    rows = [{"v": value, "w": None}, {"v": value, "w": None}]
+    assert reference_bytes(rows) == 2 * width + 16
+    assert Batch.from_rows(rows).size() == 2 * width + 16
+    # Alone in its column, and beside NULLs, numbers and strings.
+    assert measure([value, value])[0] == 2 * width
+    assert measure([None, value, 1, 2.5, "xy"])[0] == width + 26
+
+
+#: Every kind the width rule tells apart, in one column.
+MIXED = [True, 0, Flag(1), Colour.RED, 1.5, float("nan"), None, "", "abc",
+         Tag(""), Tag("four"), [1, 2, 3], {"k": "v"}, (), b"bytes"]
+
+
+def test_one_column_mixing_every_kind_is_measured_by_the_rule():
+    rows = [{"v": value} for value in MIXED]
+    assert measure(MIXED) == (reference_bytes(rows), 0)
+    assert Batch.from_rows(rows).size() == reference_bytes(rows)
+
+
+@pytest.mark.parametrize("values, width", [
+    ([1, 2.5, None], 8), ([None, None], 8), ([True, False], 1),
+    ([True, None], 0), ([1, "a"], 0), (["a", "b"], 0), ([Flag(1)], 0),
+])
+def test_a_width_is_claimed_only_if_shared(values, width):
+    """A claimed width is what lets a gather skip the walk."""
+    size, claimed = measure(values)
+    assert claimed == width
+    assert size == reference_bytes([{"v": value} for value in values])
+    taken = Batch({"v": values}, len(values)).take([0, 0, len(values) - 1])
+    assert taken.size() == reference_bytes(taken.rows())
+    extended = Batch({"v": values}, len(values)).take(
+        [0, len(values)], null=True)
+    assert extended.size() == reference_bytes(extended.rows())
 
 
 def test_empty_inputs_measure_zero():
-    assert _estimate_bytes([]) == _estimate_bytes([{}, {}]) == 0
+    assert measure([]) == (0, 8)
+    assert Batch.from_rows([]).size() == Batch.from_rows([{}, {}]).size() == 0
 
 
 # --------------------------------------------------------------------- #
@@ -91,7 +124,7 @@ class Checked:
         result = job.run.result
         read = 0
         for node, stats in result.node_stats:
-            rows = result.node_rows[id(node)]
+            rows = result.node_batches[id(node)].rows()
             assert stats.rows_out == len(rows)
             assert stats.bytes_out == reference_bytes(rows), (
                 node.op_label, node.describe())
@@ -109,10 +142,12 @@ class Checked:
         return job
 
 
-#: One query per way a size is come by: inherited (sort, spool-free
-#: pass-throughs, selections that kept every row), summed (union), or
-#: walked (selections that dropped rows, projections, joins, aggregates,
-#: UDO output, a union input re-keyed to the output schema).
+#: One query per way a size is come by: inherited (sort, renames and
+#: pass-throughs, selections that kept every row), summed (union, also of
+#: an input re-keyed to the output schema), ``width * n`` (gathers of
+#: fixed-width columns in selections that dropped rows and in joins,
+#: NULL-extension), or walked (computed projections, gathered strings,
+#: aggregates, UDO output).
 OPERATOR_QUERIES = [
     "SELECT k, s FROM T WHERE k >= 0",
     "SELECT k, s FROM T WHERE k > 1",
@@ -129,6 +164,8 @@ OPERATOR_QUERIES = [
     "SELECT k, COUNT(*) AS c, SUM(v) AS total FROM T GROUP BY k",
     "SELECT T.k, name, v FROM T JOIN U ON T.k = U.k WHERE v > 1",
     "SELECT T.k, name FROM T LEFT JOIN U ON T.k = U.k",
+    "SELECT T.k, b, name FROM T LEFT JOIN U ON T.k = U.k AND v > 1",
+    "SELECT T.k, v * 2 AS w, b FROM T WHERE b = TRUE OR s IS NULL",
     "SELECT s FROM T PROCESS USING Scrub",
     "SELECT s FROM T PROCESS USING Unknown",
 ]
@@ -154,7 +191,8 @@ def test_every_operator_reports_the_reference_size(small_engine, sql):
     result = small_engine.run_sql(sql, reuse_enabled=False).result
     for node, stats in result.node_stats:
         assert stats.bytes_out == reference_bytes(
-            result.node_rows[id(node)]), (node.op_label, node.describe())
+            result.node_batches[id(node)].rows()), (
+                node.op_label, node.describe())
 
 
 def test_every_node_of_the_tpcds_suite_is_measured_exactly():
@@ -193,36 +231,51 @@ def test_every_node_of_a_cooking_day_with_reuse_is_measured_exactly():
         assert {Spool, ViewScan} <= checked.operators
 
 
-def test_a_row_list_is_walked_once_and_never_under_the_store_lock(monkeypatch):
-    import repro.executor.executor as executor_module
-    import repro.storage.store as store_module
+def test_a_column_is_measured_at_most_once_never_under_the_lock(monkeypatch):
+    import repro.storage.batch as batch_module
 
     with _session(["default"]) as session:
         install_tpcds(session.engine, scale_rows=300, seed=42)
         store = session.engine.store
         walked = []
 
-        def walk(rows):
+        def walk(values):
             assert not store._mutex.locked()
-            walked.append(rows)     # held, so no two lists share an id
-            return _estimate_bytes(rows)
+            walked.append(values)   # held, so no two lists share an id
+            return measure(values)
 
-        monkeypatch.setattr(executor_module, "_estimate_bytes", walk)
-        monkeypatch.setattr(store_module, "_estimate_bytes", walk)
+        monkeypatch.setattr(batch_module, "measure", walk)
         for round_no in (1, 2):
             for offset, (name, sql) in enumerate(TPCDS_QUERIES):
                 del walked[:]
                 result = session.run(sql, template_id=name,
                                      now=1000.0 * round_no + offset).run.result
-                ids = {id(rows) for rows in walked}
-                assert len(ids) == len(walked) <= len(result.node_stats)
-                if round_no == 2:
-                    # Round one read the same streams, so every scan's
-                    # size is remembered by now; a view's always is.  (A
-                    # spool's list is its child's: covered just above.)
-                    assert not any(
-                        id(result.node_rows[id(node)]) in ids
-                        for node, _ in result.node_stats
-                        if isinstance(node, (Scan, ViewScan)))
+                ids = {id(values) for values in walked}
+                assert len(ids) == len(walked)
+                produced = {id(values): node
+                            for node, _ in result.node_stats
+                            for values in result.node_batches[
+                                id(node)].columns.values()}
+                # Only columns this job built are walked -- and a stored
+                # stream or view is not one: it was measured when written.
+                assert ids <= set(produced)
+                assert not any(isinstance(produced[i], (Scan, ViewScan))
+                               for i in ids)
             if round_no == 1:
                 session.analyze_and_publish()
+        assert session.views_reused > 0
+
+
+def test_a_second_read_of_a_blob_measures_nothing(monkeypatch):
+    import repro.storage.batch as batch_module
+    from repro.storage import DataStore
+
+    store = DataStore()
+    store.put("k", [{"a": 1, "s": "xy", "b": True}] * 3)
+    monkeypatch.setattr(batch_module, "measure",
+                        lambda values: pytest.fail("measured again"))
+    assert store.read("k").size() == 8 * 3 + 2 * 3 + 3
+    pruned = store.read_columns("k", ("s", "b", "absent"))
+    assert pruned.size() == 2 * 3 + 3 + 8 * 3
+    # Fixed widths survive a gather; only the strings would be walked.
+    assert store.read_columns("k", ("a", "b")).take([2, 0]).size() == 18

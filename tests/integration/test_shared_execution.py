@@ -111,3 +111,26 @@ class TestSharedBatch:
         clean = engine.run_sql(Q_COUNT, reuse_enabled=False, now=2.0)
         assert sorted(map(repr, results[0].rows)) == \
             sorted(map(repr, clean.rows))
+
+    def test_sqlite_backend_is_refused_up_front(self):
+        """``supports_row_capture`` gates the extension at construction,
+        not with an ``AttributeError`` deep inside the first job."""
+        from repro.backends import create_backend
+        from repro.common.errors import ConfigError
+
+        with create_backend("sqlite") as backend:
+            with pytest.raises(ConfigError) as refused:
+                SharedBatchExecutor(ScopeEngine(backend=backend))
+        assert "sqlite" in str(refused.value)
+        assert "supports_row_capture" in str(refused.value)
+
+    def test_memo_keeps_a_row_count(self, engine):
+        """The memo stores what the executor captured -- no row copies."""
+        from repro.extensions.shared_execution import BatchStats
+
+        batch = SharedBatchExecutor(engine)
+        (compiled,) = compile_batch(engine, [Q_SUM])
+        batch._run_job(compiled, BatchStats())
+        assert batch._memo
+        for entry in batch._memo.values():
+            assert entry.rows == engine.store.read(entry.path).length

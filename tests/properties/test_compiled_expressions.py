@@ -1,9 +1,13 @@
-"""Compiled expression closures against the reference interpretation.
+"""Expressions compiled over a batch against the reference interpretation.
 
-``Expr.evaluate`` is the semantics; ``Expr.compile`` is what the executor
-runs per row.  Over generated expression trees and NULL-heavy rows of
-mixed types the two must agree on every outcome: the value (and its
-type -- ``True`` is not ``1``), or the exception's type and message.
+``Expr.evaluate`` is the semantics, row by row; ``Expr.compile`` is what
+the executor runs, once over a whole batch of columns.  Over generated
+expression trees and NULL-heavy rows of mixed types the two must agree at
+every position on the value (and its type -- ``True`` is not ``1``).  A
+batch raises exactly when some row's ``evaluate`` raises, with that row's
+exception type and message; a batch of one row is ``evaluate`` outright.
+``AND`` / ``OR`` / ``CASE`` must not evaluate an arm over a position an
+earlier arm decided, and an empty batch must evaluate nothing.
 """
 
 import math
@@ -13,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
+from repro.plan import expressions as expressions_module
 from repro.plan.expressions import (
     BinaryOp,
     CaseWhen,
@@ -24,6 +29,7 @@ from repro.plan.expressions import (
     Star,
     UnaryOp,
 )
+from tests.batches import evaluate_batch
 
 SETTINGS = settings(max_examples=400, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -82,25 +88,47 @@ def _extend(children):
 expressions = st.recursive(columns | literals, _extend, max_leaves=8)
 
 
-def outcome(function, row):
+def outcome(function, argument):
     try:
-        return ("value", function(row))
+        return ("value", function(argument))
     except Exception as error:  # noqa: BLE001 - the error is the outcome
         return ("error", type(error), str(error))
+
+
+def same_value(a, b):
+    return type(a) is type(b) and (a == b or (a != a and b != b))
 
 
 def same(left, right):
     if left[0] != right[0] or left[0] == "error":
         return left == right
-    a, b = left[1], right[1]
-    if type(a) is not type(b):
-        return False
-    return a == b or (a != a and b != b)
+    return same_value(left[1], right[1])
+
+
+def assert_batch_matches(expr, rows):
+    """``expr`` over ``rows`` as one batch against ``evaluate`` per row."""
+    expected = [outcome(expr.evaluate, dict(row)) for row in rows]
+    actual = outcome(lambda many: evaluate_batch(expr, many),
+                     [dict(row) for row in rows])
+    errors = [each for each in expected if each[0] == "error"]
+    context = (expr.to_sql(), rows, expected, actual)
+    if errors:
+        # Which failing row a batch reports is its own business; that it
+        # fails, and as one of them does, is not.
+        assert actual in errors, context
+    else:
+        assert actual[0] == "value", context
+        assert len(actual[1]) == len(rows), context
+        assert all(same_value(want[1], got)
+                   for want, got in zip(expected, actual[1])), context
+    return expected, actual
 
 
 def assert_compiled_matches(expr, row):
-    expected = outcome(expr.evaluate, dict(row))
-    actual = outcome(expr.compile(), dict(row))
+    """One row: the batch is ``evaluate``, errors included."""
+    (expected,), actual = assert_batch_matches(expr, [row])
+    if expected[0] == "value":
+        actual = ("value", actual[1][0])
     assert same(expected, actual), (expr.to_sql(), row, expected, actual)
     return expected
 
@@ -112,11 +140,17 @@ def test_compiled_closure_is_evaluate(expr, row):
 
 
 @SETTINGS
-@given(expressions, st.lists(rows, min_size=2, max_size=4))
+@given(expressions, st.lists(rows, min_size=2, max_size=6))
 def test_one_closure_serves_every_row(expr, many):
-    compiled = expr.compile()
-    for row in many:
-        assert same(outcome(expr.evaluate, row), outcome(compiled, row))
+    assert_batch_matches(expr, many)
+
+
+@SETTINGS
+@given(expressions)
+def test_an_empty_batch_evaluates_nothing(expr):
+    """No row, no error -- whatever column or function is missing."""
+    assert expr.compile()({}, 0) == []
+    assert evaluate_batch(expr, []) == []
 
 
 #: Values that tell ``==`` from identity and from hashing.
@@ -184,9 +218,91 @@ def test_named_errors(expr, message):
     assert (kind, error_type) == ("error", ExecutionError)
     assert text.startswith(message)
     with pytest.raises(ExecutionError):
-        compiled(ROW)
+        compiled({name: [value] for name, value in ROW.items()}, 1)
+    assert compiled({}, 0) == []
 
 
 def test_unknown_operator_over_null_is_null_not_an_error():
     expr = BinaryOp("^", ColumnRef("b"), Literal(1))
     assert assert_compiled_matches(expr, ROW) == ("value", None)
+
+
+# --------------------------------------------------------------------- #
+# what batches get wrong first
+
+#: Raises for any row it is evaluated over.
+BOOM = ColumnRef("missing")
+A, B = ColumnRef("a"), ColumnRef("b")
+ROWS = [{"a": 1, "b": None}, {"a": None, "b": 2}, {"a": 0, "b": 0},
+        {"a": 2, "b": "x"}]
+
+
+@pytest.mark.parametrize("expr, expected", [
+    # An erroring right-hand side behind an arm that decides every row.
+    (BinaryOp("AND", UnaryOp("ISNULL", Literal(1)), BOOM), [False] * 4),
+    (BinaryOp("OR", UnaryOp("ISNOTNULL", Literal(1)), BOOM), [True] * 4),
+    (CaseWhen((Literal(True),), (A,), BOOM), [1, None, 0, 2]),
+    (CaseWhen((Literal(False),), (BOOM,), B), [None, 2, 0, "x"]),
+    # ... and behind one that decides only the rows it would fail on:
+    # ``b < 1`` raises for the string, which ``a < 2`` keeps it from.
+    (BinaryOp("AND", BinaryOp("<", A, Literal(2)),
+              BinaryOp("<", B, Literal(1))), [False, False, True, False]),
+    (BinaryOp("OR", BinaryOp(">=", A, Literal(2)),
+              BinaryOp("<", B, Literal(1))), [False, False, True, True]),
+    (CaseWhen((BinaryOp(">=", A, Literal(2)),), (Literal("big"),),
+              BinaryOp("+", B, Literal(1))), [None, 3, 1, "big"]),
+    # 3VL: a NULL comparison is false, so NOT of it is true.
+    (UnaryOp("NOT", BinaryOp("=", A, B)), [True, True, False, True]),
+    (BinaryOp("<>", A, B), [False, False, False, True]),
+    # AND / OR yield booleans, whatever their arms hold.
+    (BinaryOp("AND", A, B), [False, False, False, True]),
+    (BinaryOp("OR", A, B), [True, True, False, True]),
+    # Zero divisors, per position.
+    (BinaryOp("/", A, A), [1.0, None, None, 1.0]),
+    (BinaryOp("%", Literal(5), A), [0, None, None, 1]),
+])
+def test_named_batches(expr, expected):
+    wanted, actual = assert_batch_matches(expr, ROWS)
+    assert [each[1] for each in wanted] == expected
+    assert all(same_value(want, got)
+               for want, got in zip(expected, actual[1]))
+
+
+def test_mixed_type_ordering_raises_as_the_row_does():
+    expr = BinaryOp("<", A, B)
+    _, actual = assert_batch_matches(expr, ROWS)
+    assert actual == ("error", TypeError,
+                      "'<' not supported between instances of 'int' and 'str'")
+
+
+def test_suffix_and_ambiguity_resolve_once_per_batch():
+    rows = [{"t.x": 1, "t.q": 2, "u.q": 3}, {"t.x": None, "t.q": 4, "u.q": 5}]
+    assert evaluate_batch(ColumnRef("x"), rows) == [1, None]
+    assert evaluate_batch(ColumnRef("x", "z"), rows) == [1, None]
+    _, actual = assert_batch_matches(ColumnRef("q"), rows)
+    assert actual == ("error", ExecutionError,
+                      "column 'q' not found in row ['t.q', 't.x', 'u.q']")
+
+
+def test_the_short_circuit_rule_is_what_the_property_checks(monkeypatch):
+    """With the connective running its right arm over every position,
+    the property fails: the oracle is sharp."""
+    def eager(left, right, is_or):
+        def connective(columns, n):
+            first, second = left(columns, n), right(columns, n)
+            return [bool(a) or bool(b) if is_or else bool(a) and bool(b)
+                    for a, b in zip(first, second)]
+        return connective
+
+    expr = BinaryOp("AND", UnaryOp("ISNULL", Literal(1)), BOOM)
+    assert_batch_matches(expr, ROWS)
+    monkeypatch.setattr(expressions_module, "_connective", eager)
+    with pytest.raises(AssertionError):
+        assert_batch_matches(expr, ROWS)
+
+
+def test_the_empty_batch_rule_is_what_the_property_checks():
+    """The kernel under ``compile``'s guard does raise on no rows."""
+    with pytest.raises(ExecutionError):
+        BOOM._kernel()({}, 0)
+    assert BOOM.compile()({}, 0) == []

@@ -1,16 +1,26 @@
-"""Property-based tests for the physical join kernels and new predicates."""
+"""Property-based tests for the physical join kernels and new predicates.
+
+The batch kernels are held to a row-at-a-time reference join and
+aggregate kept here, in the test: same rows, *same order* -- order is
+what keeps float aggregates and an unordered ``LIMIT`` bit-identical.
+"""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.executor.executor import (
-    _hash_join,
-    _merge_join,
-    _nested_loop_join,
+from repro.executor.executor import LOOP_JOIN_THRESHOLD, Executor
+from repro.plan.expressions import (
+    BinaryOp,
+    ColumnRef,
+    FuncCall,
+    InList,
+    Like,
+    Literal,
 )
-from repro.plan.expressions import ColumnRef, InList, Like, Literal
-from repro.plan.logical import Join, Scan
+from repro.plan.logical import GroupBy, Join, Scan
+from repro.storage.store import DataStore
+from tests.batches import join_rows
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -25,40 +35,179 @@ right_rows = st.lists(
     max_size=25)
 
 
-def make_join(how="inner"):
-    left = Scan("L", ("k", "v"), "g1")
-    right = Scan("R", ("rk", "w"), "g2")
-    return Join(left, right, (ColumnRef("k"),), (ColumnRef("rk"),),
-                how=how)
+LEFT = Scan("L", ("k", "v"), "g1")
+RIGHT = Scan("R", ("rk", "w"), "g2")
+#: ``v + w > 0``: a residual over columns of both sides.
+RESIDUAL = BinaryOp(">", BinaryOp("+", ColumnRef("v"), ColumnRef("w")),
+                    Literal(0))
+
+
+def make_join(how="inner", residual=None):
+    return Join(LEFT, RIGHT, (ColumnRef("k"),), (ColumnRef("rk"),),
+                residual=residual, how=how)
 
 
 def canon(rows):
     return sorted(tuple(sorted(r.items())) for r in rows)
 
 
+def sort_key(value):
+    """The executor's total order: NULLs first, kinds segregated."""
+    if value is None:
+        return (0, "")
+    if isinstance(value, bool):
+        return (1, value)
+    return (2, value) if isinstance(value, (int, float)) else (3, str(value))
+
+
+def reference_join(join, left, right, algorithm):
+    """The row-at-a-time join the batch kernels replaced: for each left
+    row in the kernel's order (as given; stably sorted by key for a
+    merge), the right rows with an equal key in theirs, merged, kept if
+    they pass the residual; a left join NULL-extends a row nothing kept."""
+    def key(row, exprs):
+        values = tuple(expr.evaluate(row) for expr in exprs)
+        return tuple(map(sort_key, values)) if algorithm == "merge" else values
+
+    if algorithm == "merge":
+        left = sorted(left, key=lambda row: key(row, join.left_keys))
+        right = sorted(right, key=lambda row: key(row, join.right_keys))
+    out = []
+    for lrow in left:
+        matched = False
+        for rrow in right:
+            if key(lrow, join.left_keys) != key(rrow, join.right_keys):
+                continue
+            merged = {**lrow, **{name: value for name, value in rrow.items()
+                                 if name not in join.drop_right}}
+            if join.residual is None or join.residual.evaluate(merged):
+                matched = True
+                out.append(merged)
+        if not matched and join.how == "left":
+            out.append({**lrow, **{name: None for name in join.right.schema
+                                   if name not in join.drop_right}})
+    return out
+
+
+ALGORITHMS = ("hash", "merge", "loop")
+
+
 @SETTINGS
 @given(left_rows, right_rows)
 def test_all_join_algorithms_agree_inner(left, right):
     join = make_join("inner")
-    expected = canon(_nested_loop_join(join, left, right))
-    assert canon(_hash_join(join, left, right)) == expected
-    assert canon(_merge_join(join, left, right)) == expected
+    expected = canon(join_rows("loop", join, left, right))
+    assert canon(join_rows("hash", join, left, right)) == expected
+    assert canon(join_rows("merge", join, left, right)) == expected
 
 
 @SETTINGS
 @given(left_rows, right_rows)
 def test_all_join_algorithms_agree_left(left, right):
     join = make_join("left")
-    expected = canon(_nested_loop_join(join, left, right))
-    assert canon(_hash_join(join, left, right)) == expected
-    assert canon(_merge_join(join, left, right)) == expected
+    expected = canon(join_rows("loop", join, left, right))
+    assert canon(join_rows("hash", join, left, right)) == expected
+    assert canon(join_rows("merge", join, left, right)) == expected
+
+
+@SETTINGS
+@given(left_rows, right_rows, st.sampled_from(["inner", "left"]),
+       st.sampled_from([None, RESIDUAL]), st.sampled_from(ALGORITHMS))
+def test_kernels_emit_the_reference_rows_in_order(
+        left, right, how, residual, algorithm):
+    join = make_join(how, residual)
+    assert join_rows(algorithm, join, left, right) == reference_join(
+        join, left, right, algorithm)
+
+
+#: Keys that tell equality from identity and from hashing: NULLs match
+#: NULLs, ``1 == 1.0 == True`` (but sort apart for a merge), duplicates.
+TRICKY_KEYS = [None, 1, 1.0, True, 0, False, 2, None, 1, 2]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("residual", [None, RESIDUAL])
+@pytest.mark.parametrize("sizes", [
+    (0, 0), (0, 3), (3, 0), (1, 1), (1, 10),
+    (LOOP_JOIN_THRESHOLD - 1, LOOP_JOIN_THRESHOLD + 1),
+    (LOOP_JOIN_THRESHOLD + 1, LOOP_JOIN_THRESHOLD - 1),
+    (LOOP_JOIN_THRESHOLD, 2 * LOOP_JOIN_THRESHOLD)])
+def test_kernel_order_on_tricky_keys(algorithm, how, residual, sizes):
+    keys = TRICKY_KEYS * 3
+    left = [{"k": keys[i], "v": i - 4} for i in range(sizes[0])]
+    right = [{"rk": keys[-1 - i], "w": 3 - i} for i in range(sizes[1])]
+    join = make_join(how, residual)
+    out = join_rows(algorithm, join, left, right)
+    assert out == reference_join(join, left, right, algorithm)
+    assert all(tuple(row) == ("k", "v", "rk", "w") for row in out)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_nan_key_matches_only_its_own_object(algorithm):
+    nan = float("nan")
+    left = [{"k": nan, "v": 1}, {"k": float("nan"), "v": 2}]
+    right = [{"rk": nan, "w": 3}]
+    out = join_rows(algorithm, make_join("left"), left, right)
+    assert [(row["v"], row["w"]) for row in out] == [(1, 3), (2, None)]
+
+
+def test_a_two_key_merge_join_sorts_by_the_compound_key():
+    join = Join(LEFT, RIGHT, (ColumnRef("k"), ColumnRef("v")),
+                (ColumnRef("rk"), ColumnRef("w")))
+    left = [{"k": k, "v": v} for k, v in
+            [(2, "b"), (1, "b"), (2, "a"), (None, "a"), (1, "b")]]
+    right = [{"rk": k, "w": w} for k, w in
+             [(1, "b"), (2, "a"), (None, "a"), (1, "b"), (3, "c")]]
+    out = join_rows("merge", join, left, right)
+    assert out == reference_join(join, left, right, "merge")
+    assert [(row["k"], row["v"]) for row in out] == [
+        (None, "a"), (1, "b"), (1, "b"), (1, "b"), (1, "b"), (2, "a")]
+
+
+group_rows = st.lists(
+    st.fixed_dictionaries({
+        "k": st.sampled_from([None, 0, 1, 1.0, True, "a", 2]),
+        "x": st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False),
+                       st.integers(-5, 5))}),
+    max_size=30)
+
+
+@SETTINGS
+@given(group_rows)
+def test_groups_keep_first_appearance_and_sum_order(rows):
+    """Float sums are order-sensitive: a group's members must be added in
+    input order for ``SUM`` / ``AVG`` to be bit-identical."""
+    store = DataStore()
+    store.put("g", rows)
+    plan = GroupBy(Scan("T", ("k", "x"), "g"), (ColumnRef("k"),), (
+        FuncCall("COUNT", ()), FuncCall("SUM", (ColumnRef("x"),)),
+        FuncCall("AVG", (ColumnRef("x"),)), FuncCall("MAX", (ColumnRef("x"),)),
+        FuncCall("COUNT", (ColumnRef("x"),), distinct=True)),
+        ("k", "n", "total", "mean", "top", "kinds"))
+    groups = {}
+    for row in rows:                # the reference aggregate
+        groups.setdefault(row["k"], []).append(row)
+    expected = []
+    for members in groups.values():
+        values = [m["x"] for m in members if m["x"] is not None]
+        expected.append({
+            "k": members[0]["k"], "n": len(members),
+            "total": sum(values) if values else None,
+            "mean": sum(values) / len(values) if values else None,
+            "top": max(values) if values else None,
+            "kinds": len(set(values))})
+    out = Executor(store).execute(plan).rows
+    assert out == expected
+    assert [type(row["k"]) for row in out] == [
+        type(row["k"]) for row in expected]
 
 
 @SETTINGS
 @given(left_rows, right_rows)
 def test_inner_join_output_bounded(left, right):
     join = make_join("inner")
-    out = _hash_join(join, left, right)
+    out = join_rows("hash", join, left, right)
     assert len(out) <= len(left) * len(right)
     # Every output row joins on equal keys.
     for row in out:
@@ -69,7 +218,7 @@ def test_inner_join_output_bounded(left, right):
 @given(left_rows, right_rows)
 def test_left_join_preserves_left_cardinality_lower_bound(left, right):
     join = make_join("left")
-    out = _hash_join(join, left, right)
+    out = join_rows("hash", join, left, right)
     assert len(out) >= len(left)
 
 

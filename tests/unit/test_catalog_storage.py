@@ -95,19 +95,20 @@ class TestDataStore:
         store = DataStore()
         store.put("k", [{"a": 1, "b": "xy"}] * 4)       # 4 * (8 + 2)
         assert store.size_of("k") == store.bytes_written == 40
-        rows, size = store.read("k")
-        assert (len(rows), size, store.bytes_read) == (4, 40, 40)
+        batch = store.read("k")
+        assert (batch.length, batch.size(), store.bytes_read) == (4, 40, 40)
         store.get("k")
         assert store.bytes_read == 80
 
     def test_put_over_a_key_replaces_the_recorded_size(self):
         store = DataStore()
         store.put("k", [{"a": 1, "s": "abc"}] * 3)
-        assert store.read_columns("k", ("s",))[1] == 9
+        assert store.read_columns("k", ("s",)).size() == 9
         store.put("k", [{"a": 1, "s": "abcde"}])
         assert store.size_of("k") == 13
-        assert store.read_columns("k", ("s",)) == ([{"s": "abcde"}], 5)
-        assert store.read("k")[1] == 13
+        pruned = store.read_columns("k", ("s",))
+        assert (pruned.rows(), pruned.size()) == ([{"s": "abcde"}], 5)
+        assert store.read("k").size() == 13
 
     def test_delete_forgets_the_recorded_size(self):
         store = DataStore()
@@ -117,7 +118,8 @@ class TestDataStore:
         assert store.size_of("k") == 0
         assert not store.has("k")
         store.put("k", [{"a": True}])
-        assert store.read_columns("k", ("a",)) == ([{"a": True}], 1)
+        pruned = store.read_columns("k", ("a",))
+        assert (pruned.rows(), pruned.size()) == ([{"a": True}], 1)
 
     def test_missing_key_charges_nothing(self):
         store = DataStore()
@@ -132,12 +134,30 @@ class TestDataStore:
     def test_column_pruned_read(self):
         store = DataStore()
         store.put("k", [{"a": 1, "s": "xy"}, {"a": 2, "s": ""}])
-        for _ in range(2):                  # measured once, then remembered
-            assert store.read_columns("k", ("s", "absent")) == (
+        stored = store.read("k").columns
+        for _ in range(2):
+            pruned = store.read_columns("k", ("s", "absent"))
+            assert pruned.columns["s"] is stored["s"]   # picked, not copied
+            assert (pruned.rows(), pruned.size()) == (
                 [{"s": "xy", "absent": None}, {"s": "", "absent": None}],
                 2 + 8 + 1 + 8)
-        assert store.read_columns("k", ("a",))[1] == 16
-        assert store.bytes_read == 3 * store.size_of("k")
+        assert store.read_columns("k", ("a",)).size() == 16
+        assert store.bytes_read == 4 * store.size_of("k")
+
+    def test_rows_handed_out_are_fresh(self):
+        store = DataStore()
+        store.put("k", [{"a": 1}, {"a": 2}])
+        rows = store.get("k")
+        rows[0]["a"] = 99
+        rows.append({"a": 3})
+        assert store.get("k") == [{"a": 1}, {"a": 2}]
+        assert store.size_of("k") == 16
+
+    def test_ragged_rows_read_as_null(self):
+        store = DataStore()
+        store.put("k", [{"a": 1}, {"a": 2, "b": "x"}, {"b": "yz"}])
+        assert store.get("k") == [{"a": 1, "b": None}, {"a": 2, "b": "x"},
+                                  {"a": None, "b": "yz"}]
 
 
 class TestViewStore:

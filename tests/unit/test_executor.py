@@ -1,4 +1,4 @@
-"""Unit tests for the row-level executor."""
+"""Unit tests for the column-batch executor."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.plan import PlanBuilder, Spool, normalize
 from repro.plan.logical import Join, Scan
 from repro.sql import parse
 from repro.storage import DataStore
+from tests.batches import join_rows
 
 
 @pytest.fixture
@@ -157,11 +158,12 @@ class TestJoins:
         plan = normalize(builder.build(parse(
             "SELECT MktSegment FROM Sales JOIN Customer")))
         join = next(n for n in plan.walk() if isinstance(n, Join))
-        from repro.executor.executor import _hash_join, _merge_join
         left = store.get(catalog.current_guid("Sales"))
         right_plan_rows = executor.execute(join.right).rows
-        assert rows_set(_merge_join(join, left, right_plan_rows)) == \
-            rows_set(_hash_join(join, left, right_plan_rows))
+        merged = join_rows("merge", join, left, right_plan_rows)
+        assert len(merged) == 4
+        assert rows_set(merged) == \
+            rows_set(join_rows("hash", join, left, right_plan_rows))
 
 
 class TestAggregates:
@@ -256,7 +258,3 @@ class TestSpoolAndStats:
         with pytest.raises(ExecutionError):
             executor.execute(Scan("Sales", ("CustomerId",), None))
 
-    def test_rows_out_of_unknown_node_raises(self, setup):
-        result = run(setup, "SELECT Brand FROM Parts")
-        with pytest.raises(ExecutionError):
-            result.rows_out_of(Scan("Sales", ("CustomerId",), "guid"))

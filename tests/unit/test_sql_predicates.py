@@ -9,6 +9,7 @@ from repro.plan import InList, Like, PlanBuilder, normalize
 from repro.signatures import strict_signature
 from repro.sql import parse
 from repro.storage import DataStore
+from tests.batches import evaluate_batch
 
 
 @pytest.fixture
@@ -143,7 +144,8 @@ class TestLike:
         assert not _like_match("axbxyz", "a.b_%")
         row = dict(s="a.bx")
         like = Like(ColumnRef("s"), "a.b_")
-        assert like.evaluate(row) is like.compile()(row) is True
+        assert like.evaluate(row) is True
+        assert evaluate_batch(like, [row]) == [True]
 
     def test_like_parses_to_node(self):
         stmt = parse("SELECT k FROM T WHERE name LIKE 'x%'").selects[0]

@@ -260,7 +260,7 @@ class TestStorageRoundTrip:
 
     def test_byte_accounting_matches_store_estimate(self, rig):
         # Selection decisions compare view sizes across backends, so
-        # SQL-side SUM(width) must equal _estimate_bytes exactly.
+        # SQL-side SUM(width) must equal the per-column measure exactly.
         mem, sq = both(rig, "SELECT k, v, s, b FROM T")
         mem_bytes = [s.bytes_out for _, s in mem.node_stats]
         sql_bytes = [s.bytes_out for _, s in sq.node_stats]
