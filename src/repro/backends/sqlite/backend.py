@@ -3,11 +3,44 @@
 Datasets load as real tables, optimized plans compile to SQL (see
 :mod:`repro.backends.sqlite.compile`), Spool operators materialize
 views with ``CREATE TABLE AS`` before the consuming query runs, and
-ViewScans read those tables back.  Per-operator statistics -- the
-observed numbers the CloudViews feedback loop trains on -- come from
-``COUNT(*)/SUM(width)`` probe queries per plan node, using the same
-byte-width rule as the in-memory store, so reuse decisions and the
-catalog digest are identical across backends.
+ViewScans read those tables back.
+
+Per-operator statistics -- the observed numbers the CloudViews feedback
+loop trains on -- use the same byte-width rule as the in-memory store, so
+reuse decisions and the catalog digest are identical across backends.  A
+measurement is ``(rows, {column: bytes})``; the measuring statement is
+``SELECT COUNT(*), SUM(width of c1), SUM(width of c2), ... FROM (sub-plan)``
+(:meth:`~repro.backends.sqlite.compile.CompiledQuery.stats_sql`), which
+runs the sub-plan once more -- so it is issued only for what is not known
+already.  Four rules, every one held to the plain per-node probe by
+``tests/integration/test_sqlite_statistics.py``:
+
+1. *A node is lowered once per ``execute``* -- one
+   :class:`~repro.backends.sqlite.compile.PlanCompiler`, which remembers
+   nodes by identity, serves the spools, the fetch and the statistics.
+2. *A stored table is measured once, and the measurement dies with the
+   table.*  What a stream or view table holds is a fact of the physical
+   table: recorded at its first measurement (for a view, the one its
+   ``CREATE TABLE AS`` is followed by), kept in memory only, and
+   forgotten by :meth:`SqliteBackend._transaction` before any change
+   that drops or replaces the table.  A ``Scan`` picks its columns'
+   entries (a column the table lacks is NULL: 8 bytes a row), a
+   ``ViewScan`` and a ``Spool`` read the whole entry.
+3. *Rows that reached Python are measured in Python.*  The job's result
+   is measured by :class:`~repro.storage.batch.Batch` -- the in-memory
+   backend's own rule, applied after the ``bool`` re-coercion -- so the
+   rows counted are the rows returned.  A root ``Union`` is fetched with
+   its arm index as one more column, and measured arm by arm.
+4. *A node that holds the same rows inherits.*  Byte sums do not depend
+   on row order, so a ``Sort`` weighs what its child does, a ``Spool``
+   what its child and its table do, and a ``Project`` of bare column
+   references maps its child's entries through the rename: upward from
+   a child that is known, and downward from rows measured under rule 3
+   when the rename is one to one and onto.
+
+What still runs a measuring statement: a ``Filter``, ``Join``,
+``GroupBy``, ``Union``, ``Distinct``, ``Limit`` or computing ``Project``
+whose rows reached neither Python nor a table.
 
 Tables are created with *typeless* columns: SQLite then stores every
 value exactly as bound (no affinity coercion), which is a precondition
@@ -34,14 +67,21 @@ Durability and crash safety (the fault-injection hardening):
   is dropped;
 * ``sqlite3.OperationalError`` (locked/busy/full -- the transient
   classes) surfaces as :class:`~repro.common.errors.
-  TransientBackendError` so the engine's bounded retry loop absorbs it.
+  TransientBackendError` so the engine's bounded retry loop absorbs it:
+  from ``execute`` and from every transaction (loads, drops and both
+  ``CREATE TABLE AS`` paths go through the one ``_transaction``);
+* a drop forgets the table in process only after its ``COMMIT``: a drop
+  that failed stays visible, so the caller's retry or the next GC sweep
+  finds it, instead of a restart resurrecting a purged view from the
+  manifest row that was never deleted.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendCapabilities, ExecutionBackend
 from repro.backends.sqlite.compile import (
@@ -70,14 +110,20 @@ from repro.plan.logical import (
     LogicalPlan,
     Process,
     Scan,
+    Sort,
     Spool,
     Union,
     ViewScan,
     contains_operator,
 )
+from repro.storage.batch import Batch
 
 #: The durable GUID/view-path -> physical-table manifest.
 MANIFEST_TABLE = "repro_catalog"
+
+#: What is known of a row set: its row count and each column's byte
+#: size.  Never mutated, so nodes holding the same rows share one.
+Measured = Tuple[int, Mapping[str, int]]
 
 
 def _py_mod(left, right):
@@ -94,6 +140,27 @@ def _py_like(value, pattern, negated):
     return int((not matched) if negated else matched)
 
 
+def _measure_rows(rows: List[Row], columns: Sequence[str]) -> Measured:
+    """Rule 3: rows that reached Python weigh what the in-memory backend
+    says they weigh."""
+    batch = Batch.from_rows(rows, columns)
+    batch.size()
+    return len(rows), {c: size for c, (size, _) in batch.measured.items()}
+
+
+def _beneath(found: Measured, renames: Mapping[str, str],
+             columns: Sequence[str]) -> Optional[Measured]:
+    """Rule 4, downward: what the child with ``columns`` holds, given
+    what its parent holds and that the parent only ``renames`` (output
+    -> child column).  Defined when the rename is one to one and onto: a
+    child column the parent dropped, or handed on twice, is not there to
+    be read back."""
+    if not len(set(renames.values())) == len(renames) == len(columns):
+        return None
+    rows, sizes = found
+    return rows, {source: sizes[out] for out, source in renames.items()}
+
+
 class SqliteBackend(ExecutionBackend):
     """Plans compile to SQL; views are real tables."""
 
@@ -108,15 +175,18 @@ class SqliteBackend(ExecutionBackend):
     def __init__(self, path: Optional[str] = None):
         # isolation_level=None puts the driver in autocommit mode and
         # hands transaction control to us: every mutation runs inside an
-        # explicit BEGIN IMMEDIATE .. COMMIT (see _txn_*), which is what
-        # makes view materialization commit-or-abort.
+        # explicit BEGIN IMMEDIATE .. COMMIT (see _transaction), which is
+        # what makes view materialization commit-or-abort.
         self._conn = sqlite3.connect(path or ":memory:",
                                      check_same_thread=False,
                                      isolation_level=None)
         self._mutex = TrackedLock("storage.sqlite", RANK_STORAGE)
         self._tables: Dict[str, TableInfo] = {}
         self._views: Dict[str, TableInfo] = {}
-        self._compiler = PlanCompiler(self._tables, self._views)
+        # Rule 2: physical table -> what it holds, from its first
+        # measurement until _transaction next touches the table.  Never
+        # persisted: a reopened file measures again.
+        self._measured: Dict[str, Measured] = {}
         self._register_functions()
         self._conn.execute(
             f"CREATE TABLE IF NOT EXISTS {MANIFEST_TABLE} ("
@@ -155,11 +225,12 @@ class SqliteBackend(ExecutionBackend):
             info = TableInfo(table=tbl,
                              columns=tuple(json.loads(columns)),
                              classes=json.loads(classes))
-            (self._tables if kind == "t" else self._views)[key] = info
+            self._registry(kind)[key] = info
             known.add(tbl)
         # Orphan physical tables (no manifest row) cannot arise from the
         # transactional write protocol; clean them up anyway so files
         # written by older versions converge to a consistent state.
+        # (Nothing is measured yet, so there is nothing to forget.)
         orphans = [name for (name,) in self._conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'table' "
             "AND (name LIKE 't\\_%' ESCAPE '\\' "
@@ -168,24 +239,38 @@ class SqliteBackend(ExecutionBackend):
         for name in orphans:
             self._conn.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
 
+    def _registry(self, kind: str) -> Dict[str, TableInfo]:
+        """The lookup map of one manifest kind: ``t`` streams, ``v`` views."""
+        return self._tables if kind == "t" else self._views
+
     # ------------------------------------------------------------------ #
     # transactions
 
-    def _txn_begin(self) -> None:
+    @contextmanager
+    def _transaction(self, table: str) -> Iterator[None]:
+        """One commit-or-abort change that drops or replaces ``table``.
+
+        What was measured of the table is forgotten *before* ``BEGIN``,
+        whichever way the transaction then ends: a rolled-back one brings
+        the old table back unmeasured, the safe direction.  The transient
+        driver errors (locked/busy/full) leave as
+        :class:`TransientBackendError`, from ``BEGIN`` and ``COMMIT`` too.
+        """
+        self._measured.pop(table, None)
         try:
             self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                self._conn.execute("COMMIT")
+            except BaseException:
+                try:
+                    self._conn.execute("ROLLBACK")
+                except sqlite3.OperationalError:  # pragma: no cover
+                    pass                          # no open transaction
+                raise
         except sqlite3.OperationalError as error:
             raise TransientBackendError(
-                f"could not start transaction: {error}") from error
-
-    def _txn_commit(self) -> None:
-        self._conn.execute("COMMIT")
-
-    def _txn_rollback(self) -> None:
-        try:
-            self._conn.execute("ROLLBACK")
-        except sqlite3.OperationalError:  # pragma: no cover - no open txn
-            pass
+                f"sqlite transaction failed: {error}") from error
 
     def _manifest_put(self, kind: str, key: str, info: TableInfo) -> None:
         self._conn.execute(
@@ -193,10 +278,24 @@ class SqliteBackend(ExecutionBackend):
             (kind, key, info.table, json.dumps(list(info.columns)),
              json.dumps(dict(info.classes))))
 
-    def _manifest_delete(self, kind: str, key: str) -> None:
-        self._conn.execute(
-            f"DELETE FROM {MANIFEST_TABLE} WHERE kind = ? AND key = ?",
-            (kind, key))
+    def _drop(self, kind: str, key: str) -> None:
+        """Drop the table behind one manifest row; a no-op when absent."""
+        registry = self._registry(kind)
+        with self._mutex:
+            info = registry.get(key)
+            if info is None:
+                return
+            with self._transaction(info.table):
+                self._conn.execute(
+                    f"DROP TABLE IF EXISTS {quote_ident(info.table)}")
+                self._conn.execute(
+                    f"DELETE FROM {MANIFEST_TABLE} "
+                    "WHERE kind = ? AND key = ?", (kind, key))
+            # Forgotten only once it is gone from the file: a drop that
+            # failed must stay visible, so that the caller's retry (or
+            # the next GC sweep) finds it -- else a restart replays the
+            # manifest row and resurrects a purged view.
+            del registry[key]
 
     # ------------------------------------------------------------------ #
     # datasets
@@ -208,16 +307,11 @@ class SqliteBackend(ExecutionBackend):
             classes=classes_from_schema(schema),
         )
         with self._mutex:
-            self._txn_begin()
-            try:
+            with self._transaction(info.table):
                 self._create_and_fill(info, [
                     tuple(row.get(c) for c in info.columns)
                     for row in rows])
                 self._manifest_put("t", guid, info)
-                self._txn_commit()
-            except BaseException:
-                self._txn_rollback()
-                raise
             self._tables[guid] = info
 
     def scan_table(self, guid: str) -> List[Row]:
@@ -225,21 +319,10 @@ class SqliteBackend(ExecutionBackend):
             info = self._tables.get(guid)
             if info is None:
                 raise StorageError(f"no data stored under key {guid!r}")
-            return self._fetch_table(info)
+            return self._fetch(info.query())
 
     def drop_table(self, guid: str) -> None:
-        with self._mutex:
-            info = self._tables.pop(guid, None)
-            if info is not None:
-                self._txn_begin()
-                try:
-                    self._conn.execute(
-                        f"DROP TABLE IF EXISTS {quote_ident(info.table)}")
-                    self._manifest_delete("t", guid)
-                    self._txn_commit()
-                except BaseException:
-                    self._txn_rollback()
-                    raise
+        self._drop("t", guid)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -257,67 +340,111 @@ class SqliteBackend(ExecutionBackend):
                     faults.fire(fault_points.BACKEND_SCAN_VIEW)
         with self._mutex:
             result = ExecutionResult(rows=[], node_stats=[])
+            compiler = PlanCompiler(self._tables, self._views)
+            # id(node) -> what the node holds, as far as it is known
+            # without asking SQLite again (the module docstring's rules).
+            known: Dict[int, Measured] = {}
             try:
                 # Materialize every Spool bottom-up first: the consuming
                 # query then reads the spool table (compute-once, two
                 # consumers), and nested spools resolve inner-first.
                 for node in _post_order(plan):
                     if isinstance(node, Spool):
-                        self._materialize_spool(node, result)
-                compiled = self._compiler.compile(plan)
-                result.rows = self._fetch(compiled)
-                for node in _post_order(plan):
-                    if isinstance(node, ViewScan):
+                        self._materialize_spool(node, compiler, known, result)
+                    elif isinstance(node, ViewScan):
                         result.views_read.append(node.signature)
-                stats_cache: Dict[str, Tuple[int, int]] = {}
-                self._stats_walk(plan, result, stats_cache)
+                result.rows = self._fetch_root(plan, compiler, known)
+                self._stats_walk(plan, compiler, known, result)
             except sqlite3.OperationalError as error:
                 raise TransientBackendError(
                     f"sqlite execution failed: {error}") from error
             return result
 
-    def _materialize_spool(self, node: Spool, result: ExecutionResult) -> None:
+    def _materialize_spool(self, node: Spool, compiler: PlanCompiler,
+                           known: Dict[int, Measured],
+                           result: ExecutionResult) -> None:
         self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        child = self._compiler.compile(node.child)
+        found = self._create_view(node.view_path, compiler.lower(node.child))
+        # Spool == its child == its table.
+        self._hold(node, found, compiler, known)
+        result.spooled.append(SpoolOutput(
+            signature=node.signature,
+            view_path=node.view_path,
+            row_count=found[0],
+            size_bytes=sum(found[1].values()),
+            schema=node.schema,
+        ))
+
+    def _create_view(self, view_id: str, compiled: CompiledQuery) -> Measured:
+        """``CREATE TABLE AS`` the view, and measure the table it made."""
         info = TableInfo(
-            table=physical_name("v", node.view_path),
-            columns=child.columns,
-            classes=dict(child.classes),
+            table=physical_name("v", view_id),
+            columns=compiled.columns,
+            classes=dict(compiled.classes),
         )
         # Commit-or-abort: DROP + CTAS + manifest row are one
         # transaction, so a crash at any point (including the injected
         # mid-CTAS kill below) leaves no partially visible view.
-        self._txn_begin()
-        try:
+        with self._transaction(info.table):
             self._conn.execute(
                 f"DROP TABLE IF EXISTS {quote_ident(info.table)}")
             self._conn.execute(
-                f"CREATE TABLE {quote_ident(info.table)} AS {child.sql}")
+                f"CREATE TABLE {quote_ident(info.table)} AS {compiled.sql}")
             self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
-            self._manifest_put("v", node.view_path, info)
-            self._txn_commit()
-        except BaseException:
-            self._txn_rollback()
-            raise
-        self._views[node.view_path] = info
-        rows, size = self._measure(
-            CompiledQuery(f"SELECT * FROM {quote_ident(info.table)}",
-                          info.columns, info.classes), {})
-        result.spooled.append(SpoolOutput(
-            signature=node.signature,
-            view_path=node.view_path,
-            row_count=rows,
-            size_bytes=size,
-            schema=node.schema,
-        ))
+            self._manifest_put("v", view_id, info)
+        self._views[view_id] = info
+        return self._stored(info)
 
-    def _stats_walk(self, node: LogicalPlan, result: ExecutionResult,
-                    cache: Dict[str, Tuple[int, int]]) -> int:
+    def _fetch_root(self, plan: LogicalPlan, compiler: PlanCompiler,
+                    known: Dict[int, Measured]) -> List[Row]:
+        """The job's rows.  They are measured here, in Python (rule 3),
+        not by running the plan a second time -- and a root ``Union``'s
+        rows arm by arm, which is what reaches each arm's subtree."""
+        if not isinstance(plan, Union):
+            lowered = compiler.lower(plan)
+            rows = self._fetch(lowered)
+            self._hold(plan, _measure_rows(rows, lowered.columns),
+                       compiler, known)
+            return rows
+        lowered = compiler.lower_arms(plan)
+        arms: List[List[Row]] = [[] for _ in plan.inputs]
+        rows = self._fetch(lowered, arms)
+        parts = [_measure_rows(arm, lowered.columns) for arm in arms]
+        known[id(plan)] = len(rows), {
+            c: sum(sizes[c] for _, sizes in parts) for c in lowered.columns}
+        for child, part in zip(plan.inputs, parts):
+            columns = compiler.lower(child).columns
+            # The arm re-keys its input to the schema by position.
+            self._hold(child, _beneath(
+                part, dict(zip(plan.schema, columns)), columns),
+                compiler, known)
+        return rows
+
+    def _hold(self, node: LogicalPlan, found: Optional[Measured],
+              compiler: PlanCompiler, known: Dict[int, Measured]) -> None:
+        """``node`` holds the rows measured as ``found`` -- and so does
+        every node below it that hands the same rows up (rule 4): the
+        child of a ``Sort`` or ``Spool``, and of a one-to-one rename."""
+        while found is not None:
+            known[id(node)] = found
+            if not isinstance(node, (Sort, Spool)):
+                renames = compiler.lower(node).renames
+                if renames is None:
+                    return
+                found = _beneath(found, renames,
+                                 compiler.lower(node.child).columns)
+            node = node.child
+
+    def _stats_walk(self, node: LogicalPlan, compiler: PlanCompiler,
+                    known: Dict[int, Measured],
+                    result: ExecutionResult) -> int:
         """Emit per-node OperatorStats post-order; returns rows_out."""
-        child_rows = [self._stats_walk(c, result, cache)
+        child_rows = [self._stats_walk(c, compiler, known, result)
                       for c in node.children()]
-        compiled = self._compiler.compile(node)
-        rows_out, bytes_out = self._measure(compiled, cache)
+        found = known.get(id(node))
+        if found is None:
+            found = known[id(node)] = self._measure(node, compiler, known)
+        rows_out, sizes = found
         if isinstance(node, (Scan, ViewScan)):
             rows_in = 0
         elif isinstance(node, (Join, Union)):
@@ -328,20 +455,45 @@ class SqliteBackend(ExecutionBackend):
             operator=node.op_label,
             rows_in=rows_in,
             rows_out=rows_out,
-            bytes_out=bytes_out,
+            bytes_out=sum(sizes.values()),
             description=node.describe(),
         )))
         return rows_out
 
-    def _measure(self, compiled: CompiledQuery,
-                 cache: Dict[str, Tuple[int, int]]) -> Tuple[int, int]:
-        found = cache.get(compiled.sql)
+    def _measure(self, node: LogicalPlan, compiler: PlanCompiler,
+                 known: Dict[int, Measured]) -> Measured:
+        """What ``node`` holds, its children being known: read off a
+        stored table (rule 2), inherited from a child that holds the same
+        rows (rule 4, upward), and only otherwise probed."""
+        if isinstance(node, Scan):
+            rows, sizes = self._stored(self._tables[node.stream_guid])
+            # A column the table lacks is NULL in every row.
+            return rows, {c: sizes.get(c, 8 * rows)
+                          for c in compiler.lower(node).columns}
+        if isinstance(node, (ViewScan, Spool)):
+            return self._stored(self._views[node.view_path])
+        if isinstance(node, Sort):
+            return known[id(node.child)]
+        lowered = compiler.lower(node)
+        if lowered.renames is not None:
+            rows, sizes = known[id(node.child)]
+            return rows, {out: sizes[source]
+                          for out, source in lowered.renames.items()}
+        return self._probe(lowered)
+
+    def _stored(self, info: TableInfo) -> Measured:
+        """What a stream or view table holds: probed once, then a fact of
+        the table until :meth:`_transaction` drops or replaces it."""
+        found = self._measured.get(info.table)
         if found is None:
-            cur = self._conn.execute(compiled.stats_sql())
-            count, size = cur.fetchone()
-            found = (int(count), int(size))
-            cache[compiled.sql] = found
+            found = self._measured[info.table] = self._probe(info.query())
         return found
+
+    def _probe(self, compiled: CompiledQuery) -> Measured:
+        """Run ``compiled`` once more, to count it."""
+        rows, *sizes = self._conn.execute(compiled.stats_sql()).fetchone()
+        return rows, {c: size or 0
+                      for c, size in zip(compiled.columns, sizes)}
 
     # ------------------------------------------------------------------ #
     # materialized views
@@ -353,33 +505,9 @@ class SqliteBackend(ExecutionBackend):
                 "operators; run this job on the in-memory backend")
         self.faults.fire(fault_points.BACKEND_MATERIALIZE)
         with self._mutex:
-            compiled = self._compiler.compile(plan)
-            info = TableInfo(
-                table=physical_name("v", view_id),
-                columns=compiled.columns,
-                classes=dict(compiled.classes),
-            )
-            self._txn_begin()
-            try:
-                self._conn.execute(
-                    f"DROP TABLE IF EXISTS {quote_ident(info.table)}")
-                self._conn.execute(
-                    f"CREATE TABLE {quote_ident(info.table)} "
-                    f"AS {compiled.sql}")
-                self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
-                self._manifest_put("v", view_id, info)
-                self._txn_commit()
-            except sqlite3.OperationalError as error:
-                self._txn_rollback()
-                raise TransientBackendError(
-                    f"sqlite materialization failed: {error}") from error
-            except BaseException:
-                self._txn_rollback()
-                raise
-            self._views[view_id] = info
-            return self._measure(
-                CompiledQuery(f"SELECT * FROM {quote_ident(info.table)}",
-                              info.columns, info.classes), {})
+            rows, sizes = self._create_view(
+                view_id, PlanCompiler(self._tables, self._views).lower(plan))
+            return rows, sum(sizes.values())
 
     def scan_view(self, view_id: str) -> List[Row]:
         self.faults.fire(fault_points.BACKEND_SCAN_VIEW)
@@ -387,22 +515,11 @@ class SqliteBackend(ExecutionBackend):
             info = self._views.get(view_id)
             if info is None:
                 raise StorageError(f"no data stored under key {view_id!r}")
-            return self._fetch_table(info)
+            return self._fetch(info.query())
 
     def drop_view(self, view_id: str) -> None:
         self.faults.fire(fault_points.BACKEND_DROP_VIEW)
-        with self._mutex:
-            info = self._views.pop(view_id, None)
-            if info is not None:
-                self._txn_begin()
-                try:
-                    self._conn.execute(
-                        f"DROP TABLE IF EXISTS {quote_ident(info.table)}")
-                    self._manifest_delete("v", view_id)
-                    self._txn_commit()
-                except BaseException:
-                    self._txn_rollback()
-                    raise
+        self._drop("v", view_id)
 
     def has_view(self, view_id: str) -> bool:
         """True while a view's backing table exists (used by tests)."""
@@ -426,21 +543,23 @@ class SqliteBackend(ExecutionBackend):
             self._conn.executemany(
                 f"INSERT INTO {table} VALUES ({marks})", tuples)
 
-    def _fetch_table(self, info: TableInfo) -> List[Row]:
-        select = ", ".join(quote_ident(c) for c in info.columns)
-        return self._fetch(CompiledQuery(
-            f"SELECT {select} FROM {quote_ident(info.table)}",
-            info.columns, info.classes))
-
-    def _fetch(self, compiled: CompiledQuery) -> List[Row]:
-        bool_cols = set(compiled.bool_columns())
+    def _fetch(self, compiled: CompiledQuery,
+               arms: Optional[List[List[Row]]] = None) -> List[Row]:
+        """Fresh row dicts in plan column order.  With ``arms`` the
+        statement is a ``lower_arms`` one: each row is also filed under
+        the input it came from."""
+        columns = compiled.columns
+        bool_cols = compiled.bool_columns()
         out: List[Row] = []
         for values in self._conn.execute(compiled.sql):
-            row = dict(zip(compiled.columns, values))
+            # zip stops at the plan's columns: an arm index stays out.
+            row = dict(zip(columns, values))
             for c in bool_cols:
                 if row[c] is not None:
                     row[c] = bool(row[c])
             out.append(row)
+            if arms is not None:
+                arms[values[-1]].append(row)
         return out
 
 

@@ -37,7 +37,10 @@ The load-bearing decisions, in one place:
   rule as :func:`repro.storage.batch.measure` (string = length,
   boolean = 1, everything else = 8), evaluated in SQL -- which is what
   keeps per-node statistics and the view-catalog digest backend-
-  invariant.
+  invariant.  :meth:`CompiledQuery.width_sql` is the one place the rule
+  is written in SQL, a term per column, so that a measurement is
+  ``(rows, {column: bytes})`` and can be carried through a rename or a
+  column pruning instead of being taken again.
 
 Known, accepted divergences (all order- or mixed-type-related, none
 reachable from the bundled workloads): tie order under ``Limit`` with
@@ -51,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ExecutionError, StorageError
 from repro.plan.expressions import (
@@ -145,6 +148,13 @@ class TableInfo:
     columns: Tuple[str, ...]
     classes: Mapping[str, str] = field(default_factory=dict)
 
+    def query(self) -> "CompiledQuery":
+        """Every stored column, in stored order."""
+        select = ", ".join(quote_ident(c) for c in self.columns)
+        return CompiledQuery(
+            f"SELECT {select} FROM {quote_ident(self.table)}",
+            self.columns, dict(self.classes))
+
 
 @dataclass(frozen=True)
 class CompiledQuery:
@@ -153,14 +163,25 @@ class CompiledQuery:
     sql: str
     columns: Tuple[str, ...]
     classes: Mapping[str, str]
+    #: Output column -> the child column it hands on unchanged, when
+    #: every output is one (a ``Project`` of bare ``ColumnRef``s): the
+    #: rename a measurement is carried through instead of taken again.
+    renames: Optional[Mapping[str, str]] = None
+
+    def scope(self) -> "_Scope":
+        return _Scope.plain(self.columns, self.classes)
+
+    def select_list(self) -> str:
+        return ", ".join(quote_ident(c) for c in self.columns)
 
     def bool_columns(self) -> Tuple[str, ...]:
         """Columns to coerce back to Python ``bool`` on fetch."""
         return tuple(c for c in self.columns
                      if self.classes.get(c) == BOOL)
 
-    def width_sql(self) -> str:
-        """Per-row byte width, by ``repro.storage.batch.measure``'s rule."""
+    def width_sql(self) -> List[str]:
+        """Per-row byte width of each column, in column order, by
+        ``repro.storage.batch.measure``'s rule."""
         terms = []
         for c in self.columns:
             q = quote_ident(c)
@@ -171,12 +192,13 @@ class CompiledQuery:
                 terms.append(
                     f"(CASE WHEN typeof({q}) = 'text'"
                     f" THEN MAX(1, LENGTH({q})) ELSE 8 END)")
-        return " + ".join(terms) if terms else "0"
+        return terms
 
     def stats_sql(self) -> str:
-        """``(row_count, byte_size)`` of this query's output."""
-        return (f"SELECT COUNT(*), COALESCE(SUM({self.width_sql()}), 0) "
-                f"FROM ({self.sql})")
+        """One row: the row count, then each column's byte size (NULL
+        over no rows) -- the measuring statement."""
+        sums = "".join(f", SUM({term})" for term in self.width_sql())
+        return f"SELECT COUNT(*){sums} FROM ({self.sql})"
 
 
 class _Scope:
@@ -204,24 +226,6 @@ class _Scope:
             f"column {ref.key!r} not found in {sorted(self.refs)!r}")
 
 
-@dataclass(frozen=True)
-class _Lowered:
-    """A lowered operator subtree."""
-
-    sql: str
-    columns: Tuple[str, ...]
-    classes: Mapping[str, str]
-
-    def scope(self) -> _Scope:
-        return _Scope.plain(self.columns, self.classes)
-
-    def select_list(self) -> str:
-        return ", ".join(quote_ident(c) for c in self.columns)
-
-    def query(self) -> CompiledQuery:
-        return CompiledQuery(self.sql, self.columns, self.classes)
-
-
 def _dedup(pairs: List[Tuple[str, str, str]]):
     """Dict-like dedup of ``(name, sql, class)`` select items.
 
@@ -245,27 +249,32 @@ class PlanCompiler:
     ``tables`` maps stream GUIDs and ``views`` maps view paths to their
     physical :class:`TableInfo`.  Both mappings are read live, so a
     Spool registered mid-execution is visible to later lowerings.
+
+    A compiler serves one ``execute``: a node is lowered once and
+    remembered by identity, so the plans it is given must outlive it
+    (lowering a tree node by node is otherwise quadratic in its depth).
     """
 
     def __init__(self, tables: Mapping[str, TableInfo],
                  views: Mapping[str, TableInfo]):
         self.tables = tables
         self.views = views
+        self._lowered: Dict[int, CompiledQuery] = {}
 
     # ------------------------------------------------------------------ #
     # operators
 
-    def compile(self, plan: LogicalPlan) -> CompiledQuery:
-        return self.lower(plan).query()
+    def lower(self, plan: LogicalPlan) -> CompiledQuery:
+        found = self._lowered.get(id(plan))
+        if found is None:
+            handler = _OP_HANDLERS.get(type(plan))
+            if handler is None:
+                raise ExecutionError(
+                    f"no SQL lowering for operator {type(plan).__name__}")
+            found = self._lowered[id(plan)] = handler(self, plan)
+        return found
 
-    def lower(self, plan: LogicalPlan) -> _Lowered:
-        handler = _OP_HANDLERS.get(type(plan))
-        if handler is None:
-            raise ExecutionError(
-                f"no SQL lowering for operator {type(plan).__name__}")
-        return handler(self, plan)
-
-    def _scan(self, plan: Scan) -> _Lowered:
+    def _scan(self, plan: Scan) -> CompiledQuery:
         if plan.stream_guid is None:
             raise ExecutionError(
                 f"scan of {plan.dataset!r} was not bound to a stream GUID")
@@ -282,10 +291,11 @@ class PlanCompiler:
                 pairs.append((c, "NULL", UNKNOWN))
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
-        return _Lowered(f"SELECT {select} FROM {quote_ident(info.table)}",
-                        tuple(order), classes)
+        return CompiledQuery(
+            f"SELECT {select} FROM {quote_ident(info.table)}",
+            tuple(order), classes)
 
-    def _view_scan(self, plan: ViewScan) -> _Lowered:
+    def _view_scan(self, plan: ViewScan) -> CompiledQuery:
         info = self.views.get(plan.view_path)
         if info is None:
             raise StorageError(
@@ -293,29 +303,25 @@ class PlanCompiler:
         # The interpreter returns the stored rows verbatim, so select the
         # stored schema (which view matching guarantees equals
         # ``plan.columns``).
-        select = ", ".join(quote_ident(c) for c in info.columns)
-        return _Lowered(f"SELECT {select} FROM {quote_ident(info.table)}",
-                        info.columns, dict(info.classes))
+        return info.query()
 
-    def _spool(self, plan: Spool) -> _Lowered:
+    def _spool(self, plan: Spool) -> CompiledQuery:
         info = self.views.get(plan.view_path)
         if info is None:
             # The backend materializes every Spool (post-order) before
             # lowering consumers, so this indicates a harness bug.
             raise ExecutionError(
                 f"spool table for {plan.view_path!r} was not materialized")
-        select = ", ".join(quote_ident(c) for c in info.columns)
-        return _Lowered(f"SELECT {select} FROM {quote_ident(info.table)}",
-                        info.columns, dict(info.classes))
+        return info.query()
 
-    def _filter(self, plan: Filter) -> _Lowered:
+    def _filter(self, plan: Filter) -> CompiledQuery:
         child = self.lower(plan.child)
         pred = self._pred(plan.predicate, child.scope())
-        return _Lowered(
+        return CompiledQuery(
             f"SELECT {child.select_list()} FROM ({child.sql}) WHERE {pred}",
             child.columns, child.classes)
 
-    def _project(self, plan: Project) -> _Lowered:
+    def _project(self, plan: Project) -> CompiledQuery:
         child = self.lower(plan.child)
         scope = child.scope()
         pairs = []
@@ -324,10 +330,15 @@ class PlanCompiler:
             pairs.append((name, sql, cls))
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
-        return _Lowered(f"SELECT {select} FROM ({child.sql})",
-                        tuple(order), classes)
+        # As ``_dedup``: of two outputs under one name the last counts.
+        renames = ({name: scope.resolve(expr)
+                    for expr, name in zip(plan.exprs, plan.names)}
+                   if all(isinstance(expr, ColumnRef) for expr in plan.exprs)
+                   else None)
+        return CompiledQuery(f"SELECT {select} FROM ({child.sql})",
+                             tuple(order), classes, renames)
 
-    def _join(self, plan: Join) -> _Lowered:
+    def _join(self, plan: Join) -> CompiledQuery:
         left = self.lower(plan.left)
         right = self.lower(plan.right)
         dropped = set(plan.drop_right)
@@ -362,12 +373,12 @@ class PlanCompiler:
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
         join_kw = "LEFT JOIN" if plan.how == "left" else "JOIN"
-        return _Lowered(
+        return CompiledQuery(
             f"SELECT {select} FROM ({left.sql}) AS L "
             f"{join_kw} ({right.sql}) AS R ON {on}",
             tuple(order), classes)
 
-    def _group_by(self, plan: GroupBy) -> _Lowered:
+    def _group_by(self, plan: GroupBy) -> CompiledQuery:
         child = self.lower(plan.child)
         scope = child.scope()
         pairs = []
@@ -386,10 +397,12 @@ class PlanCompiler:
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
         group = f" GROUP BY {', '.join(group_refs)}" if group_refs else ""
-        return _Lowered(f"SELECT {select} FROM ({child.sql}){group}",
-                        tuple(order), classes)
+        return CompiledQuery(f"SELECT {select} FROM ({child.sql}){group}",
+                             tuple(order), classes)
 
-    def _union(self, plan: Union) -> _Lowered:
+    def _union(self, plan: Union, tagged: bool = False) -> CompiledQuery:
+        """``tagged``: every row ends in its arm's index, one unnamed
+        column past ``columns`` (:meth:`lower_arms`)."""
         schema = plan.schema
         arms = []
         arm_classes: List[Mapping[str, str]] = []
@@ -400,7 +413,8 @@ class PlanCompiler:
             order, sql, classes = _dedup(pairs)
             select = ", ".join(
                 f"{sql[c]} AS {quote_ident(c)}" for c in order)
-            arms.append(f"SELECT {select} FROM ({lowered.sql})")
+            tag = f", {len(arms)}" if tagged else ""
+            arms.append(f"SELECT {select}{tag} FROM ({lowered.sql})")
             arm_classes.append(classes)
         out_order = list(dict.fromkeys(schema))
         classes = {}
@@ -409,40 +423,48 @@ class PlanCompiler:
             classes[c] = kinds.pop() if len(kinds) == 1 else UNKNOWN
         # The interpreter ignores the DISTINCT flag on Union, so the
         # lowering is always UNION ALL.
-        return _Lowered(" UNION ALL ".join(arms), tuple(out_order), classes)
+        return CompiledQuery(
+            " UNION ALL ".join(arms), tuple(out_order), classes)
 
-    def _distinct(self, plan: Distinct) -> _Lowered:
+    def lower_arms(self, plan: Union) -> CompiledQuery:
+        """A statement-level ``Union`` that tells its arms apart: the
+        SQL returns one more column than ``columns`` names, the index of
+        the input the row came from.  The extra column has no name, so
+        it cannot collide with one of the plan's; only the statement
+        that is fetched may carry it."""
+        return self._union(plan, tagged=True)
+
+    def _distinct(self, plan: Distinct) -> CompiledQuery:
         child = self.lower(plan.child)
-        return _Lowered(
+        return CompiledQuery(
             f"SELECT DISTINCT {child.select_list()} FROM ({child.sql})",
             child.columns, child.classes)
 
-    def _sort(self, plan: Sort) -> _Lowered:
+    def _sort(self, plan: Sort) -> CompiledQuery:
         child = self.lower(plan.child)
         scope = child.scope()
         keys = []
         for key, asc in zip(plan.keys, plan.ascending):
             ref = scope.refs[scope.resolve(key)]
             keys.append(f"{ref} {'ASC' if asc else 'DESC'}")
-        return _Lowered(
+        return CompiledQuery(
             f"SELECT {child.select_list()} FROM ({child.sql}) "
             f"ORDER BY {', '.join(keys)}",
             child.columns, child.classes)
 
-    def _limit(self, plan: Limit) -> _Lowered:
+    def _limit(self, plan: Limit) -> CompiledQuery:
         # Inline Limit(Sort(x)) so the LIMIT applies to the ordered
         # stream; a bare subquery's order is not guaranteed to survive.
-        if isinstance(plan.child, Sort):
-            child = self._sort(plan.child)
-            return _Lowered(f"{child.sql} LIMIT {plan.count}",
-                            child.columns, child.classes)
         child = self.lower(plan.child)
-        return _Lowered(
+        if isinstance(plan.child, Sort):
+            return CompiledQuery(f"{child.sql} LIMIT {plan.count}",
+                                 child.columns, child.classes)
+        return CompiledQuery(
             f"SELECT {child.select_list()} FROM ({child.sql}) "
             f"LIMIT {plan.count}",
             child.columns, child.classes)
 
-    def _process(self, plan: Process) -> _Lowered:
+    def _process(self, plan: Process) -> CompiledQuery:
         raise ExecutionError(
             f"the SQLite backend cannot execute Process (UDO "
             f"{plan.udo_name!r}); run this job on the in-memory backend")

@@ -2,6 +2,8 @@
 backend contract exercised directly (no engine on top).
 """
 
+import sqlite3
+
 import pytest
 
 from repro.backends import (
@@ -13,8 +15,13 @@ from repro.backends import (
     create_backend,
 )
 from repro.catalog import Catalog, schema_of
-from repro.common.errors import ConfigError, StorageError
+from repro.common.errors import (
+    ConfigError,
+    StorageError,
+    TransientBackendError,
+)
 from repro.plan import PlanBuilder, normalize
+from repro.plan.logical import Scan
 from repro.sql import parse
 
 
@@ -121,3 +128,95 @@ class TestBackendContract:
                 sizes[name] = backend.materialize_view(
                     plan_for(builder, "SELECT k, s FROM T"), "views/v")
         assert sizes["memory"] == sizes["sqlite"]
+
+
+class _Flaky:
+    """A backend's connection that answers "database is locked" to the
+    next statement starting with ``prefix``, once."""
+
+    def __init__(self, conn, prefix):
+        self._conn, self._prefix, self.fired = conn, prefix, False
+
+    def _check(self, sql):
+        if not self.fired and sql.startswith(self._prefix):
+            self.fired = True
+            raise sqlite3.OperationalError("database is locked")
+
+    def execute(self, sql, *args):
+        self._check(sql)
+        return self._conn.execute(sql, *args)
+
+    def executemany(self, sql, *args):
+        self._check(sql)
+        return self._conn.executemany(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _stored_names(path):
+    """What a file holds: physical tables and manifest keys."""
+    conn = sqlite3.connect(path)
+    try:
+        return ({name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' "
+            "AND name <> 'repro_catalog'")},
+            {key for (key,) in conn.execute(
+                "SELECT key FROM repro_catalog")})
+    finally:
+        conn.close()
+
+
+class TestSqliteTransactions:
+    """Every mutation is one ``_transaction``: transient driver errors
+    are translated on all of them, and what the process believes follows
+    what the file holds."""
+
+    SCHEMA = schema_of("T", [("k", "int"), ("v", "float")])
+    ROWS = [dict(k=1, v=1.5), dict(k=2, v=2.5), dict(k=2, v=4.0)]
+
+    def stored(self, path):
+        backend = SqliteBackend(path)
+        backend.load_table(self.SCHEMA, "g-t", self.ROWS)
+        backend.materialize_view(
+            Scan("T", ("k", "v"), stream_guid="g-t"), "views/v1")
+        return backend
+
+    @pytest.mark.parametrize("kind, key", [("view", "views/v1"),
+                                           ("table", "g-t")])
+    def test_a_drop_that_fails_at_begin_is_still_there_to_retry(
+            self, tmp_path, kind, key):
+        """It used to forget the entry first: the retry (and every later
+        GC sweep) was then a no-op, the table and its manifest row stayed
+        in the file, and a restart resurrected the purged view."""
+        path = str(tmp_path / "drop.db")
+        backend = self.stored(path)
+        drop = getattr(backend, f"drop_{kind}")
+        backend._conn = _Flaky(backend._conn, "BEGIN")
+        with pytest.raises(TransientBackendError, match="locked"):
+            drop(key)
+        assert len(getattr(backend, f"scan_{kind}")(key)) == 3
+        drop(key)                       # the engine's retry
+        with pytest.raises(StorageError):
+            getattr(backend, f"scan_{kind}")(key)
+        backend.close()
+        tables, keys = _stored_names(path)
+        assert key not in keys and len(tables) == 1
+        with SqliteBackend(path) as reopened:
+            with pytest.raises(StorageError):
+                getattr(reopened, f"scan_{kind}")(key)
+
+    def test_a_failed_load_is_transient_and_leaves_nothing(self, tmp_path):
+        path = str(tmp_path / "load.db")
+        backend = self.stored(path)
+        backend._conn = _Flaky(backend._conn, "INSERT")
+        with pytest.raises(TransientBackendError, match="locked"):
+            backend.load_table(self.SCHEMA, "g-new", self.ROWS)
+        with pytest.raises(StorageError):
+            backend.scan_table("g-new")
+        backend.load_table(self.SCHEMA, "g-new", self.ROWS[:1])   # retried
+        assert backend.scan_table("g-new") == self.ROWS[:1]
+        backend.drop_table("g-new")
+        backend.close()
+        tables, keys = _stored_names(path)
+        assert keys == {"g-t", "views/v1"} and len(tables) == 2
