@@ -77,8 +77,8 @@ class Session:
     :class:`~repro.backends.base.ExecutionBackend` instance -- while
     signatures, matching, and insights stay backend-invariant above it.
     By default the engine talks to its insights service through an
-    :class:`InsightsClient` (request batching, TTL cache, retries,
-    circuit breaker); pass ``client_config`` to tune that path.
+    :class:`InsightsClient` (TTL cache, retries, circuit breaker);
+    pass ``client_config`` to tune that path.
 
     ``faults`` installs the unified fault-injection framework
     (:mod:`repro.faults`): a :class:`~repro.faults.FaultPlan`, a

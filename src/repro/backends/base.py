@@ -27,8 +27,8 @@ catalog, and insights service never see backend objects, which is what
 makes reuse decisions (and the catalog digest) backend-invariant.
 
 Backends self-describe through :class:`BackendCapabilities` so callers
-can gate features (UDOs, shared batch execution) instead of failing
-deep inside execution.
+can gate features (shared batch execution) instead of failing deep
+inside execution.
 """
 
 from __future__ import annotations
@@ -46,29 +46,21 @@ from repro.plan.logical import LogicalPlan
 
 @dataclass(frozen=True)
 class BackendCapabilities:
-    """What one backend can and cannot do.
+    """What one backend can and cannot do -- a field per feature some
+    caller gates on (``tests/unit/test_src_census.py`` holds every field
+    to a reader in ``src/``).
 
-    ``supports_udos``
-        ``Process`` (user-defined operator) nodes execute.  External SQL
-        backends generally cannot host arbitrary Python row operators.
     ``supports_row_capture``
         Per-node output can be captured (the shared batch-execution
         extension needs this, and refuses a backend without it).
-    ``deterministic_limit``
-        ``Limit`` without a covering ``Sort`` returns the same prefix the
-        in-memory executor would.  SQL backends make no row-order
-        promise, so an unordered LIMIT may pick a different (equally
-        valid) subset.
-    ``external``
-        Data lives outside the Python process (real tables rather than
-        in-memory batches); dropping views actually reclaims storage in
-        another system.
+
+    What a backend cannot *execute* it refuses where it is asked to (the
+    SQLite compiler raises on a ``Process`` node), and where two backends
+    may legitimately differ is written once, in
+    :mod:`repro.backends.sqlite.compile`'s docstring.
     """
 
-    supports_udos: bool = True
     supports_row_capture: bool = True
-    deterministic_limit: bool = True
-    external: bool = False
 
 
 class ExecutionBackend(ABC):

@@ -28,12 +28,7 @@ class InMemoryBackend(ExecutionBackend):
     """Simulated engine: column batches in a :class:`DataStore`."""
 
     name = "memory"
-    capabilities = BackendCapabilities(
-        supports_udos=True,
-        supports_row_capture=True,
-        deterministic_limit=True,
-        external=False,
-    )
+    capabilities = BackendCapabilities(supports_row_capture=True)
 
     def __init__(self, store: Optional[DataStore] = None,
                  udos: Optional[UdoRegistry] = None):

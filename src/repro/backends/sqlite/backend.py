@@ -165,12 +165,7 @@ class SqliteBackend(ExecutionBackend):
     """Plans compile to SQL; views are real tables."""
 
     name = "sqlite"
-    capabilities = BackendCapabilities(
-        supports_udos=False,
-        supports_row_capture=False,
-        deterministic_limit=False,
-        external=True,
-    )
+    capabilities = BackendCapabilities(supports_row_capture=False)
 
     def __init__(self, path: Optional[str] = None):
         # isolation_level=None puts the driver in autocommit mode and

@@ -17,9 +17,11 @@ The load-bearing decisions, in one place:
   chosen by the operand's inferred class: booleans ``COALESCE(e, 0)``,
   strings ``length(e) > 0`` (empty string is falsy; SQL would call
   ``'' <> 0`` true), numbers ``e <> 0``, unknown a ``typeof`` dispatch.
-* **Join keys match like hash keys.**  The interpreter joins on Python
-  ``==`` over tuples, where ``None`` matches ``None``; equi-keys lower
-  to the SQL ``IS`` operator, which is ``=`` with NULL-matches-NULL.
+* **Join keys match like hash keys.**  The in-memory executor hashes
+  every join, so keys of any count match by Python ``==``: ``None``
+  matches ``None`` and ``1 == 1.0 == True``.  Equi-keys lower to the
+  SQL ``IS`` operator, which is ``=`` with NULL-matches-NULL (booleans
+  are stored as 0/1, so the numeric rule is the same).
 * **Arithmetic.**  ``/`` is Python true division -> ``CAST(l AS REAL)``
   (division by zero is NULL on both sides); ``%`` keeps Python's sign
   convention via the ``py_mod`` UDF; ``+`` on two string-class operands
@@ -46,7 +48,9 @@ Known, accepted divergences (all order- or mixed-type-related, none
 reachable from the bundled workloads): tie order under ``Limit`` with
 no covering ``Sort``, relative order of booleans vs. numbers in one
 sort column, and byte widths for union arms whose column classes
-disagree.
+disagree.  Not lowered at all: a ``Process`` (UDO) node raises
+:class:`~repro.common.errors.ExecutionError` -- SQLite cannot host an
+arbitrary Python row operator -- and a NaN is stored as NULL.
 """
 
 from __future__ import annotations

@@ -363,7 +363,6 @@ def _cmd_simulate_concurrent(args) -> int:
     print("\nInsights client")
     print(f"{'Annotation Fetches':<42}{usage.fetches:>12,}")
     print(f"{'Client-Cache Hits':<42}{client.cache_hits:>12,}")
-    print(f"{'Batched Fetches':<42}{client.batched_fetches:>12,}")
     print(f"{'Degraded Fetches':<42}{client.degraded_fetches:>12,}")
     print(f"{'View Locks Acquired':<42}{usage.locks_acquired:>12,}")
     print(f"{'View Lock Denials':<42}{usage.locks_denied:>12,}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.engine import JobRun
-from repro.executor.executor import choose_join_algorithm
 from repro.plan.logical import Join, LogicalPlan, Scan, Spool, ViewScan
 from repro.signatures.signature import (
     is_reuse_eligible,
@@ -24,6 +23,30 @@ from repro.workload.repository import (
     SubexpressionRecord,
     WorkloadRepository,
 )
+
+
+#: Below this input size the modelled optimizer picks a nested-loop join
+#: over building a hash table.
+LOOP_JOIN_THRESHOLD = 10
+
+
+def choose_join_algorithm(plan: Join, left_rows: int, right_rows: int) -> str:
+    """The *modelled* physical join: ``hash``, ``merge``, or ``loop``.
+
+    What a SCOPE-like optimizer would pick -- no equi-keys forces nested
+    loops; multi-key equi-joins run as sort-merge (the inputs are
+    co-partitioned and sorted on the compound key in production); small
+    inputs use loops; everything else hashes -- recorded as
+    ``SubexpressionRecord.detail`` for Figure 9's concurrent-join
+    histogram.  A label only: the executor hashes every join.
+    """
+    if not plan.left_keys:
+        return "loop"
+    if len(plan.left_keys) >= 2:
+        return "merge"
+    if min(left_rows, right_rows) < LOOP_JOIN_THRESHOLD:
+        return "loop"
+    return "hash"
 
 
 def record_job_into(repository: WorkloadRepository, run: JobRun, now: float,

@@ -107,9 +107,12 @@ class Executor:
     fixed-width column is ``width * n``, and an operator that dropped
     nothing returns its child's batch; *an expression is compiled once
     per operator execution* into a function of the batch; and *every
-    operator emits rows in the order the row-at-a-time interpreter did*,
-    which is what keeps float aggregates and an unordered ``LIMIT``
-    bit-identical.
+    operator emits rows in one stated order* (a join: left order, each
+    left row with its right matches in right order; a group: first
+    appearance), which is what keeps float aggregates and an unordered
+    ``LIMIT`` bit-identical.  Every join hashes; which physical join a
+    SCOPE-like optimizer *would* pick is modelled where the workload
+    repository is filled in (:mod:`repro.core.runner`), not here.
     """
 
     def __init__(self, store: DataStore,
@@ -182,9 +185,7 @@ class Executor:
     def _join(self, plan: Join, result: ExecutionResult):
         left = self._run(plan.left, result)
         right = self._run(plan.right, result)
-        return left.length + right.length, join_batches(
-            plan, left, right,
-            choose_join_algorithm(plan, left.length, right.length))
+        return left.length + right.length, join_batches(plan, left, right)
 
     def _group_by(self, plan: GroupBy, result: ExecutionResult):
         child = self._run(plan.child, result)
@@ -291,146 +292,67 @@ def _selected(batch: Batch, kept: Sequence[int]) -> Batch:
 # --------------------------------------------------------------------- #
 # join and aggregation kernels
 
-#: Below this input size a nested-loop join beats building a hash table.
-LOOP_JOIN_THRESHOLD = 10
-
-
-def choose_join_algorithm(plan: Join, left_rows: int, right_rows: int) -> str:
-    """Physical join selection: ``hash``, ``merge``, or ``loop``.
-
-    Mirrors a SCOPE-like optimizer: no equi-keys forces nested loops;
-    multi-key equi-joins run as sort-merge (the inputs are co-partitioned
-    and sorted on the compound key in production); small inputs use loops;
-    everything else hashes.  The mix of all three is what Figure 9's
-    concurrent-join histogram breaks down by.
-    """
-    if not plan.left_keys:
-        return "loop"
-    if len(plan.left_keys) >= 2:
-        return "merge"
-    if min(left_rows, right_rows) < LOOP_JOIN_THRESHOLD:
-        return "loop"
-    return "hash"
-
-
-#: What a join kernel returns: the left positions in output order
-#: (``None``: as they stand) and, for each, the right positions sharing
-#: its equi-key, in the order they are emitted.
-Matches = Tuple[Optional[List[int]], List[Sequence[int]]]
-
 
 def _key_columns(exprs: Sequence[Expr], batch: Batch) -> List[list]:
     return [expr.compile()(batch.columns, batch.length) for expr in exprs]
 
 
-def _tuples(columns: Sequence[list], n: int) -> List[tuple]:
-    """The ``n`` rows of ``columns``, a tuple each."""
-    return list(zip(*columns)) if columns else [()] * n
-
-
 def _keys(columns: Sequence[list], n: int) -> list:
     """One hashable key per row from its values in ``columns``: the value
-    itself for a single column, else the tuple."""
+    itself for a single column, else the tuple (``()`` for no column)."""
     columns = [values if set(map(type, values)) <= _HASHABLE
                else list(map(_hashable, values)) for values in columns]
-    return columns[0] if len(columns) == 1 else _tuples(columns, n)
+    if len(columns) == 1:
+        return columns[0]
+    return list(zip(*columns)) if columns else [()] * n
 
 
 def _join_keys(exprs: Sequence[Expr], batch: Batch) -> list:
     return _keys(_key_columns(exprs, batch), batch.length)
 
 
-def _hash_join(plan: Join, left: Batch, right: Batch) -> Matches:
+def join_batches(plan: Join, left: Batch, right: Batch) -> Batch:
+    """``plan`` over its two inputs, by hashing the right side.
+
+    Equi-keys match as dictionary keys do -- Python ``==``, so ``None``
+    matches ``None`` and ``1 == 1.0 == True``, the rule the SQLite
+    lowering states with ``IS`` -- and a join without keys is the
+    one-bucket case.  Output order: left rows in their order, each with
+    its matching right rows in theirs.  The residual runs over the
+    gathered candidates.
+    """
     index: Dict[object, List[int]] = defaultdict(list)
     for position, key in enumerate(_join_keys(plan.right_keys, right)):
         index[key].append(position)
-    return None, list(map(index.get, _join_keys(plan.left_keys, left),
-                          repeat(())))
-
-
-def _merge_join(plan: Join, left: Batch, right: Batch) -> Matches:
-    """Sort-merge join on the compound equi-key."""
-    ranked = [_ranked(*sides) for sides in zip(
-        _key_columns(plan.left_keys, left),
-        _key_columns(plan.right_keys, right))]
-    left_keys, left_order = _sorted_keys(
-        [sides[0] for sides in ranked], left.length)
-    right_keys, right_order = _sorted_keys(
-        [sides[1] for sides in ranked], right.length)
-    hits: List[Sequence[int]] = []
-    j = 0
-    end = len(right_order)
-    for position, lkey in enumerate(left_keys):
-        if position and lkey == left_keys[position - 1]:
-            hits.append(hits[-1])   # the same key finds the same run
-            continue
-        while j < end and right_keys[j] < lkey:
-            j += 1
-        # Gather the right-side run matching this key.
-        run_end = j
-        while run_end < end and right_keys[run_end] == lkey:
-            run_end += 1
-        hits.append(right_order[j:run_end])
-    return left_order, hits
-
-
-def _sorted_keys(columns: Sequence[list],
-                 n: int) -> Tuple[List[tuple], List[int]]:
-    """The compound keys of ``n`` rows in stable sorted order, and the
-    positions they came from."""
-    keys = _tuples(columns, n)
-    order = sorted(range(n), key=keys.__getitem__)
-    return [keys[i] for i in order], order
-
-
-def _nested_loop_join(plan: Join, left: Batch, right: Batch) -> Matches:
-    """Every right key is compared to a left key -- once per distinct
-    left key: rows sharing one share the scan's result."""
-    left_keys = _join_keys(plan.left_keys, left)
-    right_keys = list(enumerate(_join_keys(plan.right_keys, right)))
-    scans = {key: [position for position, rkey in right_keys
-                   if rkey is key or rkey == key]   # as a tuple of it would
-             for key in dict.fromkeys(left_keys)}
-    return None, list(map(scans.__getitem__, left_keys))
-
-
-_JOIN_KERNELS = {"hash": _hash_join, "merge": _merge_join,
-                 "loop": _nested_loop_join}
-
-
-def join_batches(plan: Join, left: Batch, right: Batch,
-                 algorithm: str) -> Batch:
-    """``plan`` over its two inputs by the named kernel; the residual
-    runs over the gathered candidates."""
-    order, hits = _JOIN_KERNELS[algorithm](plan, left, right)
+    hits = list(map(index.get, _join_keys(plan.left_keys, left), repeat(())))
     outer = plan.how == "left"
     if plan.residual is not None:
-        out = _joined(plan, left, right, order, hits, False)
+        out = _joined(plan, left, right, hits, False)
         keep = plan.residual.compile()(out.columns, out.length)
         if not outer:
             return _selected(out, list(compress(range(out.length), keep)))
         passed = iter(keep)
         hits = [list(compress(hit, islice(passed, len(hit))))
                 for hit in hits]
-    return _joined(plan, left, right, order, hits, outer)
+    return _joined(plan, left, right, hits, outer)
 
 
 def _joined(plan: Join, left: Batch, right: Batch,
-            order: Optional[List[int]], hits: List[Sequence[int]],
-            outer: bool) -> Batch:
-    """The join's output for the kernel's matches: one gather per output
-    column; with ``outer`` an unmatched left row is NULL-extended."""
+            hits: List[Sequence[int]], outer: bool) -> Batch:
+    """The join's output for ``hits`` -- per left row, the right positions
+    it is emitted with: one gather per output column; with ``outer`` an
+    unmatched left row is NULL-extended."""
     if outer:
         unmatched = (right.length,)
         hits = [hit or unmatched for hit in hits]
     taken = list(chain.from_iterable(hits))
     matched = list(map(len, hits))
-    rows = range(left.length) if order is None else order
     if len(taken) + matched.count(0) != left.length:
-        left = left.take(list(chain.from_iterable(map(repeat, rows, matched))))
-    elif order is not None or len(taken) != left.length:
+        left = left.take(list(chain.from_iterable(
+            map(repeat, range(left.length), matched))))
+    elif len(taken) != left.length:
         # No left row matched twice: its count selects it.
-        left = left.take(list(compress(rows, matched)))
+        left = left.take(list(compress(range(left.length), matched)))
     dropped = set(plan.drop_right)
     right = right.select([name for name in right.columns
                           if name not in dropped]).take(taken, null=outer)

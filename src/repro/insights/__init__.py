@@ -5,9 +5,9 @@ Two handles are available to the engine:
 * :class:`InsightsService` -- the raw service: the one policy over its
   data-only partitions (annotation index, serving cache, lock table);
 * :class:`InsightsClient` -- the fault-tolerant client wrapping it with
-  request batching, a TTL'd local cache, bounded retries, and a circuit
-  breaker that degrades jobs to reuse-disabled compilation during
-  incidents (Section 4's kill-switch posture).
+  a TTL'd local cache, bounded retries, and a circuit breaker that
+  degrades jobs to reuse-disabled compilation during incidents
+  (Section 4's kill-switch posture).
 """
 
 from repro.insights.annotations_file import (

@@ -1,4 +1,4 @@
-"""Fault-tolerant, batching client for the insights service.
+"""Fault-tolerant, caching client for the insights service.
 
 The paper's compiler fleet talks to the annotation serving layer over the
 network (~15 ms round trips, Section 5.2) under heavy concurrent job
@@ -6,9 +6,6 @@ submission, and Section 4's multi-level controls exist precisely because
 that dependency fails in production.  This client is the reproduction of
 that operational posture:
 
-* **batching** -- concurrent jobs' tag fetches are coalesced into one
-  serving-layer round trip (a combining leader/follower scheme: whichever
-  thread arrives first carries everybody's tags);
 * **local TTL cache** -- per-tag annotation lists are cached client-side,
   keyed by the service's publication generation so a re-selection
   invalidates everything at once;
@@ -28,7 +25,9 @@ that operational posture:
 Everything here is deterministic: injected faults and jitter come from a
 seeded RNG, and time is simulated latency accounting, so a concurrent run
 with faults disabled produces byte-identical reuse decisions to a serial
-one.
+one.  A fetch is one round trip for the calling job's own missing tags,
+so the latency it is charged depends on that job and the cache alone,
+never on which other jobs happened to be fetching.
 """
 
 from __future__ import annotations
@@ -196,19 +195,6 @@ class _CacheEntry:
         self.generation = generation
 
 
-class _Request:
-    """One caller's participation in a coalesced batch fetch."""
-
-    __slots__ = ("tags", "done", "results", "failed", "cost")
-
-    def __init__(self, tags: Tuple[str, ...]) -> None:
-        self.tags = tags
-        self.done = threading.Event()
-        self.results: Dict[str, List[Annotation]] = {}
-        self.failed = False
-        self.cost = 0.0
-
-
 class InsightsClient:
     """Drop-in, fault-tolerant replacement for the raw service handle.
 
@@ -231,21 +217,16 @@ class InsightsClient:
         self._recorder = recorder
         self.breaker = CircuitBreaker(self.config, recorder=recorder)
         self._jitter_rng = random.Random(f"client-jitter-{self.config.seed}")
-        # Top of the insights band: guards the cache and batch queue and
-        # is never held across a serving round trip (the leader swaps the
-        # pending list out under the mutex, then round-trips unlocked).
+        # Top of the insights band: guards the cache and the counters
+        # and is never held across a serving round trip.
         self._mutex = TrackedLock("insights.client", RANK_INSIGHTS + 40,
                                   recorder)
         self._cache: Dict[str, _CacheEntry] = {}
-        self._pending: List[_Request] = []
-        self._leader_active = False
         self._fetch_state = threading.local()
         #: Client-side operational counters (lock-guarded like the
         #: service's); monotonic.
         self.degraded_fetches = 0
         self.retries = 0
-        self.batched_fetches = 0
-        self.batch_rounds = 0
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -385,7 +366,7 @@ class InsightsClient:
         return {}
 
     # ------------------------------------------------------------------ #
-    # attempts, retries, batching
+    # attempts and retries
 
     def _fetch_with_retries(self, tags: Tuple[str, ...]
                             ) -> Tuple[Dict[str, List[Annotation]], float, bool]:
@@ -394,7 +375,7 @@ class InsightsClient:
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):
             try:
-                results, cost = self._attempt(tags)
+                results, cost = self._round_trip(tags)
                 return results, latency + cost, True
             except InsightsError:
                 latency += self.config.timeout_seconds
@@ -417,59 +398,6 @@ class InsightsClient:
         with self._mutex:
             jitter = self._jitter_rng.random()
         return base * (1.0 + self.config.backoff_jitter * jitter)
-
-    def _attempt(self, tags: Tuple[str, ...]
-                 ) -> Tuple[Dict[str, List[Annotation]], float]:
-        """Join the next coalesced serving round trip for ``tags``."""
-        request = _Request(tags)
-        with self._mutex:
-            self._pending.append(request)
-            if self._leader_active:
-                leader = False
-            else:
-                self._leader_active = True
-                leader = True
-        if leader:
-            self._drain_batches()
-        else:
-            request.done.wait(timeout=30.0)
-            if not request.done.is_set():  # pragma: no cover - safety net
-                raise InsightsTimeout("batch leader never answered")
-        if request.failed:
-            raise InsightsTimeout(f"batched fetch of {len(tags)} tags failed")
-        return request.results, request.cost
-
-    def _drain_batches(self) -> None:
-        """Leader loop: serve every pending request, then step down."""
-        while True:
-            with self._mutex:
-                batch, self._pending = self._pending, []
-                if not batch:
-                    self._leader_active = False
-                    return
-                if len(batch) > 1:
-                    self.batched_fetches += len(batch) - 1
-                self.batch_rounds += 1
-            union: List[str] = []
-            seen = set()
-            for request in batch:
-                for tag in request.tags:
-                    if tag not in seen:
-                        seen.add(tag)
-                        union.append(tag)
-            try:
-                results, cost = self._round_trip(tuple(union))
-                for request in batch:
-                    request.results = {
-                        tag: results.get(tag, []) for tag in request.tags}
-                    request.cost = cost
-                    request.done.set()
-            except InsightsError:
-                # The whole batch shares the outcome of the round trip;
-                # followers turn this into their own retry/backoff cycle.
-                for request in batch:
-                    request.failed = True
-                    request.done.set()
 
     def _round_trip(self, tags: Tuple[str, ...]
                     ) -> Tuple[Dict[str, List[Annotation]], float]:

@@ -218,8 +218,6 @@ class JobScheduler:
     # collection barrier
 
     def drain(self, now: float = 0.0,
-              seal_views: bool = True,
-              record_history: bool = True,
               on_run: Optional[Callable[[JobRun], None]] = None
               ) -> List[JobResult]:
         """Wait for every pending job; apply side effects in submission order.
@@ -248,11 +246,9 @@ class JobScheduler:
                     slot.job_id, slot.request.sql,
                     slot.request.virtual_cluster, slot.submitted_at, error))
             else:
-                if seal_views:
-                    for spool in run.result.spooled:
-                        self.engine.seal_spooled(run, spool.signature, at=now)
-                if record_history:
-                    self.engine.record_history(run.result)
+                for spool in run.result.spooled:
+                    self.engine.seal_spooled(run, spool.signature, at=now)
+                self.engine.record_history(run.result)
                 if on_run is not None:
                     on_run(run)
                 results.append(JobResult.from_run(run))

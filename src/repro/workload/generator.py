@@ -302,8 +302,8 @@ def _fragment_pool(rng: random.Random, count: int) -> List[_Fragment]:
                 ["Clicks", "Seconds"],
                 ("Sessions",)))
         else:  # activity: correlate the two fact streams.  The natural
-            # join equates UserId, DeviceId, and Day -- a multi-key join
-            # the engine executes as a sort-merge join.
+            # join equates UserId, DeviceId, and Day -- a multi-key join,
+            # the shape Figure 9's model labels a sort-merge join.
             pool.append(_Fragment(
                 f"frag-{index}", "Events JOIN Sessions",
                 ["Day = @runDate", f"Clicks > {rng.randint(1, 4)}"],

@@ -13,12 +13,10 @@ def batch_of(rows, schema=()):
     return Batch.from_rows(rows, schema)
 
 
-def join_rows(algorithm, plan, left, right):
-    """``plan`` over two row lists by the ``hash`` / ``merge`` / ``loop``
-    kernel: the output rows, in the kernel's order."""
+def join_rows(plan, left, right):
+    """``plan`` over two row lists: the output rows, in the join's order."""
     return join_batches(plan, batch_of(left, plan.left.schema),
-                        batch_of(right, plan.right.schema),
-                        algorithm).rows()
+                        batch_of(right, plan.right.schema)).rows()
 
 
 def evaluate_batch(expr, rows):

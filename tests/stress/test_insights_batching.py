@@ -1,12 +1,13 @@
-"""Stress tests for the insights client's batching under faults.
+"""Stress tests for concurrent fetches through one insights client.
 
-The combining leader/follower scheme must flush each batch exactly once:
-the invariant checked here is that the *service-side* fetch count equals
-the client's ``batch_rounds`` counter when no faults are injected, and
-never exceeds it when the ``insights.rpc`` fault point is firing errors
-(it raises before the round trip reaches the service).  Every concurrent
-caller must come back -- with annotations or degraded-empty -- and none
-may raise.
+A fetch that misses the cache is one round trip per attempt, whoever
+else is fetching (the file is named for the combiner that once sat
+here).  The client's round trips are one per fetch plus one per retry;
+the *service-side* fetch count must equal them when no faults are
+injected, and never exceed them when the ``insights.rpc`` fault point is
+firing (it raises before the round trip reaches the service).  Every
+concurrent caller must come back -- with annotations or degraded-empty
+-- and none may raise.
 """
 
 import threading
@@ -25,10 +26,11 @@ pytestmark = pytest.mark.stress
 
 THREADS = 8
 FETCHES_PER_THREAD = 25
+FETCHES = THREADS * FETCHES_PER_THREAD
 
 
 class CountingService(InsightsService):
-    """Counts serving-layer fetches so batch flushes can be audited."""
+    """Counts serving-layer fetches so round trips can be audited."""
 
     def __init__(self):
         super().__init__()
@@ -43,8 +45,8 @@ class CountingService(InsightsService):
 
 def build_client(service, **config_kwargs):
     defaults = dict(
-        # Zero TTL: every fetch misses the local cache and exercises the
-        # batching path instead of short-circuiting on a cache hit.
+        # Zero TTL: every fetch misses the local cache and round-trips
+        # instead of short-circuiting on a cache hit.
         cache_ttl_seconds=0.0,
         seed=7,
     )
@@ -71,7 +73,7 @@ def hammer(client, tags):
         try:
             barrier.wait()
             for i in range(FETCHES_PER_THREAD):
-                # Overlapping two-tag fetches so batches genuinely merge.
+                # Overlapping two-tag fetches: callers contend for tags.
                 pair = (tags[(ident + i) % len(tags)],
                         tags[(ident + i + 1) % len(tags)])
                 result = client.fetch_annotations(pair, now=0.0)
@@ -96,16 +98,15 @@ def hammer(client, tags):
 
 
 class TestBatchingNoFaults:
-    def test_each_batch_flushes_exactly_once(self):
+    def test_each_fetch_round_trips_exactly_once(self):
         service = CountingService()
         client, tags = build_client(service)
         served, degraded = hammer(client, tags)
         assert degraded == 0
-        assert served == THREADS * FETCHES_PER_THREAD
-        # The exactly-once invariant: one serving-layer call per batch
-        # round, no duplicate flush from a follower or a stale leader.
-        assert service.fetch_calls == client.batch_rounds
-        assert client.batch_rounds >= 1
+        assert served == FETCHES
+        # The exactly-once invariant: one serving-layer call per
+        # attempt, none skipped and none doubled.
+        assert service.fetch_calls == FETCHES + client.retries
 
 
 class TestBatchingUnderFaults:
@@ -117,12 +118,13 @@ class TestBatchingUnderFaults:
         client.faults = resolve_faults("seed=11;insights.rpc:error:0.2")
         served, degraded = hammer(client, tags)
         # Every caller completed, with a mix of served and degraded.
-        assert served + degraded == THREADS * FETCHES_PER_THREAD
+        assert served + degraded == FETCHES
         assert served > 0
         # The fault fires *before* the service call, so a faulted
-        # round counts toward batch_rounds but never reaches the service
-        # -- service-side calls can only be <= the rounds started.
-        assert service.fetch_calls <= client.batch_rounds
+        # attempt never reaches the service, and a fetch the open breaker
+        # turned away attempted nothing -- service-side calls can only
+        # be <= the attempts.
+        assert service.fetch_calls <= FETCHES + client.retries
         assert service.fetch_calls > 0
 
     def test_drops_and_errors_still_terminate_every_caller(self):
@@ -133,5 +135,5 @@ class TestBatchingUnderFaults:
         client.faults = resolve_faults(
             "seed=23;insights.rpc:drop:0.15;insights.rpc:error:0.15")
         served, degraded = hammer(client, tags)
-        assert served + degraded == THREADS * FETCHES_PER_THREAD
-        assert service.fetch_calls <= client.batch_rounds
+        assert served + degraded == FETCHES
+        assert service.fetch_calls <= FETCHES + client.retries

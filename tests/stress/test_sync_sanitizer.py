@@ -1,7 +1,7 @@
 """Stress test: the runtime lock sanitizer over the real stack.
 
-Runs the full concurrent pipeline -- scheduler workers, insights
-batching, the view store, and the lifecycle janitor sweeping on a tight
+Runs the full concurrent pipeline -- scheduler workers, the insights
+client, the view store, and the lifecycle janitor sweeping on a tight
 interval -- with the sanitizer enabled in collect-only mode.  The
 assertion is that the production lock hierarchy holds under load: zero
 recorded violations.  This is the runtime twin of the static

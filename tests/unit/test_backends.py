@@ -41,10 +41,8 @@ class TestRegistry:
 
     def test_capabilities(self):
         assert InMemoryBackend.capabilities == BackendCapabilities(
-            supports_udos=True, supports_row_capture=True,
-            deterministic_limit=True, external=False)
-        caps = SqliteBackend.capabilities
-        assert caps.external and not caps.supports_udos
+            supports_row_capture=True)
+        assert not SqliteBackend.capabilities.supports_row_capture
 
     def test_abstract_base_cannot_instantiate(self):
         with pytest.raises(TypeError):

@@ -4,13 +4,13 @@ import pytest
 
 from repro.catalog import Catalog, schema_of
 from repro.common.errors import ExecutionError
+from repro.core.runner import LOOP_JOIN_THRESHOLD, choose_join_algorithm
 from repro.executor import Executor, UdoRegistry
-from repro.executor.executor import LOOP_JOIN_THRESHOLD, choose_join_algorithm
+from repro.executor import executor as executor_module
 from repro.plan import PlanBuilder, Spool, normalize
 from repro.plan.logical import Join, Scan
 from repro.sql import parse
 from repro.storage import DataStore
-from tests.batches import join_rows
 
 
 @pytest.fixture
@@ -52,10 +52,6 @@ def run(setup, sql, params=None):
     builder.params = dict(params or {})
     plan = normalize(builder.build(parse(sql)))
     return executor.execute(plan)
-
-
-def rows_set(rows):
-    return sorted(tuple(sorted(r.items())) for r in rows)
 
 
 class TestBasicOperators:
@@ -140,6 +136,9 @@ class TestJoins:
         assert [r["CustomerId"] for r in result.rows] == [2]
 
     def test_join_algorithm_selection(self, setup):
+        """The *modelled* choice Fig. 9 is labelled by: it lives with the
+        workload-repository ingest, and the executor knows nothing of it."""
+        assert not hasattr(executor_module, "choose_join_algorithm")
         catalog, _, _, builder = setup
         plan = normalize(builder.build(parse(
             "SELECT MktSegment FROM Sales JOIN Customer")))
@@ -152,18 +151,6 @@ class TestJoins:
         multi = Join(join.left, join.right,
                      join.left_keys * 2, join.right_keys * 2)
         assert choose_join_algorithm(multi, big, big) == "merge"
-
-    def test_merge_join_matches_hash_join(self, setup):
-        catalog, store, executor, builder = setup
-        plan = normalize(builder.build(parse(
-            "SELECT MktSegment FROM Sales JOIN Customer")))
-        join = next(n for n in plan.walk() if isinstance(n, Join))
-        left = store.get(catalog.current_guid("Sales"))
-        right_plan_rows = executor.execute(join.right).rows
-        merged = join_rows("merge", join, left, right_plan_rows)
-        assert len(merged) == 4
-        assert rows_set(merged) == \
-            rows_set(join_rows("hash", join, left, right_plan_rows))
 
 
 class TestAggregates:

@@ -3,11 +3,12 @@
 A definition stays if some traffic reaches it; an option nobody sets is a
 constant.  The full census needs a profiler over the benchmark, the CLI,
 the figure benchmarks and the examples (DESIGN says how to re-run it);
-these are its three static shadows, cheap enough for tier-1:
+these are its four static shadows, cheap enough for tier-1:
 
 * every module has an importer that is not its own package ``__init__``;
 * the docs name exactly the ``REPRO_*`` variables that ``src/`` reads;
-* every field of the audited config dataclasses is set by somebody.
+* every field of the audited config dataclasses is set by somebody;
+* every ``BackendCapabilities`` field is read by somebody in ``src/``.
 """
 
 import ast
@@ -147,3 +148,14 @@ def test_every_config_field_has_a_setter(class_name):
     unset = set(fields_of(class_name, module)) - names_set_outside(module)
     assert sorted(unset) == [], (
         f"{class_name} fields nobody sets: make them module constants")
+
+
+def test_every_backend_capability_has_a_reader():
+    """A capability bit nothing gates on is a declaration, not a seam:
+    what a backend cannot do it refuses where it is asked to."""
+    read = {node.attr for path in python_files(SRC)
+            for node in ast.walk(tree_of(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = fields_of("BackendCapabilities", "repro.backends.base")
+    assert sorted(set(fields) - read) == []
