@@ -42,7 +42,7 @@ def run_flow():
     isolated_work = 0.0
     isolated_results = []
     for job in compiled:
-        run = engine.execute(job, record_history=False)
+        run = engine.execute(job)
         isolated_work += sum(s.rows_in + s.rows_out
                              for _, s in run.result.node_stats)
         isolated_results.append(run.rows)

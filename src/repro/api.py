@@ -251,18 +251,12 @@ class Session:
         """
         requests = [job if isinstance(job, JobRequest) else JobRequest(sql=job)
                     for job in jobs]
-        identities: Dict[str, JobRequest] = {}
-        for request in requests:
-            if request.job_id is None:
-                request.job_id = self.engine.next_job_id()
-            identities[request.job_id] = request
-        def ingest(run) -> None:
-            request = identities.get(run.compiled.job_id)
-            self.record(
-                run,
-                template_id=request.template_id if request else "",
-                pipeline_id=request.pipeline_id if request else "")
-        return self.scheduler.run_batch(requests, now=now, on_run=ingest)
+        results = self.scheduler.run_batch(requests, now=now)
+        for request, result in zip(requests, results):
+            if result.ok:
+                self.record(result.run, template_id=request.template_id,
+                            pipeline_id=request.pipeline_id)
+        return results
 
     # ------------------------------------------------------------------ #
     # the feedback loop

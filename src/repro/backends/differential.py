@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.api import Session
+from repro.common.clock import SECONDS_PER_DAY
 from repro.core.controls import MultiLevelControls
 from repro.plan.expressions import Row
 from repro.selection.policies import SelectionPolicy
@@ -35,7 +36,6 @@ from repro.workload.generator import CookingWorkload, generate_workload
 from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
 
 BACKENDS = ("memory", "sqlite")
-SECONDS_PER_DAY = 86400.0
 
 
 def canonical_value(value: object) -> object:

@@ -7,8 +7,8 @@ the query-processing flow of Figure 5:
    annotations from the insights service into the optimizer context, run
    core search (view matching) and the follow-up optimization phase (view
    buildout, taking view locks).
-2. ``execute``: run the physical plan; spools materialize views online; the
-   job manager early-seals each view the moment its rows are written and
+2. ``execute``: run the physical plan; spools materialize views online.
+3. ``finish``: the job manager early-seals each view the run wrote and
    notifies the insights service; observed per-subexpression statistics are
    recorded into the workload history.
 
@@ -23,7 +23,15 @@ import itertools
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.backends.base import ExecutionBackend
 from repro.backends.memory import InMemoryBackend
@@ -305,7 +313,8 @@ class ScopeEngine:
                 reuse_enabled: bool = True,
                 now: float = 0.0,
                 job_id: Optional[str] = None,
-                annotations: Optional[Mapping[str, Annotation]] = None
+                annotations: Optional[Mapping[str, Annotation]] = None,
+                before_view_lock: Optional[Callable[[], object]] = None
                 ) -> CompiledJob:
         """Parse, bind, and optimize one job (Figure 5, query processing).
 
@@ -313,6 +322,10 @@ class ScopeEngine:
         stands in for the insights fetch: the job compiles against exactly
         that set, which is how an annotations file reproduces an incident
         (:func:`repro.insights.annotations_file.compile_with_annotations`).
+
+        ``before_view_lock`` is called ahead of every view-lock request
+        of this compile; the scheduler passes a wait there so the jobs of
+        a wave ask for build locks in submission order.
         """
         job_id = job_id or self.next_job_id()
         recorder = self.recorder
@@ -344,6 +357,8 @@ class ScopeEngine:
         acquired_locks: List[str] = []
 
         def _acquire_lock(signature: str) -> bool:
+            if before_view_lock is not None:
+                before_view_lock()
             ok = self.insights.acquire_view_lock(signature, holder=job_id)
             if ok:
                 acquired_locks.append(signature)
@@ -475,14 +490,13 @@ class ScopeEngine:
     # ------------------------------------------------------------------ #
     # execution
 
-    def execute(self, compiled: CompiledJob, now: float = 0.0,
-                record_history: bool = True,
-                seal_views: bool = True) -> JobRun:
-        """Run the job; seal views early; record observed statistics.
+    def execute(self, compiled: CompiledJob, now: float = 0.0) -> JobRun:
+        """Run the job: pin, execute, retry, fall back -- nothing else.
 
-        The cluster simulator passes ``seal_views=False`` and calls
-        :meth:`seal_spooled` when the spool-writer stage actually completes
-        in simulated time, so early sealing happens at the right moment.
+        Sealing the run's views and recording its statistics are the
+        caller's, at the moment its schedule fixes: :meth:`finish` right
+        away for a serial caller, the scheduler's wave barrier, or the
+        cluster simulator's stage completion (:meth:`seal_spooled`).
 
         Every ViewScan's backing view is *pinned* for the duration of the
         run: the lifecycle GC janitor sweeps concurrently, and a pinned
@@ -522,13 +536,7 @@ class ScopeEngine:
         finally:
             for signature in pinned:
                 self.view_store.unpin(signature)
-        run = JobRun(compiled=compiled, result=result)
-        if seal_views:
-            for spool in result.spooled:
-                self.seal_spooled(run, spool.signature, at=now)
-        if record_history:
-            self._record_history(result)
-        return run
+        return JobRun(compiled=compiled, result=result)
 
     def _execute_attempts(self, compiled: CompiledJob,
                           now: float) -> ExecutionResult:
@@ -564,11 +572,18 @@ class ScopeEngine:
         if not touched:
             return None
         self._note_view_failures(compiled, now)
+        return self._recompile_without_reuse(compiled, now,
+                                             "view_read_failure")
+
+    def _recompile_without_reuse(self, compiled: CompiledJob, now: float,
+                                 reason: str) -> CompiledJob:
+        """The same job as a plain plan (no ViewScan, no Spool), counted
+        and logged as a reuse fallback with its ``reason``."""
         self.recorder.inc("execute.reuse_fallbacks")
         self.recorder.event(obs_events.REUSE_FALLBACK, at=now,
                             job_id=compiled.job_id,
                             virtual_cluster=compiled.virtual_cluster,
-                            reason="view_read_failure")
+                            reason=reason)
         return self.compile(
             compiled.sql,
             params=compiled.params,
@@ -622,19 +637,7 @@ class ScopeEngine:
             return compiled, pinned
         for signature in pinned:
             self.view_store.unpin(signature)
-        self.recorder.inc("execute.reuse_fallbacks")
-        self.recorder.event(obs_events.REUSE_FALLBACK, at=now,
-                            job_id=compiled.job_id,
-                            virtual_cluster=compiled.virtual_cluster)
-        recompiled = self.compile(
-            compiled.sql,
-            params=compiled.params,
-            virtual_cluster=compiled.virtual_cluster,
-            reuse_enabled=False,
-            now=now,
-            job_id=compiled.job_id,
-        )
-        return recompiled, []
+        return self._recompile_without_reuse(compiled, now, "pin_lost"), []
 
     def seal_spooled(self, run: JobRun, signature: str, at: float) -> None:
         """Early-seal one view produced by ``run`` at simulated time ``at``."""
@@ -655,31 +658,23 @@ class ScopeEngine:
                 virtual_cluster: str = "default",
                 reuse_enabled: bool = True,
                 now: float = 0.0) -> JobRun:
-        """Convenience: compile then execute."""
+        """Convenience: compile, execute, finish."""
         compiled = self.compile(sql, params, virtual_cluster,
                                 reuse_enabled, now)
-        return self.execute(compiled, now=now)
+        return self.finish(self.execute(compiled, now=now), at=now)
+
+    def finish(self, run: JobRun, at: float) -> JobRun:
+        """Complete ``run``: early-seal every view it spooled, then record
+        its observed statistics.  What a job reuses is decided by which
+        runs were finished before it compiled, so callers finish in an
+        order their schedule fixes."""
+        for spool in run.result.spooled:
+            self.seal_spooled(run, spool.signature, at=at)
+        self.record_history(run.result)
+        return run
 
     def record_history(self, result: ExecutionResult) -> None:
-        """Ingest one execution's observed per-subexpression statistics.
-
-        Public so the concurrent scheduler can defer history recording to
-        its deterministic collection phase (``execute`` is then called
-        with ``record_history=False``).
-        """
-        self._record_history(result)
-
-    # ------------------------------------------------------------------ #
-    # internals
-
-    def _abandon_builds(self, compiled: CompiledJob) -> None:
-        """Failed producer: drop unsealed views and release their locks."""
-        for proposal in compiled.optimized.proposals:
-            self.view_store.abandon(proposal.strict_signature)
-            self.insights.release_view_lock(
-                proposal.strict_signature, holder=compiled.job_id)
-
-    def _record_history(self, result: ExecutionResult) -> None:
+        """Ingest one execution's observed per-subexpression statistics."""
         salt = self.signature_salt
         for node, stats in result.node_stats:
             if isinstance(node, Spool):
@@ -690,3 +685,13 @@ class ScopeEngine:
                 stats.rows_out,
                 stats.bytes_out,
             )
+
+    # ------------------------------------------------------------------ #
+    # internals
+
+    def _abandon_builds(self, compiled: CompiledJob) -> None:
+        """Failed producer: drop unsealed views and release their locks."""
+        for proposal in compiled.optimized.proposals:
+            self.view_store.abandon(proposal.strict_signature)
+            self.insights.release_view_lock(
+                proposal.strict_signature, holder=compiled.job_id)

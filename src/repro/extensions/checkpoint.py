@@ -127,7 +127,8 @@ class CheckpointManager:
         the job's own result is discarded but the checkpoints survive.
         Returns (None, sealed signatures).
         """
-        run = self.engine.execute(compiled, now=now, seal_views=True)
+        run = self.engine.finish(
+            self.engine.execute(compiled, now=now), at=now)
         if not fail_after_checkpoint:
             return run, list(run.sealed_views)
         # The job "failed towards the end": its output is lost, but the
@@ -139,6 +140,4 @@ class CheckpointManager:
                  virtual_cluster: str = "default",
                  now: float = 0.0) -> JobRun:
         """Re-run the failed job; view matching loads the checkpoints."""
-        compiled = self.engine.compile(sql, params, virtual_cluster,
-                                       reuse_enabled=True, now=now)
-        return self.engine.execute(compiled, now=now)
+        return self.engine.run_sql(sql, params, virtual_cluster, now=now)

@@ -53,6 +53,11 @@ EXEC_MENU = (
     FaultSpec(points.SCHEDULER_WORKER, "crash", max_fires=2),
 )
 EXEC_PICKS = 2
+#: Jobs per scheduler wave.  A wave is a barrier -- no job reuses a view
+#: a sibling of its wave built -- so a day submitted as one wave would
+#: never reach the view-scan seam; 4 still keeps the session's two
+#: workers contending for view locks.
+WAVE_JOBS = 4
 
 #: Faults outside the execute path: each layer absorbs its own (client
 #: degradation, journal error counters, sweep aborts), so these can fire
@@ -130,10 +135,11 @@ def _run_workload(backend: str, *, days: int, faults=None,
                   workload_seed: int = 11, shards: int = 0) -> RunOutcome:
     """One full pass of the cooking workload through a :class:`Session`.
 
-    Jobs go through :meth:`Session.run_batch` (the scheduler path, so
-    worker faults are exercised); each day ends with selection feedback
-    and a GC sweep.  The journal lives in a temp dir that is recovered
-    into a *fresh* store after close to produce ``recovered_digest``.
+    Jobs go through :meth:`Session.run_batch` in waves of
+    :data:`WAVE_JOBS` (the scheduler path, so worker faults are
+    exercised); each day ends with selection feedback and a GC sweep.
+    The journal lives in a temp dir that is recovered into a *fresh*
+    store after close to produce ``recovered_digest``.
 
     With ``shards > 0`` the session runs the multi-process insights
     deployment; a *faulted* sharded pass additionally SIGKILLs and
@@ -199,7 +205,10 @@ def _run_workload(backend: str, *, days: int, faults=None,
                            pipeline_id=job.template.pipeline_id)
                 for job in jobs
             ]
-            results = session.run_batch(requests, now=now)
+            results = []
+            for start in range(0, len(requests), WAVE_JOBS):
+                results += session.run_batch(
+                    requests[start:start + WAVE_JOBS], now=now)
             for index, (job, result) in enumerate(zip(jobs, results)):
                 key = f"d{day}:{index}:{job.template.template_id}"
                 outcome.jobs += 1
@@ -322,6 +331,11 @@ def run_campaign(seeds: Sequence[int], backend: str = "memory",
         failed = ", ".join(sorted(reference.failures))
         raise AssertionError(
             f"fault-free reference run failed jobs: {failed}")
+    if reference.views_reused == 0:
+        # Nothing would ever reach the view-scan seam or the reuse
+        # fallback; day 0 only observes, so this needs ``days >= 2``.
+        raise AssertionError(
+            f"fault-free reference run reused no view in {days} day(s)")
     for seed in seeds:
         plan = campaign_plan(seed, shards=shards)
         faulted = _run_workload(backend, days=days,

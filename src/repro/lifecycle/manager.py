@@ -402,21 +402,15 @@ class LifecycleManager:
         # in-memory store: on an external backend (SQLite) the view is a
         # real table, and skipping the drop would leak storage the view
         # catalog no longer tracks after a purge cascade or GC sweep.
-        backend = getattr(self.engine, "backend", None)
-        if backend is not None:
-            try:
-                backend.drop_view(path)
-            except ReproError as error:
-                # Leave the blob for a later sweep; a failed drop must
-                # not abort the rest of the pass.
-                self.blob_delete_failures += 1
-                self.recorder.inc("gc.blob_delete_failures")
-                self.recorder.event(obs_events.VIEW_DROP_FAILED,
-                                    path=path, error=str(error))
-            return
-        store = getattr(self.engine, "store", None)
-        if store is not None and store.has(path):
-            store.delete(path)
+        try:
+            self.engine.backend.drop_view(path)
+        except ReproError as error:
+            # Leave the blob for a later sweep; a failed drop must
+            # not abort the rest of the pass.
+            self.blob_delete_failures += 1
+            self.recorder.inc("gc.blob_delete_failures")
+            self.recorder.event(obs_events.VIEW_DROP_FAILED,
+                                path=path, error=str(error))
 
     # ------------------------------------------------------------------ #
     # persistence and shutdown

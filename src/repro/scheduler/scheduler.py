@@ -15,22 +15,28 @@ threads over the *same* engine, with three invariants:
   raises :class:`~repro.common.errors.AdmissionError` (the paper's
   load-shedding posture for the serving tier).
 
-* **Deterministic collection** -- job ids are assigned at submission time,
-  and all schedule-dependent side effects (sealing views, recording
-  workload history) are deferred from the worker threads to
-  :meth:`drain`'s barrier, where they run in submission order.  A batch
+* **Deterministic collection** -- a wave is a barrier.  Job ids are
+  assigned at submission time; workers only compile and execute; and
+  :meth:`drain` first waits for *every* job of the wave, then runs one
+  completion pass in submission order (seal the run's views, record its
+  history, build its result).  No job of a wave can therefore see a view
+  a sibling built -- sharing inside a wave is the multi-query-optimization
+  setting, which this reproduction leaves out.  Within a wave the
+  insights service's atomic lock table is still the only buildout guard
+  (one producer per strict signature), but the jobs ask it in submission
+  order: compiles overlap, and a job's view-lock requests wait until
+  every earlier job of the wave has compiled, so the producer is the
+  earliest proposer and not the thread that got there first.  A batch
   run with 8 workers therefore leaves the engine in a byte-identical
-  state to the same batch run with 1 worker; only wall-clock differs.
-  Within a batch, view *buildout* dedup relies solely on the insights
-  service's atomic lock table: exactly one concurrent producer wins each
-  strict signature, and because catalog records are identity-free the
-  winner's identity does not affect the final catalog digest.
+  state -- catalog digest, per-job build and reuse counts, every
+  operator's row counts -- to the same batch run with 1 worker; only
+  wall-clock differs.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -96,17 +102,25 @@ class JobRequest:
     pipeline_id: str = ""
 
 
+@dataclass
 class _Pending:
     """Submission-order slot awaiting its worker's outcome."""
 
-    __slots__ = ("request", "job_id", "submitted_at", "future")
+    request: JobRequest
+    job_id: str
+    submitted_at: float
+    #: ``compiled`` of every job submitted before this one and not yet
+    #: drained.  The pool starts jobs in submission order, so each of
+    #: them is running or done whenever this slot's own job is.
+    earlier: List[threading.Event]
+    #: Set once the job has compiled (or failed to): from then on it
+    #: asks for no more view locks.
+    compiled: threading.Event = field(default_factory=threading.Event)
+    future: Optional[Future] = None
 
-    def __init__(self, request: JobRequest, job_id: str,
-                 submitted_at: float, future) -> None:
-        self.request = request
-        self.job_id = job_id
-        self.submitted_at = submitted_at
-        self.future = future
+    def wait_for_earlier(self) -> None:
+        for compiled in self.earlier:
+            compiled.wait()
 
 
 class JobScheduler:
@@ -170,33 +184,40 @@ class JobScheduler:
         with self._mutex:
             job_id = request.job_id or self.engine.next_job_id()
             self.jobs_submitted += 1
-            future = self._pool.submit(self._work, request, job_id, now)
-            self._pending.append(_Pending(request, job_id, now, future))
+            slot = _Pending(request, job_id, now,
+                            [other.compiled for other in self._pending])
+            slot.future = self._pool.submit(self._work, slot)
+            self._pending.append(slot)
         return job_id
 
-    def _work(self, request: JobRequest, job_id: str, now: float):
-        """Worker-thread body: compile + execute, side effects deferred.
+    def _work(self, slot: _Pending):
+        """Worker-thread body: compile + execute; the rest is the barrier's.
 
         The ``scheduler.worker`` fault point simulates the worker dying
         before it makes progress; the engine's own failure paths released
         everything on the way out, so restarting the attempt in place is
         exactly what the cluster's task rescheduler would do.
         """
-        for attempt in range(WORKER_RETRIES + 1):
-            try:
-                self.faults.fire(fault_points.SCHEDULER_WORKER)
-                return self._attempt(request, job_id, now)
-            except InjectedCrash:
-                if attempt >= WORKER_RETRIES:
-                    raise
-                self.recorder.inc("scheduler.worker_retries")
-                self.recorder.event(
-                    obs_events.WORKER_RETRIED, at=now, job_id=job_id,
-                    virtual_cluster=request.virtual_cluster,
-                    attempt=attempt + 1)
-        raise AssertionError("unreachable")  # pragma: no cover
+        try:
+            for attempt in range(WORKER_RETRIES + 1):
+                try:
+                    self.faults.fire(fault_points.SCHEDULER_WORKER)
+                    return self._attempt(slot)
+                except InjectedCrash:
+                    if attempt >= WORKER_RETRIES:
+                        raise
+                    self.recorder.inc("scheduler.worker_retries")
+                    self.recorder.event(
+                        obs_events.WORKER_RETRIED, at=slot.submitted_at,
+                        job_id=slot.job_id,
+                        virtual_cluster=slot.request.virtual_cluster,
+                        attempt=attempt + 1)
+            raise AssertionError("unreachable")  # pragma: no cover
+        finally:
+            slot.compiled.set()  # a job that never compiled frees its turn
 
-    def _attempt(self, request: JobRequest, job_id: str, now: float):
+    def _attempt(self, slot: _Pending):
+        request, now = slot.request, slot.submitted_at
         reuse = request.reuse_enabled
         if reuse and self.reuse_gate is not None:
             reuse = self.reuse_gate(request.virtual_cluster)
@@ -206,28 +227,29 @@ class JobScheduler:
             virtual_cluster=request.virtual_cluster,
             reuse_enabled=reuse,
             now=now,
-            job_id=job_id,
+            job_id=slot.job_id,
+            # Compiles overlap; only build locks are taken in turn, so
+            # which job of a wave builds a view is its earliest proposer
+            # and not the thread that got there first.
+            before_view_lock=slot.wait_for_earlier,
         )
-        # Sealing and history recording happen at the drain barrier, in
-        # submission order -- the worker only does the schedule-invariant
-        # part of execution.
-        return self.engine.execute(
-            compiled, now=now, record_history=False, seal_views=False)
+        slot.compiled.set()
+        return self.engine.execute(compiled, now=now)
 
     # ------------------------------------------------------------------ #
     # collection barrier
 
-    def drain(self, now: float = 0.0,
-              on_run: Optional[Callable[[JobRun], None]] = None
-              ) -> List[JobResult]:
-        """Wait for every pending job; apply side effects in submission order.
+    def drain(self, now: float = 0.0) -> List[JobResult]:
+        """The wave barrier: wait for every pending job, then complete
+        them in submission order.
 
-        ``on_run`` is invoked (still in submission order) for each
-        successful run after its views sealed -- the concurrent simulation
-        uses it to ingest the workload repository deterministically.
+        Sealing while a sibling still compiles would let thread timing
+        pick what that sibling reuses; nothing of the wave is sealed or
+        recorded until all of it has executed.
         """
         with self._mutex:
             pending, self._pending = self._pending, []
+        wait([slot.future for slot in pending])
         results: List[JobResult] = []
         failures = 0
         for slot in pending:
@@ -246,11 +268,7 @@ class JobScheduler:
                     slot.job_id, slot.request.sql,
                     slot.request.virtual_cluster, slot.submitted_at, error))
             else:
-                for spool in run.result.spooled:
-                    self.engine.seal_spooled(run, spool.signature, at=now)
-                self.engine.record_history(run.result)
-                if on_run is not None:
-                    on_run(run)
+                self.engine.finish(run, at=now)
                 results.append(JobResult.from_run(run))
             finally:
                 if self._slots is not None:
@@ -267,13 +285,12 @@ class JobScheduler:
             )
         return results
 
-    def run_batch(self, requests: List[JobRequest], now: float = 0.0,
-                  on_run: Optional[Callable[[JobRun], None]] = None
-                  ) -> List[JobResult]:
+    def run_batch(self, requests: List[JobRequest],
+                  now: float = 0.0) -> List[JobResult]:
         """Submit a batch and drain it: one wave, results in batch order."""
         for request in requests:
             self.submit(request, now=now)
-        return self.drain(now=now, on_run=on_run)
+        return self.drain(now=now)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -24,13 +24,14 @@ What differs between runs is only the *schedule* of a day's jobs:
   baseline-vs-CloudViews comparisons.
 * **waves** (``workers=N``): all jobs sharing a simulated arrival time
   form one wave that compiles and executes concurrently on the session's
-  scheduler, with sealing / history / repository ingestion applied at the
-  wave barrier in submission order.  By construction the simulated
-  outcome -- view catalog, reuse counts, workload repository -- is
+  scheduler.  The wave is a barrier: nothing is sealed, recorded or
+  ingested until every job of it has executed, and then each step runs in
+  submission order -- so no job reuses a view a sibling of its wave built
+  -- and its jobs ask for view locks in submission order, so a view is
+  built by its earliest proposer.  The simulated outcome (view catalog,
+  per-job build and reuse counts, workload repository) is therefore
   independent of the worker and shard counts; ``workers=8`` differs from
-  ``workers=1`` only in wall-clock time and in which thread happened to
-  win each view lock (the catalog digest is identity-free, so even that
-  does not show).  Produces per-job
+  ``workers=1`` only in wall-clock time.  Produces per-job
   :class:`~repro.scheduler.results.JobResult`.
 """
 
@@ -343,7 +344,8 @@ class WorkloadSimulation:
                                template.virtual_cluster)),
             now=now,
         )
-        run = engine.execute(compiled, now=now, seal_views=False)
+        run = engine.execute(compiled, now=now)
+        engine.record_history(run.result)
         self.session.record(run, template_id=template.template_id,
                             pipeline_id=template.pipeline_id)
 

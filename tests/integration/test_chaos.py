@@ -17,6 +17,7 @@ from repro.core import MultiLevelControls
 from repro.engine.engine import QUARANTINE_FAILURES
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
 from repro.faults.chaos import (
+    _run_workload,
     campaign_plan,
     check_ctas_crash_recovery,
     run_campaign,
@@ -35,6 +36,24 @@ class TestCampaigns:
         # The harness must actually inject something, or the invariants
         # are vacuous.
         assert any(s.fired.get("fired_total", 0) > 0 for s in report.seeds)
+
+    def test_fault_free_reference_is_one_outcome_on_every_deployment(self):
+        """Waves are barriers, so what the reference builds and reuses is
+        a function of the workload alone -- and it does reuse, or the
+        view-scan faults would have nothing to hit."""
+        outcomes = {
+            (backend, shards): _run_workload(backend, days=2, shards=shards)
+            for backend in ("memory", "sqlite") for shards in (0, 2)}
+        assert all(not o.failures for o in outcomes.values())
+        assert {(o.live_digest, o.views_created, o.views_reused)
+                for o in outcomes.values()} == {
+            (outcomes["memory", 0].live_digest, 2, 3)}
+        assert all(o.recovered_digest == o.live_digest
+                   for o in outcomes.values())
+
+    def test_a_reference_without_reuse_is_refused(self):
+        with pytest.raises(AssertionError, match="reused no view"):
+            run_campaign([0], days=1)
 
     def test_campaign_plans_are_reproducible(self):
         assert campaign_plan(3).to_json() == campaign_plan(3).to_json()

@@ -13,18 +13,41 @@ because routing partitions by signature hash and the router
 re-accumulates per-tag serving charges in the caller's tag order.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.simulation import SimulationConfig, WorkloadSimulation
-from repro.workload.generator import generate_workload
+from repro.workload.generator import CookingWorkload, generate_workload
 
 BASELINE = (1, 0)
 #: (workers, shards) deployments that must all converge on the baseline.
 VARIANTS = ((8, 0), (2, 1), (2, 2), (4, 4))
+#: The same bar for multi-job waves; the last entry is the baseline's
+#: spec run a second time (a third element only keys the report).
+BURST_VARIANTS = ((2, 0), (8, 0), (1, 2), (2, 2), (8, 2), (1, 0, "again"))
+BURST_JOBS = 8
 
 
-def run_simulation(workers, shards=0, days=3, seed=7):
+class BurstWorkload(CookingWorkload):
+    """The cooking workload arriving in bursts: each run of
+    :data:`BURST_JOBS` consecutive submissions shares the first one's
+    arrival time, which the wave schedule turns into one 8-job wave."""
+
+    def jobs_for_day(self, day):
+        jobs = super().jobs_for_day(day)
+        return [dataclasses.replace(
+                    job,
+                    submit_time=jobs[index - index % BURST_JOBS].submit_time)
+                for index, job in enumerate(jobs)]
+
+
+def run_simulation(workers, shards=0, days=3, seed=7, bursts=False):
     workload = generate_workload(seed=seed)
+    if bursts:
+        workload = BurstWorkload(**{
+            f.name: getattr(workload, f.name)
+            for f in dataclasses.fields(workload)})
     simulation = WorkloadSimulation(
         workload,
         SimulationConfig(days=days, workers=workers, shards=shards))
@@ -35,6 +58,12 @@ def run_simulation(workers, shards=0, days=3, seed=7):
 def reports():
     return {(workers, shards): run_simulation(workers, shards)
             for workers, shards in (BASELINE,) + VARIANTS}
+
+
+@pytest.fixture(scope="module")
+def burst_reports():
+    return {variant: run_simulation(*variant[:2], bursts=True)
+            for variant in (BASELINE,) + BURST_VARIANTS}
 
 
 def job_outcome(result):
@@ -94,6 +123,28 @@ class TestDeploymentInvariance:
             return [sorted(c.recurring for c in s.selected)
                     for s in report.selections]
         assert epochs(reports[BASELINE]) == epochs(reports[variant])
+
+    @pytest.mark.parametrize("variant", BURST_VARIANTS, ids=str)
+    def test_eight_job_waves_are_deployment_invariant(self, burst_reports,
+                                                      variant):
+        """Every outcome is a function of (workload, seed) even when eight
+        jobs share a wave: no thread count, shard count or re-run moves
+        the digest, one job's reuse or build count, or the repository."""
+        def state(report):
+            return (report.catalog_digest, report.views_created,
+                    [job_outcome(r) for r in report.results],
+                    [(j.job_id, j.template_id, j.submit_time,
+                      j.subexpression_count)
+                     for j in report.repository.jobs])
+        base = burst_reports[BASELINE]
+        assert state(burst_reports[variant]) == state(base)
+        assert base.views_created > 0 and base.views_reused > 0
+        assert base.failures == 0
+        # The bursts really are multi-job waves.
+        waves = {}
+        for result in base.results:
+            waves.setdefault(result.submitted_at, []).append(result)
+        assert max(map(len, waves.values())) == BURST_JOBS
 
     def test_sharded_runs_report_per_shard_stats(self, reports):
         for (_, shards), report in reports.items():

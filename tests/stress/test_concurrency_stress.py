@@ -18,6 +18,7 @@ injected serving-layer faults.  The invariants under test:
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -77,16 +78,23 @@ class TestNoDuplicateBuildout:
     def test_many_threads_one_buildout_per_signature(self):
         engine = build_engine()
         annotate_shared_join(engine)
-        with JobScheduler(engine, SchedulerConfig(workers=8)) as scheduler:
-            results = scheduler.run_batch(
-                [JobRequest(sql=SQL) for _ in range(40)], now=0.0)
-        assert all(r.ok for r in results)
+        # Straight onto the engine: the scheduler would hand out build
+        # locks in submission order, and this is about the lock table
+        # being the only guard when nothing orders the requests.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                runs = list(pool.map(
+                    lambda _: engine.finish(
+                        engine.execute(engine.compile(SQL, now=0.0)), at=0.0),
+                    range(40)))
+        finally:
+            sys.setswitchinterval(interval)
         # 40 concurrent jobs raced for one shared join: exactly one won
-        # the lock and materialized; everyone else was denied.
-        # (Losers usually see the open materialization slot and skip the
-        # lock entirely, so a lock *denial* is not guaranteed -- only
-        # single buildout is.)
-        assert sum(r.views_built for r in results) == 1
+        # the lock and materialized; everyone else was denied, found the
+        # materialization slot open, or (once it sealed) reused the view.
+        assert sum(run.compiled.built_views for run in runs) == 1
         assert engine.view_store.total_created == 1
         assert engine.insights.held_locks() == {}
 

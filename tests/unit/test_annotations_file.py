@@ -83,7 +83,7 @@ class TestDebugCompilation:
     def test_reproduces_match_after_materialization(self, engine):
         text = dump_annotations(selected_annotations(engine))
         compiled = compile_with_annotations(engine, SQL, text)
-        run = engine.execute(compiled, now=0.0)
+        run = engine.finish(engine.execute(compiled, now=0.0), at=0.0)
         assert run.sealed_views
         debug = compile_with_annotations(engine, SQL, text, now=1.0,
                                          job_id="incident-42")

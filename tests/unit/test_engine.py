@@ -91,7 +91,7 @@ class TestEngineLifecycle:
     def test_deferred_sealing(self, engine):
         annotate_join(engine)
         compiled = engine.compile(SQL)
-        run = engine.execute(compiled, now=0.0, seal_views=False)
+        run = engine.execute(compiled, now=0.0)
         assert run.sealed_views == []
         other = engine.run_sql(SQL, now=1.0)
         assert other.compiled.reused_views == 0  # still unsealed
@@ -99,6 +99,36 @@ class TestEngineLifecycle:
         engine.seal_spooled(run, signature, at=2.0)
         third = engine.run_sql(SQL, now=3.0)
         assert third.compiled.reused_views == 1
+
+    def test_both_reuse_fallbacks_say_why(self, engine):
+        from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
+        from repro.obs import FlightRecorder
+
+        recorder = FlightRecorder()
+        recorder.install(engine)
+        annotate_join(engine)
+        expected = sorted(map(repr, engine.run_sql(SQL).rows))
+
+        def reasons():
+            return [event.attrs["reason"] for event in
+                    recorder.events.events(kind="execute.reuse_fallback")]
+
+        # The view read fails: strike, recompute without reuse.
+        engine.backend.faults = FaultRuntime(FaultPlan(specs=[
+            FaultSpec(points.BACKEND_SCAN_VIEW, "storage", max_fires=1)]))
+        run = engine.run_sql(SQL, now=1.0)
+        assert sorted(map(repr, run.rows)) == expected
+        assert reasons() == ["view_read_failure"]
+        # The view is collected between the claim and the pin.
+        claimed = engine.compile(SQL, now=2.0)
+        assert claimed.reused_views == 1
+        [view] = engine.view_store.views()
+        assert engine.view_store.remove(view.signature, reason="gc")
+        run = engine.execute(claimed, now=2.0)
+        assert sorted(map(repr, run.rows)) == expected
+        assert run.compiled.reused_views == 0
+        assert reasons() == ["view_read_failure", "pin_lost"]
+        assert recorder.metrics.counter("execute.reuse_fallbacks") == 2
 
     def test_history_recorded_after_execution(self, engine):
         engine.run_sql(SQL)

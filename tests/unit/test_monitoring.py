@@ -36,6 +36,6 @@ class TestRenderPlan:
         engine.insights.publish([Annotation(target.recurring, target.tag)])
         builder = engine.compile(sql)
         assert "materializes CloudView" in render_plan(builder.plan)
-        engine.execute(builder)
+        engine.finish(engine.execute(builder), at=0.0)
         reuser = engine.compile(sql, now=1.0)
         assert "reused CloudView" in render_plan(reuser.plan)

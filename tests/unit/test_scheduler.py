@@ -1,5 +1,7 @@
 """Unit tests for the concurrent job scheduler and the repro.api facade."""
 
+import time
+
 import pytest
 
 from repro.api import Session
@@ -119,6 +121,78 @@ class TestBatches:
         assert results[0].reuse_enabled is False
         assert results[0].views_built == 0
         assert results[1].views_built == 1
+
+
+class TestWaveBarrier:
+    """A wave is a barrier: nothing of it is sealed while a sibling may
+    still be compiling, whatever the thread count."""
+
+    BROKEN = 3  # position of the failing job in the wave
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_seal_before_every_sibling_executed(self, engine,
+                                                   monkeypatch, workers):
+        annotate_join(engine)
+        executed, at_first_seal = [], []
+        execute, seal = engine.execute, engine.view_store.seal
+
+        def spy_execute(compiled, now=0.0):
+            # Yield the GIL, so a drain that seals as futures resolve
+            # gets its chance to run beside the siblings.
+            time.sleep(0.005)
+            run = execute(compiled, now=now)
+            executed.append(compiled.job_id)
+            return run
+
+        def spy_seal(*args, **kwargs):
+            at_first_seal.append(sorted(executed))
+            return seal(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "execute", spy_execute)
+        monkeypatch.setattr(engine.view_store, "seal", spy_seal)
+        requests = [JobRequest(sql=SQL) for _ in range(8)]
+        requests[self.BROKEN] = JobRequest(sql="SELECT Nope FROM Missing")
+        scheduler = JobScheduler(engine, SchedulerConfig(
+            workers=workers, max_pending=8, admission="reject"))
+        results = scheduler.run_batch(requests, now=0.0)
+
+        # The failing job neither stopped the barrier nor its siblings'
+        # completion pass.
+        assert [r.ok for r in results] == [
+            index != self.BROKEN for index in range(8)]
+        healthy = sorted(r.job_id for r in results if r.ok)
+        assert at_first_seal == [healthy]  # one view, sealed after all 7
+        assert [r.views_reused for r in results] == [0] * 8
+        assert sum(len(r.sealed_views) for r in results) == 1
+        # Every admission slot came back: a second full wave is admitted,
+        # and it reuses what the first one built.
+        again = scheduler.run_batch(
+            [JobRequest(sql=SQL) for _ in range(8)], now=10.0)
+        scheduler.close()
+        assert [r.views_reused for r in again] == [1] * 8
+
+
+    def test_earliest_proposer_builds_whatever_the_thread_timing(
+            self, engine, monkeypatch):
+        """Compiles overlap, build locks are taken in submission order: a
+        first job that compiles slowly still builds the view (and the
+        view lands under *its* virtual cluster), its siblings do not."""
+        annotate_join(engine)
+        compile_job = engine.compile
+
+        def slow_first_compile(sql, **kwargs):
+            if kwargs["job_id"] == "job-1":
+                time.sleep(0.05)  # every sibling gets to its lock first
+            return compile_job(sql, **kwargs)
+
+        monkeypatch.setattr(engine, "compile", slow_first_compile)
+        with JobScheduler(engine, SchedulerConfig(workers=4)) as scheduler:
+            results = scheduler.run_batch(
+                [JobRequest(sql=SQL, virtual_cluster=f"vc{index}")
+                 for index in range(4)], now=0.0)
+        assert [r.views_built for r in results] == [1, 0, 0, 0]
+        [view] = engine.view_store.views()
+        assert view.virtual_cluster == "vc0"
 
 
 class TestAdmission:

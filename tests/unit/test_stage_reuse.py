@@ -39,7 +39,7 @@ def annotate_join(engine):
 
 def graph_for(engine, reuse, now):
     compiled = engine.compile(SQL, reuse_enabled=reuse, now=now)
-    run = engine.execute(compiled, now=now)
+    run = engine.finish(engine.execute(compiled, now=now), at=now)
     estimator = CardinalityEstimator(engine.catalog, history=None,
                                      overestimate=2.0,
                                      salt=engine.signature_salt)
