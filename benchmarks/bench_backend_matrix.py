@@ -1,17 +1,18 @@
-"""Backend matrix: throughput and reuse parity across execution backends.
+"""Backend matrix: reuse parity across execution backends.
 
 Runs the same two-round TPC-DS flow (observe, select, re-run with reuse)
 on every registered execution backend, with CloudViews on and off, and
-emits ``BENCH_backends.json`` at the repo root for trend tracking.  The
-timing columns differ between backends -- that is the point of the
-matrix -- but the *reuse* columns must not: identical views created,
-views reused, and catalog digest on every backend, or the backend
-abstraction is leaking into selection.
+emits ``BENCH_backends.json`` at the repo root.  The *reuse* columns
+must not differ between backends: identical views created, views
+reused, and catalog digest on every backend, or the backend abstraction
+is leaking into selection.  No cell is timed: two rounds are the
+observation round and the round that *builds* the views, never a steady
+state, so a jobs/s figure here read as "reuse is a loss" --
+``benchmarks/e2e/run.py`` is where throughput is measured.
 """
 
 import json
 import pathlib
-import time
 
 from repro.api import Session
 from repro.backends import backend_names
@@ -34,7 +35,6 @@ def run_cell(backend: str, reuse: bool):
                            selection_policy=SelectionPolicy(
                                storage_budget_bytes=50_000_000,
                                min_reuses_per_epoch=0.0))
-    started = time.perf_counter()
     with Session(config=config, controls=controls) as session:
         install_tpcds(session.engine, scale_rows=SCALE_ROWS)
         jobs = 0
@@ -45,13 +45,10 @@ def run_cell(backend: str, reuse: bool):
                 jobs += 1
             if round_no == 1 and reuse:
                 session.analyze_and_publish()
-        wall = time.perf_counter() - started
         return {
             "backend": backend,
             "reuse": reuse,
             "jobs": jobs,
-            "wall_seconds": round(wall, 3),
-            "jobs_per_second": round(jobs / wall, 1) if wall else 0.0,
             "views_created": session.views_created,
             "views_reused": session.views_reused,
             "catalog_digest": session.catalog_digest(),
@@ -76,11 +73,9 @@ def test_backend_matrix(benchmark):
     report = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
 
     print("\nBackend matrix (two-round TPC-DS)")
-    print(f"{'backend':<10}{'reuse':<7}{'jobs/s':>8}{'created':>9}"
-          f"{'reused':>8}  digest")
+    print(f"{'backend':<10}{'reuse':<7}{'created':>9}{'reused':>8}  digest")
     for cell in report["cells"]:
         print(f"{cell['backend']:<10}{str(cell['reuse']):<7}"
-              f"{cell['jobs_per_second']:>8,.1f}"
               f"{cell['views_created']:>9}{cell['views_reused']:>8}  "
               f"{cell['catalog_digest'][:12]}")
 

@@ -15,6 +15,14 @@ The journal fixes that with the classic recipe:
   replays the WAL tail, reproducing the pre-crash catalog exactly --
   verified by comparing ``ViewStore.catalog_digest`` before and after.
 
+The journal owns the *file* -- line framing, the flush per append,
+torn-write healing, the atomic snapshot, the ``epoch`` marker, and the
+lineage side of a replayed ``created`` / departure.  What a record
+*means* is the store's: the manager journals the records
+:meth:`ViewStore.apply` applied, verbatim, replay feeds them back through
+the same ``apply``, and a snapshot is the store's ``dump()`` (plus
+lineage and epoch) installed again by ``load()``.
+
 View *definitions* (logical subplans) are deliberately not serialized:
 restored views carry ``definition=None``, exactly like the paper's views
 restored from path-encoded metadata, so the optional containment matcher
@@ -28,44 +36,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TextIO
 
-from repro.common.errors import ReproError, StorageError
+from repro.common.errors import StorageError
 from repro.common.sync import RANK_LEAF, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.lifecycle.lineage import LineageRegistry
-from repro.storage.views import MaterializedView, ViewStore
+from repro.storage.views import DEPARTED, ViewStore
 
 WAL_FILE = "wal.jsonl"
 SNAPSHOT_FILE = "snapshot.json"
-
-
-def view_to_record(view: MaterializedView) -> Dict[str, object]:
-    """Serialize one view; the inverse of :func:`record_to_view`.
-
-    Reuses the identity-free :meth:`MaterializedView.catalog_record`
-    layout so a journaled record round-trips to an identical digest.
-    """
-    return view.catalog_record()
-
-
-def record_to_view(record: Dict[str, object]) -> MaterializedView:
-    """Rebuild a view from its journaled record (``definition=None``)."""
-    return MaterializedView(
-        signature=str(record["signature"]),
-        path=str(record["path"]),
-        schema=tuple(record["schema"]),
-        virtual_cluster=str(record["virtual_cluster"]),
-        created_at=float(record["created_at"]),
-        expires_at=float(record["expires_at"]),
-        recurring_signature=str(record.get("recurring", "")),
-        row_count=int(record.get("rows", 0)),
-        size_bytes=int(record.get("bytes", 0)),
-        sealed=bool(record.get("sealed", False)),
-        sealed_at=(None if record.get("sealed_at") is None
-                   else float(record["sealed_at"])),
-        purged=bool(record.get("purged", False)),
-        reuse_count=int(record.get("reuse_count", 0)),
-    )
 
 
 @dataclass
@@ -202,10 +181,11 @@ class CatalogJournal:
     # ------------------------------------------------------------------ #
     # snapshots
 
-    def snapshot(self, store: ViewStore, lineage: LineageRegistry,
-                 epoch: int = 0, runtime_version: str = "") -> str:
-        """Write a full-state snapshot and truncate the WAL.
+    def snapshot(self, state: Dict[str, object]) -> str:
+        """Write ``state`` as the full-state snapshot and truncate the WAL.
 
+        ``state`` is plain data: the store's ``dump()`` (``views``,
+        ``counters``) plus ``lineage``, ``epoch`` and ``runtime_version``.
         The snapshot lands via write-to-temp + rename so a crash mid-write
         leaves the previous snapshot intact -- which is also why the
         ``journal.snapshot`` fault point (fired before the rename) only
@@ -213,18 +193,10 @@ class CatalogJournal:
         previous one plus the still-untruncated WAL.
         """
         self.faults.fire(fault_points.JOURNAL_SNAPSHOT)
-        payload = {
-            "views": [view_to_record(v) for v in
-                      sorted(store.views(), key=lambda v: v.signature)],
-            "counters": store.counters(),
-            "lineage": lineage.snapshot(),
-            "epoch": epoch,
-            "runtime_version": runtime_version,
-        }
         with self._mutex:
             tmp = self.snapshot_path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                json.dump(state, handle, sort_keys=True)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self.snapshot_path)
@@ -244,82 +216,47 @@ class CatalogJournal:
         """Rebuild ``store`` and ``lineage`` from snapshot + WAL tail.
 
         Must run on a *fresh* store, before the journal's own listener is
-        attached (or replay would re-journal itself).
+        attached (or replay would re-journal itself).  What a record
+        means is the store's business: the snapshot goes through
+        :meth:`ViewStore.load`, every WAL op through
+        :meth:`ViewStore.apply`.
         """
-        if store.views():
-            raise StorageError("journal recovery requires an empty store")
         report = RecoveryReport()
+        state: Dict[str, object] = {}
         if os.path.exists(self.snapshot_path):
             with open(self.snapshot_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            for record in payload.get("views", ()):
-                store.restore(record_to_view(record))
-            store.restore_counters(payload.get("counters", {}))
-            lineage.restore(payload.get("lineage", {}))
-            report.snapshot_views = len(payload.get("views", ()))
-            report.epoch = int(payload.get("epoch", 0))
-            report.runtime_version = str(payload.get("runtime_version", ""))
+                state = json.load(handle)
+        report.skipped += [["counters", name] for name in store.load(state)]
+        lineage.restore(state.get("lineage", {}))
+        report.snapshot_views = len(state.get("views", ()))
+        report.epoch = int(state.get("epoch", 0))
+        report.runtime_version = str(state.get("runtime_version", ""))
         for op in self.wal_ops():
             report.wal_ops += 1
+            kind = str(op.get("op"))
             try:
-                self._apply(store, lineage, op, report)
-            except (ReproError, KeyError, ValueError, TypeError):
+                if kind == "epoch":
+                    report.epoch = int(op.get("epoch", report.epoch))
+                    report.runtime_version = str(
+                        op.get("version", report.runtime_version))
+                    continue
+                view = store.apply(op)
+                if kind == "created":
+                    lineage.record(view.signature, frozenset(
+                        (d, g) for d, g in op.get("lineage", ())))
+                elif kind in DEPARTED:
+                    lineage.forget(str(op.get("signature", "")))
+            except StorageError:
+                # An op this version does not know, or one for a view
+                # the WAL never created (its creation was the torn line).
+                report.skipped.append([kind, str(op.get("signature", ""))])
+            except (KeyError, ValueError, TypeError):
                 # A malformed-but-decodable op (half a payload survived
                 # the tear) must not abort recovery of everything else.
-                report.skipped.append([str(op.get("op")), "malformed"])
+                report.skipped.append([kind, "malformed"])
         report.torn_lines = self.last_scan_torn
         report.views_restored = len(store.views())
         return report
-
-    def _apply(self, store: ViewStore, lineage: LineageRegistry,
-               op: Dict[str, object], report: RecoveryReport) -> None:
-        """Replay one WAL op with the same counter arithmetic as the live
-        path (so restored counters keep their monotonic meaning)."""
-        kind = op.get("op")
-        signature = str(op.get("signature", ""))
-        if kind == "created":
-            view = record_to_view(op["view"])
-            store.restore(view)
-            lineage.record(view.signature, frozenset(
-                (d, g) for d, g in op.get("lineage", ())))
-            return
-        if kind == "epoch":
-            report.epoch = int(op.get("epoch", report.epoch))
-            report.runtime_version = str(
-                op.get("version", report.runtime_version))
-            return
-        view = store.get(signature)
-        if kind == "sealed":
-            if view is None:
-                report.skipped.append([str(kind), signature])
-                return
-            view.sealed = True
-            view.sealed_at = float(op["sealed_at"])
-            view.row_count = int(op["rows"])
-            view.size_bytes = int(op["bytes"])
-            store.total_created += 1
-        elif kind == "reused":
-            if view is None:
-                report.skipped.append([str(kind), signature])
-                return
-            view.reuse_count += 1
-            store.total_reused += 1
-        elif kind == "purged":
-            if view is None:
-                report.skipped.append([str(kind), signature])
-                return
-            view.purged = True
-            store.total_purged += 1
-        elif kind in ("abandoned", "evicted", "removed"):
-            if view is not None:
-                store.discard(signature)
-            lineage.forget(signature)
-            if kind == "evicted":
-                store.total_expired += 1
-            elif kind == "removed":
-                store.total_gc_evicted += 1
-        else:
-            report.skipped.append([str(kind), signature])
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -39,9 +39,10 @@ from repro.lifecycle.invalidation import (
     RuntimeEpochBumped,
     StreamGuidChanged,
 )
-from repro.lifecycle.journal import CatalogJournal, RecoveryReport, view_to_record
+from repro.lifecycle.journal import CatalogJournal, RecoveryReport
 from repro.lifecycle.lineage import LineageRegistry, extract_inputs
 from repro.obs import events as obs_events
+from repro.storage.views import DEPARTED
 
 
 @dataclass(kw_only=True)
@@ -158,29 +159,18 @@ class LifecycleManager:
     # ------------------------------------------------------------------ #
     # the view store's mutation feed (called with the store mutex held)
 
-    def _on_store_mutation(self, op: str, **payload) -> None:
-        if op == "created":
-            view = payload["view"]
-            inputs = extract_inputs(view.definition, self.lineage)
-            self.lineage.record(view.signature, inputs)
-            self._journal("created", view=view_to_record(view),
-                          lineage=sorted([d, g] for d, g in inputs))
-        elif op == "sealed":
-            view = payload["view"]
-            self._journal("sealed", signature=view.signature,
-                          sealed_at=view.sealed_at, rows=view.row_count,
-                          bytes=view.size_bytes)
-        elif op == "reused":
-            self._journal("reused", signature=payload["signature"])
-        elif op == "purged":
-            self._journal("purged", signature=payload["signature"],
-                          reason=payload.get("reason", "purged"))
-        elif op in ("abandoned", "evicted", "removed"):
-            signature = payload["signature"]
-            self.lineage.forget(signature)
-            self._journal(op, signature=signature,
-                          **({"reason": payload["reason"]}
-                             if "reason" in payload else {}))
+    def _on_store_mutation(self, record: Dict[str, object]) -> None:
+        """Keep lineage in step; journal the record the store applied."""
+        if record["op"] == "created":
+            signature = record["view"]["signature"]
+            inputs = extract_inputs(self.store.get(signature).definition,
+                                    self.lineage)
+            self.lineage.record(signature, inputs)
+            record = {**record,
+                      "lineage": sorted([d, g] for d, g in inputs)}
+        elif record["op"] in DEPARTED:
+            self.lineage.forget(record["signature"])
+        self._journal(**record)
 
     def _journal(self, op: str, **payload) -> None:
         if self.journal is None:
@@ -419,9 +409,10 @@ class LifecycleManager:
         """Write a full-state snapshot (and truncate the WAL)."""
         if self.journal is None:
             return None
-        path = self.journal.snapshot(
-            self.store, self.lineage, epoch=self.epoch,
-            runtime_version=self.engine.runtime_version)
+        path = self.journal.snapshot({
+            **self.store.dump(), "lineage": self.lineage.snapshot(),
+            "epoch": self.epoch,
+            "runtime_version": self.engine.runtime_version})
         self.recorder.event(obs_events.JOURNAL_SNAPSHOT,
                             views=len(self.store.views()),
                             epoch=self.epoch)

@@ -33,12 +33,7 @@ from repro.common.errors import StorageError
 from repro.common.hashing import shard_for
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
-from repro.lifecycle.journal import (
-    CatalogJournal,
-    RecoveryReport,
-    record_to_view,
-    view_to_record,
-)
+from repro.lifecycle.journal import CatalogJournal, RecoveryReport
 from repro.lifecycle.lineage import LineageRegistry
 from repro.storage.views import ViewStore
 
@@ -101,41 +96,35 @@ class ShardedCatalogJournal:
     # ------------------------------------------------------------------ #
     # snapshots
 
-    def snapshot(self, store: ViewStore, lineage: LineageRegistry,
-                 epoch: int = 0, runtime_version: str = "") -> str:
-        """Partition the live state and snapshot every shard's slice.
+    def snapshot(self, state: Dict[str, object]) -> str:
+        """Slice the live state by owner and snapshot every shard's part.
 
         Each shard receives the view records and lineage entries it owns
-        plus -- shard 0 only -- the aggregate lifecycle counters, so the
-        merged recovery sums counters to exactly the live values.
-        Sending the *live* slice (not the shard's own recovered state)
-        is what heals WAL ops lost to injected torn writes, matching the
-        single-journal manager snapshotting the live store.
+        plus -- shard 0 only, the others explicit zeros -- the lifetime
+        counters, so the merged recovery sums counters to exactly the
+        live values.  Sending the *live* slice (not the shard's own
+        recovered state) is what heals WAL ops lost to injected torn
+        writes, matching the single-journal manager snapshotting the
+        live store; each worker writes its slice as it arrives.
         """
         self.faults.fire(fault_points.JOURNAL_SNAPSHOT)
-        views: List[List[Dict[str, object]]] = [
-            [] for _ in range(self.shards)]
-        for view in sorted(store.views(), key=lambda v: v.signature):
-            views[shard_for(view.signature, self.shards)].append(
-                view_to_record(view))
-        lineage_slices: List[Dict[str, object]] = [
-            {} for _ in range(self.shards)]
-        for signature, inputs in lineage.snapshot().items():
-            lineage_slices[shard_for(signature, self.shards)][
+        slices: List[Dict[str, object]] = [
+            {**state, "views": [], "lineage": {},
+             "counters": (state["counters"] if shard_id == 0
+                          else dict.fromkeys(state["counters"], 0))}
+            for shard_id in range(self.shards)]
+        for record in state["views"]:
+            slices[shard_for(record["signature"], self.shards)][
+                "views"].append(record)
+        for signature, inputs in state["lineage"].items():
+            slices[shard_for(signature, self.shards)]["lineage"][
                 signature] = inputs
-        path = ""
-        for shard_id in range(self.shards):
-            reply = self.router.call(
-                shard_id, "journal_snapshot",
-                views=views[shard_id],
-                lineage=lineage_slices[shard_id],
-                counters=store.counters() if shard_id == 0 else {},
-                epoch=epoch, runtime_version=runtime_version)
-            if shard_id == 0:
-                path = str(reply["path"])
+        paths = [self.router.call(shard_id, "journal_snapshot",
+                                  state=part)["path"]
+                 for shard_id, part in enumerate(slices)]
         self.ops_since_snapshot = 0
         self.snapshots_written += 1
-        return path
+        return str(paths[0])
 
     # ------------------------------------------------------------------ #
     # recovery
@@ -176,14 +165,13 @@ class ShardedCatalogJournal:
 
 
 def recover_partition(journal: CatalogJournal) -> Dict[str, object]:
-    """Replay one shard's WAL into the record merge-on-read folds."""
+    """Replay one shard's WAL into the record merge-on-read folds: the
+    partition's snapshot ``state`` plus the recovery tallies."""
     store = ViewStore()
     lineage = LineageRegistry()
     report = journal.recover(store, lineage)
     return {
-        "views": [v.catalog_record() for v in
-                  sorted(store.views(), key=lambda v: v.signature)],
-        "counters": store.counters(),
+        **store.dump(),
         "lineage": lineage.snapshot(),
         "epoch": report.epoch,
         "runtime_version": report.runtime_version,
@@ -199,26 +187,27 @@ def _merge_partitions(partitions: Iterable[Dict[str, object]],
                       lineage: LineageRegistry) -> RecoveryReport:
     """Fold per-shard recoveries (:func:`recover_partition` records, live
     replies or read off disk alike) into the one global catalog: views
-    and lineage union, counters and tallies sum, the epoch is the max."""
-    if store.views():
-        raise StorageError("journal recovery requires an empty store")
+    and lineage union, counters and tallies sum, the epoch is the max
+    (and the runtime version the one that came with it)."""
     report = RecoveryReport()
+    views: List[Dict[str, object]] = []
     counters: Dict[str, int] = {}
+    links: Dict[str, object] = {}
     for part in partitions:
-        for record in part["views"]:
-            store.restore(record_to_view(record))
-            report.views_restored += 1
+        views += part["views"]
         for name, value in part["counters"].items():
             counters[name] = counters.get(name, 0) + int(value)
-        lineage.restore(dict(part["lineage"]))
-        report.epoch = max(report.epoch, int(part["epoch"]))
-        if part["runtime_version"]:
+        links.update(part["lineage"])
+        if part["runtime_version"] and int(part["epoch"]) >= report.epoch:
             report.runtime_version = str(part["runtime_version"])
+        report.epoch = max(report.epoch, int(part["epoch"]))
         report.snapshot_views += int(part["snapshot_views"])
         report.wal_ops += int(part["wal_ops"])
         report.torn_lines += int(part["torn_lines"])
         report.skipped.extend([str(a), str(b)] for a, b in part["skipped"])
-    store.restore_counters(counters)
+    store.load({"views": views, "counters": counters})
+    lineage.restore(links)
+    report.views_restored = len(views)
     return report
 
 

@@ -42,14 +42,9 @@ from repro.insights.partition import (
     annotations_from_wire,
     to_wire,
 )
-from repro.lifecycle.journal import (
-    CatalogJournal,
-    record_to_view,
-)
-from repro.lifecycle.lineage import LineageRegistry
+from repro.lifecycle.journal import CatalogJournal
 from repro.shard.journal import recover_partition
 from repro.shard.protocol import error_payload, recv_frame, send_frame
-from repro.storage.views import ViewStore
 
 #: File the worker's annotation partition persists to (atomically), so a
 #: restarted shard serves the same slice it served before dying.
@@ -157,24 +152,11 @@ class ShardWorker:
 
     def _op_journal_snapshot(self, params: Dict[str, object]
                              ) -> Dict[str, object]:
-        """Snapshot this shard's slice of the *live* global state.
-
-        The router sends each shard the view records, lineage entries,
-        and (shard 0 only) aggregate counters belonging to it; building
-        a fresh store from that slice and snapshotting it heals any WAL
-        ops lost to injected torn/storage faults, exactly like the
-        single-journal manager snapshotting the live store.
-        """
-        store = ViewStore()
-        for record in params.get("views", ()):
-            store.restore(record_to_view(record))
-        store.restore_counters(dict(params.get("counters", {})))
-        lineage = LineageRegistry()
-        lineage.restore(dict(params.get("lineage", {})))
-        path = self._require_journal().snapshot(
-            store, lineage, epoch=int(params.get("epoch", 0)),
-            runtime_version=str(params.get("runtime_version", "")))
-        return {"path": path}
+        """Write this shard's slice of the *live* global state, as sent:
+        the router slices the records by owner, the journal owns the
+        file (which heals any WAL op lost to an injected fault)."""
+        return {"path": self._require_journal().snapshot(
+            dict(params["state"]))}
 
     def _op_journal_recover(self, params: Dict[str, object]
                             ) -> Dict[str, object]:

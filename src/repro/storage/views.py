@@ -14,6 +14,14 @@ production lifecycle:
 * **purging**: users "can see the CloudViews-generated files ... and even
   purge views whenever necessary" (§2.4).
 
+Every one of those is a plain-data *record* (``created`` / ``sealed`` /
+``reused`` / ``purged`` / ``abandoned`` / ``evicted`` / ``removed``) put
+through :meth:`ViewStore.apply`, the one place a view's durable fields
+and the lifetime counters change -- the same function WAL replay calls
+(:mod:`repro.lifecycle.journal`), so a recovered catalog is the live one
+by construction.  :meth:`ViewStore.dump` / :meth:`ViewStore.load` are
+the one codec of that durable state (digest, snapshots, recovery).
+
 The store is shared by every concurrently compiling and executing job, so
 all mutations and multi-view reads hold one reentrant lock.  The
 concurrency invariant (at most one materialization per strict signature)
@@ -36,10 +44,18 @@ from repro.obs.recorder import NULL_RECORDER
 
 DEFAULT_VIEW_TTL = SECONDS_PER_WEEK
 
-#: Mutation listener: ``listener(op, **payload)``.  Called with the store
-#: mutex held so the observed order equals the applied order (the durable
-#: catalog journal depends on this); listeners must not block.
-StoreListener = Callable[..., None]
+#: The lifetime counters: with the view records, the whole durable state.
+COUNTERS = ("total_created", "total_reused", "total_expired",
+            "total_purged", "total_gc_evicted")
+#: The ops after which a view is gone from the catalog (lineage forgets it).
+DEPARTED = ("abandoned", "evicted", "removed")
+
+#: Mutation listener: ``listener(record)``, the plain-data record
+#: :meth:`ViewStore.apply` just applied (a WAL line, verbatim).  Called
+#: with the store mutex held so the observed order equals the applied
+#: order (the durable catalog journal depends on this); listeners must
+#: not block.
+StoreListener = Callable[[Dict[str, object]], None]
 
 
 @dataclass
@@ -95,6 +111,27 @@ class MaterializedView:
             "reuse_count": self.reuse_count,
         }
 
+    @classmethod
+    def from_record(cls, record: Dict[str, object]) -> "MaterializedView":
+        """The inverse of :meth:`catalog_record` (``definition=None``,
+        unpinned: neither is durable)."""
+        return cls(
+            signature=str(record["signature"]),
+            path=str(record["path"]),
+            schema=tuple(record["schema"]),
+            virtual_cluster=str(record["virtual_cluster"]),
+            created_at=float(record["created_at"]),
+            expires_at=float(record["expires_at"]),
+            recurring_signature=str(record.get("recurring", "")),
+            row_count=int(record.get("rows", 0)),
+            size_bytes=int(record.get("bytes", 0)),
+            sealed=bool(record.get("sealed", False)),
+            sealed_at=(None if record.get("sealed_at") is None
+                       else float(record["sealed_at"])),
+            purged=bool(record.get("purged", False)),
+            reuse_count=int(record.get("reuse_count", 0)),
+        )
+
 
 class ViewStore:
     """Catalog of materialized views, keyed by strict signature."""
@@ -144,10 +181,63 @@ class ViewStore:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    def _notify(self, op: str, **payload) -> None:
-        """Dispatch one mutation to the listeners (mutex held by caller)."""
+    def _commit(self, record: Dict[str, object]
+                ) -> Optional[MaterializedView]:
+        """Apply one record, then hand that same record to the listeners
+        (mutex held by caller)."""
+        view = self.apply(record)
         for listener in self._listeners:
-            listener(op, **payload)
+            listener(record)
+        return view
+
+    # ------------------------------------------------------------------ #
+    # the transition function
+
+    def apply(self, record: Dict[str, object]) -> Optional[MaterializedView]:
+        """Apply one catalog mutation record; returns the view it touched.
+
+        The only place a view's durable fields and the lifetime counters
+        change: the mutators below validate, build the record and come
+        here, and WAL replay feeds the journaled records back through
+        unchanged -- so a recovered catalog equals the live one by
+        construction.  An unknown op, or a ``sealed`` / ``reused`` /
+        ``purged`` for a view that is not there, raises
+        :class:`StorageError`; half a payload raises ``KeyError`` /
+        ``ValueError`` / ``TypeError`` before anything changed.
+        """
+        op = record.get("op")
+        with self._mutex:
+            if op == "created":
+                view = MaterializedView.from_record(record["view"])
+                self._views[view.signature] = view
+                return view
+            signature = str(record.get("signature", ""))
+            if op in DEPARTED:
+                # Counted even when the entry is already gone: the live
+                # store counted it, and a WAL may have lost the creation.
+                if op == "evicted":
+                    self.total_expired += 1
+                elif op == "removed":
+                    self.total_gc_evicted += 1
+                return self._views.pop(signature, None)
+            if op not in ("sealed", "reused", "purged"):
+                raise StorageError(f"unknown catalog op {op!r}")
+            view = self._views.get(signature)
+            if view is None:
+                raise StorageError(f"unknown view {signature[:8]}")
+            if op == "sealed":
+                view.sealed_at, view.row_count, view.size_bytes = (
+                    float(record["sealed_at"]), int(record["rows"]),
+                    int(record["bytes"]))
+                view.sealed = True
+                self.total_created += 1
+            elif op == "reused":
+                view.reuse_count += 1
+                self.total_reused += 1
+            else:
+                view.purged = True
+                self.total_purged += 1
+            return view
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -165,7 +255,7 @@ class ViewStore:
                 raise StorageError(
                     f"view {signature[:8]} already materialized and available")
             ttl = self.ttl_seconds if ttl_seconds is None else ttl_seconds
-            view = MaterializedView(
+            record = {"op": "created", "view": MaterializedView(
                 signature=signature,
                 path=path,
                 schema=tuple(schema),
@@ -173,10 +263,13 @@ class ViewStore:
                 created_at=now,
                 expires_at=now + ttl,
                 recurring_signature=recurring_signature,
-                definition=definition,
-            )
-            self._views[signature] = view
-            self._notify("created", view=view, now=now)
+            ).catalog_record()}
+            # The defining subplan is not durable; it is in place before
+            # the listeners run (lineage is extracted from it).
+            view = self.apply(record)
+            view.definition = definition
+            for listener in self._listeners:
+                listener(record)
         self.recorder.event(obs_events.VIEW_CREATED, at=now,
                             signature=signature[:12], path=path,
                             virtual_cluster=virtual_cluster)
@@ -186,13 +279,9 @@ class ViewStore:
              size_bytes: int, sealed_by: str = "") -> MaterializedView:
         """Early-seal a view: it becomes visible for reuse immediately."""
         with self._mutex:
-            view = self._require(signature)
-            view.sealed = True
-            view.sealed_at = now
-            view.row_count = row_count
-            view.size_bytes = size_bytes
-            self.total_created += 1
-            self._notify("sealed", view=view, now=now)
+            view = self._commit({
+                "op": "sealed", "signature": signature, "sealed_at": now,
+                "rows": row_count, "bytes": size_bytes})
         self.recorder.event(obs_events.VIEW_SEALED, at=now,
                             job_id=sealed_by,
                             signature=signature[:12], rows=row_count,
@@ -206,8 +295,7 @@ class ViewStore:
             view = self._views.get(signature)
             if view is None or view.sealed:
                 return
-            del self._views[signature]
-            self._notify("abandoned", signature=signature)
+            self._commit({"op": "abandoned", "signature": signature})
         self.recorder.event(obs_events.VIEW_INVALIDATED,
                             signature=signature[:12], reason="abandoned")
 
@@ -219,11 +307,10 @@ class ViewStore:
         in-flight readers keep a consistent record to unpin.
         """
         with self._mutex:
-            view = self._require(signature)
-            if not view.purged:
-                view.purged = True
-                self.total_purged += 1
-                self._notify("purged", signature=signature, reason=reason)
+            view = self._views.get(signature)
+            if view is None or not view.purged:  # apply refuses an unknown view
+                self._commit({"op": "purged", "signature": signature,
+                              "reason": reason})
         self.recorder.event(obs_events.VIEW_INVALIDATED,
                             signature=signature[:12], reason=reason)
 
@@ -237,29 +324,12 @@ class ViewStore:
             view = self._views.get(signature)
             if view is None or view.pins > 0:
                 return False
-            del self._views[signature]
-            self.total_gc_evicted += 1
-            self._notify("removed", signature=signature, reason=reason)
+            self._commit({"op": "removed", "signature": signature,
+                          "reason": reason})
         self.recorder.event(obs_events.VIEW_EVICTED,
                             signature=signature[:12], reason=reason,
                             reuse_count=view.reuse_count)
         return True
-
-    def restore(self, view: MaterializedView) -> None:
-        """Reinstall a view record verbatim (journal replay only).
-
-        Does not notify listeners -- replay must not re-journal itself --
-        and does not touch the aggregate counters (the journal restores
-        those separately).
-        """
-        with self._mutex:
-            self._views[view.signature] = view
-
-    def discard(self, signature: str) -> None:
-        """Silently drop a view record (journal replay only; no
-        listeners, no counters)."""
-        with self._mutex:
-            self._views.pop(signature, None)
 
     # ------------------------------------------------------------------ #
     # pinning (in-flight readers)
@@ -309,11 +379,8 @@ class ViewStore:
 
     def record_reuse(self, signature: str, reused_by: str = "") -> None:
         with self._mutex:
-            view = self._require(signature)
-            view.reuse_count += 1
-            self.total_reused += 1
-            reuse_count = view.reuse_count
-            self._notify("reused", signature=signature)
+            reuse_count = self._commit(
+                {"op": "reused", "signature": signature}).reuse_count
         self.recorder.event(obs_events.VIEW_REUSED, job_id=reused_by,
                             signature=signature[:12],
                             reuse_count=reuse_count)
@@ -340,10 +407,8 @@ class ViewStore:
             if view is None or not view.available(now):
                 return None
             view.pins += 1
-            view.reuse_count += 1
-            self.total_reused += 1
-            reuse_count = view.reuse_count
-            self._notify("reused", signature=signature)
+            reuse_count = self._commit(
+                {"op": "reused", "signature": signature}).reuse_count
         self.recorder.event(obs_events.VIEW_REUSED, job_id=reused_by,
                             signature=signature[:12],
                             reuse_count=reuse_count)
@@ -366,9 +431,7 @@ class ViewStore:
             expired = [v for v in self._views.values()
                        if v.sealed and now >= v.expires_at and v.pins == 0]
             for view in expired:
-                del self._views[view.signature]
-                self.total_expired += 1
-                self._notify("evicted", signature=view.signature, now=now)
+                self._commit({"op": "evicted", "signature": view.signature})
         for view in expired:
             self.recorder.event(obs_events.VIEW_EVICTED, at=now,
                                 signature=view.signature[:12],
@@ -402,32 +465,41 @@ class ViewStore:
         this is what ``repro simulate --workers N`` compares against a
         serial run.
         """
-        with self._mutex:
-            records = [self._views[s].catalog_record()
-                       for s in sorted(self._views)]
-        payload = json.dumps(records, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        payload = json.dumps(self.dump()["views"], sort_keys=True)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def counters(self) -> Dict[str, int]:
         """Aggregate lifetime counters (journaled alongside the catalog)."""
         with self._mutex:
-            return {
-                "total_created": self.total_created,
-                "total_reused": self.total_reused,
-                "total_expired": self.total_expired,
-                "total_purged": self.total_purged,
-                "total_gc_evicted": self.total_gc_evicted,
-            }
+            return {name: getattr(self, name) for name in COUNTERS}
 
-    def restore_counters(self, counters: Dict[str, int]) -> None:
-        """Reinstall journaled counters (replay only)."""
+    # ------------------------------------------------------------------ #
+    # the snapshot codec
+
+    def dump(self) -> Dict[str, object]:
+        """The durable catalog state as plain data: every view's canonical
+        record (sorted by signature) and the lifetime counters.  What a
+        journal snapshots and what :meth:`catalog_digest` hashes."""
         with self._mutex:
-            for name, value in counters.items():
-                if hasattr(self, name):
-                    setattr(self, name, int(value))
+            return {"views": [self._views[s].catalog_record()
+                              for s in sorted(self._views)],
+                    "counters": self.counters()}
 
-    def _require(self, signature: str) -> MaterializedView:
-        view = self._views.get(signature)
-        if view is None:
-            raise StorageError(f"unknown view {signature[:8]}")
-        return view
+    def load(self, state: Dict[str, object]) -> List[str]:
+        """Install a :meth:`dump` into this (empty) store.
+
+        Only the five lifetime counters are admitted: any other key under
+        ``counters`` is refused and returned, and the rest still loads.
+        """
+        with self._mutex:
+            if self._views:
+                raise StorageError("journal recovery requires an empty store")
+            for record in state.get("views", ()):
+                self.apply({"op": "created", "view": record})
+            refused = []
+            for name, value in state.get("counters", {}).items():
+                if name in COUNTERS:
+                    setattr(self, name, int(value))
+                else:
+                    refused.append(name)
+            return refused

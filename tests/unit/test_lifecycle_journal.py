@@ -7,8 +7,7 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.lifecycle import CatalogJournal, LineageRegistry
-from repro.lifecycle.journal import record_to_view, view_to_record
-from repro.storage.views import ViewStore
+from repro.storage.views import MaterializedView, ViewStore
 
 
 def build_store(ttl=100.0):
@@ -22,16 +21,24 @@ def build_store(ttl=100.0):
     return store
 
 
+def state_of(store, lineage=None, epoch=0, runtime_version=""):
+    """What the lifecycle manager hands ``CatalogJournal.snapshot``."""
+    return {**store.dump(),
+            "lineage": (lineage or LineageRegistry()).snapshot(),
+            "epoch": epoch, "runtime_version": runtime_version}
+
+
 class TestViewRecords:
     def test_round_trip_preserves_catalog_record(self):
         store = build_store()
         view = store.get("s1")
-        assert record_to_view(view_to_record(view)).catalog_record() \
-            == view.catalog_record()
+        assert MaterializedView.from_record(
+            view.catalog_record()).catalog_record() == view.catalog_record()
 
     def test_restored_view_has_no_definition(self):
         store = build_store()
-        restored = record_to_view(view_to_record(store.get("s1")))
+        restored = MaterializedView.from_record(
+            store.get("s1").catalog_record())
         assert restored.definition is None
         assert restored.pins == 0
 
@@ -67,7 +74,7 @@ class TestSnapshotAndRecovery:
         store = build_store()
         journal = CatalogJournal(str(tmp_path))
         journal.append("reused", signature="s1")
-        journal.snapshot(store, LineageRegistry())
+        journal.snapshot(state_of(store))
         assert journal.wal_ops() == []
         assert journal.ops_since_snapshot == 0
         assert os.path.exists(journal.snapshot_path)
@@ -78,7 +85,8 @@ class TestSnapshotAndRecovery:
         lineage = LineageRegistry()
         lineage.record("s1", frozenset({("Events", "g1")}))
         journal = CatalogJournal(str(tmp_path))
-        journal.snapshot(store, lineage, epoch=3, runtime_version="r9")
+        journal.snapshot(state_of(store, lineage, epoch=3,
+                                  runtime_version="r9"))
         journal.close()
 
         fresh_store = ViewStore()
@@ -96,7 +104,7 @@ class TestSnapshotAndRecovery:
     def test_recover_replays_wal_tail(self, tmp_path):
         store = build_store()
         journal = CatalogJournal(str(tmp_path))
-        journal.snapshot(store, LineageRegistry())
+        journal.snapshot(state_of(store))
         # Mutations after the snapshot land only in the WAL.
         store.record_reuse("s2")
         journal.append("reused", signature="s2")
@@ -114,7 +122,7 @@ class TestSnapshotAndRecovery:
     def test_recover_replays_removals(self, tmp_path):
         store = build_store()
         journal = CatalogJournal(str(tmp_path))
-        journal.snapshot(store, LineageRegistry())
+        journal.snapshot(state_of(store))
         store.purge("s2")
         journal.append("purged", signature="s2")
         assert store.remove("s2")
@@ -136,7 +144,7 @@ class TestSnapshotAndRecovery:
         store = ViewStore(ttl_seconds=100.0)
         journal = CatalogJournal(str(tmp_path))
         store.begin_materialize("s1", "views/s1", ("a",), "vc1", now=0.0)
-        journal.append("created", view=view_to_record(store.get("s1")),
+        journal.append("created", view=store.get("s1").catalog_record(),
                        lineage=[["Events", "g1"]])
         store.seal("s1", now=1.0, row_count=2, size_bytes=16)
         journal.append("sealed", signature="s1", sealed_at=1.0,
@@ -159,9 +167,34 @@ class TestSnapshotAndRecovery:
             ViewStore(), LineageRegistry())
         assert report.skipped == [["flux-capacitor", "s1"]]
 
+    def test_snapshot_counters_admit_the_lifetime_counters_only(
+            self, tmp_path):
+        """Regression: ``restore_counters`` did ``setattr`` for whatever
+        key the snapshot carried -- ``_views`` replaced the view table
+        with an int (recovery died with ``AttributeError``) and
+        ``ttl_seconds`` silently rewrote the store's TTL."""
+        store = build_store()
+        journal = CatalogJournal(str(tmp_path))
+        journal.snapshot(state_of(store))
+        journal.close()
+        with open(journal.snapshot_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["counters"].update({"_views": 7, "ttl_seconds": 5})
+        with open(journal.snapshot_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True)
+
+        fresh = ViewStore(ttl_seconds=100.0)
+        report = CatalogJournal(str(tmp_path)).recover(
+            fresh, LineageRegistry())
+        assert report.skipped == [["counters", "_views"],
+                                  ["counters", "ttl_seconds"]]
+        assert fresh.ttl_seconds == 100.0
+        assert fresh.catalog_digest() == store.catalog_digest()
+        assert fresh.counters() == store.counters()
+
     def test_snapshot_is_atomic_no_tmp_left_behind(self, tmp_path):
         journal = CatalogJournal(str(tmp_path))
-        journal.snapshot(build_store(), LineageRegistry())
+        journal.snapshot(state_of(build_store()))
         assert not os.path.exists(journal.snapshot_path + ".tmp")
         with open(journal.snapshot_path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -220,7 +253,7 @@ class TestTornWrites:
     def test_recover_reports_torn_lines_and_keeps_tail(self, tmp_path):
         store = build_store()
         journal = CatalogJournal(str(tmp_path))
-        journal.snapshot(store, LineageRegistry())
+        journal.snapshot(state_of(store))
         store.record_reuse("s1")
         journal.append("reused", signature="s1")
         journal.close()

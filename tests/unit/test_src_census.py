@@ -3,12 +3,15 @@
 A definition stays if some traffic reaches it; an option nobody sets is a
 constant.  The full census needs a profiler over the benchmark, the CLI,
 the figure benchmarks and the examples (DESIGN says how to re-run it);
-these are its four static shadows, cheap enough for tier-1:
+these are its static shadows, cheap enough for tier-1:
 
 * every module has an importer that is not its own package ``__init__``;
 * the docs name exactly the ``REPRO_*`` variables that ``src/`` reads;
 * every field of the audited config dataclasses is set by somebody;
-* every ``BackendCapabilities`` field is read by somebody in ``src/``.
+* every ``BackendCapabilities`` field is read by somebody in ``src/``;
+* what a catalog mutation *means* is written once: the lifetime-counter
+  and ``reuse_count`` arithmetic and every write to a view's ``sealed`` /
+  ``purged`` flag sit in ``ViewStore.apply`` and nowhere else in ``src/``.
 """
 
 import ast
@@ -159,3 +162,49 @@ def test_every_backend_capability_has_a_reader():
             and isinstance(node.ctx, ast.Load)}
     fields = fields_of("BackendCapabilities", "repro.backends.base")
     assert sorted(set(fields) - read) == []
+
+
+#: Augmented assignment to any of these is catalog arithmetic ...
+CATALOG_ARITHMETIC = {"reuse_count", "total_created", "total_reused",
+                      "total_expired", "total_purged", "total_gc_evicted"}
+#: ... and so is any assignment at all to these.
+VIEW_FLAGS = {"sealed", "purged"}
+
+
+def catalog_writes(path: Path):
+    """``(enclosing definition, attribute)`` for every statement in
+    ``path`` that moves durable catalog state."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}".lstrip(".")
+        targets, names = [], set()
+        if isinstance(node, ast.AugAssign):
+            targets, names = [node.target], CATALOG_ARITHMETIC | VIEW_FLAGS
+        elif isinstance(node, ast.Assign):
+            targets, names = node.targets, VIEW_FLAGS
+        elif isinstance(node, ast.AnnAssign):
+            targets, names = [node.target], VIEW_FLAGS
+        for target in targets:
+            found.extend((owner, leaf.attr) for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Attribute)
+                         and leaf.attr in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree_of(path), "")
+    return found
+
+
+def test_catalog_arithmetic_is_written_once_in_the_view_store():
+    """Live mutators and WAL replay share ``ViewStore.apply``; a second
+    copy of its arithmetic (the journal used to keep one, "in step" by
+    hand) is how a recovered catalog drifts from the live one."""
+    views = MODULES["repro.storage.views"]
+    elsewhere = {str(path.relative_to(SRC)): catalog_writes(path)
+                 for path in python_files(SRC)
+                 if path != views and catalog_writes(path)}
+    assert elsewhere == {}
+    assert sorted(catalog_writes(views)) == sorted(
+        ("ViewStore.apply", name) for name in CATALOG_ARITHMETIC | VIEW_FLAGS)
