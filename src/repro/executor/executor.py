@@ -11,8 +11,9 @@ CloudViews pre-joins with subexpressions in its workload repository
 from estimates.
 
 Spool operators perform their double duty here: the child's batch flows
-to the parent unchanged *and* is written to stable storage under the view
-path, exactly the online-materialization side effect of Section 2.3.
+to the parent *and* is written, every column built, to stable storage
+under the view path, exactly the online-materialization side effect of
+Section 2.3.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.executor.udo import UdoRegistry, default_registry
-from repro.plan.expressions import Expr, FuncCall, Row
+from repro.plan.expressions import ColumnRef, Expr, FuncCall, Row
 from repro.plan.logical import (
     Distinct,
     Filter,
@@ -105,7 +106,10 @@ class Executor:
     at boundaries*; *a column is measured at most once* -- a column that
     passes through (or is renamed) keeps its recorded size, a gather of a
     fixed-width column is ``width * n``, and an operator that dropped
-    nothing returns its child's batch; *an expression is compiled once
+    nothing returns its child's batch -- and *a column is built only when
+    an operator reads it*: a ``Filter``, join, ``Sort`` or ``Limit`` hands
+    on pending gathers (:class:`~repro.storage.batch.Columns`), and what
+    stores a batch builds the rest; *an expression is compiled once
     per operator execution* into a function of the batch; and *every
     operator emits rows in one stated order* (a join: left order, each
     left row with its right matches in right order; a group: first
@@ -173,11 +177,12 @@ class Executor:
 
     def _project(self, plan: Project, result: ExecutionResult):
         child = self._run(plan.child, result)
-        # A column handed through unchanged keeps what was measured of it.
-        known = {id(values): child.measured[name]
-                 for name, values in child.columns.items()}
         columns = {name: expr.compile()(child.columns, child.length)
                    for expr, name in zip(plan.exprs, plan.names)}
+        # A column handed through unchanged keeps what was measured of it
+        # (looked up once the expressions have built what they read).
+        known = {id(values): child.measured[name]
+                 for name, values in child.columns.entries.items()}
         return child.length, Batch(columns, child.length, {
             name: known[id(values)] for name, values in columns.items()
             if id(values) in known})
@@ -192,7 +197,8 @@ class Executor:
         keys = _key_columns(plan.keys, child)
         if keys:
             groups: Dict[object, List[int]] = defaultdict(list)
-            for position, key in enumerate(_keys(keys, child.length)):
+            for position, key in enumerate(_keys(
+                    keys, child.length, _widths(plan.keys, child))):
                 groups[key].append(position)
             members = list(groups.values())
         else:
@@ -232,7 +238,8 @@ class Executor:
     def _distinct(self, plan: Distinct, result: ExecutionResult):
         child = self._run(plan.child, result)
         n = child.length
-        keys = _keys(list(child.select(plan.schema).columns.values()), n)
+        keys = _row_keys([ColumnRef(name) for name in dict.fromkeys(
+            plan.schema) if name in child.columns], child)
         # Written back to front, a key keeps its first position.
         first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
         return n, _selected(child, sorted(first.values()))
@@ -297,18 +304,29 @@ def _key_columns(exprs: Sequence[Expr], batch: Batch) -> List[list]:
     return [expr.compile()(batch.columns, batch.length) for expr in exprs]
 
 
-def _keys(columns: Sequence[list], n: int) -> list:
+def _widths(exprs: Sequence[Expr], batch: Batch) -> List[int]:
+    """The width ``batch`` records for each of ``exprs`` that names one of
+    its columns, else 0."""
+    return [batch.measured.get(expr.key, (0, 0))[1]
+            if isinstance(expr, ColumnRef) else 0 for expr in exprs]
+
+
+def _keys(columns: Sequence[list], n: int, widths: Sequence[int]) -> list:
     """One hashable key per row from its values in ``columns``: the value
-    itself for a single column, else the tuple (``()`` for no column)."""
-    columns = [values if set(map(type, values)) <= _HASHABLE
-               else list(map(_hashable, values)) for values in columns]
+    itself for a single column, else the tuple (``()`` for no column).  A
+    column with a claimed width (``widths``, by position) holds numbers,
+    NULLs, booleans or plain strings only, so it skips the type walk."""
+    columns = [values if width or set(map(type, values)) <= _HASHABLE
+               else list(map(_hashable, values))
+               for values, width in zip(columns, widths)]
     if len(columns) == 1:
         return columns[0]
     return list(zip(*columns)) if columns else [()] * n
 
 
-def _join_keys(exprs: Sequence[Expr], batch: Batch) -> list:
-    return _keys(_key_columns(exprs, batch), batch.length)
+def _row_keys(exprs: Sequence[Expr], batch: Batch) -> list:
+    return _keys(_key_columns(exprs, batch), batch.length,
+                 _widths(exprs, batch))
 
 
 def join_batches(plan: Join, left: Batch, right: Batch) -> Batch:
@@ -322,9 +340,9 @@ def join_batches(plan: Join, left: Batch, right: Batch) -> Batch:
     gathered candidates.
     """
     index: Dict[object, List[int]] = defaultdict(list)
-    for position, key in enumerate(_join_keys(plan.right_keys, right)):
+    for position, key in enumerate(_row_keys(plan.right_keys, right)):
         index[key].append(position)
-    hits = list(map(index.get, _join_keys(plan.left_keys, left), repeat(())))
+    hits = list(map(index.get, _row_keys(plan.left_keys, left), repeat(())))
     outer = plan.how == "left"
     if plan.residual is not None:
         out = _joined(plan, left, right, hits, False)
@@ -340,8 +358,8 @@ def join_batches(plan: Join, left: Batch, right: Batch) -> Batch:
 def _joined(plan: Join, left: Batch, right: Batch,
             hits: List[Sequence[int]], outer: bool) -> Batch:
     """The join's output for ``hits`` -- per left row, the right positions
-    it is emitted with: one gather per output column; with ``outer`` an
-    unmatched left row is NULL-extended."""
+    it is emitted with: each side a pending gather, beside the other; with
+    ``outer`` an unmatched left row is NULL-extended."""
     if outer:
         unmatched = (right.length,)
         hits = [hit or unmatched for hit in hits]
@@ -355,11 +373,8 @@ def _joined(plan: Join, left: Batch, right: Batch,
         left = left.take(list(compress(range(left.length), matched)))
     dropped = set(plan.drop_right)
     right = right.select([name for name in right.columns
-                          if name not in dropped]).take(taken, null=outer)
-    measured = {name: size for name, size in left.measured.items()
-                if name not in right.columns}
-    measured.update(right.measured)
-    return Batch({**left.columns, **right.columns}, len(taken), measured)
+                          if name not in dropped])
+    return left.beside(right.take(taken, null=outer))
 
 
 #: An aggregate over the non-NULL values of a non-empty group.

@@ -13,13 +13,16 @@ Two representations matter for CloudViews:
 * :meth:`Expr.evaluate` -- direct interpretation over a row ``dict``: the
   reference semantics (constant folding and the tests use it), and the only
   per-row evaluator.
-* :meth:`Expr.compile` -- the same semantics over a whole *batch* (an
-  ordered ``{column name: list}`` plus a length): one list of values, built
-  by a comprehension or a C-level ``map`` per node.  The executor compiles
-  each expression once per operator execution; columns are resolved once
-  per batch, and ``AND`` / ``OR`` / ``CASE`` evaluate a branch only over
-  the positions the earlier ones left undecided, so an error behind a
-  short-circuit surfaces exactly when :meth:`Expr.evaluate` would raise it.
+* :meth:`Expr.compile` -- the same semantics over a whole *batch* (its
+  :class:`~repro.storage.batch.Columns` plus a length): one list of values,
+  built by a comprehension or a C-level ``map`` per node.  The executor
+  compiles each expression once per operator execution; columns are
+  resolved once per batch, and ``AND`` / ``OR`` / ``CASE`` evaluate a
+  branch only over the positions the earlier ones left undecided -- the
+  batch's columns at those positions, ``columns.at(positions)``, a pending
+  gather of which a column is built only if the branch reads it -- so an
+  error behind a short-circuit surfaces exactly when
+  :meth:`Expr.evaluate` would raise it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
@@ -44,9 +47,26 @@ from repro.common.errors import ExecutionError, PlanError
 
 Row = Dict[str, object]
 
-#: What :meth:`Expr.compile` returns: a function of a batch -- its
-#: ``{column name: list}`` and its length -- to one value per row.
-Compiled = Callable[[Mapping[str, list], int], list]
+
+class BatchColumns(Protocol):
+    """What a compiled expression reads a batch through -- the executor
+    hands it a :class:`~repro.storage.batch.Columns`: a column by name,
+    the names in order, and ``at``, the columns at some positions, which
+    ``AND`` / ``OR`` / ``CASE`` narrow a later arm with.  A plain ``dict``
+    has no ``at`` and is not one."""
+
+    def __getitem__(self, name: str) -> list: ...
+
+    def __contains__(self, name: object) -> bool: ...
+
+    def __iter__(self) -> Iterator[str]: ...
+
+    def at(self, positions: Sequence[int]) -> "BatchColumns": ...
+
+
+#: What :meth:`Expr.compile` returns: a function of a batch -- its columns
+#: and its length -- to one value per row.
+Compiled = Callable[[BatchColumns, int], list]
 
 #: Operators for which operand order does not change the result.
 COMMUTATIVE_OPS = {"=", "<>", "+", "*", "AND", "OR"}
@@ -226,7 +246,7 @@ class ColumnRef(Expr):
     def _kernel(self) -> Compiled:
         key, resolve = self.key, self._resolve
 
-        def column(columns: Mapping[str, list], n: int) -> list:
+        def column(columns: BatchColumns, n: int) -> list:
             try:
                 return columns[key]
             except KeyError:
@@ -514,7 +534,7 @@ class InList(Expr):
         candidates = [literal.value for literal in self.values]
         negated = self.negated
 
-        def in_list(columns: Mapping[str, list], n: int) -> list:
+        def in_list(columns: BatchColumns, n: int) -> list:
             values = operand(columns, n)
             found = [False] * n
             for candidate in candidates:
@@ -643,22 +663,22 @@ class CaseWhen(Expr):
             # ELSE takes every position no WHEN decided.
             branches.append((Literal(True)._kernel(), self.default._kernel()))
 
-        def case(columns: Mapping[str, list], n: int) -> list:
+        def case(columns: BatchColumns, n: int) -> list:
             out: list = [None] * n
-            undecided = range(n)
+            undecided, open_columns = range(n), columns
             for cond, result in branches:
-                hit = cond(_columns_at(columns, undecided, n),
-                           len(undecided))
+                hit = cond(open_columns, len(undecided))
                 taken = list(compress(undecided, hit))
                 if taken:
-                    values = result(_columns_at(columns, taken, n),
-                                    len(taken))
+                    values = result(columns.at(taken) if len(taken) < n
+                                    else columns, len(taken))
                     for position, value in zip(taken, values):
                         out[position] = value
                     undecided = list(compress(
                         undecided, map(operator.not_, hit)))
                     if not undecided:
                         break
+                    open_columns = columns.at(undecided)
             return out
 
         return case
@@ -687,7 +707,7 @@ def _connective(left: Compiled, right: Compiled, is_or: bool) -> Compiled:
     """``AND`` / ``OR``: ``left`` decides where it can (a false ``AND``
     arm, a true ``OR`` arm); ``right`` runs over the rest only."""
 
-    def connective(columns: Mapping[str, list], n: int) -> list:
+    def connective(columns: BatchColumns, n: int) -> list:
         first = left(columns, n)
         undecided = list(compress(
             range(n), map(operator.not_, first) if is_or else first))
@@ -695,7 +715,7 @@ def _connective(left: Compiled, right: Compiled, is_or: bool) -> Compiled:
             return list(map(bool, right(columns, n)))
         out = [is_or] * n
         if undecided:
-            second = right(_At(columns, undecided), len(undecided))
+            second = right(columns.at(undecided), len(undecided))
             for position, value in zip(undecided, second):
                 out[position] = bool(value)
         return out
@@ -703,37 +723,7 @@ def _connective(left: Compiled, right: Compiled, is_or: bool) -> Compiled:
     return connective
 
 
-class _At:
-    """A batch's columns at some of its positions; a column is gathered
-    when it is first asked for."""
-
-    def __init__(self, columns: Mapping[str, list],
-                 positions: Sequence[int]) -> None:
-        self.columns = columns
-        self.positions = positions
-        self.gathered: Dict[str, list] = {}
-
-    def __getitem__(self, name: str) -> list:
-        values = self.gathered.get(name)
-        if values is None:
-            values = self.gathered[name] = list(map(
-                self.columns[name].__getitem__, self.positions))
-        return values
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.columns
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.columns)
-
-
-def _columns_at(columns: Mapping[str, list], positions: Sequence[int],
-                n: int) -> Mapping[str, list]:
-    """``columns`` at the ascending ``positions`` of its ``n`` rows."""
-    return columns if len(positions) == n else _At(columns, positions)
-
-
-def _rows(columns: Mapping[str, list], n: int) -> List[Row]:
+def _rows(columns: BatchColumns, n: int) -> List[Row]:
     """The rows of a batch, for what only ``evaluate`` can answer."""
     names = list(columns)
     if not names:

@@ -35,6 +35,16 @@ from repro.plan.expressions import ColumnRef, Expr, FuncCall
 class LogicalPlan:
     """Base class for logical operators."""
 
+    def __new__(cls, *args: object, **kwargs: object) -> "LogicalPlan":
+        # A node's ``__dict__`` is built here, while one thread holds it.
+        # CPython 3.11 builds it lazily on the first ``vars(node)``, and two
+        # threads doing that at once (signing one shared plan) can both
+        # build it over the same attribute storage, which then gets freed
+        # twice and crashes the garbage collector later.
+        node = object.__new__(cls)
+        vars(node)
+        return node
+
     def children(self) -> Tuple["LogicalPlan", ...]:
         return ()
 

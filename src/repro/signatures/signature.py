@@ -62,7 +62,8 @@ MAX_DEPENDENCY_DEPTH = 16
 # ``with_children`` never see them: a rebuilt node starts unsigned and the
 # cache dies with its node.  A table keyed by ``id(node)`` could not promise
 # that -- an id reused after GC would answer with another plan's signature.
-# Racing threads at worst both hash the node and store equal values.
+# Racing threads at worst both hash the node and store equal values; the
+# dict itself is built with the node (``LogicalPlan.__new__``), never by them.
 _SIGNED = "_signed_by_salt"
 _UDO_DEPTH = "_udo_depth"
 

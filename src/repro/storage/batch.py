@@ -1,21 +1,90 @@
 """Column batches: the in-memory backend's one data representation.
 
-A :class:`Batch` -- an ordered ``{column name: list}`` plus a length -- is
-what the store keeps under a stream GUID or view path and what the
-executor passes from operator to operator.  Rows (a ``dict`` per row)
-exist only at the boundaries, built by :meth:`Batch.from_rows` and
-:meth:`Batch.rows`.  The byte-accounting rule lives here too, as the
-per-column :func:`measure`.
+A :class:`Batch` -- ordered :class:`Columns` plus a length -- is what the
+store keeps under a stream GUID or view path and what the executor passes
+from operator to operator.  Rows (a ``dict`` per row) exist only at the
+boundaries, built by :meth:`Batch.from_rows` and :meth:`Batch.rows`.  A
+selection travels as a pending :class:`Gather` per column, and a column is
+built only when an operator reads it.  The byte-accounting rule lives here
+too, as the per-column :func:`measure`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.plan.expressions import Row
 
 #: Kinds whose width is eight bytes whatever the value.
 _EIGHT = frozenset({int, float, type(None)})
+
+
+class Gather(NamedTuple):
+    """A column not built yet: ``base`` at ``index``.  With ``null``,
+    position ``len(base)`` is a NULL (a left join's unmatched side)."""
+
+    base: list
+    index: Sequence[int]
+    null: bool
+
+    def build(self) -> list:
+        base = self.base + [None] if self.null else self.base
+        return list(map(base.__getitem__, self.index))
+
+
+class Columns(Mapping):
+    """A batch's ``{column name: list}``: each of ``entries`` a built list
+    or a pending :class:`Gather`, built the first time it is read as
+    ``columns[name]`` and kept.  ``.items()``, ``.values()`` and
+    ``{**columns}`` read -- so build -- every column: what only moves
+    columns works on ``entries``."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Dict[str, Union[list, Gather]]):
+        self.entries = entries
+
+    def __getitem__(self, name: str) -> list:
+        entry = self.entries[name]
+        if type(entry) is Gather:
+            entry = self.entries[name] = entry.build()
+        return entry
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def at(self, index: Sequence[int], null: bool = False) -> "Columns":
+        """These columns at ``index`` (see :class:`Gather` for ``null``),
+        building none: a pending gather's index is composed with
+        ``index``, once per distinct pending index."""
+        composed: Dict[Tuple[int, int], list] = {}
+        entries: Dict[str, Union[list, Gather]] = {}
+        for name, entry in self.entries.items():
+            if type(entry) is not Gather:
+                entries[name] = Gather(entry, index, null)
+                continue
+            base, inner, was_null = entry
+            key = (id(inner), len(base))
+            if key not in composed:
+                if null:
+                    inner = [*inner, len(base)]
+                composed[key] = list(map(inner.__getitem__, index))
+            entries[name] = Gather(base, composed[key], was_null or null)
+        return Columns(entries)
+
+    def build(self) -> None:
+        """Build every pending column."""
+        for name, entry in self.entries.items():
+            if type(entry) is Gather:
+                self.entries[name] = entry.build()
 
 
 class Batch:
@@ -24,16 +93,18 @@ class Batch:
     Column lists are shared between batches and blobs and never mutated:
     an operator that changes a column builds a new list.  ``measured``
     maps a column to ``(byte size, width)``; ``width`` is what every
-    value of the column weighs when that is known (8 or 1), so a gather
-    of it is ``width * n`` without a walk, and 0 when values differ.  A
-    column absent from ``measured`` is walked by the first :meth:`size`.
+    value of the column weighs when that is known (8, 1, or a string
+    length), so a gather of it is ``width * n`` without a walk, and 0 when
+    values differ.  A column absent from ``measured`` is sized by the
+    first :meth:`size`.
     """
 
     __slots__ = ("columns", "length", "measured", "_size")
 
-    def __init__(self, columns: Dict[str, list], length: int,
+    def __init__(self, columns: Union[Columns, Dict[str, list]], length: int,
                  measured: Optional[Dict[str, Tuple[int, int]]] = None):
-        self.columns = columns
+        self.columns = (columns if isinstance(columns, Columns)
+                        else Columns(columns))
         self.length = length
         self.measured = {} if measured is None else measured
         self._size: Optional[int] = None
@@ -66,40 +137,48 @@ class Batch:
                renamed: Optional[Sequence[str]] = None) -> "Batch":
         """The columns ``names`` (an absent one reads as NULL), under the
         names ``renamed`` if given, with what is measured of them."""
-        columns: Dict[str, list] = {}
+        entries = self.columns.entries
+        columns: Dict[str, Union[list, Gather]] = {}
         measured: Dict[str, Tuple[int, int]] = {}
         for name, new in zip(names, renamed or names):
-            if name in self.columns:
-                columns[new] = self.columns[name]
+            if name in entries:
+                columns[new] = entries[name]
                 if name in self.measured:
                     measured[new] = self.measured[name]
             else:
                 columns[new] = [None] * self.length
                 measured[new] = (8 * self.length, 8)
-        return Batch(columns, self.length, measured)
+        return Batch(Columns(columns), self.length, measured)
 
     def take(self, index: Sequence[int], null: bool = False) -> "Batch":
-        """The rows at ``index``, in that order.  With ``null``, position
-        ``length`` is a NULL row (a left join's unmatched side)."""
+        """The rows at ``index``, in that order, as pending gathers.  With
+        ``null``, position ``length`` is a NULL row (a left join's
+        unmatched side)."""
         n = len(index)
-        columns: Dict[str, list] = {}
-        measured: Dict[str, Tuple[int, int]] = {}
-        for name, values in self.columns.items():
-            if null:
-                values = values + [None]
-            columns[name] = [values[i] for i in index]
-            width = self.measured.get(name, (0, 0))[1]
-            if width == 8 or (width and not null):
-                measured[name] = (width * n, width)
-        return Batch(columns, n, measured)
+        measured = {name: (width * n, width)
+                    for name, (_, width) in self.measured.items()
+                    if width == 8 or (width and not null)}
+        return Batch(self.columns.at(index, null), n, measured)
+
+    def beside(self, other: "Batch") -> "Batch":
+        """This batch's columns, then ``other``'s (of the same length; a
+        name both hold is ``other``'s), with what is measured of them --
+        the raw entries merged, nothing built."""
+        measured = {name: size for name, size in self.measured.items()
+                    if name not in other.columns}
+        measured.update(other.measured)
+        return Batch(Columns({**self.columns.entries,
+                              **other.columns.entries}),
+                     other.length, measured)
 
     def size(self) -> int:
-        """Byte size of the batch; walks the columns not yet measured."""
+        """Byte size of the batch; builds and walks the columns not yet
+        measured (a recorded width sizes a column without building it)."""
         if self._size is None:
             measured = self.measured
-            for name, values in self.columns.items():
+            for name in self.columns:
                 if name not in measured:
-                    measured[name] = measure(values)
+                    measured[name] = measure(self.columns[name])
             self._size = sum(size for size, _ in measured.values())
         return self._size
 
@@ -114,16 +193,23 @@ def measure(values: list) -> Tuple[int, int]:
     same multiset of rows report the same byte count, which keeps per-node
     statistics, selection inputs, and the view-catalog digest
     backend-independent.  The exact built-in kinds are answered from the
-    column's type set without calling the rule per value.
+    column's type set without calling the rule per value; a column of
+    ``str`` alone whose values share one length ``L > 0`` claims width
+    ``L`` (confirmed by a second pass only when the sum says it may).
     """
     kinds = set(map(type, values))
     if kinds <= _EIGHT:
         return 8 * len(values), 8
     if kinds == {bool}:
         return len(values), 1
+    if kinds == {str}:
+        total, width = sum(map(len, values)), len(values[0])
+        if width and total == width * len(values) \
+                and min(map(len, values)) == width:
+            return total, width
+        return total + values.count(""), 0
     if str in kinds and kinds - {str} <= _EIGHT:
-        strings = (values if len(kinds) == 1
-                   else [v for v in values if type(v) is str])
+        strings = [v for v in values if type(v) is str]
         return (sum(map(len, strings)) + strings.count("")
                 + 8 * (len(values) - len(strings))), 0
     return sum(map(_width, values)), 0

@@ -43,10 +43,13 @@ class DataStore:
         self.put_batch(key, Batch.from_rows(rows))
 
     def put_batch(self, key: str, batch: Batch) -> None:
-        """Store ``batch`` as it is (overwrites: streams are immutable per
-        GUID, so an overwrite only happens when re-materializing the same
-        view path)."""
+        """Store ``batch`` with every column built (overwrites: streams are
+        immutable per GUID, so an overwrite only happens when
+        re-materializing the same view path).  Built first, a blob keeps
+        no gather's base alive and is never filled in while concurrent
+        jobs read it."""
         size = batch.size()
+        batch.columns.build()
         with self._mutex:
             self._blobs[key] = batch
             self.bytes_written += size

@@ -19,6 +19,22 @@ def join_rows(plan, left, right):
                         batch_of(right, plan.right.schema)).rows()
 
 
+def eager_take(batch, index, null=False):
+    """``Batch.take`` as first written: every column gathered at once.
+    The reference the pending gathers are held to."""
+    n = len(index)
+    columns, measured = {}, {}
+    for name in batch.columns:
+        values = batch.columns[name]
+        if null:
+            values = values + [None]
+        columns[name] = [values[i] for i in index]
+        width = batch.measured.get(name, (0, 0))[1]
+        if width == 8 or (width and not null):
+            measured[name] = (width * n, width)
+    return Batch(columns, n, measured)
+
+
 def evaluate_batch(expr, rows):
     """``expr`` compiled and run over ``rows`` as one batch."""
     batch = batch_of(rows)

@@ -80,7 +80,11 @@ def test_one_column_mixing_every_kind_is_measured_by_the_rule():
 
 @pytest.mark.parametrize("values, width", [
     ([1, 2.5, None], 8), ([None, None], 8), ([True, False], 1),
-    ([True, None], 0), ([1, "a"], 0), (["a", "b"], 0), ([Flag(1)], 0),
+    ([True, None], 0), ([1, "a"], 0), (["a", "bc"], 0), ([Flag(1)], 0),
+    # Plain strings of one length L > 0 share width L; a length sum that
+    # only looks uniform, empty strings, a NULL or a subclass do not.
+    (["a", "b"], 1), (["d0001", "d0002", "d0003"], 5), (["ab", "c", "abc"], 0),
+    (["", ""], 0), (["ab", None], 0), ([Tag("ab")], 0),
 ])
 def test_a_width_is_claimed_only_if_shared(values, width):
     """A claimed width is what lets a gather skip the walk."""
@@ -92,6 +96,16 @@ def test_a_width_is_claimed_only_if_shared(values, width):
     extended = Batch({"v": values}, len(values)).take(
         [0, len(values)], null=True)
     assert extended.size() == reference_bytes(extended.rows())
+
+
+def test_null_extension_drops_a_claimed_string_width():
+    batch = Batch({"v": ["ab", "cd"]}, 2)
+    assert batch.size() == 4 and batch.measured["v"] == (4, 2)
+    assert batch.take([1, 0, 1]).measured["v"] == (6, 2)
+    extended = batch.take([0, 2, 2], null=True)
+    assert "v" not in extended.measured
+    assert extended.size() == reference_bytes(extended.rows()) == 2 + 16
+    assert extended.measured["v"][1] == 0
 
 
 def test_empty_inputs_measure_zero():

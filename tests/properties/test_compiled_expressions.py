@@ -29,6 +29,7 @@ from repro.plan.expressions import (
     Star,
     UnaryOp,
 )
+from repro.storage.batch import Columns
 from tests.batches import evaluate_batch
 
 SETTINGS = settings(max_examples=400, deadline=None,
@@ -149,7 +150,7 @@ def test_one_closure_serves_every_row(expr, many):
 @given(expressions)
 def test_an_empty_batch_evaluates_nothing(expr):
     """No row, no error -- whatever column or function is missing."""
-    assert expr.compile()({}, 0) == []
+    assert expr.compile()(Columns({}), 0) == []
     assert evaluate_batch(expr, []) == []
 
 
@@ -218,8 +219,9 @@ def test_named_errors(expr, message):
     assert (kind, error_type) == ("error", ExecutionError)
     assert text.startswith(message)
     with pytest.raises(ExecutionError):
-        compiled({name: [value] for name, value in ROW.items()}, 1)
-    assert compiled({}, 0) == []
+        compiled(Columns({name: [value] for name, value in ROW.items()}),
+                 1)
+    assert compiled(Columns({}), 0) == []
 
 
 def test_unknown_operator_over_null_is_null_not_an_error():
@@ -304,5 +306,5 @@ def test_the_short_circuit_rule_is_what_the_property_checks(monkeypatch):
 def test_the_empty_batch_rule_is_what_the_property_checks():
     """The kernel under ``compile``'s guard does raise on no rows."""
     with pytest.raises(ExecutionError):
-        BOOM._kernel()({}, 0)
-    assert BOOM.compile()({}, 0) == []
+        BOOM._kernel()(Columns({}), 0)
+    assert BOOM.compile()(Columns({}), 0) == []

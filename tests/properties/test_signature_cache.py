@@ -11,6 +11,7 @@ is already rewritten and normalized comes back as the same object.
 """
 
 import dataclasses
+import gc
 import sys
 import threading
 
@@ -351,6 +352,16 @@ def test_eight_threads_signing_one_shared_definition_agree():
     assert not errors
     assert not any(thread.is_alive() for thread in threads)
     assert seen == [expected] * 8
+
+
+def test_a_node_holds_its_dict_before_any_thread_signs_it():
+    # Signing keeps its cache in ``vars(node)``.  Were that dict built on
+    # the first ``vars`` call, two threads signing one shared node could
+    # build it together over one attribute store (CPython 3.11), freed
+    # twice later: the plan's fields must sit in a dict from construction.
+    for node in (Scan("S", ("a",), "g"), Filter(Scan("S", ("a",)), A),
+                 dataclasses.replace(Scan("S", ("a",)), stream_guid="h")):
+        assert [type(r) for r in gc.get_referents(node)] == [dict, type]
 
 
 # --------------------------------------------------------------------- #
