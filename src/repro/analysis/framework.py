@@ -114,12 +114,6 @@ class Rule:
                     ctx: "AnalysisContext") -> Iterable[Finding]:
         return ()
 
-    def check_source(self, index: object,
-                     ctx: "AnalysisContext") -> Iterable[Finding]:
-        """Static source analysis (``index`` is a
-        :class:`repro.analysis.concurrency.SourceIndex`)."""
-        return ()
-
     def finding(self, message: str, severity: Optional[str] = None,
                 operator: str = "", path: str = "",
                 **detail: object) -> Finding:
@@ -147,7 +141,6 @@ def default_rules() -> List[Rule]:
     from repro.analysis import plan_rules  # noqa: F401
     from repro.analysis import reuse_rules  # noqa: F401
     from repro.analysis import signature_rules  # noqa: F401
-    from repro.analysis.concurrency import rules as concurrency_rules  # noqa: F401,E501
     return [cls() for _, cls in sorted(REGISTRY.items())]
 
 
@@ -210,18 +203,6 @@ class Report:
     def exit_code(self) -> int:
         """CI contract: non-zero iff any error-severity finding."""
         return 0 if self.ok else 1
-
-    def exit_code_at(self, fail_on: str = "error") -> int:
-        """Exit code with a configurable severity threshold.
-
-        ``fail_on="warn"`` fails on warnings *or* errors; ``"info"``
-        fails on any finding at all.  The default matches
-        :attr:`exit_code`.
-        """
-        if fail_on not in _RANK:
-            raise ConfigError(f"unknown fail-on severity {fail_on!r}")
-        threshold = _RANK[fail_on]
-        return 1 if any(f.rank >= threshold for f in self.findings) else 0
 
     def counts(self) -> Dict[str, int]:
         return {severity: len(self.by_severity(severity))
@@ -354,22 +335,6 @@ class Analyzer:
         for rule in self.rules:
             for finding in self._guard(rule, rule.check_workload,
                                        acyclic, ctx):
-                self._record(report, finding, "", ctx)
-        return report
-
-    def analyze_source(self, index: object,
-                       ctx: Optional[AnalysisContext] = None) -> Report:
-        """Static rules over an extracted source index.
-
-        ``index`` is a :class:`repro.analysis.concurrency.SourceIndex`;
-        rules without a ``check_source`` implementation contribute
-        nothing, so the plan/signature packs coexist transparently.
-        """
-        ctx = ctx or AnalysisContext()
-        report = Report()
-        report.rules_run = len(self.rules)
-        for rule in self.rules:
-            for finding in self._guard(rule, rule.check_source, index, ctx):
                 self._record(report, finding, "", ctx)
         return report
 

@@ -161,20 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip one rule by name (repeatable); see "
                            "--list-rules")
     lint.add_argument("--workload", default="all",
-                      choices=["all", "cooking", "tpcds", "source"],
-                      help="which bundled workload(s) to analyze; "
-                           "'source' runs the static concurrency rules "
-                           "over the repro source tree itself")
+                      choices=["all", "cooking", "tpcds"],
+                      help="which bundled workload(s) to analyze")
     lint.add_argument("--seed", type=int, default=7)
     lint.add_argument("--scale-rows", type=int, default=500,
                       help="TPC-DS synthetic row count")
-    lint.add_argument("--source-root", default=None, metavar="DIR",
-                      help="root directory for the 'source' workload "
-                           "(default: the installed repro package)")
-    lint.add_argument("--fail-on", default="error",
-                      choices=["info", "warn", "error"],
-                      help="lowest severity that makes the exit code "
-                           "non-zero (default: error)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
 
@@ -602,22 +593,11 @@ def _cmd_lint(args) -> int:
         report.extend(_lint_cooking(analyzer, args.seed))
     if args.workload in ("all", "tpcds"):
         report.extend(_lint_tpcds(analyzer, args.scale_rows))
-    if args.workload in ("all", "source"):
-        report.extend(_lint_source(analyzer, args.source_root))
     if args.output_format == "json":
         print(report.to_json())
     else:
         print(report.render_text())
-    return report.exit_code_at(args.fail_on)
-
-
-def _lint_source(analyzer, source_root):
-    """Static concurrency lint over the source tree (no imports)."""
-    import repro
-    from repro.analysis.concurrency import build_index
-
-    root = source_root or os.path.dirname(repro.__file__)
-    return analyzer.analyze_source(build_index(root))
+    return report.exit_code
 
 
 def _lint_cooking(analyzer, seed: int):

@@ -77,8 +77,8 @@ class CatalogJournal:
         # store's mutex (the mutation feed) and under the invalidation
         # bus, and never takes another lock itself.  The file I/O it
         # covers is the one sanctioned I/O-under-lock site in the tree
-        # (flagged warn, not error, by ``concurrency-blocking-under-lock``):
-        # appends must hit the WAL in applied order.
+        # (the named exemption of the census rule in DESIGN §10): appends
+        # must hit the WAL in applied order.
         self._mutex = TrackedLock("lifecycle.journal", RANK_LEAF + 10)
         self._wal: Optional[TextIO] = None
         self.ops_written = 0

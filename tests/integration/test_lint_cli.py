@@ -34,7 +34,7 @@ def test_lint_suppress_flag_reaches_analyzer(capsys):
                       "--suppress", "sig-salt"])
     payload = json.loads(capsys.readouterr().out)
     assert exit_code == 0
-    assert payload["rules_run"] == 20  # 22 registered minus 2 suppressed
+    assert payload["rules_run"] == 15  # 17 registered minus 2 suppressed
 
 
 def test_lint_list_rules(capsys):
@@ -42,34 +42,27 @@ def test_lint_list_rules(capsys):
     out = capsys.readouterr().out
     assert exit_code == 0
     for expected in ("plan-project-arity", "sig-determinism",
-                     "reuse-view-liveness", "concurrency-lock-order"):
+                     "reuse-view-liveness"):
         assert expected in out
+    assert "concurrency-" not in out
 
 
-def test_lint_source_real_tree_has_no_errors(capsys):
-    """The static concurrency rules must pass over src/repro itself."""
-    exit_code = main(["lint", "--workload", "source", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert exit_code == 0
-    assert payload["counts"]["error"] == 0
-    concurrency = [f for f in payload["findings"]
-                   if f["rule"].startswith("concurrency-")]
-    assert all(f["severity"] != "error" for f in concurrency)
-
-
-def test_lint_fail_on_thresholds(capsys):
-    """--fail-on warn turns the journal's sanctioned I/O warnings into a
-    non-zero exit; the default error threshold does not."""
-    assert main(["lint", "--workload", "source"]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--workload", "source", "--fail-on", "warn"]) == 1
-    capsys.readouterr()
-
-
-def test_lint_source_json_is_stable(capsys):
-    """Two runs over the same tree render byte-identical JSON."""
-    main(["lint", "--workload", "source", "--format", "json"])
+def test_lint_json_is_stable(capsys):
+    """Two runs over every bundled workload render byte-identical JSON."""
+    main(["lint", "--workload", "all", "--format", "json"])
     first = capsys.readouterr().out
-    main(["lint", "--workload", "source", "--format", "json"])
+    main(["lint", "--workload", "all", "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
+    assert json.loads(first)["counts"] == {"error": 0, "warn": 0, "info": 0}
+
+
+def test_lint_source_workload_is_gone(capsys):
+    """The static concurrency pass is retired (DESIGN §10): argparse
+    rejects its workload and its two options."""
+    for argv in (["--workload", "source"], ["--fail-on", "warn"],
+                 ["--source-root", "src"]):
+        with pytest.raises(SystemExit) as exited:
+            main(["lint", *argv])
+        assert exited.value.code == 2
+    capsys.readouterr()

@@ -4,8 +4,8 @@ Runs the full concurrent pipeline -- scheduler workers, the insights
 client, the view store, and the lifecycle janitor sweeping on a tight
 interval -- with the sanitizer enabled in collect-only mode.  The
 assertion is that the production lock hierarchy holds under load: zero
-recorded violations.  This is the runtime twin of the static
-``concurrency-*`` lint gate over ``src/repro``.
+recorded violations.  The sanitizer is the repo's one lock-order checker;
+``tests/unit/test_src_census.py`` states what it cannot see (DESIGN §10).
 """
 
 import pytest
