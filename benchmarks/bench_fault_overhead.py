@@ -23,14 +23,14 @@ factor.
 import time
 
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec, NULL_FAULTS
-from repro.faults.chaos import _run_workload
+from repro.faults.chaos import run_workload
 
 DAYS = 2
 
 
 def run_once(faults):
     started = time.perf_counter()
-    outcome = _run_workload("memory", days=DAYS, faults=faults)
+    outcome = run_workload("memory", days=DAYS, faults=faults)
     assert not outcome.failures
     return time.perf_counter() - started, outcome
 
@@ -50,7 +50,7 @@ def run_trio():
         "baseline_seconds": baseline_seconds,
         "null_seconds": null_seconds,
         "armed_seconds": armed_seconds,
-        "jobs": baseline.jobs,
+        "jobs": len(baseline.results),
         "armed_arrivals": sum(armed.stats()["arrivals"].values()),
     }
 

@@ -35,9 +35,14 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.backends.differential import oracle_config, oracle_workload
 from repro.common.clock import SECONDS_PER_DAY
 from repro.faults import points
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.runtime import FaultRuntime
+from repro.history import Outcome, day_jobs, recover, replay
+from repro.lifecycle.manager import LifecycleConfig
+from repro.workload.generator import CookingWorkload
 
 #: Faults that land inside one engine-execute call.  A campaign picks at
 #: most :data:`EXEC_PICKS` of these, each firing once, so the worst case
@@ -58,6 +63,8 @@ EXEC_PICKS = 2
 #: never reach the view-scan seam; 4 still keeps the session's two
 #: workers contending for view locks.
 WAVE_JOBS = 4
+#: Seed of the cooking workload every campaign pass replays.
+WORKLOAD_SEED = 11
 
 #: Faults outside the execute path: each layer absorbs its own (client
 #: degradation, journal error counters, sweep aborts), so these can fire
@@ -114,126 +121,53 @@ def campaign_plan(seed: int, shards: int = 0) -> FaultPlan:
 # one workload pass
 
 
-@dataclass
-class RunOutcome:
-    """Everything one workload pass produced that the invariants need."""
+def chaos_history(workload: CookingWorkload, days: int,
+                  restarts: int = 0) -> list:
+    """Each day as :data:`WAVE_JOBS`-job waves at the day's start (the
+    scheduler path, so worker faults are exercised), then selection
+    feedback and a GC sweep at midday.
 
-    jobs: int = 0
-    #: ``key -> error string`` for jobs that did not complete.
-    failures: Dict[str, str] = field(default_factory=dict)
-    #: ``key -> canonical rows`` for jobs that did complete.
-    rows: Dict[str, List[str]] = field(default_factory=dict)
-    views_created: int = 0
-    views_reused: int = 0
-    live_digest: str = ""
-    recovered_digest: str = ""
-    #: ``FaultRuntime.stats()`` of the run (empty when fault-free).
-    fired: Dict[str, object] = field(default_factory=dict)
-
-
-def _run_workload(backend: str, *, days: int, faults=None,
-                  workload_seed: int = 11, shards: int = 0) -> RunOutcome:
-    """One full pass of the cooking workload through a :class:`Session`.
-
-    Jobs go through :meth:`Session.run_batch` in waves of
-    :data:`WAVE_JOBS` (the scheduler path, so worker faults are
-    exercised); each day ends with selection feedback and a GC sweep.
-    The journal lives in a temp dir that is recovered into a *fresh*
-    store after close to produce ``recovered_digest``.
-
-    With ``shards > 0`` the session runs the multi-process insights
-    deployment; a *faulted* sharded pass additionally SIGKILLs and
-    restarts one live shard at every day boundary (shard ``day %
-    shards``, when the scheduler is drained and no view locks are held),
+    With ``restarts = N > 0`` shard ``day % N`` is SIGKILLed and
+    restarted at every day boundary -- a real mid-campaign process death
     on top of whatever the fault plan injects.
     """
-    # Imported here: repro.faults must stay importable without dragging
-    # in the whole engine stack (api -> config -> faults.plan).
-    from repro.api import Session
-    from repro.backends.differential import canonical_rows
-    from repro.config import SessionConfig
-    from repro.core.controls import MultiLevelControls
-    from repro.lifecycle.lineage import LineageRegistry
-    from repro.lifecycle.manager import LifecycleConfig
-    from repro.scheduler.scheduler import JobRequest, SchedulerConfig
-    from repro.selection.policies import SelectionPolicy
-    from repro.shard.journal import merged_offline_recovery
-    from repro.storage.views import ViewStore
-    from repro.workload.generator import generate_workload
+    history = [("install", workload.install)]
+    for day in range(days):
+        now = day * SECONDS_PER_DAY
+        if day > 0:
+            history += [("cook", workload, day), ("evict", now)]
+            if restarts:
+                history.append(("restart", day % restarts))
+        jobs = [(key, request) for _, key, request in day_jobs(workload, day)]
+        history += [("wave", now, jobs[start:start + WAVE_JOBS])
+                    for start in range(0, len(jobs), WAVE_JOBS)]
+        history += [("publish",), ("sweep", now + SECONDS_PER_DAY / 2)]
+    return history
 
-    base = generate_workload(
-        name="chaos", seed=workload_seed, virtual_clusters=2,
-        templates_per_vc=4, fact_rows_per_day=240, adhoc_per_day=2)
-    controls = MultiLevelControls()
-    for vc in base.virtual_clusters:
-        controls.enable_vc(vc)
-    outcome = RunOutcome()
-    journal_dir = tempfile.mkdtemp(prefix="repro-chaos-journal-")
-    try:
-        session = Session(
-            config=SessionConfig(shards=shards),
-            backend=backend,
-            controls=controls,
-            selection_algorithm="bigsubs",
-            policy=SelectionPolicy(storage_budget_bytes=50_000_000,
-                                   min_reuses_per_epoch=0.0),
-            scheduler_config=SchedulerConfig(workers=2),
-            lifecycle=LifecycleConfig(journal_dir=journal_dir,
-                                      snapshot_every_ops=32),
-            faults=faults,
-        )
-        base.install(session.engine, at=0.0)
-        for day in range(days):
-            now = day * SECONDS_PER_DAY
-            if day > 0:
-                base.cook(session.engine, day)
-                session.evict_expired(now=now)
-                if shards > 0 and faults is not None:
-                    # Real mid-campaign process death: SIGKILL one shard
-                    # at the day boundary (scheduler drained, no view
-                    # locks held) and bring it back before the next
-                    # wave.  The restarted worker reloads its persisted
-                    # annotations, so serving state survives the kill.
-                    victim = day % shards
-                    session.supervisor.kill(victim)
-                    session.supervisor.restart(victim)
-            jobs = base.jobs_for_day(day)
-            requests = [
-                JobRequest(sql=job.template.sql, params=dict(job.params),
-                           virtual_cluster=job.virtual_cluster,
-                           template_id=job.template.template_id,
-                           pipeline_id=job.template.pipeline_id)
-                for job in jobs
-            ]
-            results = []
-            for start in range(0, len(requests), WAVE_JOBS):
-                results += session.run_batch(
-                    requests[start:start + WAVE_JOBS], now=now)
-            for index, (job, result) in enumerate(zip(jobs, results)):
-                key = f"d{day}:{index}:{job.template.template_id}"
-                outcome.jobs += 1
-                if result.ok:
-                    outcome.rows[key] = canonical_rows(result.rows)
-                else:
-                    outcome.failures[key] = str(result.error)
-            session.analyze_and_publish()
-            session.gc_sweep(now=now + SECONDS_PER_DAY / 2)
-        outcome.views_created = session.views_created
-        outcome.views_reused = session.views_reused
-        outcome.live_digest = session.catalog_digest()
-        if session.faults.enabled:
-            outcome.fired = session.faults.stats()
-        session.close()
+
+def run_workload(backend: str, *, days: int, faults=None,
+                 shards: int = 0) -> Outcome:
+    """One full pass of the cooking workload: :func:`chaos_history`
+    replayed on a journaled session (two scheduler workers).
+
+    The journal lives in a temp dir that is recovered into a *fresh*
+    store after close to produce ``recovered_digest``.  With ``shards >
+    0`` the session runs the multi-process insights deployment, and a
+    *faulted* sharded pass also restarts a shard at each day boundary.
+    """
+    history = chaos_history(oracle_workload("chaos", WORKLOAD_SEED), days,
+                            shards if faults is not None else 0)
+    config = oracle_config(backend, shards=shards, workers=2)
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-journal-",
+                                     ignore_cleanup_errors=True) as journal:
+        with config.open_session(
+                lifecycle=LifecycleConfig(journal_dir=journal,
+                                          snapshot_every_ops=32),
+                faults=faults) as session:
+            outcome = replay(history, session)
         # Durability: a fresh store rebuilt from the journal must land on
-        # the exact digest the live catalog had before shutdown.  The
-        # merged recovery reads per-shard WALs when present and falls
-        # back to the classic single-journal layout otherwise, so this
-        # one call covers both deployments.
-        store = ViewStore()
-        merged_offline_recovery(journal_dir, store, LineageRegistry())
-        outcome.recovered_digest = store.catalog_digest()
-    finally:
-        shutil.rmtree(journal_dir, ignore_errors=True)
+        # the exact digest the live catalog had before shutdown.
+        outcome.recovered_digest = recover(journal)
     return outcome
 
 
@@ -247,7 +181,6 @@ class SeedReport:
 
     seed: int
     plan: str
-    jobs: int = 0
     #: Invariant violations, human-readable; empty means the seed passed.
     violations: List[str] = field(default_factory=list)
     fired: Dict[str, object] = field(default_factory=dict)
@@ -288,17 +221,17 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _check(reference: RunOutcome, faulted: RunOutcome,
+def _check(reference: Outcome, faulted: Outcome,
            report: SeedReport) -> None:
     """Apply the three invariants to one faulted run."""
-    report.jobs = faulted.jobs
     for key, error in sorted(faulted.failures.items()):
         report.violations.append(f"job {key} failed: {error}")
-    if faulted.jobs != reference.jobs:
-        report.violations.append(
-            f"job count {faulted.jobs} != reference {reference.jobs}")
-    mismatched = [key for key, rows in sorted(reference.rows.items())
-                  if key in faulted.rows and faulted.rows[key] != rows]
+    if len(faulted.results) != len(reference.results):
+        report.violations.append(f"job count {len(faulted.results)} != "
+                                 f"reference {len(reference.results)}")
+    rows = faulted.rows
+    mismatched = [key for key, expected in sorted(reference.rows.items())
+                  if key in rows and rows[key] != expected]
     for key in mismatched[:5]:
         report.violations.append(f"job {key} rows differ from reference")
     if len(mismatched) > 5:
@@ -319,12 +252,9 @@ def run_campaign(seeds: Sequence[int], backend: str = "memory",
     the multi-process insights deployment, with the shard fault menu in
     play and a real SIGKILL+restart at each faulted day boundary.
     """
-    from repro.faults.runtime import FaultRuntime
-
     campaign = CampaignReport(backend=backend, days=days, shards=shards)
-    reference = _run_workload(backend, days=days, faults=None,
-                              shards=shards)
-    campaign.reference_jobs = reference.jobs
+    reference = run_workload(backend, days=days, shards=shards)
+    campaign.reference_jobs = len(reference.results)
     if reference.failures:
         # The fault-free pass must itself be clean, or the reference
         # rows mean nothing.
@@ -338,8 +268,8 @@ def run_campaign(seeds: Sequence[int], backend: str = "memory",
             f"fault-free reference run reused no view in {days} day(s)")
     for seed in seeds:
         plan = campaign_plan(seed, shards=shards)
-        faulted = _run_workload(backend, days=days,
-                                faults=FaultRuntime(plan), shards=shards)
+        faulted = run_workload(backend, days=days,
+                               faults=FaultRuntime(plan), shards=shards)
         report = SeedReport(
             seed=seed,
             plan="; ".join(f"{s.point}:{s.kind}" for s in plan.specs),
@@ -364,7 +294,6 @@ def check_ctas_crash_recovery(sqlite_path: Optional[str] = None) -> str:
     from repro.backends.base import create_backend
     from repro.catalog.schema import ColumnDef, TableSchema
     from repro.common.errors import StorageError, TransientBackendError
-    from repro.faults.runtime import FaultRuntime
     from repro.plan.logical import Scan
 
     own_dir = None

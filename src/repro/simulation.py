@@ -5,10 +5,12 @@ This is the experiment harness behind the paper's production numbers
 runs.  One :class:`WorkloadSimulation` drives a
 :class:`~repro.workload.generator.CookingWorkload` over N simulated days
 through a :class:`~repro.api.Session`, which owns the deployment wiring
-and the feedback loop.  The driver owns the day boundary:
+and the feedback loop.  The driver owns the day boundary, written once
+as history steps (:mod:`repro.history`) that both schedules apply:
 
 * the cooking pipelines regenerate the shared fact streams (bulk updates
   -> new GUIDs -> old views go stale) and expired views are evicted;
+* the ``on_day_boundary`` hook runs, if there is one;
 * the session runs one selection epoch over the trailing window (day 0,
   before the first boundary, is the warm-up that is only observed).
 
@@ -18,27 +20,32 @@ What differs between runs is only the *schedule* of a day's jobs:
   engine *at its simulated arrival time* (so view visibility is
   temporally honest), row-executes to obtain observed statistics, and is
   then scheduled on the cluster simulator; spool-writer stages early-seal
-  their views at the simulated moment they complete.  Produces per-job
-  :class:`~repro.cluster.simulator.JobTelemetry`.  Run it once with
-  CloudViews enabled and once disabled to reproduce the paper's
+  their views at the simulated moment they complete.  Those mid-day
+  seals are events of the simulator's own loop, which a flat history
+  cannot express; its midnights apply the boundary steps.  Produces
+  per-job :class:`~repro.cluster.simulator.JobTelemetry`.  Run it once
+  with CloudViews enabled and once disabled to reproduce the paper's
   baseline-vs-CloudViews comparisons.
-* **waves** (``workers=N``): all jobs sharing a simulated arrival time
-  form one wave that compiles and executes concurrently on the session's
-  scheduler.  The wave is a barrier: nothing is sealed, recorded or
-  ingested until every job of it has executed, and then each step runs in
-  submission order -- so no job reuses a view a sibling of its wave built
-  -- and its jobs ask for view locks in submission order, so a view is
-  built by its earliest proposer.  The simulated outcome (view catalog,
-  per-job build and reuse counts, workload repository) is therefore
-  independent of the worker and shard counts; ``workers=8`` differs from
-  ``workers=1`` only in wall-clock time.  Produces per-job
+* **waves** (``workers=N``): a history replayed by
+  :func:`~repro.history.replay`, in which all jobs sharing a simulated
+  arrival time form one wave that compiles and executes concurrently on
+  the session's scheduler.  The wave is a barrier: nothing is sealed,
+  recorded or ingested until every job of it has executed, and then each
+  step runs in submission order -- so no job reuses a view a sibling of
+  its wave built -- and its jobs ask for view locks in submission order,
+  so a view is built by its earliest proposer.  The simulated outcome
+  (view catalog, per-job build and reuse counts, workload repository) is
+  therefore independent of the worker and shard counts; ``workers=8``
+  differs from ``workers=1`` only in wall-clock time.  Produces per-job
   :class:`~repro.scheduler.results.JobResult`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -54,9 +61,10 @@ from repro.common.clock import SECONDS_PER_DAY
 from repro.config import SessionConfig
 from repro.core.controls import DeploymentMode, MultiLevelControls
 from repro.engine.engine import EngineConfig
+from repro.history import apply, day_jobs, replay
 from repro.optimizer.stats import CardinalityEstimator
 from repro.scheduler.results import JobResult
-from repro.scheduler.scheduler import JobRequest, SchedulerConfig
+from repro.scheduler.scheduler import SchedulerConfig
 from repro.selection.policies import SelectionPolicy, SelectionResult
 from repro.workload.generator import CookingWorkload, JobInstance
 from repro.workload.repository import WorkloadRepository
@@ -143,9 +151,7 @@ class SimulationReport:
     @property
     def shard_busy_seconds(self) -> List[float]:
         """Simulated serving busy-time accumulated by each shard."""
-        if not self.shard_stats:
-            return []
-        return [float(s["busy_seconds"]) for s in self.shard_stats]
+        return [float(s["busy_seconds"]) for s in self.shard_stats or ()]
 
 
 @dataclass(kw_only=True)
@@ -168,13 +174,9 @@ class ClusterReport(SimulationReport):
         return out
 
     def cumulative_daily(self, metric: str) -> List[Tuple[int, float]]:
-        daily = self.daily(metric)
-        series: List[Tuple[int, float]] = []
-        running = 0.0
-        for day in sorted(daily):
-            running += daily[day]
-            series.append((day, running))
-        return series
+        daily = sorted(self.daily(metric).items())
+        totals = itertools.accumulate(value for _, value in daily)
+        return [(day, total) for (day, _), total in zip(daily, totals)]
 
 
 @dataclass(kw_only=True)
@@ -243,19 +245,17 @@ class WorkloadSimulation:
     def run(self) -> SimulationReport:
         started = time.perf_counter()
         session = self.session
-        try:
-            self.workload.install(session.engine, at=0.0)
+        with session if self._owns_session else contextlib.nullcontext():
             if self.config.workers is None:
+                self.workload.install(session.engine)
                 report = functools.partial(
                     ClusterReport, telemetry=self._run_cluster())
             else:
-                report = functools.partial(
-                    WaveReport, results=self._run_waves())
+                results = replay(self._history(), session).results
+                report = functools.partial(WaveReport,
+                                           results=list(results.values()))
             shard_stats = (session.service.shard_stats()
                            if session.supervisor is not None else None)
-        finally:
-            if self._owns_session:
-                session.close()
         return report(
             config=self.config,
             repository=session.repository,
@@ -270,41 +270,33 @@ class WorkloadSimulation:
     # ------------------------------------------------------------------ #
     # day boundary: cooking, eviction, feedback loop
 
-    def _day_boundary(self, day: int, now: float) -> None:
-        self.workload.cook(self.session.engine, day)
-        self.session.evict_expired(now)
+    def _boundary(self, day: int) -> list:
+        """The history steps of one simulated midnight."""
+        now = day * SECONDS_PER_DAY
+        steps = [("cook", self.workload, day), ("evict", now)]
         if self.on_day_boundary is not None:
-            self.on_day_boundary(day, self)
+            steps.append(("hook", functools.partial(self.on_day_boundary,
+                                                    day, self)))
         if self.config.cloudviews_enabled:
-            self.session.analyze_and_publish(
-                now - SELECTION_WINDOW_DAYS * SECONDS_PER_DAY, now)
+            steps.append(("publish",
+                          now - SELECTION_WINDOW_DAYS * SECONDS_PER_DAY, now))
+        return steps
 
     # ------------------------------------------------------------------ #
     # wave schedule
 
-    def _run_waves(self) -> List[JobResult]:
-        results: List[JobResult] = []
+    def _history(self) -> list:
+        history = [("install", self.workload.install)]
         for day in range(self.config.days):
             if day > 0:
-                self._day_boundary(day, day * SECONDS_PER_DAY)
+                history += self._boundary(day)
             # A wave is the run of jobs sharing one simulated arrival time.
-            for now, wave in itertools.groupby(
-                    self.workload.jobs_for_day(day),
-                    key=lambda instance: instance.submit_time):
-                results.extend(self.session.run_batch(
-                    [self._request(instance) for instance in wave], now=now))
-        return results
-
-    def _request(self, instance: JobInstance) -> JobRequest:
-        template = instance.template
-        return JobRequest(
-            sql=template.sql,
-            params=dict(instance.params),
-            virtual_cluster=template.virtual_cluster,
-            reuse_enabled=self.config.cloudviews_enabled,
-            template_id=template.template_id,
-            pipeline_id=template.pipeline_id,
-        )
+            jobs = day_jobs(self.workload, day, self.config.cloudviews_enabled)
+            history += [
+                ("wave", now, [(key, request) for _, key, request in wave])
+                for now, wave in itertools.groupby(
+                    jobs, key=operator.itemgetter(0))]
+        return history
 
     # ------------------------------------------------------------------ #
     # cluster schedule (compile at arrival time, seal at stage completion)
@@ -325,12 +317,15 @@ class WorkloadSimulation:
             if day > 0:
                 simulator.add_arrival(
                     day * SECONDS_PER_DAY,
-                    lambda now, d=day: self._day_boundary(d, now))
+                    lambda now, d=day: self._cross_midnight(d))
             for instance in self.workload.jobs_for_day(day):
                 simulator.add_arrival(
                     instance.submit_time,
                     lambda now, inst=instance: self._launch(inst, now))
         return simulator.run()
+
+    def _cross_midnight(self, day: int) -> None:
+        apply(self._boundary(day), self.session)
 
     def _launch(self, instance: JobInstance, now: float) -> SimulatedJob:
         template = instance.template

@@ -59,14 +59,15 @@ class TestTpcdsDifferential:
     def test_reuse_actually_happened(self, tpcds_report):
         # The invariance claim is vacuous unless the reuse-on runs
         # really did build and reuse views on both backends.
-        for trace in tpcds_report.traces:
-            if trace.reuse:
+        for (_, reuse), trace in tpcds_report.traces.items():
+            if reuse:
                 assert trace.views_created > 0
                 assert trace.views_reused > 0
 
     def test_catalog_digest_invariant_across_backends(self, tpcds_report):
-        digests = {t.backend: t.catalog_digest
-                   for t in tpcds_report.traces if t.reuse}
+        digests = {backend: t.live_digest
+                   for (backend, reuse), t in tpcds_report.traces.items()
+                   if reuse}
         assert len(set(digests.values())) == 1, digests
 
 
@@ -75,11 +76,12 @@ class TestCookingDifferential:
         assert cooking_report.ok, cooking_report.mismatches
 
     def test_reuse_actually_happened(self, cooking_report):
-        for trace in cooking_report.traces:
-            if trace.reuse:
+        for (_, reuse), trace in cooking_report.traces.items():
+            if reuse:
                 assert trace.views_reused > 0
 
     def test_catalog_digest_invariant_across_backends(self, cooking_report):
-        digests = {t.backend: t.catalog_digest
-                   for t in cooking_report.traces if t.reuse}
+        digests = {backend: t.live_digest
+                   for (backend, reuse), t in cooking_report.traces.items()
+                   if reuse}
         assert len(set(digests.values())) == 1, digests

@@ -15,7 +15,7 @@ import enum
 
 import pytest
 
-from repro.backends.differential import _session as differential_session
+from repro.backends.differential import oracle_config
 from repro.catalog import schema_of
 from repro.common.clock import SECONDS_PER_DAY
 from repro.engine import ScopeEngine
@@ -117,8 +117,8 @@ def test_empty_inputs_measure_zero():
 # whole jobs
 
 
-def _session(clusters):
-    session = differential_session("memory", clusters)
+def _session():
+    session = oracle_config("memory").open_session()
     session.engine.executor.capture_rows = True
     return session
 
@@ -210,7 +210,7 @@ def test_every_operator_reports_the_reference_size(small_engine, sql):
 
 
 def test_every_node_of_the_tpcds_suite_is_measured_exactly():
-    with _session(["default"]) as session:
+    with _session() as session:
         install_tpcds(session.engine, scale_rows=300, seed=42)
         checked = Checked(session)
         for round_no in (1, 2):
@@ -227,7 +227,7 @@ def test_every_node_of_a_cooking_day_with_reuse_is_measured_exactly():
     workload = generate_workload(
         name="bytes", seed=7, virtual_clusters=2, templates_per_vc=4,
         fact_rows_per_day=240, adhoc_per_day=2)
-    with _session(list(workload.virtual_clusters)) as session:
+    with _session() as session:
         workload.install(session.engine, at=0.0)
         checked = Checked(session)
         for day in range(2):
@@ -248,7 +248,7 @@ def test_every_node_of_a_cooking_day_with_reuse_is_measured_exactly():
 def test_a_column_is_measured_at_most_once_never_under_the_lock(monkeypatch):
     import repro.storage.batch as batch_module
 
-    with _session(["default"]) as session:
+    with _session() as session:
         install_tpcds(session.engine, scale_rows=300, seed=42)
         store = session.engine.store
         walked = []

@@ -17,10 +17,10 @@ from repro.core import MultiLevelControls
 from repro.engine.engine import QUARANTINE_FAILURES
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
 from repro.faults.chaos import (
-    _run_workload,
     campaign_plan,
     check_ctas_crash_recovery,
     run_campaign,
+    run_workload,
 )
 from repro.lifecycle import LifecycleConfig
 from repro.obs import FlightRecorder
@@ -42,7 +42,7 @@ class TestCampaigns:
         a function of the workload alone -- and it does reuse, or the
         view-scan faults would have nothing to hit."""
         outcomes = {
-            (backend, shards): _run_workload(backend, days=2, shards=shards)
+            (backend, shards): run_workload(backend, days=2, shards=shards)
             for backend in ("memory", "sqlite") for shards in (0, 2)}
         assert all(not o.failures for o in outcomes.values())
         assert {(o.live_digest, o.views_created, o.views_reused)

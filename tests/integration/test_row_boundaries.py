@@ -10,7 +10,7 @@ re-read and a second job see the original rows and the recorded size.
 import pytest
 
 from repro.backends import create_backend
-from repro.backends.differential import _session
+from repro.backends.differential import oracle_config
 from repro.catalog import Catalog, schema_of
 from repro.executor import Executor, UdoRegistry
 from repro.plan import PlanBuilder, normalize
@@ -40,7 +40,7 @@ def vandalise(rows):
 
 
 def test_mutating_a_whole_job_view_hit_does_not_rewrite_the_view():
-    with _session("memory", ["default"]) as session:
+    with oracle_config("memory").open_session() as session:
         session.engine.register_table(
             schema_of("T", [("k", "int"), ("v", "float"), ("s", "str")]),
             fresh_rows())

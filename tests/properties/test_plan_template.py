@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.differential import _session
+from repro.backends.differential import oracle_config
 from repro.catalog import Catalog, schema_of
 from repro.common.errors import LintError
 from repro.engine import engine as engine_module
@@ -195,8 +195,8 @@ def never_cached(session):
 def replay(sql, history):
     """Run ``history`` on a cached and a from-scratch session, comparing
     every instance; returns the cached session's plan cache."""
-    with _session("memory", ["vc"]) as cached, \
-            never_cached(_session("memory", ["vc"])) as scratch:
+    with oracle_config("memory").open_session() as cached, \
+            never_cached(oracle_config("memory").open_session()) as scratch:
         # The engine's own debug cross-check is the same oracle; keep it
         # out of the way so this test stands on its own comparison.
         cached.engine.config.debug_checks = False
@@ -288,7 +288,7 @@ def test_runtime_upgrade_and_forget_need_no_invalidation():
 
 
 def test_schema_change_under_a_skeleton_is_a_miss():
-    with _session("memory", ["vc"]) as session:
+    with oracle_config("memory").open_session() as session:
         install(session)
         _, first = run(session, OTHER_TEMPLATE, {"a": "d1"}, 1)
         # No catalog API changes a schema; model a re-created dataset.
@@ -347,7 +347,7 @@ def test_build_and_rewrites_are_value_independent(sql, first, second):
 
 
 def test_debug_checks_compare_every_hit_with_a_scratch_compile(monkeypatch):
-    with _session("memory", ["vc"]) as session:
+    with oracle_config("memory").open_session() as session:
         session.engine.config.debug_checks = True
         install(session)
         run(session, OTHER_TEMPLATE, {"a": "d1"}, 1)
@@ -365,7 +365,7 @@ def test_debug_checks_compare_every_hit_with_a_scratch_compile(monkeypatch):
 
 def test_cache_is_bounded_and_evictions_are_counted(monkeypatch):
     monkeypatch.setattr(engine_module, "PLAN_CACHE_SIZE", 4)
-    with _session("memory", ["vc"]) as session:
+    with oracle_config("memory").open_session() as session:
         install(session)
         for threshold in range(10):       # ad-hoc SQL: ten distinct texts
             run(session, f"SELECT K FROM Facts WHERE N > {threshold}", {}, 1)

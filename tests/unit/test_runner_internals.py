@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backends.differential import _session as differential_session
+from repro.backends.differential import oracle_config
 from repro.catalog import schema_of
 from repro.cluster import JobTelemetry
 from repro.common.clock import SECONDS_PER_DAY
@@ -188,7 +188,7 @@ class TestRecordsMatchThePerNodeWalks:
         return {type(node) for node in nodes}
 
     def test_tpcds_templates(self):
-        with differential_session("memory", ["default"]) as session:
+        with oracle_config("memory").open_session() as session:
             install_tpcds(session.engine, scale_rows=300, seed=42)
             operators = set()
             for round_no in (1, 2):
@@ -204,8 +204,7 @@ class TestRecordsMatchThePerNodeWalks:
         workload = generate_workload(
             name="records", seed=7, virtual_clusters=2, templates_per_vc=4,
             fact_rows_per_day=240, adhoc_per_day=2)
-        with differential_session(
-                "memory", list(workload.virtual_clusters)) as session:
+        with oracle_config("memory").open_session() as session:
             workload.install(session.engine, at=0.0)
             operators = set()
             for day in range(2):
@@ -226,7 +225,7 @@ class TestRecordsMatchThePerNodeWalks:
         ("", True), (" DEPTH 16", True), (" DEPTH 17", False),
         (" NONDETERMINISTIC", False)])
     def test_user_code_in_the_subtree(self, clause, eligible):
-        with differential_session("memory", ["default"]) as session:
+        with oracle_config("memory").open_session() as session:
             session.engine.register_table(
                 schema_of("T", [("k", "int"), ("v", "float")]),
                 [dict(k=i % 4, v=float(i)) for i in range(8)])

@@ -13,7 +13,7 @@ made from the signature module.
 import pytest
 
 import repro.signatures.signature as sig_module
-from repro.backends.differential import _session
+from repro.backends.differential import oracle_config
 from repro.common.clock import SECONDS_PER_DAY
 from repro.plan.expressions import ColumnRef, Expr, Literal
 from repro.plan.logical import Filter, Scan, Spool, Union, ViewScan
@@ -106,7 +106,7 @@ class Budgeted:
 
 
 def test_tpcds_jobs_stay_inside_the_hash_budget(hash_counter):
-    with _session("memory", ["default"]) as session:
+    with oracle_config("memory").open_session() as session:
         install_tpcds(session.engine, scale_rows=300, seed=42)
         budgeted = Budgeted(session, hash_counter)
         for round_no in (1, 2):
@@ -125,7 +125,7 @@ def test_cooking_days_with_reuse_stay_inside_the_hash_budget(hash_counter):
     workload = generate_workload(
         name="budget", seed=7, virtual_clusters=2, templates_per_vc=4,
         fact_rows_per_day=240, adhoc_per_day=2)
-    with _session("memory", list(workload.virtual_clusters)) as session:
+    with oracle_config("memory").open_session() as session:
         workload.install(session.engine, at=0.0)
         budgeted = Budgeted(session, hash_counter)
         for day in range(2):
@@ -147,7 +147,7 @@ def test_cooking_days_with_reuse_stay_inside_the_hash_budget(hash_counter):
 def test_reoptimizing_a_normalized_plan_signs_nothing_new(hash_counter):
     """The engine hands ``optimize`` the plan it has just normalized (and
     says so): the logical plan is that very object, signed once."""
-    with _session("memory", ["default"]) as session:
+    with oracle_config("memory").open_session() as session:
         session.engine.config.debug_checks = False
         install_tpcds(session.engine, scale_rows=300, seed=42)
         for name, sql in TPCDS_QUERIES:
@@ -199,7 +199,7 @@ def test_second_day_instance_hashes_only_rebound_strict_digests(
     workload = generate_workload(
         name="budget", seed=7, virtual_clusters=2, templates_per_vc=4,
         fact_rows_per_day=240, adhoc_per_day=2)
-    with _session("memory", list(workload.virtual_clusters)) as session:
+    with oracle_config("memory").open_session() as session:
         session.engine.config.debug_checks = False
         workload.install(session.engine, at=0.0)
         cache = session.engine.plan_cache
@@ -241,7 +241,7 @@ def test_rerunning_an_identical_job_hashes_nothing(hash_counter):
     """Same GUIDs, same values: the re-bind hands back the skeleton's own
     nodes, and a parent rebuilt over a ViewScan or Spool keeps the
     signature of the parent it replaces."""
-    with _session("memory", ["default"]) as session:
+    with oracle_config("memory").open_session() as session:
         session.engine.config.debug_checks = False
         install_tpcds(session.engine, scale_rows=300, seed=42)
         for offset, (name, sql) in enumerate(TPCDS_QUERIES):
