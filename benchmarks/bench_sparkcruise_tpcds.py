@@ -1,58 +1,35 @@
 """Section 5.5: SparkCruise on TPC-DS.
 
 Paper: "On TPC-DS benchmarks, SparkCruise can reduce the running time by
-approximately 30%."  We replay the SparkCruise flow -- listener logs the
-workload, the user schedules analysis, reuse kicks in -- over a miniature
-TPC-DS suite and compare total observed work.
+approximately 30%."  We replay the SparkCruise flow -- the session
+records the workload, the user schedules analysis, reuse kicks in --
+over a miniature TPC-DS suite and compare total observed work.
 """
 
-from repro.api import Session
-from repro.extensions import QueryEventListener, run_workload_analysis
-from repro.selection import SelectionPolicy
-from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds, run_tpcds_suite
+from repro.extensions import sparkcruise_tpcds
+from repro.workload.tpcds import TPCDS_QUERIES
 
 
 def run_flow():
-    # Baseline session: reuse never enabled.
-    with Session() as baseline_session:
-        install_tpcds(baseline_session.engine)
-        baseline = run_tpcds_suite(baseline_session.engine,
-                                   reuse_enabled=False)
-
-    # SparkCruise flow: observe, analyze, then run with reuse.
-    with Session() as session:
-        engine = session.engine
-        install_tpcds(engine)
-        listener = QueryEventListener(engine)
-        observe = run_tpcds_suite(engine, reuse_enabled=False, now=0.0)
-        for name, sql in TPCDS_QUERIES:
-            # Feed the listener from a fresh pass so signatures are
-            # recorded.
-            run = engine.run_sql(sql, reuse_enabled=False, now=50.0)
-            listener.on_query_end(run, now=50.0)
-        run_workload_analysis(listener, SelectionPolicy(
-            storage_budget_bytes=10_000_000, min_reuses_per_epoch=0.0))
-        enabled = run_tpcds_suite(engine, reuse_enabled=True, now=100.0)
-    return baseline, observe, enabled
+    return tuple(sparkcruise_tpcds(reuse=reuse) for reuse in (False, True))
 
 
 def test_sparkcruise_tpcds(benchmark):
-    baseline, observe, enabled = benchmark.pedantic(run_flow, rounds=1,
-                                                    iterations=1)
+    baseline, enabled = benchmark.pedantic(run_flow, rounds=1, iterations=1)
 
-    reduction = (baseline["work"] - enabled["work"]) / baseline["work"] * 100
+    reduction = (baseline.work - enabled.work) / baseline.work * 100
     print("\nSparkCruise on mini TPC-DS")
     print(f"queries:                 {len(TPCDS_QUERIES)}")
-    print(f"baseline work:           {baseline['work']:,.0f} units")
-    print(f"with computation reuse:  {enabled['work']:,.0f} units")
+    print(f"baseline work:           {baseline.work:,.0f} units")
+    print(f"with computation reuse:  {enabled.work:,.0f} units")
     print(f"running-time reduction:  {reduction:.1f}% (paper: ~30%)")
-    print(f"views built={enabled['built']} reused={enabled['reused']}")
+    print(f"views built={enabled.built} reused={enabled.reused}")
 
     # Shape: a substantial reduction in the paper's ~30% ballpark.
     assert 15.0 < reduction < 60.0
-    assert enabled["reused"] >= 4  # the shared date-window cores
+    assert enabled.reused >= 4  # the shared date-window cores
 
     # Correctness: every query's answer is unchanged under reuse.
-    for name, rows in enabled["results"].items():
-        assert sorted(map(repr, rows)) == \
-            sorted(map(repr, baseline["results"][name])), name
+    for name, result in enabled.results.items():
+        assert sorted(map(repr, result.rows)) == \
+            sorted(map(repr, baseline.results[name].rows)), name

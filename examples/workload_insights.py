@@ -2,20 +2,21 @@
 
 SparkCruise ships a "Workload Insights Notebook" that shows data
 engineers their workload's redundancy before they enable computation
-reuse.  This example mirrors that flow: a passive listener logs every
-executed query, the user schedules the analysis themselves, inspects the
-insights, and only then turns reuse on.
+reuse.  This example mirrors that flow: the session logs every executed
+query, the user inspects the insights, schedules the analysis
+themselves, and only then turns reuse on.
 
 Run:  python examples/workload_insights.py
 """
 
-from repro import SelectionPolicy, Session, schema_of
-from repro.extensions import (
-    QueryEventListener,
-    format_insights,
-    run_workload_analysis,
-    workload_insights_report,
+from repro import (
+    DeploymentMode,
+    MultiLevelControls,
+    SelectionPolicy,
+    Session,
+    schema_of,
 )
+from repro.extensions import format_insights, workload_insights_report
 
 DASHBOARD_QUERIES = [
     ("hourly-errors",
@@ -34,8 +35,11 @@ DASHBOARD_QUERIES = [
 
 
 def main() -> None:
-    session = Session()
-    engine = session.engine
+    # Opt-out: every virtual cluster is onboarded, so turning reuse on
+    # is the job-level override alone.
+    session = Session(
+        controls=MultiLevelControls(mode=DeploymentMode.OPT_OUT),
+        policy=SelectionPolicy(min_reuses_per_epoch=0.0))
     session.register_table(
         schema_of("Logs", [("ServiceId", "int"), ("Level", "str"),
                            ("LatencyMs", "float")]),
@@ -48,30 +52,29 @@ def main() -> None:
         [dict(ServiceId=i, Service=f"svc-{i}",
               Tier="frontend" if i % 3 else "backend") for i in range(12)])
 
-    # Phase 1: run the cluster's workload with reuse OFF; the listener
-    # logs plans and signatures from the outside (no engine changes).
-    listener = QueryEventListener(engine)
+    # Phase 1: run the cluster's workload with reuse OFF; the session
+    # logs plans and signatures as it goes (no engine changes).
     print("== Phase 1: observe the workload (reuse disabled) ==")
     for cycle in range(3):
         for name, sql in DASHBOARD_QUERIES:
-            run = engine.run_sql(sql, reuse_enabled=False,
-                                 now=cycle * 60.0)
-            listener.on_query_end(run, now=cycle * 60.0,
-                                  application_id="dashboards")
-    print(f"{listener.repository.total_jobs()} queries logged")
+            session.run(sql, virtual_cluster="dashboards", template_id=name,
+                        pipeline_id="dashboards", reuse_override=False,
+                        now=cycle * 60.0)
+    print(f"{session.repository.total_jobs()} queries logged")
 
     # Phase 2: the Workload Insights Notebook.
     print("\n== Phase 2: Workload Insights Notebook ==")
-    report = workload_insights_report(listener.repository)
+    report = workload_insights_report(session.repository)
     print(format_insights(report))
 
     # Phase 3: convinced -- schedule the analysis and enable reuse.
     print("\n== Phase 3: enable computation reuse ==")
-    selection = run_workload_analysis(
-        listener, SelectionPolicy(min_reuses_per_epoch=0.0))
+    selection = session.analyze_and_publish()
     print(f"published {len(selection.selected)} view selections")
     for name, sql in DASHBOARD_QUERIES:
-        result = session.run(sql, template_id=name, now=300.0)
+        result = session.run(sql, virtual_cluster="dashboards",
+                             template_id=name, pipeline_id="dashboards",
+                             now=300.0)
         print(f"{name:<16} built={result.views_built} "
               f"reused={result.views_reused}")
     print(f"\nsession totals: {session.views_created} views "

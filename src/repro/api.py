@@ -365,7 +365,11 @@ class Session:
         self.engine.view_store.purge(strict_signature)
 
     def evict_expired(self, now: float) -> int:
-        return len(self.engine.view_store.evict_expired(now))
+        """Retire expired views: out of the catalog, rows off the backend."""
+        expired = self.engine.view_store.evict_expired(now)
+        for view in expired:
+            self.engine.delete_view_blob(view.path)
+        return len(expired)
 
     def storage_in_use(self, now: float) -> int:
         return self.engine.view_store.storage_in_use(now)

@@ -28,11 +28,10 @@ from typing import Callable, Dict, List, Tuple
 from repro.common.clock import SECONDS_PER_DAY
 from repro.history import Outcome, day_jobs, replay
 from repro.history import canonical_rows, canonical_value  # noqa: F401
-from repro.scheduler.scheduler import JobRequest
 from repro.selection.policies import SelectionPolicy
 from repro.simulation import SimulationConfig
 from repro.workload.generator import CookingWorkload, generate_workload
-from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
+from repro.workload.tpcds import tpcds_history
 
 BACKENDS = ("memory", "sqlite")
 #: Seed of the cooking workload ``repro diff-backends`` replays.
@@ -125,19 +124,6 @@ def _run_lattice(workload: str,
 
 # --------------------------------------------------------------------- #
 # TPC-DS
-
-def tpcds_history(scale_rows: int, reuse: bool) -> list:
-    """Two rounds of the TPC-DS suite, selection between them."""
-    rounds = [[("wave", 1000.0 * round_no + offset, [(
-                   f"r{round_no}:{name}",
-                   JobRequest(sql=sql, template_id=name,
-                              reuse_enabled=reuse))])
-               for offset, (name, sql) in enumerate(TPCDS_QUERIES)]
-              for round_no in (1, 2)]
-    install = functools.partial(install_tpcds, scale_rows=scale_rows)
-    return [("install", install), *rounds[0],
-            *([("publish",)] if reuse else []), *rounds[1]]
-
 
 def run_tpcds_differential(scale_rows: int = 400) -> DifferentialReport:
     return _run_lattice("tpcds", functools.partial(tpcds_history, scale_rows))

@@ -42,7 +42,6 @@ from repro.obs import (
     render_events,
     render_flamegraph,
 )
-from repro.selection.policies import SelectionPolicy
 from repro.telemetry.comparison import compare_telemetry
 from repro.workload.generator import generate_workload
 from repro.workload.analysis import pipeline_summary
@@ -453,33 +452,15 @@ def _cmd_gc(args) -> int:
 
 
 def _cmd_tpcds(args) -> int:
-    from repro.extensions.sparkcruise import (
-        QueryEventListener,
-        run_workload_analysis,
-    )
-    from repro.workload.tpcds import (
-        TPCDS_QUERIES,
-        install_tpcds,
-        run_tpcds_suite,
-    )
+    from repro.extensions.sparkcruise import sparkcruise_tpcds
+    from repro.workload.tpcds import TPCDS_QUERIES
 
-    baseline_engine = ScopeEngine()
-    install_tpcds(baseline_engine, scale_rows=args.scale_rows)
-    baseline = run_tpcds_suite(baseline_engine, reuse_enabled=False)
-
-    engine = ScopeEngine()
-    install_tpcds(engine, scale_rows=args.scale_rows)
-    listener = QueryEventListener(engine)
-    for _, sql in TPCDS_QUERIES:
-        run = engine.run_sql(sql, reuse_enabled=False, now=0.0)
-        listener.on_query_end(run, now=0.0)
-    run_workload_analysis(listener, SelectionPolicy(min_reuses_per_epoch=0.0))
-    enabled = run_tpcds_suite(engine, reuse_enabled=True, now=100.0)
-
-    reduction = (baseline["work"] - enabled["work"]) / baseline["work"] * 100
+    baseline, enabled = (sparkcruise_tpcds(args.scale_rows, reuse)
+                         for reuse in (False, True))
+    reduction = (baseline.work - enabled.work) / baseline.work * 100
     print(f"queries:                {len(TPCDS_QUERIES)}")
-    print(f"baseline work:          {baseline['work']:,.0f}")
-    print(f"with reuse:             {enabled['work']:,.0f}")
+    print(f"baseline work:          {baseline.work:,.0f}")
+    print(f"with reuse:             {enabled.work:,.0f}")
     print(f"running-time reduction: {reduction:.1f}% (paper: ~30%)")
     return 0
 
@@ -580,7 +561,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import AnalysisContext, Analyzer, Report, rule_catalog
+    from repro.analysis import Analyzer, Report, rule_catalog
 
     if args.list_rules:
         for name, severity, description in rule_catalog():
@@ -602,8 +583,6 @@ def _cmd_lint(args) -> int:
 
 def _lint_cooking(analyzer, seed: int):
     """Compile-only lint of one cooked day of the generated workload."""
-    from repro.analysis import AnalysisContext
-
     engine = ScopeEngine()
     workload = generate_workload(seed=seed, virtual_clusters=2,
                                  templates_per_vc=8)
@@ -618,39 +597,29 @@ def _lint_cooking(analyzer, seed: int):
             job_id=f"{instance.template.template_id}@d0")
         plans.append((compiled.job_id, compiled.plan))
         last = max(last, instance.submit_time)
-    ctx = AnalysisContext(catalog=engine.catalog,
-                          view_store=engine.view_store,
-                          salt=engine.signature_salt, now=last)
-    return analyzer.analyze_workload(plans, ctx)
+    return _lint_against(analyzer, engine, plans, last)
 
 
 def _lint_tpcds(analyzer, scale_rows: int):
     """Lint the TPC-DS flow end to end: the reuse round's plans carry
     real ViewScans and Spools, so the reuse-safety rules get exercised
     against a live view store."""
+    from repro.extensions.sparkcruise import sparkcruise_tpcds
+
+    enabled = sparkcruise_tpcds(scale_rows)
+    jobs = {name: result.compiled for name, result in enabled.results.items()}
+    return _lint_against(
+        analyzer, enabled.engine,
+        [(name, job.plan) for name, job in jobs.items()],
+        max(job.submitted_at for job in jobs.values()),
+        [match for job in jobs.values() for match in job.optimized.matches])
+
+
+def _lint_against(analyzer, engine, plans, now: float, matches=()):
+    """Lint ``plans`` and the reuse ``matches`` against ``engine``'s
+    catalog and view store as of ``now``."""
     from repro.analysis import AnalysisContext
-    from repro.extensions.sparkcruise import (
-        QueryEventListener,
-        run_workload_analysis,
-    )
-    from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
 
-    engine = ScopeEngine()
-    install_tpcds(engine, scale_rows=scale_rows)
-    listener = QueryEventListener(engine)
-    for _, sql in TPCDS_QUERIES:
-        run = engine.run_sql(sql, reuse_enabled=False, now=0.0)
-        listener.on_query_end(run, now=0.0)
-    run_workload_analysis(listener, SelectionPolicy(min_reuses_per_epoch=0.0))
-
-    plans = []
-    matches = []
-    now = 100.0
-    for offset, (name, sql) in enumerate(TPCDS_QUERIES):
-        now = 100.0 + offset
-        run = engine.run_sql(sql, reuse_enabled=True, now=now)
-        plans.append((name, run.compiled.plan))
-        matches.extend(run.compiled.optimized.matches)
     ctx = AnalysisContext(catalog=engine.catalog,
                           view_store=engine.view_store,
                           salt=engine.signature_salt, now=now)

@@ -1,9 +1,8 @@
 """Workload-repository ingestion: one executed job -> one table slice.
 
 :func:`record_job_into` is the "record job" step of the Figure-5
-feedback loop; :meth:`repro.api.Session.record` calls it for every job,
-and the SparkCruise listener (:mod:`repro.extensions.sparkcruise`) calls
-it from user code.
+feedback loop; :meth:`repro.api.Session.record`, its one caller, calls
+it for every job.
 """
 
 from __future__ import annotations

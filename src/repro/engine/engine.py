@@ -227,6 +227,8 @@ class ScopeEngine:
         #: Consecutive read-failure counts per view signature, feeding
         #: the quarantine policy (:data:`QUARANTINE_FAILURES`).
         self._view_failures: Dict[str, int] = {}
+        #: Backend drops that failed (:meth:`delete_view_blob`).
+        self.blob_delete_failures = 0
         #: Flight recorder; installing one here also wires the insights
         #: service and view store so the whole feedback loop is recorded.
         self.recorder = NULL_RECORDER
@@ -685,6 +687,25 @@ class ScopeEngine:
                 stats.rows_out,
                 stats.bytes_out,
             )
+
+    def delete_view_blob(self, path: str) -> None:
+        """Drop a departed view's materialized rows from the backend (the
+        paper's users can "see the CloudViews-generated files").  Every
+        path that retires a view from the catalog ends here: expiry, GC
+        collection and budget eviction."""
+        # Eviction must reach the execution backend, not just the
+        # in-memory store: on an external backend (SQLite) the view is a
+        # real table, and skipping the drop would leak storage the view
+        # catalog no longer tracks.
+        try:
+            self.backend.drop_view(path)
+        except ReproError as error:
+            # Leave the blob behind; a failed drop must not abort the
+            # caller's pass.
+            self.blob_delete_failures += 1
+            self.recorder.inc("gc.blob_delete_failures")
+            self.recorder.event(obs_events.VIEW_DROP_FAILED,
+                                path=path, error=str(error))
 
     # ------------------------------------------------------------------ #
     # internals

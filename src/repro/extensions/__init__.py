@@ -24,9 +24,8 @@ from repro.extensions.shared_execution import (
     SharedBatchExecutor,
 )
 from repro.extensions.sparkcruise import (
-    QueryEventListener,
     format_insights,
-    run_workload_analysis,
+    sparkcruise_tpcds,
     workload_insights_report,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "concurrent_joins", "estimate_pipelined_sharing", "ContainmentChecker",
     "JoinSetOpportunity", "generalized_match", "join_set_opportunities",
     "BatchJobResult", "BatchStats", "SharedBatchExecutor",
-    "QueryEventListener",
-    "format_insights", "run_workload_analysis",
+    "format_insights", "sparkcruise_tpcds",
     "workload_insights_report",
 ]

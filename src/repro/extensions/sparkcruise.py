@@ -8,67 +8,79 @@ event listener for Spark SQL that can log query plans and compute
 signature annotations".  Users drive their own feedback loop and can
 inspect a *Workload Insights Notebook* before enabling the feature.
 
-This module mirrors that deployment shape over our engine:
+This module mirrors that deployment shape.  The listener is
+:class:`~repro.api.Session` itself -- every job it runs is recorded --
+and the user-scheduled analysis is :meth:`Session.analyze_and_publish`;
+on top of them sit
 
-* :class:`QueryEventListener` -- passive plan/signature logging attached
-  to an engine, building a workload repository from the outside;
 * :func:`workload_insights_report` -- the notebook's aggregate statistics
   and redundancy summary that "can convince the users to enable the
-  computation reuse feature on their workloads".
+  computation reuse feature on their workloads";
+* :func:`sparkcruise_tpcds` -- the Section-5.5 flow over the mini TPC-DS
+  suite (``repro tpcds``, the TPC-DS half of ``repro lint``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-from repro.core.runner import record_job_into
-from repro.engine.engine import JobRun, ScopeEngine
+from repro.api import Session
+from repro.common.errors import ReproError
+from repro.core.controls import DeploymentMode, MultiLevelControls
+from repro.engine.engine import ScopeEngine
+from repro.history import replay
+from repro.scheduler.results import JobResult
 from repro.selection.candidates import build_candidates
-from repro.selection.greedy import greedy_select
-from repro.selection.policies import SelectionPolicy, SelectionResult
+from repro.selection.policies import SelectionPolicy
 from repro.workload.analysis import pipeline_summary
 from repro.workload.repository import WorkloadRepository
+from repro.workload.tpcds import tpcds_history
 
 
 @dataclass
-class QueryEventListener:
-    """Logs executed jobs into an application-level workload repository.
-
-    Attach it to user code around :meth:`ScopeEngine.run_sql`; nothing in
-    the engine needs to change -- the SparkCruise deployment constraint.
-    """
+class TpcdsRound:
+    """Round 2 of one :func:`tpcds_history` replay, keyed by query name,
+    and the engine it ran on (whose session is closed)."""
 
     engine: ScopeEngine
-    repository: WorkloadRepository = field(default_factory=WorkloadRepository)
-    _full_work: Dict[str, float] = field(default_factory=dict)
+    results: Dict[str, JobResult]
 
-    def on_query_end(self, run: JobRun, now: float = 0.0,
-                     application_id: str = "spark-app") -> None:
-        record_job_into(
-            self.repository, run, now,
-            virtual_cluster=application_id,
-            template_id=run.compiled.sql.strip()[:64],
-            pipeline_id=application_id,
-            salt=self.engine.signature_salt,
-            full_work=self._full_work,
-        )
+    @property
+    def work(self) -> int:
+        """The round's "running time" at this scale: observed operator
+        work (rows in + rows out across all operators), the currency the
+        cluster simulator charges."""
+        return sum(stats.rows_in + stats.rows_out
+                   for result in self.results.values()
+                   for _, stats in result.run.result.node_stats)
+
+    @property
+    def built(self) -> int:
+        return sum(result.views_built for result in self.results.values())
+
+    @property
+    def reused(self) -> int:
+        return sum(result.views_reused for result in self.results.values())
 
 
-def run_workload_analysis(listener: QueryEventListener,
-                          policy: Optional[SelectionPolicy] = None
-                          ) -> SelectionResult:
-    """The user-scheduled analysis + selection job.
+def sparkcruise_tpcds(scale_rows: int = 2000,
+                      reuse: bool = True) -> TpcdsRound:
+    """Replay :func:`tpcds_history` on an opt-out :class:`Session`.
 
-    "We gave the control of the workflow to the end users or the data
-    engineers.  The users can schedule the workload analysis and view
-    selection job periodically."
+    With ``reuse`` the session records round 1, the user-scheduled
+    analysis selects greedily (every candidate eligible: one pass is too
+    short to clear a reuse threshold), and round 2 builds and reuses.
     """
-    policy = policy or SelectionPolicy()
-    candidates = build_candidates(listener.repository)
-    result = greedy_select(candidates, policy)
-    listener.engine.insights.publish(result.annotations())
-    return result
+    with Session(policy=SelectionPolicy(min_reuses_per_epoch=0.0),
+                 controls=MultiLevelControls(mode=DeploymentMode.OPT_OUT)
+                 ) as session:
+        outcome = replay(tpcds_history(scale_rows, reuse), session)
+    if outcome.failures:
+        raise ReproError(f"TPC-DS failed: {set(outcome.failures.values())}")
+    return TpcdsRound(session.engine, {
+        key.split(":", 1)[1]: result
+        for key, result in outcome.results.items() if key.startswith("r2:")})
 
 
 def workload_insights_report(repository: WorkloadRepository) -> Dict[str, object]:

@@ -102,9 +102,6 @@ class LifecycleManager:
         #: The mutation itself is already applied in memory -- the WAL
         #: just missed one op, which the next snapshot makes durable.
         self.journal_errors = 0
-        #: Backend drops that failed during a sweep; the blob stays for
-        #: the next sweep to retry.
-        self.blob_delete_failures = 0
         self.last_recovery: Optional[RecoveryReport] = None
         self.journal: Optional[CatalogJournal] = None
         if self._injected_journal is not None:
@@ -333,7 +330,7 @@ class LifecycleManager:
         expired_views = self.store.evict_expired(now)
         result.expired = len(expired_views)
         for view in expired_views:
-            self._delete_blob(view.path)
+            self.engine.delete_view_blob(view.path)
 
         for view in self.store.views():
             collectable = view.purged or (view.sealed
@@ -345,7 +342,7 @@ class LifecycleManager:
                 continue
             if self.store.remove(view.signature, reason="gc"):
                 result.removed += 1
-                self._delete_blob(view.path)
+                self.engine.delete_view_blob(view.path)
 
         budget = self.config.storage_budget_bytes
         if budget is not None:
@@ -381,26 +378,8 @@ class LifecycleManager:
                 evicted += 1
                 in_use -= view.size_bytes
                 result.evicted_signatures.append(view.signature)
-                self._delete_blob(view.path)
+                self.engine.delete_view_blob(view.path)
         return evicted
-
-    def _delete_blob(self, path: str) -> None:
-        """Delete a collected view's materialized rows along with its
-        catalog entry (the paper's users can "see the CloudViews-generated
-        files")."""
-        # Eviction must reach the execution backend, not just the
-        # in-memory store: on an external backend (SQLite) the view is a
-        # real table, and skipping the drop would leak storage the view
-        # catalog no longer tracks after a purge cascade or GC sweep.
-        try:
-            self.engine.backend.drop_view(path)
-        except ReproError as error:
-            # Leave the blob for a later sweep; a failed drop must
-            # not abort the rest of the pass.
-            self.blob_delete_failures += 1
-            self.recorder.inc("gc.blob_delete_failures")
-            self.recorder.event(obs_events.VIEW_DROP_FAILED,
-                                path=path, error=str(error))
 
     # ------------------------------------------------------------------ #
     # persistence and shutdown
@@ -435,7 +414,7 @@ class LifecycleManager:
             "cascades": self.cascades,
             "gc_sweeps": self.janitor.sweeps,
             "journal_errors": self.journal_errors,
-            "blob_delete_failures": self.blob_delete_failures,
+            "blob_delete_failures": self.engine.blob_delete_failures,
         }
         out.update({f"counter_{k}": v
                     for k, v in self.store.counters().items()})

@@ -103,10 +103,6 @@ class SimulationConfig:
     # The cluster model; read by the cluster schedule only.
     total_containers: int = 60
     vc_quota: int = 10
-    work_rate: float = 30.0
-    container_startup: float = 2.0
-    vc_job_slots: int = 3
-    job_overhead_seconds: float = 45.0
     rows_per_partition: float = 15.0
     max_partitions: int = 96
 
@@ -218,6 +214,14 @@ class WaveReport(SimulationReport):
         }
 
 
+#: The cluster model of :meth:`WorkloadSimulation._run_cluster` that no
+#: deployment varies (``ClusterSimulator``'s own defaults differ).
+WORK_RATE = 30.0
+CONTAINER_STARTUP = 2.0
+VC_JOB_SLOTS = 3
+JOB_OVERHEAD_SECONDS = 45.0
+
+
 class WorkloadSimulation:
     """Drives one workload through one configuration."""
 
@@ -307,10 +311,10 @@ class WorkloadSimulation:
             total_containers=config.total_containers,
             vc_quotas={vc: config.vc_quota
                        for vc in self.workload.virtual_clusters},
-            work_rate=config.work_rate,
-            container_startup=config.container_startup,
-            vc_job_slots=config.vc_job_slots,
-            job_overhead_seconds=config.job_overhead_seconds,
+            work_rate=WORK_RATE,
+            container_startup=CONTAINER_STARTUP,
+            vc_job_slots=VC_JOB_SLOTS,
+            job_overhead_seconds=JOB_OVERHEAD_SECONDS,
             recorder=self.session.engine.recorder,
         )
         for day in range(config.days):

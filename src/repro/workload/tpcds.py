@@ -12,12 +12,14 @@ cores, which is exactly the redundancy computation reuse exploits.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Tuple
 
 from repro.catalog.schema import TableSchema, schema_of
 from repro.common.rng import rng_for
 from repro.engine.engine import ScopeEngine
 from repro.plan.expressions import Row
+from repro.scheduler.scheduler import JobRequest
 
 CATEGORIES = ["Books", "Electronics", "Home", "Music", "Shoes", "Sports"]
 STATES = ["CA", "TX", "WA", "NY", "GA", "IL"]
@@ -150,24 +152,15 @@ TPCDS_QUERIES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def run_tpcds_suite(engine: ScopeEngine, reuse_enabled: bool,
-                    now: float = 0.0) -> Dict[str, object]:
-    """Run every query once; return observed work and reuse counters.
-
-    "Running time" at this scale is the observed operator work (rows in +
-    rows out across all operators), the same currency the cluster
-    simulator charges.
-    """
-    total_work = 0.0
-    built = reused = 0
-    results = {}
-    for offset, (name, sql) in enumerate(TPCDS_QUERIES):
-        run = engine.run_sql(sql, reuse_enabled=reuse_enabled,
-                             now=now + offset)
-        total_work += sum(s.rows_in + s.rows_out
-                          for _, s in run.result.node_stats)
-        built += run.compiled.built_views
-        reused += run.compiled.reused_views
-        results[name] = run.rows
-    return {"work": total_work, "built": built, "reused": reused,
-            "results": results}
+def tpcds_history(scale_rows: int, reuse: bool) -> list:
+    """Two rounds of the suite, one job per wave, selection between them
+    (a history for :func:`repro.history.replay`)."""
+    rounds = [[("wave", 1000.0 * round_no + offset, [(
+                   f"r{round_no}:{name}",
+                   JobRequest(sql=sql, template_id=name,
+                              reuse_enabled=reuse))])
+               for offset, (name, sql) in enumerate(TPCDS_QUERIES)]
+              for round_no in (1, 2)]
+    install = functools.partial(install_tpcds, scale_rows=scale_rows)
+    return [("install", install), *rounds[0],
+            *([("publish",)] if reuse else []), *rounds[1]]

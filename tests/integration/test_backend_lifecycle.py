@@ -108,6 +108,20 @@ def test_expiry_sweep_drops_backend_views(session):
     assert not any(view_is_stored(session, p) for p in paths)
 
 
+def test_evict_expired_drops_backend_views(session):
+    """The history's ``evict`` step at midnight used to forget expired
+    views in the catalog only: their rows stayed on the backend, and the
+    next GC sweep no longer saw them to collect."""
+    build_views(session)
+    ttl = session.engine.config.view_ttl_seconds
+    paths = [v.path for v in session.engine.view_store.views()]
+    assert paths
+    assert session.evict_expired(ttl + 100.0) == len(paths)
+    assert session.engine.view_store.views() == []
+    session.gc_sweep(now=ttl + 200.0)
+    assert not any(view_is_stored(session, p) for p in paths)
+
+
 def test_forget_stream_moves_the_rows_with_the_guid(session):
     """``forget_stream`` used to roll the GUID through the catalog alone,
     so every later job scanning the dataset failed on a missing stream

@@ -133,18 +133,37 @@ def fields_of(class_name: str, module: str):
     raise AssertionError(f"{module} has no class {class_name}")
 
 
-def names_set_outside(module: str):
-    """Every keyword argument and assigned attribute name anywhere but in
-    ``module`` (tests count: a knob a test needs has a caller)."""
+#: Every class ``src/`` defines: a keyword passed to one of them sets a
+#: field of *that* class, not of an audited config that shares its name.
+SRC_CLASSES = {node.name for path in python_files(SRC)
+               for node in ast.walk(tree_of(path))
+               if isinstance(node, ast.ClassDef)}
+
+
+def called_name(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", "")
+
+
+def names_set_outside(module: str, class_name: str):
+    """Every field name set anywhere but in ``module`` (tests count: a
+    knob a test needs has a caller): a keyword argument to anything but
+    another ``src/`` class's constructor, and an attribute stored on an
+    object whose expression names a config (``config.workers = 4``, not
+    ``self.workers = workers``)."""
     names = set()
     for path in python_files(*TRAFFIC, ROOT / "tests"):
         if path == MODULES[module]:
             continue
         for node in ast.walk(tree_of(path)):
-            if isinstance(node, ast.keyword) and node.arg:
-                names.add(node.arg)
+            if isinstance(node, ast.Call):
+                callee = called_name(node)
+                if callee == class_name or callee not in SRC_CLASSES:
+                    names.update(kw.arg for kw in node.keywords if kw.arg)
             elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Store):
+                    and isinstance(node.ctx, ast.Store) \
+                    and "config" in ast.unparse(node.value).lower():
                 names.add(node.attr)
     return names
 
@@ -152,7 +171,8 @@ def names_set_outside(module: str):
 @pytest.mark.parametrize("class_name", sorted(AUDITED))
 def test_every_config_field_has_a_setter(class_name):
     module = AUDITED[class_name]
-    unset = set(fields_of(class_name, module)) - names_set_outside(module)
+    unset = (set(fields_of(class_name, module))
+             - names_set_outside(module, class_name))
     assert sorted(unset) == [], (
         f"{class_name} fields nobody sets: make them module constants")
 

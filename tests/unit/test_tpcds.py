@@ -3,10 +3,10 @@
 import pytest
 
 from repro.engine import ScopeEngine
+from repro.extensions import sparkcruise_tpcds
 from repro.workload.tpcds import (
     TPCDS_QUERIES,
     install_tpcds,
-    run_tpcds_suite,
     tpcds_schemas,
 )
 
@@ -65,14 +65,14 @@ class TestQueries:
         common = set.intersection(*signature_sets)
         assert common  # the shared date-window core
 
-    def test_suite_counters(self, engine):
-        result = run_tpcds_suite(engine, reuse_enabled=False)
-        assert result["work"] > 0
-        assert result["built"] == 0 and result["reused"] == 0
-        assert set(result["results"]) == {name for name, _ in TPCDS_QUERIES}
+    def test_suite_counters(self):
+        suite = sparkcruise_tpcds(scale_rows=800, reuse=False)
+        assert suite.work > 0
+        assert suite.built == 0 and suite.reused == 0
+        assert list(suite.results) == [name for name, _ in TPCDS_QUERIES]
 
-    def test_brand_revenue_is_positive(self, engine):
-        result = run_tpcds_suite(engine, reuse_enabled=False)
-        rows = result["results"]["q3_brand_revenue"]
+    def test_brand_revenue_is_positive(self):
+        suite = sparkcruise_tpcds(scale_rows=800, reuse=False)
+        rows = suite.results["q3_brand_revenue"].rows
         assert rows
         assert all(r["revenue"] > 0 for r in rows)
