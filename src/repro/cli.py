@@ -18,9 +18,9 @@ Commands:
 * ``obs``       -- inspect a flight-recorder capture (``obs metrics``,
   ``obs trace <job_id>``, ``obs events --since <day>``) written by
   ``simulate --obs-dir``;
-* ``lint``      -- run the plan/signature/reuse soundness analyzer over
-  the bundled workloads (text or JSON findings; non-zero exit on any
-  error finding, so it slots straight into CI).
+* ``gc``        -- view lifecycle operations against a catalog journal
+  (sweep, GDPR forget, epoch bump, stats);
+* ``chaos``     -- seeded fault campaigns over the cooking workload.
 """
 
 from __future__ import annotations
@@ -150,24 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(e.g. view.sealed)")
     obs_events.add_argument("--limit", type=int, default=200)
 
-    lint = sub.add_parser(
-        "lint", help="soundness analysis of the reuse pipeline "
-                     "(plan validity, signature soundness, reuse safety)")
-    lint.add_argument("--format", default="text", choices=["text", "json"],
-                      dest="output_format")
-    lint.add_argument("--suppress", action="append", default=[],
-                      metavar="RULE",
-                      help="skip one rule by name (repeatable); see "
-                           "--list-rules")
-    lint.add_argument("--workload", default="all",
-                      choices=["all", "cooking", "tpcds"],
-                      help="which bundled workload(s) to analyze")
-    lint.add_argument("--seed", type=int, default=7)
-    lint.add_argument("--scale-rows", type=int, default=500,
-                      help="TPC-DS synthetic row count")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
-
     chaos = sub.add_parser(
         "chaos",
         help="chaos campaign: run the cooking workload under seeded "
@@ -230,7 +212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "analyze": _cmd_analyze,
         "explain": _cmd_explain,
         "obs": _cmd_obs,
-        "lint": _cmd_lint,
         "gc": _cmd_gc,
         "chaos": _cmd_chaos,
     }[args.command]
@@ -558,73 +539,6 @@ def _cmd_chaos(args) -> int:
             # backend with durable state.
             print(check_ctas_crash_recovery())
     return 1 if failed else 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis import Analyzer, Report, rule_catalog
-
-    if args.list_rules:
-        for name, severity, description in rule_catalog():
-            print(f"{name:<24} {severity:<5} {description}")
-        return 0
-
-    analyzer = Analyzer(suppress=args.suppress)
-    report = Report()
-    if args.workload in ("all", "cooking"):
-        report.extend(_lint_cooking(analyzer, args.seed))
-    if args.workload in ("all", "tpcds"):
-        report.extend(_lint_tpcds(analyzer, args.scale_rows))
-    if args.output_format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text())
-    return report.exit_code
-
-
-def _lint_cooking(analyzer, seed: int):
-    """Compile-only lint of one cooked day of the generated workload."""
-    engine = ScopeEngine()
-    workload = generate_workload(seed=seed, virtual_clusters=2,
-                                 templates_per_vc=8)
-    workload.install(engine)
-    plans = []
-    last = 0.0
-    for instance in workload.jobs_for_day(0):
-        compiled = engine.compile(
-            instance.template.sql, params=instance.params,
-            virtual_cluster=instance.virtual_cluster,
-            reuse_enabled=False, now=instance.submit_time,
-            job_id=f"{instance.template.template_id}@d0")
-        plans.append((compiled.job_id, compiled.plan))
-        last = max(last, instance.submit_time)
-    return _lint_against(analyzer, engine, plans, last)
-
-
-def _lint_tpcds(analyzer, scale_rows: int):
-    """Lint the TPC-DS flow end to end: the reuse round's plans carry
-    real ViewScans and Spools, so the reuse-safety rules get exercised
-    against a live view store."""
-    from repro.extensions.sparkcruise import sparkcruise_tpcds
-
-    enabled = sparkcruise_tpcds(scale_rows)
-    jobs = {name: result.compiled for name, result in enabled.results.items()}
-    return _lint_against(
-        analyzer, enabled.engine,
-        [(name, job.plan) for name, job in jobs.items()],
-        max(job.submitted_at for job in jobs.values()),
-        [match for job in jobs.values() for match in job.optimized.matches])
-
-
-def _lint_against(analyzer, engine, plans, now: float, matches=()):
-    """Lint ``plans`` and the reuse ``matches`` against ``engine``'s
-    catalog and view store as of ``now``."""
-    from repro.analysis import AnalysisContext
-
-    ctx = AnalysisContext(catalog=engine.catalog,
-                          view_store=engine.view_store,
-                          salt=engine.signature_salt, now=now)
-    report = analyzer.analyze_workload(plans, ctx)
-    return report.extend(analyzer.analyze_matches(matches, ctx))
 
 
 if __name__ == "__main__":  # pragma: no cover

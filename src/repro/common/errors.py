@@ -139,12 +139,5 @@ class SignatureError(ReproError):
 
 
 class LintError(ReproError):
-    """Raised when a debug-mode soundness check finds an error finding.
-
-    Carries the findings so callers (tests, the simulation harness) can
-    inspect exactly which invariant broke.
-    """
-
-    def __init__(self, message: str, findings=()):
-        self.findings = list(findings)
-        super().__init__(message)
+    """Raised by a debug-mode self-check (``REPRO_DEBUG_CHECKS``); the
+    message says what diverged."""

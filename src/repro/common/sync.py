@@ -73,7 +73,8 @@ def rank_tier(rank: int) -> str:
 
 
 def debug_checks_enabled() -> bool:
-    """Mirror of the engine's ``REPRO_DEBUG_CHECKS`` switch."""
+    """The one reader of ``REPRO_DEBUG_CHECKS``: the lock sanitizer and
+    ``EngineConfig.debug_checks`` both default to it."""
     return os.environ.get("REPRO_DEBUG_CHECKS", "") not in ("", "0", "false")
 
 

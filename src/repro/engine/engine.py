@@ -20,7 +20,6 @@ hazard described in Section 4 ("Impact of changed signatures").
 from __future__ import annotations
 
 import itertools
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -44,7 +43,7 @@ from repro.common.errors import (
     StorageError,
     TransientBackendError,
 )
-from repro.common.sync import RANK_LEAF, TrackedLock
+from repro.common.sync import RANK_LEAF, TrackedLock, debug_checks_enabled
 from repro.executor.executor import ExecutionResult
 from repro.executor.udo import UdoRegistry
 from repro.insights.service import InsightsService
@@ -138,11 +137,6 @@ def _conjunct_count(plan: LogicalPlan) -> int:
                if type(node) is Filter)
 
 
-def _debug_checks_default() -> bool:
-    """Debug-mode pipeline assertions; opt in via REPRO_DEBUG_CHECKS=1."""
-    return os.environ.get("REPRO_DEBUG_CHECKS", "") not in ("", "0", "false")
-
-
 @dataclass(kw_only=True)
 class EngineConfig:
     """Tunables of the engine and its CloudViews integration."""
@@ -151,9 +145,11 @@ class EngineConfig:
     max_views_per_job: int = 3
     overestimate: float = 2.0
     view_ttl_seconds: float = DEFAULT_VIEW_TTL
-    #: Run the soundness analyzer on every compile's post-match and
-    #: post-buildout plans, raising LintError on error findings.
-    debug_checks: bool = field(default_factory=_debug_checks_default)
+    #: Debug-mode self-checks (``REPRO_DEBUG_CHECKS``): every plan-template
+    #: cache hit is compared with a from-scratch compile, and ``optimize``
+    #: re-normalizes what it is told is normalized; a difference raises
+    #: LintError.
+    debug_checks: bool = field(default_factory=debug_checks_enabled)
 
 
 @dataclass

@@ -17,7 +17,7 @@ on top of them sit
   and redundancy summary that "can convince the users to enable the
   computation reuse feature on their workloads";
 * :func:`sparkcruise_tpcds` -- the Section-5.5 flow over the mini TPC-DS
-  suite (``repro tpcds``, the TPC-DS half of ``repro lint``).
+  suite (``repro tpcds``).
 """
 
 from __future__ import annotations

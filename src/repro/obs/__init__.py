@@ -12,7 +12,6 @@ from repro.obs.events import (
     JOB_COMPILED,
     JOB_FINISHED,
     KILL_SWITCH_FLIPPED,
-    LINT_FINDING,
     LOCK_ACQUIRED,
     LOCK_DENIED,
     LOCK_RELEASED,
@@ -47,7 +46,6 @@ __all__ = [
     "JOB_COMPILED",
     "JOB_FINISHED",
     "KILL_SWITCH_FLIPPED",
-    "LINT_FINDING",
     "LOCK_ACQUIRED",
     "LOCK_DENIED",
     "LOCK_RELEASED",

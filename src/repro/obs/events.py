@@ -38,7 +38,6 @@ JOB_COMPILED = "job.compiled"
 JOB_FINISHED = "job.finished"
 JOB_FAILED = "job.failed"
 SELECTION_EPOCH = "selection.epoch"
-LINT_FINDING = "lint.finding"
 # Concurrent frontend: the fault-tolerant insights client's circuit
 # breaker and degradation path, plus scheduler wave boundaries.
 BREAKER_OPEN = "breaker.open"
@@ -83,7 +82,7 @@ SHARD_RPC_FAILED = "shard.rpc_failed"
 ALL_KINDS = (
     VIEW_CREATED, VIEW_SEALED, VIEW_REUSED, VIEW_INVALIDATED, VIEW_EVICTED,
     LOCK_ACQUIRED, LOCK_DENIED, LOCK_RELEASED, KILL_SWITCH_FLIPPED,
-    JOB_COMPILED, JOB_FINISHED, JOB_FAILED, SELECTION_EPOCH, LINT_FINDING,
+    JOB_COMPILED, JOB_FINISHED, JOB_FAILED, SELECTION_EPOCH,
     BREAKER_OPEN, BREAKER_HALF_OPEN, BREAKER_CLOSED,
     FETCH_DEGRADED, FETCH_RETRY, SCHEDULER_WAVE,
     LIFECYCLE_CASCADE, GC_SWEEP, EPOCH_BUMPED,

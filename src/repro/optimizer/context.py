@@ -59,9 +59,9 @@ class OptimizerContext:
     #: when a post-lock re-check finds the view already handled by a
     #: concurrent job).
     release_view_lock: Callable[[str], None] = lambda signature: None
-    #: Debug mode: re-run the soundness analyzer on the pipeline's own
-    #: output (post-match, post-buildout) and raise LintError on any
-    #: error finding.  See :mod:`repro.analysis.hooks`.
+    #: Debug mode: ``optimize`` re-runs rewrites and normalization on a
+    #: plan it was told is normalized and raises LintError unless it gets
+    #: the very same object back.
     debug_checks: bool = False
     #: Flight recorder plus the trace correlation for this compilation:
     #: ``trace_id`` is the job id and ``compile_span`` the enclosing

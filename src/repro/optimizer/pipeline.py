@@ -42,14 +42,6 @@ class OptimizedPlan:
         return len(self.proposals)
 
 
-def _assert_sound(plan: LogicalPlan, ctx: OptimizerContext, stage: str,
-                  now: float, matches=()) -> None:
-    # Deferred import: the analysis package depends on the optimizer.
-    from repro.analysis.hooks import assert_stage_sound
-
-    assert_stage_sound(plan, ctx, stage, now, matches=matches)
-
-
 def optimize(plan: LogicalPlan, ctx: OptimizerContext, now: float = 0.0,
              normalized: bool = False) -> OptimizedPlan:
     """Run rewrites, normalization, view matching, and view buildout.
@@ -69,23 +61,15 @@ def optimize(plan: LogicalPlan, ctx: OptimizerContext, now: float = 0.0,
         "view.match", trace_id=ctx.trace_id, at=now, parent=ctx.compile_span)
     matched = match_views(logical, ctx, now)
     match_span.annotate("matches", len(matched.matches)).finish(at=now)
-    # The claims hold pins until compilation is done: the debug lints
-    # below re-query the live view store, and without the pins a
-    # concurrent GC sweep could evict (or another producer re-begin) a
-    # claimed view between the claim and the lint, failing a sound plan.
+    # The claims hold pins until compilation is done, so buildout and
+    # costing never see a claimed view swept or re-begun by a concurrent
+    # GC sweep or producer (see ``MatchOutcome.release_claims``).
     try:
-        if ctx.debug_checks:
-            _assert_sound(matched.plan, ctx, "post-match", now,
-                          matches=matched.matches)
-
         build_span = ctx.recorder.start_span(
             "view.buildout", trace_id=ctx.trace_id, at=now,
             parent=ctx.compile_span)
         built = insert_spools(matched.plan, ctx, now)
         build_span.annotate("proposals", len(built.proposals)).finish(at=now)
-        if ctx.debug_checks:
-            _assert_sound(built.plan, ctx, "post-buildout", now)
-
         final_cost = ctx.cost_model.plan_cost(built.plan, ctx.estimator)
     finally:
         matched.release_claims(ctx.view_store)

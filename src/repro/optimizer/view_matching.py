@@ -169,10 +169,10 @@ def view_scan_for(view: MaterializedView, columns: Sequence[str],
                   recurring_fallback: str = "") -> ViewScan:
     """The single construction site for ViewScans over a materialized view.
 
-    ``columns`` is the schema of the subexpression being replaced; the
-    plan-validator's ``plan-viewscan-schema`` rule asserts it agrees with
-    the schema recorded on the view itself.  ``recurring_fallback`` is
-    used only when the view predates recurring-signature recording.
+    ``columns`` is the schema of the subexpression being replaced, which
+    is the schema the view was built with: both are the one strict
+    signature's.  ``recurring_fallback`` is used only when the view
+    predates recurring-signature recording.
     """
     return ViewScan(
         signature=view.signature,

@@ -226,9 +226,9 @@ def reference_signature(plan: LogicalPlan, recurring: bool,
                         salt: str = "") -> str:
     """The full recursion, reading and writing no cached digest.
 
-    This is the definition the cached signatures must equal, and what the
-    soundness lints hash through: an operator whose hash drifts between
-    calls would hide behind its own first (cached) answer.
+    This is the definition the cached signatures must equal (the property
+    tests compare the two): an operator whose hash drifts between calls
+    would hide behind its own first (cached) answer.
     """
     kind = type(plan)
     if kind is Spool:

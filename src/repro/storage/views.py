@@ -317,12 +317,16 @@ class ViewStore:
     def remove(self, signature: str, reason: str = "gc") -> bool:
         """Hard-remove a view's catalog entry (GC janitor only).
 
-        Refuses while any reader holds a pin; returns whether the entry
-        was removed.
+        Refuses while any reader holds a pin, and refuses an in-flight
+        build (unsealed, unpurged): only its producer ends that, by seal
+        or abandon.  A sweep deciding on an older, expired entry of the
+        same signature must not take a concurrent rebuild with it.
+        Returns whether the entry was removed.
         """
         with self._mutex:
             view = self._views.get(signature)
-            if view is None or view.pins > 0:
+            if view is None or view.pins > 0 or \
+                    not (view.sealed or view.purged):
                 return False
             self._commit({"op": "removed", "signature": signature,
                           "reason": reason})
@@ -369,11 +373,7 @@ class ViewStore:
             return None
 
     def get(self, signature: str) -> Optional[MaterializedView]:
-        """Raw metadata access, regardless of availability.
-
-        Used by the soundness analyzer to distinguish a ViewScan over a
-        missing view from one over an expired/unsealed/purged view.
-        """
+        """Raw metadata access, regardless of availability."""
         with self._mutex:
             return self._views.get(signature)
 
@@ -396,8 +396,8 @@ class ViewStore:
         Returns ``None`` when the view is no longer available.
 
         A successful claim also takes a *pin*: the rest of compilation
-        (cost finalization, debug-mode soundness lints) sees the claimed
-        record sealed and present instead of racing the janitor.  The
+        (buildout, cost finalization) sees the claimed record sealed and
+        present instead of racing the janitor.  The
         optimizer releases the pin when compilation finishes
         (:meth:`~repro.optimizer.view_matching.MatchOutcome.release_claims`);
         execution re-pins for the duration of the actual scan.

@@ -1,29 +1,105 @@
-"""Property-based tests for the soundness analyzer.
+"""Property-based soundness tests over every plan the builder produces.
 
-Two directions:
+* Signatures: a structural rebuild (fresh operator objects) and a
+  shuffle of Union inputs keep both signatures; probing the time-varying
+  inputs (fresh stream GUIDs, perturbed parameter values) keeps the
+  recurring signature and moves the strict one.
+* The debug-mode validator: random SQL, the TPC-DS suite and the
+  generated cooking templates, rewritten and normalized, are their own
+  normal form, so ``optimize(..., normalized=True)`` accepts them with
+  debug checks on (it raises ``LintError`` otherwise).
 
-* the *positive* direction — every plan the builder produces (random SQL,
-  the TPC-DS suite, the generated cooking templates) is accepted by the
-  validator with zero findings, and satisfies the signature-soundness
-  properties (rebuild-determinism, recurring-mask invariance) directly;
-* the *negative* direction is covered by the unit tests in
-  ``tests/unit/test_analysis_rules.py``, which corrupt plans on purpose.
+``tests/unit/test_analysis_rules.py`` holds the corruption-driven tests.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import AnalysisContext, Analyzer
-from repro.analysis.signature_rules import probe_inputs, rebuild
 from repro.catalog import Catalog, schema_of
 from repro.common.rng import rng_for
+from repro.optimizer import OptimizerContext, optimize
+from repro.optimizer.rules import apply_rewrites
 from repro.plan import PlanBuilder, normalize
-from repro.plan.logical import Union
+from repro.plan.expressions import Literal, rewrite
+from repro.plan.logical import Filter, GroupBy, Join, Project, Scan, Union
 from repro.signatures import recurring_signature, strict_signature
 from repro.sql import parse
+from repro.storage import ViewStore
 from repro.workload import generate_workload
 from repro.workload.tpcds import TPCDS_QUERIES, tpcds_schemas
+
+
+def rebuild(plan):
+    """Structurally identical clone built from fresh operator objects."""
+    children = plan.children()
+    if not children:
+        return plan
+    return plan.with_children([rebuild(child) for child in children])
+
+
+def _probe_literal(expr):
+    if isinstance(expr, Literal) and expr.param_name is not None:
+        return Literal(f"{expr.value!r}«probe»", expr.param_name)
+    return None
+
+
+def probe_inputs(plan):
+    """Rewrite time-varying inputs: fresh stream GUIDs on every Scan and
+    perturbed values in every parameter-bound literal.
+
+    Returns the rewritten plan and whether anything changed.  The
+    recurring signature must be invariant under this rewrite; the strict
+    signature must not be.
+    """
+    changed = False
+
+    def visit(node):
+        nonlocal changed
+        children = [visit(child) for child in node.children()]
+        if children and any(n is not o for n, o in
+                            zip(children, node.children())):
+            node = node.with_children(children)
+        if isinstance(node, Scan):
+            changed = True
+            return dataclasses.replace(
+                node, stream_guid=f"probe-{node.stream_guid or 'fresh'}")
+        replacements = {}
+        if isinstance(node, Filter):
+            replacements["predicate"] = rewrite(node.predicate,
+                                                _probe_literal)
+        elif isinstance(node, Project):
+            replacements["exprs"] = tuple(
+                rewrite(e, _probe_literal) for e in node.exprs)
+        elif isinstance(node, Join):
+            replacements["left_keys"] = tuple(
+                rewrite(e, _probe_literal) for e in node.left_keys)
+            replacements["right_keys"] = tuple(
+                rewrite(e, _probe_literal) for e in node.right_keys)
+            if node.residual is not None:
+                replacements["residual"] = rewrite(node.residual,
+                                                   _probe_literal)
+        elif isinstance(node, GroupBy):
+            replacements["aggregates"] = tuple(
+                rewrite(a, _probe_literal) for a in node.aggregates)
+        else:
+            return node
+        if all(_same_exprs(getattr(node, name), value)
+               for name, value in replacements.items()):
+            return node
+        changed = True
+        return dataclasses.replace(node, **replacements)
+
+    return visit(plan), changed
+
+
+def _same_exprs(old, new):
+    if isinstance(old, tuple):
+        return len(old) == len(new) and all(o is n for o, n in zip(old, new))
+    return old is new
+
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -81,14 +157,22 @@ def build_plan(key, agg, preds, joined, param_day):
     return normalize(PlanBuilder(CATALOG, params).build(parse(sql)))
 
 
+def assert_debug_checks_accept(plan, catalog):
+    """What the engine hands ``optimize`` -- the rewritten, normalized
+    plan -- passes the debug-mode check that it is its own normal form."""
+    logical = normalize(apply_rewrites(plan))
+    ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
+                           salt=SALT, debug_checks=True)
+    assert optimize(logical, ctx, normalized=True).logical is logical
+
+
 @given(key=group_keys, agg=aggregates, preds=predicates,
        joined=join_flags, param_day=st.booleans())
 @SETTINGS
 def test_validator_accepts_every_built_plan(key, agg, preds, joined,
                                             param_day):
     plan = build_plan(key, agg, preds, joined, param_day)
-    report = Analyzer().analyze_plan(plan, AnalysisContext(salt=SALT))
-    assert report.ok, report.render_text()
+    assert_debug_checks_accept(plan, CATALOG)
 
 
 @given(key=group_keys, agg=aggregates, preds=predicates,
@@ -131,7 +215,7 @@ def test_union_signature_is_input_order_invariant(seed):
 
 
 # --------------------------------------------------------------------- #
-# whole-workload acceptance: the bundled suites must lint clean
+# whole-workload acceptance: the bundled suites pass the debug checks
 
 
 def _tpcds_catalog():
@@ -144,10 +228,8 @@ def _tpcds_catalog():
 @pytest.mark.parametrize("name,sql", TPCDS_QUERIES)
 def test_validator_accepts_tpcds_query(name, sql):
     catalog = _tpcds_catalog()
-    plan = normalize(PlanBuilder(catalog).build(parse(sql)))
-    report = Analyzer().analyze_plan(
-        plan, AnalysisContext(catalog=catalog, salt=SALT), job_id=name)
-    assert report.ok, report.render_text()
+    assert_debug_checks_accept(PlanBuilder(catalog).build(parse(sql)),
+                               catalog)
 
 
 def test_validator_accepts_pattern_workload_templates():
@@ -158,13 +240,9 @@ def test_validator_accepts_pattern_workload_templates():
 
     engine = ScopeEngine(catalog=catalog)
     workload.install(engine)
-    analyzer = Analyzer()
-    plans = []
-    for instance in workload.jobs_for_day(0):
-        plan = normalize(PlanBuilder(
-            catalog, instance.params).build(parse(instance.template.sql)))
-        plans.append((instance.template.template_id, plan))
-    report = analyzer.analyze_workload(
-        plans, AnalysisContext(catalog=catalog, salt=SALT))
-    assert report.ok, report.render_text()
-    assert report.plans_analyzed == len(plans)
+    instances = workload.jobs_for_day(0)
+    assert instances
+    for instance in instances:
+        assert_debug_checks_accept(PlanBuilder(
+            catalog, instance.params).build(parse(instance.template.sql)),
+            catalog)

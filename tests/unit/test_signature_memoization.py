@@ -83,7 +83,7 @@ class Budgeted:
     """Runs jobs and holds each to two hashes per distinct plan node."""
 
     def __init__(self, session, calls):
-        # The debug lints hash through the uncached reference on purpose.
+        # Debug mode compiles every plan-cache hit from scratch as well.
         session.engine.config.debug_checks = False
         self.session = session
         self.calls = calls

@@ -56,6 +56,21 @@ class TestAvailableBoundaries:
         assert [v for v in store.views() if v.available(2.0)] == []
 
 
+class TestRemoval:
+    def test_gc_never_removes_a_concurrent_rebuild(self):
+        # A sweep reads an expired entry, a job re-begins the signature,
+        # then the sweep removes by signature: the rebuild must survive
+        # to be sealed.
+        store = ViewStore(ttl_seconds=5.0)
+        store.begin_materialize("s1", "views/s1", ("a",), "vc1", now=0.0)
+        store.seal("s1", now=0.0, row_count=1, size_bytes=10)
+        [expired] = store.views()  # expired at 5.0
+        store.begin_materialize("s1", "views/s1", ("a",), "vc1", now=9.0)
+        assert not store.remove(expired.signature)
+        store.seal("s1", now=9.0, row_count=1, size_bytes=10)
+        assert store.lookup("s1", now=10.0) is not None
+
+
 class TestCounterMonotonicity:
     def test_expiry_and_purge_bump_disjoint_counters(self):
         store = ViewStore(ttl_seconds=10.0)
