@@ -9,6 +9,7 @@ materialization", Section 2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Tuple
 
 from repro.common.errors import CatalogError
@@ -55,8 +56,9 @@ class TableSchema:
         if not self.columns:
             raise CatalogError(f"schema {self.name!r} has no columns")
 
-    @property
+    @cached_property
     def column_names(self) -> Tuple[str, ...]:
+        # Frozen, so computed once: every plan-template hit reads it per Scan.
         return tuple(c.name for c in self.columns)
 
     @property

@@ -9,42 +9,58 @@ runs -- we never rely on Python's salted ``hash()``.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Optional
 
 
-def stable_hash(*parts: object) -> str:
+def stable_hash(*parts: object,
+                prefix: Optional["hashlib._Hash"] = None) -> str:
     """Return a 16-byte hex digest over the string forms of ``parts``.
 
     Parts are joined with an unambiguous separator so that
     ``stable_hash("ab", "c")`` differs from ``stable_hash("a", "bc")``.
     Nested lists/tuples are flattened with explicit brackets, again to keep
     the encoding prefix-free.
+
+    ``prefix`` continues a hash begun by :func:`hash_prefix`:
+    ``stable_hash(*tail, prefix=hash_prefix(*head))`` is
+    ``stable_hash(*head, *tail)``.  The prefix is consumed, so a caller
+    that keeps one passes a ``.copy()``.
     """
-    hasher = hashlib.sha256()
-    _feed(hasher, parts)
-    return hasher.hexdigest()[:32]
+    body = _body(parts) + b"]"
+    if prefix is None:
+        return hashlib.sha256(b"[" + body).hexdigest()[:32]
+    prefix.update(body)
+    return prefix.hexdigest()[:32]
 
 
-def _feed(hasher: "hashlib._Hash", value: object) -> None:
+def hash_prefix(*parts: object) -> "hashlib._Hash":
+    """The state of ``stable_hash(*parts, ...)`` after ``parts``."""
+    return hashlib.sha256(b"[" + _body(parts))
+
+
+def _body(items: Iterable[object]) -> bytes:
+    """Each item's encoding and a separator: a list's body."""
+    return b"".join([
+        # Most items are names and digests: encoded here, without a call.
+        (b"s:" + item.encode("utf-8") if type(item) is str
+         else _encode(item)) + b"\x1f"
+        for item in items])
+
+
+def _encode(value: object) -> bytes:
     if isinstance(value, (list, tuple)):
-        hasher.update(b"[")
-        for item in value:
-            _feed(hasher, item)
-            hasher.update(b"\x1f")
-        hasher.update(b"]")
-    elif isinstance(value, bytes):
-        hasher.update(b"b:")
-        hasher.update(value)
-    elif isinstance(value, bool):
-        hasher.update(b"B:1" if value else b"B:0")
-    elif isinstance(value, int):
-        hasher.update(b"i:" + str(value).encode())
-    elif isinstance(value, float):
-        hasher.update(b"f:" + repr(value).encode())
-    elif value is None:
-        hasher.update(b"N")
-    else:
-        hasher.update(b"s:" + str(value).encode("utf-8"))
+        return b"[" + _body(value) + b"]"
+    if isinstance(value, bytes):
+        return b"b:" + value
+    if isinstance(value, bool):
+        return b"B:1" if value else b"B:0"
+    if isinstance(value, int):
+        return b"i:" + str(value).encode()
+    if isinstance(value, float):
+        return b"f:" + repr(value).encode()
+    if value is None:
+        return b"N"
+    return b"s:" + str(value).encode("utf-8")
 
 
 def combine_unordered(digests: Iterable[str]) -> str:

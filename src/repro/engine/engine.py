@@ -37,7 +37,6 @@ from repro.backends.memory import InMemoryBackend
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
 from repro.common.errors import (
-    BindError,
     LintError,
     ReproError,
     StorageError,
@@ -53,11 +52,12 @@ from repro.optimizer.context import Annotation, OptimizerContext
 from repro.optimizer.pipeline import OptimizedPlan, optimize
 from repro.optimizer.rules import apply_rewrites
 from repro.optimizer.stats import StatisticsCatalog
-from repro.plan.builder import PlanBuilder, rebind
+from repro.plan.builder import PlanBuilder
 from repro.plan.expressions import Row, conjuncts
 from repro.plan.logical import (
     Filter,
     LogicalPlan,
+    Scan,
     Spool,
     ViewScan,
     render_plan,
@@ -66,9 +66,9 @@ from repro.plan.normalize import normalize
 from repro.signatures.signature import (
     enumerate_subexpressions,
     recurring_signature,
-    sign_rebound,
     strict_signature,
 )
+from repro.signatures.template import PlanTemplate
 from repro.sql.parser import parse
 from repro.storage.store import DataStore
 from repro.storage.views import DEFAULT_VIEW_TTL, ViewStore
@@ -79,19 +79,19 @@ PLAN_CACHE_SIZE = 1024
 
 
 class PlanCache:
-    """Compile once per template: the normalized plan of each template's
-    latest instance (its *skeleton*), keyed by what is known before lexing
-    -- the SQL text and the names of the bound parameters.  Skeletons are
-    immutable and shared by every later instance; whether one still fits is
-    decided where it is used (:meth:`ScopeEngine.logical_plan`), so no
+    """Compile once per template: the :class:`PlanTemplate` of each
+    template's latest instance, keyed by what is known before lexing --
+    the SQL text and the names of the bound parameters.  Templates are
+    immutable and shared by every later instance; whether one still fits
+    is decided where it is used (:meth:`ScopeEngine.logical_plan`), so no
     GUID roll, runtime upgrade or forget needs to invalidate anything.
-    ``hits + misses`` is every compile: ``unstable`` (a skeleton rejected
+    ``hits + misses`` is every compile: ``unstable`` (a template rejected
     at use) and ``uncacheable`` (a plan refused as one) are misses too.
     """
 
     def __init__(self, engine: "ScopeEngine") -> None:
         self._engine = engine  # whose recorder mirrors the counters
-        self._skeletons: "OrderedDict[tuple, LogicalPlan]" = OrderedDict()
+        self._skeletons: "OrderedDict[tuple, PlanTemplate]" = OrderedDict()
         self._mutex = TrackedLock("engine.plan_cache", RANK_LEAF + 30)
         self.hits = self.misses = self.unstable = 0
         self.uncacheable = self.evicted = 0
@@ -99,14 +99,14 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._skeletons)
 
-    def get(self, key: tuple) -> Optional[LogicalPlan]:
+    def get(self, key: tuple) -> Optional[PlanTemplate]:
         with self._mutex:
             return self._skeletons.get(key)
 
-    def put(self, key: tuple, skeleton: LogicalPlan) -> None:
-        """Keep ``skeleton`` as the most recently used entry."""
+    def put(self, key: tuple, template: PlanTemplate) -> None:
+        """Keep ``template`` as the most recently used entry."""
         with self._mutex:
-            self._skeletons[key] = skeleton
+            self._skeletons[key] = template
             self._skeletons.move_to_end(key)
             full = len(self._skeletons) > PLAN_CACHE_SIZE
             if full:
@@ -331,12 +331,7 @@ class ScopeEngine:
         compile_span = recorder.start_span(
             "job.compile", trace_id=job_id, at=now,
             virtual_cluster=virtual_cluster)
-        plan, plan_cache = self.logical_plan(sql, params or {})
-
-        tags = tuple(sorted({
-            sub.tag for sub in
-            enumerate_subexpressions(plan, self.signature_salt)
-            if sub.eligible}))
+        plan, tags, plan_cache = self.logical_plan(sql, params or {})
 
         compile_latency = 0.0
         degraded = False
@@ -427,38 +422,40 @@ class ScopeEngine:
             submitted_at=now,
         )
 
-    def logical_plan(self, sql: str,
-                     params: Dict[str, object]) -> Tuple[LogicalPlan, str]:
-        """The job's normalized logical plan, and ``"hit"`` or ``"miss"``.
+    def logical_plan(self, sql: str, params: Dict[str, object]
+                     ) -> Tuple[LogicalPlan, Tuple[str, ...], str]:
+        """The job's normalized logical plan, its reuse-eligible tags, and
+        ``"hit"`` or ``"miss"``.
 
-        ``normalize`` reads literal *values* (it de-duplicates and orders
-        conjuncts by canonical string), so a plan becomes a skeleton only
-        if normalizing it dropped no conjunct, and a re-bound skeleton is
-        used only if it is still its own normal form.  Everything else is
-        parsed, built and rewritten from scratch, as it always was.
+        A hit binds the cached :class:`PlanTemplate` (validity rules (ii)
+        and (iii) are its ``bind``'s).  ``normalize`` reads literal
+        *values* (it de-duplicates and orders conjuncts by canonical
+        string), so a plan becomes a template only if normalizing it
+        dropped no conjunct (rule (i)).  Everything else is parsed, built
+        and rewritten from scratch, as it always was.
         """
         cache, key = self.plan_cache, (sql, frozenset(params))
-        skeleton = cache.get(key)
-        if skeleton is not None:
-            try:
-                plan = rebind(skeleton, self.catalog, params)
-            except BindError:  # a scanned dataset's schema changed
-                plan = None
-            if plan is not None and normalize(plan) is plan:
-                sign_rebound(plan, skeleton, self.signature_salt)
+        salt = self.signature_salt
+        template = cache.get(key)
+        if template is not None:
+            bound = template.bind(self.catalog, params, salt)
+            if bound is not None:
                 if self.config.debug_checks:
-                    self._check_against_scratch(plan, sql, params)
-                cache.put(key, plan)
+                    self._check_against_scratch(bound.plan, sql, params)
+                cache.put(key, bound)
                 cache.count("hits")
-                return plan, "hit"
+                return bound.plan, bound.tags, "hit"
             cache.count("unstable")
         cache.count("misses")
         rewritten, plan = self._from_scratch(sql, params)
+        tags = tuple(sorted({
+            sub.tag for sub in enumerate_subexpressions(plan, salt)
+            if sub.eligible}))
         if _conjunct_count(plan) == _conjunct_count(rewritten):
-            cache.put(key, plan)
+            cache.put(key, PlanTemplate.of(plan, salt))
         else:
             cache.count("uncacheable")
-        return plan, "miss"
+        return plan, tags, "miss"
 
     def _from_scratch(self, sql: str, params: Dict[str, object]
                       ) -> Tuple[LogicalPlan, LogicalPlan]:
@@ -477,9 +474,12 @@ class ScopeEngine:
             (sub.depth, sub.strict, sub.recurring, sub.tag, sub.eligible)
             for sub in enumerate_subexpressions(tree, self.signature_salt)]
             for tree in (plan, scratch))
-        # A re-bind that is no longer the identity means a GUID rolled
-        # between the two compiles: they saw different catalogs.
-        if cached != fresh and rebind(plan, self.catalog, params) is plan:
+        # A GUID that rolled between the two compiles means they saw
+        # different catalogs.
+        rolled = any(type(node) is Scan and node.stream_guid
+                     != self.catalog.current_guid(node.dataset)
+                     for node in plan.walk())
+        if cached != fresh and not rolled:
             raise LintError(
                 "plan-template cache diverged from a from-scratch compile "
                 f"of {sql!r} with {params!r}:\n{plan.explain()}\n-- vs --\n"

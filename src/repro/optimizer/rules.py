@@ -113,6 +113,11 @@ def push_filters(plan: LogicalPlan) -> LogicalPlan:
 
 def _push_one(plan: Filter) -> LogicalPlan:
     child = plan.child
+    if isinstance(child, Filter):
+        # One filter: a conjunct above may sink past what stopped the one
+        # below (a key above a group's HAVING), as ``normalize`` would let it.
+        return Filter(child.child, conjoin(
+            conjuncts(child.predicate) + conjuncts(plan.predicate)))
     if isinstance(child, Join):
         return _push_into_join(plan, child)
     if isinstance(child, Project):

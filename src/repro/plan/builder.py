@@ -12,8 +12,6 @@ to both sides, matching the paper's Figure 4 queries.
 
 from __future__ import annotations
 
-import dataclasses
-import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -335,52 +333,6 @@ class PlanBuilder:
             return None
 
         return rewrite(expr, bind)
-
-
-def rebind(plan: LogicalPlan, catalog: Catalog,
-           params: Dict[str, object]) -> LogicalPlan:
-    """Re-bind an earlier instance's plan to today's inputs.
-
-    Mirrors the two bindings :class:`PlanBuilder` makes: each ``Scan``
-    takes the catalog's current GUID and each ``Literal`` carrying a
-    ``param_name`` takes this instance's value.  Whatever the re-bind does
-    not touch -- subtree or expression -- comes back as the *same object*
-    (and so keeps its signatures).  Raises :class:`BindError` when a
-    dataset no longer has the schema the plan was built against.
-    """
-    def bind(node: Expr) -> Optional[Expr]:
-        if isinstance(node, Literal) and node.param_name in params:
-            value = params[node.param_name]
-            # ``1 == True == 1.0`` yet each signs differently: same type too.
-            if type(value) is not type(node.value) or value != node.value:
-                return Literal(value, node.param_name)
-        return None
-
-    def rebound(value: object) -> object:
-        if isinstance(value, LogicalPlan):
-            return walk(value)
-        if isinstance(value, Expr):
-            return rewrite(value, bind)
-        if isinstance(value, tuple):
-            items = tuple(map(rebound, value))
-            return value if all(map(operator.is_, items, value)) else items
-        return value
-
-    def walk(node: LogicalPlan) -> LogicalPlan:
-        if type(node) is Scan:
-            entry = catalog.entry(node.dataset)
-            if entry.schema.column_names != node.columns:
-                raise BindError(f"schema of {node.dataset!r} changed")
-            return node if entry.current.guid == node.stream_guid else \
-                Scan(node.dataset, node.columns, entry.current.guid)
-        changes = {}
-        for field in dataclasses.fields(node):
-            old = getattr(node, field.name)
-            if (new := rebound(old)) is not old:
-                changes[field.name] = new
-        return dataclasses.replace(node, **changes) if changes else node
-
-    return walk(plan)
 
 
 def _dedupe(names: Sequence[str]) -> List[str]:

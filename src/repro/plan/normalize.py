@@ -33,7 +33,16 @@ def normalize(plan: LogicalPlan) -> LogicalPlan:
         new_children = [normalize(child) for child in children]
         if any(n is not o for n, o in zip(new_children, children)):
             plan = plan.with_children(new_children)
+    return normalize_node(plan)
 
+
+def normalize_node(plan: LogicalPlan) -> LogicalPlan:
+    """The canonical form of ``plan`` whose children are canonical already.
+
+    It reads literal values only through the node's *own* expressions
+    (``canonical()`` orders and de-duplicates a filter's conjuncts and a
+    join's key pairs); the rest is structural.
+    """
     if isinstance(plan, Filter):
         return _normalize_filter(plan)
     if isinstance(plan, Join):

@@ -29,11 +29,17 @@ excluded from reuse.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.common.hashing import combine_unordered, short_tag, stable_hash
+from repro.common.hashing import (
+    combine_unordered,
+    hash_prefix,
+    short_tag,
+    stable_hash,
+)
 from repro.plan.expressions import Expr, Literal, rewrite
 from repro.plan.logical import (
     Distinct,
@@ -186,28 +192,6 @@ def _signed(plan: LogicalPlan, salt: str) -> Tuple[str, str, str]:
     return signed
 
 
-def sign_rebound(plan: LogicalPlan, template: LogicalPlan,
-                 salt: str) -> Tuple[str, str, str]:
-    """Sign ``plan``, an instance of ``template`` re-bound to new inputs.
-
-    The two have one shape and differ only in stream GUIDs and parameter
-    values -- what a recurring signature discards by definition -- so a
-    node the re-bind replaced inherits its template node's recurring
-    signature, tag and UDO depth and hashes only its strict digest.
-    """
-    attrs = vars(plan)
-    by_salt = attrs.setdefault(_SIGNED, {})
-    if plan is template or salt in by_salt:
-        return _signed(plan, salt)
-    _, recurring, tag = _signed(template, salt)
-    attrs[_UDO_DEPTH] = _udo_depth(template)
-    below = [sign_rebound(child, origin, salt)[0] for child, origin
-             in zip(plan.children(), template.children())]
-    by_salt[salt] = signed = (
-        _node_digest(plan, type(plan), False, salt, below), recurring, tag)
-    return signed
-
-
 def with_children_signed_alike(plan: LogicalPlan,
                                children: Sequence[LogicalPlan],
                                salt: str) -> LogicalPlan:
@@ -251,43 +235,60 @@ def _node_digest(plan: LogicalPlan, kind: type, recurring: bool, salt: str,
         if recurring:
             return plan.recurring or plan.signature
         return plan.signature
+    return _close(_open(plan, kind, recurring, salt), kind, children)
+
+
+# An operator's digest is Merkle with its children fed last, so it is
+# written as two steps: ``_open`` feeds the salt and the operator's own
+# (local) parts, ``_close`` feeds the children's digests and finishes.  A
+# plan template keeps each node's strict ``_open`` state and finishes a
+# ``.copy()`` of it per instance; being the same two steps, it cannot
+# drift from this definition.
+
+
+def _open(plan: LogicalPlan, kind: type, recurring: bool,
+          salt: str) -> "hashlib._Hash":
+    """The digest of an operator (not a Scan or ViewScan) up to its
+    children."""
     if kind is Filter:
-        return stable_hash(salt, "filter",
-                           _expr(plan.predicate, recurring), children)
-    if kind is Project:
-        return stable_hash(salt, "project",
-                           [_expr(e, recurring) for e in plan.exprs],
-                           list(plan.names), children)
-    if kind is Join:
+        parts: tuple = ("filter", _expr(plan.predicate, recurring))
+    elif kind is Project:
+        parts = ("project", [_expr(e, recurring) for e in plan.exprs],
+                 list(plan.names))
+    elif kind is Join:
         pairs = sorted(
             (_expr(l, recurring), _expr(r, recurring))
             for l, r in zip(plan.left_keys, plan.right_keys))
         residual = _expr(plan.residual, recurring) if plan.residual else ""
-        return stable_hash(salt, "join", plan.how, pairs, residual,
-                           list(plan.drop_right), children)
-    if kind is GroupBy:
-        return stable_hash(salt, "groupby",
-                           [_expr(k, recurring) for k in plan.keys],
-                           [_expr(a, recurring) for a in plan.aggregates],
-                           list(plan.names), children)
-    if kind is Union:
-        # UNION inputs are an unordered bag.
-        marker = "unionall" if plan.all else "union"
-        return stable_hash(salt, marker, combine_unordered(children))
-    if kind is Distinct:
-        return stable_hash(salt, "distinct", children)
-    if kind is Sort:
-        keys = [(_expr(k, recurring), asc)
-                for k, asc in zip(plan.keys, plan.ascending)]
-        return stable_hash(salt, "sort", keys, children)
-    if kind is Limit:
-        return stable_hash(salt, "limit", plan.count, children)
-    if kind is Process:
-        return stable_hash(salt, "process", plan.udo_name,
-                           plan.deterministic, plan.dependency_depth,
-                           list(plan.output_columns), children)
-    # Unknown operator: include its label so signatures stay total.
-    return stable_hash(salt, "op", plan.op_label, children)
+        parts = ("join", plan.how, pairs, residual, list(plan.drop_right))
+    elif kind is GroupBy:
+        parts = ("groupby", [_expr(k, recurring) for k in plan.keys],
+                 [_expr(a, recurring) for a in plan.aggregates],
+                 list(plan.names))
+    elif kind is Union:
+        # UNION inputs are an unordered bag (see ``_close``).
+        parts = ("unionall" if plan.all else "union",)
+    elif kind is Distinct:
+        parts = ("distinct",)
+    elif kind is Sort:
+        parts = ("sort", [(_expr(k, recurring), asc)
+                          for k, asc in zip(plan.keys, plan.ascending)])
+    elif kind is Limit:
+        parts = ("limit", plan.count)
+    elif kind is Process:
+        parts = ("process", plan.udo_name, plan.deterministic,
+                 plan.dependency_depth, list(plan.output_columns))
+    else:
+        # Unknown operator: include its label so signatures stay total.
+        parts = ("op", plan.op_label)
+    return hash_prefix(salt, *parts)
+
+
+def _close(prefix: "hashlib._Hash", kind: type, children: List[str]) -> str:
+    """Finish an ``_open`` digest with the children's digests."""
+    return stable_hash(
+        combine_unordered(children) if kind is Union else children,
+        prefix=prefix)
 
 
 def _expr(expr: Expr, recurring: bool) -> str:

@@ -1,14 +1,15 @@
-"""A plan re-bound from the template cache equals one compiled from scratch.
+"""A plan bound from the template cache equals one compiled from scratch.
 
 ``ScopeEngine`` keeps the normalized plan of each template's latest
-instance and re-binds it (new GUIDs, new parameter values) instead of
-parsing, building and rewriting the SQL again.  A cached plan that is not
-*equivalent* to the from-scratch one is a wrong answer; a miss is only
-lost speed.  So two sessions run the same generated history -- one with
-the cache, one that never finds anything in it -- and every job must agree
-on the rendered plans, every node's ``(strict, recurring, tag, eligible)``
-(held to the uncached ``reference_signature``), the tags fetched, the
-views matched and proposed, the costs, and the rows.
+instance as a ``PlanTemplate`` and binds it (new GUIDs, new parameter
+values) instead of parsing, building and rewriting the SQL again.  A
+cached plan that is not *equivalent* to the from-scratch one is a wrong
+answer; a miss is only lost speed.  So two sessions run the same
+generated history -- one with the cache, one that never finds anything
+in it -- and every job must agree on the rendered plans, every node's
+``(strict, recurring, tag, eligible)`` (held to the uncached
+``reference_signature``), the tags fetched, the views matched and
+proposed, the costs, and the rows.
 
 Dataclass equality is too weak an oracle here (``Literal(1) ==
 Literal(True) == Literal(1.0)``), so plans are compared by rendering and
@@ -16,7 +17,7 @@ signature, and rows by ``repr``.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.backends.differential import oracle_config
@@ -24,8 +25,9 @@ from repro.catalog import Catalog, schema_of
 from repro.common.errors import LintError
 from repro.engine import engine as engine_module
 from repro.optimizer.rules import apply_rewrites
-from repro.plan.builder import PlanBuilder, rebind
+from repro.plan.builder import PlanBuilder
 from repro.plan.logical import Scan
+from repro.plan.normalize import normalize
 from repro.signatures import (
     enumerate_subexpressions,
     is_reuse_eligible,
@@ -35,6 +37,7 @@ from repro.signatures import (
     strict_signature,
     subexpression_tag,
 )
+from repro.signatures.template import PlanTemplate
 from repro.sql.parser import parse
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -108,6 +111,15 @@ SHAPES = [
 ]
 
 
+#: A user-defined operator over a core: reusable, non-deterministic, and
+#: with a dependency chain too deep to sign (both refused reuse).
+PROCESSES = ["", " PROCESS USING Udo", " PROCESS USING Udo NONDETERMINISTIC",
+             " PROCESS USING Udo DEPTH 17"]
+
+#: Every core's first output column is ``K``.
+ORDERS = ["", " ORDER BY K", " ORDER BY K DESC LIMIT 3", " LIMIT 2"]
+
+
 @st.composite
 def cores(draw):
     source = draw(st.sampled_from(SOURCES))
@@ -115,7 +127,8 @@ def cores(draw):
     if "Facts f " in source:      # qualified: both sides carry a ``D``
         items = items.replace("K,", "f.K,")
         tail = tail.replace("BY K", "BY f.K")
-    return f"SELECT {items} FROM {source}{draw(where_clauses)}{tail}"
+    return (f"SELECT {items} FROM {source}{draw(where_clauses)}{tail}"
+            + draw(st.sampled_from(PROCESSES)))
 
 
 @st.composite
@@ -124,7 +137,7 @@ def templates(draw):
     if draw(st.booleans()):
         union = draw(st.sampled_from([" UNION ALL ", " UNION "]))
         sql += union + draw(cores())
-    return sql
+    return sql + draw(st.sampled_from(ORDERS))
 
 
 params = st.fixed_dictionaries(
@@ -321,24 +334,41 @@ def rendered(plan, salt="s"):
 @SETTINGS
 @given(templates(), params, params)
 def test_build_and_rewrites_are_value_independent(sql, first, second):
-    """``rebind(rewrite(build(ast, p0)), p1) == rewrite(build(ast, p1))``:
-    neither ``PlanBuilder.build`` nor ``apply_rewrites`` looks at a GUID or
-    a parameter-bound value (``_foldable`` excludes them), so re-binding
-    commutes with both.  Only ``normalize`` does, hence the engine's
-    check at use."""
+    """``bind(normalize(rewrite(build(ast, p0))), p1) ==
+    normalize(rewrite(build(ast, p1)))``: neither ``PlanBuilder.build`` nor
+    ``apply_rewrites`` looks at a GUID or a parameter-bound value
+    (``_foldable`` excludes them), so binding commutes with both.  Only
+    ``normalize`` does, hence the template's check at use (``None``: the
+    instance is compiled from scratch) and rule (i) (a template whose
+    normal form lost a conjunct is never cached)."""
     catalog = Catalog()
     for schema in (FACTS, DIM, OTHER):
         catalog.register(schema, row_count=10)
-    skeleton = build_rewritten(catalog, sql, first)
+    rewritten = build_rewritten(catalog, sql, first)
     catalog.bulk_update("Facts")
-    rebound = rebind(skeleton, catalog, second)
-    assert rendered(rebound) == rendered(
-        build_rewritten(catalog, sql, second))
-    # And what the re-bind did not touch is the skeleton's own object.
-    assert rebind(rebound, catalog, second) is rebound
+    # The premise, on every example: the two instances differ only in
+    # what a recurring signature masks (parameter values and GUIDs).
+    assert recurring_signature(rewritten, "s") == recurring_signature(
+        build_rewritten(catalog, sql, second), "s")
+    skeleton = normalize(rewritten)
+    if engine_module._conjunct_count(skeleton) != \
+            engine_module._conjunct_count(rewritten):
+        event("skipped: rule (i), uncacheable")
+        return
+    bound = PlanTemplate.of(skeleton, "s").bind(catalog, second, "s")
+    if bound is None:
+        event("skipped: rule (ii), unstable")
+        return
+    assert rendered(bound.plan) == rendered(
+        normalize(build_rewritten(catalog, sql, second)))
+    assert bound.tags == tuple(sorted({
+        sub.tag for sub in enumerate_subexpressions(bound.plan, "s")
+        if sub.eligible}))
+    # And what the bind did not touch is the template's own object.
+    assert bound.bind(catalog, second, "s") is bound
     dims = [node for node in skeleton.walk()
             if isinstance(node, Scan) and node.dataset != "Facts"]
-    assert all(any(node is kept for kept in rebound.walk())
+    assert all(any(node is kept for kept in bound.plan.walk())
                for node in dims)
 
 
@@ -354,11 +384,13 @@ def test_debug_checks_compare_every_hit_with_a_scratch_compile(monkeypatch):
         run(session, OTHER_TEMPLATE, {"a": "d2"}, 2)
         assert session.engine.plan_cache.hits == 1
 
-        def forgetful(plan, catalog, values):
-            """A re-bind that keeps yesterday's parameter values."""
-            return rebind(plan, catalog, {})
+        bind = PlanTemplate.bind
 
-        monkeypatch.setattr(engine_module, "rebind", forgetful)
+        def forgetful(template, catalog, values, salt):
+            """A bind that keeps yesterday's parameter values."""
+            return bind(template, catalog, {}, salt)
+
+        monkeypatch.setattr(PlanTemplate, "bind", forgetful)
         with pytest.raises(LintError, match="plan-template cache diverged"):
             session.engine.compile(OTHER_TEMPLATE, {"a": "d1"})
 

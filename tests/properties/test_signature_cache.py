@@ -15,7 +15,7 @@ import gc
 import sys
 import threading
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog, schema_of
@@ -36,13 +36,10 @@ from repro.plan.logical import (
     Union,
     ViewScan,
 )
-from repro.plan.builder import rebind
 from repro.plan.normalize import normalize
 from repro.signatures import signature as signature_module
-from repro.signatures.signature import (
-    sign_rebound,
-    with_children_signed_alike,
-)
+from repro.signatures.signature import with_children_signed_alike
+from repro.signatures.template import PlanTemplate
 from repro.signatures import (
     MAX_DEPENDENCY_DEPTH,
     is_reuse_eligible,
@@ -249,21 +246,30 @@ def test_parents_rebuilt_over_alike_children_keep_their_signature(plan, data):
 @SETTINGS
 def test_rebound_instance_inherits_recurring_and_matches_reference(
         plan, value):
-    """``sign_rebound``: an instance re-bound from a signed template (new
-    GUIDs, a new parameter value) hashes no recurring digest and equals
-    the reference all the same."""
+    """``PlanTemplate.bind``: an instance bound from a signed template (new
+    GUIDs, a new parameter value) hashes no recurring digest, inherits each
+    position's recurring signature and tag, and equals the reference all
+    the same."""
     catalog = Catalog()
     for name in ("S", "T", "U"):
         catalog.register(schema_of(name, [("a", "int"), ("b", "int")]))
+    plan = normalize(plan)              # a template is a normal form
     for salt in SALTS:
-        strict_signature(plan, salt)
-        instance = rebind(plan, catalog, {"p": value})
+        template = PlanTemplate.of(plan, salt)
         recurring = count_hashes(recurring_only=True)
         with recurring:
-            sign_rebound(instance, plan, salt)
+            bound = template.bind(catalog, {"p": value}, salt)
         assert recurring.calls == 0
-        assert_matches_reference(instance)
-        assert rebind(instance, catalog, {"p": value}) is instance
+        if bound is None:               # not its own normal form: a miss
+            event("skipped: rule (ii), unstable")
+        else:
+            for new, old in zip(bound.nodes, template.nodes):
+                assert recurring_signature(new, salt) == \
+                    recurring_signature(old, salt)
+                assert subexpression_tag(new, salt) == \
+                    subexpression_tag(old, salt)
+            assert_matches_reference(bound.plan)
+            assert bound.bind(catalog, {"p": value}, salt) is bound
         catalog.bulk_update("T")
 
 

@@ -125,6 +125,21 @@ class TestFilterPushdown:
         assert not any(isinstance(n, Filter) for n in group.child.walk())
         assert any(isinstance(n, Filter) for n in pushed.walk())
 
+    def test_key_filter_above_a_having_sinks_below_the_group(self):
+        """A key conjunct stacked on an aggregate one (a WHERE over a
+        HAVING) sinks below the group, so a rewritten, normalized plan is
+        a fixpoint of pushdown (a hypothesis counter-example once)."""
+        from repro.plan.expressions import BinaryOp, ColumnRef, FuncCall
+        a, b = ColumnRef("a"), ColumnRef("b")
+        group = GroupBy(Scan("S", ("a", "b")), (a,),
+                        (FuncCall("SUM", (b,)),), ("a", "b"))
+        plan = Filter(Filter(group, BinaryOp("=", b, Literal(0))),
+                      BinaryOp("=", a, Literal(0)))
+        once = normalize(apply_rewrites(plan))
+        assert push_filters(once) is once
+        sunk = next(n for n in once.walk() if isinstance(n, GroupBy))
+        assert isinstance(sunk.child, Filter)
+
     def test_pushdown_exposes_fig4_sharing(self, catalog):
         """The paper's Figure 4: after pushdown, the Sales-Customer
         fragment is identical across differently-shaped queries."""

@@ -4,10 +4,11 @@ Signatures are cached on the plan node, so a whole job -- compile,
 execute, ``record_history``, ``record_job_into`` -- may hash each distinct
 node object at most twice (one strict digest, one recurring digest), and
 re-optimizing an already normalized plan may hash nothing new.  A
-recurring instance re-bound from the template cache hashes less still:
-no recurring digest at all, and a strict one only where a GUID or a
-parameter value changed.  The tests count actual ``stable_hash`` calls
-made from the signature module.
+recurring instance bound from its plan template hashes less still: no
+recurring digest at all, and a strict one only where a GUID or a
+parameter value changed -- most of those finished from the template's
+saved prefix.  The tests count actual ``stable_hash`` calls made from the
+signature module.
 """
 
 import pytest
@@ -15,8 +16,9 @@ import pytest
 import repro.signatures.signature as sig_module
 from repro.backends.differential import oracle_config
 from repro.common.clock import SECONDS_PER_DAY
+from repro.engine import engine as engine_module
 from repro.plan.expressions import ColumnRef, Expr, Literal
-from repro.plan.logical import Filter, Scan, Spool, Union, ViewScan
+from repro.plan.logical import Filter, Scan, Spool, ViewScan
 from repro.signatures import (
     enumerate_subexpressions,
     recurring_signature,
@@ -159,7 +161,7 @@ def test_reoptimizing_a_normalized_plan_signs_nothing_new(hash_counter):
 
 
 # --------------------------------------------------------------------- #
-# recurring instances: the template cache re-binds, signing inherits
+# recurring instances: the template binds, signing inherits
 
 
 @pytest.fixture
@@ -177,25 +179,54 @@ def digest_counter(monkeypatch):
     return calls
 
 
-def rebound_nodes(plan, rolled=("Events", "Sessions")):
+ROLLED = ("Events", "Sessions")
+
+
+def own_literals(node):
+    """The parameter literals of ``node``'s own expressions, typed."""
+    fields = []
+    for value in vars(node).values():
+        fields += value if isinstance(value, tuple) else [value]
+    return [(type(e.value), e.value)
+            for expr in fields if isinstance(expr, Expr)
+            for e in expr.walk() if isinstance(e, Literal) and e.param_name]
+
+
+def own_params(node):
+    """True if one of ``node``'s own expressions holds a parameter."""
+    return bool(own_literals(node))
+
+
+def rebound_nodes(plan):
     """Nodes of ``plan`` whose subtree holds a rolled Scan or a parameter:
     the only ones a new day's instance may hash, once, strictly."""
-    def own_params(node):
-        fields = []
-        for value in vars(node).values():
-            fields += value if isinstance(value, tuple) else [value]
-        return any(isinstance(e, Literal) and e.param_name
-                   for expr in fields if isinstance(expr, Expr)
-                   for e in expr.walk())
-
     return sum(
-        any((isinstance(n, Scan) and n.dataset in rolled) or own_params(n)
+        any((isinstance(n, Scan) and n.dataset in ROLLED) or own_params(n)
             for n in node.walk())
         for node in plan.walk())
 
 
+@pytest.fixture
+def step_counter(monkeypatch):
+    """Calls of the two steps of an operator digest (``_open`` renders a
+    node's own parts, ``_close`` feeds its children and finishes), and of
+    the compile frontend a hit must skip, through the modules' globals."""
+    calls = dict.fromkeys(("_open", "_close", "parse", "normalize",
+                           "enumerate_subexpressions"), 0)
+    for module, names in ((sig_module, ("_open", "_close")),
+                          (engine_module, ("parse", "normalize",
+                                           "enumerate_subexpressions"))):
+        for name in names:
+            def counting(*args, _name=name, _real=getattr(module, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_second_day_instance_hashes_only_rebound_strict_digests(
-        hash_counter, digest_counter):
+        hash_counter, digest_counter, step_counter):
     workload = generate_workload(
         name="budget", seed=7, virtual_clusters=2, templates_per_vc=4,
         fact_rows_per_day=240, adhoc_per_day=2)
@@ -204,6 +235,8 @@ def test_second_day_instance_hashes_only_rebound_strict_digests(
         workload.install(session.engine, at=0.0)
         cache = session.engine.plan_cache
         operators = set()
+        latest = {}                     # template id -> its last plan
+        from_prefix = rendered = 0
         for day in range(3):
             if day > 0:
                 workload.cook(session.engine, day)
@@ -211,6 +244,7 @@ def test_second_day_instance_hashes_only_rebound_strict_digests(
             for job in workload.jobs_for_day(day):
                 hits = cache.hits
                 digest_counter[True] = digest_counter[False] = 0
+                step_counter.update(dict.fromkeys(step_counter, 0))
                 del hash_counter[:]
                 result = session.run(
                     job.template.sql, params=job.params,
@@ -220,21 +254,38 @@ def test_second_day_instance_hashes_only_rebound_strict_digests(
                     now=job.submit_time)
                 assert (cache.hits == hits + 1) == \
                     (day > 0 and job.template.recurring)
+                logical = result.compiled.optimized.logical
+                previous = latest.get(job.template.template_id)
+                latest[job.template.template_id] = logical
                 if cache.hits == hits:
                     continue            # first instance or ad-hoc: a miss
-                logical = result.compiled.optimized.logical
                 operators.update(type(node)
                                  for node in result.compiled.plan.walk())
                 # Compile, execute, record_history, record_job_into: zero
                 # recurring digests, one strict digest per re-bound node,
-                # and nothing for parents above a ViewScan or Spool.
+                # and nothing for parents above a ViewScan or Spool.  A
+                # full digest only for a rolled Scan or a node whose own
+                # literal changed since yesterday's instance; every other
+                # re-bound node finished from the template's saved prefix.
+                scans = sum(isinstance(node, Scan) and node.dataset in ROLLED
+                            for node in logical.walk())
+                changed = sum(own_literals(old) != own_literals(new)
+                              for old, new in zip(previous.walk(),
+                                                  logical.walk()))
                 assert digest_counter[True] == 0
-                assert digest_counter[False] == rebound_nodes(logical)
-                assert len(hash_counter) <= digest_counter[False] + sum(
-                    isinstance(node, Union) for node in logical.walk())
+                assert digest_counter[False] == scans + changed
+                assert step_counter["_open"] == changed
+                assert step_counter["_close"] == rebound_nodes(logical) - scans
+                assert len(hash_counter) == scans + step_counter["_close"]
+                from_prefix += step_counter["_close"] - step_counter["_open"]
+                rendered += changed
+                # And none of the compile frontend runs.
+                assert step_counter["parse"] == step_counter["normalize"] \
+                    == step_counter["enumerate_subexpressions"] == 0
             session.analyze_and_publish()
         assert {Spool, ViewScan} <= operators
         assert cache.hits > 0 and cache.unstable == 0
+        assert from_prefix > 0 and rendered > 0
 
 
 def test_rerunning_an_identical_job_hashes_nothing(hash_counter):
