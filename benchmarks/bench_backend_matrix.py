@@ -16,7 +16,6 @@ import pathlib
 
 from repro.api import Session
 from repro.backends import backend_names
-from repro.config import SessionConfig
 from repro.core import MultiLevelControls
 from repro.selection import SelectionPolicy
 from repro.workload.tpcds import TPCDS_QUERIES, install_tpcds
@@ -30,12 +29,10 @@ def run_cell(backend: str, reuse: bool):
     """One matrix cell: the two-round TPC-DS flow on one backend."""
     controls = MultiLevelControls()
     controls.enable_vc("default")
-    config = SessionConfig(backend=backend,
-                           selection_algorithm="bigsubs",
-                           selection_policy=SelectionPolicy(
-                               storage_budget_bytes=50_000_000,
-                               min_reuses_per_epoch=0.0))
-    with Session(config=config, controls=controls) as session:
+    with Session(backend=backend, controls=controls,
+                 selection_algorithm="bigsubs",
+                 policy=SelectionPolicy(storage_budget_bytes=50_000_000,
+                                        min_reuses_per_epoch=0.0)) as session:
         install_tpcds(session.engine, scale_rows=SCALE_ROWS)
         jobs = 0
         for round_no in (1, 2):
@@ -52,7 +49,6 @@ def run_cell(backend: str, reuse: bool):
             "views_created": session.views_created,
             "views_reused": session.views_reused,
             "catalog_digest": session.catalog_digest(),
-            "config": config.to_dict(),
         }
 
 

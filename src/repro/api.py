@@ -24,7 +24,6 @@ both over simulated days.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -69,11 +68,10 @@ __all__ = [
 class Session:
     """Engine + insights + scheduler wiring with one result type.
 
-    All constructor arguments are keyword-only.  ``config`` takes a
-    :class:`SessionConfig` covering every knob in one typed object;
-    the individual kwargs remain and override the matching config
-    field.  ``backend`` selects the execution engine -- a name
-    (``"memory"``, ``"sqlite"``) or an
+    All constructor arguments are keyword-only, and each setting has
+    exactly one: ``config`` is a :class:`SessionConfig`, which holds only
+    the shard deployment.  ``backend`` selects the execution engine -- a
+    name (``"memory"``, ``"sqlite"``) or an
     :class:`~repro.backends.base.ExecutionBackend` instance -- while
     signatures, matching, and insights stay backend-invariant above it.
     By default the engine talks to its insights service through an
@@ -93,29 +91,18 @@ class Session:
 
     def __init__(self, *,
                  config: Optional[SessionConfig] = None,
-                 backend: Optional[Union[str, ExecutionBackend]] = None,
+                 backend: Union[str, ExecutionBackend] = "memory",
                  engine_config: Optional[EngineConfig] = None,
                  scheduler_config: Optional[SchedulerConfig] = None,
                  client_config: Optional[InsightsClientConfig] = None,
                  controls: Optional[MultiLevelControls] = None,
                  policy: Optional[SelectionPolicy] = None,
-                 selection_algorithm: Optional[str] = None,
+                 selection_algorithm: str = "greedy",
                  lifecycle: Optional[LifecycleConfig] = None,
                  faults: Optional[Union[str, FaultPlan, FaultRuntime]] = None,
                  recorder=None):
-        # Explicit kwargs override the corresponding SessionConfig field.
-        self.config = config or SessionConfig()
-        engine_config = engine_config or self.config.engine
-        scheduler_config = scheduler_config or self.config.scheduler
-        policy = policy or self.config.selection_policy
-        lifecycle = lifecycle if lifecycle is not None \
-            else self.config.lifecycle
-        selection_algorithm = (selection_algorithm
-                               or self.config.selection_algorithm)
-        # Resolution order: explicit kwarg, SessionConfig field,
-        # REPRO_FAULTS in the environment, inert default.
-        if faults is None:
-            faults = self.config.faults
+        # Resolution order: explicit kwarg, REPRO_FAULTS in the
+        # environment, inert default.
         if faults is None:
             faults = FaultPlan.from_env()
         self.faults = resolve_faults(faults)
@@ -141,34 +128,29 @@ class Session:
         self.scheduler: Optional[JobScheduler] = None
         self.lifecycle: Optional[LifecycleManager] = None
         try:
-            if backend is None:
-                backend = self.config.create_backend()
-            elif isinstance(backend, str):
-                backend = create_backend(
-                    backend, sqlite_path=self.config.sqlite_path)
+            if isinstance(backend, str):
+                backend = create_backend(backend)
             self.backend = backend
             # shards > 0 swaps the in-process service for the
             # multi-process deployment: worker processes behind a router
             # that presents the same service surface, so nothing
             # downstream changes.
-            shard_config = self.config.resolve_shard()
+            shard_config = config.shard if config is not None else None
             shard_journal: Optional[ShardedCatalogJournal] = None
-            if shard_config is not None:
-                if (shard_config.journal_dir is None
-                        and lifecycle is not None
-                        and lifecycle.journal_dir is not None):
-                    # The lifecycle journal splits into per-shard WALs
-                    # under its configured directory.
-                    shard_config = dataclasses.replace(
-                        shard_config, journal_dir=lifecycle.journal_dir)
-                self.supervisor = ShardSupervisor(shard_config,
-                                                  faults=self.faults)
+            if shard_config is not None and shard_config.shards > 0:
+                # The lifecycle journal splits into per-shard WALs under
+                # its configured directory.
+                journal_dir = (lifecycle.journal_dir
+                               if lifecycle is not None else None)
+                self.supervisor = ShardSupervisor(
+                    shard_config, journal_dir=journal_dir,
+                    faults=self.faults)
                 self.supervisor.start()
                 self.service = ShardRouter(self.supervisor,
                                            faults=self.faults)
-                if shard_config.journal_dir is not None:
+                if journal_dir is not None:
                     shard_journal = ShardedCatalogJournal(
-                        self.service, directory=shard_config.journal_dir)
+                        self.service, directory=journal_dir)
             else:
                 self.service = InsightsService()
             self.insights = InsightsClient(self.service,

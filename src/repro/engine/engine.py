@@ -131,6 +131,14 @@ EXECUTE_RETRIES = 2
 #: hard-removed by the next GC sweep.
 QUARANTINE_FAILURES = 3
 
+#: The runtime a new engine starts on.  The version is engine state, not
+#: configuration (Section 4): :meth:`ScopeEngine.set_runtime_version` is
+#: the one writer, and every signature is salted with it.
+RUNTIME_VERSION = "scope-r1"
+
+#: Views one job may propose to build.
+MAX_VIEWS_PER_JOB = 3
+
 
 def _conjunct_count(plan: LogicalPlan) -> int:
     return sum(len(conjuncts(node.predicate)) for node in plan.walk()
@@ -141,8 +149,6 @@ def _conjunct_count(plan: LogicalPlan) -> int:
 class EngineConfig:
     """Tunables of the engine and its CloudViews integration."""
 
-    runtime_version: str = "scope-r1"
-    max_views_per_job: int = 3
     overestimate: float = 2.0
     view_ttl_seconds: float = DEFAULT_VIEW_TTL
     #: Debug-mode self-checks (``REPRO_DEBUG_CHECKS``): every plan-template
@@ -216,6 +222,7 @@ class ScopeEngine:
         self.backend = backend
         self.insights = insights or InsightsService()
         self.config = config or EngineConfig()
+        self.runtime_version = RUNTIME_VERSION
         self.view_store = ViewStore(self.config.view_ttl_seconds)
         self.history = StatisticsCatalog()
         self.plan_cache = PlanCache(self)
@@ -281,17 +288,13 @@ class ScopeEngine:
         self.backend.load_table(self.catalog.schema(dataset), version.guid,
                                 kept)
 
-    @property
-    def runtime_version(self) -> str:
-        return self.config.runtime_version
-
     def set_runtime_version(self, version: str) -> None:
         """Upgrade the runtime.  Signatures change; old views go dark."""
-        self.config.runtime_version = version
+        self.runtime_version = version
 
     @property
     def signature_salt(self) -> str:
-        return self.config.runtime_version
+        return self.runtime_version
 
     def next_job_id(self) -> str:
         """Draw the next job id.
@@ -369,7 +372,7 @@ class ScopeEngine:
             annotations=annotations or {},
             salt=self.signature_salt,
             virtual_cluster=virtual_cluster,
-            max_views_per_job=self.config.max_views_per_job,
+            max_views_per_job=MAX_VIEWS_PER_JOB,
             reuse_enabled=(reuse_enabled and self.insights.enabled
                            and not degraded),
             overestimate=self.config.overestimate,

@@ -12,9 +12,11 @@ fault-tolerant client see.  Per-shard lifecycle WALs merge on read
 (:class:`ShardedCatalogJournal`), so ``catalog_digest`` -- and every
 per-job reuse decision -- holds byte-for-byte across shard counts.
 
-Entirely opt-in: ``Session(config=SessionConfig(shards=8))`` or
-``repro simulate --shards 8``; ``shards=0`` keeps the classic
-in-process service on every existing path.
+Entirely opt-in: ``Session(config=SessionConfig(shard=ShardConfig(shards=8)))``
+or ``repro simulate --shards 8``; no ``shard`` (or ``shards=0``) keeps
+the classic in-process service on every existing path.  With
+``Session(lifecycle=LifecycleConfig(journal_dir=D))`` each shard
+journals under ``D/shard-NN``.
 """
 
 from repro.shard.journal import (

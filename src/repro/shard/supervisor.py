@@ -56,10 +56,6 @@ class ShardConfig:
     """
 
     shards: int = 0
-    #: Parent journal directory; each shard journals under
-    #: ``<journal_dir>/shard-NN``.  ``Session`` forwards the lifecycle
-    #: config's ``journal_dir`` automatically when unset here.
-    journal_dir: Optional[str] = None
     #: Directory for sockets and annotation state; a private temp dir
     #: (removed on close) when unset.  Kept short: ``AF_UNIX`` paths cap
     #: at ~107 characters.
@@ -81,16 +77,22 @@ class ShardConfig:
 
 
 class ShardSupervisor:
-    """Owns the worker processes of one sharded deployment."""
+    """Owns the worker processes of one sharded deployment.
 
-    def __init__(self, config: ShardConfig, recorder=NULL_RECORDER,
-                 faults=None) -> None:
+    ``journal_dir`` is the lifecycle journal's directory; each shard
+    journals under ``<journal_dir>/shard-NN``, and ``None`` journals
+    nothing.
+    """
+
+    def __init__(self, config: ShardConfig, journal_dir: Optional[str] = None,
+                 recorder=NULL_RECORDER, faults=None) -> None:
         if config.shards < 1:
             raise ConfigError(
                 "ShardSupervisor needs shards >= 1 "
                 f"(got {config.shards}); use the in-process service "
                 "for shards=0")
         self.config = config
+        self.journal_dir = journal_dir
         self.recorder = recorder
         self.faults = faults if faults is not None else NULL_FAULTS
         self._ctx = multiprocessing.get_context(config.start_method)
@@ -119,9 +121,9 @@ class ShardSupervisor:
         return os.path.join(self._dir, f"state-{shard_id:02d}")
 
     def shard_journal_dir(self, shard_id: int) -> Optional[str]:
-        if self.config.journal_dir is None:
+        if self.journal_dir is None:
             return None
-        return os.path.join(self.config.journal_dir,
+        return os.path.join(self.journal_dir,
                             f"shard-{shard_id:02d}")
 
     def _spec(self, shard_id: int) -> WorkerSpec:

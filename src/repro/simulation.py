@@ -66,6 +66,7 @@ from repro.optimizer.stats import CardinalityEstimator
 from repro.scheduler.results import JobResult
 from repro.scheduler.scheduler import SchedulerConfig
 from repro.selection.policies import SelectionPolicy, SelectionResult
+from repro.shard.supervisor import ShardConfig
 from repro.workload.generator import CookingWorkload, JobInstance
 from repro.workload.repository import WorkloadRepository
 
@@ -117,17 +118,15 @@ class SimulationConfig:
         engine = EngineConfig()
         if self.view_ttl_seconds is not None:
             engine.view_ttl_seconds = self.view_ttl_seconds
-        scheduler = (SchedulerConfig() if self.workers is None
-                     else SchedulerConfig(workers=self.workers))
         session_kwargs.setdefault(
             "controls", MultiLevelControls(mode=DeploymentMode.OPT_OUT))
         return Session(
-            config=SessionConfig(
-                backend=self.backend, shards=self.shards, engine=engine,
-                scheduler=scheduler,
-                selection_algorithm=self.selection_algorithm,
-                selection_policy=self.policy),
-            **session_kwargs)
+            config=SessionConfig(shard=ShardConfig(shards=self.shards)),
+            backend=self.backend, engine_config=engine,
+            scheduler_config=(None if self.workers is None
+                              else SchedulerConfig(workers=self.workers)),
+            selection_algorithm=self.selection_algorithm,
+            policy=self.policy, **session_kwargs)
 
 
 @dataclass(kw_only=True)

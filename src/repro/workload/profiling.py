@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.api import Session
 from repro.common.clock import SECONDS_PER_DAY
 from repro.common.rng import rng_for, zipf_weights
-from repro.engine.engine import JobRun
+from repro.engine.engine import RUNTIME_VERSION, JobRun
 from repro.executor.executor import ExecutionResult
 from repro.workload.generator import CookingWorkload
 from repro.workload.repository import JobRecord, WorkloadRepository
@@ -86,7 +86,7 @@ def synthesize_dataset_sharing(cluster: str,
             submit_time=submit,
             template_id=f"{cluster}-template-{consumer}",
             pipeline_id=f"{cluster}-pipe-{consumer % 60}",
-            runtime_version="scope-r1",
+            runtime_version=RUNTIME_VERSION,
             input_datasets=tuple(sorted(reads)),
             subexpression_count=0,
         ), [])

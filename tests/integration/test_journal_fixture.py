@@ -19,11 +19,13 @@ Regenerate only to add a ``journal_v2`` beside it -- never in place::
     from repro.faults import FaultPlan, FaultRuntime
     from repro.lifecycle import LifecycleConfig
     from repro.plan.logical import Scan
+    from repro.shard import ShardConfig
 
     def write(workdir, out, shards):
         rng = random.Random(23)
-        session = Session(config=SessionConfig(shards=shards),
-                          lifecycle=LifecycleConfig(journal_dir=workdir))
+        session = Session(
+            config=SessionConfig(shard=ShardConfig(shards=shards)),
+            lifecycle=LifecycleConfig(journal_dir=workdir))
         store, manager = session.engine.view_store, session.lifecycle
         sigs = ["%032x" % rng.getrandbits(128) for _ in range(12)]
 
@@ -83,7 +85,7 @@ import pytest
 from repro.api import Session
 from repro.config import SessionConfig
 from repro.lifecycle import CatalogJournal, LifecycleConfig, LineageRegistry
-from repro.shard import merged_offline_recovery
+from repro.shard import ShardConfig, merged_offline_recovery
 from repro.storage.views import ViewStore
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "journal_v1"
@@ -161,7 +163,7 @@ def test_the_classic_journal_recovers_it_directly(journal_dir):
                          [("classic", 0), ("sharded", 2)],
                          indirect=["journal_dir"])
 def test_a_session_opened_on_it_resumes_the_catalog(journal_dir, shards):
-    session = Session(config=SessionConfig(shards=shards),
+    session = Session(config=SessionConfig(shard=ShardConfig(shards=shards)),
                       lifecycle=LifecycleConfig(journal_dir=journal_dir))
     try:
         check_recovered(session.engine.view_store, session.lifecycle.lineage)

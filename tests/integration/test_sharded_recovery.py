@@ -19,7 +19,7 @@ from repro.core import MultiLevelControls
 from repro.lifecycle import LifecycleConfig
 from repro.lifecycle.lineage import LineageRegistry
 from repro.selection import SelectionPolicy
-from repro.shard import merged_offline_recovery
+from repro.shard import ShardConfig, merged_offline_recovery
 from repro.storage.views import ViewStore
 
 SQL = ("SELECT Day, SUM(Value) AS total FROM Events "
@@ -30,7 +30,7 @@ def make_session(journal_dir, shards):
     controls = MultiLevelControls()
     controls.enable_vc("vc1")
     return Session(
-        config=SessionConfig(shards=shards),
+        config=SessionConfig(shard=ShardConfig(shards=shards)),
         controls=controls,
         selection_algorithm="bigsubs",
         policy=SelectionPolicy(storage_budget_bytes=10_000_000,

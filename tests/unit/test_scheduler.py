@@ -360,9 +360,9 @@ class TestSessionShutdown:
     def test_close_reaches_the_shards_when_the_scheduler_refuses(self):
         """A scheduler refusing to close over undrained jobs must not
         strand the shard processes behind it."""
-        from repro.api import SessionConfig
+        from repro.api import SessionConfig, ShardConfig
 
-        session = Session(config=SessionConfig(shards=2))
+        session = Session(config=SessionConfig(shard=ShardConfig(shards=2)))
         install_tables(session.engine)
         session.scheduler.submit(JobRequest(sql=SQL))
         with pytest.raises(SchedulerError):
@@ -381,7 +381,8 @@ class TestSessionShutdown:
         import os
         import sqlite3
 
-        from repro.api import SessionConfig
+        from repro.api import SessionConfig, ShardConfig
+        from repro.backends import create_backend
 
         class FailingRecorder:
             engine = None
@@ -391,10 +392,11 @@ class TestSessionShutdown:
                 raise RuntimeError("install failed")
 
         recorder = FailingRecorder()
-        config = SessionConfig(backend="sqlite", shards=shards,
-                               sqlite_path=str(tmp_path / "views.db"))
+        backend = create_backend("sqlite",
+                                 sqlite_path=str(tmp_path / "views.db"))
         with pytest.raises(RuntimeError, match="install failed"):
-            Session(config=config, recorder=recorder)
+            Session(config=SessionConfig(shard=ShardConfig(shards=shards)),
+                    backend=backend, recorder=recorder)
         assert multiprocessing.active_children() == []
         with pytest.raises(sqlite3.ProgrammingError):  # connection closed
             recorder.engine.backend._conn.execute("SELECT 1")
