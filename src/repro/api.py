@@ -213,9 +213,10 @@ class Session:
         """
         reuse = self.reuse_allowed(virtual_cluster,
                                    job_override=reuse_override)
-        run = self.engine.run_sql(
-            sql, params=params, virtual_cluster=virtual_cluster,
-            reuse_enabled=reuse, now=now)
+        with self.engine.commit_group():
+            run = self.engine.run_sql(
+                sql, params=params, virtual_cluster=virtual_cluster,
+                reuse_enabled=reuse, now=now)
         self.record(run, template_id=template_id, pipeline_id=pipeline_id)
         return JobResult.from_run(run)
 
@@ -348,7 +349,8 @@ class Session:
 
     def evict_expired(self, now: float) -> int:
         """Retire expired views: out of the catalog, rows off the backend."""
-        expired = self.engine.view_store.evict_expired(now)
+        with self.engine.commit_group():
+            expired = self.engine.view_store.evict_expired(now)
         for view in expired:
             self.engine.delete_view_blob(view.path)
         return len(expired)

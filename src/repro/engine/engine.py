@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -232,6 +233,9 @@ class ScopeEngine:
         self._view_failures: Dict[str, int] = {}
         #: Backend drops that failed (:meth:`delete_view_blob`).
         self.blob_delete_failures = 0
+        #: The attached :class:`~repro.lifecycle.LifecycleManager`, if any
+        #: (it sets this itself).
+        self.lifecycle = None
         #: Flight recorder; installing one here also wires the insights
         #: service and view store so the whole feedback loop is recorded.
         self.recorder = NULL_RECORDER
@@ -287,6 +291,13 @@ class ScopeEngine:
         version = self.catalog.gdpr_forget(dataset, rows_removed=removed, at=at)
         self.backend.load_table(self.catalog.schema(dataset), version.guid,
                                 kept)
+
+    def commit_group(self):
+        """The lifecycle manager's commit group (a no-op without one):
+        the catalog records of one acknowledged step commit together."""
+        if self.lifecycle is None:
+            return nullcontext()
+        return self.lifecycle.commit_group()
 
     def set_runtime_version(self, version: str) -> None:
         """Upgrade the runtime.  Signatures change; old views go dark."""

@@ -17,11 +17,15 @@ equals the unsharded journal's, for any shard count.  The offline form
 ``shard-NN`` directories with no processes running; chaos campaigns use
 it to prove the on-disk state of a killed deployment still converges.
 
-Fault draws stay in the parent process: the adapter consults the one
-session fault runtime at ``journal.append`` / ``journal.snapshot`` and
-*commands* a torn write over the wire (``torn=True``), while the worker
-journals themselves run with faults disabled.  One RNG, one firing log
--- identical to the unsharded session's.
+Records travel in frames: :meth:`ShardedCatalogJournal.commit` sends
+each shard one ``journal_append`` RPC carrying every record it owns since
+the last commit, in applied order, as ``[line, torn]`` pairs, and the
+worker writes the frame with one flush.  Fault draws stay in the parent
+process: the adapter consults the one session fault runtime at
+``journal.append`` (per record, as it is queued) / ``journal.snapshot``
+and *commands* a torn write through the record's ``torn`` flag, while
+the worker journals themselves run with faults disabled.  One RNG, one
+firing log -- identical to the unsharded session's.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from repro.common.errors import StorageError
+from repro.common.errors import ReproError, StorageError
 from repro.common.hashing import shard_for
+from repro.common.sync import RANK_CATALOG, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
-from repro.lifecycle.journal import CatalogJournal, RecoveryReport
+from repro.lifecycle.journal import CatalogJournal, RecoveryReport, draw_record
 from repro.lifecycle.lineage import LineageRegistry
 from repro.storage.views import ViewStore
 
@@ -67,6 +72,12 @@ class ShardedCatalogJournal:
         self.directory = directory
         #: Installed by the lifecycle manager, like the classic journal.
         self.faults = NULL_FAULTS
+        #: ``shard -> [[line, torn], ...]``: each owner's next frame.
+        #: The guard is held across a commit's round trips, so it ranks
+        #: above the router's pool and the supervisor's restart path, and
+        #: below the view store whose mutation feed appends here.
+        self._mutex = TrackedLock("shard.journal", RANK_CATALOG + 60)
+        self._pending: Dict[int, List[List[object]]] = {}
         self.ops_written = 0
         self.ops_since_snapshot = 0
         self.snapshots_written = 0
@@ -75,23 +86,46 @@ class ShardedCatalogJournal:
     # the write-ahead log
 
     def append(self, op: str, **payload: object) -> None:
-        """Route one mutation to its owning shard's WAL.
+        """Queue one mutation for its owning shard's next frame.
 
-        The fault decision (torn/storage) is drawn *here*, from the
-        session runtime; a storage fault fails before any RPC, a torn
-        fault ships ``torn=True`` so the worker persists the classic
-        half-line and raises -- the :class:`StorageError` crosses back
-        by name and the op goes uncounted, exactly like the in-process
-        journal's contract.
+        Nothing is sent until :meth:`commit`, which the lifecycle
+        manager -- this journal's one writer -- calls when a step's
+        commit group closes, or at once outside every group.  The fault
+        decision (torn/storage) is drawn *here*, per record, from the
+        session runtime; a storage fault queues nothing, a torn one
+        queues the record marked torn -- its worker writes the classic
+        half-line -- and raises :class:`StorageError` at once, exactly
+        like the in-process journal's contract.
         """
-        outcome = self.faults.check(fault_points.JOURNAL_APPEND)
-        if outcome.kind == "storage":
-            raise StorageError(f"injected storage fault writing op {op!r}")
-        self.router.call(
-            shard_for_op(op, payload, self.shards), "journal_append",
-            op=op, payload=payload, torn=outcome.kind == "torn")
-        self.ops_written += 1
-        self.ops_since_snapshot += 1
+        line, torn = draw_record(self.faults, op, payload)
+        shard_id = shard_for_op(op, payload, self.shards)
+        with self._mutex:
+            self._pending.setdefault(shard_id, []).append([line, torn])
+            self.ops_since_snapshot += not torn
+        if torn:
+            raise StorageError(f"injected torn write for op {op!r}")
+
+    def commit(self) -> int:
+        """Ship every queued record: one ``journal_append`` frame per
+        owning shard, each flushed once by its worker.
+
+        The mutex is held across the round trips, so frames reach each
+        WAL in applied order even when two threads commit.  Returns the
+        records whose frame failed (they stay out of the WAL until the
+        next snapshot writes the live state).
+        """
+        failed = 0
+        with self._mutex:
+            frames, self._pending = self._pending, {}
+            for shard_id, frame in sorted(frames.items()):
+                records = sum(not torn for _, torn in frame)
+                try:
+                    self.router.call(shard_id, "journal_append", records=frame)
+                except ReproError:
+                    failed += records
+                else:
+                    self.ops_written += records
+        return failed
 
     # ------------------------------------------------------------------ #
     # snapshots

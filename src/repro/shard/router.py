@@ -102,7 +102,7 @@ class ShardRouter(InsightsService):
         self.faults = faults if faults is not None else NULL_FAULTS
         # Connection pool: per-shard free lists plus in-flight gauges.
         # Leaf rank (list ops only): the journal adapter calls through
-        # here while the view store's mutex is held.
+        # here while its commit guard is held.
         self._pool_mutex = TrackedLock("shard.router.pool", RANK_LEAF + 20,
                                        recorder)
         self._pool: Dict[int, List[socket.socket]] = {

@@ -12,8 +12,8 @@ Restart is bounded per shard (:data:`MAX_RESTARTS_PER_SHARD`) so a
 crash-looping worker eventually stays dead and the client's circuit
 breaker takes over, degrading affected signatures to no-reuse instead
 of hammering a corpse.  Teardown never needs worker cooperation: WAL
-appends are flushed per op and annotation files land atomically, so
-``terminate()`` (SIGTERM) loses nothing acknowledged.
+frames are flushed before their reply and annotation files land
+atomically, so ``terminate()`` (SIGTERM) loses nothing acknowledged.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class ShardSupervisor:
         self._own_dir = config.socket_dir is None
         self._dir = config.socket_dir or tempfile.mkdtemp(prefix="repro-sh-")
         # Spawn/kill/restart bookkeeping.  Mid-band rank: acquired under
-        # the view store's mutex on the journal-append restart path, and
+        # the journal's commit guard on the frame-shipping restart path, and
         # itself only takes the fault runtime's leaf guard (via
         # ``faults.fire``) plus real syscalls underneath -- process
         # spawning is this deployment's sanctioned I/O-under-lock site.

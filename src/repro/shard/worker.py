@@ -19,7 +19,7 @@ serially -- the real concurrency unit is the shard *process*, which is
 exactly what the throughput benchmark measures via each worker's
 accumulated ``busy_seconds``.
 
-Durability contract: every WAL append is flushed before the RPC reply,
+Durability contract: every WAL frame is flushed before the RPC reply,
 and the annotation partition is rewritten atomically (temp + rename) on
 every install/remove, so a SIGKILL at any instant loses no
 acknowledged state; the supervisor's restart simply reloads both.
@@ -145,9 +145,9 @@ class ShardWorker:
 
     def _op_journal_append(self, params: Dict[str, object]
                            ) -> Dict[str, object]:
-        self._require_journal().append_record(
-            str(params["op"]), dict(params["payload"]),
-            torn=bool(params.get("torn", False)))
+        """Write one frame of ``[line, torn]`` records with one flush."""
+        self._require_journal().commit(
+            [(str(line), bool(torn)) for line, torn in params["records"]])
         return {"ok": True}
 
     def _op_journal_snapshot(self, params: Dict[str, object]

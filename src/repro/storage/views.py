@@ -286,7 +286,9 @@ class ViewStore:
                             job_id=sealed_by,
                             signature=signature[:12], rows=row_count,
                             bytes=size_bytes)
-        self.recorder.set_gauge("views.live_bytes", self.storage_in_use(now))
+        if self.recorder.enabled:  # the null recorder drops the gauge
+            self.recorder.set_gauge("views.live_bytes",
+                                    self.storage_in_use(now))
         return view
 
     def abandon(self, signature: str) -> None:
@@ -436,7 +438,7 @@ class ViewStore:
             self.recorder.event(obs_events.VIEW_EVICTED, at=now,
                                 signature=view.signature[:12],
                                 reuse_count=view.reuse_count)
-        if expired:
+        if expired and self.recorder.enabled:
             self.recorder.set_gauge("views.live_bytes",
                                     self.storage_in_use(now))
         return expired

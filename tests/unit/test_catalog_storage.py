@@ -246,3 +246,28 @@ class TestViewStore:
         store.begin_materialize("s1", "p1", ("a",), "vc1", now=0.0)
         store.seal("s1", now=0.0, row_count=10, size_bytes=100)
         assert store.storage_in_use(now=1.0) == 100
+
+    def test_null_recorder_skips_the_live_bytes_scan(self, monkeypatch):
+        """The gauge is dropped without a recorder, so seal and expiry
+        must not scan every view to compute it."""
+        store = ViewStore(ttl_seconds=10.0)
+        scans = []
+        monkeypatch.setattr(store, "storage_in_use",
+                            lambda now: scans.append(now) or 0)
+        store.begin_materialize("s1", "p1", ("a",), "vc1", now=0.0)
+        store.seal("s1", now=0.0, row_count=10, size_bytes=100)
+        assert [v.signature for v in store.evict_expired(now=12.0)] == ["s1"]
+        assert scans == []
+
+    def test_recorder_still_gets_the_live_bytes_gauge(self):
+        from repro.obs import FlightRecorder
+
+        store = ViewStore(ttl_seconds=10.0, recorder=FlightRecorder())
+        gauge = lambda: store.recorder.metrics.gauge("views.live_bytes")
+        store.begin_materialize("s1", "p1", ("a",), "vc1", now=0.0)
+        store.seal("s1", now=0.0, row_count=10, size_bytes=100)
+        store.begin_materialize("s2", "p2", ("a",), "vc1", now=5.0)
+        store.seal("s2", now=5.0, row_count=1, size_bytes=8)
+        assert gauge() == 108
+        store.evict_expired(now=12.0)
+        assert gauge() == 8

@@ -247,10 +247,10 @@ RAW_LOCKS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 #: ``drain``; nothing is acquired while a thread waits on it, so it has
 #: no place in the rank order.
 UNTRACKED_EXEMPT = {("repro/scheduler/scheduler.py", "BoundedSemaphore")}
-#: The journal's WAL append and snapshot write under its leaf lock:
-#: records must reach the file in applied order.
+#: The journal's WAL commit and snapshot write under its leaf lock:
+#: frames must reach the file in applied order.
 IO_UNDER_LOCK_EXEMPT = {
-    ("repro/lifecycle/journal.py", "CatalogJournal.append_record"),
+    ("repro/lifecycle/journal.py", "CatalogJournal.commit"),
     ("repro/lifecycle/journal.py", "CatalogJournal.snapshot"),
 }
 SYNC = SRC / "repro" / "common" / "sync.py"
