@@ -49,6 +49,7 @@ class TestWal:
         journal.append("created", signature="s1")
         journal.append("sealed", signature="s1", sealed_at=1.0,
                        rows=10, bytes=80)
+        journal.commit()
         ops = journal.wal_ops()
         assert [op["op"] for op in ops] == ["created", "sealed"]
         assert journal.ops_written == 2
@@ -57,6 +58,7 @@ class TestWal:
     def test_torn_tail_is_tolerated(self, tmp_path):
         journal = CatalogJournal(str(tmp_path))
         journal.append("reused", signature="s1")
+        journal.commit()
         journal.close()
         with open(journal.wal_path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "reused", "signa')  # crash mid-append
@@ -74,6 +76,7 @@ class TestSnapshotAndRecovery:
         store = build_store()
         journal = CatalogJournal(str(tmp_path))
         journal.append("reused", signature="s1")
+        journal.commit()
         journal.snapshot(state_of(store))
         assert journal.wal_ops() == []
         assert journal.ops_since_snapshot == 0
@@ -110,6 +113,7 @@ class TestSnapshotAndRecovery:
         journal.append("reused", signature="s2")
         store.purge("s1", reason="test")
         journal.append("purged", signature="s1", reason="test")
+        journal.commit()
         journal.close()
 
         fresh = ViewStore()
@@ -127,6 +131,7 @@ class TestSnapshotAndRecovery:
         journal.append("purged", signature="s2")
         assert store.remove("s2")
         journal.append("removed", signature="s2")
+        journal.commit()
         journal.close()
 
         fresh = ViewStore()
@@ -149,6 +154,7 @@ class TestSnapshotAndRecovery:
         store.seal("s1", now=1.0, row_count=2, size_bytes=16)
         journal.append("sealed", signature="s1", sealed_at=1.0,
                        rows=2, bytes=16)
+        journal.commit()
         journal.close()
 
         fresh = ViewStore()
@@ -162,6 +168,7 @@ class TestSnapshotAndRecovery:
     def test_unknown_op_is_skipped_not_fatal(self, tmp_path):
         journal = CatalogJournal(str(tmp_path))
         journal.append("flux-capacitor", signature="s1")
+        journal.commit()
         journal.close()
         report = CatalogJournal(str(tmp_path)).recover(
             ViewStore(), LineageRegistry())
@@ -217,9 +224,11 @@ class TestTornWrites:
             tmp_path, "journal.append:torn:1.0:1")
         with pytest.raises(StorageError, match="torn"):
             journal.append("reused", signature="s2")
+        journal.commit()
         assert journal.stats()["torn_pending"]
         # The next append self-heals: fresh line past the partial record.
         journal.append("purged", signature="s1")
+        journal.commit()
         assert not journal.stats()["torn_pending"]
         journal.close()
 
@@ -233,6 +242,7 @@ class TestTornWrites:
         with pytest.raises(StorageError, match="storage"):
             journal.append("reused", signature="s1")
         journal.append("reused", signature="s1")
+        journal.commit()
         journal.close()
         assert len(CatalogJournal(str(tmp_path)).wal_ops()) == 1
 
@@ -241,6 +251,7 @@ class TestTornWrites:
         silently dropping every op a healed journal appended after it."""
         journal = CatalogJournal(str(tmp_path))
         journal.append("reused", signature="s1")
+        journal.commit()
         journal.close()
         with open(journal.wal_path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "reused", "signa')   # torn, no newline
@@ -256,6 +267,7 @@ class TestTornWrites:
         journal.snapshot(state_of(store))
         store.record_reuse("s1")
         journal.append("reused", signature="s1")
+        journal.commit()
         journal.close()
         with open(journal.wal_path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "reused", "si')      # crash mid-append
@@ -270,6 +282,7 @@ class TestTornWrites:
     def test_decodable_but_malformed_op_skipped_not_fatal(self, tmp_path):
         journal = CatalogJournal(str(tmp_path))
         journal.append("sealed", signature="s1")       # missing payload
+        journal.commit()
         journal.close()
         report = CatalogJournal(str(tmp_path)).recover(
             ViewStore(), LineageRegistry())
