@@ -145,12 +145,14 @@ class Session:
                 self.supervisor = ShardSupervisor(
                     shard_config, journal_dir=journal_dir,
                     faults=self.faults)
-                self.supervisor.start()
                 self.service = ShardRouter(self.supervisor,
                                            faults=self.faults)
                 if journal_dir is not None:
+                    # Before the workers create ``shard-NN/``: a classic
+                    # journal found there is refused untouched.
                     shard_journal = ShardedCatalogJournal(
                         self.service, directory=journal_dir)
+                self.supervisor.start()
             else:
                 self.service = InsightsService()
             self.insights = InsightsClient(self.service,

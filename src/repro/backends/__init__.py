@@ -4,7 +4,7 @@ Public surface::
 
     from repro.backends import (
         BackendCapabilities, ExecutionBackend, InMemoryBackend,
-        SqliteBackend, backend_names, create_backend, register_backend,
+        SqliteBackend, backend_names, create_backend,
     )
 
 See :mod:`repro.backends.base` for the interface contract.
@@ -15,7 +15,6 @@ from repro.backends.base import (
     ExecutionBackend,
     backend_names,
     create_backend,
-    register_backend,
 )
 from repro.backends.memory import InMemoryBackend
 from repro.backends.sqlite.backend import SqliteBackend
@@ -27,5 +26,4 @@ __all__ = [
     "SqliteBackend",
     "backend_names",
     "create_backend",
-    "register_backend",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common.errors import ConfigError
 from repro.executor.executor import ExecutionResult
@@ -145,52 +145,34 @@ class ExecutionBackend(ABC):
 
 
 # --------------------------------------------------------------------- #
-# registry
+# the two built-in backends
 
-_FACTORIES: Dict[str, Callable[..., ExecutionBackend]] = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[..., ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (last writer wins)."""
-    _FACTORIES[name] = factory
+#: ``name -> the options it takes``.
+_OPTIONS: Dict[str, Sequence[str]] = {"memory": (),
+                                       "sqlite": ("sqlite_path",)}
 
 
 def backend_names() -> List[str]:
-    """Registered backend names, sorted (CLI ``--backend`` choices)."""
-    return sorted(_FACTORIES)
+    """The backend names, sorted (CLI ``--backend`` choices)."""
+    return sorted(_OPTIONS)
 
 
 def create_backend(name: str, **options) -> ExecutionBackend:
-    """Instantiate a registered backend by name.
-
-    Options irrelevant to the chosen backend (e.g. ``sqlite_path`` for
-    the in-memory backend) are silently dropped, so one config object
-    can describe any backend.
-    """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
+    """Instantiate a backend by name: ``sqlite`` takes ``sqlite_path``
+    (omitted, the database lives in memory), ``memory`` no option.  An
+    unknown name, or an option the backend does not take, is refused."""
+    if name not in _OPTIONS:
         raise ConfigError(
             f"unknown execution backend {name!r}; "
-            f"available: {', '.join(backend_names())}") from None
-    return factory(**options)
-
-
-def _register_builtins() -> None:
-    # Imported lazily so ``repro.backends.base`` has no import cycle
-    # with the backend implementations.
+            f"available: {', '.join(backend_names())}")
+    refused = sorted(set(options) - set(_OPTIONS[name]))
+    if refused:
+        raise ConfigError(f"the {name} backend takes no option "
+                          f"{', '.join(refused)}")
+    # Imported here: both implementations import this module.
     from repro.backends.memory import InMemoryBackend
     from repro.backends.sqlite.backend import SqliteBackend
 
-    def _memory(udos=None, **_ignored) -> ExecutionBackend:
-        return InMemoryBackend(udos=udos)
-
-    def _sqlite(udos=None, sqlite_path=None, **_ignored) -> ExecutionBackend:
-        return SqliteBackend(path=sqlite_path)
-
-    register_backend(InMemoryBackend.name, _memory)
-    register_backend(SqliteBackend.name, _sqlite)
-
-
-_register_builtins()
+    if name == "sqlite":
+        return SqliteBackend(path=options.get("sqlite_path"))
+    return InMemoryBackend()

@@ -392,11 +392,13 @@ def _cmd_gc(args) -> int:
     import time as _time
 
     from repro.lifecycle import LifecycleConfig, LifecycleManager
+    from repro.lifecycle.journal import open_journal
 
-    engine = ScopeEngine()
-    manager = LifecycleManager(engine, LifecycleConfig(
-        journal_dir=args.journal_dir,
-        storage_budget_bytes=args.storage_budget))
+    # The layout on disk, classic or ``shard-NN/``, read in process.
+    manager = LifecycleManager(
+        ScopeEngine(),
+        LifecycleConfig(storage_budget_bytes=args.storage_budget),
+        journal=open_journal(args.journal_dir))
     now = _time.time() if args.now is None else args.now
     acted = False
     try:

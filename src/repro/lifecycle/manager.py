@@ -107,8 +107,9 @@ class LifecycleManager:
         #: :meth:`commit_group`); ``list.append`` / ``pop`` are atomic.
         self._groups: List[None] = []
         #: An externally-built journal (the sharded session injects a
-        #: :class:`~repro.shard.ShardedCatalogJournal`); when ``None``
-        #: the classic single-directory journal is built from the config.
+        #: :class:`~repro.shard.ShardedCatalogJournal`, ``repro gc`` the
+        #: layout on disk); when ``None`` the classic single-directory
+        #: journal is built from the config.
         self.journal: Optional[CatalogJournal] = journal
         if journal is None and self.config.journal_dir is not None:
             self.journal = CatalogJournal(self.config.journal_dir)
@@ -176,7 +177,7 @@ class LifecycleManager:
         if self.journal is None:
             return
         try:
-            self.journal.append(op, **payload)
+            self.journal.append_record(op, payload)
             if (self.journal.ops_since_snapshot
                     >= self.config.snapshot_every_ops):
                 self.snapshot()

@@ -19,11 +19,8 @@ the classic in-process service on every existing path.  With
 journals under ``D/shard-NN``.
 """
 
-from repro.shard.journal import (
-    ShardedCatalogJournal,
-    merged_offline_recovery,
-    shard_for_op,
-)
+from repro.lifecycle.journal import shard_for_op
+from repro.shard.journal import ShardedCatalogJournal, merged_offline_recovery
 from repro.shard.protocol import (
     MAX_FRAME_BYTES,
     recv_frame,

@@ -4,7 +4,7 @@ Each worker owns ``1/N`` of the annotation space (partitioned by tag --
 the tag is itself a hash of the recurring signature, so this *is* the
 paper's signature-hash partitioning), the view-lock entries whose strict
 signatures hash to it, and, when journaling is on, its own
-:class:`~repro.lifecycle.journal.CatalogJournal` WAL under
+:class:`~repro.lifecycle.journal.JournalFile` WAL under
 ``<journal_dir>/shard-NN``.  The partition is a bare
 :class:`~repro.insights.partition.Partition` -- the same tables the
 unsharded service keeps in process -- and the worker serves exactly the
@@ -42,8 +42,7 @@ from repro.insights.partition import (
     annotations_from_wire,
     to_wire,
 )
-from repro.lifecycle.journal import CatalogJournal
-from repro.shard.journal import recover_partition
+from repro.lifecycle.journal import JournalFile
 from repro.shard.protocol import error_payload, recv_frame, send_frame
 
 #: File the worker's annotation partition persists to (atomically), so a
@@ -71,9 +70,9 @@ class ShardWorker:
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         self.partition = Partition()
-        self.journal: Optional[CatalogJournal] = None
+        self.journal: Optional[JournalFile] = None
         if spec.journal_dir is not None:
-            self.journal = CatalogJournal(spec.journal_dir)
+            self.journal = JournalFile(spec.journal_dir)
         # Serial dispatch: one request at a time per shard.  Ranked above
         # the insights band because the handler body acquires the
         # partition mutex and (leaf-ranked) journal guard underneath.
@@ -136,7 +135,7 @@ class ShardWorker:
 
     # -- the per-shard WAL --------------------------------------------- #
 
-    def _require_journal(self) -> CatalogJournal:
+    def _require_journal(self) -> JournalFile:
         if self.journal is None:
             raise ShardError(
                 f"shard {self.spec.shard_id} was started without a "
@@ -146,26 +145,24 @@ class ShardWorker:
     def _op_journal_append(self, params: Dict[str, object]
                            ) -> Dict[str, object]:
         """Write one frame of ``[line, torn]`` records with one flush."""
-        self._require_journal().commit(
-            [(str(line), bool(torn)) for line, torn in params["records"]])
+        self._require_journal().commit(params["records"])
         return {"ok": True}
 
     def _op_journal_snapshot(self, params: Dict[str, object]
                              ) -> Dict[str, object]:
         """Write this shard's slice of the *live* global state, as sent:
-        the router slices the records by owner, the journal owns the
-        file (which heals any WAL op lost to an injected fault)."""
+        the parent's journal slices the records by owner, the file is
+        this shard's (which heals any WAL op lost to an injected fault)."""
         return {"path": self._require_journal().snapshot(
             dict(params["state"]))}
 
     def _op_journal_recover(self, params: Dict[str, object]
                             ) -> Dict[str, object]:
-        return recover_partition(self._require_journal())
+        return self._require_journal().recover()
 
     def _op_journal_stats(self, params: Dict[str, object]
                           ) -> Dict[str, object]:
-        journal = self.journal
-        return {"stats": None if journal is None else journal.stats()}
+        return {"stats": self._require_journal().stats()}
 
     # -- operational --------------------------------------------------- #
 

@@ -24,6 +24,7 @@ from repro.faults.chaos import WORKLOAD_SEED, chaos_history
 from repro.history import apply, recover
 from repro.config import SessionConfig
 from repro.lifecycle import CatalogJournal, LifecycleConfig, LifecycleManager
+from repro.lifecycle.journal import JournalFile
 from repro.lifecycle.lineage import LineageRegistry
 from repro.obs import FlightRecorder
 from repro.scheduler import JobRequest, JobScheduler, SchedulerConfig
@@ -75,12 +76,13 @@ class TestTornRecordInsideAFrame:
     def test_classic_frame_writes_the_per_record_bytes(self, tmp_path):
         journal = CatalogJournal(str(tmp_path / "framed"))
         append_all(journal)
-        assert not os.path.exists(journal.wal_path)  # nothing until commit
+        # Nothing reaches the file until commit.
+        assert not os.path.exists(journal.partitions[0].wal_path)
         journal.commit()
         journal.close()
         assert wal_bytes(journal.directory) == per_record_wal(
             tmp_path / "per-record")
-        reopened = CatalogJournal(journal.directory)
+        reopened = JournalFile(journal.directory)
         assert [op["op"] for op in reopened.wal_ops()] == [
             "reused", "removed"]
         assert reopened.last_scan_torn == 1
@@ -99,7 +101,7 @@ class TestTornRecordInsideAFrame:
                       json.loads(json.dumps({"records": frame})))
         worker.journal.close()
         assert wal_bytes(directory) == per_record_wal(tmp_path / "reference")
-        assert [op["op"] for op in CatalogJournal(directory).wal_ops()] == [
+        assert [op["op"] for op in JournalFile(directory).wal_ops()] == [
             "reused", "removed"]
 
     @pytest.mark.parametrize("shards", [0, 2])

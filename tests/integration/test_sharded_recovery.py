@@ -14,8 +14,11 @@ import pytest
 
 from repro.api import Session
 from repro.catalog import schema_of
+from repro.cli import main
+from repro.common.errors import ConfigError
 from repro.config import SessionConfig
 from repro.core import MultiLevelControls
+from repro.history import recover
 from repro.lifecycle import LifecycleConfig
 from repro.lifecycle.lineage import LineageRegistry
 from repro.selection import SelectionPolicy
@@ -111,3 +114,54 @@ class TestShardedKillAndRecover:
         store = ViewStore()
         merged_offline_recovery(journal_dir, store, LineageRegistry())
         assert store.catalog_digest() == digest
+
+
+class TestOneLayoutPerDirectory:
+    """A journal directory holds one layout: ``repro gc`` opens the one
+    on disk, and a session configured for the other refuses it."""
+
+    def test_gc_acts_on_a_sharded_directory(self, tmp_path, capsys):
+        journal_dir = str(tmp_path / "journal")
+        session = make_session(journal_dir, shards=2)
+        try:
+            build_state(session)
+            views = len(session.engine.view_store.views())
+        finally:
+            session.close()
+        digest = recover(journal_dir)
+        assert main(["gc", "--journal-dir", journal_dir,
+                     "--stats", "--now", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"recovered {views} view(s)")
+        stats = dict(line.split(None, 1) for line in out.splitlines()[1:])
+        assert (stats["views_total"], stats["journal_shards"]) == (
+            str(views), "2")
+        assert recover(journal_dir) == digest
+        assert main(["gc", "--journal-dir", journal_dir,
+                     "--forget", "Events", "--now", "0"]) == 0
+        assert f"purged {views} dependent" in capsys.readouterr().out
+        assert sorted(os.listdir(journal_dir)) == ["shard-00", "shard-01"]
+        reopened = make_session(journal_dir, shards=2)
+        try:
+            assert all(v.purged
+                       for v in reopened.engine.view_store.views())
+            assert reopened.catalog_digest() == recover(journal_dir)
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("first,second,found", [
+        (0, 2, "holds a classic journal .* a sharded one is configured"),
+        (2, 0, r"holds sharded WALs \(shard-00, shard-01\) but a classic"),
+    ])
+    def test_a_session_refuses_the_other_layout(self, tmp_path, first,
+                                                second, found):
+        journal_dir = str(tmp_path / "journal")
+        session = make_session(journal_dir, first)
+        try:
+            build_state(session)
+        finally:
+            session.close()
+        on_disk = sorted(os.listdir(journal_dir))
+        with pytest.raises(ConfigError, match=found):
+            make_session(journal_dir, second)
+        assert sorted(os.listdir(journal_dir)) == on_disk

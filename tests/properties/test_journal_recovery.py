@@ -16,6 +16,10 @@ recovered three ways:
   reopened on the directory -- whose recovered store must itself be a
   sound base -- a second program as the WAL tail, then a crash.
 
+and the two layouts are one routing: the same program through a classic
+and a 2-shard manager writes the same WAL lines, split by owner, and
+recovers the same catalog.
+
 Recovered ``dump()``, digest and lineage equal the live ones whenever no
 append was lost since the last snapshot (a snapshot writes the live
 state, so it heals every loss before it).  When one was lost, recovery
@@ -29,6 +33,7 @@ else covers interleavings.  Shrunk counter-examples land below as
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +49,7 @@ from repro.lifecycle import (
     LifecycleManager,
     LineageRegistry,
 )
+from repro.lifecycle.journal import WAL_FILE
 from repro.plan.logical import Scan
 from repro.shard import merged_offline_recovery
 from repro.shard.journal import ShardedCatalogJournal
@@ -193,3 +199,30 @@ def test_recovery_reproduces_the_live_catalog(shards, program, tail):
         whole = drive(reopened, tail, start=len(program))
         check_crash_recovery(root, reopened, shards, whole)
         reopened.close()
+
+
+def wal_lines(directory):
+    """Every line of every WAL under ``directory``, sorted."""
+    return sorted(line for wal in Path(directory).rglob(WAL_FILE)
+                  for line in wal.read_text(encoding="utf-8").splitlines())
+
+
+@SETTINGS
+@given(program=st.lists(steps, max_size=30))
+def test_both_layouts_route_one_journal(program):
+    with tempfile.TemporaryDirectory() as classic, \
+            tempfile.TemporaryDirectory() as sharded:
+        managers = [open_manager(classic, 0), open_manager(sharded, 2)]
+        for manager in managers:
+            drive(manager, program)
+        directories = [os.path.join(root, "journal")
+                       for root in (classic, sharded)]
+        assert wal_lines(directories[0]) == wal_lines(directories[1])
+        dumps = []
+        for directory in directories:
+            store = ViewStore()
+            merged_offline_recovery(directory, store, LineageRegistry())
+            dumps.append(store.dump())
+        assert dumps[0] == dumps[1]
+        for manager in managers:
+            manager.close()

@@ -39,6 +39,12 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="memory"):
             create_backend("oracle")
 
+    def test_an_option_the_backend_does_not_take_is_refused(self):
+        with pytest.raises(ConfigError, match="sqlite_path"):
+            create_backend("memory", sqlite_path="views.db")
+        with pytest.raises(ConfigError, match="udos"):
+            create_backend("sqlite", udos=None)
+
     def test_capabilities(self):
         assert InMemoryBackend.capabilities == BackendCapabilities(
             supports_row_capture=True)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.lifecycle import CatalogJournal, LineageRegistry
+from repro.lifecycle.journal import JournalFile
 from repro.storage.views import MaterializedView, ViewStore
 
 
@@ -50,7 +51,7 @@ class TestWal:
         journal.append("sealed", signature="s1", sealed_at=1.0,
                        rows=10, bytes=80)
         journal.commit()
-        ops = journal.wal_ops()
+        ops = journal.partitions[0].wal_ops()
         assert [op["op"] for op in ops] == ["created", "sealed"]
         assert journal.ops_written == 2
         journal.close()
@@ -60,14 +61,15 @@ class TestWal:
         journal.append("reused", signature="s1")
         journal.commit()
         journal.close()
-        with open(journal.wal_path, "a", encoding="utf-8") as handle:
+        wal_path = journal.partitions[0].wal_path
+        with open(wal_path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "reused", "signa')  # crash mid-append
-        ops = journal.wal_ops()
+        ops = journal.partitions[0].wal_ops()
         assert len(ops) == 1  # intact prefix only
 
     def test_empty_journal(self, tmp_path):
         journal = CatalogJournal(str(tmp_path))
-        assert journal.wal_ops() == []
+        assert journal.partitions[0].wal_ops() == []
         assert not journal.stats()["has_snapshot"]
 
 
@@ -78,9 +80,9 @@ class TestSnapshotAndRecovery:
         journal.append("reused", signature="s1")
         journal.commit()
         journal.snapshot(state_of(store))
-        assert journal.wal_ops() == []
+        assert journal.partitions[0].wal_ops() == []
         assert journal.ops_since_snapshot == 0
-        assert os.path.exists(journal.snapshot_path)
+        assert os.path.exists(journal.partitions[0].snapshot_path)
         journal.close()
 
     def test_recover_from_snapshot_reproduces_digest(self, tmp_path):
@@ -184,10 +186,11 @@ class TestSnapshotAndRecovery:
         journal = CatalogJournal(str(tmp_path))
         journal.snapshot(state_of(store))
         journal.close()
-        with open(journal.snapshot_path, encoding="utf-8") as handle:
+        snapshot_path = journal.partitions[0].snapshot_path
+        with open(snapshot_path, encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["counters"].update({"_views": 7, "ttl_seconds": 5})
-        with open(journal.snapshot_path, "w", encoding="utf-8") as handle:
+        with open(snapshot_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True)
 
         fresh = ViewStore(ttl_seconds=100.0)
@@ -202,8 +205,9 @@ class TestSnapshotAndRecovery:
     def test_snapshot_is_atomic_no_tmp_left_behind(self, tmp_path):
         journal = CatalogJournal(str(tmp_path))
         journal.snapshot(state_of(build_store()))
-        assert not os.path.exists(journal.snapshot_path + ".tmp")
-        with open(journal.snapshot_path, encoding="utf-8") as handle:
+        snapshot_path = journal.partitions[0].snapshot_path
+        assert not os.path.exists(snapshot_path + ".tmp")
+        with open(snapshot_path, encoding="utf-8") as handle:
             payload = json.load(handle)
         assert len(payload["views"]) == 2
         journal.close()
@@ -232,7 +236,7 @@ class TestTornWrites:
         assert not journal.stats()["torn_pending"]
         journal.close()
 
-        reopened = CatalogJournal(str(tmp_path))
+        reopened = JournalFile(str(tmp_path))
         assert [op["op"] for op in reopened.wal_ops()] == ["purged"]
         assert reopened.last_scan_torn == 1
 
@@ -244,7 +248,7 @@ class TestTornWrites:
         journal.append("reused", signature="s1")
         journal.commit()
         journal.close()
-        assert len(CatalogJournal(str(tmp_path)).wal_ops()) == 1
+        assert len(JournalFile(str(tmp_path)).wal_ops()) == 1
 
     def test_mid_file_torn_line_does_not_truncate_replay(self, tmp_path):
         """Regression: wal_ops used to stop at the first bad line,
@@ -253,10 +257,11 @@ class TestTornWrites:
         journal.append("reused", signature="s1")
         journal.commit()
         journal.close()
-        with open(journal.wal_path, "a", encoding="utf-8") as handle:
+        wal_path = journal.partitions[0].wal_path
+        with open(wal_path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "reused", "signa')   # torn, no newline
             handle.write('\n{"op": "purged", "signature": "s1"}\n')
-        reopened = CatalogJournal(str(tmp_path))
+        reopened = JournalFile(str(tmp_path))
         ops = reopened.wal_ops()
         assert [op["op"] for op in ops] == ["reused", "purged"]
         assert reopened.last_scan_torn == 1
@@ -269,7 +274,8 @@ class TestTornWrites:
         journal.append("reused", signature="s1")
         journal.commit()
         journal.close()
-        with open(journal.wal_path, "a", encoding="utf-8") as handle:
+        wal_path = journal.partitions[0].wal_path
+        with open(wal_path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "reused", "si')      # crash mid-append
 
         fresh = ViewStore()

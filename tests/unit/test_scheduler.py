@@ -336,7 +336,7 @@ class TestSessionShutdown:
         session.close()
 
         assert not session.lifecycle.janitor.running
-        journal = session.lifecycle.journal
+        journal = session.lifecycle.journal.partitions[0]
         assert journal._wal is None  # WAL handle closed
         # The shutdown snapshot captured every view; the WAL is empty.
         assert os.path.getsize(journal.wal_path) == 0

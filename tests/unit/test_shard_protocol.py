@@ -21,7 +21,7 @@ from repro.common.errors import (
     StorageError,
 )
 from repro.common.hashing import shard_for
-from repro.shard.journal import shard_for_op
+from repro.shard import shard_for_op
 from repro.shard.protocol import (
     HEADER,
     MAX_FRAME_BYTES,

@@ -250,8 +250,8 @@ UNTRACKED_EXEMPT = {("repro/scheduler/scheduler.py", "BoundedSemaphore")}
 #: The journal's WAL commit and snapshot write under its leaf lock:
 #: frames must reach the file in applied order.
 IO_UNDER_LOCK_EXEMPT = {
-    ("repro/lifecycle/journal.py", "CatalogJournal.commit"),
-    ("repro/lifecycle/journal.py", "CatalogJournal.snapshot"),
+    ("repro/lifecycle/journal.py", "JournalFile.commit"),
+    ("repro/lifecycle/journal.py", "JournalFile.snapshot"),
 }
 SYNC = SRC / "repro" / "common" / "sync.py"
 
