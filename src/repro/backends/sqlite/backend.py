@@ -12,7 +12,8 @@ measurement is ``(rows, {column: bytes})``; the measuring statement is
 ``SELECT COUNT(*), SUM(width of c1), SUM(width of c2), ... FROM (sub-plan)``
 (:meth:`~repro.backends.sqlite.compile.CompiledQuery.stats_sql`), which
 runs the sub-plan once more -- so it is issued only for what is not known
-already.  Four rules, every one held to the plain per-node probe by
+already, and sums only what is not.  Six rules, every one held to the
+plain per-node, every-column probe by
 ``tests/integration/test_sqlite_statistics.py``:
 
 1. *A node is lowered once per ``execute``* -- one
@@ -37,10 +38,24 @@ already.  Four rules, every one held to the plain per-node probe by
    references maps its child's entries through the rename: upward from
    a child that is known, and downward from rows measured under rule 3
    when the rename is one to one and onto.
+5. *A column measured to hold no text costs no width term.*  A stored
+   table's one measurement also counts each column's text values.  A
+   lowering records which of its columns copy, unchanged, a stored
+   column with none (``CompiledQuery.textfree``), and a measurement sums
+   a width only for the others and for ``BOOL`` columns: every other
+   value weighs 8 bytes.  A measured fact, never the static class.
+6. *A fetched ``GroupBy`` measures its own input.*  A keyed ``GroupBy``
+   over anything but a table is lowered with ``HAVING py_tap(key,
+   COUNT(*), SUM(width) ...)``; the tap adds each group's numbers up
+   while the statement runs.  They are read only for a ``GroupBy`` that
+   rule 4 reached from rows measured under rule 3 or a spool table --
+   :meth:`SqliteBackend._tap_sums` says why that statement ran it once,
+   over its whole input.
 
 What still runs a measuring statement: a ``Filter``, ``Join``,
 ``GroupBy``, ``Union``, ``Distinct``, ``Limit`` or computing ``Project``
-whose rows reached neither Python nor a table.
+whose rows reached neither Python nor a table, unless it is the input of
+a ``GroupBy`` whose rows did.
 
 Tables are created with *typeless* columns: SQLite then stores every
 value exactly as bound (no affinity coercion), which is a precondition
@@ -81,7 +96,9 @@ from __future__ import annotations
 import json
 import sqlite3
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.backends.base import BackendCapabilities, ExecutionBackend
 from repro.backends.sqlite.compile import (
@@ -106,6 +123,7 @@ from repro.executor.executor import (
 from repro.faults import points as fault_points
 from repro.plan.expressions import SCALAR_FUNCTIONS, Row, _like_match
 from repro.plan.logical import (
+    GroupBy,
     Join,
     LogicalPlan,
     Process,
@@ -138,6 +156,13 @@ def _py_like(value, pattern, negated):
         return 0
     matched = _like_match(str(value), pattern)
     return int((not matched) if negated else matched)
+
+
+def _py_tap(tapped: Dict[int, List[tuple]], key: int, *values: int) -> int:
+    """One group of a tapped ``GroupBy``: file its row count and width
+    sums under the tap's ``key`` (rule 6).  Keeps every group."""
+    tapped.setdefault(key, []).append(values)
+    return 1
 
 
 def _measure_rows(rows: List[Row], columns: Sequence[str]) -> Measured:
@@ -178,10 +203,14 @@ class SqliteBackend(ExecutionBackend):
         self._mutex = TrackedLock("storage.sqlite", RANK_STORAGE)
         self._tables: Dict[str, TableInfo] = {}
         self._views: Dict[str, TableInfo] = {}
-        # Rule 2: physical table -> what it holds, from its first
-        # measurement until _transaction next touches the table.  Never
-        # persisted: a reopened file measures again.
-        self._measured: Dict[str, Measured] = {}
+        # Rules 2 and 5: physical table -> what it holds and which of
+        # its columns hold no text, from its first measurement until
+        # _transaction next touches the table.  Never persisted: a
+        # reopened file measures again.
+        self._measured: Dict[str, Tuple[Measured, FrozenSet[str]]] = {}
+        # Rule 6: tap key -> (rows, width sums...) of each group this
+        # execute formed.
+        self._tapped: Dict[int, List[tuple]] = {}
         self._register_functions()
         self._conn.execute(
             f"CREATE TABLE IF NOT EXISTS {MANIFEST_TABLE} ("
@@ -201,6 +230,9 @@ class SqliteBackend(ExecutionBackend):
                 f"py_{fname.lower()}", -1, fn, deterministic=True)
         self._conn.create_function("py_mod", 2, _py_mod, deterministic=True)
         self._conn.create_function("py_like", 3, _py_like, deterministic=True)
+        # Not deterministic: SQLite must call it once per group it forms.
+        self._conn.create_function("py_tap", -1,
+                                   partial(_py_tap, self._tapped))
 
     # ------------------------------------------------------------------ #
     # crash recovery
@@ -335,7 +367,9 @@ class SqliteBackend(ExecutionBackend):
                     faults.fire(fault_points.BACKEND_SCAN_VIEW)
         with self._mutex:
             result = ExecutionResult(rows=[], node_stats=[])
-            compiler = PlanCompiler(self._tables, self._views)
+            self._tapped.clear()
+            compiler = PlanCompiler(self._tables, self._views,
+                                    lambda info: self._stored(info)[1])
             # id(node) -> what the node holds, as far as it is known
             # without asking SQLite again (the module docstring's rules).
             known: Dict[int, Measured] = {}
@@ -388,7 +422,7 @@ class SqliteBackend(ExecutionBackend):
             self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
             self._manifest_put("v", view_id, info)
         self._views[view_id] = info
-        return self._stored(info)
+        return self._stored(info)[0]
 
     def _fetch_root(self, plan: LogicalPlan, compiler: PlanCompiler,
                     known: Dict[int, Measured]) -> List[Row]:
@@ -419,16 +453,49 @@ class SqliteBackend(ExecutionBackend):
               compiler: PlanCompiler, known: Dict[int, Measured]) -> None:
         """``node`` holds the rows measured as ``found`` -- and so does
         every node below it that hands the same rows up (rule 4): the
-        child of a ``Sort`` or ``Spool``, and of a one-to-one rename."""
+        child of a ``Sort`` or ``Spool``, and of a one-to-one rename.
+        A tapped ``GroupBy`` reached this way hands down what its tap
+        summed (rule 6)."""
         while found is not None:
             known[id(node)] = found
-            if not isinstance(node, (Sort, Spool)):
+            if isinstance(node, GroupBy):
+                found = self._tap_sums(node, found, compiler)
+            elif not isinstance(node, (Sort, Spool)):
                 renames = compiler.lower(node).renames
                 if renames is None:
                     return
                 found = _beneath(found, renames,
                                  compiler.lower(node.child).columns)
             node = node.child
+
+    def _tap_sums(self, node: GroupBy, found: Measured,
+                  compiler: PlanCompiler) -> Optional[Measured]:
+        """Rule 6: what the input of a ``GroupBy`` that holds ``found``
+        holds, as its tap summed it.  Called only from :meth:`_hold`,
+        right after the statement that ran the ``GroupBy`` -- the fetch
+        or the ``CREATE TABLE AS`` -- whose rows reached Python or a
+        table through ``Sort``, ``Spool``, one-to-one renames or a root
+        ``Union`` arm.
+
+        So nothing above the ``GroupBy`` in that statement joins,
+        filters or limits it: no ``WHERE`` stands above it for SQLite to
+        push down into its input, no join reads it partly or not at all,
+        no ``LIMIT`` stops it early, and the probes that might run it
+        again come later.  ``COUNT(*)`` among the tap's arguments keeps
+        SQLite (3.39 and later) from moving the ``HAVING`` term into a
+        ``WHERE``, where it would run per input row.  And the tap was
+        called once per group the statement returned -- a ``GroupBy``
+        that occurs twice in the plan runs twice, and is not believed --
+        so the statement ran it exactly once, over its whole input; no
+        group means no input row.  Any other tap is never read: that
+        ``GroupBy``'s input is probed as if it had no tap.
+        """
+        key = (compiler.taps or {}).get(id(node))
+        groups = self._tapped.get(key, [])
+        if key is None or len(groups) != found[0]:
+            return None
+        rows, *sums = [sum(column) for column in zip(*groups)] or [0]
+        return rows, compiler.lower(node.child).sizes(rows, sums)
 
     def _stats_walk(self, node: LogicalPlan, compiler: PlanCompiler,
                     known: Dict[int, Measured],
@@ -461,12 +528,12 @@ class SqliteBackend(ExecutionBackend):
         stored table (rule 2), inherited from a child that holds the same
         rows (rule 4, upward), and only otherwise probed."""
         if isinstance(node, Scan):
-            rows, sizes = self._stored(self._tables[node.stream_guid])
+            (rows, sizes), _ = self._stored(self._tables[node.stream_guid])
             # A column the table lacks is NULL in every row.
             return rows, {c: sizes.get(c, 8 * rows)
                           for c in compiler.lower(node).columns}
         if isinstance(node, (ViewScan, Spool)):
-            return self._stored(self._views[node.view_path])
+            return self._stored(self._views[node.view_path])[0]
         if isinstance(node, Sort):
             return known[id(node.child)]
         lowered = compiler.lower(node)
@@ -476,19 +543,26 @@ class SqliteBackend(ExecutionBackend):
                           for out, source in lowered.renames.items()}
         return self._probe(lowered)
 
-    def _stored(self, info: TableInfo) -> Measured:
-        """What a stream or view table holds: probed once, then a fact of
-        the table until :meth:`_transaction` drops or replaces it."""
+    def _stored(self, info: TableInfo) -> Tuple[Measured, FrozenSet[str]]:
+        """What a stream or view table holds, and which of its columns
+        hold no text: probed once, then a fact of the table until
+        :meth:`_transaction` drops or replaces it."""
         found = self._measured.get(info.table)
         if found is None:
-            found = self._measured[info.table] = self._probe(info.query())
+            compiled = info.query()
+            rows, *sums = self._conn.execute(
+                compiled.stats_sql(count_text=True)).fetchone()
+            texts = sums[len(info.columns):]
+            found = self._measured[info.table] = (
+                (rows, compiled.sizes(rows, sums)), frozenset(
+                    c for c, n in zip(info.columns, texts) if not n))
         return found
 
     def _probe(self, compiled: CompiledQuery) -> Measured:
-        """Run ``compiled`` once more, to count it."""
-        rows, *sizes = self._conn.execute(compiled.stats_sql()).fetchone()
-        return rows, {c: size or 0
-                      for c, size in zip(compiled.columns, sizes)}
+        """Run ``compiled`` once more, to count it: a width sum for each
+        ``probed`` column, 8 bytes a row for the rest (rule 5)."""
+        rows, *sums = self._conn.execute(compiled.stats_sql()).fetchone()
+        return rows, compiled.sizes(rows, sums)
 
     # ------------------------------------------------------------------ #
     # materialized views

@@ -42,7 +42,9 @@ The load-bearing decisions, in one place:
   invariant.  :meth:`CompiledQuery.width_sql` is the one place the rule
   is written in SQL, a term per column, so that a measurement is
   ``(rows, {column: bytes})`` and can be carried through a rename or a
-  column pruning instead of being taken again.
+  column pruning instead of being taken again.  A column measured to
+  hold no text (:attr:`CompiledQuery.textfree`) needs no term unless it
+  is a boolean: every value weighs 8 bytes.
 
 Known, accepted divergences (all order- or mixed-type-related, none
 reachable from the bundled workloads): tie order under ``Limit`` with
@@ -57,8 +59,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.common.errors import ExecutionError, StorageError
 from repro.plan.expressions import (
@@ -152,12 +155,13 @@ class TableInfo:
     columns: Tuple[str, ...]
     classes: Mapping[str, str] = field(default_factory=dict)
 
-    def query(self) -> "CompiledQuery":
+    def query(self, textfree: FrozenSet[str] = frozenset()
+              ) -> "CompiledQuery":
         """Every stored column, in stored order."""
         select = ", ".join(quote_ident(c) for c in self.columns)
         return CompiledQuery(
             f"SELECT {select} FROM {quote_ident(self.table)}",
-            self.columns, dict(self.classes))
+            self.columns, dict(self.classes), textfree=textfree)
 
 
 @dataclass(frozen=True)
@@ -171,6 +175,10 @@ class CompiledQuery:
     #: every output is one (a ``Project`` of bare ``ColumnRef``s): the
     #: rename a measurement is carried through instead of taken again.
     renames: Optional[Mapping[str, str]] = None
+    #: Output columns that copy, unchanged, values of stored columns
+    #: measured to hold no text (or are NULL): each weighs 8 bytes a row
+    #: unless its class is ``BOOL``.
+    textfree: FrozenSet[str] = frozenset()
 
     def scope(self) -> "_Scope":
         return _Scope.plain(self.columns, self.classes)
@@ -183,11 +191,11 @@ class CompiledQuery:
         return tuple(c for c in self.columns
                      if self.classes.get(c) == BOOL)
 
-    def width_sql(self) -> List[str]:
-        """Per-row byte width of each column, in column order, by
-        ``repro.storage.batch.measure``'s rule."""
+    def width_sql(self, columns: Optional[Sequence[str]] = None) -> List[str]:
+        """Per-row byte width of each of ``columns`` (all, by default),
+        in order, by ``repro.storage.batch.measure``'s rule."""
         terms = []
-        for c in self.columns:
+        for c in self.columns if columns is None else columns:
             q = quote_ident(c)
             if self.classes.get(c) == BOOL:
                 terms.append(
@@ -198,10 +206,28 @@ class CompiledQuery:
                     f" THEN MAX(1, LENGTH({q})) ELSE 8 END)")
         return terms
 
-    def stats_sql(self) -> str:
-        """One row: the row count, then each column's byte size (NULL
-        over no rows) -- the measuring statement."""
-        sums = "".join(f", SUM({term})" for term in self.width_sql())
+    def probed(self) -> Tuple[str, ...]:
+        """The columns a measurement sums: all but the text-free ones
+        that are not ``BOOL``, whose width is known to be 8."""
+        return tuple(c for c in self.columns if c not in self.textfree
+                     or self.classes.get(c) == BOOL)
+
+    def sizes(self, rows: int, sums: Sequence) -> Dict[str, int]:
+        """Each column's byte size, from the row count and the sums of
+        the ``probed`` columns (NULL over no rows)."""
+        summed = dict(zip(self.probed(), sums))
+        return {c: (summed[c] or 0) if c in summed else 8 * rows
+                for c in self.columns}
+
+    def stats_sql(self, count_text: bool = False) -> str:
+        """One row: the row count, then each ``probed`` column's byte
+        size -- the measuring statement -- and with ``count_text`` each
+        column's count of text values after them."""
+        terms = self.width_sql(self.probed())
+        if count_text:
+            terms += [f"typeof({quote_ident(c)}) = 'text'"
+                      for c in self.columns]
+        sums = "".join(f", SUM({term})" for term in terms)
         return f"SELECT COUNT(*){sums} FROM ({self.sql})"
 
 
@@ -257,12 +283,24 @@ class PlanCompiler:
     A compiler serves one ``execute``: a node is lowered once and
     remembered by identity, so the plans it is given must outlive it
     (lowering a tree node by node is otherwise quadratic in its depth).
+
+    ``text_free`` is the executing backend's measurement of a table's
+    columns that hold no text; without it the lowering is the plain
+    one.  With it, each lowering records its ``textfree`` columns, and a
+    keyed ``GroupBy`` over an input that is not a table measures that
+    input as it aggregates it: ``HAVING py_tap(key, COUNT(*), SUM(width)
+    ...)``, one sum per ``probed`` input column, under the key ``taps``
+    keeps by the node's identity.
     """
 
     def __init__(self, tables: Mapping[str, TableInfo],
-                 views: Mapping[str, TableInfo]):
+                 views: Mapping[str, TableInfo],
+                 text_free: Optional[Callable[[TableInfo], FrozenSet[str]]]
+                 = None):
         self.tables = tables
         self.views = views
+        self.text_free = text_free or (lambda info: frozenset())
+        self.taps: Optional[Dict[int, int]] = text_free and {}
         self._lowered: Dict[int, CompiledQuery] = {}
 
     # ------------------------------------------------------------------ #
@@ -295,9 +333,12 @@ class PlanCompiler:
                 pairs.append((c, "NULL", UNKNOWN))
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
+        # A column the table lacks is NULL: no text either.
+        free = self.text_free(info)
         return CompiledQuery(
             f"SELECT {select} FROM {quote_ident(info.table)}",
-            tuple(order), classes)
+            tuple(order), classes, textfree=frozenset(
+                c for c in order if c in free or c not in info.columns))
 
     def _view_scan(self, plan: ViewScan) -> CompiledQuery:
         info = self.views.get(plan.view_path)
@@ -307,7 +348,7 @@ class PlanCompiler:
         # The interpreter returns the stored rows verbatim, so select the
         # stored schema (which view matching guarantees equals
         # ``plan.columns``).
-        return info.query()
+        return info.query(self.text_free(info))
 
     def _spool(self, plan: Spool) -> CompiledQuery:
         info = self.views.get(plan.view_path)
@@ -316,14 +357,13 @@ class PlanCompiler:
             # lowering consumers, so this indicates a harness bug.
             raise ExecutionError(
                 f"spool table for {plan.view_path!r} was not materialized")
-        return info.query()
+        return info.query(self.text_free(info))
 
     def _filter(self, plan: Filter) -> CompiledQuery:
         child = self.lower(plan.child)
         pred = self._pred(plan.predicate, child.scope())
-        return CompiledQuery(
-            f"SELECT {child.select_list()} FROM ({child.sql}) WHERE {pred}",
-            child.columns, child.classes)
+        return _over(child, f"SELECT {child.select_list()} "
+                            f"FROM ({child.sql}) WHERE {pred}")
 
     def _project(self, plan: Project) -> CompiledQuery:
         child = self.lower(plan.child)
@@ -335,12 +375,14 @@ class PlanCompiler:
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
         # As ``_dedup``: of two outputs under one name the last counts.
-        renames = ({name: scope.resolve(expr)
-                    for expr, name in zip(plan.exprs, plan.names)}
-                   if all(isinstance(expr, ColumnRef) for expr in plan.exprs)
-                   else None)
-        return CompiledQuery(f"SELECT {select} FROM ({child.sql})",
-                             tuple(order), classes, renames)
+        sources = {name: scope.resolve(expr)
+                   if isinstance(expr, ColumnRef) else None
+                   for expr, name in zip(plan.exprs, plan.names)}
+        return CompiledQuery(
+            f"SELECT {select} FROM ({child.sql})", tuple(order), classes,
+            None if None in sources.values() else sources,
+            frozenset(out for out, source in sources.items()
+                      if source in child.textfree))
 
     def _join(self, plan: Join) -> CompiledQuery:
         left = self.lower(plan.left)
@@ -377,16 +419,20 @@ class PlanCompiler:
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
         join_kw = "LEFT JOIN" if plan.how == "left" else "JOIN"
+        # A left join's NULL extension is no text either.
+        textfree = (left.textfree.difference(right_kept)
+                    | right.textfree.intersection(right_kept))
         return CompiledQuery(
             f"SELECT {select} FROM ({left.sql}) AS L "
             f"{join_kw} ({right.sql}) AS R ON {on}",
-            tuple(order), classes)
+            tuple(order), classes, textfree=textfree)
 
     def _group_by(self, plan: GroupBy) -> CompiledQuery:
         child = self.lower(plan.child)
         scope = child.scope()
         pairs = []
         group_refs = []
+        free = {}
         for key in plan.keys:
             name = scope.resolve(key)
             ref = scope.refs[name]
@@ -394,15 +440,24 @@ class PlanCompiler:
             # The interpreter names key outputs after the ColumnRef, not
             # the GroupBy names list.
             pairs.append((key.name, ref, scope.classes.get(name, UNKNOWN)))
+            free[key.name] = name in child.textfree
         agg_names = plan.names[len(plan.keys):]
         for name, agg in zip(agg_names, plan.aggregates):
             sql, cls = self._aggregate(agg, scope)
             pairs.append((name, sql, cls))
+            free[name] = agg.name == "COUNT"
         order, sql, classes = _dedup(pairs)
         select = ", ".join(f"{sql[c]} AS {quote_ident(c)}" for c in order)
         group = f" GROUP BY {', '.join(group_refs)}" if group_refs else ""
-        return CompiledQuery(f"SELECT {select} FROM ({child.sql}){group}",
-                             tuple(order), classes)
+        if (self.taps is not None and group_refs
+                and not isinstance(plan.child, (Scan, ViewScan, Spool))):
+            key = self.taps[id(plan)] = len(self.taps)
+            sums = "".join(f", SUM({term})"
+                           for term in child.width_sql(child.probed()))
+            group += f" HAVING py_tap({key}, COUNT(*){sums})"
+        return CompiledQuery(
+            f"SELECT {select} FROM ({child.sql}){group}", tuple(order),
+            classes, textfree=frozenset(c for c in order if free[c]))
 
     def _union(self, plan: Union, tagged: bool = False) -> CompiledQuery:
         """``tagged``: every row ends in its arm's index, one unnamed
@@ -410,6 +465,7 @@ class PlanCompiler:
         schema = plan.schema
         arms = []
         arm_classes: List[Mapping[str, str]] = []
+        textfree = set(schema)
         for child in plan.inputs:
             lowered = self.lower(child)
             pairs = [(s, quote_ident(c), lowered.classes.get(c, UNKNOWN))
@@ -420,6 +476,8 @@ class PlanCompiler:
             tag = f", {len(arms)}" if tagged else ""
             arms.append(f"SELECT {select}{tag} FROM ({lowered.sql})")
             arm_classes.append(classes)
+            textfree -= {s for s, c in zip(schema, lowered.columns)
+                         if c not in lowered.textfree}
         out_order = list(dict.fromkeys(schema))
         classes = {}
         for c in out_order:
@@ -428,7 +486,8 @@ class PlanCompiler:
         # The interpreter ignores the DISTINCT flag on Union, so the
         # lowering is always UNION ALL.
         return CompiledQuery(
-            " UNION ALL ".join(arms), tuple(out_order), classes)
+            " UNION ALL ".join(arms), tuple(out_order), classes,
+            textfree=frozenset(textfree))
 
     def lower_arms(self, plan: Union) -> CompiledQuery:
         """A statement-level ``Union`` that tells its arms apart: the
@@ -440,9 +499,8 @@ class PlanCompiler:
 
     def _distinct(self, plan: Distinct) -> CompiledQuery:
         child = self.lower(plan.child)
-        return CompiledQuery(
-            f"SELECT DISTINCT {child.select_list()} FROM ({child.sql})",
-            child.columns, child.classes)
+        return _over(child, f"SELECT DISTINCT {child.select_list()} "
+                            f"FROM ({child.sql})")
 
     def _sort(self, plan: Sort) -> CompiledQuery:
         child = self.lower(plan.child)
@@ -451,22 +509,17 @@ class PlanCompiler:
         for key, asc in zip(plan.keys, plan.ascending):
             ref = scope.refs[scope.resolve(key)]
             keys.append(f"{ref} {'ASC' if asc else 'DESC'}")
-        return CompiledQuery(
-            f"SELECT {child.select_list()} FROM ({child.sql}) "
-            f"ORDER BY {', '.join(keys)}",
-            child.columns, child.classes)
+        return _over(child, f"SELECT {child.select_list()} "
+                            f"FROM ({child.sql}) ORDER BY {', '.join(keys)}")
 
     def _limit(self, plan: Limit) -> CompiledQuery:
         # Inline Limit(Sort(x)) so the LIMIT applies to the ordered
         # stream; a bare subquery's order is not guaranteed to survive.
         child = self.lower(plan.child)
         if isinstance(plan.child, Sort):
-            return CompiledQuery(f"{child.sql} LIMIT {plan.count}",
-                                 child.columns, child.classes)
-        return CompiledQuery(
-            f"SELECT {child.select_list()} FROM ({child.sql}) "
-            f"LIMIT {plan.count}",
-            child.columns, child.classes)
+            return _over(child, f"{child.sql} LIMIT {plan.count}")
+        return _over(child, f"SELECT {child.select_list()} "
+                            f"FROM ({child.sql}) LIMIT {plan.count}")
 
     def _process(self, plan: Process) -> CompiledQuery:
         raise ExecutionError(
@@ -618,6 +671,12 @@ class PlanCompiler:
         parts.append("END")
         cls = next((c for c in classes if c != UNKNOWN), UNKNOWN)
         return f"({' '.join(parts)})", cls
+
+
+def _over(child: CompiledQuery, sql: str) -> CompiledQuery:
+    """An operator that hands on a subset of its child's rows, columns
+    unchanged."""
+    return replace(child, sql=sql, renames=None)
 
 
 def _literal_class(value: object) -> str:

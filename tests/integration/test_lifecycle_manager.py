@@ -13,7 +13,14 @@ from repro.api import Session
 from repro.catalog import schema_of
 from repro.cli import main
 from repro.core import MultiLevelControls
-from repro.lifecycle import LifecycleConfig, LifecycleManager
+from repro.engine import ScopeEngine
+from repro.lifecycle import (
+    CatalogJournal,
+    LifecycleConfig,
+    LifecycleManager,
+    LineageRegistry,
+)
+from repro.obs import FlightRecorder
 from repro.plan.logical import Scan, ViewScan
 from repro.selection import SelectionPolicy
 from repro.storage.views import ViewStore
@@ -356,3 +363,60 @@ class TestCliGc:
         assert main(["gc", "--journal-dir", journal_dir,
                      "--bump-epoch", "--now", "50"]) == 0
         assert "runtime epoch bumped" in capsys.readouterr().out
+
+
+class TestTheSmallestJournals:
+    """A journal that holds one thing -- one snapshot view, or one WAL op
+    -- is a journal that recovered something: the boundary of
+    ``RecoveryReport.recovered_anything`` and of the snapshot cadence."""
+
+    @pytest.fixture(params=["one snapshot view", "one wal op"])
+    def journal_dir(self, request, tmp_path):
+        store = ViewStore(ttl_seconds=100.0)
+        store.begin_materialize("s1", "views/s1", ("a",), "vc1", now=0.0)
+        journal = CatalogJournal(str(tmp_path))
+        if request.param == "one snapshot view":
+            journal.snapshot({**store.dump(), "epoch": 0,
+                              "lineage": LineageRegistry().snapshot(),
+                              "runtime_version": ""})
+        else:
+            journal.append("created", view=store.get("s1").catalog_record(),
+                           lineage=[])
+            journal.commit()
+        journal.close()
+        return str(tmp_path)
+
+    def test_it_is_reported_as_recovered(self, journal_dir):
+        recorder = FlightRecorder()
+        manager = LifecycleManager(ScopeEngine(recorder=recorder),
+                                   LifecycleConfig(journal_dir=journal_dir))
+        try:
+            report = manager.last_recovery
+            assert (report.snapshot_views, report.wal_ops) in ((1, 0), (0, 1))
+            assert report.views_restored == 1
+            assert recorder.events.counts().get("journal.recovered") == 1
+        finally:
+            manager.close()
+
+    def test_repro_gc_prints_it(self, journal_dir, capsys):
+        assert main(["gc", "--journal-dir", journal_dir,
+                     "--stats", "--now", "0"]) == 0
+        assert f"recovered 1 view(s) from {journal_dir}" in \
+            capsys.readouterr().out
+
+    @pytest.mark.parametrize("every", [1, 2, 3])
+    def test_a_snapshot_lands_on_exactly_the_nth_op(self, tmp_path, every):
+        engine = ScopeEngine()
+        manager = LifecycleManager(engine, LifecycleConfig(
+            journal_dir=str(tmp_path), snapshot_every_ops=every))
+        journal, store = manager.journal, engine.view_store
+        try:
+            store.begin_materialize("s1", "views/s1", ("a",), "vc1", now=0.0)
+            store.seal("s1", now=1.0, row_count=2, size_bytes=16)
+            for _ in range(5):
+                store.record_reuse("s1")
+            # Seven ops, one record each.
+            assert journal.snapshots_written == 7 // every
+            assert journal.ops_since_snapshot == 7 % every
+        finally:
+            manager.close()

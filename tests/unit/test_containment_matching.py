@@ -67,6 +67,25 @@ class TestContainmentMatching:
         assert sorted(map(repr, rewritten_rows)) == \
             sorted(map(repr, expected_rows))
 
+    def test_a_match_counts_the_operators_it_replaces(self, env):
+        catalog, store = env
+        executor = Executor(store)
+        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
+                               enable_containment=True)
+        materialize(ctx, store, executor, filter_subplan(plan_for(
+            catalog, "SELECT CustomerId FROM Sales WHERE CustomerId > 5")))
+        exact = materialize(ctx, store, executor, filter_subplan(plan_for(
+            catalog, "SELECT CustomerId FROM Sales WHERE CustomerId > 30")))
+        # The Filter over the Scan, answered from the general view with a
+        # compensating filter, and from the exact one as it is.
+        for bound, exactly in ((10, False), (30, True)):
+            outcome = match_views(plan_for(
+                catalog, "SELECT CustomerId FROM Sales "
+                         f"WHERE CustomerId > {bound}"), ctx, now=1.0)
+            [match] = outcome.matches
+            assert (match.signature == exact) is exactly
+            assert match.replaced_operators == 2
+
     def test_non_contained_query_not_rewritten(self, env):
         catalog, store = env
         executor = Executor(store)
