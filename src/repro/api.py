@@ -346,7 +346,7 @@ class Session:
         view = self.engine.view_store.get(strict_signature)
         if view is not None and view.recurring_signature:
             self.insights.retract([view.recurring_signature])
-        self.insights.force_release_lock(strict_signature)
+        self.insights.force_release_locks([strict_signature])
         self.engine.view_store.purge(strict_signature)
 
     def evict_expired(self, now: float) -> int:

@@ -46,7 +46,7 @@ from repro.common.errors import (
 from repro.common.sync import RANK_LEAF, TrackedLock, debug_checks_enabled
 from repro.executor.executor import ExecutionResult
 from repro.executor.udo import UdoRegistry
-from repro.insights.service import InsightsService
+from repro.insights.service import Fetched, InsightsService
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
 from repro.optimizer.context import Annotation, OptimizerContext
@@ -326,9 +326,15 @@ class ScopeEngine:
                 now: float = 0.0,
                 job_id: Optional[str] = None,
                 annotations: Optional[Mapping[str, Annotation]] = None,
-                before_view_lock: Optional[Callable[[], object]] = None
-                ) -> CompiledJob:
+                before_view_lock: Optional[Callable[[], object]] = None,
+                planned: Optional[tuple] = None,
+                prepared: Optional[Fetched] = None) -> CompiledJob:
         """Parse, bind, and optimize one job (Figure 5, query processing).
+
+        ``planned`` (the job's :meth:`logical_plan`) and ``prepared`` (its
+        insights answer, :meth:`InsightsService.fetch_wave`) are given
+        when the scheduler has made them already: it plans every job of
+        a wave, and fetches for all of them, before any compiles.
 
         ``annotations`` (recurring signature -> annotation), when given,
         stands in for the insights fetch: the job compiles against exactly
@@ -345,7 +351,8 @@ class ScopeEngine:
         compile_span = recorder.start_span(
             "job.compile", trace_id=job_id, at=now,
             virtual_cluster=virtual_cluster)
-        plan, tags, plan_cache = self.logical_plan(sql, params or {})
+        plan, tags, plan_cache = (planned
+                                  or self.logical_plan(sql, params or {}))
 
         compile_latency = 0.0
         degraded = False
@@ -353,7 +360,8 @@ class ScopeEngine:
             fetch_span = recorder.start_span(
                 "insights.fetch", trace_id=job_id, at=now,
                 parent=compile_span, tags=len(tags))
-            annotations = self.insights.fetch_annotations(tags, now=now)
+            annotations = self.insights.fetch_annotations(
+                tags, now=now, prepared=prepared)
             compile_latency = self.insights.last_fetch_latency
             degraded = self.insights.last_fetch_degraded
             fetch_span.annotate("annotations", len(annotations))

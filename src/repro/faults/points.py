@@ -30,10 +30,10 @@ Failure kinds:
     to :class:`~repro.common.errors.InsightsError` and runs its own
     retry/degrade cycle).
 ``drop``
-    The insights round trip consumes its full timeout and fails
-    (:class:`~repro.common.errors.InsightsTimeout`).
+    The insights trip consumes its full timeout and fails (as an
+    :class:`~repro.common.errors.InsightsTimeout` would).
 ``delay``
-    Extra simulated latency added to a surviving round trip.
+    Extra simulated latency added to a surviving trip.
 ``torn``
     A partial write: the journal emits a truncated JSONL record with no
     trailing newline, exactly what a crash mid-``write(2)`` leaves.
@@ -65,11 +65,12 @@ JOURNAL_APPEND = "journal.append"
 JOURNAL_SNAPSHOT = "journal.snapshot"
 #: A scheduler worker picking up a job (worker death).
 SCHEDULER_WORKER = "scheduler.worker"
-#: One insights serving-layer round trip.
+#: One job's trip to the insights serving layer: each attempt whose tags
+#: have not reached the service yet (a retry after a timeout draws none).
 INSIGHTS_RPC = "insights.rpc"
 #: One lifecycle GC sweep.
 GC_SWEEP = "gc.sweep"
-#: One shard RPC on the router's fetch fan-out (per contacted shard).
+#: One lookup frame on the router's fetch fan-out (per contacted shard).
 SHARD_RPC = "shard.rpc"
 #: Spawning one shard worker process (supervisor start/restart).
 SHARD_SPAWN = "shard.spawn"

@@ -19,29 +19,32 @@ that operational posture:
   After a cool-down the breaker goes half-open and lets probe fetches
   test the service before closing again;
 * **fault injection** -- the ``insights.rpc`` point of the session's
-  :class:`~repro.faults.FaultRuntime` drops, fails or delays the serving
-  round trip, so every degradation path is testable.
+  :class:`~repro.faults.FaultRuntime` drops, fails or delays a job's
+  trip to the serving layer, so every degradation path is testable.
 
 Everything here is deterministic: injected faults and jitter come from a
-seeded RNG, and time is simulated latency accounting, so a concurrent run
-with faults disabled produces byte-identical reuse decisions to a serial
-one.  A fetch is one round trip for the calling job's own missing tags,
-so the latency it is charged depends on that job and the cache alone,
-never on which other jobs happened to be fetching.
+seeded RNG, and time is simulated latency accounting.  A scheduler wave
+is answered by :meth:`InsightsClient.fetch_wave` on the draining thread,
+in submission order, with one lookup frame per owning shard: each job is
+charged exactly what fetching alone, one job after another, would charge
+it, so latency and every counter are a function of the workload and
+never of thread timing or deployment shape.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.common.errors import ConfigError, InsightsError, InsightsTimeout
+from repro.common.errors import ConfigError, InsightsError
 from repro.common.sync import RANK_INSIGHTS, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
-from repro.insights.service import SERVICE_SURFACE, InsightsService
+from repro.insights.partition import CACHED_ROUND_TRIP_SECONDS
+from repro.insights.service import SERVICE_SURFACE, Fetched, InsightsService
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
 from repro.optimizer.context import Annotation
@@ -288,109 +291,165 @@ class InsightsClient:
         return removed
 
     # ------------------------------------------------------------------ #
-    # per-thread fetch bookkeeping
+    # the serving path: a job's fetch reads its answer from the wave it
+    # was prepared in, or from a wave of one, as the service's does --
+    # never raising on a serving failure: with retries exhausted (or the
+    # breaker open) the answer is empty and ``last_fetch_degraded``, so
+    # the engine compiles the job reuse-free (the paper's incident
+    # posture).
 
-    @property
-    def last_fetch_latency(self) -> float:
-        return getattr(self._fetch_state, "latency", 0.0)
+    fetch_annotations = InsightsService.fetch_annotations
+    last_fetch_latency = InsightsService.last_fetch_latency
+    last_fetch_degraded = InsightsService.last_fetch_degraded
 
-    @property
-    def last_fetch_degraded(self) -> bool:
-        """True when the calling thread's last fetch fell back to the
-        reuse-disabled degradation path."""
-        return getattr(self._fetch_state, "degraded", False)
+    def fetch_wave(self, requests: Sequence[tuple]) -> List[Fetched]:
+        """Answer a wave's fetches as one-by-one fetches in submission
+        order would be answered, with one lookup frame per owning shard
+        per round (why a wave may be answered at its start:
+        :meth:`InsightsService.fetch_wave`).
 
-    # ------------------------------------------------------------------ #
-    # the serving path
-
-    def fetch_annotations(self, tags: Iterable[str],
-                          now: Optional[float] = None
-                          ) -> Dict[str, Annotation]:
-        """Fetch one job's annotations with caching and fault tolerance.
-
-        Never raises on serving failure: after retries are exhausted (or
-        with the breaker open) it returns an empty mapping and flags the
-        thread-local ``last_fetch_degraded``, so the engine compiles the
-        job with reuse disabled -- exactly the paper's incident posture.
+        Each job runs :meth:`_fetch` until its tags must go on the wire.
+        A round gathers jobs until one whose outcome is not *settled* --
+        its wire attempt is its last, or the breaker is not closed --
+        because a later job's cache and breaker depend on that outcome.
+        Then the round's lists go out and its jobs finish in order; a
+        job whose frame failed goes again in the next round.  Fault-free
+        with a retry to spare, a wave is one round.
         """
-        now = 0.0 if now is None else now
-        tags = tuple(tags)
-        self._fetch_state.degraded = False
-        self._fetch_state.latency = 0.0
-        if not self.service.begin_fetch():
-            return {}
+        promised: Dict[str, object] = {}
+        todo = deque(enumerate(self._fetch(tuple(tags), now or 0.0, promised)
+                               for tags, now in requests))
+        answers: List[Fetched] = [Fetched({})] * len(todo)
+        replies: Dict[int, object] = {}
+        while todo:
+            asked = []
+            while todo:
+                index, fetch = todo.popleft()
+                try:
+                    needed, settled = fetch.send(replies.pop(index, None))
+                except StopIteration as done:
+                    answers[index] = done.value
+                    continue
+                asked.append((index, fetch, needed))
+                if not settled:
+                    break
+            promised.clear()
+            sent = [(index, needed) for index, _, needed in asked if needed]
+            replies.update(zip([index for index, _ in sent], self.service
+                               .lookup([n for _, n in sent]) if sent else []))
+            todo.extendleft((index, fetch)
+                            for index, fetch, _ in reversed(asked))
+        return answers
 
+    def _fetch(self, tags: tuple, now: float, promised: Dict[str, object]):
+        """One job's fetch, written as it runs alone: a generator that
+        yields ``(needed tags, settled)`` once per round of its wave and
+        is sent the :meth:`InsightsService.lookup` reply for them.
+        ``promised`` holds the cache entries the round's settled jobs
+        will fill; their rows arrive after the round's frame."""
+        self._recorder.advance_to(now)
+        if not self.service.begin_fetch():
+            return Fetched({})
         generation = self.service.generation
-        needed: List[str] = []
-        per_tag: Dict[str, List[Annotation]] = {}
-        latency = 0.0
+        hits, needed = [], []
         with self._mutex:
             for tag in tags:
-                entry = self._cache.get(tag)
+                entry = promised.get(tag) or self._cache.get(tag)
                 if (entry is not None and entry.generation == generation
                         and now < entry.expires_at):
-                    per_tag[tag] = entry.annotations
-                    self.cache_hits += 1
+                    hits.append((tag, entry))
                 else:
                     needed.append(tag)
-                    self.cache_misses += 1
-        self._recorder.inc("client.cache_hits", len(per_tag))
+            self.cache_hits += len(hits)
+            self.cache_misses += len(needed)
+        self._recorder.inc("client.cache_hits", len(hits))
         self._recorder.inc("client.cache_misses", len(needed))
 
-        if needed:
-            decision = self.breaker.admit()
-            if decision == "degrade":
-                return self._degrade(reason="breaker-open")
-            fetched, latency, ok = self._fetch_with_retries(tuple(needed))
-            if not ok:
+        latency, found = 0.0, []
+        if not needed:
+            if any(entry.annotations is None for _, entry in hits):
+                yield needed, True  # wait for a sibling's promised rows
+        elif self.breaker.admit() == "degrade":
+            return self._degrade(reason="breaker-open")
+        else:
+            fill = {tag: _CacheEntry(None, now + self.config.cache_ttl_seconds,
+                                     generation) for tag in needed}
+            outcome = yield from self._attempts(needed, fill, promised)
+            if outcome is None:
                 return self._degrade(reason="fetch-failed")
-            self.breaker.record_success()
+            found, latency = outcome
             with self._mutex:
-                for tag, annotations in fetched.items():
-                    self._cache[tag] = _CacheEntry(
-                        annotations, now + self.config.cache_ttl_seconds,
-                        generation)
-            per_tag.update(fetched)
+                for tag, annotations in zip(needed, found):
+                    fill[tag].annotations = annotations
+                self._cache.update(fill)
+        per_tag = {tag: entry.annotations for tag, entry in hits}
+        if None in per_tag.values():  # promised by a sibling that failed
+            return self._degrade(reason="fetch-failed")
+        per_tag.update(zip(needed, found))
+        return Fetched(self.service.finish_fetch(
+            per_tag.get(tag, ()) for tag in tags), latency)
 
-        self._fetch_state.latency = latency
-        return self.service.finish_fetch(per_tag.get(tag, ()) for tag in tags)
+    def _attempts(self, needed: list, fill: dict, promised: Dict[str, object]):
+        """The retry ladder for a job's missing tags, a generator like
+        :meth:`_fetch`: returns ``(per-tag annotations, latency)``, or
+        ``None`` once every attempt failed.
 
-    def _degrade(self, reason: str) -> Dict[str, Annotation]:
-        self._fetch_state.degraded = True
-        self._fetch_state.latency = 0.0
+        A job is *settled* when it goes on the wire with a retry to
+        spare, the breaker closed and an all-hit retry inside the
+        timeout: then it succeeds unless its frame fails, and the cache
+        entries it will ``fill`` are promised to later siblings of the
+        round.  The breaker hears every outcome after the frame, in
+        submission order; no sibling of the round asks it anything in
+        between but ``admit`` while closed, whose answer no outcome
+        changes."""
+        attempts = self.config.max_retries + 1
+        timeout = self.config.timeout_seconds
+        all_hits = 0.0
+        for _ in needed:
+            all_hits += CACHED_ROUND_TRIP_SECONDS
+        latency, cost, found = 0.0, None, []
+        for attempt in range(attempts):
+            lost = False
+            if cost is not None:
+                # A retry after a timeout sends nothing: the first attempt
+                # put every tag in its partition's serving cache, so the
+                # retry's all-hit charges and its rows are already known.
+                cost = self.service.relookup(needed)
+            else:
+                injected = self.faults.check(fault_points.INSIGHTS_RPC)
+                lost = injected.kind in ("drop", "error")
+                if not lost:
+                    settled = (attempt + 1 < attempts and all_hits <= timeout
+                               and self.breaker.state == CLOSED)
+                    if settled:
+                        promised.update(fill)
+                    reply = yield needed, settled
+                    if not isinstance(reply, InsightsError):
+                        found, cost = reply[0], reply[1] + injected.delay
+            if cost is not None and cost <= timeout:
+                self.breaker.record_success()
+                return found, latency + cost
+            latency += timeout
+            if attempt + 1 < attempts:
+                with self._mutex:
+                    self.retries += 1
+                self._recorder.inc("client.retries")
+                self._recorder.event(obs_events.FETCH_RETRY,
+                                     attempt=attempt + 1, tags=len(needed))
+                latency += self._backoff(attempt)
+        if lost:
+            yield [], False  # the failure is heard after this round's frame
+        if self.breaker.record_failure():
+            self._recorder.inc("client.breaker_opens")
+        return None
+
+    def _degrade(self, reason: str) -> Fetched:
         with self._mutex:
             self.degraded_fetches += 1
         self._recorder.inc("client.degraded_fetches")
         self._recorder.event(obs_events.FETCH_DEGRADED, reason=reason,
                              breaker_state=self.breaker.state)
-        return {}
-
-    # ------------------------------------------------------------------ #
-    # attempts and retries
-
-    def _fetch_with_retries(self, tags: Tuple[str, ...]
-                            ) -> Tuple[Dict[str, List[Annotation]], float, bool]:
-        """Returns (per-tag results, accumulated simulated latency, ok)."""
-        latency = 0.0
-        attempts = self.config.max_retries + 1
-        for attempt in range(attempts):
-            try:
-                results, cost = self._round_trip(tags)
-                return results, latency + cost, True
-            except InsightsError:
-                latency += self.config.timeout_seconds
-                if attempt + 1 < attempts:
-                    with self._mutex:
-                        self.retries += 1
-                    self._recorder.inc("client.retries")
-                    self._recorder.event(obs_events.FETCH_RETRY,
-                                         attempt=attempt + 1,
-                                         tags=len(tags))
-                    latency += self._backoff(attempt)
-        opened = self.breaker.record_failure()
-        if opened:
-            self._recorder.inc("client.breaker_opens")
-        return {}, latency, False
+        return Fetched({}, degraded=True)
 
     def _backoff(self, attempt: int) -> float:
         base = (self.config.backoff_base_seconds
@@ -398,26 +457,6 @@ class InsightsClient:
         with self._mutex:
             jitter = self._jitter_rng.random()
         return base * (1.0 + self.config.backoff_jitter * jitter)
-
-    def _round_trip(self, tags: Tuple[str, ...]
-                    ) -> Tuple[Dict[str, List[Annotation]], float]:
-        """The raw serving-layer call, with fault injection and timeout."""
-        delay = 0.0
-        if self.faults.enabled:
-            injected = self.faults.check(fault_points.INSIGHTS_RPC)
-            if injected.kind == "drop":
-                raise InsightsTimeout(
-                    f"injected drop after {self.config.timeout_seconds}s")
-            if injected.kind == "error":
-                raise InsightsError("injected serving-layer error")
-            delay = injected.delay
-        results = self.service.fetch_tag_annotations(tags)
-        cost = self.service.last_fetch_latency + delay
-        if cost > self.config.timeout_seconds:
-            raise InsightsTimeout(
-                f"round trip took {cost * 1000:.1f}ms "
-                f"(timeout {self.config.timeout_seconds * 1000:.1f}ms)")
-        return results, cost
 
 
 def _forward(name: str):

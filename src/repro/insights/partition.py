@@ -43,9 +43,9 @@ class Op(NamedTuple):
     annotations_out: bool = False
 
 
-#: Every partition operation.  ``install`` and ``lookup`` take a list the
-#: service splits across the owning partitions itself; the rest run as
-#: declared, keyed on their first argument.
+#: Every partition operation.  ``install``, ``lookup`` and ``lock_pop``
+#: take lists the service splits across the owning partitions itself;
+#: the rest run as declared, keyed on their first argument.
 PARTITION_OPS: Dict[str, Op] = {
     "install": Op(BY_TAG, annotations_in=True),
     "remove": Op(BROADCAST),
@@ -62,11 +62,11 @@ PARTITION_OPS: Dict[str, Op] = {
 
 
 class Lookup(NamedTuple):
-    """Result of :meth:`Partition.lookup`, every list parallel to the tags."""
+    """Result of :meth:`Partition.lookup`: per tag list, per tag."""
 
-    annotations: List[List[Annotation]]
+    annotations: List[List[List[Annotation]]]
     #: Simulated serving cost per tag (cache hit or miss).
-    charges: List[float]
+    charges: List[List[float]]
     #: Transport delay on top (only a remote partition's fault seam).
     delay: float = 0.0
 
@@ -155,19 +155,21 @@ class Partition:
         with self._mutex:
             return [a for found in self._by_tag.values() for a in found]
 
-    def lookup(self, tags: Iterable[str]) -> Lookup:
-        """One serving-layer entry per tag, duplicates included: the
-        first sight of a tag is a miss, every later one a cache hit."""
-        found: List[List[Annotation]] = []
-        charges: List[float] = []
+    def lookup(self, lists: Iterable[Iterable[str]]) -> Lookup:
+        """Each tag list in turn, one serving-layer entry per tag,
+        duplicates included: the first sight of a tag is a miss, every
+        later one -- in that list or a later one -- a cache hit."""
+        found: List[List[List[Annotation]]] = []
+        charges: List[List[float]] = []
         with self._mutex:
-            for tag in tags:
-                if tag in self._cache:
-                    charges.append(CACHED_ROUND_TRIP_SECONDS)
-                else:
+            for tags in lists:
+                found.append([list(self._by_tag.get(tag, ())) for tag in tags])
+                charges.append([])
+                for tag in tags:
+                    charges[-1].append(CACHED_ROUND_TRIP_SECONDS
+                                       if tag in self._cache
+                                       else ROUND_TRIP_SECONDS)
                     self._cache.add(tag)
-                    charges.append(ROUND_TRIP_SECONDS)
-                found.append(list(self._by_tag.get(tag, ())))
         return Lookup(found, charges)
 
     # ------------------------------------------------------------------ #
@@ -193,10 +195,12 @@ class Partition:
             del self._locks[strict_signature]
             return True
 
-    def lock_pop(self, strict_signature: str) -> Optional[str]:
-        """Drop the lock whoever holds it; returns that holder."""
+    def lock_pop(self, strict_signatures: Iterable[str]
+                 ) -> List[Optional[str]]:
+        """Drop each lock whoever holds it; returns each holder."""
         with self._mutex:
-            return self._locks.pop(strict_signature, None)
+            return [self._locks.pop(signature, None)
+                    for signature in strict_signatures]
 
     def lock_holder(self, strict_signature: str) -> Optional[str]:
         with self._mutex:

@@ -33,8 +33,9 @@ each compiling thread reads back the latency of *its own* last fetch.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
+from repro.common.errors import InsightsError
 from repro.common.hashing import shard_for
 from repro.common.sync import RANK_INSIGHTS, TrackedLock
 from repro.insights.partition import (
@@ -52,8 +53,8 @@ from repro.optimizer.context import Annotation
 #: implementation, so a name added here must work on all of them.
 SERVICE_SURFACE = (
     "publish", "annotations", "annotation_count", "bump_generation",
-    "retract", "fetch_annotations", "fetch_tag_annotations",
-    "acquire_view_lock", "release_view_lock", "force_release_lock",
+    "retract", "fetch_wave", "fetch_annotations", "lookup",
+    "acquire_view_lock", "release_view_lock", "force_release_locks",
     "lock_holder", "held_locks", "report_view_available",
 )
 
@@ -63,6 +64,17 @@ _USAGE_FIELDS = (
     "locks_acquired", "locks_denied", "locks_released",
     "views_reported_available",
 )
+
+
+class Fetched(NamedTuple):
+    """One job's answer, prepared by its wave (:meth:`InsightsService.
+    fetch_wave`) and read by its own ``fetch_annotations``."""
+
+    annotations: Dict[str, Annotation]
+    #: Simulated serving latency charged to the job.
+    latency: float = 0.0
+    #: The fetch fell back to the reuse-disabled degradation path.
+    degraded: bool = False
 
 
 class UsageMetrics:
@@ -105,10 +117,6 @@ class UsageMetrics:
 class InsightsService:
     """The one insights policy, over local or remote partitions."""
 
-    #: The plain service never degrades a fetch (it answers, or the kill
-    #: switch is off); the fault-tolerant client overrides this.
-    last_fetch_degraded = False
-
     def __init__(self, recorder=NULL_RECORDER,
                  partitions: Optional[Sequence[Partition]] = None) -> None:
         #: The tables, in shard order; keys route by ``shard_for``.
@@ -123,6 +131,9 @@ class InsightsService:
         #: by it so a re-selection invalidates everything at once.
         self.generation = 0
         self.metrics = UsageMetrics()
+        #: Serving seconds of re-lookups answered without a round trip,
+        #: per partition (:meth:`relookup`).
+        self.relookup_seconds = [0.0] * len(self.partitions)
         #: Flight recorder (no-op unless a real one is installed).
         self.recorder = recorder
 
@@ -157,6 +168,12 @@ class InsightsService:
     def last_fetch_latency(self) -> float:
         """Simulated latency of the calling thread's most recent fetch."""
         return getattr(self._fetch_state, "latency", 0.0)
+
+    @property
+    def last_fetch_degraded(self) -> bool:
+        """True when the calling thread's last fetch fell back to the
+        reuse-disabled path (only the fault-tolerant client degrades)."""
+        return getattr(self._fetch_state, "degraded", False)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -254,75 +271,117 @@ class InsightsService:
         self.recorder.inc("insights.annotations_served", len(result))
         return result
 
+    def fetch_wave(self, requests: Sequence[tuple]) -> List[Fetched]:
+        """Answer a wave's fetches -- ``(tags, now)`` per job, in
+        submission order -- with one lookup frame per owning partition.
+
+        Sound because nothing of a wave is sealed while a sibling
+        compiles (DESIGN §8): no publish, bump or retract runs between
+        the scheduler opening a wave and its pool finishing, so the
+        answer at the wave's start is the one each job's own fetch would
+        have got.  A partition answers the jobs' lists in submission
+        order, so every charge and counter is a one-by-one run's; the
+        (workers, shards) grid of ``test_concurrent_equivalence.py`` is
+        the test.  ``now`` is ignored here (the client's cache reads it).
+        """
+        lists = [list(tags) for tags, _ in requests if self.begin_fetch()]
+        if len(lists) < len(requests):  # the kill switch is off
+            return [Fetched({})] * len(requests)
+        replies = self.lookup(lists)
+        for reply in replies:
+            if isinstance(reply, InsightsError):
+                raise reply  # a bare service has no fault tolerance
+        return [Fetched(self.finish_fetch(found), latency)
+                for found, latency in replies]
+
     def fetch_annotations(self, tags: Iterable[str],
-                          now: Optional[float] = None
+                          now: Optional[float] = None,
+                          prepared: Optional[Fetched] = None
                           ) -> Dict[str, Annotation]:
-        """Annotations for a job, keyed by recurring signature.
+        """Annotations for a job, keyed by recurring signature: the answer
+        its wave ``prepared`` (:meth:`fetch_wave`), or a wave of one.
+        Its latency and whether it degraded are the calling thread's
+        ``last_fetch_*`` (the client reads its answers the same way).
 
-        Returns an empty mapping when the service-level kill switch is off,
-        which disables both matching and buildout downstream.  ``now`` is
-        accepted (and ignored) so the service and the TTL-caching
-        :class:`~repro.insights.client.InsightsClient` are interchangeable
-        behind the engine.
+        Empty when the service-level kill switch is off, which disables
+        both matching and buildout downstream.  ``now`` is accepted so
+        the service and the TTL-caching
+        :class:`~repro.insights.client.InsightsClient` are
+        interchangeable behind the engine.
         """
-        if not self.begin_fetch():
-            self._fetch_state.latency = 0.0
-            return {}
-        return self.finish_fetch(self._lookup(tags)[1])
+        fetched = prepared or self.fetch_wave([(tags, now)])[0]
+        self._fetch_state.latency = fetched.latency
+        self._fetch_state.degraded = fetched.degraded
+        return fetched.annotations
 
-    def fetch_tag_annotations(self, tags: Iterable[str]
-                              ) -> Dict[str, List[Annotation]]:
-        """One serving-layer round trip per tag, results keyed *by tag*.
+    def lookup(self, lists: Sequence[Sequence[str]]) -> list:
+        """The one serving loop, over many tag lists at once: per list,
+        ``(per-tag annotation lists, latency)``, or the
+        :class:`InsightsError` of a partition it needed.
 
-        This is the batch-friendly surface used by the client: a single
-        call can carry the union of many concurrent jobs' tags, and the
-        per-tag slices let the client cache and distribute the results.
-        Does not count as a job-level fetch in :class:`UsageMetrics`
-        (the client accounts for those); the serving-layer cache counters
-        still apply.  Returns an empty mapping when the kill switch is
-        off.
+        One frame per contacted partition, in shard order, carrying each
+        list's tags that partition owns (an empty list where it owns
+        none).  A partition answers the lists in order, so each tag's
+        charge is the one looking the lists up one by one would pay.  A
+        list's charges are then summed in its *own* tag order, plus the
+        delay of the frames it rode -- the same float additions whatever
+        the partition count, so a client timeout right at the boundary
+        cannot depend on it.  The sum is serial accounting; what
+        sharding buys shows in each worker's own busy seconds instead.
         """
-        if not self.enabled:
-            self._fetch_state.latency = 0.0
-            return {}
-        return dict(zip(*self._lookup(tags)))
+        count = len(self.partitions)
+        owners = [[shard_for(tag, count) for tag in tags] for tags in lists]
+        frames = {}
+        for shard_id in sorted({owner for row in owners for owner in row}):
+            try:
+                frames[shard_id] = self.partitions[shard_id].lookup(
+                    [[tag for tag, owner in zip(tags, row)
+                      if owner == shard_id]
+                     for tags, row in zip(lists, owners)])
+            except InsightsError as error:
+                frames[shard_id] = error
+        replies = []
+        for index, row in enumerate(owners):
+            rode = {shard: frames[shard] for shard in sorted(set(row))}
+            failed = [f for f in rode.values() if isinstance(f, InsightsError)]
+            if failed:
+                replies.append(failed[0])
+                continue
+            answers = {shard: zip(frame.annotations[index],
+                                  frame.charges[index])
+                       for shard, frame in rode.items()}
+            found, charges = zip(*(next(answers[owner]) for owner in row)) \
+                if row else ((), ())
+            replies.append((list(found), self._charge(
+                charges, sum(frame.delay for frame in rode.values()))))
+        return replies
 
-    def _lookup(self, tags: Iterable[str]
-                ) -> Tuple[List[str], List[List[Annotation]]]:
-        """The one serving loop: ``(tags, per-tag annotation lists)``.
+    def relookup(self, tags: Sequence[str]) -> float:
+        """Charge a second lookup of tags whose first one this wave made,
+        without a round trip: the first put every tag in its partition's
+        serving cache and a re-lookup changes nothing there, so each is a
+        counted serving hit, charged to its owner's busy time."""
+        with self._mutex:
+            for tag in tags:
+                self.relookup_seconds[shard_for(tag, len(
+                    self.partitions))] += CACHED_ROUND_TRIP_SECONDS
+        return self._charge([CACHED_ROUND_TRIP_SECONDS] * len(tags))
 
-        One lookup per contacted partition, in shard order; the per-tag
-        charges are then summed in the *caller's* tag order -- the same
-        float additions whatever the partition count, so a client timeout
-        right at the boundary cannot depend on it.  The sum is serial
-        accounting; what sharding buys shows in each worker's own busy
-        seconds instead.
-        """
-        tags = list(tags)
-        owners = [shard_for(tag, len(self.partitions)) for tag in tags]
-        replies = {}
-        delay = 0.0
-        for shard_id in sorted(set(owners)):
-            reply = self.partitions[shard_id].lookup(
-                [tag for tag, owner in zip(tags, owners) if owner == shard_id])
-            delay += reply.delay
-            hits = reply.charges.count(CACHED_ROUND_TRIP_SECONDS)
-            misses = len(reply.charges) - hits
-            self.metrics.inc("cache_hits", hits)
-            self.metrics.inc("cache_misses", misses)
-            self.recorder.inc("insights.cache_hits", hits)
-            self.recorder.inc("insights.cache_misses", misses)
-            replies[shard_id] = zip(reply.annotations, reply.charges)
-        found: List[List[Annotation]] = []
+    def _charge(self, charges: Sequence[float], delay: float = 0.0) -> float:
+        """Count one list's serving hits and misses; its latency is the
+        charges summed in the list's order, then the transport delay."""
+        hits = charges.count(CACHED_ROUND_TRIP_SECONDS)
+        self.metrics.inc("cache_hits", hits)
+        self.metrics.inc("cache_misses", len(charges) - hits)
+        self.recorder.inc("insights.cache_hits", hits)
+        self.recorder.inc("insights.cache_misses", len(charges) - hits)
         latency = 0.0
-        for owner in owners:
-            annotations, charge = next(replies[owner])
-            found.append(annotations)
+        for charge in charges:
             latency += charge
         latency += delay
         self._fetch_state.latency = latency
         self.recorder.observe("insights.fetch.latency", latency)
-        return tags, found
+        return latency
 
     # ------------------------------------------------------------------ #
     # view locks
@@ -355,19 +414,26 @@ class InsightsService:
         if self._call("lock_release", strict_signature, holder):
             self._released(strict_signature, holder)
 
-    def force_release_lock(self, strict_signature: str) -> bool:
-        """Administratively drop a view lock regardless of holder.
+    def force_release_locks(self, strict_signatures: Iterable[str]) -> int:
+        """Administratively drop view locks regardless of holder, with
+        one ``lock_pop`` per owning partition; returns how many were held.
 
-        Used when the view a lock guards is being purged out from under
-        its builder (invalidation cascade, GDPR erasure): the holder may
-        never come back to release it, and a stuck lock would block the
+        Used when the views the locks guard are purged out from under
+        their builders (invalidation cascade, GDPR erasure): a holder may
+        never come back to release, and a stuck lock would block the
         rebuild over the fresh stream GUIDs forever.
         """
-        holder = self._call("lock_pop", strict_signature)
-        if holder is None:
-            return False
-        self._released(strict_signature, holder, forced=True)
-        return True
+        wanted = list(dict.fromkeys(strict_signatures))
+        count = len(self.partitions)
+        holders = {}
+        for shard_id in sorted({shard_for(s, count) for s in wanted}):
+            owned = [s for s in wanted if shard_for(s, count) == shard_id]
+            holders.update(zip(owned,
+                               self.partitions[shard_id].lock_pop(owned)))
+        released = [(s, holders[s]) for s in wanted if holders[s] is not None]
+        for signature, holder in released:
+            self._released(signature, holder, forced=True)
+        return len(released)
 
     def _released(self, strict_signature: str, holder: str,
                   **attrs: object) -> None:

@@ -281,18 +281,16 @@ class LifecycleManager:
                  dataset: str = "", bump_generation: bool = True
                  ) -> List[str]:
         """Purge every dependent view; release locks; invalidate caches."""
-        purged: List[str] = []
+        purged = [signature for signature in sorted(signatures)
+                  if self.store.get(signature) is not None]
         with self.commit_group():  # the cascade's records commit together
-            for signature in sorted(signatures):
-                view = self.store.get(signature)
-                if view is None:
-                    continue
-                # An unsealed dependent is mid-build: its producer holds the
-                # exclusive view lock.  Force-release so the (doomed) build
-                # cannot wedge the signature forever.
-                self.insights.force_release_lock(signature)
+            # An unsealed dependent is mid-build: its producer holds the
+            # exclusive view lock.  Force-release so the (doomed) build
+            # cannot wedge the signature forever -- one lock_pop frame
+            # per owning shard for the whole cascade.
+            self.insights.force_release_locks(purged)
+            for signature in purged:
                 self.store.purge(signature, reason=reason)
-                purged.append(signature)
         if purged and bump_generation:
             # One generation bump for the whole cascade: every client
             # cache keyed by generation drops its stale annotations.

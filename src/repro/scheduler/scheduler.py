@@ -16,12 +16,17 @@ threads over the *same* engine, with three invariants:
   load-shedding posture for the serving tier).
 
 * **Deterministic collection** -- a wave is a barrier.  Job ids are
-  assigned at submission time; workers only compile and execute; and
-  :meth:`drain` first waits for *every* job of the wave, then runs one
-  completion pass in submission order (seal the run's views, record its
-  history, build its result).  No job of a wave can therefore see a view
-  a sibling built -- sharing inside a wave is the multi-query-optimization
-  setting, which this reproduction leaves out.  Within a wave the
+  assigned at submission time and :meth:`submit` only queues.
+  :meth:`drain` opens the wave: it plans every job on its own thread, in
+  submission order, and fetches the wave's annotations as one lookup
+  frame per owning insights shard (answered as one-by-one fetches
+  would be, :meth:`InsightsClient.fetch_wave`); workers then only
+  compile and execute; and :meth:`drain` waits for *every* job of the
+  wave, then runs one completion pass in submission order (seal the
+  run's views, record its history, build its result).  No job of a
+  wave can therefore see a view a sibling built -- sharing inside a wave
+  is the multi-query-optimization setting, which this reproduction
+  leaves out.  Within a wave the
   insights service's atomic lock table is still the only buildout guard
   (one producer per strict signature), but the jobs ask it in submission
   order: compiles overlap, and a job's view-lock requests wait until
@@ -29,15 +34,14 @@ threads over the *same* engine, with three invariants:
   earliest proposer and not the thread that got there first.  A batch
   run with 8 workers therefore leaves the engine in a byte-identical
   state -- catalog digest, per-job build and reuse counts, every
-  operator's row counts -- to the same batch run with 1 worker; only
-  wall-clock differs.
+  operator's row counts, every fetch charge -- to the same batch run
+  with 1 worker; only wall-clock differs.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -51,6 +55,7 @@ from repro.common.sync import RANK_SCHEDULER, TrackedLock
 from repro.engine.engine import JobRun, ScopeEngine
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
+from repro.insights.service import Fetched
 from repro.obs import events as obs_events
 from repro.scheduler.results import JobResult
 
@@ -110,10 +115,16 @@ class _Pending:
     request: JobRequest
     job_id: str
     submitted_at: float
-    #: ``compiled`` of every job submitted before this one and not yet
-    #: drained.  The pool starts jobs in submission order, so each of
-    #: them is running or done whenever this slot's own job is.
-    earlier: List[threading.Event]
+    #: Filled when the wave opens (:meth:`JobScheduler._open`): the job's
+    #: plan or why planning failed, and its fetch answer (``None``: the
+    #: job runs without reuse).
+    planned: Optional[tuple] = None
+    error: Optional[Exception] = None
+    fetched: Optional[Fetched] = None
+    #: ``compiled`` of every earlier job of the wave.  The pool starts
+    #: jobs in submission order, so each of them is running or done
+    #: whenever this slot's own job is.
+    earlier: List[threading.Event] = field(default_factory=list)
     #: Set once the job has compiled (or failed to): from then on it
     #: asks for no more view locks.
     compiled: threading.Event = field(default_factory=threading.Event)
@@ -155,8 +166,6 @@ class JobScheduler:
             max_workers=self.config.workers,
             thread_name_prefix="repro-sched")
         self._pending: List[_Pending] = []
-        #: The open wave's commit group (see :meth:`drain`).
-        self._group = ExitStack()
         self._mutex = TrackedLock("scheduler", RANK_SCHEDULER,
                                   self.recorder)
         self._slots = (threading.BoundedSemaphore(self.config.max_pending)
@@ -173,7 +182,8 @@ class JobScheduler:
     # submission
 
     def submit(self, request: JobRequest, now: float = 0.0) -> str:
-        """Admit one job and return its (deterministic) job id."""
+        """Admit one job and return its (deterministic) job id; it runs
+        when the wave is drained."""
         if self._closed:
             raise SchedulerError("scheduler is closed")
         if self._slots is not None:
@@ -185,16 +195,9 @@ class JobScheduler:
             else:
                 self._slots.acquire()
         with self._mutex:
-            if not self._pending:
-                # The wave is one commit group: its catalog records
-                # become durable together, when ``drain`` returns.
-                self._group.enter_context(self.engine.commit_group())
             job_id = request.job_id or self.engine.next_job_id()
             self.jobs_submitted += 1
-            slot = _Pending(request, job_id, now,
-                            [other.compiled for other in self._pending])
-            slot.future = self._pool.submit(self._work, slot)
-            self._pending.append(slot)
+            self._pending.append(_Pending(request, job_id, now))
         return job_id
 
     def _work(self, slot: _Pending):
@@ -224,31 +227,57 @@ class JobScheduler:
             slot.compiled.set()  # a job that never compiled frees its turn
 
     def _attempt(self, slot: _Pending):
+        if slot.error is not None:
+            raise slot.error
         request, now = slot.request, slot.submitted_at
-        reuse = request.reuse_enabled
-        if reuse and self.reuse_gate is not None:
-            reuse = self.reuse_gate(request.virtual_cluster)
         compiled = self.engine.compile(
             request.sql,
             params=request.params,
             virtual_cluster=request.virtual_cluster,
-            reuse_enabled=reuse,
+            reuse_enabled=slot.fetched is not None,
             now=now,
             job_id=slot.job_id,
             # Compiles overlap; only build locks are taken in turn, so
             # which job of a wave builds a view is its earliest proposer
             # and not the thread that got there first.
             before_view_lock=slot.wait_for_earlier,
+            planned=slot.planned,
+            prepared=slot.fetched,
         )
         slot.compiled.set()
         return self.engine.execute(compiled, now=now)
+
+    def _open(self, pending: List[_Pending]) -> None:
+        """Open a wave: plan each job here, in submission order -- a job
+        that fails to plan, or runs without reuse, asks for no tags --
+        fetch the rest's annotations as one lookup frame per owning
+        shard, then hand compile and execute to the pool."""
+        asking: List[_Pending] = []
+        for index, slot in enumerate(pending):
+            request = slot.request
+            slot.earlier = [other.compiled for other in pending[:index]]
+            try:
+                slot.planned = self.engine.logical_plan(request.sql,
+                                                        request.params)
+            except Exception as error:  # per-job isolation boundary
+                slot.error = error
+                continue
+            if request.reuse_enabled and (
+                    self.reuse_gate is None
+                    or self.reuse_gate(request.virtual_cluster)):
+                asking.append(slot)
+        for slot, fetched in zip(asking, self.engine.insights.fetch_wave(
+                [(slot.planned[1], slot.submitted_at) for slot in asking])):
+            slot.fetched = fetched
+        for slot in pending:
+            slot.future = self._pool.submit(self._work, slot)
 
     # ------------------------------------------------------------------ #
     # collection barrier
 
     def drain(self, now: float = 0.0) -> List[JobResult]:
-        """The wave barrier: wait for every pending job, then complete
-        them in submission order.
+        """Run the wave: open it (:meth:`_open`), wait for every job,
+        then complete them in submission order.
 
         Sealing while a sibling still compiles would let thread timing
         pick what that sibling reuses; nothing of the wave is sealed or
@@ -256,9 +285,10 @@ class JobScheduler:
         """
         with self._mutex:
             pending, self._pending = self._pending, []
-        # The wave's commit group closes -- its records commit -- once
-        # the completion pass has sealed everything the wave built.
-        with self._group:
+        # The wave is one commit group: its records commit once the
+        # completion pass has sealed everything the wave built.
+        with self.engine.commit_group():
+            self._open(pending)
             wait([slot.future for slot in pending])
             results: List[JobResult] = []
             failures = 0
@@ -334,4 +364,3 @@ class JobScheduler:
         else:
             self._closed = True
             self._pool.shutdown(wait=True)
-            self._group.close()  # an undrained wave's records commit

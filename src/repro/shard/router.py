@@ -67,14 +67,14 @@ class RemotePartition:
         self.router = router
         self.shard_id = shard_id
 
-    def lookup(self, tags: Sequence[str]) -> Lookup:
-        """The one hand-written op: the fetch path carries the shard
+    def lookup(self, lists: Sequence[Sequence[str]]) -> Lookup:
+        """The one hand-written op: a lookup frame carries the shard
         fault seams, whose injected delay rides back beside the charges."""
         delay = self.router.check_shard_faults(self.shard_id)
         found, charges, _ = self.router.call(
-            self.shard_id, "lookup", args=[list(tags)])
-        return Lookup([annotations_from_wire(a) for a in found],
-                      charges, delay)
+            self.shard_id, "lookup", args=[[list(tags) for tags in lists]])
+        return Lookup([[annotations_from_wire(a) for a in per_list]
+                       for per_list in found], charges, delay)
 
 
 def _remote(name: str):
@@ -205,7 +205,8 @@ class ShardRouter(InsightsService):
                 for shard_id in range(self.shards)]
 
     def check_shard_faults(self, shard_id: int) -> float:
-        """Fire the shard seams for one fetch RPC; returns injected delay."""
+        """Fire the shard seams for one lookup frame; returns injected
+        delay."""
         if not self.faults.enabled:
             return 0.0
         death = self.faults.check(fault_points.SHARD_DEATH)
@@ -228,9 +229,12 @@ class ShardRouter(InsightsService):
     # operational surface
 
     def shard_stats(self) -> List[Dict[str, object]]:
-        """Per-shard worker stats plus the router's own RPC tallies."""
+        """Per-shard worker stats plus the router's own RPC tallies; a
+        shard's ``busy_seconds`` also counts the re-lookups charged to
+        it without a round trip (:meth:`InsightsService.relookup`)."""
         stats = []
         for shard_id, reply in enumerate(self.broadcast("stats")):
+            reply["busy_seconds"] += self.relookup_seconds[shard_id]
             reply["router_rpcs"] = self.rpcs[shard_id]
             reply["router_rpc_failures"] = self.rpc_failures[shard_id]
             stats.append(reply)

@@ -80,6 +80,8 @@ class ShardWorker:
         self._stop = threading.Event()
         self._listener: Optional[socket.socket] = None
         self.requests_served = 0
+        #: Per-job tag lists served (a lookup frame carries one per job
+        #: of its wave).
         self.fetch_requests = 0
         #: Simulated seconds this shard spent serving fetches -- the
         #: benchmark's per-shard makespan input.
@@ -124,8 +126,8 @@ class ShardWorker:
             args[0] = annotations_from_wire(args[0])
         result = getattr(self.partition, name)(*args)
         if name == "lookup":
-            self.fetch_requests += 1
-            self.busy_seconds += sum(result.charges)
+            self.fetch_requests += sum(map(bool, result.charges))
+            self.busy_seconds += sum(map(sum, result.charges))
         elif name == "install" or (name == "remove" and result):
             self._persist_annotations()
         return to_wire(result)

@@ -189,7 +189,9 @@ def test_a_failed_frame_counts_its_records_and_the_next_snapshot_heals(
 
 def test_a_scheduler_left_on_an_exception_closes_its_wave_group(tmp_path):
     """A wave that is never drained must not hold the manager's commit
-    group open: every later record would wait for some other step."""
+    group open: every later record would wait for some other step.  (A
+    wave runs, and opens its group, in ``drain``: ``submit`` only
+    queues.)"""
     engine = ScopeEngine()
     install_tables(engine)
     annotate_join(engine)
@@ -201,6 +203,6 @@ def test_a_scheduler_left_on_an_exception_closes_its_wave_group(tmp_path):
             scheduler.submit(JobRequest(sql=SQL))
             raise RuntimeError("the caller gave up before drain")
     assert manager._groups == []
-    assert engine.view_store.views()  # the job's compile built a view
+    assert not engine.view_store.views()  # the job never ran
     assert recover(journal_dir) == engine.view_store.catalog_digest()
     manager.close()

@@ -45,44 +45,58 @@ CASES = {
         ("publish", make_annotations()),
         ("annotation_count",),
         ("annotations",),
-        ("fetch_tag_annotations", TAGS + ["ghost-tag"]),   # cold
-        ("fetch_tag_annotations", TAGS + ["ghost-tag"]),   # warm
+        ("lookup", [TAGS + ["ghost-tag"]]),   # cold
+        ("lookup", [TAGS + ["ghost-tag"]]),   # warm
         ("fetch_annotations", TAGS),
         ("fetch_annotations", TAGS[:3], 5.0),
     ],
     "duplicate_and_unowned_tags": [
         ("publish", make_annotations()),
-        ("fetch_tag_annotations", ["tag-1", "tag-1", "tag-2"]),
-        ("fetch_tag_annotations", GHOSTS + GHOSTS[:2]),
-        ("fetch_tag_annotations", ["tag-2", "ghost-0", "tag-2", "tag-9"]),
-        ("fetch_tag_annotations", []),
+        ("lookup", [["tag-1", "tag-1", "tag-2"]]),
+        ("lookup", [GHOSTS + GHOSTS[:2]]),
+        ("lookup", [["tag-2", "ghost-0", "tag-2", "tag-9"]]),
+        ("lookup", [[]]),
+        # Many lists in one frame: later lists see earlier ones' misses.
+        ("lookup", [["tag-4"], [], ["tag-4", "ghost-3", "tag-6"],
+                    ["ghost-3"]]),
         ("fetch_annotations", ["tag-3", "tag-3", "ghost-5"]),
+    ],
+    "one_wave": [
+        ("publish", make_annotations()),
+        ("lookup", [TAGS[:2]]),
+        # Shared, duplicate, warm, cold and unpublished tags, one frame
+        # per owning shard: each job is answered as if it fetched alone.
+        ("fetch_wave", [(TAGS[:4], 0.0), (TAGS[2:6] + ["ghost-1"], 0.0),
+                        (["tag-5", "tag-5"], 0.0), ([], 0.0),
+                        (TAGS, 1.0)]),
+        ("fetch_wave", []),
+        ("fetch_annotations", TAGS[3:]),
     ],
     "republish_replaces_every_slice": [
         ("publish", make_annotations()),
-        ("fetch_tag_annotations", TAGS),
+        ("lookup", [TAGS]),
         ("publish", make_annotations(2)),
         ("annotation_count",),
         ("annotations",),
-        ("fetch_tag_annotations", TAGS),
+        ("lookup", [TAGS]),
         ("publish", []),
         ("annotation_count",),
     ],
     "retract": [
         ("publish", make_annotations()),
-        ("fetch_tag_annotations", TAGS),
+        ("lookup", [TAGS]),
         ("retract", {"sig-0", "sig-7", "nope"}),
         ("annotation_count",),
-        ("fetch_tag_annotations", TAGS),      # every cache went cold
+        ("lookup", [TAGS]),      # every cache went cold
         ("retract", ["nope", "never"]),       # removed nothing: no bump
-        ("fetch_tag_annotations", TAGS),
+        ("lookup", [TAGS]),
         ("retract", []),
     ],
     "bump_generation": [
         ("publish", make_annotations()),
-        ("fetch_tag_annotations", TAGS),
+        ("lookup", [TAGS]),
         ("bump_generation",),
-        ("fetch_tag_annotations", TAGS),
+        ("lookup", [TAGS]),
         ("annotation_count",),
     ],
     "view_locks": [
@@ -97,13 +111,15 @@ CASES = {
         ("report_view_available", "strict-1", "job-b"),
         ("held_locks",),
         ("acquire_view_lock", "strict-2", "job-c"),
-        ("force_release_lock", "strict-2"),
+        ("acquire_view_lock", "strict-6", "job-c"),
+        ("force_release_locks", ["strict-2", "strict-8", "strict-6"]),
         ("lock_holder", "strict-2"),
     ],
     "never_held_locks": [
         ("release_view_lock", "strict-7", "job-a"),
         ("report_view_available", "strict-7", "job-a"),
-        ("force_release_lock", "strict-7"),
+        ("force_release_locks", ["strict-7"]),
+        ("force_release_locks", []),
         ("held_locks",),
     ],
     "wrong_holder_crosses_by_name": [
@@ -119,13 +135,13 @@ CASES = {
         ("enabled", False),
         ("enabled", False),                   # no second event
         ("fetch_annotations", TAGS),
-        ("fetch_tag_annotations", TAGS),
+        ("lookup", [TAGS]),
         ("acquire_view_lock", "strict-5", "job-a"),
         ("lock_holder", "strict-4"),
         ("held_locks",),
         ("release_view_lock", "strict-4", "job-a"),
         ("report_view_available", "strict-4", "job-a"),
-        ("force_release_lock", "strict-4"),
+        ("force_release_locks", ["strict-4"]),
         ("publish", make_annotations(4)),
         ("annotations",),
         ("annotation_count",),
@@ -224,7 +240,7 @@ def test_the_drift_cases_have_the_expected_values():
     """Pin the two divergences to numbers, not only to each other."""
     service = InsightsService()
     service.publish(make_annotations())
-    service.fetch_tag_annotations(["tag-1", "tag-1", "tag-2"])
+    service.lookup([["tag-1", "tag-1", "tag-2"]])
     assert service.last_fetch_latency == 0.015 + 0.0015 + 0.015
     service.release_view_lock("never-held", "job-a")
     assert service.metrics.snapshot()["locks_released"] == 0
@@ -240,20 +256,20 @@ def test_lookups_group_by_owning_shard_in_caller_order():
             super().__init__()
             self.log, self.shard_id = log, shard_id
 
-        def lookup(self, tags):
-            self.log.append((self.shard_id, list(tags)))
-            return super().lookup(tags)
+        def lookup(self, lists):
+            self.log.append((self.shard_id, [list(tags) for tags in lists]))
+            return super().lookup(lists)
 
     log = []
     service = InsightsService(
         partitions=[Spy(log, shard_id) for shard_id in range(4)])
     tags = [f"t-{i}" for i in range(20)] + ["t-3", "t-3"]
-    fetched = service.fetch_tag_annotations(tags)
-    assert list(fetched) == list(dict.fromkeys(tags))
+    [(found, _)] = service.lookup([tags])
+    assert len(found) == len(tags)
     assert [shard_id for shard_id, _ in log] == sorted(
         {shard_for(tag, 4) for tag in tags})
     for shard_id, seen in log:
-        assert seen == [t for t in tags if shard_for(t, 4) == shard_id]
+        assert seen == [[t for t in tags if shard_for(t, 4) == shard_id]]
 
 
 def test_policy_is_written_once():

@@ -21,7 +21,9 @@ from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
 from repro.insights import InsightsClient
 from repro.insights.client import OPEN
 from repro.insights.service import InsightsService
+from repro.lifecycle import LifecycleConfig
 from repro.optimizer.context import Annotation
+from repro.scheduler import JobRequest, SchedulerConfig
 from repro.selection import SelectionPolicy
 from repro.shard import ShardConfig, ShardRouter, ShardSupervisor
 
@@ -31,6 +33,14 @@ def make_annotations(count=16):
                        expected_rows=i, expected_bytes=100 * i,
                        virtual_cluster="vc1")
             for i in range(count)]
+
+
+def by_tag(service, tags):
+    """One lookup, keyed by tag; a failed partition's error is raised."""
+    [reply] = service.lookup([tags])
+    if isinstance(reply, InsightsError):
+        raise reply
+    return dict(zip(tags, reply[0]))
 
 
 def plain(annotation):
@@ -59,8 +69,8 @@ class TestServiceParity:
         assert router.publish(published) == service.publish(published)
         assert router.annotation_count() == service.annotation_count()
         tags = [f"tag-{i}" for i in range(8)] + ["ghost-tag"]
-        sharded = router.fetch_tag_annotations(tags)
-        local = service.fetch_tag_annotations(tags)
+        sharded = by_tag(router, tags)
+        local = by_tag(service, tags)
         assert set(sharded) == set(local)
         for tag in tags:
             assert (sorted(map(plain, sharded[tag]))
@@ -76,9 +86,28 @@ class TestServiceParity:
         # router re-accumulates per-tag charges in the caller's tag
         # order, so the floats must match exactly, not approximately.
         for _ in range(2):
-            router.fetch_tag_annotations(tags)
-            service.fetch_tag_annotations(tags)
+            by_tag(router, tags)
+            by_tag(service, tags)
             assert router.last_fetch_latency == service.last_fetch_latency
+
+    def test_stats_count_lists_and_charge_retries(self, deployment):
+        """A worker's ``fetch_requests`` counts the per-job tag lists it
+        served; its ``busy_seconds`` includes the retries charged to it
+        without a round trip."""
+        supervisor, router = deployment
+        client = InsightsClient(router)
+        client.publish(make_annotations())
+        tags = [f"tag-{i}" for i in range(8)]
+        # 75 ms of misses time the first job out; the second's 45 do not.
+        client.fetch_wave([(tags[:5], 0.0), (tags[5:], 0.0)])
+        assert client.retries == 1
+        shards = supervisor.config.shards
+        stats = router.shard_stats()
+        for shard_id, reply in enumerate(stats):
+            owned = [shard_for(t, shards) == shard_id for t in tags]
+            assert reply["fetch_requests"] == any(owned[:5]) + any(owned[5:])
+            assert reply["busy_seconds"] == pytest.approx(
+                0.015 * sum(owned) + 0.0015 * sum(owned[:5]))
 
     def test_retract_removes_everywhere(self, deployment):
         _, router = deployment
@@ -86,7 +115,7 @@ class TestServiceParity:
         removed = router.retract({"sig-0", "sig-7", "nope"})
         assert removed == 2
         assert router.annotation_count() == len(make_annotations()) - 2
-        fetched = router.fetch_tag_annotations(["tag-0", "tag-7"])
+        fetched = by_tag(router, ["tag-0", "tag-7"])
         signatures = {a.recurring_signature
                       for annotations in fetched.values()
                       for a in annotations}
@@ -102,7 +131,7 @@ class TestServiceParity:
         assert set(router.held_locks()) == set(signatures)
         router.release_view_lock(signatures[0], holder="job-a")
         assert router.lock_holder(signatures[0]) is None
-        assert router.force_release_lock(signatures[1])
+        assert router.force_release_locks([signatures[1]]) == 1
         assert router.acquire_view_lock(signatures[1], holder="job-b")
 
 
@@ -128,11 +157,11 @@ class TestShardDeathHealing:
             seed=0, name="rpc-faults")))
         try:
             with pytest.raises(InsightsTimeout):
-                router.fetch_tag_annotations(["tag-0"])
+                by_tag(router, ["tag-0"])
             with pytest.raises(InsightsError):
-                router.fetch_tag_annotations(["tag-0"])
+                by_tag(router, ["tag-0"])
             # Fault budget exhausted: the deployment serves again.
-            assert router.fetch_tag_annotations(["tag-0"]) == {"tag-0": []}
+            assert by_tag(router, ["tag-0"]) == {"tag-0": []}
         finally:
             router.close()
             supervisor.close()
@@ -204,3 +233,131 @@ class TestDeadShardDegradesNotFails:
             assert session.engine.insights.degraded_fetches > 0
         finally:
             session.close()
+
+
+def count_rpcs(monkeypatch):
+    """Log every ``ShardRouter.call`` by method, after a marker for each
+    ``JobScheduler.drain`` (a wave) and ``LifecycleManager._cascade``."""
+    from repro.lifecycle.manager import LifecycleManager
+    from repro.scheduler.scheduler import JobScheduler
+
+    log = []
+    for owner, name in ((JobScheduler, "drain"),
+                        (LifecycleManager, "_cascade"),
+                        (ShardRouter, "call")):
+        def logged(self, *args, _original=getattr(owner, name),
+                   _name=name, **kwargs):
+            log.append(args[1] if _name == "call" else _name)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(owner, name, logged)
+    return log
+
+
+def per_step(log, marker):
+    steps = []
+    for entry in log:
+        if entry in ("drain", "_cascade"):
+            steps.append([entry])
+        elif steps:
+            steps[-1].append(entry)
+    return [step for step in steps if step[0] == marker]
+
+
+class TestOneFramePerShard:
+    def test_waves_and_cascades_send_one_frame_per_shard(self, monkeypatch):
+        """Two shards, two scheduler threads: a wave's fetches go out as
+        at most one ``lookup`` per shard, a cascade's forced releases as
+        at most one ``lock_pop`` per shard."""
+        log = count_rpcs(monkeypatch)
+        session = warmed_session()
+        wave = [JobRequest(sql=sql, virtual_cluster="vc1")
+                for sql in WAVE_SQL * 3]
+        try:
+            for now in (10.0, 11.0):
+                assert all(r.ok for r in session.run_batch(wave, now=now))
+            session.engine.bulk_update("Events", EVENTS, at=12.0)
+            assert all(r.ok for r in session.run_batch(wave, now=13.0))
+        finally:
+            session.close()
+        waves = per_step(log, "drain")
+        cascades = per_step(log, "_cascade")
+        assert len(waves) == 3 and len(cascades) == 1
+        # The second wave finds every tag in the client's cache; the
+        # cascade's generation bump sends the third back to the shards.
+        assert [step.count("lookup") for step in waves] == [2, 0, 2]
+        assert 0 < cascades[0].count("lock_pop") <= 2
+        assert all(step.count("lock_pop") <= 2 for step in waves)
+
+
+def warmed_session():
+    """Two shards, two scheduler threads, the lifecycle manager,
+    published annotations and the views they drove."""
+    controls = MultiLevelControls()
+    controls.enable_vc("vc1")
+    session = Session(
+        config=SessionConfig(shard=ShardConfig(shards=2)),
+        scheduler_config=SchedulerConfig(workers=2),
+        lifecycle=LifecycleConfig(),
+        controls=controls, selection_algorithm="bigsubs",
+        policy=SelectionPolicy(storage_budget_bytes=10_000_000,
+                               min_reuses_per_epoch=0.0))
+    session.register_table(
+        schema_of("Events", [("UserId", "int"), ("Day", "str"),
+                             ("Value", "float")]), EVENTS)
+    for _ in range(3):
+        for sql in WAVE_SQL:
+            session.run(sql, virtual_cluster="vc1", template_id=sql)
+        session.analyze_and_publish()
+    return session
+
+
+EVENTS = [dict(UserId=i % 5, Day=f"d{i % 3}", Value=float(i))
+          for i in range(30)]
+WAVE_SQL = (
+    "SELECT Day, SUM(Value) AS total FROM Events GROUP BY Day",
+    "SELECT Day, COUNT(*) AS n FROM Events GROUP BY Day",
+    "SELECT UserId, SUM(Value) AS total FROM Events GROUP BY UserId",
+)
+
+
+class TestWaveIsolation:
+    def test_unplannable_and_reuse_free_jobs_leave_their_siblings_alone(
+            self):
+        """A job that fails to parse and a reuse-disabled job get their
+        usual results and add no tags: their siblings' results and
+        fetch charges equal those of the same wave without them."""
+        def wave(extra):
+            requests = [JobRequest(sql=sql, virtual_cluster="vc1",
+                                   job_id=f"job-{i}")
+                        for i, sql in enumerate(WAVE_SQL)]
+            requests[1:1] = extra
+            session = warmed_session()
+            try:
+                results = session.run_batch(requests, now=10.0)
+                client = session.insights
+                usage = client.metrics.snapshot()
+                counters = (client.cache_hits, client.cache_misses,
+                            client.retries, usage["cache_hits"],
+                            usage["cache_misses"])
+            finally:
+                session.close()
+            return results, counters
+
+        def outcome(result):
+            return (result.job_id, result.ok, result.degraded,
+                    result.views_built, result.views_reused,
+                    result.compile_latency, sorted(map(repr, result.rows)))
+
+        plain_results, plain_counters = wave([])
+        results, counters = wave([
+            JobRequest(sql="SELECT Nope FROM", virtual_cluster="vc1",
+                       job_id="job-bad"),
+            JobRequest(sql=WAVE_SQL[0], virtual_cluster="vc1",
+                       reuse_enabled=False, job_id="job-off")])
+        bad, off = results[1:3]
+        assert not bad.ok and bad.error_type == "ParseError"
+        assert off.ok and off.views_reused == 0 and off.compile_latency == 0
+        assert ([outcome(r) for r in results[:1] + results[3:]]
+                == [outcome(r) for r in plain_results])
+        assert any(r.views_reused for r in plain_results)
+        assert counters == plain_counters

@@ -37,7 +37,7 @@ steps = st.one_of(
     st.tuples(st.just("retract"), st.lists(
         st.sampled_from([a.recurring_signature for a in POOL] + ["nope"]),
         max_size=3)),
-    st.tuples(st.just("fetch_tag_annotations"), tags),
+    st.tuples(st.just("lookup"), st.lists(tags, max_size=3)),
     st.tuples(st.just("fetch_annotations"), tags),
     st.tuples(st.just("bump_generation")),
     st.tuples(st.just("annotation_count")),
@@ -45,7 +45,10 @@ steps = st.one_of(
     st.tuples(st.just("acquire_view_lock"), signatures, holders),
     st.tuples(st.just("release_view_lock"), signatures, holders),
     st.tuples(st.just("report_view_available"), signatures, holders),
-    st.tuples(st.just("force_release_lock"), signatures),
+    st.tuples(st.just("force_release_locks"), st.lists(signatures,
+                                                       max_size=3)),
+    st.tuples(st.just("fetch_wave"), st.lists(
+        st.tuples(tags, st.just(0.0)), max_size=4)),
     st.tuples(st.just("lock_holder"), signatures),
     st.tuples(st.just("held_locks")),
     st.tuples(st.just("enabled"), st.booleans()),
@@ -68,8 +71,7 @@ def test_sharded_matches_unsharded(supervisor, script):
     # router, then compare a fresh router with a fresh service.
     janitor = ShardRouter(supervisor)
     janitor.publish([])
-    for signature in janitor.held_locks():
-        janitor.force_release_lock(signature)
+    janitor.force_release_locks(janitor.held_locks())
     janitor.close()
     router = recorded(ShardRouter(supervisor))
     try:

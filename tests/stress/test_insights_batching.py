@@ -1,15 +1,16 @@
 """Stress tests for concurrent fetches through one insights client.
 
-A fetch that misses the cache is one round trip per attempt, whoever
-else is fetching (the file is named for the combiner that once sat
-here).  The client's round trips are one per fetch plus one per retry;
-the *service-side* fetch count must equal them when no faults are
-injected, and never exceed them when the ``insights.rpc`` fault point is
-firing (it raises before the round trip reaches the service).  Every
-concurrent caller must come back -- with annotations or degraded-empty
--- and none may raise.
+A fetch that misses the cache sends its tags to the service once,
+whoever else is fetching (the file is named for the combiner that once
+sat here): a retry after a timeout sends nothing, since the first lookup
+already put every tag in the serving cache.  The *service-side* lookup
+count must equal the fetches when no faults are injected, and never
+exceed them when the ``insights.rpc`` fault point is firing (a drop or
+error never reaches the service).  Every concurrent caller must come
+back -- with annotations or degraded-empty -- and none may raise.
 """
 
+import sys
 import threading
 
 import pytest
@@ -30,17 +31,17 @@ FETCHES = THREADS * FETCHES_PER_THREAD
 
 
 class CountingService(InsightsService):
-    """Counts serving-layer fetches so round trips can be audited."""
+    """Counts serving-layer lookups so round trips can be audited."""
 
     def __init__(self):
         super().__init__()
         self.fetch_calls = 0
         self._count_mutex = threading.Lock()
 
-    def fetch_tag_annotations(self, tags):
+    def lookup(self, lists):
         with self._count_mutex:
-            self.fetch_calls += 1
-        return super().fetch_tag_annotations(tags)
+            self.fetch_calls += len(lists)
+        return super().lookup(lists)
 
 
 def build_client(service, **config_kwargs):
@@ -104,9 +105,9 @@ class TestBatchingNoFaults:
         served, degraded = hammer(client, tags)
         assert degraded == 0
         assert served == FETCHES
-        # The exactly-once invariant: one serving-layer call per
-        # attempt, none skipped and none doubled.
-        assert service.fetch_calls == FETCHES + client.retries
+        # The exactly-once invariant: one serving-layer lookup per
+        # fetch, none skipped and none doubled -- retries included.
+        assert service.fetch_calls == FETCHES
 
 
 class TestBatchingUnderFaults:
@@ -121,10 +122,10 @@ class TestBatchingUnderFaults:
         assert served + degraded == FETCHES
         assert served > 0
         # The fault fires *before* the service call, so a faulted
-        # attempt never reaches the service, and a fetch the open breaker
-        # turned away attempted nothing -- service-side calls can only
-        # be <= the attempts.
-        assert service.fetch_calls <= FETCHES + client.retries
+        # attempt never reaches the service, a fetch the open breaker
+        # turned away attempted nothing, and no retry goes twice --
+        # service-side lookups can only be <= the fetches.
+        assert service.fetch_calls <= FETCHES
         assert service.fetch_calls > 0
 
     def test_drops_and_errors_still_terminate_every_caller(self):
@@ -136,4 +137,55 @@ class TestBatchingUnderFaults:
             "seed=23;insights.rpc:drop:0.15;insights.rpc:error:0.15")
         served, degraded = hammer(client, tags)
         assert served + degraded == FETCHES
-        assert service.fetch_calls <= FETCHES + client.retries
+        assert service.fetch_calls <= FETCHES
+
+
+class TestConcurrentWaves:
+    def test_waves_from_many_threads_answer_every_job(self):
+        """Eight threads send waves of four five-tag jobs through one
+        client while a ninth bumps the generation (which empties the
+        serving caches, so cold lookups time out and retry): every job
+        gets exactly its published annotations, every job is counted,
+        and every retry is charged as a five-tag relookup."""
+        service = CountingService()
+        client, tags = build_client(service)
+        published = {t: f"rec-{t}" for t in tags}
+        failures, stop = [], threading.Event()
+
+        def waves(ident):
+            try:
+                for i in range(FETCHES_PER_THREAD):
+                    jobs = [[tags[(ident + i + j + k) % len(tags)]
+                             for k in range(5)] for j in range(4)]
+                    for job, answer in zip(jobs, client.fetch_wave(
+                            [(job, 0.0) for job in jobs])):
+                        assert not answer.degraded
+                        assert set(answer.annotations) == {
+                            published[t] for t in job}
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append((ident, exc))
+
+        def bumps():
+            while not stop.wait(0.001):
+                client.bump_generation()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            bumper = threading.Thread(target=bumps)
+            threads = [threading.Thread(target=waves, args=(i,))
+                       for i in range(THREADS)]
+            for thread in [bumper] + threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            stop.set()
+            bumper.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in [bumper] + threads)
+        assert failures == [], failures
+        assert client.metrics.snapshot()["fetches"] == FETCHES * 4
+        assert client.retries > 0
+        assert sum(service.relookup_seconds) == pytest.approx(
+            0.0015 * 5 * client.retries)

@@ -58,7 +58,8 @@ class TestRouterUnderThreads:
             try:
                 for round_no in range(ROUNDS):
                     tags = [f"tag-{(worker_id + i) % 16}" for i in range(4)]
-                    fetched = router.fetch_tag_annotations(tags)
+                    [(found, _)] = router.lookup([tags])
+                    fetched = dict(zip(tags, found))
                     for tag in tags:
                         got = {a.recurring_signature for a in fetched[tag]}
                         assert got == by_tag[tag], (tag, got)

@@ -89,6 +89,29 @@ class TestServingPath:
         assert after["cache_misses"] == before["cache_misses"]
         assert after["cache_hits"] == before["cache_hits"]
 
+    def test_a_retry_after_a_timeout_sends_nothing(self):
+        """Five cold tags cost 75 ms, over the 60 ms timeout: the retry is
+        five serving hits, counted and charged, without a second lookup
+        (the first put every tag in the serving cache)."""
+        service = InsightsService()
+        lookups, lookup = [], service.lookup
+        service.lookup = lambda lists: lookups.append(lists) or lookup(lists)
+        client = InsightsClient(service, InsightsClientConfig(
+            backoff_jitter=0.0))
+        tags = [f"tag-{i}" for i in range(5)]
+        client.publish([annotation(tag=t, recurring=f"rec-{t}") for t in tags])
+        result = client.fetch_annotations(tags, now=0.0)
+        assert set(result) == {f"rec-{t}" for t in tags}
+        assert lookups == [[tags]] and client.retries == 1
+        usage = client.metrics.snapshot()
+        assert (usage["cache_misses"], usage["cache_hits"]) == (5, 5)
+        all_hits = 0.0
+        for _ in tags:
+            all_hits += 0.0015
+        assert service.relookup_seconds == [all_hits]
+        assert client.last_fetch_latency == 0.060 + 0.010 + all_hits
+        assert not client.last_fetch_degraded
+
     def test_cache_expires_after_ttl(self):
         client = InsightsClient(
             config=InsightsClientConfig(cache_ttl_seconds=10.0))
