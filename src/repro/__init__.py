@@ -5,7 +5,7 @@ Reproduces *Production Experiences from Computation Reuse at Microsoft*
 (EDBT 2021).  The primary entry points:
 
 * :class:`repro.api.Session` -- the unified facade and the one feedback
-  loop: engine + insights client + concurrent scheduler, every job
+  loop: engine + insights client + wave scheduler, every job
   returning a :class:`repro.api.JobResult`;
 * :class:`repro.simulation.WorkloadSimulation` -- the driver behind the
   paper's Table 1 and Figures 6-7 (cluster schedule) and the worker-/

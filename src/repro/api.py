@@ -3,7 +3,7 @@
 :class:`Session` wires the full Figure-5 deployment in one object --
 insights service behind a fault-tolerant :class:`InsightsClient`, a
 :class:`~repro.engine.engine.ScopeEngine` compiling against it, the
-workload repository, the selection feedback loop, and (for concurrent
+workload repository, the selection feedback loop, and (for batch
 submission) a :class:`~repro.scheduler.scheduler.JobScheduler`::
 
     from repro.api import Session
@@ -15,7 +15,7 @@ submission) a :class:`~repro.scheduler.scheduler.JobScheduler`::
         results = session.run_batch([sql_a, sql_b, sql_c], now=100.0)
 
 Every entry point returns the same :class:`JobResult` dataclass, whether
-the job ran serially, concurrently, or failed.  ``Session`` is also the
+the job ran alone, in a wave, or failed.  ``Session`` is also the
 only place the Figure-5 feedback loop is written: :meth:`Session.record`
 ingests an executed job and :meth:`Session.analyze_and_publish` runs one
 selection epoch; :class:`repro.simulation.WorkloadSimulation` drives
@@ -225,7 +225,7 @@ class Session:
     def run_batch(self,
                   jobs: Sequence[Union[str, JobRequest]],
                   now: float = 0.0) -> List[JobResult]:
-        """Run many jobs concurrently on the scheduler; one wave.
+        """Run many jobs as one scheduler wave, on this thread.
 
         Accepts plain SQL strings or :class:`JobRequest` objects.  Failed
         jobs come back as ``JobResult`` with ``ok == False``; the batch

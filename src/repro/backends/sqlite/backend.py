@@ -60,8 +60,8 @@ a ``GroupBy`` whose rows did.
 Tables are created with *typeless* columns: SQLite then stores every
 value exactly as bound (no affinity coercion), which is a precondition
 for the differential harness's byte-equal guarantee.  One connection is
-shared by all scheduler workers, serialized by a ranked lock at the
-storage tier.
+shared by every thread that runs jobs, serialized by a ranked lock at
+the storage tier.
 
 Durability and crash safety (the fault-injection hardening):
 

@@ -64,11 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--selection", default="bigsubs",
                           choices=sorted(SELECTION_ALGORITHMS))
     simulate.add_argument("--workers", type=int, default=None, metavar="N",
-                          help="run the wave-parallel simulation on N "
-                               "scheduler threads instead of the serial "
-                               "cluster co-simulation; the resulting view "
-                               "catalog and reuse counts are identical "
-                               "for every N")
+                          help="run the wave schedule (jobs arriving "
+                               "together form one scheduler wave) instead "
+                               "of the serial cluster co-simulation; N "
+                               "selects that schedule and sizes nothing, "
+                               "so the view catalog and reuse counts are "
+                               "identical for every N")
     simulate.add_argument("--shards", type=int, default=0, metavar="N",
                           help="serve insights from N shard worker "
                                "processes (implies --workers; default 0 "
@@ -256,8 +257,8 @@ def _print_capture(args, recorder) -> None:
 
 def _cmd_simulate(args) -> int:
     if args.shards and args.workers is None:
-        # Sharding only exists on the concurrent path; give it the
-        # scheduler default rather than failing.
+        # Sharding only exists on the wave schedule; select it rather
+        # than failing.
         args.workers = 4
     if args.workers is not None:
         return _cmd_simulate_concurrent(args)
@@ -302,16 +303,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_simulate_concurrent(args) -> int:
-    """The wave schedule on the concurrent scheduler.
+    """The wave schedule on the scheduler.
 
-    The reported catalog digest and reuse counts are invariant in the
-    worker count: ``--workers 8`` must print the same digest as
-    ``--workers 1`` (only the throughput line changes).
+    ``--workers N`` only selects this schedule: ``--workers 8`` must
+    print the same digest as ``--workers 1`` (only the throughput line
+    changes).
     """
     recorder = FlightRecorder()
     sharding = (f", {args.shards} shards" if args.shards else "")
     print(f"simulating {args.days} days "
-          f"(cloudviews, {args.workers} workers{sharding}) ...")
+          f"(cloudviews, waves{sharding}) ...")
     simulation = _simulation(args, recorder, workers=args.workers,
                              shards=args.shards)
     report = simulation.run()

@@ -157,10 +157,7 @@ class ClusterSimulator:
 
         The discrete-event loop is strictly single-threaded (determinism
         depends on total event ordering); the guard below catches the
-        misuse of driving one simulator from the concurrent scheduler's
-        worker pool.  Use the simulation driver's wave schedule
-        (``SimulationConfig(workers=N)``) for real-parallelism
-        experiments instead.
+        misuse of driving one simulator from two threads.
         """
         if self._running:
             raise SchedulingError(

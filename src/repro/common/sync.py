@@ -1,9 +1,9 @@
 """Tracked locking primitives and the runtime lock sanitizer.
 
-The concurrent subsystems (scheduler workers, the GC janitor, invalidation
-cascades) share one process and a dozen locks; the paper's Section-4
-lesson is that *silently* broken invariants are the expensive kind.  This
-module makes the locking discipline explicit and checkable:
+The concurrent subsystems (``Session`` callers, the GC janitor,
+invalidation cascades) share one process and a dozen locks; the paper's
+Section-4 lesson is that *silently* broken invariants are the expensive
+kind.  This module makes the locking discipline explicit and checkable:
 
 * :class:`TrackedLock` / :class:`TrackedRLock` wrap the stdlib primitives
   with a **name** and a **hierarchy rank**.  When nothing is watching

@@ -24,7 +24,6 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     List,
     Mapping,
@@ -310,9 +309,9 @@ class ScopeEngine:
     def next_job_id(self) -> str:
         """Draw the next job id.
 
-        The concurrent scheduler assigns ids at *submission* time (in
-        deterministic submission order) rather than at compile time, so a
-        parallel run labels jobs identically to a serial one.
+        The scheduler assigns ids at *submission* time (in deterministic
+        submission order) rather than at compile time, so a wave labels
+        jobs identically to a serial run.
         """
         return f"job-{next(self._job_counter)}"
 
@@ -326,7 +325,6 @@ class ScopeEngine:
                 now: float = 0.0,
                 job_id: Optional[str] = None,
                 annotations: Optional[Mapping[str, Annotation]] = None,
-                before_view_lock: Optional[Callable[[], object]] = None,
                 planned: Optional[tuple] = None,
                 prepared: Optional[Fetched] = None) -> CompiledJob:
         """Parse, bind, and optimize one job (Figure 5, query processing).
@@ -340,10 +338,6 @@ class ScopeEngine:
         stands in for the insights fetch: the job compiles against exactly
         that set, which is how an annotations file reproduces an incident
         (:func:`repro.insights.annotations_file.compile_with_annotations`).
-
-        ``before_view_lock`` is called ahead of every view-lock request
-        of this compile; the scheduler passes a wait there so the jobs of
-        a wave ask for build locks in submission order.
         """
         job_id = job_id or self.next_job_id()
         recorder = self.recorder
@@ -372,8 +366,6 @@ class ScopeEngine:
         acquired_locks: List[str] = []
 
         def _acquire_lock(signature: str) -> bool:
-            if before_view_lock is not None:
-                before_view_lock()
             ok = self.insights.acquire_view_lock(signature, holder=job_id)
             if ok:
                 acquired_locks.append(signature)

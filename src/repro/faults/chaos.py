@@ -21,9 +21,10 @@ that bar into an executable check (``repro chaos`` on the CLI):
      reproduces the catalog digest observed live before shutdown.
 
 Campaign plans are pure functions of the seed, so a red run reproduces
-with ``repro chaos --seed N``.  Fault *placement* across concurrent
-workers is scheduling-dependent; the invariants are written to hold
-under any interleaving, which is exactly the property being tested.
+with ``repro chaos --seed N``.  A wave's fault draws fall in submission
+order on the draining thread; what still races them (router heals, the
+shard fan-out) makes placement scheduling-dependent, and the invariants
+are written to hold under any interleaving.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ EXEC_MENU = (
 EXEC_PICKS = 2
 #: Jobs per scheduler wave.  A wave is a barrier -- no job reuses a view
 #: a sibling of its wave built -- so a day submitted as one wave would
-#: never reach the view-scan seam; 4 still keeps the session's two
-#: workers contending for view locks.
+#: never reach the view-scan seam; 4 still has siblings proposing the
+#: same views.
 WAVE_JOBS = 4
 #: Seed of the cooking workload every campaign pass replays.
 WORKLOAD_SEED = 11
@@ -148,7 +149,7 @@ def chaos_history(workload: CookingWorkload, days: int,
 def run_workload(backend: str, *, days: int, faults=None,
                  shards: int = 0) -> Outcome:
     """One full pass of the cooking workload: :func:`chaos_history`
-    replayed on a journaled session (two scheduler workers).
+    replayed on a journaled session.
 
     The journal lives in a temp dir that is recovered into a *fresh*
     store after close to produce ``recovered_digest``.  With ``shards >

@@ -277,7 +277,7 @@ class InsightsService:
 
         Sound because nothing of a wave is sealed while a sibling
         compiles (DESIGN §8): no publish, bump or retract runs between
-        the scheduler opening a wave and its pool finishing, so the
+        the scheduler opening a wave and its last job executing, so the
         answer at the wave's start is the one each job's own fetch would
         have got.  A partition answers the jobs' lists in submission
         order, so every charge and counter is a one-by-one run's; the

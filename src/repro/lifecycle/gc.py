@@ -4,9 +4,8 @@
 creation, thus consuming a fixed amount of storage in the stable state"
 (Section 3.1) -- but the serial simulation only evicted at day boundaries,
 and nothing ever reclaimed purged entries or enforced an actual byte
-budget.  The janitor is a clock-driven daemon thread (same shape as the
-concurrent scheduler) that periodically runs the lifecycle manager's
-sweep:
+budget.  The janitor is a clock-driven daemon thread that periodically
+runs the lifecycle manager's sweep:
 
 1. evict expired views (skipping any pinned by an in-flight reader);
 2. hard-remove catalog entries whose views were purged (user request or

@@ -1,14 +1,15 @@
-"""Concurrent job scheduler: parallel compile/execute, deterministic results.
+"""Job scheduler: jobs run in waves, with deterministic results.
 
 Production SCOPE compiles hundreds of jobs concurrently against the
-insights service; the serial ``ScopeEngine`` loop under-represents every
-contention bug in that path.  :class:`JobScheduler` runs a pool of worker
-threads over the *same* engine, with three invariants:
+insights service.  Here that concurrency lives in simulated time (the
+cluster simulator); :class:`JobScheduler` runs a wave of jobs over one
+engine on the thread that drains it, with three invariants:
 
-* **Per-job isolation** -- an exception inside one job's compile/execute is
-  captured into its :class:`~repro.scheduler.results.JobResult`; sibling
-  jobs and the scheduler itself are unaffected, and the engine's failure
-  paths (lock release, view abandonment) run as usual.
+* **Per-job isolation** -- an exception inside one job's plan, compile
+  or execute is captured into its
+  :class:`~repro.scheduler.results.JobResult`; sibling jobs and the
+  scheduler itself are unaffected, and the engine's failure paths (lock
+  release, view abandonment) run as usual.
 
 * **Admission limits** -- at most ``max_pending`` jobs may be in flight;
   ``admission="block"`` back-pressures submitters, ``admission="reject"``
@@ -17,31 +18,26 @@ threads over the *same* engine, with three invariants:
 
 * **Deterministic collection** -- a wave is a barrier.  Job ids are
   assigned at submission time and :meth:`submit` only queues.
-  :meth:`drain` opens the wave: it plans every job on its own thread, in
-  submission order, and fetches the wave's annotations as one lookup
-  frame per owning insights shard (answered as one-by-one fetches
-  would be, :meth:`InsightsClient.fetch_wave`); workers then only
-  compile and execute; and :meth:`drain` waits for *every* job of the
-  wave, then runs one completion pass in submission order (seal the
-  run's views, record its history, build its result).  No job of a
+  :meth:`drain` runs the wave on the calling thread, in submission
+  order: it plans every job and fetches the wave's annotations as one
+  lookup frame per owning insights shard (answered as one-by-one
+  fetches would be, :meth:`InsightsClient.fetch_wave`); then compiles
+  and executes each job in turn; then runs one completion pass (seal
+  the run's views, record its history, build its result).  No job of a
   wave can therefore see a view a sibling built -- sharing inside a wave
   is the multi-query-optimization setting, which this reproduction
-  leaves out.  Within a wave the
-  insights service's atomic lock table is still the only buildout guard
-  (one producer per strict signature), but the jobs ask it in submission
-  order: compiles overlap, and a job's view-lock requests wait until
-  every earlier job of the wave has compiled, so the producer is the
-  earliest proposer and not the thread that got there first.  A batch
-  run with 8 workers therefore leaves the engine in a byte-identical
-  state -- catalog digest, per-job build and reuse counts, every
-  operator's row counts, every fetch charge -- to the same batch run
-  with 1 worker; only wall-clock differs.
+  leaves out.  The insights service's atomic lock table is still the
+  only buildout guard (one producer per strict signature); the jobs of
+  a wave compile one after another, so they ask it in submission order
+  and the producer is the earliest proposer.  A wave's lock outcomes,
+  its ``scheduler.worker`` and ``backend.*`` fault draws and its
+  journal records therefore fall in submission order: nothing inside a
+  wave is left to thread timing.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -61,16 +57,18 @@ from repro.scheduler.results import JobResult
 
 _ADMISSION_MODES = ("block", "reject")
 
-#: A worker killed by an injected crash (``scheduler.worker``) is
-#: restarted in place this many times -- modelling the cluster
+#: A job whose task is killed by an injected crash (``scheduler.worker``)
+#: is restarted in place this many times -- modelling the cluster
 #: rescheduling a dead task -- before the job fails for real.
 WORKER_RETRIES = 2
 
 
 @dataclass(kw_only=True)
 class SchedulerConfig:
-    """Concurrency knobs of the :class:`JobScheduler`."""
+    """Admission knobs of the :class:`JobScheduler`."""
 
+    #: Validated and kept for callers that still set it; it sizes
+    #: nothing, since a wave runs on the thread that drains it.
     workers: int = 4
     #: Maximum jobs admitted but not yet collected; 0 means unbounded.
     max_pending: int = 0
@@ -110,7 +108,7 @@ class JobRequest:
 
 @dataclass
 class _Pending:
-    """Submission-order slot awaiting its worker's outcome."""
+    """Submission-order slot of one job of the next wave."""
 
     request: JobRequest
     job_id: str
@@ -121,26 +119,16 @@ class _Pending:
     planned: Optional[tuple] = None
     error: Optional[Exception] = None
     fetched: Optional[Fetched] = None
-    #: ``compiled`` of every earlier job of the wave.  The pool starts
-    #: jobs in submission order, so each of them is running or done
-    #: whenever this slot's own job is.
-    earlier: List[threading.Event] = field(default_factory=list)
-    #: Set once the job has compiled (or failed to): from then on it
-    #: asks for no more view locks.
-    compiled: threading.Event = field(default_factory=threading.Event)
-    future: Optional[Future] = None
-
-    def wait_for_earlier(self) -> None:
-        for compiled in self.earlier:
-            compiled.wait()
+    #: Filled when the job has run: its run, or ``error`` says why not.
+    run: Optional[JobRun] = None
 
 
 class JobScheduler:
-    """Thread-pool frontend over one :class:`ScopeEngine`.
+    """Wave frontend over one :class:`ScopeEngine`.
 
     Typical use::
 
-        scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
+        scheduler = JobScheduler(engine, SchedulerConfig(max_pending=64))
         for sql in batch:
             scheduler.submit(JobRequest(sql=sql), now=now)
         results = scheduler.drain(now=now)
@@ -162,9 +150,6 @@ class JobScheduler:
         #: The engine's flight recorder, as installed when the scheduler
         #: is built.
         self.recorder = engine.recorder
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-sched")
         self._pending: List[_Pending] = []
         self._mutex = TrackedLock("scheduler", RANK_SCHEDULER,
                                   self.recorder)
@@ -200,33 +185,30 @@ class JobScheduler:
             self._pending.append(_Pending(request, job_id, now))
         return job_id
 
-    def _work(self, slot: _Pending):
-        """Worker-thread body: compile + execute; the rest is the barrier's.
+    def _work(self, slot: _Pending) -> JobRun:
+        """One job's compile + execute; the rest is the completion pass's.
 
-        The ``scheduler.worker`` fault point simulates the worker dying
-        before it makes progress; the engine's own failure paths released
-        everything on the way out, so restarting the attempt in place is
-        exactly what the cluster's task rescheduler would do.
+        The ``scheduler.worker`` fault point simulates the job's task
+        dying before it makes progress; the engine's own failure paths
+        released everything on the way out, so restarting the attempt in
+        place is exactly what the cluster's task rescheduler would do.
         """
-        try:
-            for attempt in range(WORKER_RETRIES + 1):
-                try:
-                    self.faults.fire(fault_points.SCHEDULER_WORKER)
-                    return self._attempt(slot)
-                except InjectedCrash:
-                    if attempt >= WORKER_RETRIES:
-                        raise
-                    self.recorder.inc("scheduler.worker_retries")
-                    self.recorder.event(
-                        obs_events.WORKER_RETRIED, at=slot.submitted_at,
-                        job_id=slot.job_id,
-                        virtual_cluster=slot.request.virtual_cluster,
-                        attempt=attempt + 1)
-            raise AssertionError("unreachable")  # pragma: no cover
-        finally:
-            slot.compiled.set()  # a job that never compiled frees its turn
+        for attempt in range(WORKER_RETRIES + 1):
+            try:
+                self.faults.fire(fault_points.SCHEDULER_WORKER)
+                return self._attempt(slot)
+            except InjectedCrash:
+                if attempt >= WORKER_RETRIES:
+                    raise
+                self.recorder.inc("scheduler.worker_retries")
+                self.recorder.event(
+                    obs_events.WORKER_RETRIED, at=slot.submitted_at,
+                    job_id=slot.job_id,
+                    virtual_cluster=slot.request.virtual_cluster,
+                    attempt=attempt + 1)
+        raise AssertionError("unreachable")  # pragma: no cover
 
-    def _attempt(self, slot: _Pending):
+    def _attempt(self, slot: _Pending) -> JobRun:
         if slot.error is not None:
             raise slot.error
         request, now = slot.request, slot.submitted_at
@@ -237,25 +219,19 @@ class JobScheduler:
             reuse_enabled=slot.fetched is not None,
             now=now,
             job_id=slot.job_id,
-            # Compiles overlap; only build locks are taken in turn, so
-            # which job of a wave builds a view is its earliest proposer
-            # and not the thread that got there first.
-            before_view_lock=slot.wait_for_earlier,
             planned=slot.planned,
             prepared=slot.fetched,
         )
-        slot.compiled.set()
         return self.engine.execute(compiled, now=now)
 
     def _open(self, pending: List[_Pending]) -> None:
-        """Open a wave: plan each job here, in submission order -- a job
-        that fails to plan, or runs without reuse, asks for no tags --
+        """Open a wave: plan each job, in submission order -- a job that
+        fails to plan, or runs without reuse, asks for no tags -- and
         fetch the rest's annotations as one lookup frame per owning
-        shard, then hand compile and execute to the pool."""
+        shard."""
         asking: List[_Pending] = []
-        for index, slot in enumerate(pending):
+        for slot in pending:
             request = slot.request
-            slot.earlier = [other.compiled for other in pending[:index]]
             try:
                 slot.planned = self.engine.logical_plan(request.sql,
                                                         request.params)
@@ -269,19 +245,17 @@ class JobScheduler:
         for slot, fetched in zip(asking, self.engine.insights.fetch_wave(
                 [(slot.planned[1], slot.submitted_at) for slot in asking])):
             slot.fetched = fetched
-        for slot in pending:
-            slot.future = self._pool.submit(self._work, slot)
 
     # ------------------------------------------------------------------ #
     # collection barrier
 
     def drain(self, now: float = 0.0) -> List[JobResult]:
-        """Run the wave: open it (:meth:`_open`), wait for every job,
-        then complete them in submission order.
+        """Run the wave on this thread: open it (:meth:`_open`), compile
+        and execute each job in submission order, then complete them in
+        submission order.
 
-        Sealing while a sibling still compiles would let thread timing
-        pick what that sibling reuses; nothing of the wave is sealed or
-        recorded until all of it has executed.
+        Nothing of the wave is sealed or recorded until all of it has
+        executed, so no job reuses a view a sibling of its wave built.
         """
         with self._mutex:
             pending, self._pending = self._pending, []
@@ -289,13 +263,20 @@ class JobScheduler:
         # completion pass has sealed everything the wave built.
         with self.engine.commit_group():
             self._open(pending)
-            wait([slot.future for slot in pending])
+            for slot in pending:
+                try:
+                    slot.run = self._work(slot)
+                except Exception as error:  # per-job isolation boundary
+                    slot.error = error
             results: List[JobResult] = []
             failures = 0
             for slot in pending:
+                error = slot.error
                 try:
-                    run: JobRun = slot.future.result()
-                except Exception as error:  # per-job isolation boundary
+                    if slot.run is not None:
+                        self.engine.finish(slot.run, at=now)
+                        results.append(JobResult.from_run(slot.run))
+                        continue
                     failures += 1
                     self.recorder.inc("scheduler.jobs.failed")
                     self.recorder.event(
@@ -308,9 +289,6 @@ class JobScheduler:
                         slot.job_id, slot.request.sql,
                         slot.request.virtual_cluster, slot.submitted_at,
                         error))
-                else:
-                    self.engine.finish(run, at=now)
-                    results.append(JobResult.from_run(run))
                 finally:
                     if self._slots is not None:
                         self._slots.release()
@@ -321,9 +299,7 @@ class JobScheduler:
             self.recorder.event(
                 obs_events.SCHEDULER_WAVE, at=now,
                 job_id=f"wave-{self._waves}",
-                jobs=len(pending), failures=failures,
-                workers=self.config.workers,
-            )
+                jobs=len(pending), failures=failures)
         return results
 
     def run_batch(self, requests: List[JobRequest],
@@ -346,14 +322,14 @@ class JobScheduler:
         return self._waves
 
     def close(self) -> None:
-        """Shut the pool down; outstanding futures are drained first."""
+        """Refuse further submissions; refuses itself while jobs are
+        pending (call :meth:`drain` first)."""
         if self._closed:
             return
         if self.pending_jobs:
             raise SchedulerError(
                 "close() with pending jobs; call drain() first")
         self._closed = True
-        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "JobScheduler":
         return self
@@ -363,4 +339,3 @@ class JobScheduler:
             self.close()
         else:
             self._closed = True
-            self._pool.shutdown(wait=True)

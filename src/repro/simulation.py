@@ -1,8 +1,8 @@
 """The workload simulation: one driver, two schedules, over one Session.
 
 This is the experiment harness behind the paper's production numbers
-(Table 1, Figures 6-7) and behind the worker-/shard-count invariance
-runs.  One :class:`WorkloadSimulation` drives a
+(Table 1, Figures 6-7) and behind the shard-count invariance runs.  One
+:class:`WorkloadSimulation` drives a
 :class:`~repro.workload.generator.CookingWorkload` over N simulated days
 through a :class:`~repro.api.Session`, which owns the deployment wiring
 and the feedback loop.  The driver owns the day boundary, written once
@@ -28,16 +28,15 @@ What differs between runs is only the *schedule* of a day's jobs:
   baseline-vs-CloudViews comparisons.
 * **waves** (``workers=N``): a history replayed by
   :func:`~repro.history.replay`, in which all jobs sharing a simulated
-  arrival time form one wave that compiles and executes concurrently on
-  the session's scheduler.  The wave is a barrier: nothing is sealed,
-  recorded or ingested until every job of it has executed, and then each
-  step runs in submission order -- so no job reuses a view a sibling of
-  its wave built -- and its jobs ask for view locks in submission order,
-  so a view is built by its earliest proposer.  The simulated outcome
-  (view catalog, per-job build and reuse counts, workload repository) is
-  therefore independent of the worker and shard counts; ``workers=8``
-  differs from ``workers=1`` only in wall-clock time.  Produces per-job
-  :class:`~repro.scheduler.results.JobResult`.
+  arrival time form one wave on the session's scheduler.  The wave runs
+  on the replaying thread, in submission order, and is a barrier:
+  nothing is sealed, recorded or ingested until every job of it has
+  executed -- so no job reuses a view a sibling of its wave built -- and
+  its jobs compile one after another, so a view is built by its earliest
+  proposer.  The simulated outcome (view catalog, per-job build and
+  reuse counts, workload repository) is therefore independent of the
+  shard count; ``N`` selects this schedule and sizes nothing.  Produces
+  per-job :class:`~repro.scheduler.results.JobResult`.
 """
 
 from __future__ import annotations
@@ -83,8 +82,9 @@ class SimulationConfig:
 
     days: int = 7
     cloudviews_enabled: bool = True
-    #: Scheduler threads of the wave schedule (``repro simulate
-    #: --workers``); ``None`` runs the cluster co-simulation instead.
+    #: Any number selects the wave schedule (``repro simulate
+    #: --workers``) and sizes nothing; ``None`` runs the cluster
+    #: co-simulation instead.
     workers: Optional[int] = None
     #: Insights-service shard processes (``repro simulate --shards``);
     #: 0 keeps the in-process service.  Reuse decisions and the catalog

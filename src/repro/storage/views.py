@@ -464,8 +464,8 @@ class ViewStore:
         producing-job identity is deliberately absent, since which of two
         racing jobs won the build lock is schedule-dependent) and hashes
         it.  Two runs produced the same catalog iff the digests match --
-        this is what ``repro simulate --workers N`` compares against a
-        serial run.
+        this is what ``repro simulate --shards N`` compares against an
+        unsharded run.
         """
         payload = json.dumps(self.dump()["views"], sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -1,10 +1,10 @@
 """Worker- and shard-count invariance of the simulation's wave schedule.
 
-The acceptance bar of the concurrent frontend: running the cooking
-workload with 8 scheduler threads must leave the system in a
-byte-identical state to running it with 1 -- same view catalog digest,
-same reuse counts, same per-job outcomes, same workload repository.
-Only wall-clock time may differ.
+The acceptance bar of the wave schedule: running the cooking workload
+with ``workers=8`` must leave the system in a byte-identical state to
+running it with 1 -- same view catalog digest, same reuse counts, same
+per-job outcomes, same workload repository.  Only wall-clock time may
+differ.
 
 The sharded insights deployment extends the same bar across process
 counts: the multi-process service behind the router must be
@@ -12,10 +12,11 @@ indistinguishable from the in-process one for any ``shards`` value,
 because routing partitions by signature hash and the router
 re-accumulates per-tag serving charges in the caller's tag order.
 
-The fetch accounting is part of the bar: a wave's fetches are answered
-on the draining thread in submission order (``InsightsClient.
-fetch_wave``), so each job's charged latency and every client and
-serving counter are the same for any deployment.
+The fetch and lock accounting is part of the bar: a wave's fetches are
+answered on the draining thread in submission order (``InsightsClient.
+fetch_wave``) and its jobs compile there one after another, so each
+job's charged latency, every client and serving counter and every lock
+grant and denial are the same for any deployment.
 """
 
 import dataclasses
@@ -48,10 +49,9 @@ class BurstWorkload(CookingWorkload):
 
 
 def run_simulation(workers, shards=0, days=3, seed=7, bursts=False):
-    """The run's report, and its insights client's fetch counters at the
-    end: client hits, misses and retries, then the serving layer's
-    fetches, hits, misses and annotations served (not its lock counts:
-    which sibling notices an open build first is thread timing)."""
+    """The run's report, and its insights client's counters at the end:
+    client hits, misses and retries, then the serving layer's fetches,
+    hits, misses, annotations served, locks acquired and locks denied."""
     workload = generate_workload(seed=seed)
     if bursts:
         workload = BurstWorkload(**{
@@ -65,7 +65,8 @@ def run_simulation(workers, shards=0, days=3, seed=7, bursts=False):
         counters = (client.cache_hits, client.cache_misses, client.retries,
                     *(usage[name] for name in (
                         "fetches", "cache_hits", "cache_misses",
-                        "annotations_served")))
+                        "annotations_served", "locks_acquired",
+                        "locks_denied")))
     return report, counters
 
 
@@ -166,12 +167,16 @@ class TestDeploymentInvariance:
     @pytest.mark.parametrize("variant", BURST_VARIANTS, ids=str)
     def test_fetch_counters_are_deployment_invariant(self, burst_runs,
                                                      variant):
-        """Client hits, misses and retries and the serving layer's hit
-        and miss counts of eight-job waves equal the baseline's: no
-        thread decides which job pays a miss."""
+        """Client hits, misses and retries and the serving layer's hit,
+        miss and lock counts of eight-job waves equal the baseline's: no
+        thread decides which job pays a miss or is denied a lock."""
         base = burst_runs[BASELINE][1]
         assert burst_runs[variant][1] == base
-        assert all(count > 0 for count in base)
+        assert all(count > 0 for count in base[:-1])
+        # Nothing is denied: a job compiles only once every earlier job
+        # of its wave has executed, so it finds a sibling's build open
+        # before it would ask for that view's lock.
+        assert base[-1] == 0
 
     def test_sharded_runs_report_per_shard_stats(self, reports):
         for (_, shards), report in reports.items():

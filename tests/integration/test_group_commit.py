@@ -11,6 +11,7 @@ WAL, wherever in a frame it falls.
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.common.hashing import shard_for
 from repro.engine import ScopeEngine
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
 from repro.faults.chaos import WORKLOAD_SEED, chaos_history
-from repro.history import apply, recover
+from repro.history import apply, recover, replay
 from repro.config import SessionConfig
 from repro.lifecycle import CatalogJournal, LifecycleConfig, LifecycleManager
 from repro.lifecycle.journal import JournalFile
@@ -29,9 +30,10 @@ from repro.lifecycle.lineage import LineageRegistry
 from repro.obs import FlightRecorder
 from repro.scheduler import JobRequest, JobScheduler, SchedulerConfig
 from repro.shard import ShardConfig, merged_offline_recovery
-from repro.shard.journal import ShardedCatalogJournal
+from repro.shard.journal import RemoteJournal, ShardedCatalogJournal
 from repro.shard.worker import ShardWorker, WorkerSpec
 from repro.storage.views import ViewStore
+from repro.workload.generator import generate_workload
 from tests.properties.test_journal_recovery import InProcessRouter
 from tests.unit.test_scheduler import SQL, annotate_join, install_tables
 
@@ -206,3 +208,44 @@ def test_a_scheduler_left_on_an_exception_closes_its_wave_group(tmp_path):
     assert not engine.view_store.views()  # the job never ran
     assert recover(journal_dir) == engine.view_store.catalog_digest()
     manager.close()
+
+
+def test_a_burst_journals_the_same_frames_every_run(tmp_path, monkeypatch):
+    """Commit frames are reproducible: a wave's jobs run one after another
+    on the draining thread, so two replays of one burst-shaped history
+    (SQLite, two shards, a journal, a 10 us switch interval to shake
+    thread timing) hand the journal the same records in the same order
+    and send each shard the same frames."""
+    records, frames = [], []
+    append_record, commit = CatalogJournal.append_record, RemoteJournal.commit
+
+    def spy_append(journal, op, payload):
+        records[-1].append((op, json.dumps(payload, sort_keys=True)))
+        return append_record(journal, op, payload)
+
+    def spy_commit(remote, frame):
+        frames[-1].setdefault(remote.shard_id, []).append(json.dumps(frame))
+        return commit(remote, frame)
+
+    monkeypatch.setattr(CatalogJournal, "append_record", spy_append)
+    monkeypatch.setattr(RemoteJournal, "commit", spy_commit)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run in range(2):
+            records.append([])
+            frames.append({})
+            history = chaos_history(generate_workload(
+                name="chaos", seed=WORKLOAD_SEED, virtual_clusters=2,
+                templates_per_vc=8, fact_rows_per_day=240,
+                adhoc_per_day=2), 3)
+            config = oracle_config("sqlite", shards=2, workers=2)
+            with config.open_session(lifecycle=LifecycleConfig(
+                    journal_dir=str(tmp_path / f"run-{run}"))) as session:
+                replay(history, session)
+    finally:
+        sys.setswitchinterval(interval)
+    assert records[0] == records[1]
+    assert frames[0] == frames[1]
+    assert len(records[0]) > 50
+    assert sorted(frames[0]) == [0, 1]

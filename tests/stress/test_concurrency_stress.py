@@ -1,7 +1,9 @@
 """Concurrency stress tests (run in CI via ``pytest -m stress``).
 
-N worker threads x M jobs hammering one engine, with and without
-injected serving-layer faults.  The invariants under test:
+N threads x M jobs hammering one engine, with and without injected
+serving-layer faults.  A scheduler wave runs on the thread that drains
+it, so the tests that drive waves race them with callers of their own
+(:func:`tests.threads.alongside`).  The invariants under test:
 
 * no duplicate view buildout for the same strict signature -- the
   insights service's atomic lock table is the only guard;
@@ -25,6 +27,7 @@ import pytest
 from repro.catalog import schema_of
 from repro.common.errors import ExecutionError
 from repro.engine import ScopeEngine
+from repro.engine.engine import JobRun
 from repro.executor import UdoRegistry
 from repro.faults import NULL_FAULTS, resolve_faults
 from repro.insights import InsightsClient, InsightsClientConfig
@@ -38,6 +41,7 @@ from repro.signatures import enumerate_subexpressions
 from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.sql import parse
 from repro.workload.generator import generate_workload
+from tests.threads import alongside
 
 pytestmark = pytest.mark.stress
 
@@ -103,11 +107,15 @@ class TestNoDuplicateBuildout:
         annotate_shared_join(engine)
         with JobScheduler(engine, SchedulerConfig(workers=8)) as scheduler:
             for wave in range(5):
-                results = scheduler.run_batch(
-                    [JobRequest(sql=SQL) for _ in range(8)],
-                    now=float(wave))
+                with alongside(lambda: engine.run_sql(
+                        SQL, now=float(wave))) as runs:
+                    results = scheduler.run_batch(
+                        [JobRequest(sql=SQL) for _ in range(8)],
+                        now=float(wave))
                 assert all(r.ok for r in results)
-        # Built in wave 0, reused by every later wave.
+                assert all(isinstance(run, JobRun) for run in runs), runs
+        # Built in wave 0 (by a job of the wave or one racing it),
+        # reused by every later wave.
         assert engine.view_store.total_created == 1
         assert engine.view_store.total_reused >= 8 * 4
 
@@ -115,9 +123,13 @@ class TestNoDuplicateBuildout:
         engine = build_engine()
         join = annotate_shared_join(engine, sql=FAILING_SQL)
         with JobScheduler(engine, SchedulerConfig(workers=4)) as scheduler:
-            crashed = scheduler.run_batch(
-                [JobRequest(sql=FAILING_SQL) for _ in range(4)], now=0.0)
+            with alongside(lambda: engine.run_sql(
+                    FAILING_SQL, now=0.0)) as runs:
+                crashed = scheduler.run_batch(
+                    [JobRequest(sql=FAILING_SQL) for _ in range(4)],
+                    now=0.0)
             assert all(not r.ok for r in crashed)
+            assert all(isinstance(run, ExecutionError) for run in runs), runs
             assert engine.insights.lock_holder(join.strict) is None
             # The same fragment is buildable by a healthy job now.
             healthy = scheduler.run_batch(
@@ -248,13 +260,16 @@ class TestUsageMetricsUnderThreads:
         sampler.start()
         with JobScheduler(engine, SchedulerConfig(workers=8)) as scheduler:
             for wave in range(4):
-                scheduler.run_batch(
-                    [JobRequest(sql=SQL) for _ in range(10)],
-                    now=float(wave))
+                with alongside(lambda: engine.run_sql(
+                        SQL, now=float(wave)), threads=3):
+                    scheduler.run_batch(
+                        [JobRequest(sql=SQL) for _ in range(10)],
+                        now=float(wave))
         stop.set()
         sampler.join()
 
-        assert engine.insights.metrics.fetches == 40
+        # Ten jobs a wave and three callers racing each.
+        assert engine.insights.metrics.fetches == 4 * (10 + 3)
         for earlier, later in zip(snapshots, snapshots[1:]):
             for name, value in earlier.items():
                 assert later[name] >= value, f"{name} went backwards"

@@ -1,8 +1,9 @@
 """Stress test: the runtime lock sanitizer over the real stack.
 
-Runs the full concurrent pipeline -- scheduler workers, the insights
-client, the view store, and the lifecycle janitor sweeping on a tight
-interval -- with the sanitizer enabled in collect-only mode.  The
+Runs the full concurrent pipeline -- scheduler waves raced by callers
+of the test's own, the insights client, the view store, and the
+lifecycle janitor sweeping on a tight interval -- with the sanitizer
+enabled in collect-only mode.  The
 assertion is that the production lock hierarchy holds under load: zero
 recorded violations.  The sanitizer is the repo's one lock-order checker;
 ``tests/unit/test_src_census.py`` states what it cannot see (DESIGN §10).
@@ -16,7 +17,9 @@ from repro.common.sync import disable_sanitizer, enable_sanitizer, sanitizer
 from repro.core.controls import MultiLevelControls
 from repro.insights import InsightsClientConfig
 from repro.scheduler import SchedulerConfig
+from repro.scheduler.results import JobResult
 from repro.selection.policies import SelectionPolicy
+from tests.threads import alongside
 
 pytestmark = pytest.mark.stress
 
@@ -54,8 +57,11 @@ def install_tables(engine):
 def run_workload(session):
     install_tables(session.engine)
     for wave in range(4):
-        results = session.run_batch([SQL] * 8, now=float(wave))
+        with alongside(lambda: session.run(SQL, now=float(wave))) as runs:
+            results = session.run_batch([SQL] * 8, now=float(wave))
         assert all(r.ok for r in results)
+        assert all(isinstance(run, JobResult) and run.ok
+                   for run in runs), runs
         if wave == 0:
             session.analyze_and_publish()
 

@@ -174,15 +174,15 @@ class TestWaveBarrier:
 
     def test_earliest_proposer_builds_whatever_the_thread_timing(
             self, engine, monkeypatch):
-        """Compiles overlap, build locks are taken in submission order: a
-        first job that compiles slowly still builds the view (and the
-        view lands under *its* virtual cluster), its siblings do not."""
+        """Build locks are taken in submission order: a first job that
+        compiles slowly still builds the view (and the view lands under
+        *its* virtual cluster), its siblings do not."""
         annotate_join(engine)
         compile_job = engine.compile
 
         def slow_first_compile(sql, **kwargs):
             if kwargs["job_id"] == "job-1":
-                time.sleep(0.05)  # every sibling gets to its lock first
+                time.sleep(0.05)  # a sibling on a thread would overtake
             return compile_job(sql, **kwargs)
 
         monkeypatch.setattr(engine, "compile", slow_first_compile)
