@@ -1,13 +1,14 @@
-"""GC janitor cost: sweep latency and eviction throughput at scale.
+"""GC sweep cost: sweep latency and eviction throughput at scale.
 
-The janitor runs inside the serving path's host process, so a sweep over
-a large catalog has to stay cheap even when nothing is collectable (the
-common case: every wake-up scans the whole catalog and finds little to
-do).  This benchmark populates a catalog with a few thousand sealed
-views, then times three characteristic sweeps — a no-op pass over a
-fully live catalog, an expiry pass that collects half of it, and a
-budget pass that evicts by cost/benefit score — and emits the latencies
-and eviction counts as JSON for trend tracking.
+A sweep runs on its caller's thread inside the serving path's host
+process, so a sweep over a large catalog has to stay cheap even when
+nothing is collectable (the common case: every sweep scans the whole
+catalog and finds little to do).  This benchmark populates a catalog
+with a few thousand sealed views, then times three characteristic
+sweeps — a no-op pass over a fully live catalog, an expiry pass that
+collects half of it, and a budget pass that evicts by cost/benefit
+score — and emits the latencies and eviction counts as JSON for trend
+tracking.
 """
 
 import json
@@ -50,7 +51,7 @@ def run_gc():
     engine, manager = session.engine, session.lifecycle
     populate(engine, VIEWS)
 
-    # Pass 1: everything still live -- the steady-state wake-up cost.
+    # Pass 1: everything still live -- the steady-state sweep cost.
     noop_seconds, noop = timed_sweep(manager, now=900.0)
 
     # Pass 2: the early half has aged past its TTL.

@@ -193,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "every view and annotation is invalidated")
     gc.add_argument("--stats", action="store_true",
                     help="print the lifecycle summary")
-    gc.add_argument("--now", type=float, default=None,
-                    help="simulated time for sweep/forget "
-                         "(default: wall clock)")
+    gc.add_argument("--now", type=float, required=True,
+                    help="simulated time for sweep/forget/stats (the "
+                         "catalog's clock is the caller's)")
     gc.add_argument("--storage-budget", type=int, default=None,
                     metavar="BYTES",
                     help="byte budget enforced by --sweep's eviction pass")
@@ -390,8 +390,6 @@ def _cmd_obs(args) -> int:
 
 def _cmd_gc(args) -> int:
     """View lifecycle operations against a durable catalog journal."""
-    import time as _time
-
     from repro.lifecycle import LifecycleConfig, LifecycleManager
     from repro.lifecycle.journal import open_journal
 
@@ -400,7 +398,6 @@ def _cmd_gc(args) -> int:
         ScopeEngine(),
         LifecycleConfig(storage_budget_bytes=args.storage_budget),
         journal=open_journal(args.journal_dir))
-    now = _time.time() if args.now is None else args.now
     acted = False
     try:
         report = manager.last_recovery
@@ -409,17 +406,17 @@ def _cmd_gc(args) -> int:
                   f"{args.journal_dir} (snapshot: {report.snapshot_views}, "
                   f"wal ops: {report.wal_ops}, epoch: {report.epoch})")
         if args.forget:
-            purged = manager.forget_stream(args.forget, at=now)
+            purged = manager.forget_stream(args.forget, at=args.now)
             print(f"gdpr forget {args.forget!r}: "
                   f"purged {purged} dependent view(s)")
             acted = True
         if args.bump_epoch:
-            version = manager.bump_epoch(at=now)
+            version = manager.bump_epoch(at=args.now)
             print(f"runtime epoch bumped -> {version} "
                   f"(epoch {manager.epoch}; all views invalidated)")
             acted = True
         if args.sweep:
-            result = manager.janitor.run_once(now)
+            result = manager.sweep(args.now)
             print(f"sweep: expired {result.expired}, "
                   f"collected {result.removed}, "
                   f"budget-evicted {result.budget_evicted}, "
@@ -428,7 +425,7 @@ def _cmd_gc(args) -> int:
                   f"in {result.duration_seconds * 1000:.2f} ms")
             acted = True
         if args.stats or not acted:
-            for key, value in manager.stats(now).items():
+            for key, value in manager.stats(args.now).items():
                 print(f"{key:<28} {value}")
     finally:
         manager.close()

@@ -1,6 +1,6 @@
 """Tracked locking primitives and the runtime lock sanitizer.
 
-The concurrent subsystems (``Session`` callers, the GC janitor,
+The concurrent subsystems (``Session`` callers, their GC sweeps,
 invalidation cascades) share one process and a dozen locks; the paper's
 Section-4 lesson is that *silently* broken invariants are the expensive
 kind.  This module makes the locking discipline explicit and checkable:

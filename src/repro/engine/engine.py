@@ -511,11 +511,11 @@ class ScopeEngine:
         cluster simulator's stage completion (:meth:`seal_spooled`).
 
         Every ViewScan's backing view is *pinned* for the duration of the
-        run: the lifecycle GC janitor sweeps concurrently, and a pinned
-        view is never hard-removed mid-scan.  If a claimed view vanished
-        in the window between the matcher's claim and this pin (a GC
-        sweep or purge cascade won the race), the job falls back to a
-        reuse-free recompile -- a lost claim is just a recompute.
+        run: another ``Session`` caller may sweep concurrently, and a
+        pinned view is never hard-removed mid-scan.  If a claimed view
+        vanished in the window between the matcher's claim and this pin
+        (a GC sweep or purge cascade won the race), the job falls back
+        to a reuse-free recompile -- a lost claim is just a recompute.
 
         Failure hardening (the paper's "reuse must never fail a job"):
 
@@ -629,8 +629,8 @@ class ScopeEngine:
                         now: float) -> Tuple[CompiledJob, List[str]]:
         """Pin every ViewScan's backing view; recompile on a lost view.
 
-        A view claimed at compile time is only protected from the GC
-        janitor once its reader holds a pin, so a sweep landing between
+        A view claimed at compile time is only protected from a GC sweep
+        once its reader holds a pin, so a sweep landing between
         compile and execute can evict the view (and delete its blobs)
         out from under the plan.  When any pin fails, the already-taken
         pins are released and the job is recompiled with reuse disabled,

@@ -170,7 +170,7 @@ def replay(history: Iterable[tuple], session) -> Outcome:
     """The one interpreter: apply ``history`` and summarise the session.
 
     The caller owns the session (and holds it in ``with``, so a step
-    that raises still tears down the janitor and shard processes).
+    that raises still tears down the journal and shard processes).
     """
     faults = session.faults
     return Outcome(results=apply(history, session),

@@ -12,15 +12,15 @@ This package is the subsystem that drives those transitions end to end:
   ``stream_guid_changed`` / ``gdpr_forget`` / ``runtime_epoch_bumped``
   events to the :class:`~repro.lifecycle.manager.LifecycleManager`, which
   cascade-purges every dependent view;
-* :class:`~repro.lifecycle.gc.GcJanitor` sweeps expired views in the
-  background and evicts under storage-budget pressure using a
-  cost/benefit score;
+* :meth:`~repro.lifecycle.manager.LifecycleManager.sweep` is a GC step
+  at the caller's ``now``: it collects expired and purged views and
+  evicts under storage-budget pressure using a cost/benefit score;
 * :class:`~repro.lifecycle.journal.CatalogJournal` makes the whole
   catalog durable: an append-only JSONL WAL plus periodic snapshots,
   replayed on restart.
 """
 
-from repro.lifecycle.gc import GcJanitor, SweepResult, gc_score
+from repro.lifecycle.gc import SweepResult, gc_score
 from repro.lifecycle.invalidation import (
     GdprForget,
     InvalidationBus,
@@ -42,7 +42,6 @@ __all__ = [
     "RuntimeEpochBumped",
     "CatalogJournal",
     "RecoveryReport",
-    "GcJanitor",
     "SweepResult",
     "gc_score",
 ]

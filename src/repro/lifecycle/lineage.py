@@ -49,9 +49,9 @@ def extract_inputs(definition: object,
 class LineageRegistry:
     """Forward and reverse index between views and their input streams.
 
-    Thread-safe: recorded from compiling worker threads (via the view
-    store's mutation feed) and read by the invalidation path and the GC
-    janitor.
+    Thread-safe: recorded from any compiling thread (via the view
+    store's mutation feed) and read by the invalidation path and GC
+    sweeps, which concurrent ``Session`` callers may run at once.
     """
 
     def __init__(self) -> None:

@@ -17,9 +17,9 @@ lifecycle end to end:
   (by lineage), force-releasing their build locks, and bumping the
   insights-service annotation generation so every client-side cache of
   stale signatures drops at once;
-* its :meth:`sweep` is the GC janitor's unit of work: expiry eviction,
-  purged-entry collection (blobs included), and storage-budget eviction
-  in ascending cost/benefit order;
+* its :meth:`sweep` is one GC step at the caller's ``now``: expiry
+  eviction, purged-entry collection (blobs included), and storage-budget
+  eviction in ascending cost/benefit order;
 * with a journal directory configured, the whole catalog survives
   restarts: construction replays the snapshot + WAL before wiring any
   listeners, and :meth:`close` leaves a fresh snapshot behind.
@@ -30,12 +30,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.common.errors import ConfigError, ReproError, StorageError
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
-from repro.lifecycle.gc import GcJanitor, SweepResult, gc_score
+from repro.lifecycle.gc import SweepResult, gc_score
 from repro.lifecycle.invalidation import (
     GdprForget,
     InvalidationBus,
@@ -58,25 +58,14 @@ class LifecycleConfig:
     journal_dir: Optional[str] = None
     #: WAL ops between automatic snapshots.
     snapshot_every_ops: int = 512
-    #: Janitor wakeup cadence (wall-clock seconds).
-    gc_interval_seconds: float = 60.0
     #: Byte budget enforced by the sweep's eviction pass; ``None`` leaves
     #: expiry as the only storage control (the paper's §3.1 posture).
     storage_budget_bytes: Optional[int] = None
-    #: Start the background janitor thread on attach.  Off by default:
-    #: simulations drive :meth:`LifecycleManager.sweep` from simulated
-    #: time instead.
-    start_janitor: bool = False
-    #: Source of "now" for the janitor's autonomous sweeps.
-    clock: Optional[Callable[[], float]] = None
 
     def __post_init__(self) -> None:
         if self.snapshot_every_ops < 1:
             raise ConfigError("snapshot_every_ops must be >= 1, got "
                               f"{self.snapshot_every_ops}")
-        if self.gc_interval_seconds <= 0:
-            raise ConfigError("gc_interval_seconds must be > 0, got "
-                              f"{self.gc_interval_seconds}")
         if (self.storage_budget_bytes is not None
                 and self.storage_budget_bytes < 0):
             raise ConfigError("storage_budget_bytes must be >= 0, got "
@@ -98,6 +87,7 @@ class LifecycleManager:
         self.bus = InvalidationBus()
         self.epoch = 0
         self.cascades = 0
+        self.sweeps = 0
         #: Journal appends that failed (injected torn/partial writes).
         #: The mutation itself is already applied in memory -- the WAL
         #: just missed one op, which the next snapshot makes durable.
@@ -121,13 +111,6 @@ class LifecycleManager:
         self.store.add_listener(self._on_store_mutation)
         self.catalog.subscribe(self._on_stream_version)
         self.bus.subscribe(self._handle_event)
-        self.janitor = GcJanitor(
-            self.sweep,
-            interval_seconds=self.config.gc_interval_seconds,
-            clock=self.config.clock or time.time,
-            recorder=self.recorder)
-        if self.config.start_janitor:
-            self.janitor.start()
         engine.lifecycle = self
 
     @property
@@ -340,18 +323,19 @@ class LifecycleManager:
         return version
 
     # ------------------------------------------------------------------ #
-    # GC sweep (the janitor's unit of work)
+    # GC sweep (a step on the caller's clock)
 
     def sweep(self, now: float = 0.0) -> SweepResult:
         """One GC pass: expiry, purged-entry collection, budget eviction.
 
         An injected storage fault at ``gc.sweep`` aborts the pass before
         it touches anything; GC is idempotent, so the next sweep simply
-        redoes the work.  Callers (the janitor thread, ``repro gc``)
+        redoes the work.  Callers (``Session.gc_sweep``, ``repro gc``)
         never see the exception.
         """
         started = time.perf_counter()
         result = SweepResult(at=now)
+        self.sweeps += 1
         try:
             self.faults.fire(fault_points.GC_SWEEP)
         except ReproError as error:
@@ -359,12 +343,12 @@ class LifecycleManager:
             self.recorder.event(obs_events.GC_SWEEP_ABORTED, at=now,
                                 error=str(error))
             return result
-        result.storage_before = self.store.storage_in_use(now)
 
         with self.commit_group():  # the pass's records commit together
             expired_views = self.store.evict_expired(now)
             result.expired = len(expired_views)
             for view in expired_views:
+                result.reclaimed_bytes += view.size_bytes
                 self.engine.delete_view_blob(view.path)
 
             for view in self.store.views():
@@ -377,6 +361,7 @@ class LifecycleManager:
                     continue
                 if self.store.remove(view.signature, reason="gc"):
                     result.removed += 1
+                    result.reclaimed_bytes += view.size_bytes
                     self.engine.delete_view_blob(view.path)
 
             budget = self.config.storage_budget_bytes
@@ -384,7 +369,6 @@ class LifecycleManager:
                 result.budget_evicted = self._evict_to_budget(now, budget,
                                                               result)
 
-        result.storage_after = self.store.storage_in_use(now)
         result.duration_seconds = time.perf_counter() - started
         self.recorder.event(
             obs_events.GC_SWEEP, at=now,
@@ -412,6 +396,7 @@ class LifecycleManager:
             if self.store.remove(view.signature, reason="budget"):
                 evicted += 1
                 in_use -= view.size_bytes
+                result.reclaimed_bytes += view.size_bytes
                 result.evicted_signatures.append(view.signature)
                 self.engine.delete_view_blob(view.path)
         return evicted
@@ -450,7 +435,7 @@ class LifecycleManager:
             "epoch": self.epoch,
             "runtime_version": self.engine.runtime_version,
             "cascades": self.cascades,
-            "gc_sweeps": self.janitor.sweeps,
+            "gc_sweeps": self.sweeps,
             "journal_errors": self.journal_errors,
             "blob_delete_failures": self.engine.blob_delete_failures,
         }
@@ -462,12 +447,7 @@ class LifecycleManager:
         return out
 
     def close(self) -> None:
-        """Stop the janitor, snapshot, and detach from the engine."""
-        # Refresh the janitor's recorder first: a FlightRecorder may have
-        # been installed on the engine after construction, and a stop
-        # timeout must land in the same capture as everything else.
-        self.janitor.recorder = self.recorder
-        self.janitor.stop()
+        """Snapshot and detach from the engine."""
         if self.journal is not None:
             # Clean shutdown runs with injection disabled: the
             # ``journal.snapshot`` point models losing a *periodic*

@@ -46,17 +46,16 @@ BREAKER_CLOSED = "breaker.closed"
 FETCH_DEGRADED = "insights.degraded"
 FETCH_RETRY = "insights.retry"
 SCHEDULER_WAVE = "scheduler.wave"
-# View lifecycle subsystem: invalidation cascades, the background GC
-# janitor's sweeps, runtime epoch bumps, and the durable catalog journal.
+# View lifecycle subsystem: invalidation cascades, GC sweeps, runtime
+# epoch bumps, and the durable catalog journal.
 LIFECYCLE_CASCADE = "lifecycle.cascade"
 GC_SWEEP = "gc.sweep"
 EPOCH_BUMPED = "epoch.bumped"
 JOURNAL_SNAPSHOT = "journal.snapshot"
 JOURNAL_RECOVERED = "journal.recovered"
 # Concurrency soundness: the runtime lock sanitizer's findings (hierarchy
-# violations, wait-for cycles) and the GC janitor failing to shut down.
+# violations, wait-for cycles).
 SANITIZER_VIOLATION = "sanitizer.violation"
-GC_STOP_TIMEOUT = "gc.stop_timeout"
 # A claimed view vanished between compile and execute (the GC sweep won
 # the race); the job fell back to a reuse-free recompile.
 REUSE_FALLBACK = "execute.reuse_fallback"
@@ -87,7 +86,7 @@ ALL_KINDS = (
     FETCH_DEGRADED, FETCH_RETRY, SCHEDULER_WAVE,
     LIFECYCLE_CASCADE, GC_SWEEP, EPOCH_BUMPED,
     JOURNAL_SNAPSHOT, JOURNAL_RECOVERED,
-    SANITIZER_VIOLATION, GC_STOP_TIMEOUT, REUSE_FALLBACK,
+    SANITIZER_VIOLATION, REUSE_FALLBACK,
     EXECUTE_RETRY, VIEW_QUARANTINED, WORKER_RETRIED,
     JOURNAL_TORN_TAIL, JOURNAL_WRITE_FAILED,
     GC_SWEEP_ABORTED, VIEW_DROP_FAILED,

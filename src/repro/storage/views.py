@@ -305,7 +305,7 @@ class ViewStore:
         """Deletion of a view's files (user-initiated or cascade).
 
         The view stops matching immediately; its catalog entry lingers
-        (flagged ``purged``) until the GC janitor hard-removes it, so
+        (flagged ``purged``) until a GC sweep hard-removes it, so
         in-flight readers keep a consistent record to unpin.
         """
         with self._mutex:
@@ -317,7 +317,7 @@ class ViewStore:
                             signature=signature[:12], reason=reason)
 
     def remove(self, signature: str, reason: str = "gc") -> bool:
-        """Hard-remove a view's catalog entry (GC janitor only).
+        """Hard-remove a view's catalog entry (GC sweeps only).
 
         Refuses while any reader holds a pin, and refuses an in-flight
         build (unsealed, unpurged): only its producer ends that, by seal
@@ -391,7 +391,7 @@ class ViewStore:
                         reused_by: str = "") -> Optional[MaterializedView]:
         """Atomic availability re-check + reuse accounting at match time.
 
-        With the GC janitor running concurrently, a view seen by
+        With a GC sweep running concurrently, a view seen by
         ``lookup`` may be purged or hard-removed before the optimizer
         commits the match; this re-checks availability and records the
         reuse under one lock so matching never claims a vanished view.
@@ -399,7 +399,7 @@ class ViewStore:
 
         A successful claim also takes a *pin*: the rest of compilation
         (buildout, cost finalization) sees the claimed record sealed and
-        present instead of racing the janitor.  The
+        present instead of racing a sweep.  The
         optimizer releases the pin when compilation finishes
         (:meth:`~repro.optimizer.view_matching.MatchOutcome.release_claims`);
         execution re-pins for the duration of the actual scan.
@@ -426,8 +426,8 @@ class ViewStore:
         """Drop expired views; returns what was evicted.
 
         Views pinned by an in-flight reader are skipped (they expire but
-        stay resident until the last reader unpins; the GC janitor's next
-        sweep collects them).
+        stay resident until the last reader unpins; the next GC sweep
+        collects them).
         """
         with self._mutex:
             expired = [v for v in self._views.values()

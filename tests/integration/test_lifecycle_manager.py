@@ -356,7 +356,17 @@ class TestCliGc:
         capsys.readouterr()
         assert main(["gc", "--journal-dir", journal_dir,
                      "--sweep", "--now", "60"]) == 0
-        assert "sweep: expired" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sweep: expired" in out
+        assert "reclaimed 0 bytes" not in out  # the purged views' bytes
+
+    def test_sweep_needs_the_callers_now(self, populated_journal, capsys):
+        """The catalog's clock is the caller's: no wall-clock default."""
+        journal_dir, _ = populated_journal
+        with pytest.raises(SystemExit) as exited:
+            main(["gc", "--journal-dir", journal_dir, "--sweep"])
+        assert exited.value.code == 2
+        assert "--now" in capsys.readouterr().err
 
     def test_bump_epoch_via_cli(self, populated_journal, capsys):
         journal_dir, _ = populated_journal

@@ -1,16 +1,17 @@
 """Lifecycle stress tests (run in CI via ``pytest -m stress``).
 
-A live GC janitor thread sweeps aggressively while the concurrent job
-scheduler hammers the same engine.  The invariants under test:
+A hostile thread of the test's own sweeps aggressively while the job
+scheduler hammers the same engine (a sweep is a step its caller runs;
+nothing in the library sweeps on a timer).  The invariants under test:
 
-* no job ever fails because the janitor collected a view it was reading
+* no job ever fails because a sweep collected a view it was reading
   -- execute-time pins keep in-flight ViewScans resident;
 * reuse results equal the no-GC baseline results (the matcher's atomic
   ``claim_for_reuse`` means a claimed view cannot be swept mid-scan);
 * ViewStore counters stay monotonic while builds, reuses, purges, and
   sweeps interleave;
-* crash-recovery holds under churn: a journal written while the janitor
-  and scheduler race still replays to the exact pre-crash digest.
+* crash-recovery holds under churn: a journal written while sweeps and
+  the scheduler race still replays to the exact pre-crash digest.
 """
 
 import threading

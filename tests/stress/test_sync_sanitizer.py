@@ -1,9 +1,9 @@
 """Stress test: the runtime lock sanitizer over the real stack.
 
 Runs the full concurrent pipeline -- scheduler waves raced by callers
-of the test's own, the insights client, the view store, and the
-lifecycle janitor sweeping on a tight interval -- with the sanitizer
-enabled in collect-only mode.  The
+of the test's own (one of them running a lifecycle GC sweep), the
+insights client and the view store -- with the sanitizer enabled in
+collect-only mode.  The
 assertion is that the production lock hierarchy holds under load: zero
 recorded violations.  The sanitizer is the repo's one lock-order checker;
 ``tests/unit/test_src_census.py`` states what it cannot see (DESIGN §10).
@@ -16,6 +16,7 @@ from repro.catalog import schema_of
 from repro.common.sync import disable_sanitizer, enable_sanitizer, sanitizer
 from repro.core.controls import MultiLevelControls
 from repro.insights import InsightsClientConfig
+from repro.lifecycle import SweepResult
 from repro.scheduler import SchedulerConfig
 from repro.scheduler.results import JobResult
 from repro.selection.policies import SelectionPolicy
@@ -54,14 +55,20 @@ def install_tables(engine):
          for i in range(5)])
 
 
-def run_workload(session):
+def run_workload(session, sweeps=False):
+    """Four waves, each raced by three ``run`` callers and, with
+    ``sweeps``, one more caller sweeping at the wave's ``now``."""
     install_tables(session.engine)
     for wave in range(4):
-        with alongside(lambda: session.run(SQL, now=float(wave))) as runs:
-            results = session.run_batch([SQL] * 8, now=float(wave))
+        now = float(wave)
+        with alongside(lambda: session.run(SQL, now=now)) as runs, \
+                alongside(lambda: session.gc_sweep(now),
+                          threads=int(sweeps)) as swept:
+            results = session.run_batch([SQL] * 8, now=now)
         assert all(r.ok for r in results)
         assert all(isinstance(run, JobResult) and run.ok
                    for run in runs), runs
+        assert all(isinstance(sweep, SweepResult) for sweep in swept), swept
         if wave == 0:
             session.analyze_and_publish()
 
@@ -69,8 +76,9 @@ def run_workload(session):
 class TestSanitizedStack:
     def test_full_stack_holds_the_hierarchy(self, strict_sanitizer,
                                             tmp_path):
-        """Scheduler + insights + storage + janitor under one sanitizer:
-        the shipped lock ranks admit no inversion and no deadlock."""
+        """Scheduler + insights + storage + a racing GC sweep under one
+        sanitizer: the shipped lock ranks admit no inversion and no
+        deadlock."""
         controls = MultiLevelControls()
         controls.enable_vc("default")
         session = Session(
@@ -78,10 +86,9 @@ class TestSanitizedStack:
             policy=SelectionPolicy(min_reuses_per_epoch=0.0),
             scheduler_config=SchedulerConfig(workers=8),
             lifecycle=LifecycleConfig(
-                journal_dir=str(tmp_path / "journal"),
-                start_janitor=True, gc_interval_seconds=0.002))
+                journal_dir=str(tmp_path / "journal")))
         try:
-            run_workload(session)
+            run_workload(session, sweeps=True)
         finally:
             session.close()
         assert strict_sanitizer.violations == [], strict_sanitizer.violations

@@ -1,20 +1,11 @@
-"""Unit tests: GC scoring, the janitor thread, and the manager's sweep."""
-
-import threading
-import time
+"""Unit tests: GC scoring and the manager's sweep."""
 
 import pytest
 
 from repro.common.clock import SECONDS_PER_DAY
 from repro.engine import ScopeEngine
 from repro.engine.engine import EngineConfig
-from repro.lifecycle import (
-    GcJanitor,
-    LifecycleConfig,
-    LifecycleManager,
-    SweepResult,
-    gc_score,
-)
+from repro.lifecycle import LifecycleConfig, LifecycleManager, gc_score
 from repro.storage.views import MaterializedView
 
 
@@ -48,107 +39,6 @@ class TestGcScore:
         assert gc_score(view(size=0), 0.0) == 1.0
 
 
-class TestGcJanitor:
-    def test_run_once_counts_and_records(self):
-        calls = []
-
-        def sweep(now):
-            calls.append(now)
-            return SweepResult(at=now)
-
-        janitor = GcJanitor(sweep, interval_seconds=60.0,
-                            clock=lambda: 42.0)
-        result = janitor.run_once()
-        assert calls == [42.0]
-        assert janitor.sweeps == 1
-        assert janitor.last_result is result
-
-    def test_explicit_now_overrides_clock(self):
-        seen = []
-        janitor = GcJanitor(lambda now: seen.append(now) or SweepResult(),
-                            clock=lambda: 1.0)
-        janitor.run_once(now=99.0)
-        assert seen == [99.0]
-
-    def test_background_thread_sweeps_and_stops(self):
-        done = threading.Event()
-
-        def sweep(now):
-            done.set()
-            return SweepResult(at=now)
-
-        janitor = GcJanitor(sweep, interval_seconds=0.01)
-        janitor.start()
-        assert janitor.running
-        assert done.wait(timeout=5.0)
-        janitor.stop()
-        assert not janitor.running
-
-    def test_start_is_idempotent(self):
-        janitor = GcJanitor(lambda now: SweepResult(), interval_seconds=60.0)
-        janitor.start()
-        thread = janitor._thread
-        janitor.start()
-        assert janitor._thread is thread
-        janitor.stop()
-
-    def test_sweep_exception_does_not_kill_the_loop(self):
-        attempts = []
-
-        def sweep(now):
-            attempts.append(now)
-            if len(attempts) == 1:
-                raise RuntimeError("transient")
-            return SweepResult(at=now)
-
-        janitor = GcJanitor(sweep, interval_seconds=0.01)
-        janitor.start()
-        deadline = time.time() + 5.0
-        while len(attempts) < 2 and time.time() < deadline:
-            time.sleep(0.01)
-        janitor.stop()
-        assert len(attempts) >= 2
-
-    def test_stop_is_idempotent(self):
-        janitor = GcJanitor(lambda now: SweepResult(), interval_seconds=0.01)
-        assert janitor.stop() is True  # never started
-        janitor.start()
-        assert janitor.stop() is True
-        assert janitor.stop() is True  # after a successful stop
-        assert not janitor.running
-
-    def test_stop_reports_join_timeout_and_can_retry(self):
-        """A wedged sweep must not be silently leaked: stop() returns
-        False, emits gc.stop_timeout, and a later stop() succeeds once
-        the sweep unblocks."""
-        from repro.obs import events as obs_events
-        from repro.obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder()
-        in_sweep = threading.Event()
-        release = threading.Event()
-
-        def sweep(now):
-            in_sweep.set()
-            release.wait(timeout=30.0)
-            return SweepResult(at=now)
-
-        janitor = GcJanitor(sweep, interval_seconds=0.001,
-                            recorder=recorder)
-        janitor.start()
-        assert in_sweep.wait(timeout=5.0)
-        try:
-            assert janitor.stop(timeout=0.05) is False
-            assert janitor.running  # thread handle kept for retry
-            events = recorder.events.events(obs_events.GC_STOP_TIMEOUT)
-            assert len(events) == 1
-            assert events[0].attrs["timeout_seconds"] == 0.05
-        finally:
-            release.set()
-        assert janitor.stop(timeout=5.0) is True
-        assert not janitor.running
-
-
 @pytest.fixture
 def managed_engine():
     engine = ScopeEngine(config=EngineConfig(view_ttl_seconds=100.0))
@@ -166,6 +56,20 @@ def seal(engine, signature, now, size=100, rows=1):
 
 
 class TestManagerSweep:
+    def test_sweep_runs_at_the_callers_now(self, managed_engine):
+        engine, manager = managed_engine
+        seal(engine, "s1", now=0.0)
+        result = manager.sweep(now=99.0)  # ttl is 100: still live
+        assert (result.at, result.total_collected) == (99.0, 0)
+        assert manager.sweep(now=100.0).expired == 1
+
+    def test_every_sweep_is_counted(self, managed_engine):
+        engine, manager = managed_engine
+        assert manager.stats()["gc_sweeps"] == 0
+        manager.sweep(now=1.0)
+        manager.sweep(now=2.0)
+        assert manager.stats()["gc_sweeps"] == 2
+
     def test_expired_views_are_collected_with_blobs(self, managed_engine):
         engine, manager = managed_engine
         seal(engine, "s1", now=0.0)
@@ -218,6 +122,15 @@ class TestManagerSweep:
         seal(engine, "s2", now=60.0, size=300)
         result = manager.sweep(now=200.0)  # s1 and s2 both expired
         assert result.expired == 2
+        assert result.reclaimed_bytes == 800
+
+    def test_sweep_reports_purged_bytes(self, managed_engine):
+        engine, manager = managed_engine
+        seal(engine, "s1", now=0.0, size=500)
+        seal(engine, "s2", now=0.0, size=300)
+        engine.view_store.purge("s1")
+        result = manager.sweep(now=10.0)
+        assert (result.removed, result.reclaimed_bytes) == (1, 500)
 
 
 class TestBudgetEviction:
@@ -240,6 +153,7 @@ class TestBudgetEviction:
         result = manager.sweep(now=10.0)
         assert result.budget_evicted == 1
         assert result.evicted_signatures == ["cold"]
+        assert result.reclaimed_bytes == 100
         assert engine.view_store.get("hot") is not None
         assert engine.view_store.storage_in_use(10.0) <= 250
 

@@ -273,6 +273,31 @@ class TestSessionFacade:
         assert reuse_round.views_reused >= 1
         assert session.views_created >= 1
 
+    def test_a_sweep_between_jobs_keeps_the_live_view(self, tmp_path):
+        """README's lifecycle quick-start: a sweep is a step at the
+        caller's ``now``, so a view a week from expiry survives it and
+        the next recurring job still reuses it."""
+        from repro.api import LifecycleConfig
+        from repro.core.controls import MultiLevelControls
+        from repro.selection.policies import SelectionPolicy
+
+        controls = MultiLevelControls()
+        controls.enable_vc("default")
+        with Session(controls=controls,
+                     policy=SelectionPolicy(min_reuses_per_epoch=0.0),
+                     lifecycle=LifecycleConfig(
+                         journal_dir=str(tmp_path / "journal"))) as session:
+            install_tables(session.engine)
+            session.run(SQL, now=0.0)
+            session.run(SQL, now=1.0)
+            session.analyze_and_publish()
+            built = session.run(SQL, now=10.0)
+            swept = session.gc_sweep(now=15.0)
+            reuse_round = session.run(SQL, now=20.0)
+        assert swept.total_collected == 0
+        assert built.views_built >= 1
+        assert reuse_round.views_reused == 1
+
     def test_unknown_selection_algorithm_raises(self):
         with pytest.raises(ConfigError):
             Session(selection_algorithm="magic")
@@ -299,10 +324,9 @@ class TestSessionFacade:
 
 
 class TestSessionShutdown:
-    def test_close_stops_janitor_and_flushes_journal(self, tmp_path):
-        """Session.close() must leave nothing behind: the GC janitor
-        thread is joined and the catalog journal is snapshotted with its
-        WAL truncated and closed."""
+    def test_close_flushes_journal(self, tmp_path):
+        """Session.close() must leave nothing behind: the catalog journal
+        is snapshotted with its WAL truncated and closed."""
         import os
 
         from repro.api import LifecycleConfig
@@ -315,27 +339,16 @@ class TestSessionShutdown:
         session = Session(
             controls=controls,
             policy=SelectionPolicy(min_reuses_per_epoch=0.0),
-            lifecycle=LifecycleConfig(journal_dir=journal_dir,
-                                      start_janitor=True,
-                                      gc_interval_seconds=0.01,
-                                      # Pin the janitor to simulated time:
-                                      # with the wall-clock default, an
-                                      # autonomous sweep firing between
-                                      # the last run (now=10.0) and
-                                      # close() sees the views as long
-                                      # expired and empties the snapshot.
-                                      clock=lambda: 10.0))
+            lifecycle=LifecycleConfig(journal_dir=journal_dir))
         install_tables(session.engine)
         session.run(SQL, now=0.0)
         session.run(SQL, now=1.0)
         session.analyze_and_publish()
         session.run(SQL, now=10.0)
         assert session.views_created >= 1
-        assert session.lifecycle.janitor.running
 
         session.close()
 
-        assert not session.lifecycle.janitor.running
         journal = session.lifecycle.journal.partitions[0]
         assert journal._wal is None  # WAL handle closed
         # The shutdown snapshot captured every view; the WAL is empty.
@@ -349,13 +362,13 @@ class TestSessionShutdown:
         from repro.api import LifecycleConfig
 
         session = Session(lifecycle=LifecycleConfig(
-            journal_dir=str(tmp_path / "journal"), start_janitor=True,
-            gc_interval_seconds=0.01))
+            journal_dir=str(tmp_path / "journal")))
         install_tables(session.engine)
         session.run(SQL, now=0.0)
         session.close()
-        session.close()  # second close must not raise or restart anything
-        assert not session.lifecycle.janitor.running
+        journal = session.lifecycle.journal.partitions[0]
+        session.close()  # second close must not raise or reopen anything
+        assert journal._wal is None
 
     def test_close_reaches_the_shards_when_the_scheduler_refuses(self):
         """A scheduler refusing to close over undrained jobs must not
