@@ -1,7 +1,7 @@
 """Tracked-lock overhead: raw Lock vs TrackedLock, sanitizer off and on.
 
 The tracked locks replaced every ``threading.Lock`` on the hot paths
-(scheduler admission, insights fetch, view-store pinning), so with
+(the scheduler's wave count, insights fetch, view-store pinning), so with
 ``REPRO_DEBUG_CHECKS`` off they must cost essentially nothing beyond the
 raw primitive -- the fast path is one attribute check in front of the
 stdlib acquire.  With the sanitizer enabled the per-acquire hierarchy

@@ -125,7 +125,6 @@ class Session:
         self.backend: Optional[ExecutionBackend] = None
         self.supervisor: Optional[ShardSupervisor] = None
         self.service = None
-        self.scheduler: Optional[JobScheduler] = None
         self.lifecycle: Optional[LifecycleManager] = None
         try:
             if isinstance(backend, str):
@@ -236,7 +235,7 @@ class Session:
         """
         requests = [job if isinstance(job, JobRequest) else JobRequest(sql=job)
                     for job in jobs]
-        results = self.scheduler.run_batch(requests, now=now)
+        results = self.scheduler.drain(requests, now=now)
         for request, result in zip(requests, results):
             if result.ok:
                 self.record(result.run, template_id=request.template_id,
@@ -369,8 +368,8 @@ class Session:
     def close(self) -> None:
         """Tear the deployment down; a second call does nothing.
 
-        Every step runs even when an earlier one raises (a scheduler
-        refusing to close over undrained jobs must not strand the shard
+        Every step runs even when an earlier one raises (a lifecycle
+        whose shutdown snapshot fails must not strand the shard
         processes), and the first error is re-raised at the end.
         """
         if self._closed:
@@ -380,8 +379,7 @@ class Session:
         # before anything else tears down -- and, when sharded, it runs
         # through the router, so the workers must still be up.  The
         # supervisor therefore goes last.
-        steps = [part.close for part in
-                 (self.lifecycle, self.scheduler, self.backend)
+        steps = [part.close for part in (self.lifecycle, self.backend)
                  if part is not None]
         if self.supervisor is not None:
             if self.service is not None:

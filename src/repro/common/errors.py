@@ -118,14 +118,6 @@ class DeadlockError(ConcurrencyError):
     turns a hung test into a stack trace naming every lock involved."""
 
 
-class SchedulerError(ReproError):
-    """Raised by the concurrent job scheduler (misuse, shutdown races)."""
-
-
-class AdmissionError(SchedulerError):
-    """Raised when a job is rejected by the scheduler's admission limit."""
-
-
 class SelectionError(ReproError):
     """Raised when view selection is given inconsistent constraints."""
 

@@ -309,9 +309,9 @@ class ScopeEngine:
     def next_job_id(self) -> str:
         """Draw the next job id.
 
-        The scheduler assigns ids at *submission* time (in deterministic
-        submission order) rather than at compile time, so a wave labels
-        jobs identically to a serial run.
+        The scheduler draws a wave's ids as it opens, in list order,
+        rather than at compile time, so a wave labels jobs identically
+        to a serial run.
         """
         return f"job-{next(self._job_counter)}"
 
@@ -354,10 +354,9 @@ class ScopeEngine:
             fetch_span = recorder.start_span(
                 "insights.fetch", trace_id=job_id, at=now,
                 parent=compile_span, tags=len(tags))
-            annotations = self.insights.fetch_annotations(
-                tags, now=now, prepared=prepared)
-            compile_latency = self.insights.last_fetch_latency
-            degraded = self.insights.last_fetch_degraded
+            annotations, compile_latency, degraded = \
+                self.insights.fetch_annotations(tags, now=now,
+                                                prepared=prepared)
             fetch_span.annotate("annotations", len(annotations))
             if degraded:
                 fetch_span.annotate("degraded", True)

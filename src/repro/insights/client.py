@@ -34,7 +34,6 @@ never of thread timing or deployment shape.
 from __future__ import annotations
 
 import random
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -225,7 +224,6 @@ class InsightsClient:
         self._mutex = TrackedLock("insights.client", RANK_INSIGHTS + 40,
                                   recorder)
         self._cache: Dict[str, _CacheEntry] = {}
-        self._fetch_state = threading.local()
         #: Client-side operational counters (lock-guarded like the
         #: service's); monotonic.
         self.degraded_fetches = 0
@@ -294,13 +292,10 @@ class InsightsClient:
     # the serving path: a job's fetch reads its answer from the wave it
     # was prepared in, or from a wave of one, as the service's does --
     # never raising on a serving failure: with retries exhausted (or the
-    # breaker open) the answer is empty and ``last_fetch_degraded``, so
-    # the engine compiles the job reuse-free (the paper's incident
-    # posture).
+    # breaker open) the answer is empty and ``degraded``, so the engine
+    # compiles the job reuse-free (the paper's incident posture).
 
     fetch_annotations = InsightsService.fetch_annotations
-    last_fetch_latency = InsightsService.last_fetch_latency
-    last_fetch_degraded = InsightsService.last_fetch_degraded
 
     def fetch_wave(self, requests: Sequence[tuple]) -> List[Fetched]:
         """Answer a wave's fetches as one-by-one fetches in submission

@@ -17,8 +17,7 @@ the uber control for gate keeping and toggling during customer incidents"
 
 :class:`InsightsService` is the *policy* and exists once: the kill
 switch, the publication generation, :class:`UsageMetrics`, the lock and
-kill-switch events, the per-thread ``last_fetch_latency`` and the
-routing.  The tables live in data-only
+kill-switch events and the routing.  The tables live in data-only
 :class:`~repro.insights.partition.Partition` objects -- one local
 partition classically, N remote ones when the
 :class:`~repro.shard.router.ShardRouter` (a subclass) fronts shard
@@ -26,13 +25,11 @@ processes -- so any partition count answers every call identically,
 latency bits and counters included.  Each partition's mutex makes
 :meth:`InsightsService.acquire_view_lock` an atomic check-and-set: the
 real guard against duplicate view buildout when many jobs compile the
-same subexpression in parallel.  ``last_fetch_latency`` is thread-local:
-each compiling thread reads back the latency of *its own* last fetch.
+same subexpression in parallel.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.common.errors import InsightsError
@@ -68,7 +65,7 @@ _USAGE_FIELDS = (
 
 class Fetched(NamedTuple):
     """One job's answer, prepared by its wave (:meth:`InsightsService.
-    fetch_wave`) and read by its own ``fetch_annotations``."""
+    fetch_wave`) and returned by its own ``fetch_annotations``."""
 
     annotations: Dict[str, Annotation]
     #: Simulated serving latency charged to the job.
@@ -126,7 +123,6 @@ class InsightsService:
         # table mutexes and the UsageMetrics counter guard.
         self._mutex = TrackedLock("insights.service", RANK_INSIGHTS + 20,
                                   recorder)
-        self._fetch_state = threading.local()
         #: Bumped on every :meth:`publish`; clients key their local caches
         #: by it so a re-selection invalidates everything at once.
         self.generation = 0
@@ -163,17 +159,6 @@ class InsightsService:
             self.recorder.event(obs_events.KILL_SWITCH_FLIPPED,
                                 level="insights-service", enabled=value)
         self._enabled = value
-
-    @property
-    def last_fetch_latency(self) -> float:
-        """Simulated latency of the calling thread's most recent fetch."""
-        return getattr(self._fetch_state, "latency", 0.0)
-
-    @property
-    def last_fetch_degraded(self) -> bool:
-        """True when the calling thread's last fetch fell back to the
-        reuse-disabled path (only the fault-tolerant client degrades)."""
-        return getattr(self._fetch_state, "degraded", False)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -296,12 +281,11 @@ class InsightsService:
 
     def fetch_annotations(self, tags: Iterable[str],
                           now: Optional[float] = None,
-                          prepared: Optional[Fetched] = None
-                          ) -> Dict[str, Annotation]:
-        """Annotations for a job, keyed by recurring signature: the answer
-        its wave ``prepared`` (:meth:`fetch_wave`), or a wave of one.
-        Its latency and whether it degraded are the calling thread's
-        ``last_fetch_*`` (the client reads its answers the same way).
+                          prepared: Optional[Fetched] = None) -> Fetched:
+        """A job's :class:`Fetched` -- its annotations keyed by recurring
+        signature, its latency and whether it degraded: the answer its
+        wave ``prepared`` (:meth:`fetch_wave`), or a wave of one (the
+        client answers the same way).
 
         Empty when the service-level kill switch is off, which disables
         both matching and buildout downstream.  ``now`` is accepted so
@@ -309,10 +293,7 @@ class InsightsService:
         :class:`~repro.insights.client.InsightsClient` are
         interchangeable behind the engine.
         """
-        fetched = prepared or self.fetch_wave([(tags, now)])[0]
-        self._fetch_state.latency = fetched.latency
-        self._fetch_state.degraded = fetched.degraded
-        return fetched.annotations
+        return prepared or self.fetch_wave([(tags, now)])[0]
 
     def lookup(self, lists: Sequence[Sequence[str]]) -> list:
         """The one serving loop, over many tag lists at once: per list,
@@ -379,7 +360,6 @@ class InsightsService:
         for charge in charges:
             latency += charge
         latency += delay
-        self._fetch_state.latency = latency
         self.recorder.observe("insights.fetch.latency", latency)
         return latency
 

@@ -1,9 +1,10 @@
-"""Job scheduler: jobs run in waves, with deterministic results.
+"""Job scheduler: a wave is a call, with deterministic results.
 
 Production SCOPE compiles hundreds of jobs concurrently against the
 insights service.  Here that concurrency lives in simulated time (the
-cluster simulator); :class:`JobScheduler` runs a wave of jobs over one
-engine on the thread that drains it, with three invariants:
+cluster simulator); :meth:`JobScheduler.drain` runs one caller's list of
+jobs as a wave over one engine, on the calling thread, with two
+invariants:
 
 * **Per-job isolation** -- an exception inside one job's plan, compile
   or execute is captured into its
@@ -11,42 +12,31 @@ engine on the thread that drains it, with three invariants:
   scheduler itself are unaffected, and the engine's failure paths (lock
   release, view abandonment) run as usual.
 
-* **Admission limits** -- at most ``max_pending`` jobs may be in flight;
-  ``admission="block"`` back-pressures submitters, ``admission="reject"``
-  raises :class:`~repro.common.errors.AdmissionError` (the paper's
-  load-shedding posture for the serving tier).
-
-* **Deterministic collection** -- a wave is a barrier.  Job ids are
-  assigned at submission time and :meth:`submit` only queues.
-  :meth:`drain` runs the wave on the calling thread, in submission
-  order: it plans every job and fetches the wave's annotations as one
-  lookup frame per owning insights shard (answered as one-by-one
-  fetches would be, :meth:`InsightsClient.fetch_wave`); then compiles
-  and executes each job in turn; then runs one completion pass (seal
-  the run's views, record its history, build its result).  No job of a
-  wave can therefore see a view a sibling built -- sharing inside a wave
-  is the multi-query-optimization setting, which this reproduction
+* **Deterministic collection** -- a wave is a barrier, and its members
+  are exactly the caller's list: concurrent callers each run their own
+  wave and get their own results.  Job ids are drawn in list order as
+  the wave opens.  :meth:`drain` plans every job and fetches the wave's
+  annotations as one lookup frame per owning insights shard (answered as
+  one-by-one fetches would be, :meth:`InsightsClient.fetch_wave`); then
+  compiles and executes each job in turn; then runs one completion pass
+  (seal the run's views, record its history, build its result).  No job
+  of a wave can therefore see a view a sibling built -- sharing inside a
+  wave is the multi-query-optimization setting, which this reproduction
   leaves out.  The insights service's atomic lock table is still the
   only buildout guard (one producer per strict signature); the jobs of
-  a wave compile one after another, so they ask it in submission order
-  and the producer is the earliest proposer.  A wave's lock outcomes,
-  its ``scheduler.worker`` and ``backend.*`` fault draws and its
-  journal records therefore fall in submission order: nothing inside a
-  wave is left to thread timing.
+  a wave compile one after another, so they ask it in list order and
+  the producer is the earliest proposer.  A wave's lock outcomes, its
+  ``scheduler.worker`` and ``backend.*`` fault draws and its journal
+  records therefore fall in list order: nothing inside a wave is left to
+  thread timing.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.common.errors import (
-    AdmissionError,
-    ConfigError,
-    InjectedCrash,
-    SchedulerError,
-)
+from repro.common.errors import ConfigError, InjectedCrash
 from repro.common.sync import RANK_SCHEDULER, TrackedLock
 from repro.engine.engine import JobRun, ScopeEngine
 from repro.faults import points as fault_points
@@ -54,8 +44,6 @@ from repro.faults.runtime import NULL_FAULTS
 from repro.insights.service import Fetched
 from repro.obs import events as obs_events
 from repro.scheduler.results import JobResult
-
-_ADMISSION_MODES = ("block", "reject")
 
 #: A job whose task is killed by an injected crash (``scheduler.worker``)
 #: is restarted in place this many times -- modelling the cluster
@@ -65,39 +53,27 @@ WORKER_RETRIES = 2
 
 @dataclass(kw_only=True)
 class SchedulerConfig:
-    """Admission knobs of the :class:`JobScheduler`."""
+    """Settings of the :class:`JobScheduler`."""
 
     #: Validated and kept for callers that still set it; it sizes
     #: nothing, since a wave runs on the thread that drains it.
     workers: int = 4
-    #: Maximum jobs admitted but not yet collected; 0 means unbounded.
-    max_pending: int = 0
-    #: ``"block"`` back-pressures ``submit``; ``"reject"`` raises
-    #: :class:`AdmissionError` when the pending limit is hit.
-    admission: str = "block"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.max_pending < 0:
-            raise ConfigError(
-                f"max_pending must be >= 0, got {self.max_pending}")
-        if self.admission not in _ADMISSION_MODES:
-            raise ConfigError(
-                f"admission must be one of {_ADMISSION_MODES}, "
-                f"got {self.admission!r}")
 
 
 @dataclass
 class JobRequest:
-    """One job submitted to the scheduler."""
+    """One job of a wave."""
 
     sql: str
     params: Dict[str, object] = field(default_factory=dict)
     virtual_cluster: str = "default"
     reuse_enabled: bool = True
-    #: Pre-assigned id; drawn from ``engine.next_job_id()`` at submission
-    #: when omitted.
+    #: Pre-assigned id; drawn from ``engine.next_job_id()`` as the wave
+    #: opens when omitted.
     job_id: Optional[str] = None
     #: Recurring-job identity for workload analysis.  Batch submissions
     #: that leave these empty are recorded as one-off ad-hoc jobs and
@@ -108,7 +84,7 @@ class JobRequest:
 
 @dataclass
 class _Pending:
-    """Submission-order slot of one job of the next wave."""
+    """List-order slot of one job of a wave."""
 
     request: JobRequest
     job_id: str
@@ -124,19 +100,12 @@ class _Pending:
 
 
 class JobScheduler:
-    """Wave frontend over one :class:`ScopeEngine`.
+    """Wave runner over one :class:`ScopeEngine`::
 
-    Typical use::
+        results = JobScheduler(engine).drain(
+            [JobRequest(sql=sql) for sql in batch], now=now)
 
-        scheduler = JobScheduler(engine, SchedulerConfig(max_pending=64))
-        for sql in batch:
-            scheduler.submit(JobRequest(sql=sql), now=now)
-        results = scheduler.drain(now=now)
-        scheduler.close()
-
-    ``submit``/``drain`` may also be driven through :meth:`run_batch`.
-    The scheduler is itself thread-safe for submissions, but ``drain``
-    is a barrier and must not race with further submissions.
+    Any thread may call :meth:`drain`; each call is its own wave.
     """
 
     def __init__(self, engine: ScopeEngine,
@@ -150,40 +119,13 @@ class JobScheduler:
         #: The engine's flight recorder, as installed when the scheduler
         #: is built.
         self.recorder = engine.recorder
-        self._pending: List[_Pending] = []
+        # Guards only the wave count, which concurrent callers share.
         self._mutex = TrackedLock("scheduler", RANK_SCHEDULER,
                                   self.recorder)
-        self._slots = (threading.BoundedSemaphore(self.config.max_pending)
-                       if self.config.max_pending else None)
-        self._closed = False
         self._waves = 0
-        self.jobs_submitted = 0
-        self.jobs_failed = 0
         #: The session's fault runtime; ``Session(faults=...)`` installs
         #: a live one so the ``scheduler.worker`` death seam can fire.
         self.faults = NULL_FAULTS
-
-    # ------------------------------------------------------------------ #
-    # submission
-
-    def submit(self, request: JobRequest, now: float = 0.0) -> str:
-        """Admit one job and return its (deterministic) job id; it runs
-        when the wave is drained."""
-        if self._closed:
-            raise SchedulerError("scheduler is closed")
-        if self._slots is not None:
-            if self.config.admission == "reject":
-                if not self._slots.acquire(blocking=False):
-                    self.recorder.inc("scheduler.admission.rejected")
-                    raise AdmissionError(
-                        f"pending limit {self.config.max_pending} reached")
-            else:
-                self._slots.acquire()
-        with self._mutex:
-            job_id = request.job_id or self.engine.next_job_id()
-            self.jobs_submitted += 1
-            self._pending.append(_Pending(request, job_id, now))
-        return job_id
 
     def _work(self, slot: _Pending) -> JobRun:
         """One job's compile + execute; the rest is the completion pass's.
@@ -225,7 +167,7 @@ class JobScheduler:
         return self.engine.execute(compiled, now=now)
 
     def _open(self, pending: List[_Pending]) -> None:
-        """Open a wave: plan each job, in submission order -- a job that
+        """Open a wave: plan each job, in list order -- a job that
         fails to plan, or runs without reuse, asks for no tags -- and
         fetch the rest's annotations as one lookup frame per owning
         shard."""
@@ -246,19 +188,18 @@ class JobScheduler:
                 [(slot.planned[1], slot.submitted_at) for slot in asking])):
             slot.fetched = fetched
 
-    # ------------------------------------------------------------------ #
-    # collection barrier
-
-    def drain(self, now: float = 0.0) -> List[JobResult]:
-        """Run the wave on this thread: open it (:meth:`_open`), compile
-        and execute each job in submission order, then complete them in
-        submission order.
+    def drain(self, requests: Sequence[JobRequest],
+              now: float = 0.0) -> List[JobResult]:
+        """Run ``requests`` as one wave on this thread, results in list
+        order: draw the job ids, open the wave (:meth:`_open`), compile
+        and execute each job, then complete each job.
 
         Nothing of the wave is sealed or recorded until all of it has
         executed, so no job reuses a view a sibling of its wave built.
         """
-        with self._mutex:
-            pending, self._pending = self._pending, []
+        pending = [_Pending(request,
+                            request.job_id or self.engine.next_job_id(), now)
+                   for request in requests]
         # The wave is one commit group: its records commit once the
         # completion pass has sealed everything the wave built.
         with self.engine.commit_group():
@@ -269,73 +210,33 @@ class JobScheduler:
                 except Exception as error:  # per-job isolation boundary
                     slot.error = error
             results: List[JobResult] = []
-            failures = 0
             for slot in pending:
+                if slot.run is not None:
+                    self.engine.finish(slot.run, at=now)
+                    results.append(JobResult.from_run(slot.run))
+                    continue
                 error = slot.error
-                try:
-                    if slot.run is not None:
-                        self.engine.finish(slot.run, at=now)
-                        results.append(JobResult.from_run(slot.run))
-                        continue
-                    failures += 1
-                    self.recorder.inc("scheduler.jobs.failed")
-                    self.recorder.event(
-                        obs_events.JOB_FAILED, at=now, job_id=slot.job_id,
-                        virtual_cluster=slot.request.virtual_cluster,
-                        error=str(error) or type(error).__name__,
-                        error_type=type(error).__name__,
-                    )
-                    results.append(JobResult.from_failure(
-                        slot.job_id, slot.request.sql,
-                        slot.request.virtual_cluster, slot.submitted_at,
-                        error))
-                finally:
-                    if self._slots is not None:
-                        self._slots.release()
-        self.jobs_failed += failures
+                self.recorder.inc("scheduler.jobs.failed")
+                self.recorder.event(
+                    obs_events.JOB_FAILED, at=now, job_id=slot.job_id,
+                    virtual_cluster=slot.request.virtual_cluster,
+                    error=str(error) or type(error).__name__,
+                    error_type=type(error).__name__,
+                )
+                results.append(JobResult.from_failure(
+                    slot.job_id, slot.request.sql,
+                    slot.request.virtual_cluster, now, error))
         if pending:
-            self._waves += 1
+            with self._mutex:
+                self._waves += 1
+                wave = self._waves
             self.recorder.inc("scheduler.waves")
             self.recorder.event(
-                obs_events.SCHEDULER_WAVE, at=now,
-                job_id=f"wave-{self._waves}",
-                jobs=len(pending), failures=failures)
+                obs_events.SCHEDULER_WAVE, at=now, job_id=f"wave-{wave}",
+                jobs=len(pending),
+                failures=sum(not result.ok for result in results))
         return results
-
-    def run_batch(self, requests: List[JobRequest],
-                  now: float = 0.0) -> List[JobResult]:
-        """Submit a batch and drain it: one wave, results in batch order."""
-        for request in requests:
-            self.submit(request, now=now)
-        return self.drain(now=now)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-
-    @property
-    def pending_jobs(self) -> int:
-        with self._mutex:
-            return len(self._pending)
 
     @property
     def waves(self) -> int:
         return self._waves
-
-    def close(self) -> None:
-        """Refuse further submissions; refuses itself while jobs are
-        pending (call :meth:`drain` first)."""
-        if self._closed:
-            return
-        if self.pending_jobs:
-            raise SchedulerError(
-                "close() with pending jobs; call drain() first")
-        self._closed = True
-
-    def __enter__(self) -> "JobScheduler":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self._closed = True

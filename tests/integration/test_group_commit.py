@@ -189,23 +189,27 @@ def test_a_failed_frame_counts_its_records_and_the_next_snapshot_heals(
     manager.close()
 
 
-def test_a_scheduler_left_on_an_exception_closes_its_wave_group(tmp_path):
-    """A wave that is never drained must not hold the manager's commit
-    group open: every later record would wait for some other step.  (A
-    wave runs, and opens its group, in ``drain``: ``submit`` only
-    queues.)"""
+def test_a_scheduler_left_on_an_exception_closes_its_wave_group(
+        tmp_path, monkeypatch):
+    """A wave whose completion pass raises must not hold the manager's
+    commit group open: every later record would wait for some other
+    step.  What the wave journaled before the error still commits."""
     engine = ScopeEngine()
     install_tables(engine)
     annotate_join(engine)
     journal_dir = str(tmp_path / "journal")
     manager = LifecycleManager(engine,
                                LifecycleConfig(journal_dir=journal_dir))
-    with pytest.raises(RuntimeError, match="before drain"):
-        with JobScheduler(engine, SchedulerConfig(workers=2)) as scheduler:
-            scheduler.submit(JobRequest(sql=SQL))
-            raise RuntimeError("the caller gave up before drain")
+
+    def fail(run, at):
+        raise RuntimeError("the completion pass failed")
+
+    monkeypatch.setattr(engine, "finish", fail)
+    with pytest.raises(RuntimeError, match="completion pass failed"):
+        JobScheduler(engine, SchedulerConfig(workers=2)).drain(
+            [JobRequest(sql=SQL)])
     assert manager._groups == []
-    assert not engine.view_store.views()  # the job never ran
+    assert engine.view_store.views()  # the job ran and began its build
     assert recover(journal_dir) == engine.view_store.catalog_digest()
     manager.close()
 

@@ -2,8 +2,8 @@
 
 Every case is a script of ``SERVICE_SURFACE`` calls run step by step
 against a *subject* and a plain in-process *reference*, comparing after
-each step the result (or the error, by type name and message), both
-``last_fetch_latency`` values with ``==``, the full
+each step the result (or the error, by type name and message; a
+fetch's result carries its latency, compared with ``==``), the full
 ``metrics.snapshot()`` and ``generation`` -- and, at the end, the two
 recorders' event lists.  The subjects are the in-process
 :class:`InsightsService`, the :class:`ShardRouter` at 1/2/4 shards, and
@@ -197,10 +197,7 @@ def observe(target, method, args):
 
 
 def state(target):
-    inner = getattr(target, "service", target)
     return {
-        "latency": (target.last_fetch_latency, inner.last_fetch_latency),
-        "degraded": target.last_fetch_degraded,
         "metrics": target.metrics.snapshot(),
         "generation": target.generation,
         "enabled": target.enabled,
@@ -240,8 +237,8 @@ def test_the_drift_cases_have_the_expected_values():
     """Pin the two divergences to numbers, not only to each other."""
     service = InsightsService()
     service.publish(make_annotations())
-    service.lookup([["tag-1", "tag-1", "tag-2"]])
-    assert service.last_fetch_latency == 0.015 + 0.0015 + 0.015
+    [(_, latency)] = service.lookup([["tag-1", "tag-1", "tag-2"]])
+    assert latency == 0.015 + 0.0015 + 0.015
     service.release_view_lock("never-held", "job-a")
     assert service.metrics.snapshot()["locks_released"] == 0
 

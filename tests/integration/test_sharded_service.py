@@ -86,9 +86,9 @@ class TestServiceParity:
         # router re-accumulates per-tag charges in the caller's tag
         # order, so the floats must match exactly, not approximately.
         for _ in range(2):
-            by_tag(router, tags)
-            by_tag(service, tags)
-            assert router.last_fetch_latency == service.last_fetch_latency
+            [(_, sharded)] = router.lookup([tags])
+            [(_, local)] = service.lookup([tags])
+            assert sharded == local
 
     def test_stats_count_lists_and_charge_retries(self, deployment):
         """A worker's ``fetch_requests`` counts the per-job tag lists it
@@ -188,8 +188,8 @@ class TestDeadShardDegradesNotFails:
             for i in range(threshold):
                 fetched = client.fetch_annotations([dead_tags[i]],
                                                    now=float(i))
-                assert fetched == {}
-                assert client.last_fetch_degraded
+                assert fetched.annotations == {}
+                assert fetched.degraded
             assert client.breaker.state == OPEN
             # restart_dead=False: the supervisor refused to revive it.
             assert supervisor.restarts == [0, 0]

@@ -105,15 +105,15 @@ class TestNoDuplicateBuildout:
     def test_signature_materialized_once_across_waves(self):
         engine = build_engine()
         annotate_shared_join(engine)
-        with JobScheduler(engine, SchedulerConfig(workers=8)) as scheduler:
-            for wave in range(5):
-                with alongside(lambda: engine.run_sql(
-                        SQL, now=float(wave))) as runs:
-                    results = scheduler.run_batch(
-                        [JobRequest(sql=SQL) for _ in range(8)],
-                        now=float(wave))
-                assert all(r.ok for r in results)
-                assert all(isinstance(run, JobRun) for run in runs), runs
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
+        for wave in range(5):
+            with alongside(lambda: engine.run_sql(
+                    SQL, now=float(wave))) as runs:
+                results = scheduler.drain(
+                    [JobRequest(sql=SQL) for _ in range(8)],
+                    now=float(wave))
+            assert all(r.ok for r in results)
+            assert all(isinstance(run, JobRun) for run in runs), runs
         # Built in wave 0 (by a job of the wave or one racing it),
         # reused by every later wave.
         assert engine.view_store.total_created == 1
@@ -122,18 +122,18 @@ class TestNoDuplicateBuildout:
     def test_failed_producer_releases_lock_for_next_wave(self):
         engine = build_engine()
         join = annotate_shared_join(engine, sql=FAILING_SQL)
-        with JobScheduler(engine, SchedulerConfig(workers=4)) as scheduler:
-            with alongside(lambda: engine.run_sql(
-                    FAILING_SQL, now=0.0)) as runs:
-                crashed = scheduler.run_batch(
-                    [JobRequest(sql=FAILING_SQL) for _ in range(4)],
-                    now=0.0)
-            assert all(not r.ok for r in crashed)
-            assert all(isinstance(run, ExecutionError) for run in runs), runs
-            assert engine.insights.lock_holder(join.strict) is None
-            # The same fragment is buildable by a healthy job now.
-            healthy = scheduler.run_batch(
-                [JobRequest(sql=SQL)], now=1.0)
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=4))
+        with alongside(lambda: engine.run_sql(
+                FAILING_SQL, now=0.0)) as runs:
+            crashed = scheduler.drain(
+                [JobRequest(sql=FAILING_SQL) for _ in range(4)],
+                now=0.0)
+        assert all(not r.ok for r in crashed)
+        assert all(isinstance(run, ExecutionError) for run in runs), runs
+        assert engine.insights.lock_holder(join.strict) is None
+        # The same fragment is buildable by a healthy job now.
+        healthy = scheduler.drain(
+            [JobRequest(sql=SQL)], now=1.0)
         assert healthy[0].ok
         assert healthy[0].views_built == 1
 
@@ -196,13 +196,12 @@ class TestBreakerUnderFaults:
             client.faults = faults
             engine = build_engine(insights=client)
             annotate_shared_join(engine)
-            with JobScheduler(engine,
-                              SchedulerConfig(workers=8)) as scheduler:
-                results = []
-                for wave in range(4):
-                    results += scheduler.run_batch(
-                        [JobRequest(sql=SQL) for _ in range(6)],
-                        now=float(wave))
+            scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
+            results = []
+            for wave in range(4):
+                results += scheduler.drain(
+                    [JobRequest(sql=SQL) for _ in range(6)],
+                    now=float(wave))
             return results
 
         faulty = outcomes(resolve_faults("seed=5;insights.rpc:drop:0.2"))
@@ -258,13 +257,13 @@ class TestUsageMetricsUnderThreads:
 
         sampler = threading.Thread(target=sample)
         sampler.start()
-        with JobScheduler(engine, SchedulerConfig(workers=8)) as scheduler:
-            for wave in range(4):
-                with alongside(lambda: engine.run_sql(
-                        SQL, now=float(wave)), threads=3):
-                    scheduler.run_batch(
-                        [JobRequest(sql=SQL) for _ in range(10)],
-                        now=float(wave))
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
+        for wave in range(4):
+            with alongside(lambda: engine.run_sql(
+                    SQL, now=float(wave)), threads=3):
+                scheduler.drain(
+                    [JobRequest(sql=SQL) for _ in range(10)],
+                    now=float(wave))
         stop.set()
         sampler.join()
 

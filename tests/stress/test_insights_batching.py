@@ -77,13 +77,13 @@ def hammer(client, tags):
                 # Overlapping two-tag fetches: callers contend for tags.
                 pair = (tags[(ident + i) % len(tags)],
                         tags[(ident + i + 1) % len(tags)])
-                result = client.fetch_annotations(pair, now=0.0)
-                if client.last_fetch_degraded:
+                fetched = client.fetch_annotations(pair, now=0.0)
+                if fetched.degraded:
                     degraded[ident] += 1
-                    assert result == {}
+                    assert fetched.annotations == {}
                 else:
                     served[ident] += 1
-                    assert len(result) == 2
+                    assert len(fetched.annotations) == 2
         except Exception as exc:  # noqa: BLE001 - surfaced below
             failures.append((ident, exc))
 

@@ -86,12 +86,11 @@ class TestJanitorVsScheduler:
         janitor.start()
         try:
             results = []
-            with JobScheduler(engine,
-                              SchedulerConfig(workers=8)) as scheduler:
-                for wave in range(6):
-                    results.extend(scheduler.run_batch(
-                        [JobRequest(sql=SQL) for _ in range(10)],
-                        now=float(wave)))
+            scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
+            for wave in range(6):
+                results.extend(scheduler.drain(
+                    [JobRequest(sql=SQL) for _ in range(10)],
+                    now=float(wave)))
         finally:
             stop.set()
             janitor.join()
@@ -121,12 +120,11 @@ class TestJanitorVsScheduler:
         thread = threading.Thread(target=sweeper)
         thread.start()
         try:
-            with JobScheduler(engine,
-                              SchedulerConfig(workers=6)) as scheduler:
-                for wave in range(10):
-                    scheduler.run_batch(
-                        [JobRequest(sql=SQL) for _ in range(5)],
-                        now=float(wave * 3))
+            scheduler = JobScheduler(engine, SchedulerConfig(workers=6))
+            for wave in range(10):
+                scheduler.drain(
+                    [JobRequest(sql=SQL) for _ in range(5)],
+                    now=float(wave * 3))
         finally:
             stop.set()
             thread.join()
@@ -158,12 +156,11 @@ class TestJanitorVsScheduler:
         thread = threading.Thread(target=sweeper)
         thread.start()
         try:
-            with JobScheduler(engine,
-                              SchedulerConfig(workers=6)) as scheduler:
-                for wave in range(8):
-                    scheduler.run_batch(
-                        [JobRequest(sql=SQL) for _ in range(5)],
-                        now=float(wave * 2))
+            scheduler = JobScheduler(engine, SchedulerConfig(workers=6))
+            for wave in range(8):
+                scheduler.drain(
+                    [JobRequest(sql=SQL) for _ in range(5)],
+                    now=float(wave * 2))
         finally:
             stop.set()
             thread.join()

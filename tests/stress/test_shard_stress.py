@@ -116,9 +116,9 @@ class TestKillsUnderLoad:
                     tags = [f"tag-{(worker_id + step) % 16}"]
                     fetched = client.fetch_annotations(
                         tags, now=float(step))
-                    # Degraded fetches return {}; successful ones must
+                    # Degraded fetches return none; successful ones must
                     # return exactly the published annotations.
-                    for signature, annotation in fetched.items():
+                    for annotation in fetched.annotations.values():
                         assert annotation.tag in tags
                     step += 1
             except Exception as error:  # noqa: BLE001 - collected below

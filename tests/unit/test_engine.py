@@ -151,30 +151,28 @@ class TestInsightsService:
     def test_publish_and_fetch_by_tag(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA"), Annotation("r2", "tagB")])
-        result = service.fetch_annotations(["tagA"])
+        result = service.fetch_annotations(["tagA"]).annotations
         assert set(result) == {"r1"}
 
     def test_fetch_caches_tags(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA")])
-        service.fetch_annotations(["tagA"])
-        first_latency = service.last_fetch_latency
-        service.fetch_annotations(["tagA"])
-        assert service.last_fetch_latency < first_latency
+        first_latency = service.fetch_annotations(["tagA"]).latency
+        assert service.fetch_annotations(["tagA"]).latency < first_latency
         assert service.metrics.cache_hits == 1
 
     def test_publish_replaces_previous_generation(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA")])
         service.publish([Annotation("r2", "tagB")])
-        assert service.fetch_annotations(["tagA"]) == {}
-        assert set(service.fetch_annotations(["tagB"])) == {"r2"}
+        assert service.fetch_annotations(["tagA"]).annotations == {}
+        assert set(service.fetch_annotations(["tagB"]).annotations) == {"r2"}
 
     def test_disabled_service_serves_nothing(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA")])
         service.enabled = False
-        assert service.fetch_annotations(["tagA"]) == {}
+        assert service.fetch_annotations(["tagA"]).annotations == {}
 
     def test_lock_exclusive(self):
         service = InsightsService()

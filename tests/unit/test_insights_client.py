@@ -3,8 +3,8 @@
 Covers the TTL'd local cache, retries with backoff, the circuit
 breaker's full closed -> open -> half-open -> closed cycle, fault
 injection, and the degradation contract the engine relies on (a failed
-fetch returns an empty mapping and flags ``last_fetch_degraded`` instead
-of raising).
+fetch returns a ``Fetched`` with no annotations and ``degraded`` set
+instead of raising).
 """
 
 import pytest
@@ -72,15 +72,15 @@ class TestServingPath:
         publish_one(client)
         direct = InsightsService()
         publish_one(direct)
-        assert set(client.fetch_annotations(["tag-1", "ghost"])) == \
-            set(direct.fetch_annotations(["tag-1", "ghost"]))
+        assert set(client.fetch_annotations(["tag-1", "ghost"]).annotations) \
+            == set(direct.fetch_annotations(["tag-1", "ghost"]).annotations)
 
     def test_local_cache_hits_skip_the_service(self):
         client = InsightsClient()
         publish_one(client)
         client.fetch_annotations(["tag-1"], now=0.0)
         before = client.metrics.snapshot()
-        result = client.fetch_annotations(["tag-1"], now=1.0)
+        result = client.fetch_annotations(["tag-1"], now=1.0).annotations
         after = client.metrics.snapshot()
         assert result["rec-1"].tag == "tag-1"
         assert client.cache_hits == 1
@@ -100,8 +100,8 @@ class TestServingPath:
             backoff_jitter=0.0))
         tags = [f"tag-{i}" for i in range(5)]
         client.publish([annotation(tag=t, recurring=f"rec-{t}") for t in tags])
-        result = client.fetch_annotations(tags, now=0.0)
-        assert set(result) == {f"rec-{t}" for t in tags}
+        fetched = client.fetch_annotations(tags, now=0.0)
+        assert set(fetched.annotations) == {f"rec-{t}" for t in tags}
         assert lookups == [[tags]] and client.retries == 1
         usage = client.metrics.snapshot()
         assert (usage["cache_misses"], usage["cache_hits"]) == (5, 5)
@@ -109,8 +109,8 @@ class TestServingPath:
         for _ in tags:
             all_hits += 0.0015
         assert service.relookup_seconds == [all_hits]
-        assert client.last_fetch_latency == 0.060 + 0.010 + all_hits
-        assert not client.last_fetch_degraded
+        assert fetched.latency == 0.060 + 0.010 + all_hits
+        assert not fetched.degraded
 
     def test_cache_expires_after_ttl(self):
         client = InsightsClient(
@@ -126,7 +126,7 @@ class TestServingPath:
         publish_one(client)
         client.fetch_annotations(["tag-1"], now=0.0)
         publish_one(client, recurring="rec-2")
-        result = client.fetch_annotations(["tag-1"], now=0.0)
+        result = client.fetch_annotations(["tag-1"], now=0.0).annotations
         assert set(result) == {"rec-2"}
         assert client.cache_misses == 2
 
@@ -134,14 +134,15 @@ class TestServingPath:
         client = InsightsClient()
         publish_one(client)
         client.enabled = False
-        assert client.fetch_annotations(["tag-1"]) == {}
-        assert client.last_fetch_degraded is False
+        fetched = client.fetch_annotations(["tag-1"])
+        assert fetched.annotations == {}
+        assert fetched.degraded is False
 
     def test_latency_accounting_is_simulated(self):
         client = InsightsClient()
         publish_one(client)
-        client.fetch_annotations(["tag-1"], now=0.0)
-        assert client.last_fetch_latency == pytest.approx(0.015)
+        fetched = client.fetch_annotations(["tag-1"], now=0.0)
+        assert fetched.latency == pytest.approx(0.015)
 
 
 class TestRetriesAndDegradation:
@@ -149,38 +150,38 @@ class TestRetriesAndDegradation:
         # The first round trip errors, every later one goes through.
         client = faulty_client("insights.rpc:error:1.0:1")
         publish_one(client)
-        result = client.fetch_annotations(["tag-1"], now=0.0)
-        assert "rec-1" in result
+        fetched = client.fetch_annotations(["tag-1"], now=0.0)
+        assert "rec-1" in fetched.annotations
         assert client.retries == 1
-        assert client.last_fetch_degraded is False
+        assert fetched.degraded is False
         # Latency charges the failed attempt's timeout plus backoff.
-        assert client.last_fetch_latency > client.config.timeout_seconds
+        assert fetched.latency > client.config.timeout_seconds
 
     def test_exhausted_retries_degrade_instead_of_raising(self):
         client = faulty_client(
             ALWAYS_ERROR, InsightsClientConfig(max_retries=1))
         publish_one(client)
-        assert client.fetch_annotations(["tag-1"], now=0.0) == {}
-        assert client.last_fetch_degraded is True
+        fetched = client.fetch_annotations(["tag-1"], now=0.0)
+        assert fetched.annotations == {}
+        assert fetched.degraded is True
         assert client.degraded_fetches == 1
 
     def test_degraded_flag_resets_on_next_success(self):
         client = faulty_client(
             ALWAYS_ERROR, InsightsClientConfig(max_retries=0))
         publish_one(client)
-        client.fetch_annotations(["tag-1"], now=0.0)
-        assert client.last_fetch_degraded is True
+        assert client.fetch_annotations(["tag-1"], now=0.0).degraded is True
         client.faults = NULL_FAULTS
-        client.fetch_annotations(["tag-1"], now=0.0)
-        assert client.last_fetch_degraded is False
+        assert client.fetch_annotations(["tag-1"], now=0.0).degraded is False
 
     def test_slow_round_trip_times_out(self):
         client = faulty_client(
             "insights.rpc:delay:1.0:1:1.0",
             InsightsClientConfig(max_retries=0))
         publish_one(client)
-        assert client.fetch_annotations(["tag-1"], now=0.0) == {}
-        assert client.last_fetch_degraded is True
+        fetched = client.fetch_annotations(["tag-1"], now=0.0)
+        assert fetched.annotations == {}
+        assert fetched.degraded is True
 
     def test_backoff_grows_exponentially(self):
         config = InsightsClientConfig(
@@ -224,12 +225,13 @@ class TestCircuitBreaker:
         # While open, fetches degrade without touching the service.
         fetches_before = client.metrics.snapshot()["fetches"]
         for _ in range(3):
-            assert client.fetch_annotations(["tag-1"], now=0.0) == {}
-            assert client.last_fetch_degraded is True
+            fetched = client.fetch_annotations(["tag-1"], now=0.0)
+            assert fetched.annotations == {}
+            assert fetched.degraded is True
         assert client.breaker.state == "open"
         # Heal the service; the cooldown's next fetch runs as a probe.
         client.faults = NULL_FAULTS
-        result = client.fetch_annotations(["tag-1"], now=0.0)
+        result = client.fetch_annotations(["tag-1"], now=0.0).annotations
         assert "rec-1" in result
         assert client.breaker.state == "closed"
         assert client.breaker.transitions == ["open", "half-open", "closed"]

@@ -1,4 +1,4 @@
-"""Unit tests for the concurrent job scheduler and the repro.api facade."""
+"""Unit tests for the wave scheduler and the repro.api facade."""
 
 import time
 
@@ -7,9 +7,10 @@ import pytest
 from repro.api import Session
 from repro.catalog import schema_of
 from repro.common.errors import (
-    AdmissionError,
+    BindError,
+    CatalogError,
     ConfigError,
-    SchedulerError,
+    ParseError,
 )
 from repro.engine import ScopeEngine
 from repro.optimizer.context import Annotation
@@ -22,6 +23,7 @@ from repro.scheduler import (
 )
 from repro.signatures import enumerate_subexpressions
 from repro.sql import parse
+from tests.threads import alongside
 
 SQL = ("SELECT CustomerId, SUM(Price) AS s FROM Sales JOIN Customer "
        "WHERE MktSegment = 'Asia' GROUP BY CustomerId")
@@ -59,8 +61,6 @@ def engine():
 class TestSchedulerConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(workers=0),
-        dict(max_pending=-1),
-        dict(admission="drop"),
     ])
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ConfigError):
@@ -69,9 +69,8 @@ class TestSchedulerConfig:
 
 class TestBatches:
     def test_results_in_submission_order_with_deterministic_ids(self, engine):
-        with JobScheduler(engine, SchedulerConfig(workers=4)) as scheduler:
-            results = scheduler.run_batch(
-                [JobRequest(sql=SQL) for _ in range(8)], now=0.0)
+        results = JobScheduler(engine, SchedulerConfig(workers=4)).drain(
+            [JobRequest(sql=SQL) for _ in range(8)], now=0.0)
         assert [r.job_id for r in results] == \
             [f"job-{i}" for i in range(1, 9)]
         assert all(r.ok for r in results)
@@ -82,8 +81,8 @@ class TestBatches:
         requests = [JobRequest(sql=SQL),
                     JobRequest(sql="SELECT Nope FROM Missing"),
                     JobRequest(sql=SQL)]
-        with JobScheduler(engine, SchedulerConfig(workers=3)) as scheduler:
-            results = scheduler.run_batch(requests, now=0.0)
+        results = JobScheduler(engine, SchedulerConfig(workers=3)).drain(
+            requests, now=0.0)
         assert [r.ok for r in results] == [True, False, True]
         assert results[1].error
         assert results[1].error_type
@@ -91,9 +90,8 @@ class TestBatches:
 
     def test_one_buildout_per_wave_via_lock_table(self, engine):
         annotate_join(engine)
-        with JobScheduler(engine, SchedulerConfig(workers=4)) as scheduler:
-            results = scheduler.run_batch(
-                [JobRequest(sql=SQL) for _ in range(4)], now=0.0)
+        results = JobScheduler(engine, SchedulerConfig(workers=4)).drain(
+            [JobRequest(sql=SQL) for _ in range(4)], now=0.0)
         # Exactly one of the concurrent jobs won the view lock and built;
         # views seal at the barrier, so none reused within the wave.
         assert sum(r.views_built for r in results) == 1
@@ -103,10 +101,10 @@ class TestBatches:
 
     def test_next_wave_reuses_previous_waves_views(self, engine):
         annotate_join(engine)
-        with JobScheduler(engine, SchedulerConfig(workers=4)) as scheduler:
-            scheduler.run_batch([JobRequest(sql=SQL)], now=0.0)
-            results = scheduler.run_batch(
-                [JobRequest(sql=SQL) for _ in range(3)], now=10.0)
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=4))
+        scheduler.drain([JobRequest(sql=SQL)], now=0.0)
+        results = scheduler.drain(
+            [JobRequest(sql=SQL) for _ in range(3)], now=10.0)
         assert all(r.views_reused == 1 for r in results)
 
     def test_reuse_gate_disables_per_virtual_cluster(self, engine):
@@ -114,10 +112,9 @@ class TestBatches:
         scheduler = JobScheduler(
             engine, SchedulerConfig(workers=2),
             reuse_gate=lambda vc: vc != "frozen")
-        results = scheduler.run_batch(
+        results = scheduler.drain(
             [JobRequest(sql=SQL, virtual_cluster="frozen"),
              JobRequest(sql=SQL, virtual_cluster="hot")], now=0.0)
-        scheduler.close()
         assert results[0].reuse_enabled is False
         assert results[0].views_built == 0
         assert results[1].views_built == 1
@@ -152,9 +149,8 @@ class TestWaveBarrier:
         monkeypatch.setattr(engine.view_store, "seal", spy_seal)
         requests = [JobRequest(sql=SQL) for _ in range(8)]
         requests[self.BROKEN] = JobRequest(sql="SELECT Nope FROM Missing")
-        scheduler = JobScheduler(engine, SchedulerConfig(
-            workers=workers, max_pending=8, admission="reject"))
-        results = scheduler.run_batch(requests, now=0.0)
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=workers))
+        results = scheduler.drain(requests, now=0.0)
 
         # The failing job neither stopped the barrier nor its siblings'
         # completion pass.
@@ -164,11 +160,9 @@ class TestWaveBarrier:
         assert at_first_seal == [healthy]  # one view, sealed after all 7
         assert [r.views_reused for r in results] == [0] * 8
         assert sum(len(r.sealed_views) for r in results) == 1
-        # Every admission slot came back: a second full wave is admitted,
-        # and it reuses what the first one built.
-        again = scheduler.run_batch(
+        # A second full wave reuses what the first one built.
+        again = scheduler.drain(
             [JobRequest(sql=SQL) for _ in range(8)], now=10.0)
-        scheduler.close()
         assert [r.views_reused for r in again] == [1] * 8
 
 
@@ -186,57 +180,70 @@ class TestWaveBarrier:
             return compile_job(sql, **kwargs)
 
         monkeypatch.setattr(engine, "compile", slow_first_compile)
-        with JobScheduler(engine, SchedulerConfig(workers=4)) as scheduler:
-            results = scheduler.run_batch(
-                [JobRequest(sql=SQL, virtual_cluster=f"vc{index}")
-                 for index in range(4)], now=0.0)
+        results = JobScheduler(engine, SchedulerConfig(workers=4)).drain(
+            [JobRequest(sql=SQL, virtual_cluster=f"vc{index}")
+             for index in range(4)], now=0.0)
         assert [r.views_built for r in results] == [1, 0, 0, 0]
         [view] = engine.view_store.views()
         assert view.virtual_cluster == "vc0"
 
 
-class TestAdmission:
-    def test_reject_mode_raises_admission_error(self, engine):
-        scheduler = JobScheduler(engine, SchedulerConfig(
-            workers=1, max_pending=2, admission="reject"))
-        scheduler.submit(JobRequest(sql=SQL))
-        scheduler.submit(JobRequest(sql=SQL))
-        with pytest.raises(AdmissionError):
-            scheduler.submit(JobRequest(sql=SQL))
-        scheduler.drain()
-        # Draining frees the slots again.
-        scheduler.submit(JobRequest(sql=SQL))
-        scheduler.drain()
-        scheduler.close()
+class TestConcurrentCallers:
+    """A wave is its caller's list: two threads calling ``run_batch`` on
+    one session each get back exactly their own jobs."""
 
-    def test_failed_jobs_release_admission_slots(self, engine):
-        scheduler = JobScheduler(engine, SchedulerConfig(
-            workers=1, max_pending=1, admission="reject"))
-        scheduler.submit(JobRequest(sql="SELECT Nope FROM Missing"))
-        results = scheduler.drain()
-        assert not results[0].ok
-        scheduler.submit(JobRequest(sql=SQL))
-        assert scheduler.drain()[0].ok
-        scheduler.close()
+    def test_each_caller_gets_its_own_batch_and_template_ids(self):
+        other = ("SELECT CustomerId, COUNT(*) AS n FROM Sales "
+                 "GROUP BY CustomerId")
+        batches = {"solo": [JobRequest(sql=SQL, template_id="solo")],
+                   "trio": [JobRequest(sql=other, template_id="trio")
+                            for _ in range(3)]}
+        with Session() as session:
+            install_tables(session.engine)
 
+            def calls(name, rounds=200):
+                return [[(r.job_id, r.sql, r.ok)
+                         for r in session.run_batch(batches[name])]
+                        for _ in range(rounds)]
 
-class TestLifecycle:
-    def test_close_with_pending_jobs_refuses(self, engine):
-        scheduler = JobScheduler(engine, SchedulerConfig(workers=1))
-        scheduler.submit(JobRequest(sql=SQL))
-        with pytest.raises(SchedulerError):
-            scheduler.close()
-        scheduler.drain()
-        scheduler.close()
-
-    def test_submit_after_close_refuses(self, engine):
-        scheduler = JobScheduler(engine, SchedulerConfig(workers=1))
-        scheduler.close()
-        with pytest.raises(SchedulerError):
-            scheduler.submit(JobRequest(sql=SQL))
+            with alongside(lambda: calls("trio"), threads=1) as outcomes:
+                solo = calls("solo")
+            [trio] = outcomes
+            filed = {job.job_id: job.template_id
+                     for job in session.repository.jobs}
+        for name, got in (("solo", solo), ("trio", trio)):
+            sqls = [request.sql for request in batches[name]]
+            for batch in got:
+                assert [(sql, ok) for _, sql, ok in batch] == \
+                    [(sql, True) for sql in sqls]
+                ids = [int(job_id.split("-")[1]) for job_id, _, _ in batch]
+                assert ids == sorted(ids)
+                assert [filed[job_id] for job_id, _, _ in batch] == \
+                    [name] * len(sqls)
+        assert len(filed) == 200 * 4
 
 
 class TestSessionFacade:
+    @pytest.mark.parametrize("sql, error_type, message", [
+        ("SELECT Nope FROM Missing", CatalogError,
+         "unknown dataset 'Missing'"),
+        ("SELECT Nope FROM Sales", BindError, "unknown column 'Nope'"),
+        ("SELEC x", ParseError, "expected SELECT, got 'SELEC' "
+         "(line 1, column 1)"),
+    ])
+    def test_run_raises_the_jobs_own_error_and_records_nothing(
+            self, sql, error_type, message):
+        """``Session.run`` hands a failing job's error straight to its
+        caller; the job is not a wave and the repository files nothing."""
+        with Session() as session:
+            install_tables(session.engine)
+            with pytest.raises(error_type) as raised:
+                session.run(sql, now=5.0)
+            assert session.scheduler.waves == 0
+            assert session.repository.jobs == []
+        assert type(raised.value) is error_type
+        assert str(raised.value) == message
+
     def test_run_and_run_batch_share_job_result_shape(self):
         with Session() as session:
             install_tables(session.engine)
@@ -370,20 +377,23 @@ class TestSessionShutdown:
         session.close()  # second close must not raise or reopen anything
         assert journal._wal is None
 
-    def test_close_reaches_the_shards_when_the_scheduler_refuses(self):
-        """A scheduler refusing to close over undrained jobs must not
-        strand the shard processes behind it."""
+    def test_close_reaches_the_shards_past_a_failing_step(self, monkeypatch):
+        """A close step that raises (here the backend's) must not strand
+        the shard processes behind it."""
         from repro.api import SessionConfig, ShardConfig
 
         session = Session(config=SessionConfig(shard=ShardConfig(shards=2)))
         install_tables(session.engine)
-        session.scheduler.submit(JobRequest(sql=SQL))
-        with pytest.raises(SchedulerError):
+        assert session.run(SQL).ok
+
+        def refuse():
+            raise RuntimeError("backend close failed")
+
+        monkeypatch.setattr(session.backend, "close", refuse)
+        with pytest.raises(RuntimeError, match="backend close failed"):
             session.close()
         assert session.supervisor.alive_count() == 0
         session.close()  # idempotent: nothing left to tear down or raise
-        session.scheduler.drain()
-        session.scheduler.close()
 
     @pytest.mark.parametrize("shards", [2, 0])
     def test_a_failing_constructor_strands_nothing(self, shards, tmp_path):

@@ -243,10 +243,8 @@ def test_catalog_arithmetic_is_written_once_in_the_view_store():
 
 TRACKED = {"TrackedLock", "TrackedRLock"}
 RAW_LOCKS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-#: The scheduler's admission gate counts free slots from ``submit`` to
-#: ``drain``; nothing is acquired while a thread waits on it, so it has
-#: no place in the rank order.
-UNTRACKED_EXEMPT = {("repro/scheduler/scheduler.py", "BoundedSemaphore")}
+#: No raw lock is left in ``src/``.
+UNTRACKED_EXEMPT = set()
 #: The journal's WAL commit and snapshot write under its leaf lock:
 #: frames must reach the file in applied order.
 IO_UNDER_LOCK_EXEMPT = {
