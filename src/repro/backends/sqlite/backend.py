@@ -518,7 +518,6 @@ class SqliteBackend(ExecutionBackend):
             rows_in=rows_in,
             rows_out=rows_out,
             bytes_out=sum(sizes.values()),
-            description=node.describe(),
         )))
         return rows_out
 

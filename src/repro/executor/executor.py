@@ -13,19 +13,21 @@ from estimates.
 Spool operators perform their double duty here: the child's batch flows
 to the parent *and* is written, every column built, to stable storage
 under the view path, exactly the online-materialization side effect of
-Section 2.3.
+Section 2.3.  Storing it records its constant columns (``Batch.facts``),
+which the batch carries on to the parent as every later read does.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.executor.udo import UdoRegistry, default_registry
-from repro.plan.expressions import ColumnRef, Expr, FuncCall, Row
+from repro.plan.expressions import (BinaryOp, ColumnRef, Expr, FuncCall,
+                                    Literal, Row, conjoin, conjuncts)
 from repro.plan.logical import (
     Distinct,
     Filter,
@@ -53,7 +55,6 @@ class OperatorStats:
     rows_in: int
     rows_out: int
     bytes_out: int
-    description: str = ""
 
 
 @dataclass
@@ -102,7 +103,7 @@ class ExecutionResult:
 class Executor:
     """Runs logical plans over the simulated store, a batch at a time.
 
-    Four rules keep it one path and its numbers exact: *rows exist only
+    Five rules keep it one path and its numbers exact: *rows exist only
     at boundaries*; *a column is measured at most once* -- a column that
     passes through (or is renamed) keeps its recorded size, a gather of a
     fixed-width column is ``width * n``, and an operator that dropped
@@ -110,13 +111,19 @@ class Executor:
     an operator reads it*: a ``Filter``, join, ``Sort`` or ``Limit`` hands
     on pending gathers (:class:`~repro.storage.batch.Columns`), and what
     stores a batch builds the rest; *an expression is compiled once
-    per operator execution* into a function of the batch; and *every
+    per operator execution* into a function of the batch; *every
     operator emits rows in one stated order* (a join: left order, each
     left row with its right matches in right order; a group: first
     appearance), which is what keeps float aggregates and an unordered
-    ``LIMIT`` bit-identical.  Every join hashes; which physical join a
-    SCOPE-like optimizer *would* pick is modelled where the workload
-    repository is filled in (:mod:`repro.core.runner`), not here.
+    ``LIMIT`` bit-identical; and *a column fact is recorded once, when a
+    blob is stored* (``Batch.facts``): a ``Filter`` drops the conjuncts
+    a constant column decides true for every row.  Every join hashes,
+    and probes once per left row when the right keys are distinct; a
+    group over one key column that hashes as itself and one aggregate
+    counts or buckets in one pass.  What the input shows picks the
+    shape.  Which physical join a SCOPE-like optimizer *would* pick is
+    modelled where the workload repository is filled in
+    (:mod:`repro.core.runner`), not here.
     """
 
     def __init__(self, store: DataStore,
@@ -149,8 +156,7 @@ class Executor:
                 f"no executor for operator {type(plan).__name__}")
         rows_in, batch = handler(self, plan, result)
         result.node_stats.append((plan, OperatorStats(
-            plan.op_label, rows_in, batch.length, batch.size(),
-            plan.describe())))
+            plan.op_label, rows_in, batch.length, batch.size())))
         if self.capture_rows:
             result.node_batches[id(plan)] = batch
         return batch
@@ -171,7 +177,10 @@ class Executor:
 
     def _filter(self, plan: Filter, result: ExecutionResult):
         child = self._run(plan.child, result)
-        keep = plan.predicate.compile()(child.columns, child.length)
+        predicate = _undecided(plan.predicate, child.facts)
+        if predicate is None:
+            return child.length, child
+        keep = predicate.compile()(child.columns, child.length)
         return child.length, _selected(child, list(compress(
             range(child.length), keep)))
 
@@ -196,9 +205,11 @@ class Executor:
         child = self._run(plan.child, result)
         keys = _key_columns(plan.keys, child)
         if keys:
+            hashed = _keys(keys, child.length, _widths(plan.keys, child))
+            if hashed is keys[0] and len(plan.aggregates) == 1:
+                return child.length, _one_key_groups(plan, child, hashed)
             groups: Dict[object, List[int]] = defaultdict(list)
-            for position, key in enumerate(_keys(
-                    keys, child.length, _widths(plan.keys, child))):
+            for position, key in enumerate(hashed):
                 groups[key].append(position)
             members = list(groups.values())
         else:
@@ -296,6 +307,32 @@ def _selected(batch: Batch, kept: Sequence[int]) -> Batch:
     return batch if len(kept) == batch.length else batch.take(kept)
 
 
+_COMPARES = frozenset({"=", "<>", "<", "<=", ">", ">="})
+
+
+def _undecided(predicate: Expr, facts: Mapping) -> Optional[Expr]:
+    """``predicate`` without the conjuncts ``facts`` decide true for every
+    row (:func:`_holds`), ``None`` if that is all of them.  A dropped
+    conjunct kept every row, so the ones after it see the rows they saw."""
+    parts = conjuncts(predicate) if facts else []
+    kept = [part for part in parts if not _holds(part, facts)]
+    return predicate if len(kept) == len(parts) else conjoin(kept)
+
+
+def _holds(part: Expr, facts: Mapping) -> bool:
+    """Whether ``part`` is ``column <comparison> non-NULL literal`` over a
+    constant column and :meth:`Expr.evaluate` finds it ``True`` for the
+    constant.  A false or raising one is left to run over the rows, so
+    its error surfaces where it would."""
+    try:
+        return type(part) is BinaryOp and part.op in _COMPARES \
+            and type(part.left) is ColumnRef and part.left.key in facts \
+            and type(part.right) is Literal and part.right.value is not None \
+            and part.evaluate({part.left.key: facts[part.left.key]}) is True
+    except Exception:
+        return False
+
+
 # --------------------------------------------------------------------- #
 # join and aggregation kernels
 
@@ -337,13 +374,27 @@ def join_batches(plan: Join, left: Batch, right: Batch) -> Batch:
     lowering states with ``IS`` -- and a join without keys is the
     one-bucket case.  Output order: left rows in their order, each with
     its matching right rows in theirs.  The residual runs over the
-    gathered candidates.
+    gathered candidates.  Without a residual, distinct right keys take
+    one probe per left row (a miss reads as position ``right.length``,
+    the NULL row a left join extends with).
     """
+    right_keys = _row_keys(plan.right_keys, right)
+    outer = plan.how == "left"
+    # ``1``, ``1.0`` and ``True`` are one key: a side holding two of them
+    # is not distinct.
+    if plan.residual is None and right.length == len(
+            position := dict(zip(right_keys, range(right.length)))):
+        taken = list(map(position.get, _row_keys(plan.left_keys, left),
+                         repeat(right.length)))
+        if not outer and right.length in taken:
+            hit = list(map(right.length.__ne__, taken))
+            left = left.take(list(compress(range(left.length), hit)))
+            taken = list(compress(taken, hit))
+        return _paired(plan, left, right, taken, outer)
     index: Dict[object, List[int]] = defaultdict(list)
-    for position, key in enumerate(_row_keys(plan.right_keys, right)):
+    for position, key in enumerate(right_keys):
         index[key].append(position)
     hits = list(map(index.get, _row_keys(plan.left_keys, left), repeat(())))
-    outer = plan.how == "left"
     if plan.residual is not None:
         out = _joined(plan, left, right, hits, False)
         keep = plan.residual.compile()(out.columns, out.length)
@@ -371,10 +422,39 @@ def _joined(plan: Join, left: Batch, right: Batch,
     elif len(taken) != left.length:
         # No left row matched twice: its count selects it.
         left = left.take(list(compress(range(left.length), matched)))
+    return _paired(plan, left, right, taken, outer)
+
+
+def _paired(plan: Join, left: Batch, right: Batch, taken: Sequence[int],
+            outer: bool) -> Batch:
+    """``left``'s rows, each beside the right row at its position in
+    ``taken`` (with ``outer``, ``right.length`` is a NULL row)."""
     dropped = set(plan.drop_right)
     right = right.select([name for name in right.columns
                           if name not in dropped])
     return left.beside(right.take(taken, null=outer))
+
+
+def _one_key_groups(plan: GroupBy, child: Batch, keys: list) -> Batch:
+    """``plan`` over one key column that hashes as itself and one
+    aggregate, in one pass over the keys: ``COUNT(*)`` is a
+    :class:`Counter` of them, any other aggregate folds its argument
+    values bucketed per key.  Groups, their first-seen key objects and
+    each group's values keep the general path's order, so the folds are
+    bit-identical."""
+    (agg,) = plan.aggregates
+    if agg.name == "COUNT" and not agg.args:
+        groups: Dict[object, object] = Counter(keys)
+        folded = list(groups.values())
+    else:
+        groups = defaultdict(list)
+        # An argument-less call folds NULLs, which it drops: as ``()``.
+        for group, value in zip(keys, agg.args[0].compile()(
+                child.columns, child.length) if agg.args else repeat(None)):
+            groups[group].append(value)
+        folded = [_aggregate(agg, values) for values in groups.values()]
+    return Batch({plan.keys[0].name: list(groups), plan.names[1]: folded},
+                 len(groups))
 
 
 #: An aggregate over the non-NULL values of a non-empty group.

@@ -6,12 +6,14 @@ from operator to operator.  Rows (a ``dict`` per row) exist only at the
 boundaries, built by :meth:`Batch.from_rows` and :meth:`Batch.rows`.  A
 selection travels as a pending :class:`Gather` per column, and a column is
 built only when an operator reads it.  The byte-accounting rule lives here
-too, as the per-column :func:`measure`.
+too, as the per-column :func:`measure`, and so does the one fact a blob
+records of its values, :func:`constants`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -19,6 +21,12 @@ from repro.plan.expressions import Row
 
 #: Kinds whose width is eight bytes whatever the value.
 _EIGHT = frozenset({int, float, type(None)})
+
+#: The exact kinds a constant column may hold (:func:`constants`).
+_CONSTANT = frozenset({int, float, str, bool})
+
+#: The facts of a batch that records none: shared, and never written.
+NO_FACTS: Mapping[str, object] = MappingProxyType({})
 
 
 class Gather(NamedTuple):
@@ -96,17 +104,22 @@ class Batch:
     value of the column weighs when that is known (8, 1, or a string
     length), so a gather of it is ``width * n`` without a walk, and 0 when
     values differ.  A column absent from ``measured`` is sized by the
-    first :meth:`size`.
+    first :meth:`size`.  ``facts`` maps a column to the one value every
+    row holds (:func:`constants`), recorded when a blob is stored and
+    carried by :meth:`select`, :meth:`take` and :meth:`beside`; a batch
+    whose columns an operator computed records none.
     """
 
-    __slots__ = ("columns", "length", "measured", "_size")
+    __slots__ = ("columns", "length", "measured", "facts", "_size")
 
     def __init__(self, columns: Union[Columns, Dict[str, list]], length: int,
-                 measured: Optional[Dict[str, Tuple[int, int]]] = None):
+                 measured: Optional[Dict[str, Tuple[int, int]]] = None,
+                 facts: Mapping[str, object] = NO_FACTS):
         self.columns = (columns if isinstance(columns, Columns)
                         else Columns(columns))
         self.length = length
         self.measured = {} if measured is None else measured
+        self.facts = facts
         self._size: Optional[int] = None
 
     @classmethod
@@ -148,28 +161,34 @@ class Batch:
             else:
                 columns[new] = [None] * self.length
                 measured[new] = (8 * self.length, 8)
-        return Batch(Columns(columns), self.length, measured)
+        facts = self.facts and {new: self.facts[name] for name, new in zip(
+            names, renamed or names) if name in self.facts}
+        return Batch(Columns(columns), self.length, measured, facts)
 
     def take(self, index: Sequence[int], null: bool = False) -> "Batch":
-        """The rows at ``index``, in that order, as pending gathers.  With
-        ``null``, position ``length`` is a NULL row (a left join's
-        unmatched side)."""
+        """The rows at ``index``, in that order, as pending gathers, with
+        this batch's facts.  With ``null``, position ``length`` is a NULL
+        row (a left join's unmatched side), and no fact holds."""
         n = len(index)
         measured = {name: (width * n, width)
                     for name, (_, width) in self.measured.items()
                     if width == 8 or (width and not null)}
-        return Batch(self.columns.at(index, null), n, measured)
+        return Batch(self.columns.at(index, null), n, measured,
+                     NO_FACTS if null else self.facts)
 
     def beside(self, other: "Batch") -> "Batch":
         """This batch's columns, then ``other``'s (of the same length; a
-        name both hold is ``other``'s), with what is measured of them --
-        the raw entries merged, nothing built."""
+        name both hold is ``other``'s), with what is measured and known
+        of them -- the raw entries merged, nothing built."""
         measured = {name: size for name, size in self.measured.items()
                     if name not in other.columns}
         measured.update(other.measured)
+        facts = {**{name: value for name, value in self.facts.items()
+                    if name not in other.columns},
+                 **other.facts} if self.facts else other.facts
         return Batch(Columns({**self.columns.entries,
                               **other.columns.entries}),
-                     other.length, measured)
+                     other.length, measured, facts)
 
     def size(self) -> int:
         """Byte size of the batch; builds and walks the columns not yet
@@ -213,6 +232,19 @@ def measure(values: list) -> Tuple[int, int]:
         return (sum(map(len, strings)) + strings.count("")
                 + 8 * (len(values) - len(strings))), 0
     return sum(map(_width, values)), 0
+
+
+def constants(columns: Mapping[str, list]) -> Mapping[str, object]:
+    """``{name: value}`` for each non-empty built column of ``columns``
+    whose every value equals ``value`` and is of its exact type, one of
+    ``int``, ``float``, ``str`` and ``bool`` -- so no NULL, and no ``True``
+    among ``1``s.  Such values compare alike against any constant (``0.0``
+    and ``-0.0`` too); a NaN equals only itself, so counts only as one
+    shared object."""
+    return {name: values[0] for name, values in columns.items()
+            if values and type(values[0]) in _CONSTANT
+            and values.count(values[0]) == len(values)
+            and len(set(map(type, values))) == 1} or NO_FACTS
 
 
 def _width(value: object) -> int:

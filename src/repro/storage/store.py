@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.common.errors import StorageError
 from repro.common.sync import RANK_STORAGE, TrackedLock
 from repro.plan.expressions import Row
-from repro.storage.batch import Batch
+from repro.storage.batch import Batch, constants
 
 class DataStore:
     """In-memory blob store: GUID/path -> :class:`Batch`.
@@ -47,9 +47,11 @@ class DataStore:
         immutable per GUID, so an overwrite only happens when
         re-materializing the same view path).  Built first, a blob keeps
         no gather's base alive and is never filled in while concurrent
-        jobs read it."""
+        jobs read it; built, its constant columns are recorded once as
+        ``batch.facts``, which every read of it carries."""
         size = batch.size()
         batch.columns.build()
+        batch.facts = constants(batch.columns)
         with self._mutex:
             self._blobs[key] = batch
             self.bytes_written += size

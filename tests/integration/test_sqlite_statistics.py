@@ -76,8 +76,7 @@ def reference_stats(backend, plan):
             rows_in = sum(child_rows)
         else:
             rows_in = child_rows[0] if child_rows else 0
-        out.append((node.op_label, rows_in, rows_out, bytes_out,
-                    node.describe()))
+        out.append((node.op_label, rows_in, rows_out, bytes_out))
         return rows_out
 
     walk(plan)
@@ -85,7 +84,7 @@ def reference_stats(backend, plan):
 
 
 def stats_of(result):
-    return [(s.operator, s.rows_in, s.rows_out, s.bytes_out, s.description)
+    return [(s.operator, s.rows_in, s.rows_out, s.bytes_out)
             for _, s in result.node_stats]
 
 

@@ -118,13 +118,15 @@ def _operators(children):
 plans = st.recursive(scans, _operators, max_leaves=5)
 
 
+def disqualifies(node):
+    """Whether ``node`` alone makes every plan holding it ineligible."""
+    return isinstance(node, Process) and (
+        not node.deterministic or node.dependency_depth > MAX_DEPENDENCY_DEPTH)
+
+
 def eligible_by_walk(plan):
     """``is_reuse_eligible`` as first written: a walk of the subtree."""
-    return not any(
-        isinstance(node, Process) and (
-            not node.deterministic
-            or node.dependency_depth > MAX_DEPENDENCY_DEPTH)
-        for node in plan.walk())
+    return not any(map(disqualifies, plan.walk()))
 
 
 def assert_matches_reference(plan, salts=SALTS):
@@ -311,7 +313,7 @@ def test_runtime_upgrade_resigns_the_same_nodes(plan):
     assert strict_signature(plan, before) == old
 
 
-def test_eight_threads_signing_one_shared_definition_agree():
+def test_eight_threads_signing_one_shared_definition_agree(monkeypatch):
     # A view's ``definition`` is one plan object shared by every compiling
     # thread; build it deep enough that the threads interleave mid-tree.
     definition = Scan("S", ("a", "b"), stream_guid="guid-1")
@@ -324,10 +326,32 @@ def test_eight_threads_signing_one_shared_definition_agree():
                 True)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 5000))
     nodes = list(definition.walk())[::7]
-    expected = [(reference_signature(node, False, "v1"),
-                 reference_signature(node, True, "v1"),
-                 signature_tag(reference_signature(node, True, "v1")),
-                 eligible_by_walk(node)) for node in nodes]
+    # The expected values are the reference recursion, computed once per
+    # shared node: the definition's subtrees are shared, so unmemoised it
+    # re-derives them millions of times.  ``reference_signature`` recurses
+    # through its module's global, so memoising that global memoises every
+    # level of the unchanged recursion; eligibility is the walk's "no node
+    # below disqualifies", one node and its children at a time.
+    signed, eligible = {}, {}
+
+    def reference_once(node, recurring, salt=""):
+        key = (id(node), recurring, salt)
+        if key not in signed:
+            signed[key] = reference_signature(node, recurring, salt)
+        return signed[key]
+
+    def eligible_once(node):
+        if id(node) not in eligible:
+            eligible[id(node)] = not disqualifies(node) and all(
+                map(eligible_once, node.children()))
+        return eligible[id(node)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(signature_module, "reference_signature", reference_once)
+        expected = [(reference_once(node, False, "v1"),
+                     reference_once(node, True, "v1"),
+                     signature_tag(reference_once(node, True, "v1")),
+                     eligible_once(node)) for node in nodes]
 
     barrier = threading.Barrier(8)
     seen, errors = [], []
