@@ -20,16 +20,22 @@ only place the Figure-5 feedback loop is written: :meth:`Session.record`
 ingests an executed job and :meth:`Session.analyze_and_publish` runs one
 selection epoch; :class:`repro.simulation.WorkloadSimulation` drives
 both over simulated days.
+
+A ``Session`` has one caller: the thread that built it.  Any other
+thread calling one of its methods gets :class:`ConfigError` and changes
+nothing; concurrent callers each build their own ``Session``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from threading import get_ident
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.backends.base import ExecutionBackend, create_backend
 from repro.catalog.schema import TableSchema
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.config import SessionConfig
 from repro.core.controls import MultiLevelControls
 from repro.core.runner import record_job_into
@@ -63,6 +69,17 @@ __all__ = [
     "SelectionPolicy", "MultiLevelControls",
     "ShardConfig",
 ]
+
+
+def _one_caller(method):
+    """Refuse every thread but the one that built the ``Session``."""
+    @functools.wraps(method)
+    def checked(self, *args, **kwargs):
+        if get_ident() != self._owner:
+            raise ConfigError(
+                "a Session has one caller; use one Session per thread")
+        return method(self, *args, **kwargs)
+    return checked
 
 
 class Session:
@@ -101,6 +118,7 @@ class Session:
                  lifecycle: Optional[LifecycleConfig] = None,
                  faults: Optional[Union[str, FaultPlan, FaultRuntime]] = None,
                  recorder=None):
+        self._owner = get_ident()
         # Resolution order: explicit kwarg, REPRO_FAULTS in the
         # environment, inert default.
         if faults is None:
@@ -185,6 +203,7 @@ class Session:
     # ------------------------------------------------------------------ #
     # data management
 
+    @_one_caller
     def register_table(self, schema: TableSchema, rows: Sequence[Row],
                        at: float = 0.0) -> None:
         self.engine.register_table(schema, rows, at=at)
@@ -192,6 +211,7 @@ class Session:
     # ------------------------------------------------------------------ #
     # running jobs
 
+    @_one_caller
     def reuse_allowed(self, virtual_cluster: str,
                       job_override: Optional[bool] = None) -> bool:
         """The multi-level controls' verdict for one job (Section 4)."""
@@ -200,6 +220,7 @@ class Session:
             job_override=job_override,
             service_enabled=self.insights.enabled)
 
+    @_one_caller
     def run(self, sql: str, *,
             params: Optional[Dict[str, object]] = None,
             virtual_cluster: str = "default",
@@ -221,6 +242,7 @@ class Session:
         self.record(run, template_id=template_id, pipeline_id=pipeline_id)
         return JobResult.from_run(run)
 
+    @_one_caller
     def run_batch(self,
                   jobs: Sequence[Union[str, JobRequest]],
                   now: float = 0.0) -> List[JobResult]:
@@ -245,6 +267,7 @@ class Session:
     # ------------------------------------------------------------------ #
     # the feedback loop
 
+    @_one_caller
     def record(self, run, *, template_id: str = "",
                pipeline_id: str = "") -> None:
         """Ingest one executed job into the workload repository.
@@ -262,6 +285,7 @@ class Session:
             full_work=self._full_work,
         )
 
+    @_one_caller
     def analyze_and_publish(self,
                             window_start: Optional[float] = None,
                             window_end: Optional[float] = None
@@ -305,6 +329,7 @@ class Session:
         )
         return result
 
+    @_one_caller
     def handle_runtime_upgrade(self, version: str) -> None:
         """Roll the engine to a new runtime version.
 
@@ -323,16 +348,20 @@ class Session:
     # operational surface
 
     @property
+    @_one_caller
     def views_created(self) -> int:
         return self.engine.view_store.total_created
 
     @property
+    @_one_caller
     def views_reused(self) -> int:
         return self.engine.view_store.total_reused
 
+    @_one_caller
     def catalog_digest(self) -> str:
         return self.engine.view_store.catalog_digest()
 
+    @_one_caller
     def purge_view(self, strict_signature: str) -> None:
         """User-initiated purge of a view's files (Section 2.4).
 
@@ -348,6 +377,7 @@ class Session:
         self.insights.force_release_locks([strict_signature])
         self.engine.view_store.purge(strict_signature)
 
+    @_one_caller
     def evict_expired(self, now: float) -> int:
         """Retire expired views: out of the catalog, rows off the backend."""
         with self.engine.commit_group():
@@ -356,15 +386,18 @@ class Session:
             self.engine.delete_view_blob(view.path)
         return len(expired)
 
+    @_one_caller
     def storage_in_use(self, now: float) -> int:
         return self.engine.view_store.storage_in_use(now)
 
+    @_one_caller
     def gc_sweep(self, now: float = 0.0):
         """One lifecycle GC sweep (requires ``lifecycle=`` at construction)."""
         if self.lifecycle is None:
             raise ReproError("Session was built without lifecycle=")
         return self.lifecycle.sweep(now)
 
+    @_one_caller
     def close(self) -> None:
         """Tear the deployment down; a second call does nothing.
 
@@ -394,6 +427,7 @@ class Session:
         if first_error is not None:
             raise first_error
 
+    @_one_caller
     def __enter__(self) -> "Session":
         return self
 

@@ -59,9 +59,8 @@ a ``GroupBy`` whose rows did.
 
 Tables are created with *typeless* columns: SQLite then stores every
 value exactly as bound (no affinity coercion), which is a precondition
-for the differential harness's byte-equal guarantee.  One connection is
-shared by every thread that runs jobs, serialized by a ranked lock at
-the storage tier.
+for the differential harness's byte-equal guarantee.  One connection
+serves every job of the session.
 
 Durability and crash safety (the fault-injection hardening):
 
@@ -114,7 +113,6 @@ from repro.common.errors import (
     StorageError,
     TransientBackendError,
 )
-from repro.common.sync import RANK_STORAGE, TrackedLock
 from repro.executor.executor import (
     ExecutionResult,
     OperatorStats,
@@ -200,7 +198,6 @@ class SqliteBackend(ExecutionBackend):
         self._conn = sqlite3.connect(path or ":memory:",
                                      check_same_thread=False,
                                      isolation_level=None)
-        self._mutex = TrackedLock("storage.sqlite", RANK_STORAGE)
         self._tables: Dict[str, TableInfo] = {}
         self._views: Dict[str, TableInfo] = {}
         # Rules 2 and 5: physical table -> what it holds and which of
@@ -308,21 +305,20 @@ class SqliteBackend(ExecutionBackend):
     def _drop(self, kind: str, key: str) -> None:
         """Drop the table behind one manifest row; a no-op when absent."""
         registry = self._registry(kind)
-        with self._mutex:
-            info = registry.get(key)
-            if info is None:
-                return
-            with self._transaction(info.table):
-                self._conn.execute(
-                    f"DROP TABLE IF EXISTS {quote_ident(info.table)}")
-                self._conn.execute(
-                    f"DELETE FROM {MANIFEST_TABLE} "
-                    "WHERE kind = ? AND key = ?", (kind, key))
-            # Forgotten only once it is gone from the file: a drop that
-            # failed must stay visible, so that the caller's retry (or
-            # the next GC sweep) finds it -- else a restart replays the
-            # manifest row and resurrects a purged view.
-            del registry[key]
+        info = registry.get(key)
+        if info is None:
+            return
+        with self._transaction(info.table):
+            self._conn.execute(
+                f"DROP TABLE IF EXISTS {quote_ident(info.table)}")
+            self._conn.execute(
+                f"DELETE FROM {MANIFEST_TABLE} "
+                "WHERE kind = ? AND key = ?", (kind, key))
+        # Forgotten only once it is gone from the file: a drop that
+        # failed must stay visible, so that the caller's retry (or
+        # the next GC sweep) finds it -- else a restart replays the
+        # manifest row and resurrects a purged view.
+        del registry[key]
 
     # ------------------------------------------------------------------ #
     # datasets
@@ -333,20 +329,18 @@ class SqliteBackend(ExecutionBackend):
             columns=tuple(schema.column_names),
             classes=classes_from_schema(schema),
         )
-        with self._mutex:
-            with self._transaction(info.table):
-                self._create_and_fill(info, [
-                    tuple(row.get(c) for c in info.columns)
-                    for row in rows])
-                self._manifest_put("t", guid, info)
-            self._tables[guid] = info
+        with self._transaction(info.table):
+            self._create_and_fill(info, [
+                tuple(row.get(c) for c in info.columns)
+                for row in rows])
+            self._manifest_put("t", guid, info)
+        self._tables[guid] = info
 
     def scan_table(self, guid: str) -> List[Row]:
-        with self._mutex:
-            info = self._tables.get(guid)
-            if info is None:
-                raise StorageError(f"no data stored under key {guid!r}")
-            return self._fetch(info.query())
+        info = self._tables.get(guid)
+        if info is None:
+            raise StorageError(f"no data stored under key {guid!r}")
+        return self._fetch(info.query())
 
     def drop_table(self, guid: str) -> None:
         self._drop("t", guid)
@@ -365,29 +359,28 @@ class SqliteBackend(ExecutionBackend):
             for node in plan.walk():
                 if isinstance(node, ViewScan):
                     faults.fire(fault_points.BACKEND_SCAN_VIEW)
-        with self._mutex:
-            result = ExecutionResult(rows=[], node_stats=[])
-            self._tapped.clear()
-            compiler = PlanCompiler(self._tables, self._views,
-                                    lambda info: self._stored(info)[1])
-            # id(node) -> what the node holds, as far as it is known
-            # without asking SQLite again (the module docstring's rules).
-            known: Dict[int, Measured] = {}
-            try:
-                # Materialize every Spool bottom-up first: the consuming
-                # query then reads the spool table (compute-once, two
-                # consumers), and nested spools resolve inner-first.
-                for node in _post_order(plan):
-                    if isinstance(node, Spool):
-                        self._materialize_spool(node, compiler, known, result)
-                    elif isinstance(node, ViewScan):
-                        result.views_read.append(node.signature)
-                result.rows = self._fetch_root(plan, compiler, known)
-                self._stats_walk(plan, compiler, known, result)
-            except sqlite3.OperationalError as error:
-                raise TransientBackendError(
-                    f"sqlite execution failed: {error}") from error
-            return result
+        result = ExecutionResult(rows=[], node_stats=[])
+        self._tapped.clear()
+        compiler = PlanCompiler(self._tables, self._views,
+                                lambda info: self._stored(info)[1])
+        # id(node) -> what the node holds, as far as it is known
+        # without asking SQLite again (the module docstring's rules).
+        known: Dict[int, Measured] = {}
+        try:
+            # Materialize every Spool bottom-up first: the consuming
+            # query then reads the spool table (compute-once, two
+            # consumers), and nested spools resolve inner-first.
+            for node in _post_order(plan):
+                if isinstance(node, Spool):
+                    self._materialize_spool(node, compiler, known, result)
+                elif isinstance(node, ViewScan):
+                    result.views_read.append(node.signature)
+            result.rows = self._fetch_root(plan, compiler, known)
+            self._stats_walk(plan, compiler, known, result)
+        except sqlite3.OperationalError as error:
+            raise TransientBackendError(
+                f"sqlite execution failed: {error}") from error
+        return result
 
     def _materialize_spool(self, node: Spool, compiler: PlanCompiler,
                            known: Dict[int, Measured],
@@ -572,18 +565,16 @@ class SqliteBackend(ExecutionBackend):
                 "the SQLite backend cannot execute Process (UDO) "
                 "operators; run this job on the in-memory backend")
         self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        with self._mutex:
-            rows, sizes = self._create_view(
-                view_id, PlanCompiler(self._tables, self._views).lower(plan))
-            return rows, sum(sizes.values())
+        rows, sizes = self._create_view(
+            view_id, PlanCompiler(self._tables, self._views).lower(plan))
+        return rows, sum(sizes.values())
 
     def scan_view(self, view_id: str) -> List[Row]:
         self.faults.fire(fault_points.BACKEND_SCAN_VIEW)
-        with self._mutex:
-            info = self._views.get(view_id)
-            if info is None:
-                raise StorageError(f"no data stored under key {view_id!r}")
-            return self._fetch(info.query())
+        info = self._views.get(view_id)
+        if info is None:
+            raise StorageError(f"no data stored under key {view_id!r}")
+        return self._fetch(info.query())
 
     def drop_view(self, view_id: str) -> None:
         self.faults.fire(fault_points.BACKEND_DROP_VIEW)
@@ -591,8 +582,7 @@ class SqliteBackend(ExecutionBackend):
 
     def has_view(self, view_id: str) -> bool:
         """True while a view's backing table exists (used by tests)."""
-        with self._mutex:
-            return view_id in self._views
+        return view_id in self._views
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import CatalogError
 from repro.common.hashing import stable_hash
-from repro.common.sync import RANK_CATALOG, TrackedRLock
 from repro.catalog.schema import TableSchema
 
 #: Version observer: ``observer(version, previous)`` with ``previous``
@@ -61,33 +60,25 @@ class DatasetEntry:
 class Catalog:
     """Registry of datasets and their stream versions.
 
-    Thread-safe: bulk updates and GDPR forgets arrive from operator
-    tooling and the lifecycle manager while compiling worker threads look
-    up schemas and current GUIDs.  The mutex sits at the *bottom* of the
-    lock hierarchy (rank ``catalog``) because every other subsystem reads
-    the catalog; version observers are therefore dispatched *after* the
-    mutex is released -- the lifecycle bus they publish into ranks far
-    above this lock.
+    Version observers run after the new version is installed, over a copy
+    of the observer list, so an observer may subscribe or unsubscribe.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[str, DatasetEntry] = {}
         self._guid_counter = 0
         self._observers: List[VersionObserver] = []
-        self._mutex = TrackedRLock("catalog", RANK_CATALOG)
 
     # ------------------------------------------------------------------ #
     # version observers
 
     def subscribe(self, observer: VersionObserver) -> None:
         """Deliver every future stream-version installation, in order."""
-        with self._mutex:
-            self._observers.append(observer)
+        self._observers.append(observer)
 
     def unsubscribe(self, observer: VersionObserver) -> None:
-        with self._mutex:
-            if observer in self._observers:
-                self._observers.remove(observer)
+        if observer in self._observers:
+            self._observers.remove(observer)
 
     # ------------------------------------------------------------------ #
     # registration and lookup
@@ -95,23 +86,19 @@ class Catalog:
     def register(self, schema: TableSchema, row_count: int = 0,
                  created_at: float = 0.0) -> StreamVersion:
         """Register a new dataset and create its initial stream version."""
-        with self._mutex:
-            if schema.name in self._entries:
-                raise CatalogError(
-                    f"dataset {schema.name!r} already registered")
-            self._entries[schema.name] = DatasetEntry(schema)
+        if schema.name in self._entries:
+            raise CatalogError(f"dataset {schema.name!r} already registered")
+        self._entries[schema.name] = DatasetEntry(schema)
         return self._new_version(schema.name, row_count, created_at, "initial")
 
     def has(self, name: str) -> bool:
-        with self._mutex:
-            return name in self._entries
+        return name in self._entries
 
     def entry(self, name: str) -> DatasetEntry:
-        with self._mutex:
-            try:
-                return self._entries[name]
-            except KeyError:
-                raise CatalogError(f"unknown dataset {name!r}") from None
+        try:
+            return self._entries[name]
+        except KeyError:
+            raise CatalogError(f"unknown dataset {name!r}") from None
 
     def schema(self, name: str) -> TableSchema:
         return self.entry(name).schema
@@ -144,23 +131,20 @@ class Catalog:
 
     def _new_version(self, name: str, row_count: int, at: float,
                      reason: str) -> StreamVersion:
-        with self._mutex:
-            entry = self.entry(name)
-            previous = entry.versions[-1] if entry.versions else None
-            self._guid_counter += 1
-            guid = stable_hash("stream", name, self._guid_counter, reason)
-            version = StreamVersion(
-                dataset=name,
-                guid=guid,
-                created_at=at,
-                row_count=row_count,
-                size_bytes=row_count * entry.schema.row_width,
-                reason=reason,
-            )
-            entry.versions.append(version)
-            observers = list(self._observers)
-        # Observers run the invalidation cascade (bus, store, insights),
-        # all of which rank above the catalog mutex -- dispatch unlocked.
-        for observer in observers:
+        entry = self.entry(name)
+        previous = entry.versions[-1] if entry.versions else None
+        self._guid_counter += 1
+        guid = stable_hash("stream", name, self._guid_counter, reason)
+        version = StreamVersion(
+            dataset=name,
+            guid=guid,
+            created_at=at,
+            row_count=row_count,
+            size_bytes=row_count * entry.schema.row_width,
+            reason=reason,
+        )
+        entry.versions.append(version)
+        # Observers run the invalidation cascade (bus, store, insights).
+        for observer in list(self._observers):
             observer(version, previous)
         return version

@@ -10,11 +10,8 @@ from repro.common.clock import (
 from repro.common.errors import (
     BindError,
     CatalogError,
-    ConcurrencyError,
-    DeadlockError,
     ExecutionError,
     InsightsError,
-    LockOrderError,
     ParseError,
     PlanError,
     ReproError,
@@ -25,20 +22,6 @@ from repro.common.errors import (
 )
 from repro.common.hashing import combine_unordered, short_tag, stable_hash
 from repro.common.rng import bounded_gauss, rng_for, weighted_choice, zipf_weights
-from repro.common.sync import (
-    RANK_CATALOG,
-    RANK_INSIGHTS,
-    RANK_LEAF,
-    RANK_LIFECYCLE,
-    RANK_SCHEDULER,
-    RANK_STORAGE,
-    LockSanitizer,
-    TrackedLock,
-    TrackedRLock,
-    disable_sanitizer,
-    enable_sanitizer,
-    sanitizer,
-)
 
 __all__ = [
     "SECONDS_PER_DAY",
@@ -48,11 +31,8 @@ __all__ = [
     "SimClock",
     "BindError",
     "CatalogError",
-    "ConcurrencyError",
-    "DeadlockError",
     "ExecutionError",
     "InsightsError",
-    "LockOrderError",
     "ParseError",
     "PlanError",
     "ReproError",
@@ -60,18 +40,6 @@ __all__ = [
     "SelectionError",
     "SignatureError",
     "StorageError",
-    "RANK_CATALOG",
-    "RANK_INSIGHTS",
-    "RANK_LEAF",
-    "RANK_LIFECYCLE",
-    "RANK_SCHEDULER",
-    "RANK_STORAGE",
-    "LockSanitizer",
-    "TrackedLock",
-    "TrackedRLock",
-    "disable_sanitizer",
-    "enable_sanitizer",
-    "sanitizer",
     "combine_unordered",
     "short_tag",
     "stable_hash",

@@ -102,22 +102,6 @@ class ShardError(ReproError):
     circuit-breaker ladder treats a dead shard like a dead service)."""
 
 
-class ConcurrencyError(ReproError):
-    """Base class for violations caught by the runtime lock sanitizer."""
-
-
-class LockOrderError(ConcurrencyError):
-    """Raised when a tracked lock is acquired against the documented
-    hierarchy (a rank not strictly below the most recently acquired
-    lock's rank) while ``REPRO_DEBUG_CHECKS`` is on."""
-
-
-class DeadlockError(ConcurrencyError):
-    """Raised when the sanitizer's wait-for graph closes a cycle: the
-    acquire being attempted would deadlock the process.  Raising here
-    turns a hung test into a stack trace naming every lock involved."""
-
-
 class SelectionError(ReproError):
     """Raised when view selection is given inconsistent constraints."""
 

@@ -20,6 +20,7 @@ hazard described in Section 4 ("Impact of changed signatures").
 from __future__ import annotations
 
 import itertools
+import os
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -42,7 +43,6 @@ from repro.common.errors import (
     StorageError,
     TransientBackendError,
 )
-from repro.common.sync import RANK_LEAF, TrackedLock, debug_checks_enabled
 from repro.executor.executor import ExecutionResult
 from repro.executor.udo import UdoRegistry
 from repro.insights.service import Fetched, InsightsService
@@ -92,7 +92,6 @@ class PlanCache:
     def __init__(self, engine: "ScopeEngine") -> None:
         self._engine = engine  # whose recorder mirrors the counters
         self._skeletons: "OrderedDict[tuple, PlanTemplate]" = OrderedDict()
-        self._mutex = TrackedLock("engine.plan_cache", RANK_LEAF + 30)
         self.hits = self.misses = self.unstable = 0
         self.uncacheable = self.evicted = 0
 
@@ -100,23 +99,18 @@ class PlanCache:
         return len(self._skeletons)
 
     def get(self, key: tuple) -> Optional[PlanTemplate]:
-        with self._mutex:
-            return self._skeletons.get(key)
+        return self._skeletons.get(key)
 
     def put(self, key: tuple, template: PlanTemplate) -> None:
         """Keep ``template`` as the most recently used entry."""
-        with self._mutex:
-            self._skeletons[key] = template
-            self._skeletons.move_to_end(key)
-            full = len(self._skeletons) > PLAN_CACHE_SIZE
-            if full:
-                self._skeletons.popitem(last=False)
-        if full:
+        self._skeletons[key] = template
+        self._skeletons.move_to_end(key)
+        if len(self._skeletons) > PLAN_CACHE_SIZE:
+            self._skeletons.popitem(last=False)
             self.count("evicted")
 
     def count(self, counter: str) -> None:
-        with self._mutex:
-            setattr(self, counter, getattr(self, counter) + 1)
+        setattr(self, counter, getattr(self, counter) + 1)
         self._engine.recorder.inc(f"engine.plan_cache.{counter}")
 
 
@@ -143,6 +137,11 @@ MAX_VIEWS_PER_JOB = 3
 def _conjunct_count(plan: LogicalPlan) -> int:
     return sum(len(conjuncts(node.predicate)) for node in plan.walk()
                if type(node) is Filter)
+
+
+def debug_checks_enabled() -> bool:
+    """The one reader of ``REPRO_DEBUG_CHECKS``."""
+    return os.environ.get("REPRO_DEBUG_CHECKS", "") not in ("", "0", "false")
 
 
 @dataclass(kw_only=True)
@@ -510,8 +509,7 @@ class ScopeEngine:
         cluster simulator's stage completion (:meth:`seal_spooled`).
 
         Every ViewScan's backing view is *pinned* for the duration of the
-        run: another ``Session`` caller may sweep concurrently, and a
-        pinned view is never hard-removed mid-scan.  If a claimed view
+        run: a pinned view is never hard-removed mid-scan.  If a claimed view
         vanished in the window between the matcher's claim and this pin
         (a GC sweep or purge cascade won the race), the job falls back
         to a reuse-free recompile -- a lost claim is just a recompute.

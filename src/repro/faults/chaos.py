@@ -21,10 +21,8 @@ that bar into an executable check (``repro chaos`` on the CLI):
      reproduces the catalog digest observed live before shutdown.
 
 Campaign plans are pure functions of the seed, so a red run reproduces
-with ``repro chaos --seed N``.  A wave's fault draws fall in submission
-order on the draining thread; what still races them (router heals, the
-shard fan-out) makes placement scheduling-dependent, and the invariants
-are written to hold under any interleaving.
+with ``repro chaos --seed N``: every fault draw falls in submission order
+on the caller's thread, so a seed prints the same report on every run.
 """
 
 from __future__ import annotations

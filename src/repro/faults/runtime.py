@@ -39,7 +39,6 @@ from repro.common.errors import (
     StorageError,
     TransientBackendError,
 )
-from repro.common.sync import RANK_LEAF, TrackedLock
 from repro.faults.plan import FaultPlan, FaultSpec
 
 
@@ -57,7 +56,7 @@ NO_FAULT = FaultOutcome()
 
 
 class FaultRuntime:
-    """Evaluates one :class:`FaultPlan` deterministically; thread-safe."""
+    """Evaluates one :class:`FaultPlan` deterministically."""
 
     enabled = True
 
@@ -66,11 +65,6 @@ class FaultRuntime:
         self.enabled = self.plan.active
         self._by_point = self.plan.by_point()
         self._rng = random.Random(f"faults-{self.plan.seed}")
-        # Bottom of the lock hierarchy: seams fire faults while holding
-        # their own locks (the journal handle, the SQLite storage mutex),
-        # so this guard must rank below every other tracked lock and
-        # never takes one itself.
-        self._mutex = TrackedLock("faults.runtime", RANK_LEAF - 10)
         self._arrivals: Dict[str, int] = {}
         self._fires: Dict[int, int] = {}
         #: Deterministic firing log as (point, kind) tuples.
@@ -81,42 +75,41 @@ class FaultRuntime:
 
     def check(self, point: str) -> FaultOutcome:
         """One arrival at ``point``: decide, count, and return."""
-        with self._mutex:
-            index = self._arrivals.get(point, 0)
-            self._arrivals[point] = index + 1
-            live = [spec for spec in self._by_point.get(point, ())
-                    if self._live(spec, index)]
-            if not live:
+        index = self._arrivals.get(point, 0)
+        self._arrivals[point] = index + 1
+        live = [spec for spec in self._by_point.get(point, ())
+                if self._live(spec, index)]
+        if not live:
+            return NO_FAULT
+        delay = 0.0
+        chosen: Optional[FaultSpec] = None
+        walk = [s for s in live
+                if not (s.kind == "delay" and s.probability >= 1.0)]
+        if walk:
+            draw = self._rng.random()
+            cumulative = 0.0
+            for spec in walk:
+                cumulative += spec.probability
+                if draw < cumulative:
+                    chosen = spec
+                    break
+        if chosen is None:
+            # Survived every probabilistic spec: always-on delay
+            # specs still tax the round trip.
+            for spec in live:
+                if spec.kind == "delay" and spec.probability >= 1.0:
+                    delay += spec.delay_seconds
+                    self._count(spec)
+            if delay == 0.0:
                 return NO_FAULT
-            delay = 0.0
-            chosen: Optional[FaultSpec] = None
-            walk = [s for s in live
-                    if not (s.kind == "delay" and s.probability >= 1.0)]
-            if walk:
-                draw = self._rng.random()
-                cumulative = 0.0
-                for spec in walk:
-                    cumulative += spec.probability
-                    if draw < cumulative:
-                        chosen = spec
-                        break
-            if chosen is None:
-                # Survived every probabilistic spec: always-on delay
-                # specs still tax the round trip.
-                for spec in live:
-                    if spec.kind == "delay" and spec.probability >= 1.0:
-                        delay += spec.delay_seconds
-                        self._count(spec)
-                if delay == 0.0:
-                    return NO_FAULT
-                outcome = FaultOutcome(point=point, kind="delay",
-                                       delay=delay)
-                self.fired_log.append((point, "delay"))
-                return outcome
-            self._count(chosen)
-            self.fired_log.append((point, chosen.kind))
-            return FaultOutcome(point=point, kind=chosen.kind,
-                                delay=chosen.delay_seconds)
+            outcome = FaultOutcome(point=point, kind="delay",
+                                   delay=delay)
+            self.fired_log.append((point, "delay"))
+            return outcome
+        self._count(chosen)
+        self.fired_log.append((point, chosen.kind))
+        return FaultOutcome(point=point, kind=chosen.kind,
+                            delay=chosen.delay_seconds)
 
     def fire(self, point: str) -> FaultOutcome:
         """Like :meth:`check`, but raises the mapped exception."""
@@ -151,25 +144,23 @@ class FaultRuntime:
 
     @property
     def fired_total(self) -> int:
-        with self._mutex:
-            return len(self.fired_log)
+        return len(self.fired_log)
 
     def stats(self) -> Dict[str, object]:
         """Arrival and firing counts per point (chaos-report payload)."""
-        with self._mutex:
-            by_kind: Dict[str, int] = {}
-            by_point: Dict[str, int] = {}
-            for point, kind in self.fired_log:
-                by_kind[kind] = by_kind.get(kind, 0) + 1
-                by_point[point] = by_point.get(point, 0) + 1
-            return {
-                "plan": self.plan.name or "(unnamed)",
-                "seed": self.plan.seed,
-                "arrivals": dict(sorted(self._arrivals.items())),
-                "fired": dict(sorted(by_point.items())),
-                "fired_by_kind": dict(sorted(by_kind.items())),
-                "fired_total": len(self.fired_log),
-            }
+        by_kind: Dict[str, int] = {}
+        by_point: Dict[str, int] = {}
+        for point, kind in self.fired_log:
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+            by_point[point] = by_point.get(point, 0) + 1
+        return {
+            "plan": self.plan.name or "(unnamed)",
+            "seed": self.plan.seed,
+            "arrivals": dict(sorted(self._arrivals.items())),
+            "fired": dict(sorted(by_point.items())),
+            "fired_by_kind": dict(sorted(by_kind.items())),
+            "fired_total": len(self.fired_log),
+        }
 
 
 class NullFaultRuntime:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError, InsightsError
-from repro.common.sync import RANK_INSIGHTS, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.insights.partition import CACHED_ROUND_TRIP_SECONDS
@@ -92,17 +91,16 @@ class InsightsClientConfig:
 
 
 class CircuitBreaker:
-    """Closed -> open -> half-open -> closed, lock-guarded.
+    """Closed -> open -> half-open -> closed.
 
     Cool-down is counted in *fetches served while open* rather than
-    wall-clock time: the reproduction never reads real time, and a
-    traffic-based cool-down is deterministic under any thread schedule.
+    wall-clock time: the reproduction never reads real time, so a
+    traffic-based cool-down is deterministic.
     """
 
     def __init__(self, config: InsightsClientConfig,
                  recorder=NULL_RECORDER) -> None:
         self._config = config
-        self._lock = TrackedLock("insights.breaker", RANK_INSIGHTS + 30)
         self._state = CLOSED
         self._consecutive_failures = 0
         self._open_fetches = 0
@@ -113,18 +111,8 @@ class CircuitBreaker:
         self.transitions: List[str] = []
 
     @property
-    def recorder(self):
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self._lock.recorder = value
-
-    @property
     def state(self) -> str:
-        with self._lock:
-            return self._state
+        return self._state
 
     def _transition(self, state: str) -> None:
         self._state = state
@@ -136,49 +124,46 @@ class CircuitBreaker:
         While half-open, only a bounded number of probes are admitted at
         once; everybody else degrades until the probes report back.
         """
-        with self._lock:
-            if self._state == CLOSED:
-                return "attempt"
-            if self._state == OPEN:
-                self._open_fetches += 1
-                if self._open_fetches >= self._config.breaker_cooldown_fetches:
-                    self._transition(HALF_OPEN)
-                    self.recorder.event(obs_events.BREAKER_HALF_OPEN)
-                    self._half_open_successes = 0
-                    self._probes_in_flight = 1
-                    return "attempt"
-                return "degrade"
-            # HALF_OPEN: admit a bounded number of concurrent probes.
-            if self._probes_in_flight < self._config.breaker_probes_to_close:
-                self._probes_in_flight += 1
+        if self._state == CLOSED:
+            return "attempt"
+        if self._state == OPEN:
+            self._open_fetches += 1
+            if self._open_fetches >= self._config.breaker_cooldown_fetches:
+                self._transition(HALF_OPEN)
+                self.recorder.event(obs_events.BREAKER_HALF_OPEN)
+                self._half_open_successes = 0
+                self._probes_in_flight = 1
                 return "attempt"
             return "degrade"
+        # HALF_OPEN: admit a bounded number of concurrent probes.
+        if self._probes_in_flight < self._config.breaker_probes_to_close:
+            self._probes_in_flight += 1
+            return "attempt"
+        return "degrade"
 
     def record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._half_open_successes += 1
-                if (self._half_open_successes
-                        >= self._config.breaker_probes_to_close):
-                    self._transition(CLOSED)
-                    self.recorder.event(obs_events.BREAKER_CLOSED)
+        self._consecutive_failures = 0
+        if self._state == HALF_OPEN:
+            self._probes_in_flight = max(0, self._probes_in_flight - 1)
+            self._half_open_successes += 1
+            if (self._half_open_successes
+                    >= self._config.breaker_probes_to_close):
+                self._transition(CLOSED)
+                self.recorder.event(obs_events.BREAKER_CLOSED)
 
     def record_failure(self) -> bool:
         """Record an exhausted fetch; returns True if the breaker opened."""
-        with self._lock:
-            if self._state == HALF_OPEN:
-                # A failed probe throws the breaker straight back open.
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._reopen()
-                return True
-            self._consecutive_failures += 1
-            if (self._state == CLOSED and self._consecutive_failures
-                    >= self._config.breaker_failure_threshold):
-                self._reopen()
-                return True
-            return False
+        if self._state == HALF_OPEN:
+            # A failed probe throws the breaker straight back open.
+            self._probes_in_flight = max(0, self._probes_in_flight - 1)
+            self._reopen()
+            return True
+        self._consecutive_failures += 1
+        if (self._state == CLOSED and self._consecutive_failures
+                >= self._config.breaker_failure_threshold):
+            self._reopen()
+            return True
+        return False
 
     def _reopen(self) -> None:
         self._transition(OPEN)
@@ -219,13 +204,8 @@ class InsightsClient:
         self._recorder = recorder
         self.breaker = CircuitBreaker(self.config, recorder=recorder)
         self._jitter_rng = random.Random(f"client-jitter-{self.config.seed}")
-        # Top of the insights band: guards the cache and the counters
-        # and is never held across a serving round trip.
-        self._mutex = TrackedLock("insights.client", RANK_INSIGHTS + 40,
-                                  recorder)
         self._cache: Dict[str, _CacheEntry] = {}
-        #: Client-side operational counters (lock-guarded like the
-        #: service's); monotonic.
+        #: Client-side operational counters; monotonic.
         self.degraded_fetches = 0
         self.retries = 0
         self.cache_hits = 0
@@ -241,7 +221,6 @@ class InsightsClient:
     @recorder.setter
     def recorder(self, value) -> None:
         self._recorder = value
-        self._mutex.recorder = value
         self.breaker.recorder = value
         self.service.recorder = value
 
@@ -268,8 +247,7 @@ class InsightsClient:
 
     def publish(self, annotations) -> int:
         count = self.service.publish(annotations)
-        with self._mutex:
-            self._cache.clear()
+        self._cache.clear()
         return count
 
     def bump_generation(self) -> int:
@@ -277,15 +255,13 @@ class InsightsClient:
         generation, so entries die on the next fetch; clearing eagerly
         just returns the memory sooner)."""
         generation = self.service.bump_generation()
-        with self._mutex:
-            self._cache.clear()
+        self._cache.clear()
         return generation
 
     def retract(self, recurring_signatures) -> int:
         removed = self.service.retract(recurring_signatures)
         if removed:
-            with self._mutex:
-                self._cache.clear()
+            self._cache.clear()
         return removed
 
     # ------------------------------------------------------------------ #
@@ -347,16 +323,15 @@ class InsightsClient:
             return Fetched({})
         generation = self.service.generation
         hits, needed = [], []
-        with self._mutex:
-            for tag in tags:
-                entry = promised.get(tag) or self._cache.get(tag)
-                if (entry is not None and entry.generation == generation
-                        and now < entry.expires_at):
-                    hits.append((tag, entry))
-                else:
-                    needed.append(tag)
-            self.cache_hits += len(hits)
-            self.cache_misses += len(needed)
+        for tag in tags:
+            entry = promised.get(tag) or self._cache.get(tag)
+            if (entry is not None and entry.generation == generation
+                    and now < entry.expires_at):
+                hits.append((tag, entry))
+            else:
+                needed.append(tag)
+        self.cache_hits += len(hits)
+        self.cache_misses += len(needed)
         self._recorder.inc("client.cache_hits", len(hits))
         self._recorder.inc("client.cache_misses", len(needed))
 
@@ -373,10 +348,9 @@ class InsightsClient:
             if outcome is None:
                 return self._degrade(reason="fetch-failed")
             found, latency = outcome
-            with self._mutex:
-                for tag, annotations in zip(needed, found):
-                    fill[tag].annotations = annotations
-                self._cache.update(fill)
+            for tag, annotations in zip(needed, found):
+                fill[tag].annotations = annotations
+            self._cache.update(fill)
         per_tag = {tag: entry.annotations for tag, entry in hits}
         if None in per_tag.values():  # promised by a sibling that failed
             return self._degrade(reason="fetch-failed")
@@ -426,8 +400,7 @@ class InsightsClient:
                 return found, latency + cost
             latency += timeout
             if attempt + 1 < attempts:
-                with self._mutex:
-                    self.retries += 1
+                self.retries += 1
                 self._recorder.inc("client.retries")
                 self._recorder.event(obs_events.FETCH_RETRY,
                                      attempt=attempt + 1, tags=len(needed))
@@ -439,8 +412,7 @@ class InsightsClient:
         return None
 
     def _degrade(self, reason: str) -> Fetched:
-        with self._mutex:
-            self.degraded_fetches += 1
+        self.degraded_fetches += 1
         self._recorder.inc("client.degraded_fetches")
         self._recorder.event(obs_events.FETCH_DEGRADED, reason=reason,
                              breaker_state=self.breaker.state)
@@ -449,8 +421,7 @@ class InsightsClient:
     def _backoff(self, attempt: int) -> float:
         base = (self.config.backoff_base_seconds
                 * self.config.backoff_multiplier ** attempt)
-        with self._mutex:
-            jitter = self._jitter_rng.random()
+        jitter = self._jitter_rng.random()
         return base * (1.0 + self.config.backoff_jitter * jitter)
 
 

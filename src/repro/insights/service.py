@@ -22,10 +22,10 @@ kill-switch events and the routing.  The tables live in data-only
 partition classically, N remote ones when the
 :class:`~repro.shard.router.ShardRouter` (a subclass) fronts shard
 processes -- so any partition count answers every call identically,
-latency bits and counters included.  Each partition's mutex makes
-:meth:`InsightsService.acquire_view_lock` an atomic check-and-set: the
-real guard against duplicate view buildout when many jobs compile the
-same subexpression in parallel.
+latency bits and counters included.  Each partition's lock table makes
+:meth:`InsightsService.acquire_view_lock` a check-and-set: the real guard
+against duplicate view buildout when many jobs of a wave compile the
+same subexpression.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.common.errors import InsightsError
 from repro.common.hashing import shard_for
-from repro.common.sync import RANK_INSIGHTS, TrackedLock
 from repro.insights.partition import (
     BROADCAST,
     CACHED_ROUND_TRIP_SECONDS,
@@ -79,32 +78,25 @@ class UsageMetrics:
 
     ``fetches`` counts per-job annotation requests; ``cache_hits`` /
     ``cache_misses`` count per-tag lookups inside those requests (one
-    fetch touches one serving-layer entry per tag).
-
-    Increments are lock-guarded so the counters stay exact under
-    concurrent compilation; reads are plain attribute access (ints are
-    replaced atomically, and every counter is monotonic).
+    fetch touches one serving-layer entry per tag).  Every counter is
+    monotonic.
     """
 
-    __slots__ = _USAGE_FIELDS + ("_lock",)
+    __slots__ = _USAGE_FIELDS
 
     def __init__(self) -> None:
-        # Terminal counter guard at the bottom of the insights band.
-        self._lock = TrackedLock("insights.metrics", RANK_INSIGHTS)
         for name in _USAGE_FIELDS:
             setattr(self, name, 0)
 
     def inc(self, name: str, amount: int = 1) -> int:
-        """Atomically bump one counter; returns the new value."""
-        with self._lock:
-            value = getattr(self, name) + amount
-            setattr(self, name, value)
-            return value
+        """Bump one counter; returns the new value."""
+        value = getattr(self, name) + amount
+        setattr(self, name, value)
+        return value
 
     def snapshot(self) -> Dict[str, int]:
-        """A consistent point-in-time copy of every counter."""
-        with self._lock:
-            return {name: getattr(self, name) for name in _USAGE_FIELDS}
+        """A point-in-time copy of every counter."""
+        return {name: getattr(self, name) for name in _USAGE_FIELDS}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
@@ -119,10 +111,6 @@ class InsightsService:
         #: The tables, in shard order; keys route by ``shard_for``.
         self.partitions = list(partitions or [Partition()])
         self._enabled = True
-        # Guards the generation counter; ranked above the partitions'
-        # table mutexes and the UsageMetrics counter guard.
-        self._mutex = TrackedLock("insights.service", RANK_INSIGHTS + 20,
-                                  recorder)
         #: Bumped on every :meth:`publish`; clients key their local caches
         #: by it so a re-selection invalidates everything at once.
         self.generation = 0
@@ -132,20 +120,6 @@ class InsightsService:
         self.relookup_seconds = [0.0] * len(self.partitions)
         #: Flight recorder (no-op unless a real one is installed).
         self.recorder = recorder
-
-    # ------------------------------------------------------------------ #
-    # recorder plumbing (FlightRecorder.install sets ``.recorder``)
-
-    @property
-    def recorder(self):
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self._mutex.recorder = value
-        for partition in self.partitions:
-            partition.recorder = value
 
     @property
     def enabled(self) -> bool:
@@ -174,9 +148,8 @@ class InsightsService:
         return getattr(owner, op)(*args)
 
     def _bump(self) -> int:
-        with self._mutex:
-            self.generation += 1
-            return self.generation
+        self.generation += 1
+        return self.generation
 
     # ------------------------------------------------------------------ #
     # publication (from workload analysis)
@@ -342,10 +315,9 @@ class InsightsService:
         without a round trip: the first put every tag in its partition's
         serving cache and a re-lookup changes nothing there, so each is a
         counted serving hit, charged to its owner's busy time."""
-        with self._mutex:
-            for tag in tags:
-                self.relookup_seconds[shard_for(tag, len(
-                    self.partitions))] += CACHED_ROUND_TRIP_SECONDS
+        for tag in tags:
+            self.relookup_seconds[shard_for(tag, len(
+                self.partitions))] += CACHED_ROUND_TRIP_SECONDS
         return self._charge([CACHED_ROUND_TRIP_SECONDS] * len(tags))
 
     def _charge(self, charges: Sequence[float], delay: float = 0.0) -> float:
@@ -369,10 +341,9 @@ class InsightsService:
     def acquire_view_lock(self, strict_signature: str, holder: str) -> bool:
         """Exclusive per-signature lock guarding view creation.
 
-        Atomic check-and-set on the owning partition: under concurrent
-        compilation exactly one of the racing jobs wins the lock, which
-        is what prevents duplicate buildout of the same strict signature
-        (Section 2.3).
+        Check-and-set on the owning partition: of the jobs proposing the
+        same strict signature exactly one wins the lock, which is what
+        prevents duplicate buildout of it (Section 2.3).
         """
         if not self.enabled:
             return False

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from repro.common.sync import RANK_LIFECYCLE, TrackedRLock
-
 
 @dataclass(frozen=True)
 class LifecycleEvent:
@@ -63,34 +61,22 @@ Handler = Callable[[LifecycleEvent], None]
 
 
 class InvalidationBus:
-    """Synchronous pub/sub for lifecycle events.
-
-    Publication holds one lock for the whole dispatch so concurrent
-    publishers (a bulk update on one thread, a GDPR request on another)
-    serialize: each event's cascade completes before the next begins.
-    """
+    """Synchronous pub/sub for lifecycle events: each event's cascade
+    completes before :meth:`publish` returns."""
 
     def __init__(self) -> None:
-        # The outermost coordination lock in the process: held across a
-        # whole purge cascade (store, insights, catalog, journal), so it
-        # carries the highest rank in the hierarchy.  Reentrant because a
-        # cascade's side effects may publish follow-up events.
-        self._mutex = TrackedRLock("lifecycle.bus", RANK_LIFECYCLE + 20)
         self._handlers: List[Handler] = []
         self._published: List[LifecycleEvent] = []
 
     def subscribe(self, handler: Handler) -> None:
-        with self._mutex:
-            self._handlers.append(handler)
+        self._handlers.append(handler)
 
     def publish(self, event: LifecycleEvent) -> None:
-        with self._mutex:
-            self._published.append(event)
-            for handler in list(self._handlers):
-                handler(event)
+        self._published.append(event)
+        for handler in list(self._handlers):
+            handler(event)
 
     @property
     def published(self) -> List[LifecycleEvent]:
         """Every event seen so far (tests and operator tooling)."""
-        with self._mutex:
-            return list(self._published)
+        return list(self._published)

@@ -7,7 +7,7 @@ The journal fixes that with the classic recipe:
 
 * every catalog mutation (create / seal / reuse / purge / evict / ...)
   is appended to ``wal.jsonl`` *in applied order* (the view store invokes
-  its listeners under the catalog mutex); a *commit* writes what was
+  its listeners in that order); a *commit* writes what was
   appended since the last one as one frame -- one write, one flush.  The
   lifecycle manager commits once per acknowledged step, or at once for
   a record made outside every step (DESIGN §12);
@@ -22,7 +22,7 @@ It is built the way the insights service is: one policy over
 partitions.  :class:`CatalogJournal` holds the policy -- the
 ``journal.append`` fault draw per record, routing each record to the
 partition that owns its signature, one pending frame per partition
-committed under one guard, slicing a snapshot by owner, and the
+committed together, slicing a snapshot by owner, and the
 merge-on-read recovery.  A partition owns one directory's *files*: a
 :class:`JournalFile` here, or a shard worker's behind
 :class:`~repro.shard.journal.RemoteJournal`.  The classic journal is the
@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, TextIO
 
 from repro.common.errors import ConfigError, ReproError, StorageError
 from repro.common.hashing import shard_for
-from repro.common.sync import RANK_CATALOG, RANK_LEAF, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.lifecycle.lineage import LineageRegistry
@@ -117,12 +116,6 @@ class JournalFile:
     def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        # Leaf rank: taken under the journal's commit guard (and, in a
-        # shard worker, its dispatch lock) and never takes another lock.
-        # The file I/O it covers is the one sanctioned I/O-under-lock
-        # site in the tree (the named exemption of the census rule in
-        # DESIGN §10): frames must hit the WAL in applied order.
-        self._mutex = TrackedLock("lifecycle.journal.file", RANK_LEAF + 10)
         self._wal: Optional[TextIO] = None
         #: True after an injected torn write: the WAL's final line is a
         #: partial record with no newline.  The next record written
@@ -149,18 +142,17 @@ class JournalFile:
         starts on a fresh line -- which is how a restarted process
         appending after a crash heals the file.
         """
-        with self._mutex:
-            parts = []
-            for line, torn in frame:
-                if self._torn_pending:
-                    parts.append("\n")
-                parts.append(line[:max(1, len(line) // 2)] if torn
-                             else line + "\n")
-                self._torn_pending = torn
-            if self._wal is None:
-                self._wal = open(self.wal_path, "a", encoding="utf-8")
-            self._wal.write("".join(parts))
-            self._wal.flush()
+        parts = []
+        for line, torn in frame:
+            if self._torn_pending:
+                parts.append("\n")
+            parts.append(line[:max(1, len(line) // 2)] if torn
+                         else line + "\n")
+            self._torn_pending = torn
+        if self._wal is None:
+            self._wal = open(self.wal_path, "a", encoding="utf-8")
+        self._wal.write("".join(parts))
+        self._wal.flush()
 
     def wal_ops(self) -> List[Dict[str, object]]:
         """The current WAL contents, skipping undecodable lines.
@@ -197,17 +189,16 @@ class JournalFile:
         writes) only ever costs the *new* snapshot: recovery falls back
         to the previous one plus the still-untruncated WAL.
         """
-        with self._mutex:
-            tmp = self.snapshot_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(state, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
-            if self._wal is not None:
-                self._wal.close()
-                self._wal = None
-            open(self.wal_path, "w", encoding="utf-8").close()
+        tmp = self.snapshot_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(state, handle, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.snapshot_path)
+        if self._wal is not None:
+            self._wal.close()
+            self._wal = None
+        open(self.wal_path, "w", encoding="utf-8").close()
         return self.snapshot_path
 
     def recover(self) -> Dict[str, object]:
@@ -264,10 +255,9 @@ class JournalFile:
         }
 
     def close(self) -> None:
-        with self._mutex:
-            if self._wal is not None:
-                self._wal.close()
-                self._wal = None
+        if self._wal is not None:
+            self._wal.close()
+            self._wal = None
 
 
 class CatalogJournal:
@@ -285,13 +275,6 @@ class CatalogJournal:
         #: The session's fault runtime; the lifecycle manager installs a
         #: live one so torn/partial WAL writes can be injected.
         self.faults = NULL_FAULTS
-        # The commit guard is held across a commit's partition writes
-        # (round trips, for a remote partition) and a snapshot's, so
-        # frames reach each WAL in applied order even when two threads
-        # commit, and none lands on a WAL a snapshot just truncated.  It
-        # ranks above the router's pool and the supervisor's restart
-        # path, and below the view store whose mutation feed appends.
-        self._mutex = TrackedLock("lifecycle.journal", RANK_CATALOG + 60)
         #: ``(line, torn)`` of every record appended since the last
         #: commit, one frame per owning partition.
         self._pending: Dict[int, List[List[object]]] = {}
@@ -323,9 +306,8 @@ class CatalogJournal:
         torn = outcome.kind == "torn"
         owner = shard_for_op(op, payload, len(self.partitions))
         line = json.dumps({"op": op, **payload}, sort_keys=True)
-        with self._mutex:
-            self._pending.setdefault(owner, []).append([line, torn])
-            self.ops_since_snapshot += not torn
+        self._pending.setdefault(owner, []).append([line, torn])
+        self.ops_since_snapshot += not torn
         if torn:
             raise StorageError(f"injected torn write for op {op!r}")
 
@@ -335,16 +317,15 @@ class CatalogJournal:
         stay out of the WAL until the next snapshot writes the live
         state)."""
         failed = 0
-        with self._mutex:
-            frames, self._pending = self._pending, {}
-            for owner, frame in sorted(frames.items()):
-                records = sum(not torn for _, torn in frame)
-                try:
-                    self.partitions[owner].commit(frame)
-                except ReproError:
-                    failed += records
-                else:
-                    self.ops_written += records
+        frames, self._pending = self._pending, {}
+        for owner, frame in sorted(frames.items()):
+            records = sum(not torn for _, torn in frame)
+            try:
+                self.partitions[owner].commit(frame)
+            except ReproError:
+                failed += records
+            else:
+                self.ops_written += records
         return failed
 
     # ------------------------------------------------------------------ #
@@ -375,11 +356,10 @@ class CatalogJournal:
         for signature, inputs in state["lineage"].items():
             slices[shard_for(signature, count)]["lineage"][
                 signature] = inputs
-        with self._mutex:
-            paths = [partition.snapshot(part)
-                     for partition, part in zip(self.partitions, slices)]
-            self.ops_since_snapshot = 0
-            self.snapshots_written += 1
+        paths = [partition.snapshot(part)
+                 for partition, part in zip(self.partitions, slices)]
+        self.ops_since_snapshot = 0
+        self.snapshots_written += 1
         return str(paths[0])
 
     # ------------------------------------------------------------------ #

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.common.sync import RANK_LEAF, TrackedLock
-
 #: One lineage edge: (dataset name, stream GUID the view was built over).
 Input = Tuple[str, str]
 
@@ -49,15 +47,11 @@ def extract_inputs(definition: object,
 class LineageRegistry:
     """Forward and reverse index between views and their input streams.
 
-    Thread-safe: recorded from any compiling thread (via the view
-    store's mutation feed) and read by the invalidation path and GC
-    sweeps, which concurrent ``Session`` callers may run at once.
+    Recorded through the view store's mutation feed; read by the
+    invalidation path and GC sweeps.
     """
 
     def __init__(self) -> None:
-        # Leaf rank: recorded under the view store's mutation feed and
-        # read under the invalidation bus; never acquires anything.
-        self._mutex = TrackedLock("lifecycle.lineage", RANK_LEAF + 20)
         #: view strict signature -> frozenset of (dataset, guid).
         self._inputs: Dict[str, FrozenSet[Input]] = {}
         #: dataset name -> set of dependent view signatures.
@@ -66,27 +60,21 @@ class LineageRegistry:
         self._by_guid: Dict[str, Set[str]] = {}
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._inputs)
+        return len(self._inputs)
 
     # ------------------------------------------------------------------ #
     # writes
 
     def record(self, signature: str, inputs: FrozenSet[Input]) -> None:
         """Install (or overwrite) one view's lineage."""
-        with self._mutex:
-            self._forget_locked(signature)
-            self._inputs[signature] = frozenset(inputs)
-            for dataset, guid in inputs:
-                self._by_dataset.setdefault(dataset, set()).add(signature)
-                self._by_guid.setdefault(guid, set()).add(signature)
+        self.forget(signature)
+        self._inputs[signature] = frozenset(inputs)
+        for dataset, guid in inputs:
+            self._by_dataset.setdefault(dataset, set()).add(signature)
+            self._by_guid.setdefault(guid, set()).add(signature)
 
     def forget(self, signature: str) -> None:
         """Drop one view's lineage (the view left the catalog)."""
-        with self._mutex:
-            self._forget_locked(signature)
-
-    def _forget_locked(self, signature: str) -> None:
         inputs = self._inputs.pop(signature, None)
         if not inputs:
             return
@@ -103,35 +91,29 @@ class LineageRegistry:
     # reads
 
     def inputs_of(self, signature: str) -> FrozenSet[Input]:
-        with self._mutex:
-            return self._inputs.get(signature, frozenset())
+        return self._inputs.get(signature, frozenset())
 
     def has(self, signature: str) -> bool:
-        with self._mutex:
-            return signature in self._inputs
+        return signature in self._inputs
 
     def views_reading_dataset(self, dataset: str) -> Set[str]:
         """Every view whose lineage includes any version of ``dataset``."""
-        with self._mutex:
-            return set(self._by_dataset.get(dataset, ()))
+        return set(self._by_dataset.get(dataset, ()))
 
     def views_reading_guid(self, guid: str) -> Set[str]:
         """Every view built over the specific stream version ``guid``."""
-        with self._mutex:
-            return set(self._by_guid.get(guid, ()))
+        return set(self._by_guid.get(guid, ()))
 
     def datasets(self) -> List[str]:
-        with self._mutex:
-            return sorted(self._by_dataset)
+        return sorted(self._by_dataset)
 
     # ------------------------------------------------------------------ #
     # persistence (journal snapshot format)
 
     def snapshot(self) -> Dict[str, List[List[str]]]:
         """JSON-serializable dump: signature -> sorted [dataset, guid]."""
-        with self._mutex:
-            return {signature: sorted([d, g] for d, g in inputs)
-                    for signature, inputs in self._inputs.items()}
+        return {signature: sorted([d, g] for d, g in inputs)
+                for signature, inputs in self._inputs.items()}
 
     def restore(self, snapshot: Dict[str, List[List[str]]]) -> None:
         for signature, pairs in snapshot.items():

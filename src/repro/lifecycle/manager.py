@@ -93,8 +93,7 @@ class LifecycleManager:
         #: just missed one op, which the next snapshot makes durable.
         self.journal_errors = 0
         self.last_recovery: Optional[RecoveryReport] = None
-        #: One entry per open commit group, on any thread (see
-        #: :meth:`commit_group`); ``list.append`` / ``pop`` are atomic.
+        #: One entry per open commit group (see :meth:`commit_group`).
         self._groups: List[None] = []
         #: An externally-built journal (the sharded session injects a
         #: :class:`~repro.shard.ShardedCatalogJournal`, ``repro gc`` the
@@ -141,7 +140,7 @@ class LifecycleManager:
                 wal_ops=report.wal_ops)
 
     # ------------------------------------------------------------------ #
-    # the view store's mutation feed (called with the store mutex held)
+    # the view store's mutation feed (called in applied order)
 
     def _on_store_mutation(self, record: Dict[str, object]) -> None:
         """Keep lineage in step; journal the record the store applied."""
@@ -165,8 +164,8 @@ class LifecycleManager:
                     >= self.config.snapshot_every_ops):
                 self.snapshot()
         except ReproError:
-            # Runs under the store mutex, so only counters here (no
-            # recorder events).  The in-memory mutation already applied;
+            # Only counters here (no recorder events).  The in-memory
+            # mutation already applied;
             # a lost WAL op (or deferred snapshot) costs durability of
             # that op until the next snapshot captures full state --
             # never correctness of the live catalog, and never the
@@ -193,10 +192,9 @@ class LifecycleManager:
         commit them: one frame per owning shard (DESIGN §12).
 
         Any group's close commits everything pending, not only the last
-        one open: a group that overlaps another thread's must not leave
-        its records waiting on that one.  Committing early is always
-        safe; only committing after the step returns could lose an
-        acknowledged record.
+        one open (a nested group's close included).  Committing early is
+        always safe; only committing after the step returns could lose
+        an acknowledged record.
         """
         self._groups.append(None)
         try:

@@ -53,9 +53,6 @@ GC_SWEEP = "gc.sweep"
 EPOCH_BUMPED = "epoch.bumped"
 JOURNAL_SNAPSHOT = "journal.snapshot"
 JOURNAL_RECOVERED = "journal.recovered"
-# Concurrency soundness: the runtime lock sanitizer's findings (hierarchy
-# violations, wait-for cycles).
-SANITIZER_VIOLATION = "sanitizer.violation"
 # A claimed view vanished between compile and execute (the GC sweep won
 # the race); the job fell back to a reuse-free recompile.
 REUSE_FALLBACK = "execute.reuse_fallback"
@@ -72,7 +69,7 @@ GC_SWEEP_ABORTED = "gc.sweep_aborted"
 VIEW_DROP_FAILED = "view.drop_failed"
 # Sharded insights deployment (repro.shard): worker-process lifecycle as
 # seen by the supervisor, plus router-observed RPC failures.  Per-shard
-# latency/queue-depth land in the metrics registry, not here.
+# latency lands in the metrics registry, not here.
 SHARD_SPAWNED = "shard.spawned"
 SHARD_DIED = "shard.died"
 SHARD_RESTARTED = "shard.restarted"
@@ -86,7 +83,7 @@ ALL_KINDS = (
     FETCH_DEGRADED, FETCH_RETRY, SCHEDULER_WAVE,
     LIFECYCLE_CASCADE, GC_SWEEP, EPOCH_BUMPED,
     JOURNAL_SNAPSHOT, JOURNAL_RECOVERED,
-    SANITIZER_VIOLATION, REUSE_FALLBACK,
+    REUSE_FALLBACK,
     EXECUTE_RETRY, VIEW_QUARANTINED, WORKER_RETRIED,
     JOURNAL_TORN_TAIL, JOURNAL_WRITE_FAILED,
     GC_SWEEP_ABORTED, VIEW_DROP_FAILED,

@@ -104,10 +104,9 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
     if cost_with >= cost_without:
         ctx.recorder.inc("views.match.rejected_by_cost")
         return None
-    # Re-check availability atomically at claim time: an invalidation
-    # cascade or GC sweep may have purged the view between the lookup
-    # above and this point (another ``Session`` caller may sweep
-    # concurrently with compilation).  A lost claim is just a recompute.
+    # Re-check availability at claim time: an invalidation cascade or GC
+    # sweep may have purged the view between the lookup above and this
+    # point.  A lost claim is just a recompute.
     view = ctx.view_store.claim_for_reuse(signature, now,
                                           reused_by=ctx.trace_id)
     if view is None:

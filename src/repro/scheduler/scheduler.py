@@ -13,8 +13,7 @@ invariants:
   release, view abandonment) run as usual.
 
 * **Deterministic collection** -- a wave is a barrier, and its members
-  are exactly the caller's list: concurrent callers each run their own
-  wave and get their own results.  Job ids are drawn in list order as
+  are exactly the caller's list.  Job ids are drawn in list order as
   the wave opens.  :meth:`drain` plans every job and fetches the wave's
   annotations as one lookup frame per owning insights shard (answered as
   one-by-one fetches would be, :meth:`InsightsClient.fetch_wave`); then
@@ -27,8 +26,7 @@ invariants:
   a wave compile one after another, so they ask it in list order and
   the producer is the earliest proposer.  A wave's lock outcomes, its
   ``scheduler.worker`` and ``backend.*`` fault draws and its journal
-  records therefore fall in list order: nothing inside a wave is left to
-  thread timing.
+  records therefore fall in list order.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError, InjectedCrash
-from repro.common.sync import RANK_SCHEDULER, TrackedLock
 from repro.engine.engine import JobRun, ScopeEngine
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
@@ -105,7 +102,7 @@ class JobScheduler:
         results = JobScheduler(engine).drain(
             [JobRequest(sql=sql) for sql in batch], now=now)
 
-    Any thread may call :meth:`drain`; each call is its own wave.
+    Each call of :meth:`drain` is its own wave.
     """
 
     def __init__(self, engine: ScopeEngine,
@@ -119,10 +116,8 @@ class JobScheduler:
         #: The engine's flight recorder, as installed when the scheduler
         #: is built.
         self.recorder = engine.recorder
-        # Guards only the wave count, which concurrent callers share.
-        self._mutex = TrackedLock("scheduler", RANK_SCHEDULER,
-                                  self.recorder)
-        self._waves = 0
+        #: Waves drained so far (an empty list is no wave).
+        self.waves = 0
         #: The session's fault runtime; ``Session(faults=...)`` installs
         #: a live one so the ``scheduler.worker`` death seam can fire.
         self.faults = NULL_FAULTS
@@ -227,16 +222,11 @@ class JobScheduler:
                     slot.job_id, slot.request.sql,
                     slot.request.virtual_cluster, now, error))
         if pending:
-            with self._mutex:
-                self._waves += 1
-                wave = self._waves
+            self.waves += 1
             self.recorder.inc("scheduler.waves")
             self.recorder.event(
-                obs_events.SCHEDULER_WAVE, at=now, job_id=f"wave-{wave}",
+                obs_events.SCHEDULER_WAVE, at=now,
+                job_id=f"wave-{self.waves}",
                 jobs=len(pending),
                 failures=sum(not result.ok for result in results))
         return results
-
-    @property
-    def waves(self) -> int:
-        return self._waves

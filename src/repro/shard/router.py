@@ -9,8 +9,8 @@ fault-tolerant client see -- routing by tag or strict signature, the
 kill switch, the generation, usage metrics, lock events, the serial
 latency accounting -- is the inherited service code, which is why reuse
 decisions and charged latencies are identical for any shard count.  What
-this module adds is transport: a connection pool, one reconnect-or-
-restart retry per RPC, and the ``shard.rpc`` / ``shard.death`` fault
+this module adds is transport: one connection per shard, one reconnect-
+or-restart retry per RPC, and the ``shard.rpc`` / ``shard.death`` fault
 seams on the tag lookup.
 
 Failure posture: a dead shard is indistinguishable from a dead service
@@ -33,7 +33,6 @@ from repro.common.errors import (
     InsightsTimeout,
     ShardError,
 )
-from repro.common.sync import RANK_LEAF, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.insights.partition import (
@@ -100,14 +99,8 @@ class ShardRouter(InsightsService):
         self.supervisor = supervisor
         self.shards = supervisor.config.shards
         self.faults = faults if faults is not None else NULL_FAULTS
-        # Connection pool: per-shard free lists plus in-flight gauges.
-        # Leaf rank (list ops only): the journal adapter calls through
-        # here while its commit guard is held.
-        self._pool_mutex = TrackedLock("shard.router.pool", RANK_LEAF + 20,
-                                       recorder)
-        self._pool: Dict[int, List[socket.socket]] = {
-            i: [] for i in range(self.shards)}
-        self._inflight = [0] * self.shards
+        #: One connection per shard, opened on first use.
+        self._conns: Dict[int, socket.socket] = {}
         self._request_ids = itertools.count(1)
         #: Per-shard RPC totals (successful round trips).
         self.rpcs = [0] * self.shards
@@ -115,38 +108,28 @@ class ShardRouter(InsightsService):
         super().__init__(recorder, [RemotePartition(self, shard_id)
                                     for shard_id in range(self.shards)])
 
-    @InsightsService.recorder.setter
+    @property
+    def recorder(self):
+        return self._recorder
+
+    @recorder.setter
     def recorder(self, value) -> None:
-        InsightsService.recorder.fset(self, value)
-        self._pool_mutex.recorder = value
+        self._recorder = value
         self.supervisor.recorder = value
 
     # ------------------------------------------------------------------ #
     # the RPC plumbing
 
-    def _checkout(self, shard_id: int) -> socket.socket:
-        with self._pool_mutex:
-            self._inflight[shard_id] += 1
-            pooled = self._pool[shard_id]
-            if pooled:
-                return pooled.pop()
-        return self.supervisor.connect(shard_id)
+    def _connection(self, shard_id: int) -> socket.socket:
+        sock = self._conns.get(shard_id)
+        if sock is None:
+            sock = self._conns[shard_id] = self.supervisor.connect(shard_id)
+        return sock
 
-    def _checkin(self, shard_id: int, sock: Optional[socket.socket],
-                 broken: bool = False) -> None:
-        with self._pool_mutex:
-            self._inflight[shard_id] -= 1
-            if sock is not None and not broken:
-                self._pool[shard_id].append(sock)
-                return
+    def _drop_connection(self, shard_id: int) -> None:
+        """Close the connection to a shard that died or restarted."""
+        sock = self._conns.pop(shard_id, None)
         if sock is not None:
-            _close(sock)
-
-    def _drop_pool(self, shard_id: int) -> None:
-        """Close pooled connections to a shard that died or restarted."""
-        with self._pool_mutex:
-            stale, self._pool[shard_id] = self._pool[shard_id], []
-        for sock in stale:
             _close(sock)
 
     def call(self, shard_id: int, method: str, **params: object) -> Any:
@@ -156,26 +139,22 @@ class ShardRouter(InsightsService):
         last_error: Optional[BaseException] = None
         for attempt in (0, 1):
             started = time.perf_counter()
-            sock: Optional[socket.socket] = None
             try:
-                sock = self._checkout(shard_id)
+                sock = self._connection(shard_id)
                 send_frame(sock, request)
                 reply = recv_frame(sock)
                 if reply is None:
                     raise ShardError(
                         f"shard {shard_id} closed the connection")
             except (OSError, ShardError) as error:
-                self._checkin(shard_id, sock, broken=True)
+                self._drop_connection(shard_id)
                 last_error = error
                 if attempt == 0:
                     self._heal(shard_id)
                 continue
-            self._checkin(shard_id, sock)
             self.rpcs[shard_id] += 1
             self.recorder.observe(f"shard.{shard_id:02d}.rpc_wall_seconds",
                                   time.perf_counter() - started)
-            self.recorder.observe(f"shard.{shard_id:02d}.queue_depth",
-                                  self._inflight[shard_id])
             if reply.get("error") is not None:
                 raise_remote(reply["error"])
             return reply.get("result", {})
@@ -188,8 +167,8 @@ class ShardRouter(InsightsService):
             f"shard {shard_id} unreachable for {method!r}: {last_error}")
 
     def _heal(self, shard_id: int) -> None:
-        """Between attempts: flush stale sockets, restart a dead shard."""
-        self._drop_pool(shard_id)
+        """Between attempts: drop the stale socket, restart a dead shard."""
+        self._drop_connection(shard_id)
         if self.supervisor.is_alive(shard_id):
             return
         try:
@@ -215,7 +194,7 @@ class ShardRouter(InsightsService):
             # genuine dead-shard path (reconnect, restart, or surface an
             # InsightsError for the client ladder).
             self.supervisor.kill(shard_id)
-            self._drop_pool(shard_id)
+            self._drop_connection(shard_id)
         outcome = self.faults.check(fault_points.SHARD_RPC)
         if outcome.kind == "drop":
             raise InsightsTimeout(
@@ -241,7 +220,7 @@ class ShardRouter(InsightsService):
         return stats
 
     def close(self) -> None:
-        """Drain the connection pool (the supervisor owns the workers)."""
+        """Close the connections (the supervisor owns the workers)."""
         for shard_id in range(self.shards):
-            self._drop_pool(shard_id)
+            self._drop_connection(shard_id)
 

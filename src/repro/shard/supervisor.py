@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import ConfigError, ShardError
-from repro.common.sync import RANK_CATALOG, TrackedLock
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.obs import events as obs_events
@@ -98,13 +97,6 @@ class ShardSupervisor:
         self._ctx = multiprocessing.get_context(config.start_method)
         self._own_dir = config.socket_dir is None
         self._dir = config.socket_dir or tempfile.mkdtemp(prefix="repro-sh-")
-        # Spawn/kill/restart bookkeeping.  Mid-band rank: acquired under
-        # the journal's commit guard on the frame-shipping restart path, and
-        # itself only takes the fault runtime's leaf guard (via
-        # ``faults.fire``) plus real syscalls underneath -- process
-        # spawning is this deployment's sanctioned I/O-under-lock site.
-        self._mutex = TrackedLock("shard.supervisor", RANK_CATALOG + 50,
-                                  recorder)
         self._procs: List[Optional[multiprocessing.process.BaseProcess]] = \
             [None] * config.shards
         self.restarts = [0] * config.shards
@@ -140,13 +132,12 @@ class ShardSupervisor:
 
     def start(self) -> None:
         """Spawn every shard and wait until each answers a ping."""
-        with self._mutex:
-            for shard_id in range(self.config.shards):
-                self._spawn_locked(shard_id)
+        for shard_id in range(self.config.shards):
+            self._spawn(shard_id)
         for shard_id in range(self.config.shards):
             self._wait_ready(shard_id)
 
-    def _spawn_locked(self, shard_id: int) -> None:
+    def _spawn(self, shard_id: int) -> None:
         self.faults.fire(fault_points.SHARD_SPAWN)
         process = self._ctx.Process(
             target=worker_main, args=(self._spec(shard_id),),
@@ -208,14 +199,13 @@ class ShardSupervisor:
 
     def kill(self, shard_id: int) -> None:
         """SIGKILL one shard (chaos campaigns; no cleanup runs)."""
-        with self._mutex:
-            process = self._procs[shard_id]
-            if process is None or not process.is_alive():
-                return
-            process.kill()
-            process.join(timeout=SPAWN_TIMEOUT_SECONDS)
-            self.recorder.event(obs_events.SHARD_DIED, shard=shard_id,
-                                pid=process.pid)
+        process = self._procs[shard_id]
+        if process is None or not process.is_alive():
+            return
+        process.kill()
+        process.join(timeout=SPAWN_TIMEOUT_SECONDS)
+        self.recorder.event(obs_events.SHARD_DIED, shard=shard_id,
+                            pid=process.pid)
 
     def restart(self, shard_id: int) -> bool:
         """Respawn a dead shard; ``False`` when policy says leave it dead.
@@ -224,18 +214,17 @@ class ShardSupervisor:
         appending to its existing WAL, so the shard rejoins with the
         state it had acknowledged before dying.
         """
-        with self._mutex:
-            if self._closed or not self.config.restart_dead:
-                return False
-            process = self._procs[shard_id]
-            if process is not None and process.is_alive():
-                return True  # someone else already healed it
-            if self.restarts[shard_id] >= MAX_RESTARTS_PER_SHARD:
-                return False
-            if process is not None:
-                process.join(timeout=1.0)
-            self.restarts[shard_id] += 1
-            self._spawn_locked(shard_id)
+        if self._closed or not self.config.restart_dead:
+            return False
+        process = self._procs[shard_id]
+        if process is not None and process.is_alive():
+            return True  # already healed
+        if self.restarts[shard_id] >= MAX_RESTARTS_PER_SHARD:
+            return False
+        if process is not None:
+            process.join(timeout=1.0)
+        self.restarts[shard_id] += 1
+        self._spawn(shard_id)
         self._wait_ready(shard_id)
         self.recorder.event(obs_events.SHARD_RESTARTED, shard=shard_id,
                             attempt=self.restarts[shard_id])
@@ -243,11 +232,10 @@ class ShardSupervisor:
 
     def close(self) -> None:
         """Terminate every worker and reclaim the scratch directory."""
-        with self._mutex:
-            if self._closed:
-                return
-            self._closed = True
-            procs, self._procs = self._procs, [None] * self.config.shards
+        if self._closed:
+            return
+        self._closed = True
+        procs, self._procs = self._procs, [None] * self.config.shards
         for process in procs:
             if process is None:
                 continue

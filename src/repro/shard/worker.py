@@ -17,7 +17,9 @@ metrics and events all live in the one
 dispatched under one worker-level mutex, so a shard processes its queue
 serially -- the real concurrency unit is the shard *process*, which is
 exactly what the throughput benchmark measures via each worker's
-accumulated ``busy_seconds``.
+accumulated ``busy_seconds``.  This dispatch lock is the only lock in
+the code base: the client process has one caller per ``Session`` and
+takes none.
 
 Durability contract: every WAL frame is flushed before the RPC reply,
 and the annotation partition is rewritten atomically (temp + rename) on
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.errors import ShardError
-from repro.common.sync import RANK_SCHEDULER, TrackedLock
 from repro.insights.partition import (
     PARTITION_OPS,
     Partition,
@@ -73,10 +74,9 @@ class ShardWorker:
         self.journal: Optional[JournalFile] = None
         if spec.journal_dir is not None:
             self.journal = JournalFile(spec.journal_dir)
-        # Serial dispatch: one request at a time per shard.  Ranked above
-        # the insights band because the handler body acquires the
-        # partition mutex and (leaf-ranked) journal guard underneath.
-        self._dispatch = TrackedLock("shard.worker", RANK_SCHEDULER + 50)
+        # Serial dispatch: one request at a time per shard, whichever
+        # connection it arrived on.
+        self._dispatch = threading.Lock()
         self._stop = threading.Event()
         self._listener: Optional[socket.socket] = None
         self.requests_served = 0

@@ -38,7 +38,7 @@ from scratch.  So does a ``Scan`` whose dataset's schema changed (rule
 (iii)).  Every doubt resolves to a miss: a wrong hit is a wrong answer, a
 miss only costs speed.
 
-Templates are immutable and shared by every scheduler thread: a bind
+Templates are immutable and shared by every later instance: a bind
 never writes to one, it makes a new template -- a new node list -- over
 the same shared slots.
 """

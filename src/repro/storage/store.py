@@ -15,26 +15,20 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import StorageError
-from repro.common.sync import RANK_STORAGE, TrackedLock
 from repro.plan.expressions import Row
 from repro.storage.batch import Batch, constants
+
 
 class DataStore:
     """In-memory blob store: GUID/path -> :class:`Batch`.
 
-    Concurrently executing jobs write distinct view paths and read shared
-    stream GUIDs; a lock keeps the blob map and the byte counters exact
-    under that parallelism.
-
     A blob is measured once, before it is written: every read charges the
     size recorded with it and a column-pruned read sums the recorded sizes
-    of the columns it picks, so nothing but dictionary lookups ever runs
-    while ``storage.data`` is held.
+    of the columns it picks.
     """
 
     def __init__(self) -> None:
         self._blobs: Dict[str, Batch] = {}
-        self._mutex = TrackedLock("storage.data", RANK_STORAGE)
         self.bytes_written = 0
         self.bytes_read = 0
 
@@ -46,25 +40,23 @@ class DataStore:
         """Store ``batch`` with every column built (overwrites: streams are
         immutable per GUID, so an overwrite only happens when
         re-materializing the same view path).  Built first, a blob keeps
-        no gather's base alive and is never filled in while concurrent
-        jobs read it; built, its constant columns are recorded once as
+        no gather's base alive and is never filled in while a later job
+        reads it; built, its constant columns are recorded once as
         ``batch.facts``, which every read of it carries."""
         size = batch.size()
         batch.columns.build()
         batch.facts = constants(batch.columns)
-        with self._mutex:
-            self._blobs[key] = batch
-            self.bytes_written += size
+        self._blobs[key] = batch
+        self.bytes_written += size
 
     def read(self, key: str) -> Batch:
         """The batch under ``key``, charged to ``bytes_read``."""
-        with self._mutex:
-            try:
-                batch = self._blobs[key]
-            except KeyError:
-                raise StorageError(
-                    f"no data stored under key {key!r}") from None
-            self.bytes_read += batch.size()
+        try:
+            batch = self._blobs[key]
+        except KeyError:
+            raise StorageError(
+                f"no data stored under key {key!r}") from None
+        self.bytes_read += batch.size()
         return batch
 
     def get(self, key: str) -> List[Row]:
@@ -77,14 +69,11 @@ class DataStore:
         return self.read(key).select(columns)
 
     def has(self, key: str) -> bool:
-        with self._mutex:
-            return key in self._blobs
+        return key in self._blobs
 
     def delete(self, key: str) -> None:
-        with self._mutex:
-            self._blobs.pop(key, None)
+        self._blobs.pop(key, None)
 
     def size_of(self, key: str) -> int:
-        with self._mutex:
-            blob = self._blobs.get(key)
-            return 0 if blob is None else blob.size()
+        blob = self._blobs.get(key)
+        return 0 if blob is None else blob.size()

@@ -22,11 +22,8 @@ and the lifetime counters change -- the same function WAL replay calls
 by construction.  :meth:`ViewStore.dump` / :meth:`ViewStore.load` are
 the one codec of that durable state (digest, snapshots, recovery).
 
-The store is shared by every concurrently compiling and executing job, so
-all mutations and multi-view reads hold one reentrant lock.  The
-concurrency invariant (at most one materialization per strict signature)
-is *not* enforced here -- the insights service's exclusive view lock is
-the guard; this lock only keeps the catalog's own bookkeeping consistent.
+At most one materialization per strict signature is *not* enforced
+here: the insights service's exclusive view lock is the guard.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.clock import SECONDS_PER_WEEK
 from repro.common.errors import StorageError
-from repro.common.sync import RANK_STORAGE, TrackedRLock
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
 
@@ -51,10 +47,8 @@ COUNTERS = ("total_created", "total_reused", "total_expired",
 DEPARTED = ("abandoned", "evicted", "removed")
 
 #: Mutation listener: ``listener(record)``, the plain-data record
-#: :meth:`ViewStore.apply` just applied (a WAL line, verbatim).  Called
-#: with the store mutex held so the observed order equals the applied
-#: order (the durable catalog journal depends on this); listeners must
-#: not block.
+#: :meth:`ViewStore.apply` just applied (a WAL line, verbatim), in applied
+#: order (the durable catalog journal depends on this).
 StoreListener = Callable[[Dict[str, object]], None]
 
 
@@ -140,11 +134,6 @@ class ViewStore:
                  recorder=NULL_RECORDER):
         self.ttl_seconds = ttl_seconds
         self._views: Dict[str, MaterializedView] = {}
-        # Reentrant: listener dispatch holds the mutex and the journal's
-        # snapshot path re-enters through :meth:`views`.  Ranked a notch
-        # above the blob store so a view mutation may consult it.
-        self._mutex = TrackedRLock("storage.views", RANK_STORAGE + 10,
-                                   recorder)
         self.total_created = 0
         self.total_reused = 0
         self.total_expired = 0
@@ -157,34 +146,19 @@ class ViewStore:
         self._listeners: List[StoreListener] = []
 
     # ------------------------------------------------------------------ #
-    # recorder plumbing (FlightRecorder.install sets ``.recorder``)
-
-    @property
-    def recorder(self):
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self._mutex.recorder = value
-
-    # ------------------------------------------------------------------ #
     # listeners (the lifecycle subsystem's feed)
 
     def add_listener(self, listener: StoreListener) -> None:
         """Subscribe to every catalog mutation, in applied order."""
-        with self._mutex:
-            self._listeners.append(listener)
+        self._listeners.append(listener)
 
     def remove_listener(self, listener: StoreListener) -> None:
-        with self._mutex:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
+        if listener in self._listeners:
+            self._listeners.remove(listener)
 
     def _commit(self, record: Dict[str, object]
                 ) -> Optional[MaterializedView]:
-        """Apply one record, then hand that same record to the listeners
-        (mutex held by caller)."""
+        """Apply one record, then hand that same record to the listeners."""
         view = self.apply(record)
         for listener in self._listeners:
             listener(record)
@@ -206,38 +180,37 @@ class ViewStore:
         ``ValueError`` / ``TypeError`` before anything changed.
         """
         op = record.get("op")
-        with self._mutex:
-            if op == "created":
-                view = MaterializedView.from_record(record["view"])
-                self._views[view.signature] = view
-                return view
-            signature = str(record.get("signature", ""))
-            if op in DEPARTED:
-                # Counted even when the entry is already gone: the live
-                # store counted it, and a WAL may have lost the creation.
-                if op == "evicted":
-                    self.total_expired += 1
-                elif op == "removed":
-                    self.total_gc_evicted += 1
-                return self._views.pop(signature, None)
-            if op not in ("sealed", "reused", "purged"):
-                raise StorageError(f"unknown catalog op {op!r}")
-            view = self._views.get(signature)
-            if view is None:
-                raise StorageError(f"unknown view {signature[:8]}")
-            if op == "sealed":
-                view.sealed_at, view.row_count, view.size_bytes = (
-                    float(record["sealed_at"]), int(record["rows"]),
-                    int(record["bytes"]))
-                view.sealed = True
-                self.total_created += 1
-            elif op == "reused":
-                view.reuse_count += 1
-                self.total_reused += 1
-            else:
-                view.purged = True
-                self.total_purged += 1
+        if op == "created":
+            view = MaterializedView.from_record(record["view"])
+            self._views[view.signature] = view
             return view
+        signature = str(record.get("signature", ""))
+        if op in DEPARTED:
+            # Counted even when the entry is already gone: the live
+            # store counted it, and a WAL may have lost the creation.
+            if op == "evicted":
+                self.total_expired += 1
+            elif op == "removed":
+                self.total_gc_evicted += 1
+            return self._views.pop(signature, None)
+        if op not in ("sealed", "reused", "purged"):
+            raise StorageError(f"unknown catalog op {op!r}")
+        view = self._views.get(signature)
+        if view is None:
+            raise StorageError(f"unknown view {signature[:8]}")
+        if op == "sealed":
+            view.sealed_at, view.row_count, view.size_bytes = (
+                float(record["sealed_at"]), int(record["rows"]),
+                int(record["bytes"]))
+            view.sealed = True
+            self.total_created += 1
+        elif op == "reused":
+            view.reuse_count += 1
+            self.total_reused += 1
+        else:
+            view.purged = True
+            self.total_purged += 1
+        return view
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -249,27 +222,26 @@ class ViewStore:
                           recurring_signature: str = "",
                           definition: object = None) -> MaterializedView:
         """Register a view whose materialization has started (unsealed)."""
-        with self._mutex:
-            existing = self._views.get(signature)
-            if existing is not None and existing.available(now):
-                raise StorageError(
-                    f"view {signature[:8]} already materialized and available")
-            ttl = self.ttl_seconds if ttl_seconds is None else ttl_seconds
-            record = {"op": "created", "view": MaterializedView(
-                signature=signature,
-                path=path,
-                schema=tuple(schema),
-                virtual_cluster=virtual_cluster,
-                created_at=now,
-                expires_at=now + ttl,
-                recurring_signature=recurring_signature,
-            ).catalog_record()}
-            # The defining subplan is not durable; it is in place before
-            # the listeners run (lineage is extracted from it).
-            view = self.apply(record)
-            view.definition = definition
-            for listener in self._listeners:
-                listener(record)
+        existing = self._views.get(signature)
+        if existing is not None and existing.available(now):
+            raise StorageError(
+                f"view {signature[:8]} already materialized and available")
+        ttl = self.ttl_seconds if ttl_seconds is None else ttl_seconds
+        record = {"op": "created", "view": MaterializedView(
+            signature=signature,
+            path=path,
+            schema=tuple(schema),
+            virtual_cluster=virtual_cluster,
+            created_at=now,
+            expires_at=now + ttl,
+            recurring_signature=recurring_signature,
+        ).catalog_record()}
+        # The defining subplan is not durable; it is in place before
+        # the listeners run (lineage is extracted from it).
+        view = self.apply(record)
+        view.definition = definition
+        for listener in self._listeners:
+            listener(record)
         self.recorder.event(obs_events.VIEW_CREATED, at=now,
                             signature=signature[:12], path=path,
                             virtual_cluster=virtual_cluster)
@@ -278,10 +250,9 @@ class ViewStore:
     def seal(self, signature: str, now: float, row_count: int,
              size_bytes: int, sealed_by: str = "") -> MaterializedView:
         """Early-seal a view: it becomes visible for reuse immediately."""
-        with self._mutex:
-            view = self._commit({
-                "op": "sealed", "signature": signature, "sealed_at": now,
-                "rows": row_count, "bytes": size_bytes})
+        view = self._commit({
+            "op": "sealed", "signature": signature, "sealed_at": now,
+            "rows": row_count, "bytes": size_bytes})
         self.recorder.event(obs_events.VIEW_SEALED, at=now,
                             job_id=sealed_by,
                             signature=signature[:12], rows=row_count,
@@ -293,11 +264,10 @@ class ViewStore:
 
     def abandon(self, signature: str) -> None:
         """Forget an unsealed view (producing job failed before sealing)."""
-        with self._mutex:
-            view = self._views.get(signature)
-            if view is None or view.sealed:
-                return
-            self._commit({"op": "abandoned", "signature": signature})
+        view = self._views.get(signature)
+        if view is None or view.sealed:
+            return
+        self._commit({"op": "abandoned", "signature": signature})
         self.recorder.event(obs_events.VIEW_INVALIDATED,
                             signature=signature[:12], reason="abandoned")
 
@@ -308,11 +278,10 @@ class ViewStore:
         (flagged ``purged``) until a GC sweep hard-removes it, so
         in-flight readers keep a consistent record to unpin.
         """
-        with self._mutex:
-            view = self._views.get(signature)
-            if view is None or not view.purged:  # apply refuses an unknown view
-                self._commit({"op": "purged", "signature": signature,
-                              "reason": reason})
+        view = self._views.get(signature)
+        if view is None or not view.purged:  # apply refuses an unknown view
+            self._commit({"op": "purged", "signature": signature,
+                          "reason": reason})
         self.recorder.event(obs_events.VIEW_INVALIDATED,
                             signature=signature[:12], reason=reason)
 
@@ -322,16 +291,15 @@ class ViewStore:
         Refuses while any reader holds a pin, and refuses an in-flight
         build (unsealed, unpurged): only its producer ends that, by seal
         or abandon.  A sweep deciding on an older, expired entry of the
-        same signature must not take a concurrent rebuild with it.
+        same signature must not take a newer rebuild with it.
         Returns whether the entry was removed.
         """
-        with self._mutex:
-            view = self._views.get(signature)
-            if view is None or view.pins > 0 or \
-                    not (view.sealed or view.purged):
-                return False
-            self._commit({"op": "removed", "signature": signature,
-                          "reason": reason})
+        view = self._views.get(signature)
+        if view is None or view.pins > 0 or \
+                not (view.sealed or view.purged):
+            return False
+        self._commit({"op": "removed", "signature": signature,
+                      "reason": reason})
         self.recorder.event(obs_events.VIEW_EVICTED,
                             signature=signature[:12], reason=reason,
                             reuse_count=view.reuse_count)
@@ -349,40 +317,35 @@ class ViewStore:
         data does not exist yet.  Refusing the pin routes the reader to
         the reuse-free fallback instead of a missing blob.
         """
-        with self._mutex:
-            view = self._views.get(signature)
-            if view is None or not view.sealed or view.purged:
-                return False
-            view.pins += 1
-            return True
+        view = self._views.get(signature)
+        if view is None or not view.sealed or view.purged:
+            return False
+        view.pins += 1
+        return True
 
     def unpin(self, signature: str) -> None:
         """Release one reader's pin (tolerant of a vanished view)."""
-        with self._mutex:
-            view = self._views.get(signature)
-            if view is not None and view.pins > 0:
-                view.pins -= 1
+        view = self._views.get(signature)
+        if view is not None and view.pins > 0:
+            view.pins -= 1
 
     # ------------------------------------------------------------------ #
     # lookup
 
     def lookup(self, signature: str, now: float) -> Optional[MaterializedView]:
         """Return the view if it is available for reuse at ``now``."""
-        with self._mutex:
-            view = self._views.get(signature)
-            if view is not None and view.available(now):
-                return view
-            return None
+        view = self._views.get(signature)
+        if view is not None and view.available(now):
+            return view
+        return None
 
     def get(self, signature: str) -> Optional[MaterializedView]:
         """Raw metadata access, regardless of availability."""
-        with self._mutex:
-            return self._views.get(signature)
+        return self._views.get(signature)
 
     def record_reuse(self, signature: str, reused_by: str = "") -> None:
-        with self._mutex:
-            reuse_count = self._commit(
-                {"op": "reused", "signature": signature}).reuse_count
+        reuse_count = self._commit(
+            {"op": "reused", "signature": signature}).reuse_count
         self.recorder.event(obs_events.VIEW_REUSED, job_id=reused_by,
                             signature=signature[:12],
                             reuse_count=reuse_count)
@@ -391,10 +354,10 @@ class ViewStore:
                         reused_by: str = "") -> Optional[MaterializedView]:
         """Atomic availability re-check + reuse accounting at match time.
 
-        With a GC sweep running concurrently, a view seen by
-        ``lookup`` may be purged or hard-removed before the optimizer
-        commits the match; this re-checks availability and records the
-        reuse under one lock so matching never claims a vanished view.
+        A view seen by ``lookup`` may be purged or hard-removed (by a
+        sweep between steps) before the optimizer commits the match;
+        this re-checks availability and records the reuse in one step
+        so matching never claims a vanished view.
         Returns ``None`` when the view is no longer available.
 
         A successful claim also takes a *pin*: the rest of compilation
@@ -404,13 +367,12 @@ class ViewStore:
         (:meth:`~repro.optimizer.view_matching.MatchOutcome.release_claims`);
         execution re-pins for the duration of the actual scan.
         """
-        with self._mutex:
-            view = self._views.get(signature)
-            if view is None or not view.available(now):
-                return None
-            view.pins += 1
-            reuse_count = self._commit(
-                {"op": "reused", "signature": signature}).reuse_count
+        view = self._views.get(signature)
+        if view is None or not view.available(now):
+            return None
+        view.pins += 1
+        reuse_count = self._commit(
+            {"op": "reused", "signature": signature}).reuse_count
         self.recorder.event(obs_events.VIEW_REUSED, job_id=reused_by,
                             signature=signature[:12],
                             reuse_count=reuse_count)
@@ -418,9 +380,8 @@ class ViewStore:
 
     def is_materializing(self, signature: str, now: float) -> bool:
         """True while a producing job holds the view-in-progress slot."""
-        with self._mutex:
-            view = self._views.get(signature)
-            return view is not None and not view.sealed and not view.purged
+        view = self._views.get(signature)
+        return view is not None and not view.sealed and not view.purged
 
     def evict_expired(self, now: float) -> List[MaterializedView]:
         """Drop expired views; returns what was evicted.
@@ -429,11 +390,10 @@ class ViewStore:
         stay resident until the last reader unpins; the next GC sweep
         collects them).
         """
-        with self._mutex:
-            expired = [v for v in self._views.values()
-                       if v.sealed and now >= v.expires_at and v.pins == 0]
-            for view in expired:
-                self._commit({"op": "evicted", "signature": view.signature})
+        expired = [v for v in self._views.values()
+                   if v.sealed and now >= v.expires_at and v.pins == 0]
+        for view in expired:
+            self._commit({"op": "evicted", "signature": view.signature})
         for view in expired:
             self.recorder.event(obs_events.VIEW_EVICTED, at=now,
                                 signature=view.signature[:12],
@@ -449,13 +409,11 @@ class ViewStore:
     def storage_in_use(self, now: float) -> int:
         """Bytes held by currently available views (the paper's "fixed
         amount of storage in the stable state")."""
-        with self._mutex:
-            return sum(v.size_bytes for v in self._views.values()
-                       if v.available(now))
+        return sum(v.size_bytes for v in self._views.values()
+                   if v.available(now))
 
     def views(self) -> List[MaterializedView]:
-        with self._mutex:
-            return list(self._views.values())
+        return list(self._views.values())
 
     def catalog_digest(self) -> str:
         """Deterministic fingerprint of the whole catalog.
@@ -472,8 +430,7 @@ class ViewStore:
 
     def counters(self) -> Dict[str, int]:
         """Aggregate lifetime counters (journaled alongside the catalog)."""
-        with self._mutex:
-            return {name: getattr(self, name) for name in COUNTERS}
+        return {name: getattr(self, name) for name in COUNTERS}
 
     # ------------------------------------------------------------------ #
     # the snapshot codec
@@ -482,10 +439,9 @@ class ViewStore:
         """The durable catalog state as plain data: every view's canonical
         record (sorted by signature) and the lifetime counters.  What a
         journal snapshots and what :meth:`catalog_digest` hashes."""
-        with self._mutex:
-            return {"views": [self._views[s].catalog_record()
-                              for s in sorted(self._views)],
-                    "counters": self.counters()}
+        return {"views": [self._views[s].catalog_record()
+                          for s in sorted(self._views)],
+                "counters": self.counters()}
 
     def load(self, state: Dict[str, object]) -> List[str]:
         """Install a :meth:`dump` into this (empty) store.
@@ -493,15 +449,14 @@ class ViewStore:
         Only the five lifetime counters are admitted: any other key under
         ``counters`` is refused and returned, and the rest still loads.
         """
-        with self._mutex:
-            if self._views:
-                raise StorageError("journal recovery requires an empty store")
-            for record in state.get("views", ()):
-                self.apply({"op": "created", "view": record})
-            refused = []
-            for name, value in state.get("counters", {}).items():
-                if name in COUNTERS:
-                    setattr(self, name, int(value))
-                else:
-                    refused.append(name)
-            return refused
+        if self._views:
+            raise StorageError("journal recovery requires an empty store")
+        for record in state.get("views", ()):
+            self.apply({"op": "created", "view": record})
+        refused = []
+        for name, value in state.get("counters", {}).items():
+            if name in COUNTERS:
+                setattr(self, name, int(value))
+            else:
+                refused.append(name)
+        return refused

@@ -1,47 +1,38 @@
-"""Concurrency stress tests (run in CI via ``pytest -m stress``).
+"""Stress tests of many jobs on one engine (run in CI via ``pytest -m
+stress``), with and without injected serving-layer faults.
 
-N threads x M jobs hammering one engine, with and without injected
-serving-layer faults.  A scheduler wave runs on the thread that drains
-it, so the tests that drive waves race them with callers of their own
-(:func:`tests.threads.alongside`).  The invariants under test:
+The jobs of a scheduler wave interleave: their fetches go out together,
+and each compiles before any of them is sealed.  Serial jobs between the
+waves stand in for the other callers of a busy deployment.  The
+invariants under test:
 
 * no duplicate view buildout for the same strict signature -- the
-  insights service's atomic lock table is the only guard;
+  insights service's lock table is the only guard;
 * a failed producing job releases its view locks, so later jobs can
   build the signature;
 * the circuit breaker walks closed -> open -> half-open -> closed under
   injected faults, and with >= 10% injected fetch failures every job
   still completes -- degraded jobs compile without reuse, none error;
-* ``UsageMetrics`` counters stay exact and monotonic under threads;
-* eight threads re-binding one cached plan skeleton while the catalog
-  rolls GUIDs under them never raise and never scan a GUID the catalog
-  did not issue.
+* the service's ``UsageMetrics`` counters stay exact and monotonic.
 """
-
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.catalog import schema_of
 from repro.common.errors import ExecutionError
 from repro.engine import ScopeEngine
-from repro.engine.engine import JobRun
 from repro.executor import UdoRegistry
 from repro.faults import NULL_FAULTS, resolve_faults
 from repro.insights import InsightsClient, InsightsClientConfig
-from repro.insights.service import UsageMetrics
 from repro.optimizer.context import Annotation
 from repro.optimizer.rules import apply_rewrites
 from repro.plan import PlanBuilder, normalize
-from repro.plan.logical import Join, Scan
+from repro.plan.logical import Join
 from repro.scheduler import JobRequest, JobScheduler, SchedulerConfig
 from repro.signatures import enumerate_subexpressions
 from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.sql import parse
 from repro.workload.generator import generate_workload
-from tests.threads import alongside
 
 pytestmark = pytest.mark.stress
 
@@ -79,57 +70,33 @@ def annotate_shared_join(engine, sql=SQL):
 
 
 class TestNoDuplicateBuildout:
-    def test_many_threads_one_buildout_per_signature(self):
-        engine = build_engine()
-        annotate_shared_join(engine)
-        # Straight onto the engine: the scheduler would hand out build
-        # locks in submission order, and this is about the lock table
-        # being the only guard when nothing orders the requests.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                runs = list(pool.map(
-                    lambda _: engine.finish(
-                        engine.execute(engine.compile(SQL, now=0.0)), at=0.0),
-                    range(40)))
-        finally:
-            sys.setswitchinterval(interval)
-        # 40 concurrent jobs raced for one shared join: exactly one won
-        # the lock and materialized; everyone else was denied, found the
-        # materialization slot open, or (once it sealed) reused the view.
-        assert sum(run.compiled.built_views for run in runs) == 1
-        assert engine.view_store.total_created == 1
-        assert engine.insights.held_locks() == {}
-
     def test_signature_materialized_once_across_waves(self):
         engine = build_engine()
         annotate_shared_join(engine)
         scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
+        runs = []
         for wave in range(5):
-            with alongside(lambda: engine.run_sql(
-                    SQL, now=float(wave))) as runs:
-                results = scheduler.drain(
-                    [JobRequest(sql=SQL) for _ in range(8)],
-                    now=float(wave))
+            runs.append(engine.run_sql(SQL, now=float(wave)))
+            results = scheduler.drain(
+                [JobRequest(sql=SQL) for _ in range(8)], now=float(wave))
+            runs.append(engine.run_sql(SQL, now=float(wave)))
             assert all(r.ok for r in results)
-            assert all(isinstance(run, JobRun) for run in runs), runs
-        # Built in wave 0 (by a job of the wave or one racing it),
-        # reused by every later wave.
+        # Built by the first job, reused by every later one: in a wave,
+        # by its serial neighbours, and by every later wave.
         assert engine.view_store.total_created == 1
+        assert sum(run.compiled.built_views for run in runs) == 1
         assert engine.view_store.total_reused >= 8 * 4
+        assert engine.insights.held_locks() == {}
 
     def test_failed_producer_releases_lock_for_next_wave(self):
         engine = build_engine()
         join = annotate_shared_join(engine, sql=FAILING_SQL)
         scheduler = JobScheduler(engine, SchedulerConfig(workers=4))
-        with alongside(lambda: engine.run_sql(
-                FAILING_SQL, now=0.0)) as runs:
-            crashed = scheduler.drain(
-                [JobRequest(sql=FAILING_SQL) for _ in range(4)],
-                now=0.0)
+        with pytest.raises(ExecutionError):
+            engine.run_sql(FAILING_SQL, now=0.0)
+        crashed = scheduler.drain(
+            [JobRequest(sql=FAILING_SQL) for _ in range(4)], now=0.0)
         assert all(not r.ok for r in crashed)
-        assert all(isinstance(run, ExecutionError) for run in runs), runs
         assert engine.insights.lock_holder(join.strict) is None
         # The same fragment is buildable by a healthy job now.
         healthy = scheduler.drain(
@@ -140,28 +107,17 @@ class TestNoDuplicateBuildout:
 
 class TestBreakerUnderFaults:
     def test_breaker_cycles_under_concurrent_faulty_fetches(self):
+        """Eight waves of 30 fetches each, every attempt failing: the
+        fetches of a wave go out together, and none raises."""
         config = InsightsClientConfig(
             max_retries=0, breaker_failure_threshold=5,
             breaker_cooldown_fetches=10)
         client = InsightsClient(config=config)
         client.faults = resolve_faults("insights.rpc:error")
         client.publish([Annotation("rec-1", "tag-1")])
-        errors = []
-
-        def hammer(count):
-            try:
-                for _ in range(count):
-                    client.fetch_annotations(["tag-1"], now=0.0)
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [threading.Thread(target=hammer, args=(30,))
-                   for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, "degradation must never raise into the caller"
+        for _ in range(8):
+            answers = client.fetch_wave([(["tag-1"], 0.0)] * 30)
+            assert all(answer.degraded for answer in answers)
         assert client.breaker.state == "open"
         assert "open" in client.breaker.transitions
         # Heal the service and drain the cooldown: closed again.
@@ -213,126 +169,30 @@ class TestBreakerUnderFaults:
             assert sorted(map(repr, result.rows)) == expected
 
 
-class TestUsageMetricsUnderThreads:
-    def test_counters_exact_and_monotonic(self):
-        metrics = UsageMetrics()
-        threads_n, per_thread = 8, 2000
-        snapshots = []
-        stop = threading.Event()
-
-        def bump():
-            for _ in range(per_thread):
-                metrics.inc("fetches")
-                metrics.inc("annotations_served", 3)
-
-        def sample():
-            while not stop.is_set():
-                snapshots.append(metrics.snapshot())
-
-        sampler = threading.Thread(target=sample)
-        workers = [threading.Thread(target=bump) for _ in range(threads_n)]
-        sampler.start()
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join()
-        stop.set()
-        sampler.join()
-
-        assert metrics.fetches == threads_n * per_thread
-        assert metrics.annotations_served == threads_n * per_thread * 3
-        for earlier, later in zip(snapshots, snapshots[1:]):
-            for name, value in earlier.items():
-                assert later[name] >= value, f"{name} went backwards"
-
+class TestUsageMetricsAcrossWaves:
     def test_service_metrics_monotonic_under_concurrent_fetches(self):
         engine = build_engine()
         annotate_shared_join(engine)
-        snapshots = []
-        stop = threading.Event()
-
-        def sample():
-            while not stop.is_set():
-                snapshots.append(engine.insights.metrics.snapshot())
-
-        sampler = threading.Thread(target=sample)
-        sampler.start()
+        metrics = engine.insights.metrics
+        snapshots = [metrics.snapshot()]
         scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
-        for wave in range(4):
-            with alongside(lambda: engine.run_sql(
-                    SQL, now=float(wave)), threads=3):
-                scheduler.drain(
-                    [JobRequest(sql=SQL) for _ in range(10)],
-                    now=float(wave))
-        stop.set()
-        sampler.join()
+        spy_compile = engine.compile
 
-        # Ten jobs a wave and three callers racing each.
-        assert engine.insights.metrics.fetches == 4 * (10 + 3)
+        def compile_and_sample(*args, **kwargs):
+            snapshots.append(metrics.snapshot())
+            return spy_compile(*args, **kwargs)
+
+        engine.compile = compile_and_sample
+        for wave in range(4):
+            for _ in range(3):
+                engine.run_sql(SQL, now=float(wave))
+            scheduler.drain(
+                [JobRequest(sql=SQL) for _ in range(10)], now=float(wave))
+            snapshots.append(metrics.snapshot())
+
+        # Ten jobs a wave and three serial jobs beside each.
+        assert metrics.fetches == 4 * (10 + 3)
+        assert len(snapshots) == 1 + 4 * (10 + 3) + 4
         for earlier, later in zip(snapshots, snapshots[1:]):
             for name, value in earlier.items():
                 assert later[name] >= value, f"{name} went backwards"
-
-
-class TestPlanCacheUnderThreads:
-    def test_eight_threads_compile_one_template_while_another_cooks(self):
-        """Instances share skeleton subtrees across threads while the
-        catalog rolls GUIDs under them: nothing raises (the debug
-        cross-check compiles every hit from scratch too), every plan
-        scans a GUID the catalog really issued, and the counters add up."""
-        engine = build_engine()
-        engine.config.debug_checks = True
-        sql = ("SELECT name, SUM(v) AS s FROM T JOIN D "
-               "WHERE v > @low GROUP BY name")
-        threads_n, per_thread = 8, 40
-        engine.compile(sql, {"low": 0.0})
-        rows = list(engine.backend.scan_table(
-            engine.catalog.current_guid("T")))
-        plans, errors = [], []
-        stop = threading.Event()
-
-        def compile_many(offset):
-            try:
-                for index in range(per_thread):
-                    low = float((offset + index) % 3)
-                    plans.append(engine.compile(sql, {"low": low}).plan)
-            except Exception as error:  # surfaced by the assert below
-                errors.append(error)
-
-        def cook():
-            day = 0
-            while not stop.is_set():
-                day += 1
-                engine.bulk_update("T", rows, at=float(day))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            cooker = threading.Thread(target=cook)
-            workers = [threading.Thread(target=compile_many, args=(n,))
-                       for n in range(threads_n)]
-            cooker.start()
-            for thread in workers:
-                thread.start()
-            for thread in workers:
-                thread.join(timeout=120)
-            stop.set()
-            cooker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not cooker.is_alive()
-        assert not any(thread.is_alive() for thread in workers)
-        assert not errors, errors[:3]
-
-        issued = {dataset: {v.guid for v in
-                            engine.catalog.entry(dataset).versions}
-                  for dataset in ("T", "D")}
-        assert len(issued["T"]) > 1, "the cook never ran"
-        assert len(plans) == threads_n * per_thread
-        for plan in plans:
-            for node in plan.walk():
-                if isinstance(node, Scan):
-                    assert node.stream_guid in issued[node.dataset]
-        cache = engine.plan_cache
-        assert cache.hits + cache.misses == len(plans) + 1
-        assert cache.hits > 0 and cache.unstable == 0

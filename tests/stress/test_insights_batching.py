@@ -1,17 +1,15 @@
 """Stress tests for concurrent fetches through one insights client.
 
-A fetch that misses the cache sends its tags to the service once,
-whoever else is fetching (the file is named for the combiner that once
-sat here): a retry after a timeout sends nothing, since the first lookup
-already put every tag in the serving cache.  The *service-side* lookup
-count must equal the fetches when no faults are injected, and never
-exceed them when the ``insights.rpc`` fault point is firing (a drop or
-error never reaches the service).  Every concurrent caller must come
-back -- with annotations or degraded-empty -- and none may raise.
+The fetches of a wave interleave: they go out together, one lookup
+frame per round.  A fetch that misses the cache sends its tags to the
+service once, whoever else is fetching (the file is named for the
+combiner that once sat here): a retry after a timeout sends nothing,
+since the first lookup already put every tag in the serving cache.  The
+*service-side* lookup count must equal the fetches when no faults are
+injected, and never exceed them when the ``insights.rpc`` fault point is
+firing (a drop or error never reaches the service).  Every fetch must
+come back -- with annotations or degraded-empty -- and none may raise.
 """
-
-import sys
-import threading
 
 import pytest
 
@@ -25,9 +23,9 @@ from repro.optimizer.context import Annotation
 
 pytestmark = pytest.mark.stress
 
-THREADS = 8
-FETCHES_PER_THREAD = 25
-FETCHES = THREADS * FETCHES_PER_THREAD
+JOBS = 8  # fetches per wave
+WAVES = 25
+FETCHES = JOBS * WAVES
 
 
 class CountingService(InsightsService):
@@ -36,11 +34,9 @@ class CountingService(InsightsService):
     def __init__(self):
         super().__init__()
         self.fetch_calls = 0
-        self._count_mutex = threading.Lock()
 
     def lookup(self, lists):
-        with self._count_mutex:
-            self.fetch_calls += len(lists)
+        self.fetch_calls += len(lists)
         return super().lookup(lists)
 
 
@@ -54,7 +50,7 @@ def build_client(service, **config_kwargs):
     defaults.update(config_kwargs)
     config = InsightsClientConfig(**defaults)
     client = InsightsClient(service, config=config)
-    tags = [f"tag-{i}" for i in range(THREADS * 2)]
+    tags = [f"tag-{i}" for i in range(JOBS * 2)]
     client.publish([
         Annotation(recurring_signature=f"rec-{tag}", tag=tag,
                    expected_rows=10, expected_bytes=100)
@@ -64,38 +60,20 @@ def build_client(service, **config_kwargs):
 
 
 def hammer(client, tags):
-    """THREADS callers x FETCHES_PER_THREAD fetches through one client."""
-    barrier = threading.Barrier(THREADS, timeout=10.0)
-    failures = []
-    served = [0] * THREADS
-    degraded = [0] * THREADS
-
-    def worker(ident):
-        try:
-            barrier.wait()
-            for i in range(FETCHES_PER_THREAD):
-                # Overlapping two-tag fetches: callers contend for tags.
-                pair = (tags[(ident + i) % len(tags)],
-                        tags[(ident + i + 1) % len(tags)])
-                fetched = client.fetch_annotations(pair, now=0.0)
-                if fetched.degraded:
-                    degraded[ident] += 1
-                    assert fetched.annotations == {}
-                else:
-                    served[ident] += 1
-                    assert len(fetched.annotations) == 2
-        except Exception as exc:  # noqa: BLE001 - surfaced below
-            failures.append((ident, exc))
-
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(THREADS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30.0)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == [], failures
-    return sum(served), sum(degraded)
+    """WAVES waves of JOBS fetches through one client."""
+    served = degraded = 0
+    for i in range(WAVES):
+        # Overlapping two-tag fetches: the jobs of a wave share tags.
+        pairs = [(tags[(job + i) % len(tags)],
+                  tags[(job + i + 1) % len(tags)]) for job in range(JOBS)]
+        for fetched in client.fetch_wave([(pair, 0.0) for pair in pairs]):
+            if fetched.degraded:
+                degraded += 1
+                assert fetched.annotations == {}
+            else:
+                served += 1
+                assert len(fetched.annotations) == 2
+    return served, degraded
 
 
 class TestBatchingNoFaults:
@@ -141,50 +119,26 @@ class TestBatchingUnderFaults:
 
 
 class TestConcurrentWaves:
-    def test_waves_from_many_threads_answer_every_job(self):
-        """Eight threads send waves of four five-tag jobs through one
-        client while a ninth bumps the generation (which empties the
-        serving caches, so cold lookups time out and retry): every job
-        gets exactly its published annotations, every job is counted,
-        and every retry is charged as a five-tag relookup."""
+    def test_waves_between_generation_bumps_answer_every_job(self):
+        """Waves of four five-tag jobs through one client, the generation
+        bumped between them (which empties the serving caches, so cold
+        lookups time out and retry): every job gets exactly its
+        published annotations, every job is counted, and every retry is
+        charged as a five-tag relookup."""
         service = CountingService()
         client, tags = build_client(service)
         published = {t: f"rec-{t}" for t in tags}
-        failures, stop = [], threading.Event()
-
-        def waves(ident):
-            try:
-                for i in range(FETCHES_PER_THREAD):
-                    jobs = [[tags[(ident + i + j + k) % len(tags)]
-                             for k in range(5)] for j in range(4)]
-                    for job, answer in zip(jobs, client.fetch_wave(
-                            [(job, 0.0) for job in jobs])):
-                        assert not answer.degraded
-                        assert set(answer.annotations) == {
-                            published[t] for t in job}
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                failures.append((ident, exc))
-
-        def bumps():
-            while not stop.wait(0.001):
-                client.bump_generation()
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            bumper = threading.Thread(target=bumps)
-            threads = [threading.Thread(target=waves, args=(i,))
-                       for i in range(THREADS)]
-            for thread in [bumper] + threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            stop.set()
-            bumper.join(timeout=10.0)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in [bumper] + threads)
-        assert failures == [], failures
+        for ident in range(JOBS):
+            for i in range(WAVES):
+                jobs = [[tags[(ident + i + j + k) % len(tags)]
+                         for k in range(5)] for j in range(4)]
+                for job, answer in zip(jobs, client.fetch_wave(
+                        [(job, 0.0) for job in jobs])):
+                    assert not answer.degraded
+                    assert set(answer.annotations) == {
+                        published[t] for t in job}
+                if (ident + i) % 3 == 0:
+                    client.bump_generation()
         assert client.metrics.snapshot()["fetches"] == FETCHES * 4
         assert client.retries > 0
         assert sum(service.relookup_seconds) == pytest.approx(

@@ -1,20 +1,21 @@
 """Lifecycle stress tests (run in CI via ``pytest -m stress``).
 
-A hostile thread of the test's own sweeps aggressively while the job
-scheduler hammers the same engine (a sweep is a step its caller runs;
-nothing in the library sweeps on a timer).  The invariants under test:
+A hostile janitor sweeps aggressively inside the scheduler's waves: a
+sweep is a step its caller runs, and here every job's execute starts
+with one, between the job's compile (and its claims) and the pins its
+execute takes.  The invariants under test:
 
-* no job ever fails because a sweep collected a view it was reading
-  -- execute-time pins keep in-flight ViewScans resident;
-* reuse results equal the no-GC baseline results (the matcher's atomic
-  ``claim_for_reuse`` means a claimed view cannot be swept mid-scan);
+* no job ever fails because a sweep collected a view it had claimed --
+  a lost claim is a reuse-free recompute, and execute-time pins keep
+  in-flight ViewScans resident;
+* reuse results equal the no-GC baseline results;
 * ViewStore counters stay monotonic while builds, reuses, purges, and
   sweeps interleave;
 * crash-recovery holds under churn: a journal written while sweeps and
-  the scheduler race still replays to the exact pre-crash digest.
+  waves interleave still replays to the exact pre-crash digest.
 """
 
-import threading
+import itertools
 
 import pytest
 
@@ -61,6 +62,20 @@ def result_set(rows):
     return sorted(tuple(sorted(r.items())) for r in rows)
 
 
+def sweep_before_each_execute(engine, manager, clock, swept=None):
+    """Start every job's execute with ``manager.sweep(now=clock())``;
+    each sweep's result goes to ``swept`` when given."""
+    execute = engine.execute
+
+    def execute_after_a_sweep(compiled, now=0.0):
+        result = manager.sweep(now=clock())
+        if swept is not None:
+            swept.append(result)
+        return execute(compiled, now=now)
+
+    engine.execute = execute_after_a_sweep
+
+
 class TestJanitorVsScheduler:
     def test_sweeping_janitor_never_breaks_a_reading_job(self):
         engine = build_engine(ttl=30.0)
@@ -68,35 +83,20 @@ class TestJanitorVsScheduler:
         annotate_shared_join(engine)
         baseline = result_set(
             engine.run_sql(SQL, reuse_enabled=False, now=0.0).rows)
-
-        stop = threading.Event()
-        sweep_errors = []
-
-        def hostile_janitor():
-            # Sweeps with the clock pinned far in the future, so every
-            # sealed view is expiry-eligible the moment it exists; only
-            # pins keep readers safe.
-            while not stop.is_set():
-                try:
-                    manager.sweep(now=1e9)
-                except Exception as exc:  # pragma: no cover
-                    sweep_errors.append(exc)
-
-        janitor = threading.Thread(target=hostile_janitor)
-        janitor.start()
-        try:
-            results = []
-            scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
-            for wave in range(6):
-                results.extend(scheduler.drain(
-                    [JobRequest(sql=SQL) for _ in range(10)],
-                    now=float(wave)))
-        finally:
-            stop.set()
-            janitor.join()
+        # Sweeps with the clock pinned far in the future, so every sealed
+        # view is expiry-eligible the moment it exists; only pins keep
+        # readers safe.
+        swept = []
+        sweep_before_each_execute(engine, manager, lambda: 1e9, swept)
+        results = []
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
+        for wave in range(6):
+            results.extend(scheduler.drain(
+                [JobRequest(sql=SQL) for _ in range(10)], now=float(wave)))
 
         manager.close()
-        assert sweep_errors == []
+        assert len(swept) == 6 * 10
+        assert sum(result.expired for result in swept) > 0
         assert all(r.ok for r in results), \
             [r.error for r in results if not r.ok]
         for result in results:
@@ -106,31 +106,23 @@ class TestJanitorVsScheduler:
         engine = build_engine(ttl=5.0)
         manager = LifecycleManager(engine, LifecycleConfig())
         annotate_shared_join(engine)
-
         snapshots = []
-        stop = threading.Event()
+        clock = itertools.count(10.0, 10.0)
 
-        def sweeper():
-            now = 0.0
-            while not stop.is_set():
-                now += 10.0
-                manager.sweep(now=now)
-                snapshots.append(engine.view_store.counters())
+        def sweep_now():
+            snapshots.append(engine.view_store.counters())
+            return next(clock)
 
-        thread = threading.Thread(target=sweeper)
-        thread.start()
-        try:
-            scheduler = JobScheduler(engine, SchedulerConfig(workers=6))
-            for wave in range(10):
-                scheduler.drain(
-                    [JobRequest(sql=SQL) for _ in range(5)],
-                    now=float(wave * 3))
-        finally:
-            stop.set()
-            thread.join()
-        snapshots.append(engine.view_store.counters())
+        sweep_before_each_execute(engine, manager, sweep_now)
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=6))
+        for wave in range(10):
+            scheduler.drain(
+                [JobRequest(sql=SQL) for _ in range(5)],
+                now=float(wave * 3))
+            snapshots.append(engine.view_store.counters())
         manager.close()
 
+        assert snapshots[-1]["total_expired"] > 0
         keys = ("total_created", "total_reused", "total_expired",
                 "total_purged", "total_gc_evicted")
         for earlier, later in zip(snapshots, snapshots[1:]):
@@ -144,26 +136,13 @@ class TestJanitorVsScheduler:
             engine, LifecycleConfig(journal_dir=journal_dir,
                                     snapshot_every_ops=7))
         annotate_shared_join(engine)
-
-        stop = threading.Event()
-
-        def sweeper():
-            now = 0.0
-            while not stop.is_set():
-                now += 25.0
-                manager.sweep(now=now)
-
-        thread = threading.Thread(target=sweeper)
-        thread.start()
-        try:
-            scheduler = JobScheduler(engine, SchedulerConfig(workers=6))
-            for wave in range(8):
-                scheduler.drain(
-                    [JobRequest(sql=SQL) for _ in range(5)],
-                    now=float(wave * 2))
-        finally:
-            stop.set()
-            thread.join()
+        clock = itertools.count(25.0, 25.0)
+        sweep_before_each_execute(engine, manager, lambda: next(clock))
+        scheduler = JobScheduler(engine, SchedulerConfig(workers=6))
+        for wave in range(8):
+            scheduler.drain(
+                [JobRequest(sql=SQL) for _ in range(5)],
+                now=float(wave * 2))
         digest = engine.view_store.catalog_digest()
         counters = engine.view_store.counters()
         # Crash without close(): snapshot + WAL tail must reproduce

@@ -1,15 +1,17 @@
 """Sharded-deployment stress tests (run in CI via ``pytest -m stress``).
 
-Many client threads hammering one router over the process boundary, with
-and without shards being SIGKILLed underneath them.  The invariants:
+The concurrency left in the deployment is one shard worker serving
+several connections at once; a ``Session`` and its router have one
+caller.  So the threads here each own their sockets, opened before they
+start, and speak the wire protocol directly: no client-process object is
+shared between threads.  The invariants:
 
 * the per-signature lock table stays exclusive across shards and
-  threads -- exactly one winner per signature per round;
-* concurrent fetches through the fault-tolerant client never raise and
-  never return wrong annotations, even while workers are being killed
-  (they degrade to empty instead);
-* worker bookkeeping (requests served, annotation counts) stays exact
-  after the dust settles.
+  connections -- exactly one winner per signature per round;
+* concurrent lookups over separate connections return exactly the
+  published annotations;
+* the fault-tolerant client on its one caller never raises while
+  workers are SIGKILLed between its fetches, and the deployment heals.
 """
 
 import threading
@@ -17,9 +19,10 @@ import threading
 import pytest
 
 from repro.common.hashing import shard_for
-from repro.insights import InsightsClient
+from repro.insights import InsightsClient, InsightsClientConfig
 from repro.optimizer.context import Annotation
 from repro.shard import ShardConfig, ShardRouter, ShardSupervisor
+from repro.shard.protocol import recv_frame, send_frame
 
 pytestmark = pytest.mark.stress
 
@@ -43,59 +46,89 @@ def deployment(request):
     supervisor.close()
 
 
+def connections(supervisor):
+    """One socket per shard for each thread, dialled on this thread."""
+    return [[supervisor.connect(shard)
+             for shard in range(supervisor.config.shards)]
+            for _ in range(THREADS)]
+
+
+def rpc(sock, method, *args):
+    send_frame(sock, {"id": 1, "method": method, "params": {"args": args}})
+    reply = recv_frame(sock)
+    assert reply is not None and reply.get("error") is None, reply
+    return reply["result"]
+
+
+def run_threads(target, socks):
+    errors = []
+
+    def guarded(worker_id):
+        try:
+            target(worker_id, socks[worker_id])
+        except Exception as error:  # noqa: BLE001 - collected below
+            errors.append(error)
+
+    threads = [threading.Thread(target=guarded, args=(i,))
+               for i in range(THREADS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for sock in (sock for mine in socks for sock in mine):
+        sock.close()
+    return errors
+
+
 class TestRouterUnderThreads:
     def test_concurrent_fetches_return_published_truth(self, deployment):
-        _, router = deployment
+        supervisor, router = deployment
+        shards = supervisor.config.shards
         published = make_annotations()
         router.publish(published)
         by_tag = {}
         for annotation in published:
             by_tag.setdefault(annotation.tag, set()).add(
                 annotation.recurring_signature)
-        errors = []
 
-        def hammer(worker_id):
-            try:
-                for round_no in range(ROUNDS):
-                    tags = [f"tag-{(worker_id + i) % 16}" for i in range(4)]
-                    [(found, _)] = router.lookup([tags])
-                    fetched = dict(zip(tags, found))
-                    for tag in tags:
-                        got = {a.recurring_signature for a in fetched[tag]}
+        def hammer(worker_id, socks):
+            for round_no in range(ROUNDS):
+                tags = [f"tag-{(worker_id + round_no + i) % 16}"
+                        for i in range(4)]
+                for shard in range(shards):
+                    mine = [tag for tag in tags
+                            if shard_for(tag, shards) == shard]
+                    [found], _, _ = rpc(socks[shard], "lookup", [mine])
+                    for tag, annotations in zip(mine, found):
+                        got = {a["recurring_signature"] for a in annotations}
                         assert got == by_tag[tag], (tag, got)
-            except Exception as error:  # noqa: BLE001 - collected below
-                errors.append(error)
 
-        threads = [threading.Thread(target=hammer, args=(i,))
-                   for i in range(THREADS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
+        assert run_threads(hammer, connections(supervisor)) == []
         assert router.annotation_count() == len(published)
 
     def test_lock_exclusion_across_shards_and_threads(self, deployment):
-        _, router = deployment
-        for round_no in range(ROUNDS):
-            signature = f"strict-{round_no}"
-            winners = []
-            barrier = threading.Barrier(THREADS)
+        supervisor, router = deployment
+        shards = supervisor.config.shards
+        signatures = [f"strict-{round_no}" for round_no in range(ROUNDS)]
+        barrier = threading.Barrier(THREADS, timeout=30)
+        winners = {signature: [] for signature in signatures}
 
-            def contend(holder, signature=signature, barrier=barrier):
+        def contend(worker_id, socks):
+            for signature in signatures:
                 barrier.wait()
-                if router.acquire_view_lock(signature, holder=holder):
-                    winners.append(holder)
+                sock = socks[shard_for(signature, shards)]
+                acquired, _ = rpc(sock, "lock_cas", signature,
+                                  f"job-{worker_id}")
+                if acquired:
+                    winners[signature].append(f"job-{worker_id}")
 
-            threads = [threading.Thread(target=contend, args=(f"job-{i}",))
-                       for i in range(THREADS)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert len(winners) == 1
-            assert router.lock_holder(signature) == winners[0]
-            router.release_view_lock(signature, holder=winners[0])
+        assert run_threads(contend, connections(supervisor)) == []
+        for signature in signatures:
+            assert len(winners[signature]) == 1, winners[signature]
+            [holder] = winners[signature]
+            assert router.lock_holder(signature) == holder
+            router.release_view_lock(signature, holder=holder)
         assert router.held_locks() == {}
 
 
@@ -103,39 +136,22 @@ class TestKillsUnderLoad:
     def test_client_absorbs_sigkills_mid_fetch(self, deployment):
         supervisor, router = deployment
         shards = supervisor.config.shards
-        client = InsightsClient(router)
+        # No client cache: every fetch crosses to its shards.
+        client = InsightsClient(
+            router, config=InsightsClientConfig(cache_ttl_seconds=0.0))
         published = make_annotations()
         client.publish(published)
-        errors = []
-        stop = threading.Event()
-
-        def fetch_loop(worker_id):
-            try:
-                step = 0
-                while not stop.is_set():
-                    tags = [f"tag-{(worker_id + step) % 16}"]
-                    fetched = client.fetch_annotations(
-                        tags, now=float(step))
-                    # Degraded fetches return none; successful ones must
-                    # return exactly the published annotations.
-                    for annotation in fetched.annotations.values():
-                        assert annotation.tag in tags
-                    step += 1
-            except Exception as error:  # noqa: BLE001 - collected below
-                errors.append(error)
-
-        threads = [threading.Thread(target=fetch_loop, args=(i,))
-                   for i in range(THREADS)]
-        for thread in threads:
-            thread.start()
-        try:
-            for victim in range(shards * 2):
-                supervisor.kill(victim % shards)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-        assert not errors
+        step = 0
+        for victim in range(shards * 2):
+            supervisor.kill(victim % shards)
+            for _ in range(16):
+                tags = [f"tag-{step % 16}"]
+                fetched = client.fetch_annotations(tags, now=float(step))
+                # Degraded fetches return none; successful ones must
+                # return exactly the published annotations.
+                for annotation in fetched.annotations.values():
+                    assert annotation.tag in tags
+                step += 1
         # The deployment healed: every annotation is still served.
         assert router.annotation_count() == len(published)
         assert sum(supervisor.restarts) >= 1

@@ -14,7 +14,6 @@ import pytest
 
 from repro.catalog import Catalog, schema_of
 from repro.common.errors import ExecutionError, LintError, PlanError
-from repro.common.sync import debug_checks_enabled
 from repro.executor import Executor
 from repro.optimizer import (
     Annotation,
@@ -307,9 +306,9 @@ def test_engine_debug_checks_flag_threads_from_config():
 
 
 def test_debug_checks_env_opt_in(monkeypatch):
-    """One reader of ``REPRO_DEBUG_CHECKS``: the engine's default and the
-    lock sanitizer's switch agree on every spelling."""
-    from repro.engine.engine import EngineConfig
+    """One reader of ``REPRO_DEBUG_CHECKS``: the engine's default and
+    ``debug_checks_enabled`` agree on every spelling."""
+    from repro.engine.engine import EngineConfig, debug_checks_enabled
 
     monkeypatch.delenv("REPRO_DEBUG_CHECKS", raising=False)
     assert EngineConfig().debug_checks is debug_checks_enabled() is False

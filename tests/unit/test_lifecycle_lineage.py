@@ -1,7 +1,5 @@
 """Unit tests: lineage registry, input extraction, and the invalidation bus."""
 
-import threading
-
 import pytest
 
 from repro.lifecycle import (
@@ -99,23 +97,6 @@ class TestLineageRegistry:
         assert json.loads(json.dumps(registry.snapshot())) \
             == {"v1": [["Events", "g1"]]}
 
-    def test_concurrent_record_forget(self):
-        registry = LineageRegistry()
-
-        def worker(base):
-            for i in range(200):
-                sig = f"v{base}-{i % 10}"
-                registry.record(sig, frozenset({("D", f"g{i % 3}")}))
-                registry.forget(sig)
-
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(registry) == 0
-        assert registry.datasets() == []
 
 
 class TestInvalidationBus:

@@ -1,5 +1,6 @@
 """Unit tests for the wave scheduler and the repro.api facade."""
 
+import threading
 import time
 
 import pytest
@@ -23,7 +24,6 @@ from repro.scheduler import (
 )
 from repro.signatures import enumerate_subexpressions
 from repro.sql import parse
-from tests.threads import alongside
 
 SQL = ("SELECT CustomerId, SUM(Price) AS s FROM Sales JOIN Customer "
        "WHERE MktSegment = 'Asia' GROUP BY CustomerId")
@@ -189,38 +189,50 @@ class TestWaveBarrier:
 
 
 class TestConcurrentCallers:
-    """A wave is its caller's list: two threads calling ``run_batch`` on
-    one session each get back exactly their own jobs."""
+    """A ``Session`` has one caller: every public entry refuses any other
+    thread with ``ConfigError``, before touching anything."""
 
-    def test_each_caller_gets_its_own_batch_and_template_ids(self):
-        other = ("SELECT CustomerId, COUNT(*) AS n FROM Sales "
-                 "GROUP BY CustomerId")
-        batches = {"solo": [JobRequest(sql=SQL, template_id="solo")],
-                   "trio": [JobRequest(sql=other, template_id="trio")
-                            for _ in range(3)]}
+    def test_a_second_thread_gets_config_error_and_changes_nothing(self):
+        entries = sorted(name for name in vars(Session)
+                         if not name.startswith("_")) + ["__enter__"]
         with Session() as session:
             install_tables(session.engine)
+            [first] = session.run_batch(
+                [JobRequest(sql=SQL, template_id="solo")])
+            before = (session.catalog_digest(),
+                      [job.job_id for job in session.repository.jobs],
+                      session.scheduler.waves, len(session.selections))
+            outcomes = {}
 
-            def calls(name, rounds=200):
-                return [[(r.job_id, r.sql, r.ok)
-                         for r in session.run_batch(batches[name])]
-                        for _ in range(rounds)]
+            def call_every_entry():
+                for name in entries:
+                    try:
+                        value = getattr(session, name)
+                        if callable(value):
+                            value()
+                    except Exception as error:  # the test asserts on it
+                        outcomes[name] = error
 
-            with alongside(lambda: calls("trio"), threads=1) as outcomes:
-                solo = calls("solo")
-            [trio] = outcomes
-            filed = {job.job_id: job.template_id
-                     for job in session.repository.jobs}
-        for name, got in (("solo", solo), ("trio", trio)):
-            sqls = [request.sql for request in batches[name]]
-            for batch in got:
-                assert [(sql, ok) for _, sql, ok in batch] == \
-                    [(sql, True) for sql in sqls]
-                ids = [int(job_id.split("-")[1]) for job_id, _, _ in batch]
-                assert ids == sorted(ids)
-                assert [filed[job_id] for job_id, _, _ in batch] == \
-                    [name] * len(sqls)
-        assert len(filed) == 200 * 4
+            caller = threading.Thread(target=call_every_entry)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+            assert set(outcomes) == set(entries)
+            for name, error in outcomes.items():
+                assert isinstance(error, ConfigError), (name, error)
+                assert str(error) == ("a Session has one caller; "
+                                      "use one Session per thread")
+            assert (session.catalog_digest(),
+                    [job.job_id for job in session.repository.jobs],
+                    session.scheduler.waves,
+                    len(session.selections)) == before
+            # The owner's next batch picks up where its last one ended.
+            [result] = session.run_batch(
+                [JobRequest(sql=SQL, template_id="solo")])
+        assert first.job_id == "job-1"
+        assert result.ok and result.job_id == "job-2"
+        assert [job.template_id for job in session.repository.jobs] == \
+            ["solo", "solo"]
 
 
 class TestSessionFacade:

@@ -12,10 +12,8 @@ these are its static shadows, cheap enough for tier-1:
 * what a catalog mutation *means* is written once: the lifetime-counter
   and ``reuse_count`` arithmetic and every write to a view's ``sealed`` /
   ``purged`` flag sit in ``ViewStore.apply`` and nowhere else in ``src/``;
-* the lock discipline the runtime sanitizer cannot see (DESIGN §10):
-  every lock is tracked, a tracked lock is taken only by ``with``, and
-  nothing sleeps, joins, waits unboundedly or does file I/O inside a
-  ``with <tracked lock>`` body.
+* one caller per ``Session`` (DESIGN §10): only the shard worker imports
+  ``threading`` or builds a lock or a thread.
 """
 
 import ast
@@ -235,150 +233,67 @@ def test_catalog_arithmetic_is_written_once_in_the_view_store():
 
 
 # ---------------------------------------------------------------------- #
-# Lock discipline.  The sanitizer in ``common/sync.py`` checks rank order
-# and wait-for cycles on every acquire that tier-1 and ``-m stress`` take
-# under ``REPRO_DEBUG_CHECKS=1``; these rules cover what it cannot see: a
-# lock it does not know about, a hold that outlives its block, and a
-# block that sleeps while others wait.
+# One caller per ``Session`` (DESIGN §10): the client process takes no
+# lock and starts no thread.  The shard worker, a process of its own that
+# serves several connections, is the one module that does.
 
-TRACKED = {"TrackedLock", "TrackedRLock"}
-RAW_LOCKS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-#: No raw lock is left in ``src/``.
-UNTRACKED_EXEMPT = set()
-#: The journal's WAL commit and snapshot write under its leaf lock:
-#: frames must reach the file in applied order.
-IO_UNDER_LOCK_EXEMPT = {
-    ("repro/lifecycle/journal.py", "JournalFile.commit"),
-    ("repro/lifecycle/journal.py", "JournalFile.snapshot"),
-}
-SYNC = SRC / "repro" / "common" / "sync.py"
-
-
-def lock_users():
-    """``{path under src/: tree}`` for every module but the wrappers."""
-    return {str(path.relative_to(SRC)): tree_of(path)
-            for path in python_files(SRC) if path != SYNC}
+#: Modules whose import brings threads or locks in.
+THREAD_MODULES = {"threading", "_thread", "concurrent"}
+#: What builds a lock, a thread or a thread-shared object, called through
+#: one of those modules or ``multiprocessing`` (a name imported bare from
+#: a thread module is caught at its import).
+SYNC_BUILDERS = {"Lock", "RLock", "Condition", "Semaphore",
+                 "BoundedSemaphore", "Event", "Barrier", "Thread", "Timer",
+                 "local", "ThreadPoolExecutor", "allocate_lock",
+                 "start_new_thread"}
+#: What a module may take from ``threading`` without building anything:
+#: the owner check of ``Session`` reads the calling thread's id.
+THREAD_READS = {"get_ident"}
+CONCURRENT = {"repro/shard/worker.py"}
 
 
-def leaf(node) -> str:
-    """The last name of ``a.b.c`` / ``c``; '' for anything else."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return node.id if isinstance(node, ast.Name) else ""
-
-
-def calls(tree):
-    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-
-
-def raw_locks(tree):
-    return sorted({leaf(call.func) for call in calls(tree)} & RAW_LOCKS)
-
-
-def tracked_names(*trees):
-    """Every attribute or variable name a tracked lock is assigned to."""
-    return {leaf(target) for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and leaf(node.value.func) in TRACKED
-            for target in node.targets}
-
-
-def bare_lock_calls(tree, locks):
-    return sorted((call.lineno, f"{leaf(call.func.value)}.{call.func.attr}")
-                  for call in calls(tree)
-                  if isinstance(call.func, ast.Attribute)
-                  and call.func.attr in ("acquire", "release")
-                  and leaf(call.func.value) in locks)
-
-
-def blocking(call) -> str:
-    """Why ``call`` may block indefinitely or on the disk ('' if not)."""
-    name = leaf(call.func)
-    if name == "sleep":
-        return "sleep"
-    if name in ("join", "wait", "result", "get") \
-            and not call.args and not call.keywords:
-        return f"unbounded {name}"  # str.join and dict.get take arguments
-    if ast.unparse(call.func) in ("open", "os.fsync", "os.replace"):
-        return "file I/O"
-    return ""
-
-
-def blocking_under_lock(tree, locks):
-    """``(enclosing definition, what)`` for each blocking call lexically
-    inside a ``with`` over one of ``locks`` (nested defs excluded: a
-    closure built under a lock need not run under it)."""
+def concurrency(tree):
+    """Each import of a thread module beyond :data:`THREAD_READS`, and
+    each call building one of :data:`SYNC_BUILDERS`, in ``tree``."""
     found = set()
-
-    def visit(node, owner, held):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            owner, held = f"{owner}.{node.name}".lstrip("."), False
-        elif isinstance(node, ast.Lambda):
-            held = False
-        elif isinstance(node, ast.With):
-            held = held or any(leaf(item.context_expr) in locks
-                               for item in node.items)
-        elif held and isinstance(node, ast.Call) and blocking(node):
-            found.add((owner, blocking(node)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner, held)
-
-    visit(tree, "", False)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(f"import {alias.name}" for alias in node.names
+                         if alias.name.split(".")[0] in THREAD_MODULES)
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] in THREAD_MODULES:
+            found.update(f"from {node.module} import {alias.name}"
+                         for alias in node.names
+                         if alias.name not in THREAD_READS)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in SYNC_BUILDERS \
+                and ast.unparse(node.func).split(".")[0] in (
+                    THREAD_MODULES | {"multiprocessing"}):
+            found.add(f"{ast.unparse(node.func)}()")
     return sorted(found)
 
 
 SEEDED = ast.parse("""
-import threading, time
-from repro.common.sync import TrackedLock
+import threading
+from threading import Lock, get_ident
 
-class Janitor:
+class PlanCache:
     def __init__(self):
-        self._mutex = TrackedLock("janitor", 1)
-        self._gate = threading.Lock()
-
-    def size(self):
-        self._mutex.acquire()
-        return len(self.items)
-
-    def stop(self, thread):
-        with self._mutex:
-            thread.join()
-            time.sleep(0.1)
-            thread.join(timeout=1.0)
-            return ", ".join(self.items.get(key, "") for key in self.keys)
+        self._owner = get_ident()
+        self._mutex = Lock()
+        self._warmer = threading.Thread(target=self.warm, daemon=True)
+        self._ready = multiprocessing.Event()
 """)
 
 
-def test_every_lock_in_src_is_tracked():
-    """A raw lock is invisible to the sanitizer's rank and cycle checks."""
-    assert raw_locks(SEEDED) == ["Lock"]
-    found = {(path, name) for path, tree in lock_users().items()
-             for name in raw_locks(tree)}
-    assert found == UNTRACKED_EXEMPT
-
-
-def test_tracked_locks_are_taken_only_by_with():
-    """A bare ``acquire()`` can return with the lock held; the sanitizer
-    only sees it when a later acquire on the same path trips over it."""
-    assert bare_lock_calls(SEEDED, tracked_names(SEEDED)) == [
-        (11, "_mutex.acquire")]
-    trees = lock_users()
-    locks = tracked_names(*trees.values())
-    assert {"_mutex", "_lock", "_dispatch", "_pool_mutex"} <= locks
-    assert {path: bare_lock_calls(tree, locks)
-            for path, tree in trees.items()
-            if bare_lock_calls(tree, locks)} == {}
-
-
-def test_nothing_blocks_under_a_tracked_lock():
-    """The sanitizer watches locks, not joins or sleeps: a janitor joined
-    under the lock its sweep takes hangs without a violation."""
-    assert blocking_under_lock(SEEDED, tracked_names(SEEDED)) == [
-        ("Janitor.stop", "sleep"), ("Janitor.stop", "unbounded join")]
-    trees = lock_users()
-    locks = tracked_names(*trees.values())
-    found = {(path, owner, what) for path, tree in trees.items()
-             for owner, what in blocking_under_lock(tree, locks)}
-    assert {(path, owner) for path, owner, _ in found} == IO_UNDER_LOCK_EXEMPT
-    assert {what for _, _, what in found} == {"file I/O"}
+def test_only_the_shard_worker_imports_threading_or_builds_a_lock():
+    """A lock in the client process guards nothing a second caller may
+    reach (a ``Session`` refuses every thread but its owner), and a
+    thread there would be a second caller."""
+    assert concurrency(SEEDED) == [
+        "from threading import Lock", "import threading",
+        "multiprocessing.Event()", "threading.Thread()"]
+    found = {str(path.relative_to(SRC)) for path in python_files(SRC)
+             if concurrency(tree_of(path))}
+    assert found == CONCURRENT

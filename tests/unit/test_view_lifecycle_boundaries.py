@@ -1,10 +1,9 @@
 """Boundary cases for ``MaterializedView.available`` and counter
-monotonicity of the :class:`ViewStore` under concurrent churn."""
-
-import threading
+monotonicity of the :class:`ViewStore` under interleaved churn."""
 
 import pytest
 
+from repro.common.errors import StorageError
 from repro.storage.views import MaterializedView, ViewStore
 
 
@@ -88,50 +87,31 @@ class TestCounterMonotonicity:
         assert counters["total_gc_evicted"] == 1
 
     @pytest.mark.stress
-    def test_counters_monotonic_under_concurrent_churn(self):
+    def test_counters_monotonic_under_interleaved_churn(self):
+        """Four builders' steps and a reaper's sweeps interleave: a reap
+        may land between a view's seal and its reuse or purge, and every
+        counter only grows."""
         store = ViewStore(ttl_seconds=5.0)
-        stop = threading.Event()
         snapshots = []
-        errors = []
-
-        from repro.common.errors import StorageError
-
-        def builder(base):
-            try:
-                for i in range(150):
-                    sig = f"v{base}-{i}"
-                    store.begin_materialize(sig, f"views/{sig}", ("a",),
-                                            "vc1", now=float(i))
-                    store.seal(sig, now=float(i), row_count=1, size_bytes=8)
-                    for mutate in (store.record_reuse, store.purge):
-                        try:
-                            mutate(sig)
-                        except StorageError:
-                            pass  # reaper evicted it first; fine
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        def reaper():
-            now = 0.0
-            while not stop.is_set():
-                now += 7.0
-                store.evict_expired(now)
-                snapshots.append(store.counters())
-
-        threads = [threading.Thread(target=builder, args=(t,))
-                   for t in range(4)]
-        reaper_thread = threading.Thread(target=reaper)
-        reaper_thread.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stop.set()
-        reaper_thread.join()
+        now = 0.0
+        for i in range(150):
+            for base in range(4):
+                sig = f"v{base}-{i}"
+                store.begin_materialize(sig, f"views/{sig}", ("a",),
+                                        "vc1", now=float(i))
+                store.seal(sig, now=float(i), row_count=1, size_bytes=8)
+                if (i + base) % 3 == 0:
+                    now += 7.0
+                    store.evict_expired(now)
+                    snapshots.append(store.counters())
+                for mutate in (store.record_reuse, store.purge):
+                    try:
+                        mutate(sig)
+                    except StorageError:
+                        pass  # the reaper evicted it first; fine
         store.evict_expired(now=10_000.0)
         snapshots.append(store.counters())
 
-        assert errors == []
         keys = ("total_created", "total_reused", "total_expired",
                 "total_purged", "total_gc_evicted")
         for earlier, later in zip(snapshots, snapshots[1:]):
@@ -139,7 +119,7 @@ class TestCounterMonotonicity:
                 assert later[key] >= earlier[key], key
         final = snapshots[-1]
         assert final["total_created"] == 600
-        assert final["total_reused"] <= 600
+        assert 0 < final["total_reused"] < 600
         # Every sealed view is eventually aged out; nothing is lost.
         assert final["total_expired"] == 600
         assert len(store.views()) == 0
