@@ -24,7 +24,6 @@ canonical modules.
 from repro.api import (
     FaultPlan,
     FaultRuntime,
-    InsightsClientConfig,
     JobRequest,
     JobResult,
     SchedulerConfig,
@@ -38,11 +37,11 @@ from repro.selection import SelectionPolicy, SelectionResult
 from repro.simulation import SimulationConfig, SimulationReport
 from repro.workload import CookingWorkload, WorkloadRepository, generate_workload
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 __all__ = [
     "Session", "SessionConfig", "JobResult", "JobRequest", "EngineConfig",
-    "SchedulerConfig", "InsightsClientConfig", "FaultPlan", "FaultRuntime",
+    "SchedulerConfig", "FaultPlan", "FaultRuntime",
     "Catalog", "TableSchema", "schema_of", "DeploymentMode",
     "MultiLevelControls", "SimulationConfig", "SimulationReport",
     "SelectionPolicy", "SelectionResult", "CookingWorkload",

@@ -41,7 +41,7 @@ from repro.core.controls import MultiLevelControls
 from repro.core.runner import record_job_into
 from repro.engine.engine import EngineConfig, ScopeEngine
 from repro.faults import FaultPlan, FaultRuntime, resolve_faults
-from repro.insights.client import InsightsClient, InsightsClientConfig
+from repro.insights.client import InsightsClient
 from repro.insights.service import InsightsService
 from repro.lifecycle.manager import LifecycleConfig, LifecycleManager
 from repro.obs import events as obs_events
@@ -63,8 +63,7 @@ from repro.workload.repository import WorkloadRepository
 __all__ = [
     "Session", "SessionConfig",
     "JobResult", "JobRequest",
-    "EngineConfig", "SchedulerConfig", "InsightsClientConfig",
-    "LifecycleConfig",
+    "EngineConfig", "SchedulerConfig", "LifecycleConfig",
     "FaultPlan", "FaultRuntime",
     "SelectionPolicy", "MultiLevelControls",
     "ShardConfig",
@@ -91,9 +90,9 @@ class Session:
     name (``"memory"``, ``"sqlite"``) or an
     :class:`~repro.backends.base.ExecutionBackend` instance -- while
     signatures, matching, and insights stay backend-invariant above it.
-    By default the engine talks to its insights service through an
-    :class:`InsightsClient` (TTL cache, retries, circuit breaker);
-    pass ``client_config`` to tune that path.
+    The engine talks to its insights service through an
+    :class:`InsightsClient` (TTL cache, retries, circuit breaker; its
+    tunables are constants of :mod:`repro.insights.client`).
 
     ``faults`` installs the unified fault-injection framework
     (:mod:`repro.faults`): a :class:`~repro.faults.FaultPlan`, a
@@ -111,7 +110,6 @@ class Session:
                  backend: Union[str, ExecutionBackend] = "memory",
                  engine_config: Optional[EngineConfig] = None,
                  scheduler_config: Optional[SchedulerConfig] = None,
-                 client_config: Optional[InsightsClientConfig] = None,
                  controls: Optional[MultiLevelControls] = None,
                  policy: Optional[SelectionPolicy] = None,
                  selection_algorithm: str = "greedy",
@@ -172,8 +170,7 @@ class Session:
                 self.supervisor.start()
             else:
                 self.service = InsightsService()
-            self.insights = InsightsClient(self.service,
-                                           config=client_config)
+            self.insights = InsightsClient(self.service)
             # One shared runtime behind every seam: a single seed then
             # reproduces the whole failure scenario across layers.
             backend.faults = self.faults

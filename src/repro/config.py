@@ -2,8 +2,7 @@
 
 Every other setting of a :class:`~repro.api.Session` is spelled once, as
 its keyword (``backend=``, ``engine_config=``, ``scheduler_config=``,
-``client_config=``, ``lifecycle=``, ``selection_algorithm=``,
-``policy=``, ``faults=``); a
+``lifecycle=``, ``selection_algorithm=``, ``policy=``, ``faults=``); a
 SQLite file is a backend instance,
 ``create_backend("sqlite", sqlite_path=...)``.  What remains here is the
 sharded insights deployment::

@@ -45,7 +45,8 @@ from repro.common.errors import (
 )
 from repro.executor.executor import ExecutionResult
 from repro.executor.udo import UdoRegistry
-from repro.insights.service import Fetched, InsightsService
+from repro.insights.client import InsightsClient
+from repro.insights.service import Fetched
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
 from repro.optimizer.context import Annotation, OptimizerContext
@@ -210,7 +211,7 @@ class ScopeEngine:
     def __init__(self,
                  catalog: Optional[Catalog] = None,
                  store: Optional[DataStore] = None,
-                 insights: Optional[InsightsService] = None,
+                 insights: Optional[InsightsClient] = None,
                  config: Optional[EngineConfig] = None,
                  udos: Optional[UdoRegistry] = None,
                  recorder=None,
@@ -219,7 +220,7 @@ class ScopeEngine:
         if backend is None:
             backend = InMemoryBackend(store=store, udos=udos)
         self.backend = backend
-        self.insights = insights or InsightsService()
+        self.insights = insights or InsightsClient()
         self.config = config or EngineConfig()
         self.runtime_version = RUNTIME_VERSION
         self.view_store = ViewStore(self.config.view_ttl_seconds)
@@ -329,7 +330,7 @@ class ScopeEngine:
         """Parse, bind, and optimize one job (Figure 5, query processing).
 
         ``planned`` (the job's :meth:`logical_plan`) and ``prepared`` (its
-        insights answer, :meth:`InsightsService.fetch_wave`) are given
+        insights answer, :meth:`InsightsClient.fetch_wave`) are given
         when the scheduler has made them already: it plans every job of
         a wave, and fetches for all of them, before any compiles.
 

@@ -9,14 +9,15 @@ that operational posture:
 * **local TTL cache** -- per-tag annotation lists are cached client-side,
   keyed by the service's publication generation so a re-selection
   invalidates everything at once;
-* **timeouts and retries** -- each attempt is bounded by a configurable
-  timeout; failures retry with exponential backoff plus deterministic
-  jitter (all in *simulated* seconds: the client never sleeps);
+* **timeouts and retries** -- each attempt is bounded by
+  :data:`TIMEOUT_SECONDS`; failures retry with exponential backoff plus
+  deterministic jitter (all in *simulated* seconds: the client never
+  sleeps);
 * **circuit breaker** -- after enough consecutive failures the breaker
   opens and fetches degrade immediately to the paper's kill-switch
   behavior: the job compiles with reuse disabled instead of failing
   (Section 4, "insight service level control as the uber control").
-  After a cool-down the breaker goes half-open and lets probe fetches
+  After a cool-down the breaker goes half-open and lets one probe fetch
   test the service before closing again;
 * **fault injection** -- the ``insights.rpc`` point of the session's
   :class:`~repro.faults.FaultRuntime` drops, fails or delays a job's
@@ -35,10 +36,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.common.errors import ConfigError, InsightsError
+from repro.common.errors import InsightsError
 from repro.faults import points as fault_points
 from repro.faults.runtime import NULL_FAULTS
 from repro.insights.partition import CACHED_ROUND_TRIP_SECONDS
@@ -53,41 +53,25 @@ OPEN = "open"
 HALF_OPEN = "half-open"
 
 
-@dataclass(kw_only=True)
-class InsightsClientConfig:
-    """Tunables of the fault-tolerant client (all keyword-only)."""
-
-    #: One attempt may cost at most this much simulated latency before it
-    #: counts as an :class:`~repro.common.errors.InsightsTimeout`.
-    timeout_seconds: float = 0.060
-    #: Retries after the first failed attempt (bounded).
-    max_retries: int = 2
-    #: Backoff before retry k (1-based) is ``base * multiplier**(k-1)``,
-    #: plus up to ``jitter`` of itself, in simulated seconds.
-    backoff_base_seconds: float = 0.010
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.25
-    #: Per-tag cache lifetime in simulated seconds (also invalidated by
-    #: every publication generation).
-    cache_ttl_seconds: float = 3600.0
-    #: Consecutive exhausted fetches before the breaker opens.
-    breaker_failure_threshold: int = 5
-    #: Degraded fetches served while open before probing (half-open).
-    breaker_cooldown_fetches: int = 20
-    #: Successful probes required to close again from half-open.
-    breaker_probes_to_close: int = 1
-    #: Seed for jitter and fault injection (determinism).
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.timeout_seconds <= 0:
-            raise ConfigError("timeout_seconds must be positive")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigError("breaker_failure_threshold must be >= 1")
-        if self.breaker_cooldown_fetches < 1:
-            raise ConfigError("breaker_cooldown_fetches must be >= 1")
+#: One attempt may cost at most this much simulated latency before it
+#: counts as an :class:`~repro.common.errors.InsightsTimeout`.
+TIMEOUT_SECONDS = 0.060
+#: Retries after the first failed attempt (bounded).
+MAX_RETRIES = 2
+#: Backoff before retry k (1-based) is ``base * multiplier**(k-1)``,
+#: plus up to ``jitter`` of itself, in simulated seconds.
+BACKOFF_BASE_SECONDS = 0.010
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER = 0.25
+#: Per-tag cache lifetime in simulated seconds (also invalidated by
+#: every publication generation).
+CACHE_TTL_SECONDS = 3600.0
+#: Consecutive exhausted fetches before the breaker opens.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Degraded fetches served while open before the probe (half-open).
+BREAKER_COOLDOWN_FETCHES = 20
+#: Seed of the backoff jitter (determinism).
+JITTER_SEED = "client-jitter-0"
 
 
 class CircuitBreaker:
@@ -98,75 +82,53 @@ class CircuitBreaker:
     traffic-based cool-down is deterministic.
     """
 
-    def __init__(self, config: InsightsClientConfig,
-                 recorder=NULL_RECORDER) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._state = CLOSED
         self._consecutive_failures = 0
         self._open_fetches = 0
-        self._half_open_successes = 0
-        self._probes_in_flight = 0
-        self.recorder = recorder
-        #: Transition log as (state, fetch-ordinal-free) tuples for tests.
-        self.transitions: List[str] = []
+        self.recorder = NULL_RECORDER
 
     @property
     def state(self) -> str:
         return self._state
 
-    def _transition(self, state: str) -> None:
-        self._state = state
-        self.transitions.append(state)
-
     def admit(self) -> str:
         """Decide one fetch: "attempt" (talk to the service) or "degrade".
 
-        While half-open, only a bounded number of probes are admitted at
-        once; everybody else degrades until the probes report back.
+        The fetch that ends the cool-down is the one probe of the
+        half-open state; everybody else degrades until it reports back.
         """
         if self._state == CLOSED:
             return "attempt"
         if self._state == OPEN:
             self._open_fetches += 1
-            if self._open_fetches >= self._config.breaker_cooldown_fetches:
-                self._transition(HALF_OPEN)
+            if self._open_fetches >= BREAKER_COOLDOWN_FETCHES:
+                self._state = HALF_OPEN
                 self.recorder.event(obs_events.BREAKER_HALF_OPEN)
-                self._half_open_successes = 0
-                self._probes_in_flight = 1
                 return "attempt"
-            return "degrade"
-        # HALF_OPEN: admit a bounded number of concurrent probes.
-        if self._probes_in_flight < self._config.breaker_probes_to_close:
-            self._probes_in_flight += 1
-            return "attempt"
         return "degrade"
 
     def record_success(self) -> None:
         self._consecutive_failures = 0
         if self._state == HALF_OPEN:
-            self._probes_in_flight = max(0, self._probes_in_flight - 1)
-            self._half_open_successes += 1
-            if (self._half_open_successes
-                    >= self._config.breaker_probes_to_close):
-                self._transition(CLOSED)
-                self.recorder.event(obs_events.BREAKER_CLOSED)
+            self._state = CLOSED
+            self.recorder.event(obs_events.BREAKER_CLOSED)
 
     def record_failure(self) -> bool:
         """Record an exhausted fetch; returns True if the breaker opened."""
         if self._state == HALF_OPEN:
             # A failed probe throws the breaker straight back open.
-            self._probes_in_flight = max(0, self._probes_in_flight - 1)
             self._reopen()
             return True
         self._consecutive_failures += 1
         if (self._state == CLOSED and self._consecutive_failures
-                >= self._config.breaker_failure_threshold):
+                >= BREAKER_FAILURE_THRESHOLD):
             self._reopen()
             return True
         return False
 
     def _reopen(self) -> None:
-        self._transition(OPEN)
+        self._state = OPEN
         self._open_fetches = 0
         self._consecutive_failures = 0
         self.recorder.event(obs_events.BREAKER_OPEN)
@@ -193,17 +155,14 @@ class InsightsClient:
     only the *serving* path gets caching and degradation.
     """
 
-    def __init__(self, service: Optional[InsightsService] = None,
-                 config: Optional[InsightsClientConfig] = None,
-                 recorder=NULL_RECORDER) -> None:
+    def __init__(self, service: Optional[InsightsService] = None) -> None:
         self.service = service or InsightsService()
-        self.config = config or InsightsClientConfig()
         #: The session's fault runtime; ``Session(faults=...)`` installs
         #: a live one so the ``insights.rpc`` seam can fire.
         self.faults = NULL_FAULTS
-        self._recorder = recorder
-        self.breaker = CircuitBreaker(self.config, recorder=recorder)
-        self._jitter_rng = random.Random(f"client-jitter-{self.config.seed}")
+        self._recorder = NULL_RECORDER
+        self.breaker = CircuitBreaker()
+        self._jitter_rng = random.Random(JITTER_SEED)
         self._cache: Dict[str, _CacheEntry] = {}
         #: Client-side operational counters; monotonic.
         self.degraded_fetches = 0
@@ -266,18 +225,34 @@ class InsightsClient:
 
     # ------------------------------------------------------------------ #
     # the serving path: a job's fetch reads its answer from the wave it
-    # was prepared in, or from a wave of one, as the service's does --
-    # never raising on a serving failure: with retries exhausted (or the
-    # breaker open) the answer is empty and ``degraded``, so the engine
-    # compiles the job reuse-free (the paper's incident posture).
+    # was prepared in, or from a wave of one -- never raising on a
+    # serving failure: with retries exhausted (or the breaker open) the
+    # answer is empty and ``degraded``, so the engine compiles the job
+    # reuse-free (the paper's incident posture).
 
-    fetch_annotations = InsightsService.fetch_annotations
+    def fetch_annotations(self, tags: Iterable[str],
+                          now: Optional[float] = None,
+                          prepared: Optional[Fetched] = None) -> Fetched:
+        """A job's :class:`Fetched` -- its annotations keyed by recurring
+        signature, its latency and whether it degraded: the answer its
+        wave ``prepared`` (:meth:`fetch_wave`), or a wave of one.
+
+        Empty when the service-level kill switch is off, which disables
+        both matching and buildout downstream.
+        """
+        return prepared or self.fetch_wave([(tags, now)])[0]
 
     def fetch_wave(self, requests: Sequence[tuple]) -> List[Fetched]:
-        """Answer a wave's fetches as one-by-one fetches in submission
-        order would be answered, with one lookup frame per owning shard
-        per round (why a wave may be answered at its start:
-        :meth:`InsightsService.fetch_wave`).
+        """Answer a wave's fetches -- ``(tags, now)`` per job, in
+        submission order -- as one-by-one fetches in that order would be
+        answered, with one lookup frame per owning shard per round.
+
+        Sound because nothing of a wave is sealed while a sibling
+        compiles (DESIGN §8): no publish, bump or retract runs between
+        the scheduler opening a wave and its last job executing, so the
+        answer at the wave's start is the one each job's own fetch would
+        have got.  The (workers, shards) grid of
+        ``test_concurrent_equivalence.py`` is the test.
 
         Each job runs :meth:`_fetch` until its tags must go on the wire.
         A round gathers jobs until one whose outcome is not *settled* --
@@ -342,7 +317,7 @@ class InsightsClient:
         elif self.breaker.admit() == "degrade":
             return self._degrade(reason="breaker-open")
         else:
-            fill = {tag: _CacheEntry(None, now + self.config.cache_ttl_seconds,
+            fill = {tag: _CacheEntry(None, now + CACHE_TTL_SECONDS,
                                      generation) for tag in needed}
             outcome = yield from self._attempts(needed, fill, promised)
             if outcome is None:
@@ -371,8 +346,8 @@ class InsightsClient:
         submission order; no sibling of the round asks it anything in
         between but ``admit`` while closed, whose answer no outcome
         changes."""
-        attempts = self.config.max_retries + 1
-        timeout = self.config.timeout_seconds
+        attempts = MAX_RETRIES + 1
+        timeout = TIMEOUT_SECONDS
         all_hits = 0.0
         for _ in needed:
             all_hits += CACHED_ROUND_TRIP_SECONDS
@@ -419,10 +394,9 @@ class InsightsClient:
         return Fetched({}, degraded=True)
 
     def _backoff(self, attempt: int) -> float:
-        base = (self.config.backoff_base_seconds
-                * self.config.backoff_multiplier ** attempt)
+        base = BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER ** attempt
         jitter = self._jitter_rng.random()
-        return base * (1.0 + self.config.backoff_jitter * jitter)
+        return base * (1.0 + BACKOFF_JITTER * jitter)
 
 
 def _forward(name: str):

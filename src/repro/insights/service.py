@@ -46,10 +46,12 @@ from repro.optimizer.context import Annotation
 
 #: Every public operation of the service.  The client takes its plain
 #: forwards from this tuple and the contract suite runs it against every
-#: implementation, so a name added here must work on all of them.
+#: implementation, so a name added here must work on all of them.  A
+#: job's fetch is the client's alone (:class:`~repro.insights.client.
+#: InsightsClient`), over :meth:`InsightsService.lookup`.
 SERVICE_SURFACE = (
     "publish", "annotations", "annotation_count", "bump_generation",
-    "retract", "fetch_wave", "fetch_annotations", "lookup",
+    "retract", "lookup",
     "acquire_view_lock", "release_view_lock", "force_release_locks",
     "lock_holder", "held_locks", "report_view_available",
 )
@@ -63,7 +65,7 @@ _USAGE_FIELDS = (
 
 
 class Fetched(NamedTuple):
-    """One job's answer, prepared by its wave (:meth:`InsightsService.
+    """One job's answer, prepared by its wave (:meth:`InsightsClient.
     fetch_wave`) and returned by its own ``fetch_annotations``."""
 
     annotations: Dict[str, Annotation]
@@ -220,7 +222,7 @@ class InsightsService:
     def finish_fetch(self, per_tag: Iterable[Iterable[Annotation]]
                      ) -> Dict[str, Annotation]:
         """Key a job's per-tag lists by recurring signature and count them
-        served (shared with the client, whose lists come from its cache)."""
+        served (the client's lists come from its cache or :meth:`lookup`)."""
         result: Dict[str, Annotation] = {}
         for found in per_tag:
             for annotation in found:
@@ -228,45 +230,6 @@ class InsightsService:
         self.metrics.inc("annotations_served", len(result))
         self.recorder.inc("insights.annotations_served", len(result))
         return result
-
-    def fetch_wave(self, requests: Sequence[tuple]) -> List[Fetched]:
-        """Answer a wave's fetches -- ``(tags, now)`` per job, in
-        submission order -- with one lookup frame per owning partition.
-
-        Sound because nothing of a wave is sealed while a sibling
-        compiles (DESIGN §8): no publish, bump or retract runs between
-        the scheduler opening a wave and its last job executing, so the
-        answer at the wave's start is the one each job's own fetch would
-        have got.  A partition answers the jobs' lists in submission
-        order, so every charge and counter is a one-by-one run's; the
-        (workers, shards) grid of ``test_concurrent_equivalence.py`` is
-        the test.  ``now`` is ignored here (the client's cache reads it).
-        """
-        lists = [list(tags) for tags, _ in requests if self.begin_fetch()]
-        if len(lists) < len(requests):  # the kill switch is off
-            return [Fetched({})] * len(requests)
-        replies = self.lookup(lists)
-        for reply in replies:
-            if isinstance(reply, InsightsError):
-                raise reply  # a bare service has no fault tolerance
-        return [Fetched(self.finish_fetch(found), latency)
-                for found, latency in replies]
-
-    def fetch_annotations(self, tags: Iterable[str],
-                          now: Optional[float] = None,
-                          prepared: Optional[Fetched] = None) -> Fetched:
-        """A job's :class:`Fetched` -- its annotations keyed by recurring
-        signature, its latency and whether it degraded: the answer its
-        wave ``prepared`` (:meth:`fetch_wave`), or a wave of one (the
-        client answers the same way).
-
-        Empty when the service-level kill switch is off, which disables
-        both matching and buildout downstream.  ``now`` is accepted so
-        the service and the TTL-caching
-        :class:`~repro.insights.client.InsightsClient` are
-        interchangeable behind the engine.
-        """
-        return prepared or self.fetch_wave([(tags, now)])[0]
 
     def lookup(self, lists: Sequence[Sequence[str]]) -> list:
         """The one serving loop, over many tag lists at once: per list,

@@ -59,20 +59,10 @@ class ShardConfig:
     #: (removed on close) when unset.  Kept short: ``AF_UNIX`` paths cap
     #: at ~107 characters.
     socket_dir: Optional[str] = None
-    #: ``fork`` (default: fast, shares the warmed import state),
-    #: ``spawn``, or ``forkserver``.
-    start_method: str = "fork"
-    #: Restart a dead shard when the router trips over it; ``False``
-    #: leaves it dead so the client's breaker/degrade ladder engages.
-    restart_dead: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 0:
             raise ConfigError(f"shards must be >= 0, got {self.shards}")
-        if self.start_method not in ("fork", "spawn", "forkserver"):
-            raise ConfigError(
-                f"start_method must be fork|spawn|forkserver, "
-                f"got {self.start_method!r}")
 
 
 class ShardSupervisor:
@@ -94,7 +84,8 @@ class ShardSupervisor:
         self.journal_dir = journal_dir
         self.recorder = recorder
         self.faults = faults if faults is not None else NULL_FAULTS
-        self._ctx = multiprocessing.get_context(config.start_method)
+        # Fork: fast, and the workers share the warmed import state.
+        self._ctx = multiprocessing.get_context("fork")
         self._own_dir = config.socket_dir is None
         self._dir = config.socket_dir or tempfile.mkdtemp(prefix="repro-sh-")
         self._procs: List[Optional[multiprocessing.process.BaseProcess]] = \
@@ -214,7 +205,7 @@ class ShardSupervisor:
         appending to its existing WAL, so the shard rejoins with the
         state it had acknowledged before dying.
         """
-        if self._closed or not self.config.restart_dead:
+        if self._closed:
             return False
         process = self._procs[shard_id]
         if process is not None and process.is_alive():

@@ -111,7 +111,7 @@ class SimulationConfig:
         """The deployment this config describes, wired through ``Session``.
 
         ``session_kwargs`` go to :class:`~repro.api.Session` on top
-        (``controls=``, ``client_config=``, ``faults=``, ``recorder=``).
+        (``controls=``, ``faults=``, ``recorder=``).
         Without ``controls`` every virtual cluster is onboarded, so
         :attr:`cloudviews_enabled` alone decides reuse.
         """

@@ -19,13 +19,14 @@ from repro.config import SessionConfig
 from repro.core import MultiLevelControls
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
 from repro.insights import InsightsClient
-from repro.insights.client import OPEN
+from repro.insights.client import BREAKER_FAILURE_THRESHOLD, OPEN
 from repro.insights.service import InsightsService
 from repro.lifecycle import LifecycleConfig
 from repro.optimizer.context import Annotation
 from repro.scheduler import JobRequest, SchedulerConfig
 from repro.selection import SelectionPolicy
 from repro.shard import ShardConfig, ShardRouter, ShardSupervisor
+from repro.shard import supervisor as supervisor_module
 
 
 def make_annotations(count=16):
@@ -171,9 +172,11 @@ class TestDeadShardDegradesNotFails:
     """ISSUE satellite: a dead shard trips the circuit breaker and
     degrades affected signatures to no-reuse without failing jobs."""
 
-    def test_breaker_opens_and_fetches_degrade(self):
-        supervisor = ShardSupervisor(
-            ShardConfig(shards=2, restart_dead=False))
+    def test_breaker_opens_and_fetches_degrade(self, monkeypatch):
+        # No restarts: the dead shard must stay dead for the breaker to
+        # see it fail.
+        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS_PER_SHARD", 0)
+        supervisor = ShardSupervisor(ShardConfig(shards=2))
         supervisor.start()
         router = ShardRouter(supervisor)
         client = InsightsClient(router)
@@ -183,7 +186,7 @@ class TestDeadShardDegradesNotFails:
             supervisor.kill(dead)
             dead_tags = [t for t in (f"probe-{i}" for i in range(64))
                          if shard_for(t, 2) == dead]
-            threshold = client.config.breaker_failure_threshold
+            threshold = BREAKER_FAILURE_THRESHOLD
             assert len(dead_tags) >= threshold
             for i in range(threshold):
                 fetched = client.fetch_annotations([dead_tags[i]],
@@ -191,18 +194,20 @@ class TestDeadShardDegradesNotFails:
                 assert fetched.annotations == {}
                 assert fetched.degraded
             assert client.breaker.state == OPEN
-            # restart_dead=False: the supervisor refused to revive it.
+            # No restarts allowed: the supervisor refused to revive it.
             assert supervisor.restarts == [0, 0]
         finally:
             router.close()
             supervisor.close()
 
-    def test_jobs_complete_reuse_free_with_all_shards_dead(self):
+    def test_jobs_complete_reuse_free_with_all_shards_dead(self,
+                                                           monkeypatch):
+        # No restarts: the killed shards must stay dead.
+        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS_PER_SHARD", 0)
         controls = MultiLevelControls()
         controls.enable_vc("vc1")
         session = Session(
-            config=SessionConfig(
-                shard=ShardConfig(shards=2, restart_dead=False)),
+            config=SessionConfig(shard=ShardConfig(shards=2)),
             controls=controls,
             selection_algorithm="bigsubs",
             policy=SelectionPolicy(storage_budget_bytes=10_000_000,

@@ -2,7 +2,8 @@
 
 Random scripts of publish / retract / fetch / lock / bump / kill-switch
 steps (at most 30) run against a :class:`ShardRouter` at 1, 2 and 4
-shards and against a plain :class:`InsightsService`; after every step
+shards and against a plain :class:`InsightsService`, each behind an
+:class:`InsightsClient` (a job's fetch is the client's); after every step
 the results, both latency values (compared with ``==``: the bits, not
 an approximation), every usage counter, the generation and the kill
 switch must agree, and at the end the two event lists -- the same
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.insights import InsightsClient
 from repro.insights.service import InsightsService
 from repro.shard import ShardConfig, ShardRouter, ShardSupervisor
 from tests.integration.test_service_contract import (
@@ -73,8 +75,9 @@ def test_sharded_matches_unsharded(supervisor, script):
     janitor.publish([])
     janitor.force_release_locks(janitor.held_locks())
     janitor.close()
-    router = recorded(ShardRouter(supervisor))
+    router = ShardRouter(supervisor)
     try:
-        run_script(router, recorded(InsightsService()), script)
+        run_script(recorded(InsightsClient(router)),
+                   recorded(InsightsClient(InsightsService())), script)
     finally:
         router.close()

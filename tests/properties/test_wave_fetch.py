@@ -12,16 +12,21 @@ a second client and service.
 * Under an ``insights.rpc`` drop / error / delay plan, with
   ``max_retries`` 0 and 2, no call raises, a job that did not degrade
   gets exactly the published annotations for its tags, a degraded one
-  gets ``{}``, and the breaker goes through the same transitions.
+  gets ``{}``, and the breaker goes through the same transitions (its
+  ``breaker.*`` events).
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultPlan, FaultRuntime, FaultSpec, points
-from repro.insights import InsightsClient, InsightsClientConfig
+from repro.insights import InsightsClient
+from repro.insights import client as client_module
 from repro.insights.partition import Partition
 from repro.insights.service import InsightsService
+from repro.obs import FlightRecorder
 from repro.optimizer.context import Annotation
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -39,12 +44,20 @@ waves = st.lists(st.lists(job, min_size=1, max_size=6), min_size=1,
                  max_size=4)
 
 
-def deployment(faults=None, **config):
+def constants(max_retries=2, threshold=2):
+    """The client's constants for these waves: a TTL short enough for a
+    job's own ``now`` to expire entries, and a breaker that opens and
+    probes within a few fetches, so small waves reach every state."""
+    return mock.patch.multiple(
+        client_module, MAX_RETRIES=max_retries,
+        BREAKER_FAILURE_THRESHOLD=threshold, CACHE_TTL_SECONDS=20.0,
+        BREAKER_COOLDOWN_FETCHES=2, JITTER_SEED="client-jitter-3")
+
+
+def deployment(faults=None):
     service = InsightsService(partitions=[Partition(), Partition()])
-    config.setdefault("breaker_failure_threshold", 2)
-    client = InsightsClient(service, InsightsClientConfig(
-        cache_ttl_seconds=20.0, breaker_cooldown_fetches=2, seed=3,
-        **config))
+    client = InsightsClient(service)
+    client.recorder = FlightRecorder()
     client.publish(PUBLISHED)
     if faults is not None:
         client.faults = FaultRuntime(faults)
@@ -63,17 +76,23 @@ def run(client, plan, one_by_one):
     return answers
 
 
+def transitions(client):
+    return [event.kind for event in client.recorder.events.events()
+            if event.kind.startswith("breaker.")]
+
+
 def counters(client):
     return (client.cache_hits, client.cache_misses, client.retries,
             client.degraded_fetches, client.metrics.snapshot(),
-            client.service.relookup_seconds, client.breaker.transitions)
+            client.service.relookup_seconds, transitions(client))
 
 
 @SETTINGS
 @given(plan=waves)
 def test_fault_free_wave_equals_its_jobs_one_by_one(plan):
-    wave, alone = deployment(), deployment()
-    assert run(wave, plan, False) == run(alone, plan, True)
+    with constants():
+        wave, alone = deployment(), deployment()
+        assert run(wave, plan, False) == run(alone, plan, True)
     assert counters(wave) == counters(alone)
 
 
@@ -97,16 +116,15 @@ def test_faulted_wave_answers_soundly_and_breaks_alike(
     faults = FaultPlan(specs=(FaultSpec(
         points.INSIGHTS_RPC, kind, probability=probability,
         delay_seconds=0.05, after=after, max_fires=max_fires),), seed=seed)
-    config = dict(max_retries=max_retries,
-                  breaker_failure_threshold=threshold)
-    wave, alone = deployment(faults, **config), deployment(faults, **config)
-    answers = run(wave, plan, False)
+    with constants(max_retries, threshold):
+        wave, alone = deployment(faults), deployment(faults)
+        answers = run(wave, plan, False)
+        one_by_one = run(alone, plan, True)
     assert len(answers) == sum(map(len, plan))
     for (tags, _), answer in zip((r for w in plan for r in w), answers):
         expected = {a.recurring_signature: a for a in PUBLISHED
                     if a.tag in tags}
         assert answer.annotations == ({} if answer.degraded else expected)
-    assert ([a.degraded for a in answers]
-            == [a.degraded for a in run(alone, plan, True)])
-    assert wave.breaker.transitions == alone.breaker.transitions
+    assert [a.degraded for a in answers] == [a.degraded for a in one_by_one]
+    assert transitions(wave) == transitions(alone)
     assert wave.breaker.state == alone.breaker.state

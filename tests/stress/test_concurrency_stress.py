@@ -23,7 +23,9 @@ from repro.common.errors import ExecutionError
 from repro.engine import ScopeEngine
 from repro.executor import UdoRegistry
 from repro.faults import NULL_FAULTS, resolve_faults
-from repro.insights import InsightsClient, InsightsClientConfig
+from repro.insights import InsightsClient
+from repro.insights import client as client_module
+from repro.obs import FlightRecorder
 from repro.optimizer.context import Annotation
 from repro.optimizer.rules import apply_rewrites
 from repro.plan import PlanBuilder, normalize
@@ -106,34 +108,42 @@ class TestNoDuplicateBuildout:
 
 
 class TestBreakerUnderFaults:
-    def test_breaker_cycles_under_concurrent_faulty_fetches(self):
+    def test_breaker_cycles_under_concurrent_faulty_fetches(
+            self, monkeypatch):
         """Eight waves of 30 fetches each, every attempt failing: the
         fetches of a wave go out together, and none raises."""
-        config = InsightsClientConfig(
-            max_retries=0, breaker_failure_threshold=5,
-            breaker_cooldown_fetches=10)
-        client = InsightsClient(config=config)
+        # No retries and a short cool-down: the breaker opens, probes and
+        # reopens several times within one wave.
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
+        monkeypatch.setattr(client_module, "BREAKER_COOLDOWN_FETCHES", 10)
+        client = InsightsClient()
+        client.recorder = FlightRecorder()
         client.faults = resolve_faults("insights.rpc:error")
         client.publish([Annotation("rec-1", "tag-1")])
+
+        def transitions():
+            return [event.kind for event in client.recorder.events.events()
+                    if event.kind.startswith("breaker.")]
+
         for _ in range(8):
             answers = client.fetch_wave([(["tag-1"], 0.0)] * 30)
             assert all(answer.degraded for answer in answers)
         assert client.breaker.state == "open"
-        assert "open" in client.breaker.transitions
+        assert "breaker.open" in transitions()
         # Heal the service and drain the cooldown: closed again.
         client.faults = NULL_FAULTS
-        for _ in range(config.breaker_cooldown_fetches + 1):
+        for _ in range(client_module.BREAKER_COOLDOWN_FETCHES + 1):
             client.fetch_annotations(["tag-1"], now=0.0)
         assert client.breaker.state == "closed"
-        assert client.breaker.transitions[-2:] == ["half-open", "closed"]
+        assert transitions()[-2:] == ["breaker.half_open", "breaker.closed"]
 
-    def test_ten_percent_fetch_failures_zero_job_failures(self):
+    def test_ten_percent_fetch_failures_zero_job_failures(self, monkeypatch):
         # >= 10% of serving round trips fail; with retries disabled every
         # fault degrades its job.  Jobs must all succeed anyway.
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
         workload = generate_workload(seed=11)
         config = SimulationConfig(days=2, workers=8)
         with config.open_session(
-                client_config=InsightsClientConfig(max_retries=0),
                 faults="insights.rpc:drop:0.08;insights.rpc:error:0.07",
                 ) as session:
             report = WorkloadSimulation(workload, config,
@@ -143,12 +153,15 @@ class TestBreakerUnderFaults:
         assert report.degraded_jobs > 0
         assert session.insights.degraded_fetches > 0
 
-    def test_degraded_jobs_match_baseline_rows(self):
+    def test_degraded_jobs_match_baseline_rows(self, monkeypatch):
         # A degraded compile must still return correct results -- it just
         # skips reuse.  Compare each faulty-run job against a clean run.
+        # No retries: every injected drop degrades its job.
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
+        monkeypatch.setattr(client_module, "JITTER_SEED", "client-jitter-3")
+
         def outcomes(faults):
-            client = InsightsClient(
-                config=InsightsClientConfig(max_retries=0, seed=3))
+            client = InsightsClient()
             client.faults = faults
             engine = build_engine(insights=client)
             annotate_shared_join(engine)

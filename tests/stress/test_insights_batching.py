@@ -14,11 +14,8 @@ come back -- with annotations or degraded-empty -- and none may raise.
 import pytest
 
 from repro.faults import resolve_faults
-from repro.insights import (
-    InsightsClient,
-    InsightsClientConfig,
-    InsightsService,
-)
+from repro.insights import InsightsClient, InsightsService
+from repro.insights import client as client_module
 from repro.optimizer.context import Annotation
 
 pytestmark = pytest.mark.stress
@@ -40,16 +37,18 @@ class CountingService(InsightsService):
         return super().lookup(lists)
 
 
-def build_client(service, **config_kwargs):
-    defaults = dict(
+def build_client(service, monkeypatch, **constants):
+    """A client over ``service``, with its module ``constants`` patched
+    on top of the two every test here needs."""
+    constants = dict(
         # Zero TTL: every fetch misses the local cache and round-trips
         # instead of short-circuiting on a cache hit.
-        cache_ttl_seconds=0.0,
-        seed=7,
-    )
-    defaults.update(config_kwargs)
-    config = InsightsClientConfig(**defaults)
-    client = InsightsClient(service, config=config)
+        CACHE_TTL_SECONDS=0.0,
+        JITTER_SEED="client-jitter-7",
+        **constants)
+    for name, value in constants.items():
+        monkeypatch.setattr(client_module, name, value)
+    client = InsightsClient(service)
     tags = [f"tag-{i}" for i in range(JOBS * 2)]
     client.publish([
         Annotation(recurring_signature=f"rec-{tag}", tag=tag,
@@ -77,9 +76,9 @@ def hammer(client, tags):
 
 
 class TestBatchingNoFaults:
-    def test_each_fetch_round_trips_exactly_once(self):
+    def test_each_fetch_round_trips_exactly_once(self, monkeypatch):
         service = CountingService()
-        client, tags = build_client(service)
+        client, tags = build_client(service, monkeypatch)
         served, degraded = hammer(client, tags)
         assert degraded == 0
         assert served == FETCHES
@@ -89,11 +88,11 @@ class TestBatchingNoFaults:
 
 
 class TestBatchingUnderFaults:
-    def test_no_duplicate_flushes_with_injected_errors(self):
+    def test_no_duplicate_flushes_with_injected_errors(self, monkeypatch):
         service = CountingService()
+        # A short cool-down, so the breaker cycles many times in the run.
         client, tags = build_client(
-            service, max_retries=2, breaker_failure_threshold=5,
-            breaker_cooldown_fetches=4)
+            service, monkeypatch, BREAKER_COOLDOWN_FETCHES=4)
         client.faults = resolve_faults("seed=11;insights.rpc:error:0.2")
         served, degraded = hammer(client, tags)
         # Every caller completed, with a mix of served and degraded.
@@ -106,11 +105,14 @@ class TestBatchingUnderFaults:
         assert service.fetch_calls <= FETCHES
         assert service.fetch_calls > 0
 
-    def test_drops_and_errors_still_terminate_every_caller(self):
+    def test_drops_and_errors_still_terminate_every_caller(self,
+                                                          monkeypatch):
         service = CountingService()
+        # One retry and a breaker quick to open and to probe, so a
+        # wave's jobs see every breaker state under both fault kinds.
         client, tags = build_client(
-            service, max_retries=1, breaker_failure_threshold=3,
-            breaker_cooldown_fetches=2)
+            service, monkeypatch, MAX_RETRIES=1,
+            BREAKER_FAILURE_THRESHOLD=3, BREAKER_COOLDOWN_FETCHES=2)
         client.faults = resolve_faults(
             "seed=23;insights.rpc:drop:0.15;insights.rpc:error:0.15")
         served, degraded = hammer(client, tags)
@@ -119,14 +121,14 @@ class TestBatchingUnderFaults:
 
 
 class TestConcurrentWaves:
-    def test_waves_between_generation_bumps_answer_every_job(self):
+    def test_waves_between_generation_bumps_answer_every_job(self, monkeypatch):
         """Waves of four five-tag jobs through one client, the generation
         bumped between them (which empties the serving caches, so cold
         lookups time out and retry): every job gets exactly its
         published annotations, every job is counted, and every retry is
         charged as a five-tag relookup."""
         service = CountingService()
-        client, tags = build_client(service)
+        client, tags = build_client(service, monkeypatch)
         published = {t: f"rec-{t}" for t in tags}
         for ident in range(JOBS):
             for i in range(WAVES):

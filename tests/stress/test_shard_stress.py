@@ -19,7 +19,8 @@ import threading
 import pytest
 
 from repro.common.hashing import shard_for
-from repro.insights import InsightsClient, InsightsClientConfig
+from repro.insights import InsightsClient
+from repro.insights import client as client_module
 from repro.optimizer.context import Annotation
 from repro.shard import ShardConfig, ShardRouter, ShardSupervisor
 from repro.shard.protocol import recv_frame, send_frame
@@ -133,12 +134,13 @@ class TestRouterUnderThreads:
 
 
 class TestKillsUnderLoad:
-    def test_client_absorbs_sigkills_mid_fetch(self, deployment):
+    def test_client_absorbs_sigkills_mid_fetch(self, deployment,
+                                               monkeypatch):
         supervisor, router = deployment
         shards = supervisor.config.shards
         # No client cache: every fetch crosses to its shards.
-        client = InsightsClient(
-            router, config=InsightsClientConfig(cache_ttl_seconds=0.0))
+        monkeypatch.setattr(client_module, "CACHE_TTL_SECONDS", 0.0)
+        client = InsightsClient(router)
         published = make_annotations()
         client.publish(published)
         step = 0

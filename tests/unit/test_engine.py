@@ -5,7 +5,7 @@ import pytest
 from repro.catalog import schema_of
 from repro.common.errors import InsightsError
 from repro.engine import ScopeEngine
-from repro.insights import InsightsService
+from repro.insights import InsightsClient, InsightsService
 from repro.optimizer.context import Annotation
 from repro.plan import PlanBuilder, normalize
 from repro.plan.logical import Join
@@ -147,32 +147,46 @@ class TestEngineLifecycle:
         assert a.job_id != b.job_id
 
 
+def signatures_by_list(replies):
+    """A lookup's replies as recurring signatures per list, per tag."""
+    return [[[a.recurring_signature for a in per_tag] for per_tag in found]
+            for found, _ in replies]
+
+
 class TestInsightsService:
     def test_publish_and_fetch_by_tag(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA"), Annotation("r2", "tagB")])
-        result = service.fetch_annotations(["tagA"]).annotations
-        assert set(result) == {"r1"}
+        replies = service.lookup([["tagA"]])
+        assert signatures_by_list(replies) == [[["r1"]]]
+        assert replies[0][1] == 0.015
 
     def test_fetch_caches_tags(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA")])
-        first_latency = service.fetch_annotations(["tagA"]).latency
-        assert service.fetch_annotations(["tagA"]).latency < first_latency
+        [(_, first_latency)] = service.lookup([["tagA"]])
+        [(_, second_latency)] = service.lookup([["tagA"]])
+        assert (first_latency, second_latency) == (0.015, 0.0015)
         assert service.metrics.cache_hits == 1
+        assert service.metrics.cache_misses == 1
 
     def test_publish_replaces_previous_generation(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA")])
         service.publish([Annotation("r2", "tagB")])
-        assert service.fetch_annotations(["tagA"]).annotations == {}
-        assert set(service.fetch_annotations(["tagB"]).annotations) == {"r2"}
+        assert service.generation == 2
+        assert signatures_by_list(service.lookup([["tagA"], ["tagB"]])) \
+            == [[[]], [["r2"]]]
 
     def test_disabled_service_serves_nothing(self):
         service = InsightsService()
         service.publish([Annotation("r1", "tagA")])
         service.enabled = False
-        assert service.fetch_annotations(["tagA"]).annotations == {}
+        fetched = InsightsClient(service).fetch_annotations(["tagA"])
+        assert fetched == ({}, 0.0, False)
+        usage = service.metrics.snapshot()
+        # The fetch is counted; no tag went to the serving layer.
+        assert (usage["fetches"], usage["cache_misses"]) == (1, 0)
 
     def test_lock_exclusive(self):
         service = InsightsService()

@@ -7,16 +7,23 @@ fetch returns a ``Fetched`` with no annotations and ``degraded`` set
 instead of raising).
 """
 
+import random
+
 import pytest
 
-from repro.common.errors import ConfigError, InsightsTimeout, ReproError
+from repro.common.errors import InsightsTimeout, ReproError
 from repro.faults import NULL_FAULTS, resolve_faults
-from repro.insights import (
-    CircuitBreaker,
-    InsightsClient,
-    InsightsClientConfig,
-    InsightsService,
+from repro.insights import CircuitBreaker, InsightsClient, InsightsService
+from repro.insights import client as client_module
+from repro.insights.client import (
+    BREAKER_COOLDOWN_FETCHES,
+    BREAKER_FAILURE_THRESHOLD,
+    CACHE_TTL_SECONDS,
+    JITTER_SEED,
+    TIMEOUT_SECONDS,
 )
+from repro.obs import FlightRecorder
+from repro.obs import events as obs_events
 from repro.optimizer.context import Annotation
 
 
@@ -29,51 +36,43 @@ def publish_one(target, tag="tag-1", recurring="rec-1"):
     target.publish([annotation(tag=tag, recurring=recurring)])
 
 
-def faulty_client(plan, config=None):
-    """A client whose serving round trip runs under the fault ``plan``
-    (the ``point:kind[:probability[:max_fires[:delay]]]`` DSL)."""
-    client = InsightsClient(config=config)
+def faulty_client(plan):
+    """A recorded client whose serving round trip runs under the fault
+    ``plan`` (the ``point:kind[:probability[:max_fires[:delay]]]`` DSL)."""
+    client = InsightsClient()
+    client.recorder = FlightRecorder()
     client.faults = resolve_faults(plan)
     return client
 
 
 ALWAYS_ERROR = "insights.rpc:error"
+BREAKER_EVENTS = (obs_events.BREAKER_OPEN, obs_events.BREAKER_HALF_OPEN,
+                  obs_events.BREAKER_CLOSED)
 
 
-class TestConfigValidation:
-    def test_defaults_are_valid(self):
-        InsightsClientConfig()
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(timeout_seconds=0.0),
-        dict(timeout_seconds=-1.0),
-        dict(max_retries=-1),
-        dict(breaker_failure_threshold=0),
-        dict(breaker_cooldown_fetches=0),
-    ])
-    def test_bad_values_raise_config_error(self, kwargs):
-        with pytest.raises(ConfigError):
-            InsightsClientConfig(**kwargs)
-
-    def test_config_error_is_repro_and_value_error(self):
-        with pytest.raises(ReproError):
-            InsightsClientConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            InsightsClientConfig(max_retries=-1)
-
-    def test_insights_timeout_is_repro_error(self):
-        assert issubclass(InsightsTimeout, ReproError)
+def transitions(recorder):
+    """The breaker's state changes, as its recorder saw them."""
+    return [event.kind for event in recorder.events.events()
+            if event.kind in BREAKER_EVENTS]
 
 
 class TestServingPath:
     def test_fetch_matches_raw_service(self):
-        service = InsightsService()
-        client = InsightsClient(service)
+        """A client's cold fetch is the service's lookup of its tags,
+        keyed by recurring signature, at the lookup's latency."""
+        client = InsightsClient()
         publish_one(client)
         direct = InsightsService()
         publish_one(direct)
-        assert set(client.fetch_annotations(["tag-1", "ghost"]).annotations) \
-            == set(direct.fetch_annotations(["tag-1", "ghost"]).annotations)
+        [(found, latency)] = direct.lookup([["tag-1", "ghost"]])
+        assert found == [[annotation()], []]
+        assert latency == 0.015 + 0.015
+        fetched = client.fetch_annotations(["tag-1", "ghost"])
+        assert fetched.annotations == {"rec-1": annotation()}
+        assert fetched.latency == latency
+        assert not fetched.degraded
+        assert client.metrics.snapshot() == dict(
+            direct.metrics.snapshot(), fetches=1, annotations_served=1)
 
     def test_local_cache_hits_skip_the_service(self):
         client = InsightsClient()
@@ -96,8 +95,7 @@ class TestServingPath:
         service = InsightsService()
         lookups, lookup = [], service.lookup
         service.lookup = lambda lists: lookups.append(lists) or lookup(lists)
-        client = InsightsClient(service, InsightsClientConfig(
-            backoff_jitter=0.0))
+        client = InsightsClient(service)
         tags = [f"tag-{i}" for i in range(5)]
         client.publish([annotation(tag=t, recurring=f"rec-{t}") for t in tags])
         fetched = client.fetch_annotations(tags, now=0.0)
@@ -109,17 +107,20 @@ class TestServingPath:
         for _ in tags:
             all_hits += 0.0015
         assert service.relookup_seconds == [all_hits]
-        assert fetched.latency == 0.060 + 0.010 + all_hits
+        jitter = random.Random(JITTER_SEED).random()
+        assert fetched.latency == 0.060 + 0.010 * (1.0 + 0.25 * jitter) \
+            + all_hits
         assert not fetched.degraded
 
     def test_cache_expires_after_ttl(self):
-        client = InsightsClient(
-            config=InsightsClientConfig(cache_ttl_seconds=10.0))
+        client = InsightsClient()
         publish_one(client)
         client.fetch_annotations(["tag-1"], now=0.0)
-        client.fetch_annotations(["tag-1"], now=11.0)
+        client.fetch_annotations(["tag-1"], now=CACHE_TTL_SECONDS - 1.0)
+        assert (client.cache_misses, client.cache_hits) == (1, 1)
+        client.fetch_annotations(["tag-1"], now=CACHE_TTL_SECONDS + 1.0)
         assert client.cache_misses == 2
-        assert client.cache_hits == 0
+        assert client.cache_hits == 1
 
     def test_publish_invalidates_cache(self):
         client = InsightsClient()
@@ -146,6 +147,9 @@ class TestServingPath:
 
 
 class TestRetriesAndDegradation:
+    def test_insights_timeout_is_repro_error(self):
+        assert issubclass(InsightsTimeout, ReproError)
+
     def test_injected_errors_retry_then_succeed(self):
         # The first round trip errors, every later one goes through.
         client = faulty_client("insights.rpc:error:1.0:1")
@@ -155,170 +159,137 @@ class TestRetriesAndDegradation:
         assert client.retries == 1
         assert fetched.degraded is False
         # Latency charges the failed attempt's timeout plus backoff.
-        assert fetched.latency > client.config.timeout_seconds
+        assert fetched.latency > TIMEOUT_SECONDS
 
     def test_exhausted_retries_degrade_instead_of_raising(self):
-        client = faulty_client(
-            ALWAYS_ERROR, InsightsClientConfig(max_retries=1))
+        client = faulty_client(ALWAYS_ERROR)
         publish_one(client)
         fetched = client.fetch_annotations(["tag-1"], now=0.0)
         assert fetched.annotations == {}
         assert fetched.degraded is True
         assert client.degraded_fetches == 1
+        assert client.retries == client_module.MAX_RETRIES
 
     def test_degraded_flag_resets_on_next_success(self):
-        client = faulty_client(
-            ALWAYS_ERROR, InsightsClientConfig(max_retries=0))
+        client = faulty_client(ALWAYS_ERROR)
         publish_one(client)
         assert client.fetch_annotations(["tag-1"], now=0.0).degraded is True
         client.faults = NULL_FAULTS
         assert client.fetch_annotations(["tag-1"], now=0.0).degraded is False
 
-    def test_slow_round_trip_times_out(self):
-        client = faulty_client(
-            "insights.rpc:delay:1.0:1:1.0",
-            InsightsClientConfig(max_retries=0))
+    def test_slow_round_trip_times_out(self, monkeypatch):
+        # No retry: a retry after a timeout re-looks the tags up without
+        # a round trip, so it would succeed whatever the delay was.
+        monkeypatch.setattr(client_module, "MAX_RETRIES", 0)
+        client = faulty_client("insights.rpc:delay:1.0:1:1.0")
         publish_one(client)
         fetched = client.fetch_annotations(["tag-1"], now=0.0)
         assert fetched.annotations == {}
         assert fetched.degraded is True
 
     def test_backoff_grows_exponentially(self):
-        config = InsightsClientConfig(
-            backoff_base_seconds=0.010, backoff_multiplier=2.0,
-            backoff_jitter=0.0)
-        client = InsightsClient(config=config)
-        assert client._backoff(0) == pytest.approx(0.010)
-        assert client._backoff(1) == pytest.approx(0.020)
-        assert client._backoff(2) == pytest.approx(0.040)
+        client = InsightsClient()
+        jitter = random.Random(JITTER_SEED)
+        for attempt, base in enumerate([0.010, 0.020, 0.040]):
+            assert client._backoff(attempt) == pytest.approx(
+                base * (1.0 + 0.25 * jitter.random()))
 
 
 class TestCircuitBreaker:
-    def config(self, **kwargs):
-        defaults = dict(max_retries=0, breaker_failure_threshold=3,
-                        breaker_cooldown_fetches=4, breaker_probes_to_close=1)
-        defaults.update(kwargs)
-        return InsightsClientConfig(**defaults)
-
     def test_opens_after_consecutive_failures(self):
-        breaker = CircuitBreaker(self.config())
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+            assert breaker.record_failure() is False
         assert breaker.record_failure() is True
         assert breaker.state == "open"
 
     def test_success_resets_failure_count(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         breaker.record_success()
         assert breaker.record_failure() is False
         assert breaker.state == "closed"
 
     def test_full_open_half_open_close_cycle(self):
-        client = faulty_client(ALWAYS_ERROR, self.config())
+        client = faulty_client(ALWAYS_ERROR)
         publish_one(client)
-        # Three exhausted fetches open the breaker.
-        for _ in range(3):
+        # Enough exhausted fetches open the breaker.
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             client.fetch_annotations(["tag-1"], now=0.0)
         assert client.breaker.state == "open"
-        # While open, fetches degrade without touching the service.
-        fetches_before = client.metrics.snapshot()["fetches"]
-        for _ in range(3):
+        # While open, fetches degrade without a lookup: each is counted,
+        # and no tag reaches the serving layer.
+        before = client.metrics.snapshot()
+        for _ in range(BREAKER_COOLDOWN_FETCHES - 1):
             fetched = client.fetch_annotations(["tag-1"], now=0.0)
             assert fetched.annotations == {}
             assert fetched.degraded is True
         assert client.breaker.state == "open"
+        assert client.metrics.snapshot() == dict(
+            before, fetches=before["fetches"] + BREAKER_COOLDOWN_FETCHES - 1)
         # Heal the service; the cooldown's next fetch runs as a probe.
         client.faults = NULL_FAULTS
         result = client.fetch_annotations(["tag-1"], now=0.0).annotations
         assert "rec-1" in result
         assert client.breaker.state == "closed"
-        assert client.breaker.transitions == ["open", "half-open", "closed"]
+        assert transitions(client.recorder) == [
+            "breaker.open", "breaker.half_open", "breaker.closed"]
 
     def test_failed_probe_reopens(self):
-        client = faulty_client(ALWAYS_ERROR, self.config())
+        client = faulty_client(ALWAYS_ERROR)
         publish_one(client)
-        for _ in range(3):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             client.fetch_annotations(["tag-1"], now=0.0)
-        for _ in range(3):
+        for _ in range(BREAKER_COOLDOWN_FETCHES - 1):
             client.fetch_annotations(["tag-1"], now=0.0)
         # Still failing: the half-open probe fails and reopens.
         client.fetch_annotations(["tag-1"], now=0.0)
         assert client.breaker.state == "open"
-        assert client.breaker.transitions == ["open", "half-open", "open"]
+        assert transitions(client.recorder) == [
+            "breaker.open", "breaker.half_open", "breaker.open"]
 
 
 class TestHalfOpenTransition:
     """Breaker-level coverage of the open -> half-open handoff: the
-    cool-down count, probe bounding, and both probe outcomes."""
+    cool-down count, the one probe, and its failure."""
 
-    def config(self, **kwargs):
-        defaults = dict(max_retries=0, breaker_failure_threshold=3,
-                        breaker_cooldown_fetches=4, breaker_probes_to_close=1)
-        defaults.update(kwargs)
-        return InsightsClientConfig(**defaults)
-
-    def opened(self, **kwargs):
-        breaker = CircuitBreaker(self.config(**kwargs))
-        for _ in range(breaker._config.breaker_failure_threshold):
+    def opened(self):
+        breaker = CircuitBreaker()
+        breaker.recorder = FlightRecorder()
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure()
         assert breaker.state == "open"
         return breaker
 
     def test_cooldown_fetch_count_gates_the_probe(self):
         breaker = self.opened()
-        # Fetches 1..3 while open degrade; the 4th is admitted as the
-        # half-open probe (cooldown_fetches=4).
-        assert [breaker.admit() for _ in range(3)] == ["degrade"] * 3
+        # The fetches of the cool-down but its last degrade; the last is
+        # admitted as the half-open probe.
+        assert ([breaker.admit() for _ in range(BREAKER_COOLDOWN_FETCHES - 1)]
+                == ["degrade"] * (BREAKER_COOLDOWN_FETCHES - 1))
         assert breaker.state == "open"
         assert breaker.admit() == "attempt"
         assert breaker.state == "half-open"
-        assert breaker.transitions == ["open", "half-open"]
-
-    def test_half_open_bounds_concurrent_probes(self):
-        breaker = self.opened(breaker_probes_to_close=2)
-        for _ in range(4):
-            breaker.admit()
+        assert transitions(breaker.recorder) == [
+            "breaker.open", "breaker.half_open"]
+        # One probe at a time: everybody else degrades until it reports.
+        assert breaker.admit() == "degrade"
         assert breaker.state == "half-open"
-        # One probe slot was taken by the transition itself; with
-        # probes_to_close=2 exactly one more caller is admitted, and
-        # everybody after that degrades until the probes report back.
-        assert breaker.admit() == "attempt"
-        assert breaker.admit() == "degrade"
-        assert breaker.admit() == "degrade"
-
-    def test_close_requires_all_probe_successes(self):
-        breaker = self.opened(breaker_probes_to_close=2)
-        for _ in range(4):
-            breaker.admit()
-        breaker.admit()  # second probe
-        breaker.record_success()
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.transitions == ["open", "half-open", "closed"]
-
-    def test_probe_success_frees_a_probe_slot(self):
-        breaker = self.opened(breaker_probes_to_close=2)
-        for _ in range(4):
-            breaker.admit()
-        breaker.admit()
-        assert breaker.admit() == "degrade"
-        breaker.record_success()  # one probe back: a slot frees up
-        assert breaker.admit() == "attempt"
 
     def test_failed_probe_reopens_and_restarts_cooldown(self):
         breaker = self.opened()
-        for _ in range(4):
+        for _ in range(BREAKER_COOLDOWN_FETCHES):
             breaker.admit()
         assert breaker.state == "half-open"
         assert breaker.record_failure() is True
         assert breaker.state == "open"
-        assert breaker.transitions == ["open", "half-open", "open"]
-        # The cool-down counter restarted: three more degraded fetches
-        # before the next probe is admitted.
-        assert [breaker.admit() for _ in range(3)] == ["degrade"] * 3
+        assert transitions(breaker.recorder) == [
+            "breaker.open", "breaker.half_open", "breaker.open"]
+        # The cool-down counter restarted: a whole cool-down of degraded
+        # fetches before the next probe is admitted.
+        assert ([breaker.admit() for _ in range(BREAKER_COOLDOWN_FETCHES - 1)]
+                == ["degrade"] * (BREAKER_COOLDOWN_FETCHES - 1))
         assert breaker.admit() == "attempt"
 
 
@@ -334,11 +305,10 @@ class TestLockPassthrough:
         assert client.held_locks() == {}
 
     def test_locks_stay_consistent_while_breaker_open(self):
-        client = faulty_client(
-            ALWAYS_ERROR, InsightsClientConfig(
-                max_retries=0, breaker_failure_threshold=1))
+        client = faulty_client(ALWAYS_ERROR)
         publish_one(client)
-        client.fetch_annotations(["tag-1"], now=0.0)
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            client.fetch_annotations(["tag-1"], now=0.0)
         assert client.breaker.state == "open"
         # The serving path is degraded, but the lock table still answers:
         # it guards buildout and must stay strongly consistent.

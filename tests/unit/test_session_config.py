@@ -89,10 +89,6 @@ class TestResolveShard:
         with pytest.raises(ConfigError):
             ShardConfig(shards=-1)
 
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ConfigError):
-            ShardConfig(shards=2, start_method="teleport")
-
 
 class TestSessionPrecedence:
     def test_backend_name_selects_the_backend(self):
