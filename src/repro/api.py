@@ -335,10 +335,13 @@ class Session:
         :meth:`analyze_and_publish` re-runs the workload analysis over
         jobs observed under the new runtime -- the Section-4 recipe:
         "we need to keep track of changes that can affect signatures and
-        re-run any prior workload analysis."
+        re-run any prior workload analysis."  With a lifecycle this is
+        its epoch bump: journaled, and every view purged by the cascade.
         """
-        self.engine.set_runtime_version(version)
-        self.insights.publish([])
+        if self.lifecycle is not None:
+            self.lifecycle.bump_epoch(version)
+        else:
+            self.engine.upgrade_runtime(version)
         self.last_selection = None
 
     # ------------------------------------------------------------------ #

@@ -3,15 +3,14 @@
 Public surface::
 
     from repro.backends import (
-        BackendCapabilities, ExecutionBackend, InMemoryBackend,
-        SqliteBackend, backend_names, create_backend,
+        ExecutionBackend, InMemoryBackend, SqliteBackend,
+        backend_names, create_backend,
     )
 
 See :mod:`repro.backends.base` for the interface contract.
 """
 
 from repro.backends.base import (
-    BackendCapabilities,
     ExecutionBackend,
     backend_names,
     create_backend,
@@ -20,7 +19,6 @@ from repro.backends.memory import InMemoryBackend
 from repro.backends.sqlite.backend import SqliteBackend
 
 __all__ = [
-    "BackendCapabilities",
     "ExecutionBackend",
     "InMemoryBackend",
     "SqliteBackend",

@@ -7,34 +7,30 @@ same loop inside Spark).  Everything below the optimized plan is a
 backend concern: how datasets are stored, how plans execute, and how
 materialized views persist.  :class:`ExecutionBackend` is that seam.
 
-The engine talks to the backend through eight methods:
+The engine talks to the backend through six methods:
 
 * dataset management: :meth:`load_table`, :meth:`scan_table`,
   :meth:`drop_table` (keyed by stream GUID -- streams are immutable per
   GUID, so a bulk update loads a *new* GUID);
-* execution: :meth:`execute` runs one optimized plan (including any
-  matched :class:`~repro.plan.logical.ViewScan` and inserted
-  :class:`~repro.plan.logical.Spool` operators) and returns the same
-  :class:`~repro.executor.executor.ExecutionResult` shape regardless of
-  backend -- result rows plus per-operator observed statistics;
-* view storage: :meth:`materialize_view`, :meth:`scan_view`,
-  :meth:`drop_view` (keyed by view path).  The lifecycle manager calls
-  :meth:`drop_view` when GC or a purge cascade collects a view, so an
-  external backend never leaks tables for views the catalog has dropped.
+* execution: :meth:`execute` runs one optimized plan and returns the
+  same :class:`~repro.executor.executor.ExecutionResult` shape regardless
+  of backend -- result rows plus per-operator observed statistics.  It
+  is also the one view path: a view is built only by executing a
+  :class:`~repro.plan.logical.Spool` (the paper's online
+  materialization, §2.4) and read only by executing a
+  :class:`~repro.plan.logical.ViewScan`;
+* :meth:`drop_view` (keyed by view path).  The lifecycle manager calls it
+  when GC or a purge cascade collects a view, so an external backend
+  never leaks tables for views the catalog has dropped.
 
 Reuse decisions stay *above* this interface: the view store, signature
 catalog, and insights service never see backend objects, which is what
 makes reuse decisions (and the catalog digest) backend-invariant.
-
-Backends self-describe through :class:`BackendCapabilities` so callers
-can gate features (shared batch execution) instead of failing deep
-inside execution.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.common.errors import ConfigError
@@ -44,31 +40,11 @@ from repro.plan.expressions import Row
 from repro.plan.logical import LogicalPlan
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What one backend can and cannot do -- a field per feature some
-    caller gates on (``tests/unit/test_src_census.py`` holds every field
-    to a reader in ``src/``).
-
-    ``supports_row_capture``
-        Per-node output can be captured (the shared batch-execution
-        extension needs this, and refuses a backend without it).
-
-    What a backend cannot *execute* it refuses where it is asked to (the
-    SQLite compiler raises on a ``Process`` node), and where two backends
-    may legitimately differ is written once, in
-    :mod:`repro.backends.sqlite.compile`'s docstring.
-    """
-
-    supports_row_capture: bool = True
-
-
 class ExecutionBackend(ABC):
     """Storage plus execution for one engine; see the module docstring."""
 
     #: Registry key; subclasses override.
     name: str = "abstract"
-    capabilities: BackendCapabilities = BackendCapabilities()
     #: The session's fault runtime (:mod:`repro.faults`).  Inert by
     #: default; ``Session(faults=...)`` installs a live runtime so the
     #: execute/materialize/scan/drop seams can be perturbed.
@@ -109,18 +85,6 @@ class ExecutionBackend(ABC):
 
     # ------------------------------------------------------------------ #
     # materialized views
-
-    @abstractmethod
-    def materialize_view(self, plan: LogicalPlan, view_id: str):
-        """Evaluate ``plan`` and persist the result under ``view_id``.
-
-        Returns ``(row_count, size_bytes)`` using the same byte
-        accounting as :func:`repro.storage.batch.measure`.
-        """
-
-    @abstractmethod
-    def scan_view(self, view_id: str) -> List[Row]:
-        """Read back one materialized view's rows."""
 
     @abstractmethod
     def drop_view(self, view_id: str) -> None:

@@ -6,8 +6,8 @@ DataStore`) behind the :class:`~repro.backends.base.ExecutionBackend`
 interface.  Streams and views are column batches keyed by GUID/path, and
 Spool materialization happens inside the executor itself.  This class is
 a row boundary: ``load_table`` transposes the rows it is given once, and
-``scan_table`` / ``scan_view`` / ``execute(...).rows`` hand out fresh
-dicts, so no caller can reach what is stored.  Byte sizes come from the
+``scan_table`` / ``execute(...).rows`` hand out fresh dicts, so no caller
+can reach what is stored.  Byte sizes come from the
 executor's per-node statistics and the sizes recorded with each blob.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.backends.base import BackendCapabilities, ExecutionBackend
+from repro.backends.base import ExecutionBackend
 from repro.executor.executor import ExecutionResult, Executor
 from repro.executor.udo import UdoRegistry
 from repro.faults import points as fault_points
@@ -28,7 +28,6 @@ class InMemoryBackend(ExecutionBackend):
     """Simulated engine: column batches in a :class:`DataStore`."""
 
     name = "memory"
-    capabilities = BackendCapabilities(supports_row_capture=True)
 
     def __init__(self, store: Optional[DataStore] = None,
                  udos: Optional[UdoRegistry] = None):
@@ -56,28 +55,20 @@ class InMemoryBackend(ExecutionBackend):
             # The executor reads views straight out of the DataStore,
             # so the per-ViewScan and per-Spool seams fire here -- the
             # same points, in the same plan positions, as the SQLite
-            # backend, keeping fault plans backend-portable.
+            # backend, keeping fault plans backend-portable.  Nothing is
+            # written before the executor runs, so a crash at the mid
+            # point leaves no view, as SQLite's rolled-back CTAS does.
             faults.fire(fault_points.BACKEND_EXECUTE)
             for node in plan.walk():
                 if isinstance(node, ViewScan):
                     faults.fire(fault_points.BACKEND_SCAN_VIEW)
                 elif isinstance(node, Spool):
                     faults.fire(fault_points.BACKEND_MATERIALIZE)
+                    faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
         return self.executor.execute(plan)
 
     # ------------------------------------------------------------------ #
     # materialized views
-
-    def materialize_view(self, plan: LogicalPlan, view_id: str):
-        self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        _, batch = self.executor.run(plan)
-        self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
-        self.store.put_batch(view_id, batch)
-        return batch.length, batch.size()
-
-    def scan_view(self, view_id: str) -> List[Row]:
-        self.faults.fire(fault_points.BACKEND_SCAN_VIEW)
-        return self.store.get(view_id)
 
     def drop_view(self, view_id: str) -> None:
         self.faults.fire(fault_points.BACKEND_DROP_VIEW)

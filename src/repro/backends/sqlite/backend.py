@@ -82,8 +82,8 @@ Durability and crash safety (the fault-injection hardening):
 * ``sqlite3.OperationalError`` (locked/busy/full -- the transient
   classes) surfaces as :class:`~repro.common.errors.
   TransientBackendError` so the engine's bounded retry loop absorbs it:
-  from ``execute`` and from every transaction (loads, drops and both
-  ``CREATE TABLE AS`` paths go through the one ``_transaction``);
+  from ``execute`` and from every transaction (loads, drops and a
+  spool's ``CREATE TABLE AS`` go through the one ``_transaction``);
 * a drop forgets the table in process only after its ``COMMIT``: a drop
   that failed stays visible, so the caller's retry or the next GC sweep
   finds it, instead of a restart resurrecting a purged view from the
@@ -99,7 +99,7 @@ from functools import partial
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from repro.backends.base import BackendCapabilities, ExecutionBackend
+from repro.backends.base import ExecutionBackend
 from repro.backends.sqlite.compile import (
     CompiledQuery,
     PlanCompiler,
@@ -188,7 +188,6 @@ class SqliteBackend(ExecutionBackend):
     """Plans compile to SQL; views are real tables."""
 
     name = "sqlite"
-    capabilities = BackendCapabilities(supports_row_capture=False)
 
     def __init__(self, path: Optional[str] = None):
         # isolation_level=None puts the driver in autocommit mode and
@@ -385,22 +384,12 @@ class SqliteBackend(ExecutionBackend):
     def _materialize_spool(self, node: Spool, compiler: PlanCompiler,
                            known: Dict[int, Measured],
                            result: ExecutionResult) -> None:
+        """``CREATE TABLE AS`` the spool's view, and measure the table it
+        made."""
         self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        found = self._create_view(node.view_path, compiler.lower(node.child))
-        # Spool == its child == its table.
-        self._hold(node, found, compiler, known)
-        result.spooled.append(SpoolOutput(
-            signature=node.signature,
-            view_path=node.view_path,
-            row_count=found[0],
-            size_bytes=sum(found[1].values()),
-            schema=node.schema,
-        ))
-
-    def _create_view(self, view_id: str, compiled: CompiledQuery) -> Measured:
-        """``CREATE TABLE AS`` the view, and measure the table it made."""
+        compiled = compiler.lower(node.child)
         info = TableInfo(
-            table=physical_name("v", view_id),
+            table=physical_name("v", node.view_path),
             columns=compiled.columns,
             classes=dict(compiled.classes),
         )
@@ -413,9 +402,18 @@ class SqliteBackend(ExecutionBackend):
             self._conn.execute(
                 f"CREATE TABLE {quote_ident(info.table)} AS {compiled.sql}")
             self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
-            self._manifest_put("v", view_id, info)
-        self._views[view_id] = info
-        return self._stored(info)[0]
+            self._manifest_put("v", node.view_path, info)
+        self._views[node.view_path] = info
+        found = self._stored(info)[0]
+        # Spool == its child == its table.
+        self._hold(node, found, compiler, known)
+        result.spooled.append(SpoolOutput(
+            signature=node.signature,
+            view_path=node.view_path,
+            row_count=found[0],
+            size_bytes=sum(found[1].values()),
+            schema=node.schema,
+        ))
 
     def _fetch_root(self, plan: LogicalPlan, compiler: PlanCompiler,
                     known: Dict[int, Measured]) -> List[Row]:
@@ -559,30 +557,9 @@ class SqliteBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # materialized views
 
-    def materialize_view(self, plan: LogicalPlan, view_id: str):
-        if contains_operator(plan, Process):
-            raise ExecutionError(
-                "the SQLite backend cannot execute Process (UDO) "
-                "operators; run this job on the in-memory backend")
-        self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        rows, sizes = self._create_view(
-            view_id, PlanCompiler(self._tables, self._views).lower(plan))
-        return rows, sum(sizes.values())
-
-    def scan_view(self, view_id: str) -> List[Row]:
-        self.faults.fire(fault_points.BACKEND_SCAN_VIEW)
-        info = self._views.get(view_id)
-        if info is None:
-            raise StorageError(f"no data stored under key {view_id!r}")
-        return self._fetch(info.query())
-
     def drop_view(self, view_id: str) -> None:
         self.faults.fire(fault_points.BACKEND_DROP_VIEW)
         self._drop("v", view_id)
-
-    def has_view(self, view_id: str) -> bool:
-        """True while a view's backing table exists (used by tests)."""
-        return view_id in self._views
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -31,6 +31,7 @@ import sys
 from typing import List, Optional
 
 from repro.backends import backend_names
+from repro.common.clock import SECONDS_PER_DAY
 from repro.common.errors import ReproError
 from repro.engine.engine import ScopeEngine
 from repro.selection.registry import SELECTION_ALGORITHMS
@@ -381,7 +382,8 @@ def _cmd_obs(args) -> int:
     elif args.obs_command == "events":
         events = capture.get("events", [])
         if args.since is not None:
-            events = [e for e in events if e.at >= args.since * 86400.0]
+            events = [e for e in events
+                      if e.at >= args.since * SECONDS_PER_DAY]
         if args.kind is not None:
             events = [e for e in events if e.kind == args.kind]
         print(render_events(events, limit=args.limit))

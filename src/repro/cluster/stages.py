@@ -98,19 +98,6 @@ class StageGraph:
     def total_work(self) -> float:
         return sum(s.work for s in self.stages)
 
-    def critical_path_work(self) -> float:
-        """Longest dependency chain by work (latency lower bound)."""
-        memo: Dict[int, float] = {}
-
-        def depth(stage_id: int) -> float:
-            if stage_id not in memo:
-                stage = self.stages[stage_id]
-                below = max((depth(d) for d in stage.dependencies), default=0.0)
-                memo[stage_id] = stage.work + below
-            return memo[stage_id]
-
-        return max((depth(s.stage_id) for s in self.stages), default=0.0)
-
     def roots(self) -> List[Stage]:
         """Stages with no dependencies (runnable at job start)."""
         return [s for s in self.stages if not s.dependencies]

@@ -21,7 +21,7 @@ from repro.common.errors import (
     StorageError,
 )
 from repro.common.hashing import combine_unordered, short_tag, stable_hash
-from repro.common.rng import bounded_gauss, rng_for, weighted_choice, zipf_weights
+from repro.common.rng import rng_for, zipf_weights
 
 __all__ = [
     "SECONDS_PER_DAY",
@@ -43,8 +43,6 @@ __all__ = [
     "combine_unordered",
     "short_tag",
     "stable_hash",
-    "bounded_gauss",
     "rng_for",
-    "weighted_choice",
     "zipf_weights",
 ]

@@ -8,11 +8,9 @@ or table can be regenerated bit-for-bit.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, TypeVar
+from typing import List
 
 from repro.common.errors import ConfigError
-
-T = TypeVar("T")
 
 
 def rng_for(seed: int, *names: object) -> random.Random:
@@ -39,17 +37,3 @@ def zipf_weights(n: int, skew: float = 1.1) -> List[float]:
     total = sum(weights)
     return [w / total for w in weights]
 
-
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item according to ``weights`` (need not sum to one)."""
-    return rng.choices(list(items), weights=list(weights), k=1)[0]
-
-
-def bounded_gauss(rng: random.Random, mean: float, stddev: float,
-                  minimum: float, maximum: float) -> float:
-    """A Gaussian draw clamped into ``[minimum, maximum]``.
-
-    Used for run-to-run variation of job runtimes and input sizes.
-    """
-    value = rng.gauss(mean, stddev)
-    return max(minimum, min(maximum, value))

@@ -302,6 +302,14 @@ class ScopeEngine:
         """Upgrade the runtime.  Signatures change; old views go dark."""
         self.runtime_version = version
 
+    def upgrade_runtime(self, version: str) -> None:
+        """A runtime upgrade: the new salt, and every published
+        annotation withdrawn (its salted signature can no longer match).
+        The one body behind ``Session.handle_runtime_upgrade`` and the
+        lifecycle's epoch bump."""
+        self.set_runtime_version(version)
+        self.insights.publish([])
+
     @property
     def signature_salt(self) -> str:
         return self.runtime_version

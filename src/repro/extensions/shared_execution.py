@@ -74,11 +74,11 @@ class SharedBatchExecutor:
     """Executes concurrent jobs with cross-query result pipelining."""
 
     def __init__(self, engine: ScopeEngine, min_share_height: int = 1):
-        backend = engine.backend
-        if not backend.capabilities.supports_row_capture:
+        if engine.executor is None:
             raise ConfigError(
-                f"shared batch execution needs a backend that "
-                f"supports_row_capture; {backend.name!r} does not")
+                f"shared batch execution captures per-node rows with the "
+                f"in-memory executor; the {engine.backend.name!r} backend "
+                f"has none")
         self.engine = engine
         self.min_share_height = min_share_height
         self._memo: Dict[str, _MemoEntry] = {}

@@ -12,7 +12,7 @@ Public surface:
 """
 
 from repro.faults import points
-from repro.faults.plan import FaultPlan, FaultSpec, merge_plans
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.runtime import (
     NO_FAULT,
     NULL_FAULTS,
@@ -24,7 +24,7 @@ from repro.faults.runtime import (
 
 __all__ = [
     "points",
-    "FaultPlan", "FaultSpec", "merge_plans",
+    "FaultPlan", "FaultSpec",
     "FaultOutcome", "FaultRuntime", "NullFaultRuntime",
     "NO_FAULT", "NULL_FAULTS", "resolve_faults",
 ]

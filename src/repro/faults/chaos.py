@@ -293,7 +293,7 @@ def check_ctas_crash_recovery(sqlite_path: Optional[str] = None) -> str:
     from repro.backends.base import create_backend
     from repro.catalog.schema import ColumnDef, TableSchema
     from repro.common.errors import StorageError, TransientBackendError
-    from repro.plan.logical import Scan
+    from repro.plan.logical import Scan, Spool, ViewScan
 
     own_dir = None
     if sqlite_path is None:
@@ -306,40 +306,44 @@ def check_ctas_crash_recovery(sqlite_path: Optional[str] = None) -> str:
         plan = Scan("events", ("region", "clicks"),
                     stream_guid="g-events")
 
+        # Views are built the one way a job builds them: a Spool.
         backend = create_backend("sqlite", sqlite_path=sqlite_path)
         backend.load_table(schema, "g-events", rows)
-        backend.materialize_view(plan, "views/survivor")
+        backend.execute(Spool(plan, "survivor", "views/survivor"))
         backend.faults = FaultRuntime(FaultPlan(
             specs=(FaultSpec(points.BACKEND_MATERIALIZE_MID, "crash",
                              max_fires=1),),
             seed=0, name="ctas-crash"))
         crashed = False
         try:
-            backend.materialize_view(plan, "views/doomed")
+            backend.execute(Spool(plan, "doomed", "views/doomed"))
         except TransientBackendError:
             crashed = True
         if not crashed:
             raise AssertionError("mid-CTAS crash did not fire")
         # Abandon the connection without cleanup, as a killed process
-        # would, then restart on the same file.
+        # would, then restart on the same file and read both views back
+        # the way a reusing job does: a ViewScan.
         backend.close()
         restarted = create_backend("sqlite", sqlite_path=sqlite_path)
         try:
-            if not restarted.has_view("views/survivor"):
+            def scan(view):
+                return restarted.execute(
+                    ViewScan(view, view, plan.schema)).rows
+
+            try:
+                restored = scan("views/survivor")
+            except StorageError:
                 raise AssertionError(
                     "restart lost the committed view 'views/survivor'")
-            if restarted.has_view("views/doomed"):
-                raise AssertionError(
-                    "restart exposed the partially built view "
-                    "'views/doomed'")
             try:
-                restarted.scan_view("views/doomed")
+                scan("views/doomed")
             except StorageError:
                 pass
             else:
                 raise AssertionError(
-                    "scan of the crashed view unexpectedly succeeded")
-            restored = restarted.scan_view("views/survivor")
+                    "restart exposed the partially built view "
+                    "'views/doomed'")
             if len(restored) != len(rows):
                 raise AssertionError(
                     f"committed view lost rows: {len(restored)} "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.faults.points import REGISTRY, valid_kinds
@@ -201,15 +201,3 @@ class FaultPlan:
                     f"got {seed!r}") from None
         return plan
 
-
-def merge_plans(plans: Sequence[FaultPlan], seed: Optional[int] = None,
-                name: str = "") -> FaultPlan:
-    """Concatenate several plans into one (campaign composition)."""
-    specs: List[FaultSpec] = []
-    for plan in plans:
-        specs.extend(plan.specs)
-    return FaultPlan(
-        specs=specs,
-        seed=plans[0].seed if seed is None and plans else (seed or 0),
-        name=name or (plans[0].name if plans else ""),
-    )

@@ -48,13 +48,13 @@ from typing import Dict, Tuple
 
 #: Backend plan execution (fired once per ``ExecutionBackend.execute``).
 BACKEND_EXECUTE = "backend.execute"
-#: Spool/view materialization, fired before any write happens.
+#: Spool materialization, fired per Spool before any write happens.
 BACKEND_MATERIALIZE = "backend.materialize"
 #: Mid-materialization (after the CTAS/row write, before the commit) --
-#: the kill-mid-CTAS scenario.
+#: the kill-mid-CTAS scenario; fired per Spool right after
+#: ``backend.materialize``, on both backends.
 BACKEND_MATERIALIZE_MID = "backend.materialize.mid"
-#: Reading a materialized view back (fired per ViewScan in the plan and
-#: in ``scan_view`` itself).
+#: Reading a materialized view back (fired per ViewScan in the plan).
 BACKEND_SCAN_VIEW = "backend.scan_view"
 #: Dropping a view's backing storage (GC / purge cascades).
 BACKEND_DROP_VIEW = "backend.drop_view"

@@ -66,17 +66,10 @@ class InvalidationBus:
 
     def __init__(self) -> None:
         self._handlers: List[Handler] = []
-        self._published: List[LifecycleEvent] = []
 
     def subscribe(self, handler: Handler) -> None:
         self._handlers.append(handler)
 
     def publish(self, event: LifecycleEvent) -> None:
-        self._published.append(event)
         for handler in list(self._handlers):
             handler(event)
-
-    @property
-    def published(self) -> List[LifecycleEvent]:
-        """Every event seen so far (tests and operator tooling)."""
-        return list(self._published)

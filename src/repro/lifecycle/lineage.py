@@ -56,8 +56,6 @@ class LineageRegistry:
         self._inputs: Dict[str, FrozenSet[Input]] = {}
         #: dataset name -> set of dependent view signatures.
         self._by_dataset: Dict[str, Set[str]] = {}
-        #: stream GUID -> set of dependent view signatures.
-        self._by_guid: Dict[str, Set[str]] = {}
 
     def __len__(self) -> int:
         return len(self._inputs)
@@ -69,23 +67,20 @@ class LineageRegistry:
         """Install (or overwrite) one view's lineage."""
         self.forget(signature)
         self._inputs[signature] = frozenset(inputs)
-        for dataset, guid in inputs:
+        for dataset, _ in inputs:
             self._by_dataset.setdefault(dataset, set()).add(signature)
-            self._by_guid.setdefault(guid, set()).add(signature)
 
     def forget(self, signature: str) -> None:
         """Drop one view's lineage (the view left the catalog)."""
         inputs = self._inputs.pop(signature, None)
         if not inputs:
             return
-        for dataset, guid in inputs:
-            for index, key in ((self._by_dataset, dataset),
-                               (self._by_guid, guid)):
-                dependents = index.get(key)
-                if dependents is not None:
-                    dependents.discard(signature)
-                    if not dependents:
-                        del index[key]
+        for dataset, _ in inputs:
+            dependents = self._by_dataset.get(dataset)
+            if dependents is not None:
+                dependents.discard(signature)
+                if not dependents:
+                    del self._by_dataset[dataset]
 
     # ------------------------------------------------------------------ #
     # reads
@@ -93,16 +88,9 @@ class LineageRegistry:
     def inputs_of(self, signature: str) -> FrozenSet[Input]:
         return self._inputs.get(signature, frozenset())
 
-    def has(self, signature: str) -> bool:
-        return signature in self._inputs
-
     def views_reading_dataset(self, dataset: str) -> Set[str]:
         """Every view whose lineage includes any version of ``dataset``."""
         return set(self._by_dataset.get(dataset, ()))
-
-    def views_reading_guid(self, guid: str) -> Set[str]:
-        """Every view built over the specific stream version ``guid``."""
-        return set(self._by_guid.get(guid, ()))
 
     def datasets(self) -> List[str]:
         return sorted(self._by_dataset)

@@ -234,12 +234,10 @@ class LifecycleManager:
             self._cascade(dependents, reason="gdpr-forget", at=event.at,
                           dataset=event.dataset)
         elif isinstance(event, RuntimeEpochBumped):
-            if self.engine.runtime_version != event.version:
-                self.engine.set_runtime_version(event.version)
             everything = {v.signature for v in self.store.views()}
-            # Withdraw every annotation first (salted signatures can no
-            # longer match), then purge the views they produced.
-            self.insights.publish([])
+            # Withdraw every annotation first, then purge the views they
+            # produced.
+            self.engine.upgrade_runtime(event.version)
             self._cascade(everything, reason="epoch-bumped", at=event.at,
                           bump_generation=False)
             self._journal("epoch", version=event.version, epoch=event.epoch)

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.common.clock import SECONDS_PER_DAY
 
 # ---------------------------------------------------------------------- #
 # event kinds (the schema's closed vocabulary)
@@ -154,10 +153,6 @@ class EventLog:
         if job_id is not None:
             out = [e for e in out if e.job_id == job_id]
         return list(out)
-
-    def since_day(self, day: int) -> List[Event]:
-        """Events at or after simulated midnight of ``day``."""
-        return self.events(since=day * SECONDS_PER_DAY)
 
     def counts(self) -> Dict[str, int]:
         """Per-kind totals of the live stream."""

@@ -139,10 +139,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Optional[Histogram]:
         return self.histograms.get(name)
 
-    def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
-        return {name: value for name, value in self.counters.items()
-                if name.startswith(prefix)}
-
     # ------------------------------------------------------------------ #
     # export
 

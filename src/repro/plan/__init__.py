@@ -32,7 +32,6 @@ from repro.plan.logical import (
     Union,
     ViewScan,
     contains_operator,
-    plan_size,
     render_plan,
 )
 from repro.plan.normalize import normalize
@@ -42,5 +41,5 @@ __all__ = [
     "InList", "Like", "Literal", "Row", "Star", "UnaryOp", "conjoin", "conjuncts", "rewrite",
     "Distinct", "Filter", "GroupBy", "Join", "Limit", "LogicalPlan",
     "Process", "Project", "Scan", "Sort", "Spool", "Union", "ViewScan",
-    "contains_operator", "plan_size", "render_plan", "normalize",
+    "contains_operator", "render_plan", "normalize",
 ]

@@ -475,11 +475,6 @@ def render_plan(plan: LogicalPlan, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def plan_size(plan: LogicalPlan) -> int:
-    """Number of operators in the plan (a workload-analysis feature)."""
-    return sum(1 for _ in plan.walk())
-
-
 def contains_operator(plan: LogicalPlan, op_type: type) -> bool:
     """True if any node in ``plan`` is an instance of ``op_type``."""
     return any(isinstance(node, op_type) for node in plan.walk())

@@ -185,9 +185,6 @@ class ShardSupervisor:
         process = self._procs[shard_id]
         return process is not None and process.is_alive()
 
-    def alive_count(self) -> int:
-        return sum(1 for i in range(self.config.shards) if self.is_alive(i))
-
     def kill(self, shard_id: int) -> None:
         """SIGKILL one shard (chaos campaigns; no cleanup runs)."""
         process = self._procs[shard_id]

@@ -131,10 +131,6 @@ class Subexpression:
     height: int   # longest path down to a leaf
     operator: str
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.height == 0
-
 
 def enumerate_subexpressions(plan: LogicalPlan,
                              salt: str = "") -> List[Subexpression]:

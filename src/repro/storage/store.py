@@ -68,12 +68,5 @@ class DataStore:
         charged to ``bytes_read``."""
         return self.read(key).select(columns)
 
-    def has(self, key: str) -> bool:
-        return key in self._blobs
-
     def delete(self, key: str) -> None:
         self._blobs.pop(key, None)
-
-    def size_of(self, key: str) -> int:
-        blob = self._blobs.get(key)
-        return 0 if blob is None else blob.size()

@@ -25,11 +25,7 @@ from repro.workload.compression import (
     compress_workload,
     replay_plan,
 )
-from repro.workload.patterns import (
-    QueryPattern,
-    discover_patterns,
-    render_patterns,
-)
+from repro.workload.patterns import QueryPattern, discover_patterns
 from repro.workload.persistence import (
     load_repository,
     merge_captures,
@@ -49,5 +45,4 @@ __all__ = [
     "sharing_summary", "CompressedWorkload", "RepresentativeJob",
     "compress_workload", "replay_plan", "load_repository",
     "merge_captures", "save_repository", "QueryPattern", "discover_patterns",
-    "render_patterns",
 ]

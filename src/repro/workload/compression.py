@@ -50,14 +50,6 @@ class CompressedWorkload:
         return sum(r.weight for r in self.representatives)
 
 
-def job_class_signature(repository: WorkloadRepository,
-                        job_id: str) -> str:
-    """Equivalence-class key: the job's recurring-signature multiset."""
-    signatures = sorted(r.recurring for r in repository.subexpressions
-                        if r.job_id == job_id)
-    return stable_hash("job-class", signatures)
-
-
 def compress_workload(repository: WorkloadRepository) -> CompressedWorkload:
     """Collapse the repository into one weighted exemplar per plan class."""
     signatures_by_job: Dict[str, List[str]] = defaultdict(list)

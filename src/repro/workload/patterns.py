@@ -88,13 +88,3 @@ def discover_patterns(repository: WorkloadRepository,
     patterns.sort(key=lambda p: (-p.occurrences, p.chain))
     return patterns[:max_patterns]
 
-
-def render_patterns(patterns: List[QueryPattern]) -> str:
-    """Operator-chain report for workload owners."""
-    lines = ["Workload query patterns (operator chains)",
-             f"{'chain':<52} {'jobs':>6} {'templates':>10} {'vcs':>4}"]
-    for pattern in patterns:
-        lines.append(f"{pattern.render():<52.52} {pattern.occurrences:>6} "
-                     f"{pattern.distinct_templates:>10} "
-                     f"{len(pattern.virtual_clusters):>4}")
-    return "\n".join(lines)

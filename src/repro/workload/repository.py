@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class WorkloadRepository:
     def __init__(self) -> None:
         self.subexpressions: List[SubexpressionRecord] = []
         self.jobs: List[JobRecord] = []
-        self._by_recurring: Dict[str, List[int]] = defaultdict(list)
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -74,10 +73,7 @@ class WorkloadRepository:
     def add_job(self, job: JobRecord,
                 records: Iterable[SubexpressionRecord]) -> None:
         self.jobs.append(job)
-        for record in records:
-            self._by_recurring[record.recurring].append(
-                len(self.subexpressions))
-            self.subexpressions.append(record)
+        self.subexpressions.extend(records)
 
     # ------------------------------------------------------------------ #
     # basic statistics (Figure 3)
@@ -113,10 +109,6 @@ class WorkloadRepository:
     # ------------------------------------------------------------------ #
     # grouped views of the table
 
-    def occurrences(self, recurring: str) -> List[SubexpressionRecord]:
-        return [self.subexpressions[i]
-                for i in self._by_recurring.get(recurring, ())]
-
     def dataset_consumers(self) -> Dict[str, Set[str]]:
         """Dataset -> distinct consuming templates (Figure 2's notion of
         distinct downstream consumers of a shared input stream)."""
@@ -126,31 +118,22 @@ class WorkloadRepository:
                 consumers[dataset].add(job.template_id or job.job_id)
         return dict(consumers)
 
-    def for_runtime(self, runtime_version: str) -> "WorkloadRepository":
-        """Sub-repository of jobs compiled under one runtime version.
+    def window(self, start: float, end: float,
+               runtime_version: Optional[str] = None
+               ) -> "WorkloadRepository":
+        """Sub-repository restricted to jobs submitted in [start, end),
+        and -- given ``runtime_version`` -- compiled under that runtime,
+        in the same pass.
 
         Signatures evolve with new SCOPE runtimes (Section 4, "Impact of
         changed signatures"), so workload analysis must only mix records
         whose signatures share a runtime -- otherwise selection publishes
         annotations no future job can match.
         """
-        return self._restrict(
-            lambda job: job.runtime_version == runtime_version)
-
-    def window(self, start: float, end: float,
-               runtime_version: Optional[str] = None
-               ) -> "WorkloadRepository":
-        """Sub-repository restricted to jobs submitted in [start, end),
-        and -- given ``runtime_version`` -- compiled under that runtime,
-        in the same pass."""
-        return self._restrict(
-            lambda job: start <= job.submit_time < end
-            and runtime_version in (None, job.runtime_version))
-
-    def _restrict(self, keep: Callable[[JobRecord], bool]
-                  ) -> "WorkloadRepository":
         result = WorkloadRepository()
-        kept = {job.job_id for job in self.jobs if keep(job)}
+        kept = {job.job_id for job in self.jobs
+                if start <= job.submit_time < end
+                and runtime_version in (None, job.runtime_version)}
         by_job: Dict[str, List[SubexpressionRecord]] = defaultdict(list)
         for record in self.subexpressions:
             if record.job_id in kept:

@@ -13,9 +13,11 @@ import pytest
 
 from repro.api import Session
 from repro.catalog import schema_of
+from repro.common.errors import StorageError
 from repro.core import MultiLevelControls
 from repro.lifecycle import LifecycleConfig
 from repro.selection import SelectionPolicy
+from tests.views import scan_view
 
 Q1 = ("SELECT UserId, SUM(Value) AS total FROM Events JOIN Users "
       "WHERE Segment = 'Asia' AND Day = @run GROUP BY UserId")
@@ -63,49 +65,47 @@ def build_views(session):
     return now
 
 
-def view_is_stored(session, path):
-    backend = session.backend
-    if hasattr(backend, "has_view"):
-        return backend.has_view(path)
+def view_is_stored(session, view):
+    """The backend still answers a ``ViewScan`` of ``view``."""
     try:
-        backend.scan_view(path)
+        scan_view(session.backend, view.path, view.schema)
         return True
-    except Exception:
+    except StorageError:
         return False
 
 
 def test_gdpr_purge_drops_backend_views(session):
     build_views(session)
-    paths = [v.path for v in session.engine.view_store.views()]
-    assert paths, "feedback loop should have materialized views"
-    assert all(view_is_stored(session, p) for p in paths)
+    views = session.engine.view_store.views()
+    assert views, "feedback loop should have materialized views"
+    assert all(view_is_stored(session, v) for v in views)
 
     purged = session.lifecycle.forget_stream("Events", at=20.0)
-    assert purged == len(paths)
+    assert purged == len(views)
     # The cascade marks the views purged; the next sweep collects them
     # and must reach the backend: every dropped view's backing table
     # (SQLite) or blob (memory) is gone, not just its catalog entry.
     session.gc_sweep(now=21.0)
-    assert not any(view_is_stored(session, p) for p in paths)
+    assert not any(view_is_stored(session, v) for v in views)
 
 
 def test_gc_sweep_drops_backend_views(session):
     build_views(session)
-    paths = [v.path for v in session.engine.view_store.views()]
-    assert paths
+    views = session.engine.view_store.views()
+    assert views
     for view in session.engine.view_store.views():
         session.engine.view_store.purge(view.signature, reason="test")
     session.gc_sweep(now=30.0)
-    assert not any(view_is_stored(session, p) for p in paths)
+    assert not any(view_is_stored(session, v) for v in views)
 
 
 def test_expiry_sweep_drops_backend_views(session):
     build_views(session)
     ttl = session.engine.config.view_ttl_seconds
-    paths = [v.path for v in session.engine.view_store.views()]
-    assert paths
+    views = session.engine.view_store.views()
+    assert views
     session.gc_sweep(now=ttl + 100.0)
-    assert not any(view_is_stored(session, p) for p in paths)
+    assert not any(view_is_stored(session, v) for v in views)
 
 
 def test_evict_expired_drops_backend_views(session):
@@ -114,12 +114,12 @@ def test_evict_expired_drops_backend_views(session):
     next GC sweep no longer saw them to collect."""
     build_views(session)
     ttl = session.engine.config.view_ttl_seconds
-    paths = [v.path for v in session.engine.view_store.views()]
-    assert paths
-    assert session.evict_expired(ttl + 100.0) == len(paths)
+    views = session.engine.view_store.views()
+    assert views
+    assert session.evict_expired(ttl + 100.0) == len(views)
     assert session.engine.view_store.views() == []
     session.gc_sweep(now=ttl + 200.0)
-    assert not any(view_is_stored(session, p) for p in paths)
+    assert not any(view_is_stored(session, v) for v in views)
 
 
 def test_forget_stream_moves_the_rows_with_the_guid(session):

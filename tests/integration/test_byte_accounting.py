@@ -148,7 +148,7 @@ class Checked:
             elif isinstance(node, ViewScan):
                 read += reference_bytes(self.store.get(node.view_path))
             elif isinstance(node, Spool):
-                assert self.store.size_of(node.view_path) == stats.bytes_out
+                assert self.store.read(node.view_path).size() == stats.bytes_out
         assert charged == read
         for spooled in result.spooled:
             assert spooled.size_bytes == reference_bytes(

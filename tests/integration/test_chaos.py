@@ -75,6 +75,15 @@ class TestCampaigns:
         assert "shard." in report.seeds[0].plan
         assert report.seeds[0].fired.get("fired_total", 0) > 0
 
+    def test_memory_fires_mid_materialize_on_the_spool_path(self):
+        """Seed 5 draws ``backend.materialize.mid:crash``.  On memory the
+        point used to fire only in a view door no job took: 0 arrivals,
+        where SQLite's CTAS had 3.  Each Spool now fires it on both."""
+        report = run_campaign([5], backend="memory", days=2)
+        assert report.ok, report.summary()
+        (seed,) = report.seeds
+        assert points.BACKEND_MATERIALIZE_MID in seed.fired["fired"]
+
     def test_cli_chaos_passes(self, capsys):
         assert main(["chaos", "--seed", "0", "--backend", "memory",
                      "--days", "2"]) == 0

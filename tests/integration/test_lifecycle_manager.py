@@ -24,6 +24,7 @@ from repro.obs import FlightRecorder
 from repro.plan.logical import Scan, ViewScan
 from repro.selection import SelectionPolicy
 from repro.storage.views import ViewStore
+from tests.unit.test_lifecycle_lineage import views_reading_guid
 
 
 Q1 = ("SELECT UserId, SUM(Value) AS total FROM Events JOIN Users "
@@ -109,16 +110,16 @@ class TestLineageCapture:
         views = sealed_views(cv.engine.view_store)
         assert views
         for view in views:
-            assert manager.lineage.has(view.signature)
             recorded = {d for d, _ in manager.lineage.inputs_of(
                 view.signature)}
+            assert recorded
             assert recorded == dataset_closure(view, cv.engine.view_store)
 
     def test_lineage_guid_matches_catalog(self, managed):
         cv, manager = managed
         build_views(cv)
         events_guid = cv.engine.catalog.current_guid("Events")
-        assert manager.lineage.views_reading_guid(events_guid) \
+        assert views_reading_guid(manager.lineage, "Events", events_guid) \
             == manager.lineage.views_reading_dataset("Events")
 
 

@@ -3,8 +3,9 @@
 "Equal signature => equal rows" holds only if nothing a caller does to the
 rows it was given can reach a stored stream or view.  Each test here
 mutates what one boundary returned -- a job's result, a UDO's input, the
-lists ``scan_table`` / ``scan_view`` return -- and then requires that a
-re-read and a second job see the original rows and the recorded size.
+lists ``scan_table`` and an executed ``ViewScan`` return -- and then
+requires that a re-read and a second job see the original rows and the
+recorded size.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.plan import PlanBuilder, normalize
 from repro.plan.logical import Process, Scan, ViewScan
 from repro.sql import parse
 from repro.storage import DataStore
+from tests.views import scan_view, spool
 
 QUERY = "SELECT k, s FROM T WHERE v > 3"
 
@@ -63,7 +65,7 @@ def test_mutating_a_whole_job_view_hit_does_not_rewrite_the_view():
         assert isinstance(second.compiled.plan, ViewScan)
         assert second.rows == expected
         assert store.get(spooled.view_path) == expected
-        assert store.size_of(spooled.view_path) == spooled.size_bytes
+        assert store.read(spooled.view_path).size() == spooled.size_bytes
 
 
 @pytest.fixture
@@ -82,11 +84,11 @@ def stored():
 ], ids=["scan", "view-scan"])
 def test_a_mutating_udo_rewrites_nothing_stored(stored, source):
     store, executor = stored
-    sizes = store.size_of("guid"), store.size_of("views/v")
+    sizes = store.read("guid").size(), store.read("views/v").size()
     out = executor.execute(Process(source, "Vandal")).rows
     assert out[-1]["k"] == 99                   # the UDO did run
     assert store.get("guid") == store.get("views/v") == ROWS
-    assert (store.size_of("guid"), store.size_of("views/v")) == sizes
+    assert (store.read("guid").size(), store.read("views/v").size()) == sizes
     assert executor.execute(source).rows == ROWS
 
 
@@ -107,13 +109,15 @@ def test_scanned_streams_and_views_are_copies(backend_name):
         backend.load_table(schema, version.guid, fresh_rows())
         builder = PlanBuilder(catalog)
         plan = normalize(builder.build(parse("SELECT k, v, s FROM T")))
-        count, size = backend.materialize_view(plan, "views/all")
-        assert count == len(ROWS)
+        built = spool(backend, plan, "views/all")
+        assert built.row_count == len(ROWS)
 
         vandalise(backend.scan_table(version.guid))
-        vandalise(backend.scan_view("views/all"))
+        vandalise(scan_view(backend, "views/all", plan.schema))
 
         assert backend.scan_table(version.guid) == ROWS
-        assert backend.scan_view("views/all") == ROWS
+        assert scan_view(backend, "views/all", plan.schema) == ROWS
         assert backend.execute(plan).rows == ROWS
-        assert backend.materialize_view(plan, "views/again") == (count, size)
+        again = spool(backend, plan, "views/again")
+        assert (again.row_count, again.size_bytes) == (
+            built.row_count, built.size_bytes)

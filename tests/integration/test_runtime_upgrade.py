@@ -11,15 +11,16 @@ import pytest
 from repro.api import Session
 from repro.catalog import schema_of
 from repro.core import MultiLevelControls
+from repro.lifecycle import LifecycleConfig
 from repro.selection import SelectionPolicy
 
 
-@pytest.fixture
-def cloudviews():
+def make_session(lifecycle=None):
     controls = MultiLevelControls()
     controls.enable_vc("vc1")
     cv = Session(controls=controls,
-                 policy=SelectionPolicy(min_reuses_per_epoch=0.0))
+                 policy=SelectionPolicy(min_reuses_per_epoch=0.0),
+                 lifecycle=lifecycle)
     cv.engine.register_table(
         schema_of("T", [("k", "int"), ("v", "float")]),
         [dict(k=i % 5, v=float(i)) for i in range(60)])
@@ -29,8 +30,19 @@ def cloudviews():
     return cv
 
 
+@pytest.fixture
+def cloudviews():
+    return make_session()
+
+
 SQL_A = "SELECT n, SUM(v) AS s FROM T JOIN D GROUP BY n"
 SQL_B = "SELECT n, COUNT(*) AS c FROM T JOIN D GROUP BY n"
+
+
+def runtime_jobs(repository, version):
+    """The jobs compiled under one runtime, as selection filters them."""
+    return repository.window(float("-inf"), float("inf"),
+                             runtime_version=version)
 
 
 def observe_round(cv, now):
@@ -81,14 +93,40 @@ class TestRuntimeUpgrade:
         observe_round(cloudviews, 0.0)
         cloudviews.handle_runtime_upgrade("scope-r2")
         observe_round(cloudviews, 100.0)
-        old = cloudviews.repository.for_runtime("scope-r1")
-        new = cloudviews.repository.for_runtime("scope-r2")
+        old = runtime_jobs(cloudviews.repository, "scope-r1")
+        new = runtime_jobs(cloudviews.repository, "scope-r2")
         assert old.total_jobs() == 2
         assert new.total_jobs() == 2
         # The same logical plans hash differently across runtimes.
         old_signatures = {r.recurring for r in old.subexpressions}
         new_signatures = {r.recurring for r in new.subexpressions}
         assert not (old_signatures & new_signatures)
+
+
+class TestUpgradeWithLifecycle:
+    def test_an_upgrade_is_the_journaled_epoch_bump(self, tmp_path):
+        """With a lifecycle, an upgrade is its epoch bump: one journaled
+        ``epoch`` record, every view purged by the cascade.  A restart
+        straight after it (no ``close``) recovers the new runtime -- it
+        used to recover ``scope-r1`` at epoch 0, with the views live."""
+        lifecycle = LifecycleConfig(journal_dir=str(tmp_path / "journal"))
+        cv = make_session(lifecycle)
+        observe_round(cv, 0.0)
+        cv.analyze_and_publish()
+        observe_round(cv, 10.0)
+        assert cv.views_created > 0
+        cv.handle_runtime_upgrade("scope-r2")
+        assert cv.engine.runtime_version == "scope-r2"
+        assert cv.lifecycle.epoch == 1
+        assert cv.engine.insights.annotation_count() == 0
+        assert all(v.purged for v in cv.engine.view_store.views())
+
+        with make_session(lifecycle) as restarted:
+            assert restarted.engine.runtime_version == "scope-r2"
+            assert restarted.lifecycle.epoch == 1
+            assert restarted.engine.view_store.catalog_digest() \
+                == cv.engine.view_store.catalog_digest()
+        cv.close()
 
 
 class TestUpgradeMidSimulation:
@@ -115,7 +153,7 @@ class TestUpgradeMidSimulation:
         assert at_upgrade.selected == []
         assert after.selected
         new_runtime = {record.recurring for record in
-                       report.repository.for_runtime("scope-r2")
+                       runtime_jobs(report.repository, "scope-r2")
                        .subexpressions}
         assert {c.recurring for c in after.selected} <= new_runtime
         # Day 3 therefore builds and reuses views again.

@@ -113,8 +113,9 @@ class TestSharedBatch:
             sorted(map(repr, clean.rows))
 
     def test_sqlite_backend_is_refused_up_front(self):
-        """``supports_row_capture`` gates the extension at construction,
-        not with an ``AttributeError`` deep inside the first job."""
+        """A backend without the in-memory executor is refused at
+        construction, not with an ``AttributeError`` deep inside the
+        first job."""
         from repro.backends import create_backend
         from repro.common.errors import ConfigError
 
@@ -122,7 +123,7 @@ class TestSharedBatch:
             with pytest.raises(ConfigError) as refused:
                 SharedBatchExecutor(ScopeEngine(backend=backend))
         assert "sqlite" in str(refused.value)
-        assert "supports_row_capture" in str(refused.value)
+        assert "in-memory executor" in str(refused.value)
 
     def test_memo_keeps_a_row_count(self, engine):
         """The memo stores what the executor captured -- no row copies."""

@@ -54,6 +54,7 @@ from tests.integration.test_byte_accounting import (
     OPERATOR_QUERIES,
     reference_bytes,
 )
+from tests.views import spool
 
 
 def reference_stats(backend, plan):
@@ -101,7 +102,8 @@ def hold_to_reference(backend):
         assert (root.rows_out, root.bytes_out) == (
             len(result.rows), reference_bytes(result.rows))
         for spooled in result.spooled:
-            rows = backend.scan_view(spooled.view_path)
+            rows = plain(ViewScan(spooled.signature, spooled.view_path,
+                                  spooled.schema)).rows
             assert (spooled.row_count, spooled.size_bytes) == (
                 len(rows), reference_bytes(rows))
         return result
@@ -371,7 +373,8 @@ def test_a_scan_of_a_column_the_table_lacks_reads_nulls(rig):
 def test_a_whole_job_view_scan(rig):
     plan = positive(rig.scan("T", "k", "s", "b"))
     for backend in (rig.memory, rig.sqlite):
-        assert backend.materialize_view(plan, "views/whole") == (
+        spooled = spool(backend, plan, "views/whole")
+        assert (spooled.row_count, spooled.size_bytes) == (
             9, reference_bytes([dict(k=r["k"], s=r["s"], b=r["b"])
                                 for r in T_ROWS if r["k"] > 0]))
     seen = measuring_statements(rig.sqlite)
@@ -422,12 +425,12 @@ def test_a_dropped_and_rebuilt_view_is_measured_again(rig):
             plan = Filter(plan, BinaryOp("<", col("k"), Literal(keep)))
         for backend in (rig.memory, rig.sqlite):
             backend.drop_view("views/v")
-            backend.materialize_view(plan, "views/v")
+            spool(backend, plan, "views/v")
         assert_no_measurement_outlives_its_table(rig.sqlite)
         assert rig.check(Distinct(view)).node_stats[0][1].rows_out == (
             3 if keep else 9)
     # Replaced in place (no drop in between) it is measured again too.
-    rig.sqlite.materialize_view(rig.scan("U", "k", "name"), "views/v")
+    spool(rig.sqlite, rig.scan("U", "k", "name"), "views/v")
     assert rig.sqlite.execute(
         ViewScan("sig", "views/v", ("k", "name"))).node_stats[0][1] \
         .rows_out == 3
@@ -436,18 +439,18 @@ def test_a_dropped_and_rebuilt_view_is_measured_again(rig):
 def test_a_crashed_materialization_leaves_the_old_table_and_its_number(rig):
     sqlite = rig.sqlite
     view = ViewScan("sig", "views/v", ("k", "s"))
-    sqlite.materialize_view(positive(rig.scan("T", "k", "s")), "views/v")
+    spool(sqlite, positive(rig.scan("T", "k", "s")), "views/v")
     assert sqlite.execute(view).node_stats[0][1].rows_out == 9
     sqlite.faults = FaultRuntime(FaultPlan(specs=(FaultSpec(
         points.BACKEND_MATERIALIZE_MID, "crash", max_fires=1),),
         seed=0, name="mid-ctas"))
     replacement = rig.scan("T", "k", "s")
     with pytest.raises(TransientBackendError):
-        sqlite.materialize_view(replacement, "views/v")
+        spool(sqlite, replacement, "views/v")
     # Rolled back: the old rows, measured afresh.
     assert sqlite.execute(view).node_stats[0][1].rows_out == 9
     # The retry goes through, and the old number does not survive it.
-    assert sqlite.materialize_view(replacement, "views/v")[0] == 12
+    assert spool(sqlite, replacement, "views/v").row_count == 12
     assert sqlite.execute(Distinct(view)).node_stats[0][1].rows_out == 12
     assert_no_measurement_outlives_its_table(sqlite)
 
@@ -458,7 +461,7 @@ def test_nothing_measured_is_persisted(tmp_path):
     backend = hold_to_reference(SqliteBackend(path))
     backend.load_table(schema, "g-u", U_ROWS)
     scan = Scan("U", ("k", "name"), stream_guid="g-u")
-    backend.materialize_view(scan, "views/u")
+    spool(backend, scan, "views/u")
     backend.execute(Distinct(scan))
     assert backend._measured
     backend.close()

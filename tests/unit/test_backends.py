@@ -1,5 +1,5 @@
-"""The execution-backend interface: registry, capabilities, and the
-backend contract exercised directly (no engine on top).
+"""The execution-backend interface: registry and the backend contract
+exercised directly (no engine on top).
 """
 
 import sqlite3
@@ -7,7 +7,6 @@ import sqlite3
 import pytest
 
 from repro.backends import (
-    BackendCapabilities,
     ExecutionBackend,
     InMemoryBackend,
     SqliteBackend,
@@ -23,6 +22,7 @@ from repro.common.errors import (
 from repro.plan import PlanBuilder, normalize
 from repro.plan.logical import Scan
 from repro.sql import parse
+from tests.views import scan_view, spool
 
 
 class TestRegistry:
@@ -44,11 +44,6 @@ class TestRegistry:
             create_backend("memory", sqlite_path="views.db")
         with pytest.raises(ConfigError, match="udos"):
             create_backend("sqlite", udos=None)
-
-    def test_capabilities(self):
-        assert InMemoryBackend.capabilities == BackendCapabilities(
-            supports_row_capture=True)
-        assert not SqliteBackend.capabilities.supports_row_capture
 
     def test_abstract_base_cannot_instantiate(self):
         with pytest.raises(TypeError):
@@ -105,13 +100,13 @@ class TestBackendContract:
     def test_materialize_scan_drop_view(self, loaded):
         backend, _, builder = loaded
         plan = plan_for(builder, "SELECT k FROM T WHERE v > 2")
-        rows, size = backend.materialize_view(plan, "views/test-view")
-        assert rows == 2 and size > 0
-        assert sorted(r["k"] for r in backend.scan_view("views/test-view")) \
-            == [2, 2]
+        spooled = spool(backend, plan, "views/test-view")
+        assert spooled.row_count == 2 and spooled.size_bytes > 0
+        assert sorted(r["k"] for r in scan_view(
+            backend, "views/test-view", ("k",))) == [2, 2]
         backend.drop_view("views/test-view")
         with pytest.raises(StorageError):
-            backend.scan_view("views/test-view")
+            scan_view(backend, "views/test-view", ("k",))
 
     def test_drop_absent_view_is_noop(self, loaded):
         backend, _, _ = loaded
@@ -129,8 +124,9 @@ class TestBackendContract:
             with create_backend(name) as backend:
                 backend.load_table(schema, version.guid, rows)
                 builder = PlanBuilder(catalog)
-                sizes[name] = backend.materialize_view(
-                    plan_for(builder, "SELECT k, s FROM T"), "views/v")
+                spooled = spool(backend, plan_for(
+                    builder, "SELECT k, s FROM T"), "views/v")
+                sizes[name] = spooled.row_count, spooled.size_bytes
         assert sizes["memory"] == sizes["sqlite"]
 
 
@@ -179,11 +175,16 @@ class TestSqliteTransactions:
     SCHEMA = schema_of("T", [("k", "int"), ("v", "float")])
     ROWS = [dict(k=1, v=1.5), dict(k=2, v=2.5), dict(k=2, v=4.0)]
 
+    @staticmethod
+    def read(backend, kind, key):
+        if kind == "view":
+            return scan_view(backend, key, ("k", "v"))
+        return backend.scan_table(key)
+
     def stored(self, path):
         backend = SqliteBackend(path)
         backend.load_table(self.SCHEMA, "g-t", self.ROWS)
-        backend.materialize_view(
-            Scan("T", ("k", "v"), stream_guid="g-t"), "views/v1")
+        spool(backend, Scan("T", ("k", "v"), stream_guid="g-t"), "views/v1")
         return backend
 
     @pytest.mark.parametrize("kind, key", [("view", "views/v1"),
@@ -199,16 +200,16 @@ class TestSqliteTransactions:
         backend._conn = _Flaky(backend._conn, "BEGIN")
         with pytest.raises(TransientBackendError, match="locked"):
             drop(key)
-        assert len(getattr(backend, f"scan_{kind}")(key)) == 3
+        assert len(self.read(backend, kind, key)) == 3
         drop(key)                       # the engine's retry
         with pytest.raises(StorageError):
-            getattr(backend, f"scan_{kind}")(key)
+            self.read(backend, kind, key)
         backend.close()
         tables, keys = _stored_names(path)
         assert key not in keys and len(tables) == 1
         with SqliteBackend(path) as reopened:
             with pytest.raises(StorageError):
-                getattr(reopened, f"scan_{kind}")(key)
+                self.read(reopened, kind, key)
 
     def test_a_failed_load_is_transient_and_leaves_nothing(self, tmp_path):
         path = str(tmp_path / "load.db")

@@ -94,7 +94,7 @@ class TestDataStore:
     def test_reads_charge_the_size_recorded_at_put(self):
         store = DataStore()
         store.put("k", [{"a": 1, "b": "xy"}] * 4)       # 4 * (8 + 2)
-        assert store.size_of("k") == store.bytes_written == 40
+        assert store.bytes_written == 40
         batch = store.read("k")
         assert (batch.length, batch.size(), store.bytes_read) == (4, 40, 40)
         store.get("k")
@@ -105,7 +105,7 @@ class TestDataStore:
         store.put("k", [{"a": 1, "s": "abc"}] * 3)
         assert store.read_columns("k", ("s",)).size() == 9
         store.put("k", [{"a": 1, "s": "abcde"}])
-        assert store.size_of("k") == 13
+        assert store.read("k").size() == 13
         pruned = store.read_columns("k", ("s",))
         assert (pruned.rows(), pruned.size()) == ([{"s": "abcde"}], 5)
         assert store.read("k").size() == 13
@@ -115,8 +115,8 @@ class TestDataStore:
         store.put("k", [{"a": 1, "s": "abc"}])
         store.read_columns("k", ("a",))
         store.delete("k")
-        assert store.size_of("k") == 0
-        assert not store.has("k")
+        with pytest.raises(StorageError):
+            store.read("k")
         store.put("k", [{"a": True}])
         pruned = store.read_columns("k", ("a",))
         assert (pruned.rows(), pruned.size()) == ([{"a": True}], 1)
@@ -134,7 +134,8 @@ class TestDataStore:
     def test_column_pruned_read(self):
         store = DataStore()
         store.put("k", [{"a": 1, "s": "xy"}, {"a": 2, "s": ""}])
-        stored = store.read("k").columns
+        whole = store.read("k")
+        stored = whole.columns
         for _ in range(2):
             pruned = store.read_columns("k", ("s", "absent"))
             assert pruned.columns["s"] is stored["s"]   # picked, not copied
@@ -142,7 +143,7 @@ class TestDataStore:
                 [{"s": "xy", "absent": None}, {"s": "", "absent": None}],
                 2 + 8 + 1 + 8)
         assert store.read_columns("k", ("a",)).size() == 16
-        assert store.bytes_read == 4 * store.size_of("k")
+        assert store.bytes_read == 4 * whole.size()
 
     def test_rows_handed_out_are_fresh(self):
         store = DataStore()
@@ -151,7 +152,7 @@ class TestDataStore:
         rows[0]["a"] = 99
         rows.append({"a": 3})
         assert store.get("k") == [{"a": 1}, {"a": 2}]
-        assert store.size_of("k") == 16
+        assert store.read("k").size() == 16
 
     def test_ragged_rows_read_as_null(self):
         store = DataStore()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SECONDS_PER_DAY, SimClock
-from repro.common.rng import bounded_gauss, rng_for, weighted_choice, zipf_weights
+from repro.common.rng import rng_for, zipf_weights
 
 
 class TestSimClock:
@@ -51,15 +51,3 @@ class TestRng:
     def test_zipf_weights_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             zipf_weights(0)
-
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = rng_for(7, "choice")
-        picks = {weighted_choice(rng, ["a", "b"], [1.0, 0.0])
-                 for _ in range(50)}
-        assert picks == {"a"}
-
-    def test_bounded_gauss_clamps(self):
-        rng = rng_for(7, "gauss")
-        for _ in range(200):
-            value = bounded_gauss(rng, 0.0, 100.0, -1.0, 1.0)
-            assert -1.0 <= value <= 1.0

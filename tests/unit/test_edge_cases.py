@@ -3,7 +3,8 @@
 import pytest
 
 from repro.catalog import Catalog, schema_of
-from repro.common.errors import BindError, CatalogError, ParseError
+from repro.common.errors import (BindError, CatalogError, ParseError,
+                                 StorageError)
 from repro.engine import ScopeEngine
 from repro.plan import PlanBuilder, normalize
 from repro.sql import parse
@@ -137,9 +138,10 @@ class TestEngineEdges:
                                keep_versions=2)
             guids.append(engine.catalog.current_guid("T"))
         # The most recent versions remain readable; ancient ones are gone.
-        assert engine.store.has(guids[-1])
-        assert engine.store.has(guids[-2])
-        assert not engine.store.has(guids[0])
+        assert engine.store.read(guids[-1]).length == 1
+        assert engine.store.read(guids[-2]).length == 1
+        with pytest.raises(StorageError):
+            engine.store.read(guids[0])
 
     def test_current_version_always_readable_after_gc(self, engine):
         for i in range(4):

@@ -15,7 +15,6 @@ from repro.faults import (
     FaultPlan,
     FaultRuntime,
     FaultSpec,
-    merge_plans,
     points,
     resolve_faults,
 )
@@ -100,15 +99,6 @@ class TestFaultPlanSerialization:
             points.INSIGHTS_RPC, "drop", max_fires=0)]).active
         assert FaultPlan(specs=[FaultSpec(
             points.INSIGHTS_RPC, "drop")]).active
-
-    def test_merge_plans(self):
-        merged = merge_plans([
-            FaultPlan(specs=[FaultSpec(points.GC_SWEEP, "storage")],
-                      seed=3, name="a"),
-            FaultPlan(specs=[FaultSpec(points.INSIGHTS_RPC, "drop")]),
-        ])
-        assert len(merged.specs) == 2
-        assert merged.seed == 3 and merged.name == "a"
 
 
 class TestFaultRuntime:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import SECONDS_PER_DAY
+from repro.common.errors import StorageError
 from repro.engine import ScopeEngine
 from repro.engine.engine import EngineConfig
 from repro.lifecycle import LifecycleConfig, LifecycleManager, gc_score
@@ -77,7 +78,8 @@ class TestManagerSweep:
         assert result.expired == 1
         assert result.removed == 0  # evict_expired already dropped it
         assert engine.view_store.get("s1") is None
-        assert not engine.store.has("views/s1")
+        with pytest.raises(StorageError):
+            engine.store.read("views/s1")
 
     def test_purged_views_are_hard_removed(self, managed_engine):
         engine, manager = managed_engine
@@ -86,7 +88,8 @@ class TestManagerSweep:
         result = manager.sweep(now=10.0)
         assert result.removed == 1
         assert engine.view_store.get("s1") is None
-        assert not engine.store.has("views/s1")
+        with pytest.raises(StorageError):
+            engine.store.read("views/s1")
 
     def test_pinned_view_survives_sweep(self, managed_engine):
         engine, manager = managed_engine

@@ -50,6 +50,13 @@ class TestExtractInputs:
         assert extract_inputs(view_scan("base")) == frozenset()
 
 
+def views_reading_guid(registry, dataset, guid):
+    """The views built over one stream version, read the way the
+    bulk-update cascade reads them: a dataset's dependents, by input."""
+    return {signature for signature in registry.views_reading_dataset(dataset)
+            if (dataset, guid) in registry.inputs_of(signature)}
+
+
 class TestLineageRegistry:
     def test_record_and_reverse_indexes(self):
         registry = LineageRegistry()
@@ -58,7 +65,7 @@ class TestLineageRegistry:
                                          ("Users", "g2")}))
         assert registry.views_reading_dataset("Events") == {"v1", "v2"}
         assert registry.views_reading_dataset("Users") == {"v2"}
-        assert registry.views_reading_guid("g1") == {"v1", "v2"}
+        assert views_reading_guid(registry, "Events", "g1") == {"v1", "v2"}
         assert registry.datasets() == ["Events", "Users"]
         assert len(registry) == 2
 
@@ -66,14 +73,14 @@ class TestLineageRegistry:
         registry = LineageRegistry()
         registry.record("v1", frozenset({("Events", "g1")}))
         registry.record("v1", frozenset({("Events", "g2")}))
-        assert registry.views_reading_guid("g1") == set()
-        assert registry.views_reading_guid("g2") == {"v1"}
+        assert views_reading_guid(registry, "Events", "g1") == set()
+        assert views_reading_guid(registry, "Events", "g2") == {"v1"}
 
     def test_forget_cleans_reverse_indexes(self):
         registry = LineageRegistry()
         registry.record("v1", frozenset({("Events", "g1")}))
         registry.forget("v1")
-        assert not registry.has("v1")
+        assert registry.inputs_of("v1") == frozenset()
         assert registry.views_reading_dataset("Events") == set()
         assert registry.datasets() == []
 
@@ -110,7 +117,6 @@ class TestInvalidationBus:
         bus.publish(first)
         bus.publish(second)
         assert seen == [first, second]
-        assert bus.published == [first, second]
 
     def test_every_subscriber_sees_every_event(self):
         bus = InvalidationBus()

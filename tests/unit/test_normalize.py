@@ -11,7 +11,6 @@ from repro.plan import (
     Scan,
     contains_operator,
     normalize,
-    plan_size,
 )
 from repro.plan.expressions import BinaryOp, ColumnRef, Literal
 from repro.sql import parse
@@ -95,7 +94,7 @@ class TestNormalize:
 class TestPlanUtilities:
     def test_plan_size(self, catalog):
         plan = build(catalog, "SELECT a FROM T WHERE b > 1")
-        assert plan_size(plan) == 3  # Project, Filter, Scan
+        assert len(list(plan.walk())) == 3  # Project, Filter, Scan
 
     def test_contains_operator(self, catalog):
         plan = build(catalog, "SELECT a FROM T JOIN U")

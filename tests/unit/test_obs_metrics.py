@@ -90,7 +90,8 @@ class TestMetricsRegistry:
         registry.inc("events.view.sealed")
         registry.inc("events.lock.denied", 2)
         registry.inc("other")
-        assert registry.counters_with_prefix("events.") == {
+        assert {name: value for name, value in registry.counters.items()
+                if name.startswith("events.")} == {
             "events.view.sealed": 1.0,
             "events.lock.denied": 2.0,
         }

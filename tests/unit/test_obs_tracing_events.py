@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.clock import SECONDS_PER_DAY
 from repro.obs import (
     Event,
     EventLog,
@@ -65,7 +66,7 @@ class TestEventLog:
         log.emit("lock.denied", at=90001.0, job_id="job-3")
         assert len(log) == 3
         assert len(log.events(kind="view.sealed")) == 2
-        assert [e.job_id for e in log.since_day(1)] == ["job-2", "job-3"]
+        assert [e.job_id for e in log.events(since=SECONDS_PER_DAY)] == ["job-2", "job-3"]
         assert log.counts() == {"view.sealed": 2, "lock.denied": 1}
 
     def test_jsonl_round_trip_and_replay(self, tmp_path):

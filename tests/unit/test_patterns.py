@@ -3,11 +3,9 @@
 import pytest
 
 from repro.workload import generate_workload
-from repro.workload.patterns import (
-    discover_patterns,
-    operator_chains,
-    render_patterns,
-)
+from repro.cli import main
+from repro.workload.patterns import discover_patterns, operator_chains
+from repro.workload.persistence import save_repository
 from repro.workload.profiling import compile_only_repository
 from repro.workload.repository import WorkloadRepository
 
@@ -69,7 +67,11 @@ class TestDiscovery:
     def test_empty_repository(self):
         assert discover_patterns(WorkloadRepository()) == []
 
-    def test_render(self, repository):
-        text = render_patterns(discover_patterns(repository)[:5])
+    def test_render(self, repository, tmp_path, capsys):
+        """Patterns reach an operator through ``repro analyze``."""
+        path = tmp_path / "capture.jsonl"
+        save_repository(repository, path)
+        assert main(["analyze", str(path)]) == 0
+        text = capsys.readouterr().out.split("query patterns")[1]
         assert "chain" in text
         assert ">" in text

@@ -111,7 +111,8 @@ class TestRecordJobInto:
         assert any(isinstance(n, ViewScan) for n in reuser.compiled.plan.walk())
         record(engine, reuser, repository, full_work, now=1.0)
 
-        occurrences = repository.occurrences(join.recurring)
+        occurrences = [r for r in repository.subexpressions
+                       if r.recurring == join.recurring]
         assert len(occurrences) == 2
         producer_work = occurrences[0].work
         reuser_work = occurrences[1].work

@@ -58,7 +58,7 @@ class TestFrozenHarnessPattern:
                 config, lifecycle=LifecycleConfig(journal_dir=journal),
                 scheduler_config=SchedulerConfig(workers=2))
             try:
-                assert session.supervisor.alive_count() == 2
+                assert all(map(session.supervisor.is_alive, range(2)))
                 assert session.scheduler.config.workers == 2
                 run_one_job(session)
             finally:

@@ -140,7 +140,7 @@ def test_enumerate_subexpressions_root_first(catalog):
     assert subs[0].plan is plan
     assert subs[0].depth == 0
     assert subs[0].height == max(s.height for s in subs)
-    leaf_ops = {s.operator for s in subs if s.is_leaf}
+    leaf_ops = {s.operator for s in subs if s.height == 0}
     assert leaf_ops == {"Scan"}
 
 

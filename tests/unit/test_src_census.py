@@ -9,7 +9,6 @@ these are its static shadows, cheap enough for tier-1:
 * the docs name exactly the ``REPRO_*`` variables that ``src/`` reads;
 * every field of the audited config dataclasses is set by somebody
   outside the tests (or is exempt, with its reason);
-* every ``BackendCapabilities`` field is read by somebody in ``src/``;
 * what a catalog mutation *means* is written once: the lifetime-counter
   and ``reuse_count`` arithmetic and every write to a view's ``sealed`` /
   ``purged`` flag sit in ``ViewStore.apply`` and nowhere else in ``src/``;
@@ -187,17 +186,6 @@ def test_every_exemption_names_a_field():
     """An exemption outlives its field only by mistake."""
     for owner, field in EXEMPT:
         assert field in fields_of(owner, AUDITED[owner]), (owner, field)
-
-
-def test_every_backend_capability_has_a_reader():
-    """A capability bit nothing gates on is a declaration, not a seam:
-    what a backend cannot do it refuses where it is asked to."""
-    read = {node.attr for path in python_files(SRC)
-            for node in ast.walk(tree_of(path))
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
-    fields = fields_of("BackendCapabilities", "repro.backends.base")
-    assert sorted(set(fields) - read) == []
 
 
 #: Augmented assignment to any of these is catalog arithmetic ...

@@ -11,6 +11,7 @@ from repro.plan import PlanBuilder, normalize
 from repro.optimizer.rules import apply_rewrites
 from repro.signatures import enumerate_subexpressions
 from repro.sql import parse
+from tests.unit.test_cluster import critical_path_work
 
 
 @pytest.fixture
@@ -63,8 +64,8 @@ def test_reusing_job_has_fewer_smaller_stages(engine):
     assert not any(s.is_spool_writer for s in reuser_graph.stages)
     assert len(reuser_graph.stages) < len(baseline_graph.stages)
     assert reuser_graph.total_work < baseline_graph.total_work
-    assert reuser_graph.critical_path_work() < \
-        baseline_graph.critical_path_work()
+    assert critical_path_work(reuser_graph) < \
+        critical_path_work(baseline_graph)
 
 
 def test_viewscan_stage_partitions_follow_actual_rows(engine):

@@ -153,8 +153,11 @@ class TestRepository:
         repo = WorkloadRepository()
         repo.add_job(job_record("j1"), [rec("j1", "r1", "s1")])
         repo.add_job(job_record("j2"), [rec("j2", "r1", "s1")])
-        assert len(repo.occurrences("r1")) == 2
-        assert repo.occurrences("missing") == []
+        def occurrences(recurring):
+            return [r for r in repo.subexpressions if r.recurring == recurring]
+
+        assert len(occurrences("r1")) == 2
+        assert occurrences("missing") == []
 
     def test_dataset_consumers_by_template(self):
         repo = WorkloadRepository()
