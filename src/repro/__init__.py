@@ -37,7 +37,7 @@ from repro.selection import SelectionPolicy, SelectionResult
 from repro.simulation import SimulationConfig, SimulationReport
 from repro.workload import CookingWorkload, WorkloadRepository, generate_workload
 
-__version__ = "2.3.0"
+__version__ = "2.4.0"
 
 __all__ = [
     "Session", "SessionConfig", "JobResult", "JobRequest", "EngineConfig",

@@ -339,7 +339,7 @@ class Session:
         its epoch bump: journaled, and every view purged by the cascade.
         """
         if self.lifecycle is not None:
-            self.lifecycle.bump_epoch(version)
+            self.lifecycle.bump_epoch(version, at=self.engine.recorder.now)
         else:
             self.engine.upgrade_runtime(version)
         self.last_selection = None

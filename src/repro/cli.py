@@ -43,6 +43,7 @@ from repro.obs import (
     render_events,
     render_flamegraph,
 )
+from repro.obs.events import select_events
 from repro.telemetry.comparison import compare_telemetry
 from repro.workload.generator import generate_workload
 from repro.workload.analysis import pipeline_summary
@@ -380,13 +381,10 @@ def _cmd_obs(args) -> int:
         if not spans:
             return 1
     elif args.obs_command == "events":
-        events = capture.get("events", [])
-        if args.since is not None:
-            events = [e for e in events
-                      if e.at >= args.since * SECONDS_PER_DAY]
-        if args.kind is not None:
-            events = [e for e in events if e.kind == args.kind]
-        print(render_events(events, limit=args.limit))
+        since = None if args.since is None else args.since * SECONDS_PER_DAY
+        print(render_events(select_events(capture.get("events", []),
+                                          args.kind, since),
+                            limit=args.limit))
     return 0
 
 

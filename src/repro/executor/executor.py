@@ -117,13 +117,12 @@ class Executor:
     appearance), which is what keeps float aggregates and an unordered
     ``LIMIT`` bit-identical; and *a column fact is recorded once, when a
     blob is stored* (``Batch.facts``): a ``Filter`` drops the conjuncts
-    a constant column decides true for every row.  Every join hashes,
-    and probes once per left row when the right keys are distinct; a
-    group over one key column that hashes as itself and one aggregate
-    counts or buckets in one pass.  What the input shows picks the
-    shape.  Which physical join a SCOPE-like optimizer *would* pick is
-    modelled where the workload repository is filled in
-    (:mod:`repro.core.runner`), not here.
+    a constant column decides true for every row.  Every join hashes
+    its right side into hit lists; a group over one key column that
+    hashes as itself and one aggregate counts or buckets in one pass.
+    What the input shows picks the shape.  Which physical join a
+    SCOPE-like optimizer *would* pick is modelled where the workload
+    repository is filled in (:mod:`repro.core.runner`), not here.
     """
 
     def __init__(self, store: DataStore,
@@ -134,15 +133,11 @@ class Executor:
         self.capture_rows = capture_rows
 
     def execute(self, plan: LogicalPlan) -> ExecutionResult:
-        result, batch = self.run(plan)
-        result.rows = batch.rows()
-        return result
-
-    def run(self, plan: LogicalPlan) -> Tuple[ExecutionResult, Batch]:
-        """Execute ``plan``; its statistics (no rows built) and its
-        output batch."""
+        """Execute ``plan``: its rows and statistics, and with
+        ``capture_rows`` each node's output batch."""
         result = ExecutionResult(rows=[], node_stats=[])
-        return result, self._run(plan, result)
+        result.rows = self._run(plan, result).rows()
+        return result
 
     # ------------------------------------------------------------------ #
     # dispatch
@@ -374,27 +369,13 @@ def join_batches(plan: Join, left: Batch, right: Batch) -> Batch:
     lowering states with ``IS`` -- and a join without keys is the
     one-bucket case.  Output order: left rows in their order, each with
     its matching right rows in theirs.  The residual runs over the
-    gathered candidates.  Without a residual, distinct right keys take
-    one probe per left row (a miss reads as position ``right.length``,
-    the NULL row a left join extends with).
+    gathered candidates.
     """
-    right_keys = _row_keys(plan.right_keys, right)
-    outer = plan.how == "left"
-    # ``1``, ``1.0`` and ``True`` are one key: a side holding two of them
-    # is not distinct.
-    if plan.residual is None and right.length == len(
-            position := dict(zip(right_keys, range(right.length)))):
-        taken = list(map(position.get, _row_keys(plan.left_keys, left),
-                         repeat(right.length)))
-        if not outer and right.length in taken:
-            hit = list(map(right.length.__ne__, taken))
-            left = left.take(list(compress(range(left.length), hit)))
-            taken = list(compress(taken, hit))
-        return _paired(plan, left, right, taken, outer)
     index: Dict[object, List[int]] = defaultdict(list)
-    for position, key in enumerate(right_keys):
+    for position, key in enumerate(_row_keys(plan.right_keys, right)):
         index[key].append(position)
     hits = list(map(index.get, _row_keys(plan.left_keys, left), repeat(())))
+    outer = plan.how == "left"
     if plan.residual is not None:
         out = _joined(plan, left, right, hits, False)
         keep = plan.residual.compile()(out.columns, out.length)
@@ -410,7 +391,8 @@ def _joined(plan: Join, left: Batch, right: Batch,
             hits: List[Sequence[int]], outer: bool) -> Batch:
     """The join's output for ``hits`` -- per left row, the right positions
     it is emitted with: each side a pending gather, beside the other; with
-    ``outer`` an unmatched left row is NULL-extended."""
+    ``outer`` an unmatched left row is NULL-extended (position
+    ``right.length`` is a NULL row)."""
     if outer:
         unmatched = (right.length,)
         hits = [hit or unmatched for hit in hits]
@@ -422,13 +404,6 @@ def _joined(plan: Join, left: Batch, right: Batch,
     elif len(taken) != left.length:
         # No left row matched twice: its count selects it.
         left = left.take(list(compress(range(left.length), matched)))
-    return _paired(plan, left, right, taken, outer)
-
-
-def _paired(plan: Join, left: Batch, right: Batch, taken: Sequence[int],
-            outer: bool) -> Batch:
-    """``left``'s rows, each beside the right row at its position in
-    ``taken`` (with ``outer``, ``right.length`` is a NULL row)."""
     dropped = set(plan.drop_right)
     right = right.select([name for name in right.columns
                           if name not in dropped])

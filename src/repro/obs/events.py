@@ -143,16 +143,8 @@ class EventLog:
     # reads
 
     def events(self, kind: Optional[str] = None,
-               since: Optional[float] = None,
-               job_id: Optional[str] = None) -> List[Event]:
-        out = self._events
-        if kind is not None:
-            out = [e for e in out if e.kind == kind]
-        if since is not None:
-            out = [e for e in out if e.at >= since]
-        if job_id is not None:
-            out = [e for e in out if e.job_id == job_id]
-        return list(out)
+               since: Optional[float] = None) -> List[Event]:
+        return select_events(self._events, kind, since)
 
     def counts(self) -> Dict[str, int]:
         """Per-kind totals of the live stream."""
@@ -179,6 +171,15 @@ class EventLog:
                 if line:
                     events.append(Event.from_json(line))
         return events
+
+
+def select_events(events: Iterable[Event], kind: Optional[str] = None,
+                  since: Optional[float] = None) -> List[Event]:
+    """The ``events`` of ``kind`` at simulated second ``since`` or later,
+    in order (``None`` filters nothing): the live log's and
+    ``repro obs events``'s one filter."""
+    return [e for e in events if (kind is None or e.kind == kind)
+            and (since is None or e.at >= since)]
 
 
 def replay_counters(events: Iterable[Event]) -> Dict[str, float]:

@@ -139,12 +139,14 @@ class Batch:
         return cls(columns, len(rows))
 
     def rows(self) -> List[Row]:
-        """The batch as fresh row dicts."""
+        """The batch as fresh row dicts; a pending column is built for
+        them and not kept, so the batch is left as it was."""
         names = tuple(self.columns)
         if not names:
             return [{} for _ in range(self.length)]
-        return [dict(zip(names, values))
-                for values in zip(*self.columns.values())]
+        return [dict(zip(names, values)) for values in zip(*(
+            entry.build() if type(entry) is Gather else entry
+            for entry in self.columns.entries.values()))]
 
     def select(self, names: Sequence[str],
                renamed: Optional[Sequence[str]] = None) -> "Batch":

@@ -78,8 +78,9 @@ def test_computed_columns_carry_no_facts():
     group = GroupBy(SCAN, (ColumnRef("day"),),
                     (FuncCall("COUNT", ()),), ("day", "rows"))
     for plan in (project, group):
-        _, batch = Executor(store).run(plan)
-        assert batch.facts is NO_FACTS, plan.explain()
+        result = Executor(store, capture_rows=True).execute(plan)
+        assert result.node_batches[id(plan)].facts is NO_FACTS, \
+            plan.explain()
 
 
 def stats(result):

@@ -41,8 +41,8 @@ def _execute(plan, tables):
     store = DataStore()
     for guid, rows in tables.items():
         store.put(guid, rows)
-    result, batch = Executor(store, capture_rows=True).run(plan)
-    return result, batch
+    result = Executor(store, capture_rows=True).execute(plan)
+    return result, result.node_batches[id(plan)]
 
 
 def _stats(result):

@@ -10,8 +10,11 @@ import pytest
 
 from repro.api import Session
 from repro.catalog import schema_of
+from repro.common.clock import SECONDS_PER_DAY
 from repro.core import MultiLevelControls
 from repro.lifecycle import LifecycleConfig
+from repro.obs import FlightRecorder
+from repro.obs import events as obs_events
 from repro.selection import SelectionPolicy
 
 
@@ -104,6 +107,24 @@ class TestRuntimeUpgrade:
 
 
 class TestUpgradeWithLifecycle:
+    def test_an_upgrade_is_stamped_with_the_session_clock(self, tmp_path):
+        """The cascade and ``epoch.bumped`` events of an upgrade carry the
+        simulated time of the job before it, as a selection epoch's do;
+        they used to read 0.0 whatever the day."""
+        day5 = 5 * SECONDS_PER_DAY
+        cv = Session(recorder=FlightRecorder(), lifecycle=LifecycleConfig(
+            journal_dir=str(tmp_path / "journal")))
+        cv.engine.register_table(schema_of("T", [("k", "int")]),
+                                 [dict(k=1)])
+        cv.run("SELECT k FROM T", now=day5)
+        cv.handle_runtime_upgrade("scope-r2")
+        events = cv.engine.recorder.events
+        stamps = [e.at for kind in (obs_events.LIFECYCLE_CASCADE,
+                                    obs_events.EPOCH_BUMPED)
+                  for e in events.events(kind=kind)]
+        assert stamps == [day5, day5]
+        cv.close()
+
     def test_an_upgrade_is_the_journaled_epoch_bump(self, tmp_path):
         """With a lifecycle, an upgrade is its epoch bump: one journaled
         ``epoch`` record, every view purged by the cascade.  A restart

@@ -1,9 +1,10 @@
 """Filter, join and group kernels over stored blobs against the references.
 
 The executor reads column facts that :meth:`DataStore.put_batch` records
-(a column whose every value is one value of one exact type), and its join
-and group kernels pick their shape from what the input shows (distinct
-right keys, one key column that hashes as itself, one aggregate).  So
+(a column whose every value is one value of one exact type), and its
+group kernel picks its shape from what the input shows (one key column
+that hashes as itself and one aggregate, or else the general keyed path;
+no key at all is one group, even over no rows).  So
 these plans run through :class:`Executor` over blobs a :class:`DataStore`
 holds -- a ``Batch.from_rows`` would carry no facts -- over NULL-heavy and
 mixed-type columns, constant columns of every exact type, ``0.0`` beside
@@ -12,10 +13,11 @@ among ``1``s, literals of other types, and join keys that are distinct or
 duplicated through ``1`` / ``1.0`` / ``True``.  Each result is held
 
 * to the row-at-a-time references: ``Expr.evaluate`` per row for a
-  filter, ``reference_join`` for a join, a first-appearance fold for a
-  group -- the same rows in the same order, each value of the same type
-  and ``repr`` (so ``-0.0`` is not ``0.0``), and an error only where some
-  row's reference raises one, with its type and message; and
+  filter, ``reference_join`` for a join, a first-appearance fold over
+  zero, one or two keys for a group -- the same rows in the same order,
+  each value of the same type and ``repr`` (so ``-0.0`` is not ``0.0``),
+  and an error only where some row's reference raises one, with its
+  type and message; and
 * to the same plan over the same blobs stored without facts -- the same
   rows, per-operator statistics and exception, exactly: a conjunct a fact
   decides is one that would have kept every row without raising.
@@ -128,12 +130,13 @@ def cases(draw):
         plan = Filter(plan, conjunction(draw(st.lists(
             conjuncts(names, left + right), min_size=1, max_size=3))))
     if "group" in shape:
-        key = draw(st.sampled_from(("k", "b", "c") if "c" in names
-                                   else ("k", "b")))
+        keys = tuple(draw(st.permutations(("k", "b", "c") if "c" in names
+                                          else ("k", "b"))))
+        keys = keys[:draw(st.sampled_from([1, 2, 0, 1]))]
         aggregates = tuple(draw(st.lists(st.sampled_from(AGGREGATES),
                                          min_size=1, max_size=2)))
-        plan = GroupBy(plan, (ColumnRef(key),), aggregates, (key,) + tuple(
-            f"x{i}" for i in range(len(aggregates))))
+        plan = GroupBy(plan, tuple(map(ColumnRef, keys)), aggregates,
+                       keys + tuple(f"x{i}" for i in range(len(aggregates))))
     return left, right, plan
 
 
@@ -151,15 +154,17 @@ def reference(plan, left, right):
     rows = reference(plan.child, left, right)
     if isinstance(plan, Filter):
         return [row for row in rows if plan.predicate.evaluate(row)]
-    groups = {}
-    for row in rows:
-        groups.setdefault(row[plan.keys[0].name], []).append(row)
+    keys = [key.name for key in plan.keys]
+    # Without keys, one group: the whole input, even when it is empty.
+    groups = {} if keys else {(): rows}
+    for row in rows if keys else ():
+        groups.setdefault(tuple(row[key] for key in keys), []).append(row)
     folded = [[fold(agg, [agg.args[0].evaluate(row) for row in members])
                if agg.args else len(members)
                for members in groups.values()] for agg in plan.aggregates]
-    return [{plan.names[0]: members[0][plan.names[0]],
-             **{name: column[i] for name, column in zip(plan.names[1:],
-                                                       folded)}}
+    return [{**{key: members[0][key] for key in keys},
+             **{name: column[i] for name, column in zip(
+                 plan.names[len(keys):], folded)}}
             for i, members in enumerate(groups.values())]
 
 
@@ -256,6 +261,17 @@ K_BELOW_3 = BinaryOp("<", ColumnRef("k"), Literal(3))
 @example((rows_of(LEFT_COLUMNS, ("s", 1, 1), ("s", 1, 1)), [],
           Filter(L, BinaryOp("AND", BinaryOp(
               "=", ColumnRef("a"), Literal(2)), K_BELOW_3))))
+# Global aggregation over no rows is one group.
+@example(([], rows_of(RIGHT_COLUMNS, (1, "x")), GroupBy(
+    L, (), (FuncCall("COUNT", ()), FuncCall("SUM", (ColumnRef("b"),))),
+    ("x0", "x1"))))
+# Two keys group by the pair: ``(1, 0)``, ``(True, 0)`` and ``(1.0, 0)``
+# are one group, ``(1, 1)`` another.
+@example((rows_of(LEFT_COLUMNS, (1, 0, 0), (True, 5, 0), (1, 1, 1),
+                  (1.0, 2, 0)), [],
+          GroupBy(L, (ColumnRef("k"), ColumnRef("b")),
+                  (FuncCall("SUM", (ColumnRef("a"),)),),
+                  ("k", "b", "x0"))))
 def test_kernels_over_stored_blobs_match_the_references(case):
     left, right, plan = case
     got, stats = executed(plan, left, right)
