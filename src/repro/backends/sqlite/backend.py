@@ -12,14 +12,14 @@ measurement is ``(rows, {column: bytes})``; the measuring statement is
 ``SELECT COUNT(*), SUM(width of c1), SUM(width of c2), ... FROM (sub-plan)``
 (:meth:`~repro.backends.sqlite.compile.CompiledQuery.stats_sql`), which
 runs the sub-plan once more -- so it is issued only for what is not known
-already, and sums only what is not.  Six rules, every one held to the
-plain per-node, every-column probe by
+already, and sums only what is not.  Six rules (DESIGN §11 rules S1-S6),
+every one held to the plain per-node, every-column probe by
 ``tests/integration/test_sqlite_statistics.py``:
 
-1. *A node is lowered once per ``execute``* -- one
+S1. *A node is lowered once per ``execute``* -- one
    :class:`~repro.backends.sqlite.compile.PlanCompiler`, which remembers
    nodes by identity, serves the spools, the fetch and the statistics.
-2. *A stored table is measured once, and the measurement dies with the
+S2. *A stored table is measured once, and the measurement dies with the
    table.*  What a stream or view table holds is a fact of the physical
    table: recorded at its first measurement (for a view, the one its
    ``CREATE TABLE AS`` is followed by), kept in memory only, and
@@ -27,28 +27,28 @@ plain per-node, every-column probe by
    that drops or replaces the table.  A ``Scan`` picks its columns'
    entries (a column the table lacks is NULL: 8 bytes a row), a
    ``ViewScan`` and a ``Spool`` read the whole entry.
-3. *Rows that reached Python are measured in Python.*  The job's result
+S3. *Rows that reached Python are measured in Python.*  The job's result
    is measured by :class:`~repro.storage.batch.Batch` -- the in-memory
    backend's own rule, applied after the ``bool`` re-coercion -- so the
    rows counted are the rows returned.  A root ``Union`` is fetched with
    its arm index as one more column, and measured arm by arm.
-4. *A node that holds the same rows inherits.*  Byte sums do not depend
+S4. *A node that holds the same rows inherits.*  Byte sums do not depend
    on row order, so a ``Sort`` weighs what its child does, a ``Spool``
    what its child and its table do, and a ``Project`` of bare column
    references maps its child's entries through the rename: upward from
-   a child that is known, and downward from rows measured under rule 3
+   a child that is known, and downward from rows measured under S3
    when the rename is one to one and onto.
-5. *A column measured to hold no text costs no width term.*  A stored
+S5. *A column measured to hold no text costs no width term.*  A stored
    table's one measurement also counts each column's text values.  A
    lowering records which of its columns copy, unchanged, a stored
    column with none (``CompiledQuery.textfree``), and a measurement sums
    a width only for the others and for ``BOOL`` columns: every other
    value weighs 8 bytes.  A measured fact, never the static class.
-6. *A fetched ``GroupBy`` measures its own input.*  A keyed ``GroupBy``
+S6. *A fetched ``GroupBy`` measures its own input.*  A keyed ``GroupBy``
    over anything but a table is lowered with ``HAVING py_tap(key,
    COUNT(*), SUM(width) ...)``; the tap adds each group's numbers up
    while the statement runs.  They are read only for a ``GroupBy`` that
-   rule 4 reached from rows measured under rule 3 or a spool table --
+   S4 reached from rows measured under S3 or a spool table --
    :meth:`SqliteBackend._tap_sums` says why that statement ran it once,
    over its whole input.
 
@@ -158,7 +158,7 @@ def _py_like(value, pattern, negated):
 
 def _py_tap(tapped: Dict[int, List[tuple]], key: int, *values: int) -> int:
     """One group of a tapped ``GroupBy``: file its row count and width
-    sums under the tap's ``key`` (rule 6).  Keeps every group."""
+    sums under the tap's ``key`` (S6).  Keeps every group."""
     tapped.setdefault(key, []).append(values)
     return 1
 
@@ -417,7 +417,7 @@ class SqliteBackend(ExecutionBackend):
 
     def _fetch_root(self, plan: LogicalPlan, compiler: PlanCompiler,
                     known: Dict[int, Measured]) -> List[Row]:
-        """The job's rows.  They are measured here, in Python (rule 3),
+        """The job's rows.  They are measured here, in Python (S3),
         not by running the plan a second time -- and a root ``Union``'s
         rows arm by arm, which is what reaches each arm's subtree."""
         if not isinstance(plan, Union):
@@ -443,10 +443,10 @@ class SqliteBackend(ExecutionBackend):
     def _hold(self, node: LogicalPlan, found: Optional[Measured],
               compiler: PlanCompiler, known: Dict[int, Measured]) -> None:
         """``node`` holds the rows measured as ``found`` -- and so does
-        every node below it that hands the same rows up (rule 4): the
+        every node below it that hands the same rows up (S4): the
         child of a ``Sort`` or ``Spool``, and of a one-to-one rename.
         A tapped ``GroupBy`` reached this way hands down what its tap
-        summed (rule 6)."""
+        summed (S6)."""
         while found is not None:
             known[id(node)] = found
             if isinstance(node, GroupBy):
@@ -515,8 +515,8 @@ class SqliteBackend(ExecutionBackend):
     def _measure(self, node: LogicalPlan, compiler: PlanCompiler,
                  known: Dict[int, Measured]) -> Measured:
         """What ``node`` holds, its children being known: read off a
-        stored table (rule 2), inherited from a child that holds the same
-        rows (rule 4, upward), and only otherwise probed."""
+        stored table (S2), inherited from a child that holds the same
+        rows (S4, upward), and only otherwise probed."""
         if isinstance(node, Scan):
             (rows, sizes), _ = self._stored(self._tables[node.stream_guid])
             # A column the table lacks is NULL in every row.
@@ -550,7 +550,7 @@ class SqliteBackend(ExecutionBackend):
 
     def _probe(self, compiled: CompiledQuery) -> Measured:
         """Run ``compiled`` once more, to count it: a width sum for each
-        ``probed`` column, 8 bytes a row for the rest (rule 5)."""
+        ``probed`` column, 8 bytes a row for the rest (S5)."""
         rows, *sums = self._conn.execute(compiled.stats_sql()).fetchone()
         return rows, compiled.sizes(rows, sums)
 

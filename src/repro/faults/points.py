@@ -8,7 +8,8 @@ sync: the seams threaded through the code (each calls
 constants), plan validation (a :class:`~repro.faults.plan.FaultSpec`
 naming an unknown point or an unsupported kind is a
 :class:`~repro.common.errors.ConfigError` at construction, not a silent
-no-op at run time), and the DESIGN-doc injection-point table.
+no-op at run time), and DESIGN §12's injection-point table (a tier-1
+census holds the two equal).
 
 Failure kinds:
 
@@ -63,7 +64,8 @@ JOURNAL_APPEND = "journal.append"
 #: A journal snapshot (fired after the temp file is written, before the
 #: atomic rename -- a crash here must leave the old snapshot intact).
 JOURNAL_SNAPSHOT = "journal.snapshot"
-#: A scheduler worker picking up a job (worker death).
+#: A job's task dying before it makes progress: fired as each attempt of
+#: a wave's job starts, before its compile (the scheduler retries it).
 SCHEDULER_WORKER = "scheduler.worker"
 #: One job's trip to the insights serving layer: each attempt whose tags
 #: have not reached the service yet (a retry after a timeout draws none).
@@ -78,36 +80,21 @@ SHARD_SPAWN = "shard.spawn"
 #: really SIGKILLed; the supervisor's restart policy decides recovery).
 SHARD_DEATH = "shard.death"
 
-#: point -> (description, valid kinds).  The closed vocabulary.
-REGISTRY: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    BACKEND_EXECUTE: (
-        "backend plan execution", ("transient", "crash")),
-    BACKEND_MATERIALIZE: (
-        "view materialization, before any write", ("transient", "crash")),
-    BACKEND_MATERIALIZE_MID: (
-        "mid-materialization, after the write before the commit",
-        ("crash",)),
-    BACKEND_SCAN_VIEW: (
-        "materialized-view read", ("storage", "transient")),
-    BACKEND_DROP_VIEW: (
-        "view storage drop (GC / purge)", ("storage",)),
-    JOURNAL_APPEND: (
-        "catalog-journal WAL append", ("torn", "storage")),
-    JOURNAL_SNAPSHOT: (
-        "catalog-journal snapshot, before the atomic rename",
-        ("crash", "storage")),
-    SCHEDULER_WORKER: (
-        "scheduler worker-thread death", ("crash",)),
-    INSIGHTS_RPC: (
-        "insights serving-layer round trip", ("drop", "error", "delay")),
-    GC_SWEEP: (
-        "lifecycle GC sweep", ("storage",)),
-    SHARD_RPC: (
-        "shard RPC on the fetch fan-out", ("drop", "error", "delay")),
-    SHARD_SPAWN: (
-        "shard worker-process spawn", ("error",)),
-    SHARD_DEATH: (
-        "shard worker-process death (real SIGKILL)", ("crash",)),
+#: point -> the failure kinds it supports.  The closed vocabulary.
+REGISTRY: Dict[str, Tuple[str, ...]] = {
+    BACKEND_EXECUTE: ("transient", "crash"),
+    BACKEND_MATERIALIZE: ("transient", "crash"),
+    BACKEND_MATERIALIZE_MID: ("crash",),
+    BACKEND_SCAN_VIEW: ("storage", "transient"),
+    BACKEND_DROP_VIEW: ("storage",),
+    JOURNAL_APPEND: ("torn", "storage"),
+    JOURNAL_SNAPSHOT: ("crash", "storage"),
+    SCHEDULER_WORKER: ("crash",),
+    INSIGHTS_RPC: ("drop", "error", "delay"),
+    GC_SWEEP: ("storage",),
+    SHARD_RPC: ("drop", "error", "delay"),
+    SHARD_SPAWN: ("error",),
+    SHARD_DEATH: ("crash",),
 }
 
 ALL_POINTS = tuple(sorted(REGISTRY))
@@ -117,5 +104,4 @@ ALL_KINDS = ("transient", "crash", "storage", "error",
 
 def valid_kinds(point: str) -> Tuple[str, ...]:
     """The failure kinds supported at ``point`` (empty when unknown)."""
-    entry = REGISTRY.get(point)
-    return entry[1] if entry else ()
+    return REGISTRY.get(point, ())

@@ -1,8 +1,8 @@
 """Flight recorder: unified tracing, metrics, and structured event log.
 
 The observability substrate for the reuse feedback loop (Figure 5's
-monitoring and telemetry boxes).  See ``DESIGN.md`` § Observability for
-the span taxonomy and capture schemas.
+monitoring and telemetry boxes).  DESIGN §6 has the span taxonomy and
+the capture files.
 """
 
 from repro.obs.events import (

@@ -55,9 +55,9 @@ class ShardConfig:
     """
 
     shards: int = 0
-    #: Directory for sockets and annotation state; a private temp dir
-    #: (removed on close) when unset.  Kept short: ``AF_UNIX`` paths cap
-    #: at ~107 characters.
+    #: Directory for sockets and annotation state, created if missing and
+    #: left in place on close; a private temp dir (removed on close) when
+    #: unset.  Kept short: ``AF_UNIX`` paths cap at ~107 characters.
     socket_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -88,6 +88,7 @@ class ShardSupervisor:
         self._ctx = multiprocessing.get_context("fork")
         self._own_dir = config.socket_dir is None
         self._dir = config.socket_dir or tempfile.mkdtemp(prefix="repro-sh-")
+        os.makedirs(self._dir, exist_ok=True)
         self._procs: List[Optional[multiprocessing.process.BaseProcess]] = \
             [None] * config.shards
         self.restarts = [0] * config.shards

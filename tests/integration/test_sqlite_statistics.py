@@ -4,11 +4,11 @@ measure them.
 The backend used to measure a job by running it again: every node's
 sub-plan lowered from scratch and executed as its own ``SELECT COUNT(*),
 SUM(width) FROM (...)`` probe.  It now probes only what it does not know
-already (the six rules of ``repro/backends/sqlite/backend.py``: a node is
-lowered once, a stored table is measured once, rows that reached Python
-are measured in Python, a node that holds the same rows inherits, a
-column measured to hold no text sums no width, a ``GroupBy`` whose rows
-reached Python measures its own input).  The plain probe -- every
+already (DESIGN §11 rules S1-S6, in ``repro/backends/sqlite/backend.py``:
+a node is lowered once, a stored table is measured once, rows that
+reached Python are measured in Python, a node that holds the same rows
+inherits, a column measured to hold no text sums no width, a ``GroupBy``
+whose rows reached Python measures its own input).  The plain probe -- every
 column's width, every node -- lives on here, as :func:`reference_stats`,
 and every ``execute`` of every test below is held to it node for node --
 and to the in-memory backend's number for the same plan.  Each directed
@@ -197,7 +197,7 @@ def test_every_operator_reports_the_reference_and_the_memory_number(rig, sql):
 
 
 # --------------------------------------------------------------------- #
-# rule 4: a node that holds the same rows inherits -- and no other does
+# §11 rule S4: a node that holds the same rows inherits -- and no other does
 
 
 def test_a_sort_weighs_what_its_child_does_in_both_directions(rig):
@@ -265,7 +265,7 @@ def test_a_rename_that_drops_a_column_shields_the_group_by_below(rig):
 
 
 # --------------------------------------------------------------------- #
-# rule 3: rows that reached Python are measured in Python
+# §11 rule S3: rows that reached Python are measured in Python
 
 
 def test_a_root_union_is_measured_arm_by_arm(rig):
@@ -337,7 +337,7 @@ def test_a_bool_column_is_measured_after_the_re_coercion(rig):
 
 
 # --------------------------------------------------------------------- #
-# rule 2: a stored table is measured once, and not beyond its life
+# §11 rule S2: a stored table is measured once, and not beyond its life
 
 
 def measuring_statements(backend, everything=False):
@@ -479,7 +479,7 @@ def test_nothing_measured_is_persisted(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# rule 5: a column measured to hold no text sums no width
+# §11 rule S5: a column measured to hold no text sums no width
 
 
 def test_a_str_in_an_int_column_keeps_its_width_term(rig):
@@ -519,7 +519,7 @@ def test_a_reloaded_guid_forgets_which_columns_held_no_text(rig):
 
 
 # --------------------------------------------------------------------- #
-# rule 6: a GroupBy whose rows reached Python measures its own input
+# §11 rule S6: a GroupBy whose rows reached Python measures its own input
 
 
 def test_a_fetched_group_by_measures_its_input_without_a_probe(rig):
@@ -718,12 +718,12 @@ def test_a_forget_in_the_middle_of_a_day(tmp_path):
 
 
 def test_a_pinned_cooking_day_stays_inside_its_statement_budget(monkeypatch):
-    """Rules 1-6 as three counts, in the hash-budget style, on the third
+    """Rules S1-S6 as three counts, in the hash-budget style, on the third
     day of a cooking workload of the benchmark's shape (96 templates;
     views and annotations exist).  Before the rules: 573 measuring
-    statements for these 89 jobs (6.4 a job; 107 after rules 1-4, 72 now),
+    statements for these 89 jobs (6.4 a job; 107 after rules S1-S4, 72 now),
     2,022 lowerings of their 545 nodes (one per ancestor that probed the
-    node; 493 now), and 699 width terms summed after rules 1-4 (271 now,
+    node; 493 now), and 699 width terms summed after rules S1-S4 (271 now,
     taps included)."""
     workload = generate_workload(
         name="budget", seed=7, virtual_clusters=3, templates_per_vc=32,

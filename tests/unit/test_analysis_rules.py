@@ -1,8 +1,9 @@
 """Where the invariants of the retired lint rules are enforced now.
 
-The rule framework (``repro lint``, ``repro.analysis``) is gone: DESIGN
-§7's census seeded one real violation per rule into ``src/`` and tier-1
-caught every one without debug checks.  The tests below keep the rule
+The rule framework (``repro lint``, ``repro.analysis``) is gone: a census
+(its per-rule table is in CHANGES.md, PR 31 and PR 47) seeded one real
+violation per rule into ``src/`` and tier-1 caught every one without
+debug checks.  The tests below keep the rule
 tests' names where a guard still rejects the same corruption at unit
 level: an operator constructor, the executor's column resolution,
 matching's availability and cost gates, the strict signature, buildout.

@@ -45,7 +45,7 @@ class TestFaultSpecValidation:
             FaultSpec(points.INSIGHTS_RPC, "delay", delay_seconds=-0.5)
 
     def test_every_registry_kind_constructs(self):
-        for point, (_, kinds) in points.REGISTRY.items():
+        for point, kinds in points.REGISTRY.items():
             for kind in kinds:
                 FaultSpec(point, kind)
 

@@ -89,6 +89,15 @@ class TestResolveShard:
         with pytest.raises(ConfigError):
             ShardConfig(shards=-1)
 
+    def test_a_missing_socket_dir_is_created_and_kept(self, tmp_path):
+        sockets = tmp_path / "new"
+        config = SessionConfig(shard=ShardConfig(shards=1,
+                                                 socket_dir=str(sockets)))
+        with Session(config=config) as session:
+            assert session.supervisor.is_alive(0)
+            run_one_job(session)
+        assert sockets.is_dir()
+
 
 class TestSessionPrecedence:
     def test_backend_name_selects_the_backend(self):

@@ -13,7 +13,12 @@ these are its static shadows, cheap enough for tier-1:
   and ``reuse_count`` arithmetic and every write to a view's ``sealed`` /
   ``purged`` flag sit in ``ViewStore.apply`` and nowhere else in ``src/``;
 * one caller per ``Session`` (DESIGN §10): only the shard worker imports
-  ``threading`` or builds a lock or a thread.
+  ``threading`` or builds a lock or a thread;
+* the documents stay true and small: every ``DESIGN §N``, ``§N rule X``
+  and ``§N *Name*`` cited in the repository resolves to exactly one
+  heading, rule or bold lead of DESIGN.md, DESIGN §12's injection-point
+  table equals the fault registry, and DESIGN, README and the verify
+  skill stay within their byte budgets.
 """
 
 import ast
@@ -299,3 +304,120 @@ def test_only_the_shard_worker_imports_threading_or_builds_a_lock():
     found = {str(path.relative_to(SRC)) for path in python_files(SRC)
              if concurrency(tree_of(path))}
     assert found == CONCURRENT
+
+
+# ---------------------------------------------------------------------- #
+# The documents: DESIGN says what is, and every citation of it resolves.
+
+DESIGN = ROOT / "DESIGN.md"
+SKILL = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+#: Where DESIGN is cited from.  CHANGES.md is history: it cites DESIGN as
+#: it stood when each entry was written.
+CITING = [ROOT / "src", ROOT / "tests", ROOT / "benchmarks",
+          ROOT / "examples", ROOT / ".github" / "workflows" / "ci.yml",
+          ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "ROADMAP.md",
+          DESIGN, SKILL]
+#: ``wc -c`` budgets of the documents every PR must keep true.
+BUDGETS = {DESIGN: 70_000, ROOT / "README.md": 20_000, SKILL: 7_000}
+
+HEADING = re.compile(r"^## (\d+)\. ", re.M)
+LEAD = re.compile(r"^(?:[-*] |\d+\. )?\*\*(.+?)\*\*", re.M | re.S)
+RULE_ID = re.compile(r"([A-Z]?\d+)\. ")
+SECTION_CITE = re.compile(r"DESIGN(?:\.md)?`?(?:'s)? ?§ ?(\d+)")
+RULE_ID_LIST = r"[A-Z]?\d+(?:(?:, | and | or |–|-)[A-Z]?\d+)*"
+RULE_CITE = re.compile(rf"§ ?(\d+)(?:'s)?,? rules? ({RULE_ID_LIST})")
+LEAD_CITE = re.compile(r"§ ?(\d+),? \*([^*]+)\*(?!\*)")
+
+
+def design_sections(text: str):
+    """Section number -> its text, from DESIGN's ``## N.`` headings."""
+    marks = list(HEADING.finditer(text)) + [None]
+    sections = {}
+    for mark, following in zip(marks, marks[1:]):
+        end = following.start() if following else len(text)
+        sections.setdefault(mark.group(1), []).append(text[mark.start():end])
+    return sections
+
+
+def citing_files():
+    """Every file under :data:`CITING` but this one, whose seeded
+    citations are wrong on purpose."""
+    for root in CITING:
+        if root.is_file():
+            yield root
+        else:
+            yield from sorted(p for p in root.rglob("*")
+                              if p.suffix in (".py", ".md", ".yml")
+                              and p != Path(__file__).resolve())
+
+
+def flattened(path: Path) -> str:
+    """The file as one line: a citation may wrap, inside a comment too."""
+    text = path.read_text(encoding="utf-8")
+    return re.sub(r"\s*\n\s*(?:#+\s*)?", " ", text)
+
+
+def unresolved(text: str, sections) -> list:
+    """Each citation in ``text`` that names no section, rule or lead, or
+    more than one."""
+    def leads(number):
+        return [lead.lower() for body in sections.get(number, [])
+                for lead in LEAD.findall(body)]
+
+    bad = []
+    for match in SECTION_CITE.finditer(text):
+        if len(sections.get(match.group(1), [])) != 1:
+            bad.append(match.group(0))
+    for match in RULE_CITE.finditer(text):
+        number = match.group(1)
+        ids = re.findall(r"[A-Z]?\d+", match.group(2))
+        rules = [m.group(1) for lead in leads(number)
+                 for m in [RULE_ID.match(lead.upper())] if m]
+        if len(sections.get(number, [])) != 1 \
+                or any(rules.count(rule) != 1 for rule in ids):
+            bad.append(match.group(0))
+    for match in LEAD_CITE.finditer(text):
+        name = match.group(2).lower()
+        if sum(lead.startswith(name) for lead in leads(match.group(1))) != 1:
+            bad.append(match.group(0))
+    return bad
+
+
+def test_citation_grammar_on_a_seeded_text():
+    sections = design_sections(
+        "## 3. A\n**Forks: one job.** x\n**Fast paths** y\n"
+        "## 11. B\n- **E1. Rows.** z\n- **S1. Lowered.** w\n")
+    good = ("DESIGN §3, DESIGN.md` §11, §3 *Forks*, §11 rule E1, "
+            "§11, rules E1 and S1")
+    assert unresolved(good, sections) == []
+    bad = "DESIGN §4, §11 rule 5, §11 rule E2, §3 *Fast*, §3 *Joins*"
+    assert unresolved(bad, sections) == [
+        "DESIGN §4", "§11 rule 5", "§11 rule E2", "§3 *Joins*"]
+    assert unresolved("§3 *F*", sections) == ["§3 *F*"]
+
+
+def test_every_design_citation_resolves():
+    sections = design_sections(DESIGN.read_text(encoding="utf-8"))
+    assert sorted(sections, key=int) == [str(n) for n in range(1, 16)]
+    found = {str(path.relative_to(ROOT)): unresolved(flattened(path),
+                                                     sections)
+             for path in citing_files()}
+    assert {path: bad for path, bad in found.items() if bad} == {}
+
+
+@pytest.mark.parametrize("path", sorted(BUDGETS), ids=lambda p: p.name)
+def test_documents_stay_within_their_byte_budgets(path):
+    assert path.stat().st_size <= BUDGETS[path]
+
+
+def test_the_injection_point_table_is_the_fault_registry():
+    """DESIGN §12's table lists every point the runtime accepts, with
+    exactly its kinds: a point the table omits is a seam nobody is told
+    about."""
+    from repro.faults.points import REGISTRY
+
+    table = design_sections(DESIGN.read_text(encoding="utf-8"))["12"][0]
+    rows = re.findall(r"^\| `([a-z_.]+)` \| ([a-z, ]+) \|", table, re.M)
+    assert {point: tuple(kinds.split(", ")) for point, kinds in rows} == \
+        REGISTRY
+    assert len(rows) == len(REGISTRY)
