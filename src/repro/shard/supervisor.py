@@ -1,9 +1,10 @@
 """Spawns, monitors, and restarts the shard worker processes.
 
-The supervisor is the deployment's process manager: it forks N
-:func:`~repro.shard.worker.worker_main` children (one per shard), waits
-for each to answer a ``ping`` on its ``AF_UNIX`` socket, and restarts
-dead shards on demand -- the :class:`~repro.shard.router.ShardRouter`
+The supervisor is the deployment's process manager: it binds each
+shard's ``AF_UNIX`` socket, forks a
+:func:`~repro.shard.worker.worker_main` child to serve it, pings each
+once, and restarts dead shards on demand -- the
+:class:`~repro.shard.router.ShardRouter`
 asks for a restart when an RPC finds a shard unreachable, and chaos
 campaigns SIGKILL shards through :meth:`ShardSupervisor.kill` to prove
 the deployment heals.
@@ -14,6 +15,8 @@ breaker takes over, degrading affected signatures to no-reuse instead
 of hammering a corpse.  Teardown never needs worker cooperation: WAL
 frames are flushed before their reply and annotation files land
 atomically, so ``terminate()`` (SIGTERM) loses nothing acknowledged.
+A deployment starts on empty annotation state and removes its sockets
+and state on close; only a restart inside it reloads a shard's state.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import os
 import shutil
 import socket
 import tempfile
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -39,6 +41,9 @@ from repro.shard.worker import WorkerSpec, worker_main
 #: Wall-clock budget for one shard RPC (the transport, not the simulated
 #: serving latency).
 RPC_TIMEOUT_SECONDS = 10.0
+#: The longest ``AF_UNIX`` socket path Linux binds (``sun_path`` less
+#: its terminating NUL).
+MAX_SOCKET_PATH_BYTES = 107
 #: Wall-clock budget for a spawned worker to answer its first ping, and
 #: for a terminated or killed one to be reaped.
 SPAWN_TIMEOUT_SECONDS = 20.0
@@ -55,9 +60,10 @@ class ShardConfig:
     """
 
     shards: int = 0
-    #: Directory for sockets and annotation state, created if missing and
-    #: left in place on close; a private temp dir (removed on close) when
-    #: unset.  Kept short: ``AF_UNIX`` paths cap at ~107 characters.
+    #: Directory for sockets and annotation state, created if missing;
+    #: close removes what the deployment put there and keeps the
+    #: directory.  A private temp dir (removed on close) when unset.  A
+    #: socket path over :data:`MAX_SOCKET_PATH_BYTES` is a ``ConfigError``.
     socket_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -88,11 +94,17 @@ class ShardSupervisor:
         self._ctx = multiprocessing.get_context("fork")
         self._own_dir = config.socket_dir is None
         self._dir = config.socket_dir or tempfile.mkdtemp(prefix="repro-sh-")
+        longest = self.socket_path(config.shards - 1)
+        if (size := len(os.fsencode(longest))) > MAX_SOCKET_PATH_BYTES:
+            if self._own_dir:
+                os.rmdir(self._dir)
+            raise ConfigError(
+                f"shard socket path {longest!r} is {size} bytes; AF_UNIX "
+                f"allows {MAX_SOCKET_PATH_BYTES}: use a shorter socket_dir")
         os.makedirs(self._dir, exist_ok=True)
         self._procs: List[Optional[multiprocessing.process.BaseProcess]] = \
             [None] * config.shards
         self.restarts = [0] * config.shards
-        self.spawns = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -113,8 +125,6 @@ class ShardSupervisor:
     def _spec(self, shard_id: int) -> WorkerSpec:
         return WorkerSpec(
             shard_id=shard_id,
-            shards=self.config.shards,
-            socket_path=self.socket_path(shard_id),
             state_dir=self.state_dir(shard_id),
             journal_dir=self.shard_journal_dir(shard_id),
         )
@@ -123,53 +133,58 @@ class ShardSupervisor:
     # lifecycle
 
     def start(self) -> None:
-        """Spawn every shard and wait until each answers a ping."""
+        """Spawn every shard on empty state and ping each once."""
+        self._clear()
         for shard_id in range(self.config.shards):
             self._spawn(shard_id)
         for shard_id in range(self.config.shards):
             self._wait_ready(shard_id)
 
+    def _clear(self) -> None:
+        """Remove every shard's socket file and annotation state."""
+        for shard_id in range(self.config.shards):
+            shutil.rmtree(self.state_dir(shard_id), ignore_errors=True)
+            if os.path.exists(self.socket_path(shard_id)):
+                os.unlink(self.socket_path(shard_id))
+
     def _spawn(self, shard_id: int) -> None:
+        """Bind the shard's socket here, then fork its worker onto it, so
+        the socket accepts connections before the child runs a line."""
         self.faults.fire(fault_points.SHARD_SPAWN)
-        process = self._ctx.Process(
-            target=worker_main, args=(self._spec(shard_id),),
-            name=f"repro-shard-{shard_id}", daemon=True)
-        process.start()
+        path = self.socket_path(shard_id)
+        if os.path.exists(path):
+            os.unlink(path)  # left by the worker this one replaces
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+            listener.bind(path)
+            listener.listen(64)
+            process = self._ctx.Process(
+                target=worker_main, args=(self._spec(shard_id), listener),
+                name=f"repro-shard-{shard_id}", daemon=True)
+            process.start()
         self._procs[shard_id] = process
-        self.spawns += 1
         self.recorder.event(obs_events.SHARD_SPAWNED, shard=shard_id,
                             pid=process.pid)
 
     def _wait_ready(self, shard_id: int) -> None:
-        """Poll-connect until the worker's listener answers a ping."""
-        deadline = time.monotonic() + SPAWN_TIMEOUT_SECONDS
-        path = self.socket_path(shard_id)
-        while True:
-            try:
-                sock = self.connect(shard_id)
-            except (OSError, ShardError):
-                sock = None
-            if sock is not None:
-                try:
-                    send_frame(sock, {"id": 0, "method": "ping",
-                                      "params": {}})
-                    reply = recv_frame(sock)
-                    if reply and reply.get("result", {}).get("ok"):
-                        return
-                except (OSError, ShardError):
-                    pass
-                finally:
-                    sock.close()
+        """One ping.  Only the worker holds the listener, so a dead one
+        refuses the connection or hangs up without a reply."""
+        try:
+            with self.connect(shard_id) as sock:
+                sock.settimeout(SPAWN_TIMEOUT_SECONDS)
+                send_frame(sock, {"id": 0, "method": "ping", "params": {}})
+                reply = recv_frame(sock)
+        except TimeoutError:
+            raise ShardError(
+                f"shard {shard_id} did not answer a ping within "
+                f"{SPAWN_TIMEOUT_SECONDS}s") from None
+        except (OSError, ShardError):
+            reply = None
+        if reply is None:
             process = self._procs[shard_id]
-            if process is not None and not process.is_alive():
-                raise ShardError(
-                    f"shard {shard_id} died during startup "
-                    f"(exitcode {process.exitcode}); socket {path}")
-            if time.monotonic() > deadline:
-                raise ShardError(
-                    f"shard {shard_id} did not become ready within "
-                    f"{SPAWN_TIMEOUT_SECONDS}s ({path})")
-            time.sleep(0.005)
+            process.join(timeout=SPAWN_TIMEOUT_SECONDS)
+            raise ShardError(
+                f"shard {shard_id} died during startup "
+                f"(exitcode {process.exitcode})")
 
     def connect(self, shard_id: int) -> socket.socket:
         """Dial one shard; the caller owns the returned socket."""
@@ -220,7 +235,7 @@ class ShardSupervisor:
         return True
 
     def close(self) -> None:
-        """Terminate every worker and reclaim the scratch directory."""
+        """Terminate every worker and remove its socket and state."""
         if self._closed:
             return
         self._closed = True
@@ -236,3 +251,5 @@ class ShardSupervisor:
                 process.join(timeout=1.0)
         if self._own_dir:
             shutil.rmtree(self._dir, ignore_errors=True)
+        else:
+            self._clear()

@@ -13,13 +13,12 @@ operations :data:`~repro.insights.partition.PARTITION_OPS` declares.
 The worker holds no policy: generation counting, the kill switch, usage
 metrics and events all live in the one
 :class:`~repro.insights.service.InsightsService` code the
-:class:`~repro.shard.router.ShardRouter` inherits.  Requests are
-dispatched under one worker-level mutex, so a shard processes its queue
-serially -- the real concurrency unit is the shard *process*, which is
-exactly what the throughput benchmark measures via each worker's
-accumulated ``busy_seconds``.  This dispatch lock is the only lock in
-the code base: the client process has one caller per ``Session`` and
-takes none.
+:class:`~repro.shard.router.ShardRouter` inherits.  The worker is one
+thread: a ``selectors`` loop over the listener the supervisor bound
+before forking and every connection accepted from it, answering one
+request at a time -- the real concurrency unit is the shard *process*,
+which is exactly what the throughput benchmark measures via each
+worker's accumulated ``busy_seconds``.
 
 Durability contract: every WAL frame is flushed before the RPC reply,
 and the annotation partition is rewritten atomically (temp + rename) on
@@ -31,8 +30,8 @@ from __future__ import annotations
 
 import json
 import os
+import selectors
 import socket
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -53,11 +52,9 @@ ANNOTATIONS_FILE = "annotations.json"
 
 @dataclass
 class WorkerSpec:
-    """Everything a shard worker needs; must stay picklable (``spawn``)."""
+    """Everything a shard worker needs besides its listening socket."""
 
     shard_id: int
-    shards: int
-    socket_path: str
     #: Scratch directory for the annotation partition file.
     state_dir: str
     #: Per-shard journal directory (``<journal_dir>/shard-NN``); ``None``
@@ -74,11 +71,6 @@ class ShardWorker:
         self.journal: Optional[JournalFile] = None
         if spec.journal_dir is not None:
             self.journal = JournalFile(spec.journal_dir)
-        # Serial dispatch: one request at a time per shard, whichever
-        # connection it arrived on.
-        self._dispatch = threading.Lock()
-        self._stop = threading.Event()
-        self._listener: Optional[socket.socket] = None
         self.requests_served = 0
         #: Per-job tag lists served (a lookup frame carries one per job
         #: of its wave).
@@ -111,14 +103,13 @@ class ShardWorker:
     # request dispatch
 
     def handle(self, method: str, params: Dict[str, object]) -> object:
-        with self._dispatch:
-            self.requests_served += 1
-            if method in PARTITION_OPS:
-                return self._partition_op(method, list(params["args"]))
-            handler = getattr(self, f"_op_{method}", None)
-            if handler is None:
-                raise ShardError(f"unknown shard RPC method {method!r}")
-            return handler(params)
+        self.requests_served += 1
+        if method in PARTITION_OPS:
+            return self._partition_op(method, list(params["args"]))
+        handler = getattr(self, f"_op_{method}", None)
+        if handler is None:
+            raise ShardError(f"unknown shard RPC method {method!r}")
+        return handler(params)
 
     def _partition_op(self, name: str, args: List[object]) -> object:
         """Run one declared partition op; annotations cross as dicts."""
@@ -181,71 +172,47 @@ class ShardWorker:
                         if self.journal is not None else None),
         }
 
-    def _op_shutdown(self, params: Dict[str, object]) -> Dict[str, object]:
-        self._stop.set()
-        return {"ok": True}
-
     # ------------------------------------------------------------------ #
     # the socket server
 
-    def serve_forever(self) -> None:
-        """Bind, accept, and dispatch until asked to shut down."""
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        if os.path.exists(self.spec.socket_path):
-            os.unlink(self.spec.socket_path)
-        listener.bind(self.spec.socket_path)
-        listener.listen(64)
-        self._listener = listener
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except OSError:
-                    break  # listener closed by shutdown
-                thread = threading.Thread(
-                    target=self._serve_connection, args=(conn,),
-                    name=f"shard-{self.spec.shard_id}-conn", daemon=True)
-                thread.start()
-        finally:
-            listener.close()
-            self._cleanup()
+    def serve_forever(self, listener: socket.socket) -> None:
+        """Accept and answer on every connection from one loop.
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
+        The loop multiplexes rather than serving one connection to its
+        end: a restarted worker is forked from the client process and so
+        holds copies of the router's sockets to its sibling shards, where
+        a connection the router drops may therefore never reach EOF.
+        """
+        with selectors.DefaultSelector() as selector:
+            selector.register(listener, selectors.EVENT_READ)
             while True:
-                request = recv_frame(conn)
-                if request is None:
-                    return
-                reply: Dict[str, object] = {"id": request.get("id")}
-                method = str(request.get("method", ""))
-                try:
-                    reply["result"] = self.handle(
-                        method, dict(request.get("params", {})))
-                except Exception as error:  # noqa: BLE001 - wire boundary
-                    reply["error"] = error_payload(error)
-                send_frame(conn, reply)
-                if method == "shutdown" and "result" in reply:
-                    # Unblock the accept loop so the process exits.
-                    if self._listener is not None:
-                        self._listener.close()
-                    return
-        except (OSError, ShardError):
-            return  # peer vanished; the router handles its own retry
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+                for key, _ in selector.select():
+                    if key.fileobj is listener:
+                        conn, _ = listener.accept()
+                        selector.register(conn, selectors.EVENT_READ)
+                    elif not self._answer(key.fileobj):
+                        selector.unregister(key.fileobj)
+                        key.fileobj.close()
 
-    def _cleanup(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
+    def _answer(self, conn: socket.socket) -> bool:
+        """Answer one request; ``False`` once the peer has gone."""
         try:
-            os.unlink(self.spec.socket_path)
-        except OSError:
-            pass
+            request = recv_frame(conn)
+            if request is None:
+                return False
+            reply: Dict[str, object] = {"id": request.get("id")}
+            try:
+                reply["result"] = self.handle(
+                    str(request.get("method", "")),
+                    dict(request.get("params", {})))
+            except Exception as error:  # noqa: BLE001 - wire boundary
+                reply["error"] = error_payload(error)
+            send_frame(conn, reply)
+            return True
+        except (OSError, ShardError):
+            return False  # peer vanished; the router handles its own retry
 
 
-def worker_main(spec: WorkerSpec) -> None:
-    """Child-process entry point (top level so ``spawn`` can pickle it)."""
-    ShardWorker(spec).serve_forever()
+def worker_main(spec: WorkerSpec, listener: socket.socket) -> None:
+    """Child-process entry point: serve the listener the supervisor bound."""
+    ShardWorker(spec).serve_forever(listener)

@@ -94,8 +94,8 @@ class TestTornRecordInsideAFrame:
             self, tmp_path):
         directory = str(tmp_path / "shard-00")
         worker = ShardWorker(WorkerSpec(
-            shard_id=0, shards=1, socket_path="",
-            state_dir=str(tmp_path / "state"), journal_dir=directory))
+            shard_id=0, state_dir=str(tmp_path / "state"),
+            journal_dir=directory))
         frame = [[json.dumps({"op": op, **payload}, sort_keys=True),
                   index == 1] for index, (op, payload) in enumerate(RECORDS)]
         # Arguments cross the socket as JSON.

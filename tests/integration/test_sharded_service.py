@@ -9,11 +9,13 @@ failure is absorbed by the same ladder the in-process deployment uses
 degrading affected signatures to no-reuse, never failing a job).
 """
 
+import os
+
 import pytest
 
 from repro.api import Session
 from repro.catalog import schema_of
-from repro.common.errors import InsightsError, InsightsTimeout
+from repro.common.errors import InsightsError, InsightsTimeout, ShardError
 from repro.common.hashing import shard_for
 from repro.config import SessionConfig
 from repro.core import MultiLevelControls
@@ -27,6 +29,8 @@ from repro.scheduler import JobRequest, SchedulerConfig
 from repro.selection import SelectionPolicy
 from repro.shard import ShardConfig, ShardRouter, ShardSupervisor
 from repro.shard import supervisor as supervisor_module
+from repro.shard.protocol import recv_frame, send_frame
+from repro.shard.worker import ANNOTATIONS_FILE
 
 
 def make_annotations(count=16):
@@ -149,6 +153,25 @@ class TestShardDeathHealing:
         assert router.annotation_count() == before + len(make_annotations())
         assert sum(supervisor.restarts) == supervisor.config.shards
 
+    def test_a_worker_dying_at_start_is_a_shard_error_naming_its_exit(
+            self, tmp_path):
+        """Start-up is one ping: a worker that dies before answering it
+        (here on a corrupt annotation file) is reported, not waited on."""
+        supervisor = ShardSupervisor(ShardConfig(shards=1,
+                                                 socket_dir=str(tmp_path)))
+        supervisor.start()
+        try:
+            os.makedirs(supervisor.state_dir(0))
+            with open(os.path.join(supervisor.state_dir(0),
+                                   ANNOTATIONS_FILE), "w") as handle:
+                handle.write("{")
+            supervisor.kill(0)
+            with pytest.raises(ShardError, match=r"died during startup "
+                                                 r"\(exitcode 1\)"):
+                supervisor.restart(0)
+        finally:
+            supervisor.close()
+
     def test_injected_rpc_faults_surface_as_taxonomy_errors(self):
         supervisor = ShardSupervisor(ShardConfig(shards=2))
         supervisor.start()
@@ -165,6 +188,30 @@ class TestShardDeathHealing:
             assert by_tag(router, ["tag-0"]) == {"tag-0": []}
         finally:
             router.close()
+            supervisor.close()
+
+
+class TestOneLoop:
+    def test_a_new_connection_is_answered_while_an_old_one_idles(self):
+        """A worker serves connections side by side: one left open after
+        its reply (as a restarted sibling's inherited copy of a router
+        socket is) never stalls the next caller."""
+        supervisor = ShardSupervisor(ShardConfig(shards=1))
+        supervisor.start()
+        try:
+            with supervisor.connect(0) as idle, \
+                    supervisor.connect(0) as fresh:
+                for sock in (idle, fresh):
+                    sock.settimeout(5.0)
+                    send_frame(sock, {"id": 1, "method": "ping",
+                                      "params": {}})
+                    assert recv_frame(sock)["result"]["ok"]
+                with supervisor.connect(0) as late:
+                    send_frame(late, {"id": 2, "method": "stats",
+                                      "params": {}})
+                    assert recv_frame(late)["result"]["requests_served"] \
+                        == 4  # the start-up ping, two pings, this one
+        finally:
             supervisor.close()
 
 

@@ -86,8 +86,7 @@ class InProcessRouter:
     def __init__(self, root, shards=2):
         self.shards = shards
         self.workers = [ShardWorker(WorkerSpec(
-            shard_id=shard_id, shards=shards, socket_path="",
-            state_dir=os.path.join(root, "state"),
+            shard_id=shard_id, state_dir=os.path.join(root, "state"),
             journal_dir=os.path.join(root, "journal", f"shard-{shard_id:02d}")))
             for shard_id in range(shards)]
 

@@ -1,8 +1,8 @@
 """Sharded-deployment stress tests (run in CI via ``pytest -m stress``).
 
-The concurrency left in the deployment is one shard worker serving
-several connections at once; a ``Session`` and its router have one
-caller.  So the threads here each own their sockets, opened before they
+The concurrency left in the deployment is one shard worker's loop
+interleaving requests from several connections; a ``Session`` and its
+router have one caller.  So the threads here each own their sockets, opened before they
 start, and speak the wire protocol directly: no client-process object is
 shared between threads.  The invariants:
 

@@ -7,7 +7,9 @@ that pattern is pinned here.  The runtime version is engine state: an
 upgrade on one session never reaches another that shares its config.
 """
 
+import multiprocessing
 import os
+import re
 import shutil
 import tempfile
 
@@ -23,7 +25,9 @@ from repro.engine.engine import RUNTIME_VERSION, EngineConfig
 from repro.lifecycle import LifecycleConfig
 from repro.lifecycle.journal import WAL_FILE
 from repro.scheduler.scheduler import SchedulerConfig
-from repro.shard import ShardConfig
+from repro.optimizer.context import Annotation
+from repro.shard import ShardConfig, ShardSupervisor
+from repro.shard import supervisor as supervisor_module
 from repro.simulation import SimulationConfig
 
 SQL = "SELECT Day, SUM(Value) AS total FROM Events GROUP BY Day"
@@ -97,6 +101,51 @@ class TestResolveShard:
             assert session.supervisor.is_alive(0)
             run_one_job(session)
         assert sockets.is_dir()
+
+    def test_a_deployment_starts_empty_and_leaves_only_the_dir(self, tmp_path):
+        """Annotation state lives as long as the deployment: the next one
+        on the same directory reloads nothing."""
+        sockets = tmp_path / "cv"
+        config = SessionConfig(shard=ShardConfig(shards=2,
+                                                 socket_dir=str(sockets)))
+        with Session(config=config) as session:
+            session.insights.publish(
+                [Annotation(recurring_signature=f"sig-{i}", tag=f"tag-{i}",
+                            expected_rows=i, virtual_cluster="default")
+                 for i in range(8)])
+            assert session.insights.annotation_count() == 8
+        with Session(config=config) as session:
+            assert session.insights.annotation_count() == 0
+        assert os.listdir(sockets) == []
+
+    def test_a_socket_path_too_long_for_af_unix_is_refused_before_forking(
+            self, tmp_path):
+        sockets = os.path.join(tmp_path, "d" * (123 - len(str(tmp_path))))
+        assert len(sockets) == 124
+        config = SessionConfig(shard=ShardConfig(shards=1,
+                                                 socket_dir=sockets))
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"'{sockets}/s0.sock' is 132")):
+            Session(config=config)
+        assert not os.path.exists(sockets)
+        assert set(multiprocessing.active_children()) == before
+
+    def test_the_longest_socket_path_af_unix_binds_is_accepted(
+            self, tmp_path):
+        limit = supervisor_module.MAX_SOCKET_PATH_BYTES
+        sockets = os.path.join(tmp_path, "d" * (
+            limit - len(str(tmp_path)) - len("//s0.sock")))
+        too_long = ShardConfig(shards=1, socket_dir=sockets + "d")
+        with pytest.raises(ConfigError, match=f"is {limit + 1} bytes"):
+            ShardSupervisor(too_long)
+        supervisor = ShardSupervisor(ShardConfig(shards=1, socket_dir=sockets))
+        try:
+            supervisor.start()
+            assert len(supervisor.socket_path(0)) == limit
+            assert supervisor.is_alive(0)
+        finally:
+            supervisor.close()
 
 
 class TestSessionPrecedence:

@@ -12,8 +12,9 @@ these are its static shadows, cheap enough for tier-1:
 * what a catalog mutation *means* is written once: the lifetime-counter
   and ``reuse_count`` arithmetic and every write to a view's ``sealed`` /
   ``purged`` flag sit in ``ViewStore.apply`` and nowhere else in ``src/``;
-* one caller per ``Session`` (DESIGN §10): only the shard worker imports
-  ``threading`` or builds a lock or a thread;
+* one caller per ``Session`` and one thread per shard worker (DESIGN
+  §10): no module of ``src/`` imports a thread module or builds a lock
+  or a thread;
 * the documents stay true and small: every ``DESIGN §N``, ``§N rule X``
   and ``§N *Name*`` cited in the repository resolves to exactly one
   heading, rule or bold lead of DESIGN.md, DESIGN §12's injection-point
@@ -241,8 +242,8 @@ def test_catalog_arithmetic_is_written_once_in_the_view_store():
 
 # ---------------------------------------------------------------------- #
 # One caller per ``Session`` (DESIGN §10): the client process takes no
-# lock and starts no thread.  The shard worker, a process of its own that
-# serves several connections, is the one module that does.
+# lock and starts no thread, and a shard worker serves every connection
+# from one loop, so no module does.
 
 #: Modules whose import brings threads or locks in.
 THREAD_MODULES = {"threading", "_thread", "concurrent"}
@@ -256,7 +257,6 @@ SYNC_BUILDERS = {"Lock", "RLock", "Condition", "Semaphore",
 #: What a module may take from ``threading`` without building anything:
 #: the owner check of ``Session`` reads the calling thread's id.
 THREAD_READS = {"get_ident"}
-CONCURRENT = {"repro/shard/worker.py"}
 
 
 def concurrency(tree):
@@ -294,16 +294,17 @@ class PlanCache:
 """)
 
 
-def test_only_the_shard_worker_imports_threading_or_builds_a_lock():
+def test_no_module_imports_a_thread_module_or_builds_a_lock():
     """A lock in the client process guards nothing a second caller may
     reach (a ``Session`` refuses every thread but its owner), and a
-    thread there would be a second caller."""
+    thread there would be a second caller; a shard worker answers one
+    request at a time from one loop, so it needs neither."""
     assert concurrency(SEEDED) == [
         "from threading import Lock", "import threading",
         "multiprocessing.Event()", "threading.Thread()"]
     found = {str(path.relative_to(SRC)) for path in python_files(SRC)
              if concurrency(tree_of(path))}
-    assert found == CONCURRENT
+    assert found == set()
 
 
 # ---------------------------------------------------------------------- #
