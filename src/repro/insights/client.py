@@ -45,7 +45,6 @@ from repro.insights.partition import CACHED_ROUND_TRIP_SECONDS
 from repro.insights.service import SERVICE_SURFACE, Fetched, InsightsService
 from repro.obs import events as obs_events
 from repro.obs.recorder import NULL_RECORDER
-from repro.optimizer.context import Annotation
 
 #: Circuit-breaker states.
 CLOSED = "closed"
@@ -134,16 +133,6 @@ class CircuitBreaker:
         self.recorder.event(obs_events.BREAKER_OPEN)
 
 
-class _CacheEntry:
-    __slots__ = ("annotations", "expires_at", "generation")
-
-    def __init__(self, annotations: List[Annotation], expires_at: float,
-                 generation: int) -> None:
-        self.annotations = annotations
-        self.expires_at = expires_at
-        self.generation = generation
-
-
 class InsightsClient:
     """Drop-in, fault-tolerant replacement for the raw service handle.
 
@@ -163,7 +152,10 @@ class InsightsClient:
         self._recorder = NULL_RECORDER
         self.breaker = CircuitBreaker()
         self._jitter_rng = random.Random(JITTER_SEED)
-        self._cache: Dict[str, _CacheEntry] = {}
+        #: tag -> ``(expires_at, generation, rows)``: ``rows`` maps each
+        #: tag of the fetch that filled the entry to its annotations, and
+        #: is empty while that fetch is still a sibling's promise.
+        self._cache: Dict[str, tuple] = {}
         #: Client-side operational counters; monotonic.
         self.degraded_fetches = 0
         self.retries = 0
@@ -287,104 +279,96 @@ class InsightsClient:
                             for index, fetch, _ in reversed(asked))
         return answers
 
-    def _fetch(self, tags: tuple, now: float, promised: Dict[str, object]):
+    def _fetch(self, tags: tuple, now: float, promised: Dict[str, tuple]):
         """One job's fetch, written as it runs alone: a generator that
         yields ``(needed tags, settled)`` once per round of its wave and
         is sent the :meth:`InsightsService.lookup` reply for them.
-        ``promised`` holds the cache entries the round's settled jobs
-        will fill; their rows arrive after the round's frame."""
+
+        Its missing tags climb the retry ladder.  A job is *settled* when
+        it goes on the wire with a retry to spare, the breaker closed and
+        an all-hit retry inside the timeout: then it succeeds unless its
+        frame fails, and the cache entry it will fill is ``promised`` to
+        later siblings of the round, whose rows arrive after the round's
+        frame.  The breaker hears every outcome after the frame, in
+        submission order; no sibling of the round asks it anything in
+        between but ``admit`` while closed, whose answer no outcome
+        changes."""
         self._recorder.advance_to(now)
         if not self.service.begin_fetch():
             return Fetched({})
-        generation = self.service.generation
-        hits, needed = [], []
+        generation, cache = self.service.generation, self._cache
+        # Per tag, the rows that answer it: a cache entry's, a sibling's
+        # promise, or this job's own ``rows``.
+        latency, rows, sources, needed = 0.0, {}, [], []
         for tag in tags:
-            entry = promised.get(tag) or self._cache.get(tag)
-            if (entry is not None and entry.generation == generation
-                    and now < entry.expires_at):
-                hits.append((tag, entry))
+            entry = promised.get(tag) or cache.get(tag)
+            if (entry is not None and entry[1] == generation
+                    and now < entry[0]):
+                sources.append(entry[2])
             else:
+                sources.append(rows)
                 needed.append(tag)
-        self.cache_hits += len(hits)
+        hits = len(sources) - len(needed)
+        self.cache_hits += hits
         self.cache_misses += len(needed)
-        self._recorder.inc("client.cache_hits", len(hits))
+        self._recorder.inc("client.cache_hits", hits)
         self._recorder.inc("client.cache_misses", len(needed))
 
-        latency, found = 0.0, []
         if not needed:
-            if any(entry.annotations is None for _, entry in hits):
+            if not all(tag in held for held, tag in zip(sources, tags)):
                 yield needed, True  # wait for a sibling's promised rows
         elif self.breaker.admit() == "degrade":
             return self._degrade(reason="breaker-open")
         else:
-            fill = {tag: _CacheEntry(None, now + CACHE_TTL_SECONDS,
-                                     generation) for tag in needed}
-            outcome = yield from self._attempts(needed, fill, promised)
-            if outcome is None:
-                return self._degrade(reason="fetch-failed")
-            found, latency = outcome
-            for tag, annotations in zip(needed, found):
-                fill[tag].annotations = annotations
-            self._cache.update(fill)
-        per_tag = {tag: entry.annotations for tag, entry in hits}
-        if None in per_tag.values():  # promised by a sibling that failed
-            return self._degrade(reason="fetch-failed")
-        per_tag.update(zip(needed, found))
-        return Fetched(self.service.finish_fetch(
-            per_tag.get(tag, ()) for tag in tags), latency)
-
-    def _attempts(self, needed: list, fill: dict, promised: Dict[str, object]):
-        """The retry ladder for a job's missing tags, a generator like
-        :meth:`_fetch`: returns ``(per-tag annotations, latency)``, or
-        ``None`` once every attempt failed.
-
-        A job is *settled* when it goes on the wire with a retry to
-        spare, the breaker closed and an all-hit retry inside the
-        timeout: then it succeeds unless its frame fails, and the cache
-        entries it will ``fill`` are promised to later siblings of the
-        round.  The breaker hears every outcome after the frame, in
-        submission order; no sibling of the round asks it anything in
-        between but ``admit`` while closed, whose answer no outcome
-        changes."""
-        attempts = MAX_RETRIES + 1
-        timeout = TIMEOUT_SECONDS
-        all_hits = 0.0
-        for _ in needed:
-            all_hits += CACHED_ROUND_TRIP_SECONDS
-        latency, cost, found = 0.0, None, []
-        for attempt in range(attempts):
-            lost = False
-            if cost is not None:
-                # A retry after a timeout sends nothing: the first attempt
-                # put every tag in its partition's serving cache, so the
-                # retry's all-hit charges and its rows are already known.
-                cost = self.service.relookup(needed)
+            entry = (now + CACHE_TTL_SECONDS, generation, rows)
+            attempts, timeout = MAX_RETRIES + 1, TIMEOUT_SECONDS
+            all_hits, cost, found = 0.0, None, []
+            for _ in needed:
+                all_hits += CACHED_ROUND_TRIP_SECONDS
+            for attempt in range(attempts):
+                lost = False
+                if cost is not None:
+                    # A retry after a timeout sends nothing: the first
+                    # attempt put every tag in its partition's serving
+                    # cache, so the retry's all-hit charges and its rows
+                    # are already known.
+                    cost = self.service.relookup(needed)
+                else:
+                    injected = self.faults.check(fault_points.INSIGHTS_RPC)
+                    lost = injected.kind in ("drop", "error")
+                    if not lost:
+                        settled = (attempt + 1 < attempts
+                                   and all_hits <= timeout
+                                   and self.breaker.state == CLOSED)
+                        if settled:
+                            promised.update(dict.fromkeys(needed, entry))
+                        reply = yield needed, settled
+                        if not isinstance(reply, InsightsError):
+                            found, cost = reply[0], reply[1] + injected.delay
+                if cost is not None and cost <= timeout:
+                    break
+                latency += timeout
+                if attempt + 1 < attempts:
+                    self.retries += 1
+                    self._recorder.inc("client.retries")
+                    self._recorder.event(obs_events.FETCH_RETRY,
+                                         attempt=attempt + 1,
+                                         tags=len(needed))
+                    latency += self._backoff(attempt)
             else:
-                injected = self.faults.check(fault_points.INSIGHTS_RPC)
-                lost = injected.kind in ("drop", "error")
-                if not lost:
-                    settled = (attempt + 1 < attempts and all_hits <= timeout
-                               and self.breaker.state == CLOSED)
-                    if settled:
-                        promised.update(fill)
-                    reply = yield needed, settled
-                    if not isinstance(reply, InsightsError):
-                        found, cost = reply[0], reply[1] + injected.delay
-            if cost is not None and cost <= timeout:
-                self.breaker.record_success()
-                return found, latency + cost
-            latency += timeout
-            if attempt + 1 < attempts:
-                self.retries += 1
-                self._recorder.inc("client.retries")
-                self._recorder.event(obs_events.FETCH_RETRY,
-                                     attempt=attempt + 1, tags=len(needed))
-                latency += self._backoff(attempt)
-        if lost:
-            yield [], False  # the failure is heard after this round's frame
-        if self.breaker.record_failure():
-            self._recorder.inc("client.breaker_opens")
-        return None
+                if lost:
+                    yield [], False  # heard after this round's frame
+                if self.breaker.record_failure():
+                    self._recorder.inc("client.breaker_opens")
+                return self._degrade(reason="fetch-failed")
+            self.breaker.record_success()
+            latency += cost
+            rows.update(zip(needed, found))
+            cache.update(dict.fromkeys(needed, entry))
+        per_tag = [held.get(tag) for held, tag in zip(sources, tags)]
+        if None in per_tag:  # promised by a sibling that failed
+            return self._degrade(reason="fetch-failed")
+        return Fetched(self.service.finish_fetch(per_tag), latency)
 
     def _degrade(self, reason: str) -> Fetched:
         self.degraded_fetches += 1

@@ -138,14 +138,15 @@ class Partition:
         later one -- in that list or a later one -- a cache hit."""
         found: List[List[List[Annotation]]] = []
         charges: List[List[float]] = []
+        cache = self._cache
         for tags in lists:
             found.append([list(self._by_tag.get(tag, ())) for tag in tags])
-            charges.append([])
+            charged = []
             for tag in tags:
-                charges[-1].append(CACHED_ROUND_TRIP_SECONDS
-                                   if tag in self._cache
-                                   else ROUND_TRIP_SECONDS)
-                self._cache.add(tag)
+                charged.append(CACHED_ROUND_TRIP_SECONDS if tag in cache
+                               else ROUND_TRIP_SECONDS)
+                cache.add(tag)
+            charges.append(charged)
         return Lookup(found, charges)
 
     # ------------------------------------------------------------------ #

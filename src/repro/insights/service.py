@@ -259,18 +259,21 @@ class InsightsService:
                 frames[shard_id] = error
         replies = []
         for index, row in enumerate(owners):
-            rode = {shard: frames[shard] for shard in sorted(set(row))}
-            failed = [f for f in rode.values() if isinstance(f, InsightsError)]
+            rode = sorted(set(row))
+            failed = [frames[shard] for shard in rode
+                      if isinstance(frames[shard], InsightsError)]
             if failed:
                 replies.append(failed[0])
                 continue
-            answers = {shard: zip(frame.annotations[index],
-                                  frame.charges[index])
-                       for shard, frame in rode.items()}
-            found, charges = zip(*(next(answers[owner]) for owner in row)) \
-                if row else ((), ())
-            replies.append((list(found), self._charge(
-                charges, sum(frame.delay for frame in rode.values()))))
+            found = {shard: iter(frames[shard].annotations[index])
+                     for shard in rode}
+            charges = {shard: iter(frames[shard].charges[index])
+                       for shard in rode}
+            replies.append(([next(found[owner]) for owner in row],
+                            self._charge([next(charges[owner])
+                                          for owner in row],
+                                         sum(frames[shard].delay
+                                             for shard in rode))))
         return replies
 
     def relookup(self, tags: Sequence[str]) -> float:

@@ -18,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.common.errors import LintError
 from repro.optimizer.context import OptimizerContext
 from repro.plan.logical import LogicalPlan, Scan, ViewScan
 from repro.signatures.signature import (
     is_reuse_eligible,
-    recurring_signature,
-    strict_signature,
+    reference_signatures,
+    sign_as,
+    signatures,
     with_children_signed_alike,
 )
 from repro.storage.views import MaterializedView
@@ -92,26 +94,25 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         return None  # a bare scan never benefits from view substitution
     if not is_reuse_eligible(plan):
         return None
-    signature = strict_signature(plan, ctx.salt)
+    signature, recurring, _ = signed = signatures(plan, ctx.salt)
     ctx.recorder.inc("views.match.attempts")
     view = ctx.view_store.lookup(signature, now)
     if view is None:
         if ctx.enable_containment:
             return _try_containment(plan, ctx, now, matches)
         return None
-    cost_with, cost_without = _compare_rewrites(
-        plan, view_scan_for(view, plan.schema), ctx)
+    # One ViewScan per hit, costed and returned: it stands for ``plan``,
+    # so it is born carrying the triple ``_node_digest`` signs it as.
+    scan = sign_as(view_scan_for(view, plan.schema, recurring), signed,
+                   ctx.salt)
+    if ctx.debug_checks and reference_signatures(scan, ctx.salt) != signed:
+        raise LintError(f"the ViewScan over {signature[:8]} does not sign "
+                        f"as the subexpression it replaces")
+    cost_with, cost_without = _compare_rewrites(plan, scan, ctx)
     if cost_with >= cost_without:
         ctx.recorder.inc("views.match.rejected_by_cost")
         return None
-    # Re-check availability at claim time: an invalidation cascade or GC
-    # sweep may have purged the view between the lookup above and this
-    # point.  A lost claim is just a recompute.
-    view = ctx.view_store.claim_for_reuse(signature, now,
-                                          reused_by=ctx.trace_id)
-    if view is None:
-        ctx.recorder.inc("views.match.lost_claims")
-        return None
+    ctx.view_store.claim_for_reuse(signature, now, reused_by=ctx.trace_id)
     ctx.recorder.inc("views.match.hits")
     matches.append(ViewMatch(
         signature=signature,
@@ -121,9 +122,7 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         cost_without=cost_without,
         cost_with=cost_with,
     ))
-    return view_scan_for(
-        view, plan.schema,
-        recurring_fallback=recurring_signature(plan, ctx.salt))
+    return scan
 
 
 def _try_containment(plan: LogicalPlan, ctx: OptimizerContext, now: float,
@@ -142,9 +141,8 @@ def _try_containment(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         cost_with, cost_without = _compare_rewrites(plan, rewritten, ctx)
         if cost_with >= cost_without:
             continue
-        if ctx.view_store.claim_for_reuse(view.signature, now,
-                                          reused_by=ctx.trace_id) is None:
-            continue  # purged under us; try the next candidate
+        ctx.view_store.claim_for_reuse(view.signature, now,
+                                       reused_by=ctx.trace_id)
         matches.append(ViewMatch(
             signature=view.signature,
             view_path=view.path,
@@ -165,13 +163,13 @@ def _compare_rewrites(plan: LogicalPlan, rewritten: LogicalPlan,
 
 
 def view_scan_for(view: MaterializedView, columns: Sequence[str],
-                  recurring_fallback: str = "") -> ViewScan:
+                  recurring: str = "") -> ViewScan:
     """The single construction site for ViewScans over a materialized view.
 
     ``columns`` is the schema of the subexpression being replaced, which
     is the schema the view was built with: both are the one strict
-    signature's.  ``recurring_fallback`` is used only when the view
-    predates recurring-signature recording.
+    signature's.  ``recurring`` is that subexpression's recurring
+    signature; without one, the scan takes the view's own.
     """
     return ViewScan(
         signature=view.signature,
@@ -179,5 +177,5 @@ def view_scan_for(view: MaterializedView, columns: Sequence[str],
         columns=tuple(columns),
         rows=view.row_count,
         size_bytes=view.size_bytes,
-        recurring=view.recurring_signature or recurring_fallback,
+        recurring=recurring or view.recurring_signature,
     )

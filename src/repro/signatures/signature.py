@@ -118,6 +118,21 @@ def subexpression_tag(plan: LogicalPlan, salt: str = "") -> str:
     return _signed(plan, salt)[2]
 
 
+def signatures(plan: LogicalPlan, salt: str = "") -> Tuple[str, str, str]:
+    """The node's ``(strict, recurring, tag)`` in one read."""
+    return _signed(plan, salt)
+
+
+def sign_as(node: LogicalPlan, signed: Tuple[str, str, str],
+            salt: str) -> LogicalPlan:
+    """``node``, new and unsigned, born carrying ``signed`` for ``salt``:
+    for a ViewScan built to stand for a subexpression, that
+    subexpression's triple is what ``_node_digest`` signs it as, so it
+    is never hashed.  Debug mode holds it to ``reference_signatures``."""
+    vars(node)[_SIGNED] = {salt: signed}
+    return node
+
+
 @dataclass(frozen=True)
 class Subexpression:
     """One subexpression of a query plan with its signature bundle."""
@@ -216,6 +231,14 @@ def reference_signature(plan: LogicalPlan, recurring: bool,
     children = [reference_signature(child, recurring, salt)
                 for child in plan.children()]
     return _node_digest(plan, kind, recurring, salt, children)
+
+
+def reference_signatures(plan: LogicalPlan,
+                         salt: str = "") -> Tuple[str, str, str]:
+    """``(strict, recurring, tag)`` by :func:`reference_signature`."""
+    recurring = reference_signature(plan, True, salt)
+    return (reference_signature(plan, False, salt), recurring,
+            signature_tag(recurring))
 
 
 def _node_digest(plan: LogicalPlan, kind: type, recurring: bool, salt: str,

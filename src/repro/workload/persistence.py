@@ -15,7 +15,6 @@ table rows, linked by ``job_id``.  Jobs precede their subexpressions.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
@@ -45,10 +44,10 @@ def save_repository(repository: WorkloadRepository,
                          "format_version": FORMAT_VERSION})]
     for job in repository.jobs:
         lines.append(json.dumps(
-            {"kind": "job", **dataclasses.asdict(job)}))
+            {"kind": "job", **job._asdict()}))
         for record in by_job.get(job.job_id, ()):
             lines.append(json.dumps(
-                {"kind": "subexpression", **dataclasses.asdict(record)}))
+                {"kind": "subexpression", **record._asdict()}))
     path.write_text("\n".join(lines) + "\n")
     return len(lines)
 

@@ -14,13 +14,12 @@ workload analyses (Figures 2, 3, 8, 9) read from here.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 
-@dataclass(frozen=True)
-class SubexpressionRecord:
-    """One row of the denormalized subexpression table."""
+class SubexpressionRecord(NamedTuple):
+    """One row of the denormalized subexpression table (a tuple: one is
+    made per plan node of every ingested job)."""
 
     job_id: str
     virtual_cluster: str
@@ -46,8 +45,7 @@ class SubexpressionRecord:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class JobRecord:
+class JobRecord(NamedTuple):
     """Per-job workload metadata."""
 
     job_id: str

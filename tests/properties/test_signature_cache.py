@@ -18,8 +18,12 @@ import threading
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.catalog import Catalog, schema_of
+from repro.common.errors import LintError
 from repro.engine import ScopeEngine
+from repro.optimizer import OptimizerContext, match_views
 from repro.optimizer.rules import apply_rewrites, fold_constants, push_filters
 from repro.plan.expressions import BinaryOp, ColumnRef, FuncCall, Literal
 from repro.plan.logical import (
@@ -38,8 +42,12 @@ from repro.plan.logical import (
 )
 from repro.plan.normalize import normalize
 from repro.signatures import signature as signature_module
-from repro.signatures.signature import with_children_signed_alike
+from repro.signatures.signature import (
+    reference_signatures,
+    with_children_signed_alike,
+)
 from repro.signatures.template import PlanTemplate
+from repro.storage.views import ViewStore
 from repro.signatures import (
     MAX_DEPENDENCY_DEPTH,
     is_reuse_eligible,
@@ -296,6 +304,103 @@ class count_hashes:
 
     def __exit__(self, *exc):
         signature_module._node_digest = self.real
+
+
+# --------------------------------------------------------------------- #
+# view matching: one ViewScan per hit, born signed
+
+
+def matching_context(salt, debug_checks=True):
+    catalog = Catalog()
+    for name in ("S", "T", "U"):
+        catalog.register(schema_of(name, [("a", "int"), ("b", "int")]), 100)
+    return OptimizerContext(catalog=catalog, view_store=ViewStore(),
+                            salt=salt, debug_checks=debug_checks)
+
+
+def seal_view_of(ctx, node):
+    """A one-row view of ``node`` (cheaper to read than any operator)."""
+    strict = strict_signature(node, ctx.salt)
+    ctx.view_store.begin_materialize(
+        strict, f"cloudviews/vc/{strict}", node.schema, "vc", now=0.0,
+        definition=node,
+        recurring_signature=recurring_signature(node, ctx.salt))
+    ctx.view_store.seal(strict, now=0.0, row_count=1, size_bytes=10)
+
+
+def reusable(plan):
+    return [node for node in plan.walk()
+            if not isinstance(node, Scan) and is_reuse_eligible(node)]
+
+
+@given(plan=plans, data=st.data())
+@SETTINGS
+def test_a_hit_returns_one_viewscan_born_signed_as_it_signs(plan, data):
+    """The ViewScan a hit returns carries the replaced subexpression's
+    ``(strict, recurring, tag)``: exactly what ``reference_signature``
+    and ``_node_digest`` sign it as, with nothing hashed for it.  The
+    parents matching rebuilds over it keep their signatures."""
+    candidates = reusable(plan)
+    if not candidates:
+        event("skipped: nothing eligible to reuse")
+        return
+    node = data.draw(st.sampled_from(candidates))
+    for salt in SALTS:
+        ctx = matching_context(salt, debug_checks=False)
+        strict_signature(plan, salt)     # as the engine's enumeration has
+        seal_view_of(ctx, node)
+        hashes, tags = count_hashes(), []
+        real_tag = signature_module.signature_tag
+        signature_module.signature_tag = lambda recurring: tags.append(
+            recurring) or real_tag(recurring)
+        try:
+            with hashes:
+                outcome = match_views(plan, ctx, now=1.0)
+                for parent in outcome.plan.walk():
+                    strict_signature(parent, salt)
+        finally:
+            signature_module.signature_tag = real_tag
+        outcome.release_claims(ctx.view_store)
+        assert hashes.calls == 0 and tags == []
+        scans = [n for n in outcome.plan.walk() if isinstance(n, ViewScan)]
+        assert len(scans) == len(outcome.matches) >= 1
+        for scan in scans:
+            signed = (strict_signature(scan, salt),
+                      recurring_signature(scan, salt),
+                      subexpression_tag(scan, salt))
+            assert signed == reference_signatures(scan, salt) == (
+                strict_signature(node, salt), recurring_signature(node, salt),
+                subexpression_tag(node, salt))
+            digest = signature_module._node_digest
+            assert signed[:2] == (digest(scan, ViewScan, False, salt, []),
+                                  digest(scan, ViewScan, True, salt, []))
+        assert strict_signature(outcome.plan, salt) == \
+            strict_signature(plan, salt)
+        assert_matches_reference(outcome.plan, salts=(salt,))
+
+
+def test_debug_mode_refuses_a_viewscan_that_would_not_sign_as_it_stands(
+        monkeypatch):
+    node = Filter(Scan("S", ("a", "b"), "guid-1"), BinaryOp("=", A, Literal(1)))
+    plan = Project(node, (A, B), ("a", "b"))
+    real = signature_module._node_digest
+
+    def drifted(plan, kind, recurring, salt, children):
+        if kind is ViewScan and recurring:
+            return "drifted"
+        return real(plan, kind, recurring, salt, children)
+
+    monkeypatch.setattr(signature_module, "_node_digest", drifted)
+    strict = strict_signature(node, SALTS[0])
+    checked = matching_context(SALTS[0], debug_checks=True)
+    seal_view_of(checked, node)
+    with pytest.raises(LintError, match=strict[:8]):
+        match_views(plan, checked, now=1.0)
+    # Unchecked, the born-signed scan is trusted as it stands.
+    unchecked = matching_context(SALTS[0], debug_checks=False)
+    seal_view_of(unchecked, node)
+    outcome = match_views(plan, unchecked, now=1.0)
+    assert [m.signature for m in outcome.matches] == [strict]
 
 
 @given(plan=plans)
