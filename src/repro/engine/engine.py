@@ -424,9 +424,12 @@ class ScopeEngine:
                 plan_cache=plan_cache,
                 views_built=optimized.built_views,
                 views_reused=optimized.reused_views,
-                estimated_cost=optimized.estimated_cost,
-                estimated_cost_without_reuse=(
-                    optimized.estimated_cost_without_reuse),
+                # Whole-plan costs are read by this event alone; no
+                # reuse decision needs them (DESIGN §5).
+                estimated_cost=ctx.cost_model.plan_cost(
+                    optimized.plan, ctx.estimator),
+                estimated_cost_without_reuse=ctx.cost_model.plan_cost(
+                    optimized.logical, ctx.estimator),
                 plan_text=render_plan(optimized.plan),
             )
         return CompiledJob(

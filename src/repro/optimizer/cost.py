@@ -44,12 +44,21 @@ class CostModel:
     udo_per_row: float = 3.0
     operator_startup: float = 10.0
 
-    def plan_cost(self, plan: LogicalPlan,
-                  estimator: CardinalityEstimator) -> float:
-        """Total estimated cost of executing ``plan``."""
+    def plan_cost(self, plan: LogicalPlan, estimator: CardinalityEstimator,
+                  budget: float = math.inf) -> float:
+        """Total estimated cost of executing ``plan``.
+
+        With a ``budget``, costing stops as soon as a partial sum exceeds
+        it.  Operator costs are non-negative and the summation order is
+        the unbudgeted one, so a partial sum never exceeds the full cost,
+        in floating point too: the result exceeds ``budget`` exactly when
+        the full cost does, and is the full cost, bit for bit, otherwise.
+        """
         total = self.operator_cost(plan, estimator)
         for child in plan.children():
-            total += self.plan_cost(child, estimator)
+            if total > budget:
+                return total
+            total += self.plan_cost(child, estimator, budget)
         return total
 
     def operator_cost(self, plan: LogicalPlan,

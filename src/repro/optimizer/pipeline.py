@@ -30,8 +30,6 @@ class OptimizedPlan:
     logical: LogicalPlan          # normalized plan before reuse rewrites
     matches: List[ViewMatch] = field(default_factory=list)
     proposals: List[BuildProposal] = field(default_factory=list)
-    estimated_cost: float = 0.0
-    estimated_cost_without_reuse: float = 0.0
 
     @property
     def reused_views(self) -> int:
@@ -55,22 +53,20 @@ def optimize(plan: LogicalPlan, ctx: OptimizerContext, now: float = 0.0,
     if normalized and logical is not plan:
         raise LintError("optimize() was told an unnormalized plan is "
                         f"normalized:\n{plan.explain()}")
-    cost_without = ctx.cost_model.plan_cost(logical, ctx.estimator)
 
     match_span = ctx.recorder.start_span(
         "view.match", trace_id=ctx.trace_id, at=now, parent=ctx.compile_span)
     matched = match_views(logical, ctx, now)
     match_span.annotate("matches", len(matched.matches)).finish(at=now)
-    # The claims hold pins until compilation is done, so buildout and
-    # costing never see a claimed view swept or re-begun by a concurrent
-    # GC sweep or producer (see ``MatchOutcome.release_claims``).
+    # The claims hold pins until compilation is done, so buildout never
+    # sees a claimed view swept or re-begun by a concurrent GC sweep or
+    # producer (see ``MatchOutcome.release_claims``).
     try:
         build_span = ctx.recorder.start_span(
             "view.buildout", trace_id=ctx.trace_id, at=now,
             parent=ctx.compile_span)
         built = insert_spools(matched.plan, ctx, now)
         build_span.annotate("proposals", len(built.proposals)).finish(at=now)
-        final_cost = ctx.cost_model.plan_cost(built.plan, ctx.estimator)
     finally:
         matched.release_claims(ctx.view_store)
     return OptimizedPlan(
@@ -78,6 +74,4 @@ def optimize(plan: LogicalPlan, ctx: OptimizerContext, now: float = 0.0,
         logical=logical,
         matches=matched.matches,
         proposals=built.proposals,
-        estimated_cost=final_cost,
-        estimated_cost_without_reuse=cost_without,
     )

@@ -16,7 +16,7 @@ computation plus hash-equality lookups -- no containment reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.common.errors import LintError
 from repro.optimizer.context import OptimizerContext
@@ -38,8 +38,6 @@ class ViewMatch:
     signature: str
     view_path: str
     view_rows: int
-    replaced_operators: int
-    cost_without: float
     cost_with: float
 
 
@@ -108,8 +106,8 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
     if ctx.debug_checks and reference_signatures(scan, ctx.salt) != signed:
         raise LintError(f"the ViewScan over {signature[:8]} does not sign "
                         f"as the subexpression it replaces")
-    cost_with, cost_without = _compare_rewrites(plan, scan, ctx)
-    if cost_with >= cost_without:
+    cost_with = _cost_if_cheaper(plan, scan, ctx)
+    if cost_with is None:
         ctx.recorder.inc("views.match.rejected_by_cost")
         return None
     ctx.view_store.claim_for_reuse(signature, now, reused_by=ctx.trace_id)
@@ -118,8 +116,6 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         signature=signature,
         view_path=view.path,
         view_rows=view.row_count,
-        replaced_operators=sum(1 for _ in plan.walk()),
-        cost_without=cost_without,
         cost_with=cost_with,
     ))
     return scan
@@ -138,8 +134,8 @@ def _try_containment(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         rewritten = generalized_match(plan, view.definition, view_scan)
         if rewritten is None:
             continue
-        cost_with, cost_without = _compare_rewrites(plan, rewritten, ctx)
-        if cost_with >= cost_without:
+        cost_with = _cost_if_cheaper(plan, rewritten, ctx)
+        if cost_with is None:
             continue
         ctx.view_store.claim_for_reuse(view.signature, now,
                                        reused_by=ctx.trace_id)
@@ -147,19 +143,28 @@ def _try_containment(plan: LogicalPlan, ctx: OptimizerContext, now: float,
             signature=view.signature,
             view_path=view.path,
             view_rows=view.row_count,
-            replaced_operators=sum(1 for _ in plan.walk()),
-            cost_without=cost_without,
             cost_with=cost_with,
         ))
         return rewritten
     return None
 
 
-def _compare_rewrites(plan: LogicalPlan, rewritten: LogicalPlan,
-                      ctx: OptimizerContext) -> Tuple[float, float]:
-    """Cost the two memo alternatives: use the view vs recompute."""
-    return (ctx.cost_model.plan_cost(rewritten, ctx.estimator),
-            ctx.cost_model.plan_cost(plan, ctx.estimator))
+def _cost_if_cheaper(plan: LogicalPlan, rewritten: LogicalPlan,
+                     ctx: OptimizerContext) -> Optional[float]:
+    """The cost of ``rewritten`` if it is below that of ``plan``, else None.
+
+    The view side is costed in full; the recompute side only until it
+    exceeds that (``plan_cost``'s budget), which decides the comparison
+    exactly as costing it in full would.
+    """
+    model, estimator = ctx.cost_model, ctx.estimator
+    cost_with = model.plan_cost(rewritten, estimator)
+    cheaper = model.plan_cost(plan, estimator, budget=cost_with) > cost_with
+    if ctx.debug_checks and \
+            cheaper != (model.plan_cost(plan, estimator) > cost_with):
+        raise LintError("budgeted costing decided a view match unlike "
+                        f"full costing:\n{plan.explain()}")
+    return cost_with if cheaper else None
 
 
 def view_scan_for(view: MaterializedView, columns: Sequence[str],

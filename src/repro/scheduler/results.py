@@ -40,8 +40,6 @@ class JobResult:
     views_reused: int = 0
     sealed_views: List[str] = field(default_factory=list)
     compile_latency: float = 0.0
-    estimated_cost: float = 0.0
-    estimated_cost_without_reuse: float = 0.0
     reuse_enabled: bool = True
     degraded: bool = False
     error: Optional[str] = None
@@ -93,9 +91,6 @@ class JobResult:
             views_reused=compiled.reused_views,
             sealed_views=list(run.sealed_views),
             compile_latency=compiled.compile_latency,
-            estimated_cost=compiled.optimized.estimated_cost,
-            estimated_cost_without_reuse=(
-                compiled.optimized.estimated_cost_without_reuse),
             reuse_enabled=compiled.reuse_enabled,
             degraded=compiled.degraded,
             run=run,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Iterable, List, Union
 
 from repro.common.errors import ReproError
 from repro.workload.repository import (
@@ -37,15 +37,12 @@ def save_repository(repository: WorkloadRepository,
                     path: Union[str, Path]) -> int:
     """Write the repository to ``path``; returns the line count."""
     path = Path(path)
-    by_job: Dict[str, List[SubexpressionRecord]] = {}
-    for record in repository.subexpressions:
-        by_job.setdefault(record.job_id, []).append(record)
     lines = [json.dumps({"kind": "header",
                          "format_version": FORMAT_VERSION})]
-    for job in repository.jobs:
+    for index, job in enumerate(repository.jobs):
         lines.append(json.dumps(
             {"kind": "job", **job._asdict()}))
-        for record in by_job.get(job.job_id, ()):
+        for record in repository.records_of(index):
             lines.append(json.dumps(
                 {"kind": "subexpression", **record._asdict()}))
     path.write_text("\n".join(lines) + "\n")
@@ -100,14 +97,10 @@ def load_repository(path: Union[str, Path]) -> WorkloadRepository:
 def merge_captures(paths: Iterable[Union[str, Path]]) -> WorkloadRepository:
     """Union several captures (e.g. one per cluster) into one repository."""
     merged = WorkloadRepository()
-    by_job: Dict[str, List[SubexpressionRecord]] = {}
     for path in paths:
         repository = load_repository(path)
-        grouped: Dict[str, List[SubexpressionRecord]] = {}
-        for record in repository.subexpressions:
-            grouped.setdefault(record.job_id, []).append(record)
-        for job in repository.jobs:
-            merged.add_job(job, grouped.get(job.job_id, ()))
+        for index, job in enumerate(repository.jobs):
+            merged.add_job(job, repository.records_of(index))
     return merged
 
 

@@ -13,6 +13,7 @@ workload analyses (Figures 2, 3, 8, 9) read from here.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -64,6 +65,12 @@ class WorkloadRepository:
     def __init__(self) -> None:
         self.subexpressions: List[SubexpressionRecord] = []
         self.jobs: List[JobRecord] = []
+        #: Where each job's records start in ``subexpressions``, by job
+        #: index: a job's records are its own slice, even when two
+        #: merged captures reuse a job id.  (An ``array``: a list of
+        #: ints costs about 36 bytes a job, a measurable share of
+        #: ``peak_rss_mb``.)
+        self._first_record = array("q")
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -71,6 +78,7 @@ class WorkloadRepository:
     def add_job(self, job: JobRecord,
                 records: Iterable[SubexpressionRecord]) -> None:
         self.jobs.append(job)
+        self._first_record.append(len(self.subexpressions))
         self.subexpressions.extend(records)
 
     # ------------------------------------------------------------------ #
@@ -129,14 +137,15 @@ class WorkloadRepository:
         annotations no future job can match.
         """
         result = WorkloadRepository()
-        kept = {job.job_id for job in self.jobs
-                if start <= job.submit_time < end
-                and runtime_version in (None, job.runtime_version)}
-        by_job: Dict[str, List[SubexpressionRecord]] = defaultdict(list)
-        for record in self.subexpressions:
-            if record.job_id in kept:
-                by_job[record.job_id].append(record)
-        for job in self.jobs:
-            if job.job_id in kept:
-                result.add_job(job, by_job.get(job.job_id, ()))
+        for index, job in enumerate(self.jobs):
+            if start <= job.submit_time < end \
+                    and runtime_version in (None, job.runtime_version):
+                result.add_job(job, self.records_of(index))
         return result
+
+    def records_of(self, index: int) -> List[SubexpressionRecord]:
+        """The records ingested with ``self.jobs[index]``, in order."""
+        starts = self._first_record
+        end = starts[index + 1] if index + 1 < len(starts) \
+            else len(self.subexpressions)
+        return self.subexpressions[starts[index]:end]

@@ -11,6 +11,8 @@ import pytest
 from repro.api import Session
 from repro.catalog import schema_of
 from repro.core import MultiLevelControls
+from repro.obs import FlightRecorder
+from repro.obs.events import JOB_COMPILED
 from repro.selection import SelectionPolicy
 
 
@@ -25,6 +27,7 @@ def cloudviews():
         policy=SelectionPolicy(storage_budget_bytes=10_000_000,
                                min_reuses_per_epoch=0.0),
         selection_algorithm="bigsubs",
+        recorder=FlightRecorder(),
     )
     engine = cv.engine
     engine.register_table(
@@ -36,6 +39,15 @@ def cloudviews():
         [dict(UserId=i, Segment="Asia" if i % 2 else "Europe")
          for i in range(7)])
     return cv
+
+
+def compiled_costs(session, job):
+    """(estimated cost, cost without reuse) as the job's last
+    ``job.compiled`` event carries them."""
+    [*_, event] = (e for e in session.engine.recorder.events.events(
+        kind=JOB_COMPILED) if e.job_id == job.job_id)
+    return (event.attrs["estimated_cost"],
+            event.attrs["estimated_cost_without_reuse"])
 
 
 def _enabled_controls():
@@ -90,8 +102,8 @@ class TestFullLoop:
         builder = cloudviews.run(Q1, **VC1, template_id="t1", now=10.0)
         # Section 2.4 "User expectations": the builder's plan costs more
         # than the plain plan would (spool write overhead).
-        assert builder.compiled.optimized.estimated_cost > \
-            builder.compiled.optimized.estimated_cost_without_reuse
+        cost, cost_without_reuse = compiled_costs(cloudviews, builder)
+        assert cost > cost_without_reuse
 
     def test_reuser_is_cheaper(self, cloudviews):
         cloudviews.run(Q1, **VC1, template_id="t1", now=0.0)
@@ -99,8 +111,8 @@ class TestFullLoop:
         cloudviews.analyze_and_publish()
         cloudviews.run(Q1, **VC1, template_id="t1", now=10.0)
         reuser = cloudviews.run(Q2, **VC1, template_id="t2", now=11.0)
-        assert reuser.compiled.optimized.estimated_cost < \
-            reuser.compiled.optimized.estimated_cost_without_reuse
+        cost, cost_without_reuse = compiled_costs(cloudviews, reuser)
+        assert cost < cost_without_reuse
 
     def test_bulk_update_stops_reuse_then_rebuilds(self, cloudviews):
         cloudviews.run(Q1, **VC1, template_id="t1", now=0.0)

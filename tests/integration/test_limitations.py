@@ -9,6 +9,8 @@ import pytest
 
 from repro.catalog import schema_of
 from repro.engine import ScopeEngine
+from repro.obs import FlightRecorder
+from repro.obs.events import JOB_COMPILED
 from repro.optimizer.context import Annotation
 from repro.plan import PlanBuilder, normalize
 from repro.optimizer.rules import apply_rewrites
@@ -123,7 +125,7 @@ class TestFirstHitSlowdown:
     down due to additional materialization overhead.'"""
 
     def test_builder_cost_exceeds_plain_cost(self):
-        engine = ScopeEngine()
+        engine = ScopeEngine(recorder=FlightRecorder())
         engine.register_table(
             schema_of("T", [("k", "int"), ("v", "float")]),
             [dict(k=i % 5, v=float(i)) for i in range(100)])
@@ -131,5 +133,6 @@ class TestFirstHitSlowdown:
         annotate_all(engine, sql)
         builder = engine.compile(sql)
         assert builder.built_views >= 1
-        assert builder.optimized.estimated_cost > \
-            builder.optimized.estimated_cost_without_reuse
+        [event] = engine.recorder.events.events(kind=JOB_COMPILED)
+        assert event.attrs["estimated_cost"] > \
+            event.attrs["estimated_cost_without_reuse"]

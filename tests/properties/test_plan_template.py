@@ -24,6 +24,8 @@ from repro.backends.differential import oracle_config
 from repro.catalog import Catalog, schema_of
 from repro.common.errors import LintError
 from repro.engine import engine as engine_module
+from repro.obs import FlightRecorder
+from repro.obs.events import JOB_COMPILED
 from repro.optimizer.rules import apply_rewrites
 from repro.plan.builder import PlanBuilder
 from repro.plan.logical import Scan
@@ -174,6 +176,13 @@ def run(session, sql, values, step):
                       template_id=sql, now=float(step))
     compiled = job.compiled
     optimized = compiled.optimized
+    recorder = session.engine.recorder
+    costs = None
+    if recorder.enabled:   # whole-plan costs live in ``job.compiled`` only
+        [*_, event] = (e for e in recorder.events.events(kind=JOB_COMPILED)
+                       if e.job_id == job.job_id)
+        costs = (event.attrs["estimated_cost"],
+                 event.attrs["estimated_cost_without_reuse"])
     return compiled, {
         "logical": optimized.logical.explain(),
         "plan": compiled.plan.explain(),
@@ -181,8 +190,7 @@ def run(session, sql, values, step):
         "matched": [match.signature for match in optimized.matches],
         "proposed": [(p.strict_signature, p.recurring_signature)
                      for p in optimized.proposals],
-        "costs": (optimized.estimated_cost,
-                  optimized.estimated_cost_without_reuse),
+        "costs": costs,
         "rows": sorted(repr(sorted(row.items())) for row in job.rows),
     }
 
@@ -208,8 +216,10 @@ def never_cached(session):
 def replay(sql, history):
     """Run ``history`` on a cached and a from-scratch session, comparing
     every instance; returns the cached session's plan cache."""
-    with oracle_config("memory").open_session() as cached, \
-            never_cached(oracle_config("memory").open_session()) as scratch:
+    with oracle_config("memory").open_session(
+            recorder=FlightRecorder()) as cached, \
+            never_cached(oracle_config("memory").open_session(
+                recorder=FlightRecorder())) as scratch:
         # The engine's own debug cross-check is the same oracle; keep it
         # out of the way so this test stands on its own comparison.
         cached.engine.config.debug_checks = False

@@ -203,8 +203,12 @@ def test_cost_sanity_rejects_unprofitable_match():
 def test_cost_sanity_accepts_profitable_match():
     ctx = _optimizer_ctx()
     _seal(ctx, _grouped(), rows=5)
-    (match,) = _matched(_grouped(), ctx, now=1.0).matches
-    assert 0 <= match.cost_with < match.cost_without
+    plan = _grouped()
+    outcome = _matched(plan, ctx, now=1.0)
+    (match,) = outcome.matches
+    model, estimator = ctx.cost_model, ctx.estimator
+    assert 0 <= match.cost_with == model.plan_cost(outcome.plan, estimator) \
+        < model.plan_cost(plan, estimator)
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ import pytest
 from repro.catalog import Catalog, schema_of
 from repro.executor import Executor
 from repro.optimizer import OptimizerContext, match_views
-from repro.plan import Filter, PlanBuilder, ViewScan, normalize
+from repro.plan import Filter, PlanBuilder, Scan, ViewScan, normalize
 from repro.optimizer.rules import apply_rewrites
 from repro.signatures import recurring_signature, strict_signature
 from repro.sql import parse
@@ -67,7 +67,7 @@ class TestContainmentMatching:
         assert sorted(map(repr, rewritten_rows)) == \
             sorted(map(repr, expected_rows))
 
-    def test_a_match_counts_the_operators_it_replaces(self, env):
+    def test_a_match_replaces_the_filter_over_the_scan(self, env):
         catalog, store = env
         executor = Executor(store)
         ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
@@ -76,15 +76,23 @@ class TestContainmentMatching:
             catalog, "SELECT CustomerId FROM Sales WHERE CustomerId > 5")))
         exact = materialize(ctx, store, executor, filter_subplan(plan_for(
             catalog, "SELECT CustomerId FROM Sales WHERE CustomerId > 30")))
-        # The Filter over the Scan, answered from the general view with a
-        # compensating filter, and from the exact one as it is.
+        # The Filter over the Scan, answered from the exact view as it is,
+        # and from the general one with a compensating filter.
         for bound, exactly in ((10, False), (30, True)):
             outcome = match_views(plan_for(
                 catalog, "SELECT CustomerId FROM Sales "
                          f"WHERE CustomerId > {bound}"), ctx, now=1.0)
             [match] = outcome.matches
             assert (match.signature == exact) is exactly
-            assert match.replaced_operators == 2
+            replaced = next(node for node in outcome.plan.walk()
+                            if isinstance(node, (Filter, ViewScan)))
+            if not exactly:
+                assert isinstance(replaced, Filter)
+                replaced = replaced.child
+            assert isinstance(replaced, ViewScan)
+            assert replaced.signature == match.signature
+            assert not any(isinstance(node, Scan)
+                           for node in outcome.plan.walk())
 
     def test_non_contained_query_not_rewritten(self, env):
         catalog, store = env

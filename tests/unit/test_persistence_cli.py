@@ -6,6 +6,11 @@ import pytest
 
 from repro.cli import main
 from repro.workload import generate_workload
+from repro.workload import (
+    JobRecord,
+    SubexpressionRecord,
+    WorkloadRepository,
+)
 from repro.workload.persistence import (
     PersistenceError,
     load_repository,
@@ -55,6 +60,29 @@ class TestPersistence:
         merged = merge_captures([a, b])
         assert merged.total_jobs() == \
             repository.total_jobs() + other.total_jobs()
+
+    def test_merged_captures_keep_each_jobs_own_records(self, tmp_path):
+        # Two clusters' captures that both hold a ``job-1``: a window (and
+        # a re-saved capture) hands each job its own records, not both.
+        paths = []
+        for cluster in ("a", "b"):
+            one = WorkloadRepository()
+            one.add_job(JobRecord("job-1", cluster, 0.0, "t", "p", "r1",
+                                  ("S",), 1),
+                        [SubexpressionRecord(
+                            "job-1", cluster, 0.0, "t", "p", f"strict-{cluster}",
+                            "rec", "tag", "Scan", 0, True, 1, 8, 1.0)])
+            paths.append(tmp_path / f"{cluster}.jsonl")
+            save_repository(one, paths[-1])
+        merged = merge_captures(paths)
+        resaved = tmp_path / "merged.jsonl"
+        save_repository(merged, resaved)
+        for repository in (merged.window(0, 2), load_repository(resaved)):
+            assert repository.total_subexpressions() == 2
+            assert [(job.virtual_cluster, [r.strict for r in
+                                           repository.records_of(index)])
+                    for index, job in enumerate(repository.jobs)] == [
+                ("a", ["strict-a"]), ("b", ["strict-b"])]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(PersistenceError):

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.catalog import Catalog, schema_of
+from repro.engine import ScopeEngine
+from repro.obs import FlightRecorder
+from repro.obs.events import JOB_COMPILED
 from repro.optimizer import (
     Annotation,
     OptimizerContext,
@@ -230,12 +233,20 @@ class TestBuildout:
 
 
 class TestPipeline:
-    def test_optimize_reports_costs(self, catalog):
-        ctx = make_ctx(catalog)
-        raw = PlanBuilder(catalog).build(parse(SQL))
-        optimized = optimize(raw, ctx, now=0.0)
-        assert optimized.estimated_cost > 0
-        assert optimized.estimated_cost_without_reuse > 0
+    def test_optimize_reports_costs(self):
+        # Whole-plan costs are computed for the ``job.compiled`` event
+        # alone; no reuse decision reads them.
+        engine = ScopeEngine(recorder=FlightRecorder())
+        engine.register_table(schema_of("Sales", [
+            ("CustomerId", "int"), ("Price", "float")]),
+            [dict(CustomerId=1, Price=2.0)])
+        engine.register_table(schema_of("Customer", [
+            ("CustomerId", "int"), ("MktSegment", "str")]),
+            [dict(CustomerId=1, MktSegment="Asia")])
+        optimized = engine.compile(SQL).optimized
+        [event] = engine.recorder.events.events(kind=JOB_COMPILED)
+        assert event.attrs["estimated_cost"] > 0
+        assert event.attrs["estimated_cost_without_reuse"] > 0
         assert not optimized.matches and not optimized.proposals
 
     def test_optimize_match_then_build_are_exclusive_for_same_sig(self, catalog):
