@@ -136,10 +136,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------ #
     # submission
 
-    def submit(self, job: SimulatedJob) -> None:
-        """Submit a fully built job at its submit_time."""
-        self.add_arrival(job.submit_time, lambda now, j=job: j)
-
     def add_arrival(self, time: float, factory: JobFactory) -> None:
         """Schedule a factory to run at ``time`` (co-simulation hook).
 

@@ -8,8 +8,6 @@ The reproduction never reads wall-clock time: all components share a
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigError
-
 SECONDS_PER_MINUTE = 60.0
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
@@ -27,22 +25,11 @@ class SimClock:
         """Current simulated time in seconds."""
         return self._now
 
-    def advance(self, seconds: float) -> float:
-        """Move the clock forward by ``seconds`` (must be non-negative)."""
-        if seconds < 0:
-            raise ConfigError(f"cannot advance clock by negative time {seconds!r}")
-        self._now += seconds
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         """Move the clock forward to ``timestamp`` (no-op if in the past)."""
         if timestamp > self._now:
             self._now = timestamp
         return self._now
 
-    def day(self) -> int:
-        """The zero-based simulated day index (for daily telemetry buckets)."""
-        return int(self._now // SECONDS_PER_DAY)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.1f}s, day={self.day()})"
+        return f"SimClock(now={self._now:.1f}s)"

@@ -131,9 +131,6 @@ QUARANTINE_FAILURES = 3
 #: the one writer, and every signature is salted with it.
 RUNTIME_VERSION = "scope-r1"
 
-#: Views one job may propose to build.
-MAX_VIEWS_PER_JOB = 3
-
 
 def _conjunct_count(plan: LogicalPlan) -> int:
     return sum(len(conjuncts(node.predicate)) for node in plan.walk()
@@ -378,11 +375,6 @@ class ScopeEngine:
                 acquired_locks.append(signature)
             return ok
 
-        def _release_lock(signature: str) -> None:
-            self.insights.release_view_lock(signature, holder=job_id)
-            if signature in acquired_locks:
-                acquired_locks.remove(signature)
-
         ctx = OptimizerContext(
             catalog=self.catalog,
             view_store=self.view_store,
@@ -390,12 +382,10 @@ class ScopeEngine:
             annotations=annotations or {},
             salt=self.signature_salt,
             virtual_cluster=virtual_cluster,
-            max_views_per_job=MAX_VIEWS_PER_JOB,
             reuse_enabled=(reuse_enabled and self.insights.enabled
                            and not degraded),
             overestimate=self.config.overestimate,
             acquire_view_lock=_acquire_lock,
-            release_view_lock=_release_lock,
             debug_checks=self.config.debug_checks,
             recorder=recorder,
             trace_id=job_id,

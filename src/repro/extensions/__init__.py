@@ -15,7 +15,6 @@ from repro.extensions.concurrent import (
 from repro.extensions.generalized import (
     ContainmentChecker,
     JoinSetOpportunity,
-    generalized_match,
     join_set_opportunities,
 )
 from repro.extensions.shared_execution import (
@@ -33,7 +32,7 @@ __all__ = [
     "DEFAULT_RISKY_OPERATORS", "CheckpointManager",
     "FailureModel", "ConcurrentJoin", "concurrency_histogram",
     "concurrent_joins", "estimate_pipelined_sharing", "ContainmentChecker",
-    "JoinSetOpportunity", "generalized_match", "join_set_opportunities",
+    "JoinSetOpportunity", "join_set_opportunities",
     "BatchJobResult", "BatchStats", "SharedBatchExecutor",
     "format_insights", "sparkcruise_tpcds",
     "workload_insights_report",

@@ -44,10 +44,6 @@ class FailureModel:
             return operator in DEFAULT_RISKY_OPERATORS
         return self.risk_by_operator.get(operator, 0.0) >= self.threshold
 
-    def record_failure(self, operator: str, weight: float = 0.1) -> None:
-        current = self.risk_by_operator.get(operator, 0.0)
-        self.risk_by_operator[operator] = min(1.0, current + weight)
-
 
 class CheckpointManager:
     """Compile jobs with checkpoints; recover resubmissions through reuse."""

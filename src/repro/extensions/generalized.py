@@ -69,7 +69,4 @@ def join_set_opportunities(repository: WorkloadRepository,
 # containment (implementation lives in the optimizer layer; re-exported
 # here as part of the Section-5.3 extension surface)
 
-from repro.optimizer.containment import (  # noqa: E402
-    ContainmentChecker,
-    generalized_match,
-)
+from repro.optimizer.containment import ContainmentChecker  # noqa: E402

@@ -96,14 +96,6 @@ class UsageMetrics:
         setattr(self, name, value)
         return value
 
-    def snapshot(self) -> Dict[str, int]:
-        """A point-in-time copy of every counter."""
-        return {name: getattr(self, name) for name in _USAGE_FIELDS}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
-        return f"UsageMetrics({body})"
-
 
 class InsightsService:
     """The one insights policy, over local or remote partitions."""

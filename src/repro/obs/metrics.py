@@ -130,12 +130,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # reads
 
-    def counter(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
-
-    def gauge(self, name: str) -> float:
-        return self.gauges.get(name, 0.0)
-
     def histogram(self, name: str) -> Optional[Histogram]:
         return self.histograms.get(name)
 
@@ -188,6 +182,3 @@ class MetricsRegistry:
                     f"{s['mean']:>10.4f} {s['p50']:>10.4f} "
                     f"{s['p95']:>10.4f} {s['p99']:>10.4f}")
         return "\n".join(lines)
-
-    def render(self) -> str:
-        return self.render_dict(self.to_dict())

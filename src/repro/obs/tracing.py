@@ -81,7 +81,7 @@ class Span:
 
 
 class Tracer:
-    """Creates, stores, exports, and renders spans."""
+    """Creates, stores and exports spans."""
 
     def __init__(self) -> None:
         self._spans: List[Span] = []
@@ -108,12 +108,6 @@ class Tracer:
         return span
 
     # ------------------------------------------------------------------ #
-    # queries
-
-    def trace(self, trace_id: str) -> List[Span]:
-        return [s for s in self._spans if s.trace_id == trace_id]
-
-    # ------------------------------------------------------------------ #
     # export
 
     def dump_jsonl(self, path: str) -> int:
@@ -131,9 +125,6 @@ class Tracer:
                 if line:
                     spans.append(Span.from_json(line))
         return spans
-
-    def render_flamegraph(self, trace_id: str, width: int = 40) -> str:
-        return render_flamegraph(self.trace(trace_id), trace_id, width)
 
 
 def render_flamegraph(spans: List[Span], trace_id: str,

@@ -6,9 +6,10 @@ General containment is NP-complete; this module handles the tractable
 fragment of conjunctive range/equality predicates over the same relation,
 which already covers the recurring-filter patterns of cooked workloads.
 
-Lives in the optimizer layer so that view matching can optionally use it
-(``OptimizerContext.enable_containment``); :mod:`repro.extensions.generalized`
-re-exports it together with the Figure-8 join-set analysis.
+A verdict only: view matching stays hash equality on strict signatures
+(Section 2.3) and never calls it.  Figure 8's benchmark and the soundness
+property use :meth:`ContainmentChecker.contains` through
+:mod:`repro.extensions.generalized`, beside the join-set analysis.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.plan.expressions import (
     Literal,
     conjuncts,
 )
-from repro.plan.logical import Filter, LogicalPlan, Scan, ViewScan
 
 # --------------------------------------------------------------------- #
 # containment over conjunctive range predicates
@@ -121,17 +121,6 @@ class ContainmentChecker:
                 return False
         return True
 
-    def compensation(self, general: Optional[Expr],
-                     specific: Optional[Expr]) -> Optional[Expr]:
-        """Predicate to re-apply on view rows to answer the query.
-
-        The specific predicate itself is always a valid compensating
-        filter; returns None when containment does not hold.
-        """
-        if not self.contains(general, specific):
-            return None
-        return specific
-
     # ------------------------------------------------------------------ #
 
     def _to_ranges(self, predicate: Optional[Expr]
@@ -195,44 +184,3 @@ def _intersect(a: _Range, b: _Range) -> _Range:
         high, high_inc = b.high, b.high_inclusive
     return _Range(low=low, low_inclusive=low_inc,
                   high=high, high_inclusive=high_inc)
-
-
-def generalized_match(plan: LogicalPlan,
-                      view_plan: LogicalPlan,
-                      view_scan: ViewScan,
-                      checker: Optional[ContainmentChecker] = None
-                      ) -> Optional[LogicalPlan]:
-    """Prototype containment-based rewrite for Filter-over-Scan plans.
-
-    If ``plan`` is ``Filter(Scan(T))``, ``view_plan`` is ``Filter(Scan(T))``
-    over the same stream, and the view's predicate contains the query's,
-    rewrite the query to a compensating filter over the view.
-    """
-    checker = checker or ContainmentChecker()
-    query = _filter_over_scan(plan)
-    view = _filter_over_scan(view_plan)
-    if query is None or view is None:
-        return None
-    query_pred, query_scan = query
-    view_pred, view_scan_node = view
-    if query_scan.dataset != view_scan_node.dataset:
-        return None
-    if query_scan.stream_guid != view_scan_node.stream_guid:
-        return None
-    if tuple(query_scan.columns) != tuple(view_scan_node.columns):
-        return None
-    compensation = checker.compensation(view_pred, query_pred)
-    if compensation is None and not checker.contains(view_pred, query_pred):
-        return None
-    if compensation is None:
-        return view_scan
-    return Filter(view_scan, compensation)
-
-
-def _filter_over_scan(plan: LogicalPlan
-                      ) -> Optional[Tuple[Optional[Expr], Scan]]:
-    if isinstance(plan, Scan):
-        return None, plan
-    if isinstance(plan, Filter) and isinstance(plan.child, Scan):
-        return plan.predicate, plan.child
-    return None

@@ -41,24 +41,14 @@ class OptimizerContext:
     catalog: Catalog
     view_store: ViewStore
     history: Optional[StatisticsCatalog] = None
-    cost_model: CostModel = field(default_factory=CostModel)
     annotations: Dict[str, Annotation] = field(default_factory=dict)
     salt: str = ""
     virtual_cluster: str = "default"
-    max_views_per_job: int = 3
     reuse_enabled: bool = True
     overestimate: float = 2.0
-    #: Section-5.3 prototype: fall back to containment-based matching
-    #: (compensating filters over more general views) when no exact
-    #: strict-signature match exists.  Off in the production path.
-    enable_containment: bool = False
     #: Callback to the insights service: returns True if the exclusive
     #: view-creation lock for a strict signature was acquired.
     acquire_view_lock: Callable[[str], bool] = lambda signature: True
-    #: Callback releasing a lock acquired during this compilation (used
-    #: when a post-lock re-check finds the view already handled by a
-    #: concurrent job).
-    release_view_lock: Callable[[str], None] = lambda signature: None
     #: Debug mode: ``optimize`` re-runs rewrites and normalization on a
     #: plan it was told is normalized and raises LintError unless it gets
     #: the very same object back.
@@ -69,6 +59,9 @@ class OptimizerContext:
     recorder: object = NULL_RECORDER
     trace_id: str = ""
     compile_span: object = None
+
+    #: The one calibrated cost model (a class constant, not a field).
+    cost_model = CostModel()
 
     @cached_property
     def estimator(self) -> CardinalityEstimator:

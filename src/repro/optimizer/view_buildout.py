@@ -29,6 +29,9 @@ from repro.signatures.signature import (
     with_children_signed_alike,
 )
 
+#: Views one job may propose to build.
+MAX_VIEWS_PER_JOB = 3
+
 
 @dataclass(frozen=True)
 class BuildProposal:
@@ -69,7 +72,7 @@ def _build(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         if any(n is not o for n, o in zip(new_children, children)):
             plan = with_children_signed_alike(plan, new_children, ctx.salt)
 
-    if len(proposals) >= ctx.max_views_per_job:
+    if len(proposals) >= MAX_VIEWS_PER_JOB:
         return plan
     if isinstance(plan, (Scan, ViewScan, Spool)):
         # Raw inputs are already stored; views and spools are already views.
@@ -87,18 +90,12 @@ def _build(plan: LogicalPlan, ctx: OptimizerContext, now: float,
         return plan  # already materialized and available
     if ctx.view_store.is_materializing(strict, now):
         return plan  # another job holds the build
+    # Nothing but the lock request runs between these checks and the
+    # lock, and it never writes the view store (one caller, DESIGN §10),
+    # so the checks still hold once the lock lands.
     if not ctx.acquire_view_lock(strict):
         ctx.recorder.inc("views.buildout.lock_lost")
         return plan  # lost the race for the exclusive lock
-    # Concurrent compilation: the two unlocked checks above may be stale
-    # by the time the lock lands (another job sealed or abandoned the view
-    # in between).  The lock is the authority; re-check under it and walk
-    # away rather than double-registering the materialization.
-    if (ctx.view_store.lookup(strict, now) is not None
-            or ctx.view_store.is_materializing(strict, now)):
-        ctx.release_view_lock(strict)
-        ctx.recorder.inc("views.buildout.lock_lost")
-        return plan
 
     ctx.recorder.inc("views.buildout.proposed")
     path = view_path_for(ctx.virtual_cluster, strict)

@@ -96,8 +96,6 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
     ctx.recorder.inc("views.match.attempts")
     view = ctx.view_store.lookup(signature, now)
     if view is None:
-        if ctx.enable_containment:
-            return _try_containment(plan, ctx, now, matches)
         return None
     # One ViewScan per hit, costed and returned: it stands for ``plan``,
     # so it is born carrying the triple ``_node_digest`` signs it as.
@@ -121,34 +119,6 @@ def _try_replace(plan: LogicalPlan, ctx: OptimizerContext, now: float,
     return scan
 
 
-def _try_containment(plan: LogicalPlan, ctx: OptimizerContext, now: float,
-                     matches: List[ViewMatch]) -> Optional[LogicalPlan]:
-    """Section-5.3 prototype: answer a Filter(Scan) from a more general
-    view via a compensating filter, when no exact match exists."""
-    from repro.optimizer.containment import generalized_match
-
-    for view in ctx.view_store.views():
-        if not view.available(now) or view.definition is None:
-            continue
-        view_scan = view_scan_for(view, view.schema)
-        rewritten = generalized_match(plan, view.definition, view_scan)
-        if rewritten is None:
-            continue
-        cost_with = _cost_if_cheaper(plan, rewritten, ctx)
-        if cost_with is None:
-            continue
-        ctx.view_store.claim_for_reuse(view.signature, now,
-                                       reused_by=ctx.trace_id)
-        matches.append(ViewMatch(
-            signature=view.signature,
-            view_path=view.path,
-            view_rows=view.row_count,
-            cost_with=cost_with,
-        ))
-        return rewritten
-    return None
-
-
 def _cost_if_cheaper(plan: LogicalPlan, rewritten: LogicalPlan,
                      ctx: OptimizerContext) -> Optional[float]:
     """The cost of ``rewritten`` if it is below that of ``plan``, else None.
@@ -168,13 +138,13 @@ def _cost_if_cheaper(plan: LogicalPlan, rewritten: LogicalPlan,
 
 
 def view_scan_for(view: MaterializedView, columns: Sequence[str],
-                  recurring: str = "") -> ViewScan:
+                  recurring: str) -> ViewScan:
     """The single construction site for ViewScans over a materialized view.
 
     ``columns`` is the schema of the subexpression being replaced, which
     is the schema the view was built with: both are the one strict
     signature's.  ``recurring`` is that subexpression's recurring
-    signature; without one, the scan takes the view's own.
+    signature.
     """
     return ViewScan(
         signature=view.signature,
@@ -182,5 +152,5 @@ def view_scan_for(view: MaterializedView, columns: Sequence[str],
         columns=tuple(columns),
         rows=view.row_count,
         size_bytes=view.size_bytes,
-        recurring=recurring or view.recurring_signature,
+        recurring=recurring,
     )

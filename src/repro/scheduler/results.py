@@ -13,7 +13,7 @@ job, with ``error`` set instead of an exception escaping the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.engine.engine import CompiledJob, JobRun
 from repro.plan.expressions import Row
@@ -59,20 +59,6 @@ class JobResult:
     @property
     def compiled(self) -> Optional[CompiledJob]:
         return self.run.compiled if self.run is not None else None
-
-    def summary(self) -> Dict[str, object]:
-        """Flat JSON-friendly view (CLI output, benchmark series)."""
-        return {
-            "job_id": self.job_id,
-            "virtual_cluster": self.virtual_cluster,
-            "ok": self.ok,
-            "degraded": self.degraded,
-            "rows": self.row_count,
-            "views_built": self.views_built,
-            "views_reused": self.views_reused,
-            "compile_latency": self.compile_latency,
-            "error": self.error,
-        }
 
     # ------------------------------------------------------------------ #
     # constructors

@@ -74,8 +74,8 @@ class MaterializedView:
     #: view survives eviction and hard removal until the last reader
     #: unpins it.
     pins: int = 0
-    #: The defining logical subplan (used by the optional containment
-    #: matcher of Section 5.3); None for views restored from metadata.
+    #: The defining logical subplan (lineage reads the inputs it scans);
+    #: None for views restored from metadata.
     definition: object = None
 
     def available(self, now: float) -> bool:

@@ -127,7 +127,7 @@ class TestTornTailRecovery:
                          recorder=recorder)
         counts = recorder.events.counts()
         assert counts.get("journal.torn_tail", 0) == 1
-        assert recorder.metrics.counter("journal.torn_tails") == 1
+        assert recorder.metrics.counters["journal.torn_tails"] == 1
         second.close()
 
 
@@ -165,7 +165,7 @@ class TestQuarantine:
                                  template_id="t-quarantine")
             # Degraded, never wrong: the reuse-free fallback recomputes.
             assert sorted(map(repr, result.rows)) == expected
-        assert recorder.metrics.counter("engine.views.quarantined") >= 1
+        assert recorder.metrics.counters["engine.views.quarantined"] >= 1
         assert recorder.events.counts().get("view.quarantined", 0) >= 1
         assert recorder.events.counts().get("execute.reuse_fallback",
                                             0) >= 1

@@ -61,9 +61,8 @@ def run_simulation(workers, shards=0, days=3, seed=7, bursts=False):
     with config.open_session() as session:
         report = WorkloadSimulation(workload, config, session=session).run()
         client = session.insights
-        usage = client.metrics.snapshot()
         counters = (client.cache_hits, client.cache_misses, client.retries,
-                    *(usage[name] for name in (
+                    *(getattr(client.metrics, name) for name in (
                         "fetches", "cache_hits", "cache_misses",
                         "annotations_served", "locks_acquired",
                         "locks_denied")))

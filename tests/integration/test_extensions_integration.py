@@ -80,7 +80,7 @@ class TestCheckpointRestart:
         model = FailureModel()
         assert model.is_risky("GroupBy")       # default heuristic
         assert not model.is_risky("Filter")
-        model.record_failure("Filter", weight=0.2)
+        model.risk_by_operator["Filter"] = 0.2  # learned from history
         assert model.is_risky("Filter")
         # Once history exists, defaults no longer apply.
         assert not model.is_risky("GroupBy")

@@ -130,6 +130,6 @@ class TestSimulatorFailureTolerance:
             return None  # the runner converts failures into no-shows
 
         sim.add_arrival(0.0, bad_factory)
-        sim.submit(SimulatedJob("ok", "vc", 1.0, good))
+        sim.add_arrival(1.0, lambda now: SimulatedJob("ok", "vc", 1.0, good))
         results = sim.run()
         assert [t.job_id for t in results] == ["ok"]

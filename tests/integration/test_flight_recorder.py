@@ -13,13 +13,28 @@ import dataclasses
 import pytest
 
 from repro.simulation import SimulationConfig, WorkloadSimulation
-from repro.obs import EventLog, FlightRecorder, load_capture, replay_counters
+from repro.obs import (
+    EventLog,
+    FlightRecorder,
+    MetricsRegistry,
+    load_capture,
+    render_flamegraph,
+    replay_counters,
+)
 from repro.workload import generate_workload
 
 
 def small_workload(seed=7):
     return generate_workload(seed=seed, virtual_clusters=2,
                              templates_per_vc=10, adhoc_per_day=2)
+
+
+def trace_of(recorder, trace_id, directory):
+    """One trace's spans as ``repro obs trace`` reads them: from a
+    capture, picked by trace id."""
+    recorder.dump(str(directory))
+    return [span for span in load_capture(str(directory))["spans"]
+            if span.trace_id == trace_id]
 
 
 @pytest.fixture(scope="module")
@@ -71,23 +86,25 @@ class TestMetricsDump:
                 seen.add(job.template.sql)
         assert hits == repeats > 0
         assert "engine.plan_cache.unstable" not in counters
-        line = next(line for line in recorder.metrics.render().splitlines()
+        rendered = MetricsRegistry.render_dict(recorder.metrics.to_dict())
+        line = next(line for line in rendered.splitlines()
                     if line.startswith("plan-template cache:"))
         assert f"{hits:,.0f} of {hits + misses:,.0f} compiles" in line
 
     def test_cluster_metrics_follow_telemetry(self, recorded):
         recorder, report = recorded
-        assert (recorder.metrics.counter("cluster.jobs.completed")
+        assert (recorder.metrics.counters["cluster.jobs.completed"]
                 == len(report.telemetry))
         histogram = recorder.metrics.histogram("cluster.job.latency")
         assert histogram.count == len(report.telemetry)
 
 
 class TestJobTrace:
-    def test_reusing_job_trace_nests_compile_fetch_match(self, recorded):
+    def test_reusing_job_trace_nests_compile_fetch_match(self, recorded,
+                                                         tmp_path):
         recorder, report = recorded
         reuser = next(t for t in report.telemetry if t.views_reused > 0)
-        spans = recorder.tracer.trace(reuser.job_id)
+        spans = trace_of(recorder, reuser.job_id, tmp_path)
         by_name = {s.name: s for s in spans}
         compile_span = by_name["job.compile"]
         fetch = by_name["insights.fetch"]
@@ -99,19 +116,20 @@ class TestJobTrace:
         # Spans carry simulated time: the fetch happens inside the compile.
         assert compile_span.start <= fetch.start <= compile_span.end
 
-    def test_flamegraph_renders_the_nesting(self, recorded):
+    def test_flamegraph_renders_the_nesting(self, recorded, tmp_path):
         recorder, report = recorded
         reuser = next(t for t in report.telemetry if t.views_reused > 0)
-        text = recorder.tracer.render_flamegraph(reuser.job_id)
+        text = render_flamegraph(trace_of(recorder, reuser.job_id, tmp_path),
+                                 reuser.job_id)
         lines = text.splitlines()
         compile_at = next(i for i, l in enumerate(lines)
                           if l.startswith("job.compile"))
         assert any(l.startswith("  insights.fetch")
                    for l in lines[compile_at + 1:])
 
-    def test_selection_epochs_are_traced(self, recorded):
+    def test_selection_epochs_are_traced(self, recorded, tmp_path):
         recorder, report = recorded
-        epochs = recorder.tracer.trace("epoch-1")
+        epochs = trace_of(recorder, "epoch-1", tmp_path)
         assert [s.name for s in epochs] == ["selection.epoch"]
         assert len(report.selections) >= 1
 

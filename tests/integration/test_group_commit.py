@@ -179,7 +179,7 @@ def test_a_failed_frame_counts_its_records_and_the_next_snapshot_heals(
                 signature, f"views/{signature}", ("a",), "vc1", now=0.0)
     # Shard 0's frame (two records) failed; shard 1's still landed.
     assert manager.journal_errors == 2
-    assert engine.recorder.metrics.counter("journal.write_errors") == 2
+    assert engine.recorder.metrics.counters["journal.write_errors"] == 2
     recovered = ViewStore()
     merged_offline_recovery(journal_dir, recovered, LineageRegistry())
     assert [v.signature for v in recovered.views()] == owned[1][:1]

@@ -4,7 +4,7 @@ Every case is a script of ``SERVICE_SURFACE`` calls run step by step
 against a *subject* and a plain in-process *reference*, comparing after
 each step the result (or the error, by type name and message; a
 fetch's result carries its latency, compared with ``==``), the full
-``metrics.snapshot()`` and ``generation`` -- and, at the end, the two
+``usage(metrics)`` and ``generation`` -- and, at the end, the two
 recorders' event lists.  The subjects are the in-process
 :class:`InsightsService`, the :class:`ShardRouter` at 1/2/4 shards, and
 the :class:`InsightsClient` wrapping each (whose reference is a client
@@ -202,9 +202,14 @@ def observe(target, method, args):
     return ("ok", result)
 
 
+def usage(metrics):
+    """Every counter of a :class:`UsageMetrics`, by name."""
+    return {name: getattr(metrics, name) for name in metrics.__slots__}
+
+
 def state(target):
     return {
-        "metrics": target.metrics.snapshot(),
+        "metrics": usage(target.metrics),
         "generation": target.generation,
         "enabled": target.enabled,
     }
@@ -252,7 +257,7 @@ def test_the_drift_cases_have_the_expected_values():
     [(_, latency)] = service.lookup([["tag-1", "tag-1", "tag-2"]])
     assert latency == 0.015 + 0.0015 + 0.015
     service.release_view_lock("never-held", "job-a")
-    assert service.metrics.snapshot()["locks_released"] == 0
+    assert service.metrics.locks_released == 0
 
 
 def test_lookups_group_by_owning_shard_in_caller_order():

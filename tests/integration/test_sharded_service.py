@@ -387,10 +387,9 @@ class TestWaveIsolation:
             try:
                 results = session.run_batch(requests, now=10.0)
                 client = session.insights
-                usage = client.metrics.snapshot()
                 counters = (client.cache_hits, client.cache_misses,
-                            client.retries, usage["cache_hits"],
-                            usage["cache_misses"])
+                            client.retries, client.metrics.cache_hits,
+                            client.metrics.cache_misses)
             finally:
                 session.close()
             return results, counters

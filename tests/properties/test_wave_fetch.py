@@ -28,6 +28,7 @@ from repro.insights.partition import Partition
 from repro.insights.service import InsightsService
 from repro.obs import FlightRecorder
 from repro.optimizer.context import Annotation
+from tests.integration.test_service_contract import usage
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -83,7 +84,7 @@ def transitions(client):
 
 def counters(client):
     return (client.cache_hits, client.cache_misses, client.retries,
-            client.degraded_fetches, client.metrics.snapshot(),
+            client.degraded_fetches, usage(client.metrics),
             client.service.relookup_seconds, transitions(client))
 
 

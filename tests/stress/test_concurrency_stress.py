@@ -35,6 +35,7 @@ from repro.signatures import enumerate_subexpressions
 from repro.simulation import SimulationConfig, WorkloadSimulation
 from repro.sql import parse
 from repro.workload.generator import generate_workload
+from tests.integration.test_service_contract import usage
 
 pytestmark = pytest.mark.stress
 
@@ -187,12 +188,12 @@ class TestUsageMetricsAcrossWaves:
         engine = build_engine()
         annotate_shared_join(engine)
         metrics = engine.insights.metrics
-        snapshots = [metrics.snapshot()]
+        snapshots = [usage(metrics)]
         scheduler = JobScheduler(engine, SchedulerConfig(workers=8))
         spy_compile = engine.compile
 
         def compile_and_sample(*args, **kwargs):
-            snapshots.append(metrics.snapshot())
+            snapshots.append(usage(metrics))
             return spy_compile(*args, **kwargs)
 
         engine.compile = compile_and_sample
@@ -201,7 +202,7 @@ class TestUsageMetricsAcrossWaves:
                 engine.run_sql(SQL, now=float(wave))
             scheduler.drain(
                 [JobRequest(sql=SQL) for _ in range(10)], now=float(wave))
-            snapshots.append(metrics.snapshot())
+            snapshots.append(usage(metrics))
 
         # Ten jobs a wave and three serial jobs beside each.
         assert metrics.fetches == 4 * (10 + 3)

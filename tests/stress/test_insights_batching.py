@@ -141,7 +141,7 @@ class TestConcurrentWaves:
                         published[t] for t in job}
                 if (ident + i) % 3 == 0:
                     client.bump_generation()
-        assert client.metrics.snapshot()["fetches"] == FETCHES * 4
+        assert client.metrics.fetches == FETCHES * 4
         assert client.retries > 0
         assert sum(service.relookup_seconds) == pytest.approx(
             0.0015 * 5 * client.retries)

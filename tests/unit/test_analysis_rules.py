@@ -224,7 +224,7 @@ def test_view_scan_for_helper_agrees_with_store_schema():
                                    definition=definition,
                                    recurring_signature="rec")
     store.seal(sig, now=1.0, row_count=5, size_bytes=50)
-    node = view_scan_for(view, definition.schema)
+    node = view_scan_for(view, definition.schema, "rec")
     assert node.columns == view.schema == definition.schema
     assert node.view_path == view.path and node.signature == sig
 

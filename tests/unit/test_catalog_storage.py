@@ -264,7 +264,7 @@ class TestViewStore:
         from repro.obs import FlightRecorder
 
         store = ViewStore(ttl_seconds=10.0, recorder=FlightRecorder())
-        gauge = lambda: store.recorder.metrics.gauge("views.live_bytes")
+        gauge = lambda: store.recorder.metrics.gauges["views.live_bytes"]
         store.begin_materialize("s1", "p1", ("a",), "vc1", now=0.0)
         store.seal("s1", now=0.0, row_count=10, size_bytes=100)
         store.begin_materialize("s2", "p2", ("a",), "vc1", now=5.0)

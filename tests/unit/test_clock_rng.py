@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SECONDS_PER_DAY, SimClock
+from repro.common.clock import SimClock
 from repro.common.rng import rng_for, zipf_weights
 
 
@@ -12,12 +12,8 @@ class TestSimClock:
 
     def test_advance(self):
         clock = SimClock()
-        clock.advance(10.0)
+        clock.advance_to(10.0)
         assert clock.now == 10.0
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1.0)
 
     def test_advance_to_is_monotonic(self):
         clock = SimClock(100.0)
@@ -25,12 +21,6 @@ class TestSimClock:
         assert clock.now == 100.0
         clock.advance_to(200.0)
         assert clock.now == 200.0
-
-    def test_day_index(self):
-        clock = SimClock()
-        assert clock.day() == 0
-        clock.advance(SECONDS_PER_DAY * 2 + 1)
-        assert clock.day() == 2
 
 
 class TestRng:

@@ -108,12 +108,17 @@ def critical_path_work(graph):
     return max(map(depth, graph.stages), default=0.0)
 
 
+def submit(sim, job):
+    """Arrive ``job`` at its submit time, as the co-simulation does."""
+    sim.add_arrival(job.submit_time, lambda now: job)
+
+
 class TestSimulator:
     def test_single_stage_job(self):
         graph = make_graph((1000.0, 2, [], False))
         sim = ClusterSimulator(total_containers=10, work_rate=100.0,
                                container_startup=1.0)
-        sim.submit(job(graph))
+        submit(sim, job(graph))
         (t,) = sim.run()
         assert t.latency == pytest.approx(1.0 + 1000.0 / (100.0 * 2))
         assert t.containers == 2
@@ -123,7 +128,7 @@ class TestSimulator:
         graph = make_graph((100.0, 1, [], False), (100.0, 1, [0], False))
         sim = ClusterSimulator(total_containers=4, work_rate=100.0,
                                container_startup=0.0)
-        sim.submit(job(graph))
+        submit(sim, job(graph))
         (t,) = sim.run()
         assert t.latency == pytest.approx(2.0)
 
@@ -132,7 +137,7 @@ class TestSimulator:
                            (0.0, 1, [0, 1], False))
         sim = ClusterSimulator(total_containers=4, work_rate=100.0,
                                container_startup=0.0)
-        sim.submit(job(graph))
+        submit(sim, job(graph))
         (t,) = sim.run()
         assert t.latency == pytest.approx(1.0)
 
@@ -140,7 +145,7 @@ class TestSimulator:
         graph = make_graph((1000.0, 8, [], False))
         sim = ClusterSimulator(total_containers=10, vc_quotas={"vc1": 2},
                                work_rate=100.0, container_startup=0.0)
-        sim.submit(job(graph))
+        submit(sim, job(graph))
         (t,) = sim.run()
         assert t.containers == 8
         assert t.bonus_processing_time > 0
@@ -151,7 +156,7 @@ class TestSimulator:
         graph = make_graph((1000.0, 8, [], False))
         sim = ClusterSimulator(total_containers=2, vc_quotas={"vc1": 2},
                                work_rate=100.0, container_startup=0.0)
-        sim.submit(job(graph))
+        submit(sim, job(graph))
         (t,) = sim.run()
         assert t.bonus_processing_time == 0.0
         assert t.containers == 2
@@ -163,7 +168,7 @@ class TestSimulator:
         sealed = []
         sim = ClusterSimulator(total_containers=4, work_rate=100.0,
                                container_startup=0.0)
-        sim.submit(job(graph, on_spool_sealed=lambda s, t: sealed.append(t)))
+        submit(sim, job(graph, on_spool_sealed=lambda s, t: sealed.append(t)))
         (t,) = sim.run()
         assert sealed and sealed[0] < t.finish_time
 
@@ -172,7 +177,7 @@ class TestSimulator:
         sim = ClusterSimulator(total_containers=10, work_rate=100.0,
                                container_startup=0.0, vc_job_slots=1)
         for i, g in enumerate(graphs):
-            sim.submit(job(g, job_id=f"j{i}", submit=float(i)))
+            submit(sim, job(g, job_id=f"j{i}", submit=float(i)))
         results = sim.run()
         by_id = {t.job_id: t for t in results}
         assert by_id["j0"].queue_length_at_submit == 0
@@ -183,8 +188,8 @@ class TestSimulator:
     def test_jobs_in_separate_vcs_do_not_queue_on_each_other(self):
         sim = ClusterSimulator(total_containers=10, work_rate=100.0,
                                container_startup=0.0, vc_job_slots=1)
-        sim.submit(job(make_graph((1000.0, 1, [], False)), "a", "vc1", 0.0))
-        sim.submit(job(make_graph((1000.0, 1, [], False)), "b", "vc2", 1.0))
+        submit(sim, job(make_graph((1000.0, 1, [], False)), "a", "vc1", 0.0))
+        submit(sim, job(make_graph((1000.0, 1, [], False)), "b", "vc2", 1.0))
         results = sim.run()
         assert all(t.queue_wait == 0 for t in results)
 
@@ -193,7 +198,7 @@ class TestSimulator:
         sim = ClusterSimulator(total_containers=4, work_rate=100.0,
                                container_startup=0.0,
                                job_overhead_seconds=5.0)
-        sim.submit(job(graph))
+        submit(sim, job(graph))
         (t,) = sim.run()
         assert t.latency == pytest.approx(6.0)
 
@@ -207,7 +212,7 @@ class TestSimulator:
         graph = make_graph((10.0, 1, [], False))
         sim = ClusterSimulator(total_containers=4, work_rate=100.0,
                                container_startup=0.0)
-        sim.submit(job(graph, on_complete=lambda j, t: done.append(t.job_id)))
+        submit(sim, job(graph, on_complete=lambda j, t: done.append(t.job_id)))
         sim.run()
         assert done == ["j1"]
 
@@ -218,7 +223,7 @@ class TestSimulator:
             for i in range(8):
                 graph = make_graph((500.0 + i * 100, 3, [], False),
                                    (200.0, 2, [0], False))
-                sim.submit(job(graph, job_id=f"j{i}",
+                submit(sim, job(graph, job_id=f"j{i}",
                                vc=f"vc{i % 2}", submit=float(i)))
             return [(t.job_id, t.finish_time, t.containers)
                     for t in sim.run()]
@@ -232,6 +237,6 @@ class TestSimulator:
 
     def test_empty_graph_completes_instantly(self):
         sim = ClusterSimulator(total_containers=2, container_startup=0.0)
-        sim.submit(job(StageGraph(), "empty"))
+        submit(sim, job(StageGraph(), "empty"))
         (t,) = sim.run()
         assert t.latency == 0.0

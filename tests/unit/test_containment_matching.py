@@ -1,9 +1,17 @@
-"""Unit tests for the optional containment-based matching (Section 5.3)."""
+"""Matching is hash equality; containment is a verdict beside it (Section 5.3).
+
+The production matcher answers a subexpression only from a view of its own
+strict signature (Section 2.3).  A more general view that contains the
+query stays unused by ``match_views``; ``ContainmentChecker.contains``
+says whether it could answer it, and a compensating filter over its rows
+then gives the query's rows.
+"""
 
 import pytest
 
 from repro.catalog import Catalog, schema_of
 from repro.executor import Executor
+from repro.extensions import ContainmentChecker
 from repro.optimizer import OptimizerContext, match_views
 from repro.plan import Filter, PlanBuilder, Scan, ViewScan, normalize
 from repro.optimizer.rules import apply_rewrites
@@ -48,57 +56,43 @@ class TestContainmentMatching:
     def test_contained_query_answered_with_compensation(self, env):
         catalog, store = env
         executor = Executor(store)
-        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
-                               enable_containment=True)
         view_plan = filter_subplan(plan_for(
             catalog, "SELECT CustomerId, Price FROM Sales "
                      "WHERE CustomerId > 5"))
-        materialize(ctx, store, executor, view_plan)
-
-        query = plan_for(catalog,
-                         "SELECT CustomerId, Price FROM Sales "
-                         "WHERE CustomerId > 10")
-        outcome = match_views(query, ctx, now=1.0)
-        assert outcome.reused
-        # Compensating filter over the view scan.
-        assert any(isinstance(n, ViewScan) for n in outcome.plan.walk())
-        rewritten_rows = executor.execute(outcome.plan).rows
-        expected_rows = executor.execute(query).rows
-        assert sorted(map(repr, rewritten_rows)) == \
-            sorted(map(repr, expected_rows))
+        query = filter_subplan(plan_for(
+            catalog, "SELECT CustomerId, Price FROM Sales "
+                     "WHERE CustomerId > 10"))
+        assert ContainmentChecker().contains(view_plan.predicate,
+                                             query.predicate)
+        # The query's own predicate, re-applied over the view's rows.
+        compensated = Filter(view_plan, query.predicate)
+        assert sorted(map(repr, executor.execute(compensated).rows)) == \
+            sorted(map(repr, executor.execute(query).rows))
 
     def test_a_match_replaces_the_filter_over_the_scan(self, env):
         catalog, store = env
         executor = Executor(store)
-        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
-                               enable_containment=True)
+        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore())
         materialize(ctx, store, executor, filter_subplan(plan_for(
             catalog, "SELECT CustomerId FROM Sales WHERE CustomerId > 5")))
         exact = materialize(ctx, store, executor, filter_subplan(plan_for(
             catalog, "SELECT CustomerId FROM Sales WHERE CustomerId > 30")))
-        # The Filter over the Scan, answered from the exact view as it is,
-        # and from the general one with a compensating filter.
-        for bound, exactly in ((10, False), (30, True)):
-            outcome = match_views(plan_for(
-                catalog, "SELECT CustomerId FROM Sales "
-                         f"WHERE CustomerId > {bound}"), ctx, now=1.0)
-            [match] = outcome.matches
-            assert (match.signature == exact) is exactly
-            replaced = next(node for node in outcome.plan.walk()
-                            if isinstance(node, (Filter, ViewScan)))
-            if not exactly:
-                assert isinstance(replaced, Filter)
-                replaced = replaced.child
-            assert isinstance(replaced, ViewScan)
-            assert replaced.signature == match.signature
-            assert not any(isinstance(node, Scan)
-                           for node in outcome.plan.walk())
+        outcome = match_views(plan_for(
+            catalog, "SELECT CustomerId FROM Sales WHERE CustomerId > 30"),
+            ctx, now=1.0)
+        [match] = outcome.matches
+        assert match.signature == exact
+        [replaced] = [node for node in outcome.plan.walk()
+                      if isinstance(node, (Filter, ViewScan))]
+        assert isinstance(replaced, ViewScan)
+        assert replaced.signature == exact
+        assert not any(isinstance(node, Scan)
+                       for node in outcome.plan.walk())
 
     def test_non_contained_query_not_rewritten(self, env):
         catalog, store = env
         executor = Executor(store)
-        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
-                               enable_containment=True)
+        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore())
         view_plan = filter_subplan(plan_for(
             catalog, "SELECT CustomerId, Price FROM Sales "
                      "WHERE CustomerId > 20"))
@@ -106,13 +100,15 @@ class TestContainmentMatching:
         query = plan_for(catalog,
                          "SELECT CustomerId, Price FROM Sales "
                          "WHERE CustomerId > 10")  # wider than the view
+        assert not ContainmentChecker().contains(
+            view_plan.predicate, filter_subplan(query).predicate)
         assert not match_views(query, ctx, now=1.0).reused
 
-    def test_flag_off_means_no_containment(self, env):
+    def test_a_general_view_is_never_matched(self, env):
+        """A view that contains the query still does not answer it."""
         catalog, store = env
         executor = Executor(store)
-        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
-                               enable_containment=False)
+        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore())
         view_plan = filter_subplan(plan_for(
             catalog, "SELECT CustomerId, Price FROM Sales "
                      "WHERE CustomerId > 5"))
@@ -120,13 +116,14 @@ class TestContainmentMatching:
         query = plan_for(catalog,
                          "SELECT CustomerId, Price FROM Sales "
                          "WHERE CustomerId > 10")
+        assert ContainmentChecker().contains(
+            view_plan.predicate, filter_subplan(query).predicate)
         assert not match_views(query, ctx, now=1.0).reused
 
     def test_exact_match_preferred_over_containment(self, env):
         catalog, store = env
         executor = Executor(store)
-        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore(),
-                               enable_containment=True)
+        ctx = OptimizerContext(catalog=catalog, view_store=ViewStore())
         general = filter_subplan(plan_for(
             catalog, "SELECT CustomerId, Price FROM Sales "
                      "WHERE CustomerId > 5"))
@@ -139,20 +136,19 @@ class TestContainmentMatching:
                          "SELECT CustomerId, Price FROM Sales "
                          "WHERE CustomerId > 10")
         outcome = match_views(query, ctx, now=1.0)
-        assert outcome.reused
-        assert outcome.matches[0].signature == exact_sig
+        assert [match.signature for match in outcome.matches] == [exact_sig]
 
     def test_stale_general_view_ignored(self, env):
         catalog, store = env
         executor = Executor(store)
         ctx = OptimizerContext(catalog=catalog,
-                               view_store=ViewStore(ttl_seconds=10.0),
-                               enable_containment=True)
-        view_plan = filter_subplan(plan_for(
-            catalog, "SELECT CustomerId, Price FROM Sales "
-                     "WHERE CustomerId > 5"))
-        materialize(ctx, store, executor, view_plan)
+                               view_store=ViewStore(ttl_seconds=10.0))
+        for bound in (5, 10):  # a general view and the exact one
+            materialize(ctx, store, executor, filter_subplan(plan_for(
+                catalog, "SELECT CustomerId, Price FROM Sales "
+                         f"WHERE CustomerId > {bound}")))
         query = plan_for(catalog,
                          "SELECT CustomerId, Price FROM Sales "
                          "WHERE CustomerId > 10")
+        assert match_views(query, ctx, now=1.0).reused
         assert not match_views(query, ctx, now=100.0).reused

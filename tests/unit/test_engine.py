@@ -128,7 +128,7 @@ class TestEngineLifecycle:
         assert sorted(map(repr, run.rows)) == expected
         assert run.compiled.reused_views == 0
         assert reasons() == ["view_read_failure", "pin_lost"]
-        assert recorder.metrics.counter("execute.reuse_fallbacks") == 2
+        assert recorder.metrics.counters["execute.reuse_fallbacks"] == 2
 
     def test_history_recorded_after_execution(self, engine):
         engine.run_sql(SQL)
@@ -184,9 +184,9 @@ class TestInsightsService:
         service.enabled = False
         fetched = InsightsClient(service).fetch_annotations(["tagA"])
         assert fetched == ({}, 0.0, False)
-        usage = service.metrics.snapshot()
         # The fetch is counted; no tag went to the serving layer.
-        assert (usage["fetches"], usage["cache_misses"]) == (1, 0)
+        assert (service.metrics.fetches,
+                service.metrics.cache_misses) == (1, 0)
 
     def test_lock_exclusive(self):
         service = InsightsService()

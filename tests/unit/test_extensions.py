@@ -7,11 +7,9 @@ from repro.extensions import (
     concurrency_histogram,
     concurrent_joins,
     estimate_pipelined_sharing,
-    generalized_match,
     join_set_opportunities,
 )
 from repro.plan.expressions import BinaryOp, ColumnRef, Literal, conjoin
-from repro.plan.logical import Filter, Scan, ViewScan
 from repro.workload.repository import (
     JobRecord,
     SubexpressionRecord,
@@ -68,28 +66,6 @@ class TestContainment:
     def test_unsupported_predicate_is_sound(self):
         weird = BinaryOp("=", ColumnRef("x"), ColumnRef("y"))
         assert not self.checker.contains(weird, pred("x", ">", 5))
-
-    def test_compensation_returns_specific(self):
-        compensation = self.checker.compensation(
-            pred("x", ">", 5), pred("x", ">", 6))
-        assert compensation == pred("x", ">", 6)
-
-    def test_generalized_match_rewrites_filter_over_scan(self):
-        scan = Scan("Sales", ("CustomerId", "Price"), "guid1")
-        view_plan = Filter(scan, pred("CustomerId", ">", 5))
-        query_plan = Filter(scan, pred("CustomerId", ">", 6))
-        view_scan = ViewScan("sig", "path", scan.columns, rows=10)
-        rewritten = generalized_match(query_plan, view_plan, view_scan)
-        assert isinstance(rewritten, Filter)
-        assert isinstance(rewritten.child, ViewScan)
-
-    def test_generalized_match_rejects_different_streams(self):
-        scan1 = Scan("Sales", ("CustomerId",), "guid1")
-        scan2 = Scan("Sales", ("CustomerId",), "guid2")
-        view_plan = Filter(scan1, pred("CustomerId", ">", 5))
-        query_plan = Filter(scan2, pred("CustomerId", ">", 6))
-        view_scan = ViewScan("sig", "path", scan1.columns, rows=10)
-        assert generalized_match(query_plan, view_plan, view_scan) is None
 
 
 def make_repo(records):

@@ -25,6 +25,7 @@ from repro.insights.client import (
 from repro.obs import FlightRecorder
 from repro.obs import events as obs_events
 from repro.optimizer.context import Annotation
+from tests.integration.test_service_contract import usage
 
 
 def annotation(tag="tag-1", recurring="rec-1"):
@@ -71,16 +72,16 @@ class TestServingPath:
         assert fetched.annotations == {"rec-1": annotation()}
         assert fetched.latency == latency
         assert not fetched.degraded
-        assert client.metrics.snapshot() == dict(
-            direct.metrics.snapshot(), fetches=1, annotations_served=1)
+        assert usage(client.metrics) == dict(
+            usage(direct.metrics), fetches=1, annotations_served=1)
 
     def test_local_cache_hits_skip_the_service(self):
         client = InsightsClient()
         publish_one(client)
         client.fetch_annotations(["tag-1"], now=0.0)
-        before = client.metrics.snapshot()
+        before = usage(client.metrics)
         result = client.fetch_annotations(["tag-1"], now=1.0).annotations
-        after = client.metrics.snapshot()
+        after = usage(client.metrics)
         assert result["rec-1"].tag == "tag-1"
         assert client.cache_hits == 1
         # Per-job fetches still counted; no new serving-layer tag lookups.
@@ -101,8 +102,8 @@ class TestServingPath:
         fetched = client.fetch_annotations(tags, now=0.0)
         assert set(fetched.annotations) == {f"rec-{t}" for t in tags}
         assert lookups == [[tags]] and client.retries == 1
-        usage = client.metrics.snapshot()
-        assert (usage["cache_misses"], usage["cache_hits"]) == (5, 5)
+        assert (client.metrics.cache_misses,
+                client.metrics.cache_hits) == (5, 5)
         all_hits = 0.0
         for _ in tags:
             all_hits += 0.0015
@@ -220,13 +221,13 @@ class TestCircuitBreaker:
         assert client.breaker.state == "open"
         # While open, fetches degrade without a lookup: each is counted,
         # and no tag reaches the serving layer.
-        before = client.metrics.snapshot()
+        before = usage(client.metrics)
         for _ in range(BREAKER_COOLDOWN_FETCHES - 1):
             fetched = client.fetch_annotations(["tag-1"], now=0.0)
             assert fetched.annotations == {}
             assert fetched.degraded is True
         assert client.breaker.state == "open"
-        assert client.metrics.snapshot() == dict(
+        assert usage(client.metrics) == dict(
             before, fetches=before["fetches"] + BREAKER_COOLDOWN_FETCHES - 1)
         # Heal the service; the cooldown's next fetch runs as a probe.
         client.faults = NULL_FAULTS

@@ -69,14 +69,13 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.inc("jobs")
         registry.inc("jobs", 4)
-        assert registry.counter("jobs") == 5
-        assert registry.counter("missing") == 0
+        assert registry.counters == {"jobs": 5}
 
     def test_gauges_overwrite(self):
         registry = MetricsRegistry()
         registry.set_gauge("bytes", 10)
         registry.set_gauge("bytes", 7)
-        assert registry.gauge("bytes") == 7
+        assert registry.gauges == {"bytes": 7}
 
     def test_histograms_created_on_first_observe(self):
         registry = MetricsRegistry()
@@ -111,4 +110,4 @@ class TestMetricsRegistry:
         rendered = MetricsRegistry.render_dict(loaded)
         assert "views.created" in rendered
         assert "insights.fetch.latency" in rendered
-        assert registry.render() == rendered
+        assert MetricsRegistry.render_dict(registry.to_dict()) == rendered

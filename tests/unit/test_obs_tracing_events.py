@@ -11,37 +11,47 @@ from repro.obs import (
     Span,
     Tracer,
     load_capture,
+    render_flamegraph,
     replay_counters,
 )
 
 
+def trace_of(tracer, trace_id, directory):
+    """One trace's spans as ``repro obs trace`` reads them: dumped,
+    loaded back and picked by trace id."""
+    path = directory / "spans.jsonl"
+    tracer.dump_jsonl(str(path))
+    return [span for span in Tracer.load_jsonl(str(path))
+            if span.trace_id == trace_id]
+
+
 class TestTracer:
-    def test_span_nesting_and_durations(self):
+    def test_span_nesting_and_durations(self, tmp_path):
         tracer = Tracer()
         parent = tracer.start_span("job.compile", trace_id="job-1", at=10.0)
         child = tracer.start_span("insights.fetch", trace_id="job-1",
                                   at=10.0, parent=parent)
         child.finish(at=10.015)
         parent.finish(at=10.015)
-        spans = tracer.trace("job-1")
+        spans = trace_of(tracer, "job-1", tmp_path)
         assert [s.name for s in spans] == ["job.compile", "insights.fetch"]
         assert spans[1].parent_id == spans[0].span_id
         assert spans[1].duration == pytest.approx(0.015)
 
-    def test_flamegraph_renders_nesting(self):
+    def test_flamegraph_renders_nesting(self, tmp_path):
         tracer = Tracer()
         parent = tracer.start_span("job.compile", trace_id="j", at=0.0)
         tracer.start_span("view.match", trace_id="j", at=0.0,
                           parent=parent).annotate("matches", 2).finish(at=0.0)
         parent.finish(at=0.1)
-        text = tracer.render_flamegraph("j")
+        text = render_flamegraph(trace_of(tracer, "j", tmp_path), "j")
         lines = text.splitlines()
         assert "job.compile" in lines[1]
         assert lines[2].startswith("  view.match")
         assert "matches=2" in lines[2]
 
     def test_flamegraph_empty_trace(self):
-        assert "no spans" in Tracer().render_flamegraph("missing")
+        assert "no spans" in render_flamegraph([], "missing")
 
     def test_jsonl_round_trip(self, tmp_path):
         tracer = Tracer()
@@ -91,7 +101,7 @@ class TestFlightRecorder:
         recorder = FlightRecorder()
         recorder.event("view.sealed", at=4.0, job_id="j")
         recorder.event("view.sealed", at=5.0, job_id="k")
-        assert recorder.metrics.counter("events.view.sealed") == 2
+        assert recorder.metrics.counters["events.view.sealed"] == 2
         assert len(recorder.events) == 2
 
     def test_clock_is_monotonic_and_stamps_events(self):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.api import Session
+from repro.api import JobResult, Session
 from repro.catalog import schema_of
 from repro.common.errors import (
     BindError,
@@ -262,7 +262,8 @@ class TestSessionFacade:
             single = session.run(SQL, now=0.0)
             batch = session.run_batch([SQL, SQL], now=1.0)
         assert single.ok and all(r.ok for r in batch)
-        assert single.summary().keys() == batch[0].summary().keys()
+        assert type(single) is type(batch[0]) is JobResult
+        assert single.rows == batch[0].rows
         assert [r.job_id for r in batch] == ["job-2", "job-3"]
 
     def test_batch_failures_do_not_raise(self):

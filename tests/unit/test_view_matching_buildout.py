@@ -14,6 +14,7 @@ from repro.optimizer import (
     optimize,
     view_path_for,
 )
+from repro.optimizer import view_buildout
 from repro.plan import Filter, Join, PlanBuilder, Spool, ViewScan, normalize
 from repro.signatures import (
     enumerate_subexpressions,
@@ -189,9 +190,12 @@ class TestBuildout:
         self.annotate(ctx, join_subexpr(plan))
         assert not insert_spools(plan, ctx, now=0.0).builds
 
-    def test_max_views_per_job_enforced(self, catalog):
+    def test_max_views_per_job_enforced(self, catalog, monkeypatch):
+        # A per-job cap of one, so that the plan's several annotated
+        # subexpressions must contend for it.
+        monkeypatch.setattr(view_buildout, "MAX_VIEWS_PER_JOB", 1)
         plan = build(catalog)
-        ctx = make_ctx(catalog, max_views_per_job=1)
+        ctx = make_ctx(catalog)
         for sub in enumerate_subexpressions(plan):
             if sub.height >= 1:
                 self.annotate(ctx, sub)
